@@ -1,18 +1,14 @@
-"""Shared fixtures and scenario builders for the benchmark harness.
+"""Scenario builders for ``benchmarks/smoke.py``.
 
-The paper has no measurement tables; its efficiency statements are the
-claims B1-B6 catalogued in DESIGN.md.  Every benchmark module regenerates
-one claim as a pytest-benchmark group, so ``pytest benchmarks/
---benchmark-only --benchmark-group-by=group`` prints one comparison table
-per claim (who wins, by roughly what factor).
+Each builder materializes one synthetic workload family with one pending
+base deletion, so the smoke run and the tests that re-run it measure the
+same pre-built scenario.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict
-
-import pytest
 
 from repro.constraints import ConstraintSolver
 from repro.datalog import MaterializedView, compute_tp_fixpoint
@@ -24,13 +20,11 @@ from repro.workloads import (
     make_chain_program,
     make_interval_join_program,
     make_interval_program,
-    make_law_enforcement_scenario,
     make_path_graph_edges,
     make_transitive_closure_program,
 )
 
-#: The workload sizes every deletion/insertion benchmark sweeps over.  The
-#: labels appear in the benchmark group names.
+#: Named sizes of the layered workload.
 SIZE_PARAMETERS: Dict[str, Dict[str, int]] = {
     "small": {"base_facts": 8, "layers": 2},
     "medium": {"base_facts": 16, "layers": 3},
@@ -118,9 +112,3 @@ def build_tc_deletion_scenario(length: int = 10) -> DeletionScenario:
     view = compute_tp_fixpoint(spec.program, solver)
     request = deletion_stream(spec, 1, seed=4)[0]
     return DeletionScenario(spec, solver, view, request)
-
-
-@pytest.fixture(scope="module")
-def law_enforcement_scenario():
-    """A mid-sized law-enforcement mediator instance shared per module."""
-    return make_law_enforcement_scenario(num_people=14, photo_count=10, seed=21)

@@ -1,10 +1,10 @@
 """Smoke benchmark: every claim's smallest configuration, one JSON snapshot.
 
-The full pytest-benchmark sweep (``pytest benchmarks/ --benchmark-only``)
-takes minutes; this script runs each benchmark family at its smallest size in
-well under a minute and writes a ``BENCH_smoke.json`` snapshot with wall-clock
-times *and* the operation counters (``derivation_attempts``, ``solver_calls``,
-...), so successive PRs have a perf trajectory to compare against::
+Runs each workload family at its smallest size in well under a minute and
+writes a ``BENCH_smoke.json`` snapshot with wall-clock times *and* the
+operation counters (``derivation_attempts``, ``solver_calls``, ...), so
+successive PRs have a perf trajectory to compare against (latencies and
+scaling are ``benchmarks/e2e/``'s job)::
 
     PYTHONPATH=src python benchmarks/smoke.py [--out PATH] [--label TEXT]
 
@@ -39,7 +39,7 @@ from repro.datalog import (  # noqa: E402
     parse_constrained_atom,
     parse_program,
 )
-from repro.datalog.fixpoint import FixpointOptions  # noqa: E402
+from repro.datalog.join import EngineOptions  # noqa: E402
 from repro.maintenance import (  # noqa: E402
     DeletionRequest,
     TpExternalMaintenance,
@@ -119,11 +119,11 @@ def run_interval_materialization() -> dict:
         ground_facts=6, intervals_per_predicate=3, pairs=2, width=40, seed=2
     )
     ranged = FixpointEngine(
-        spec.program, ConstraintSolver(), FixpointOptions(range_postings=True)
+        spec.program, ConstraintSolver(), EngineOptions(range_postings=True)
     )
     seconds, view = timed(ranged.compute)
     unranged = FixpointEngine(
-        spec.program, ConstraintSolver(), FixpointOptions(range_postings=False)
+        spec.program, ConstraintSolver(), EngineOptions(range_postings=False)
     )
     unranged.compute()
     return {
@@ -446,7 +446,7 @@ def run_smoke(include_external: bool = True) -> dict:
     snapshot["deletion_recursive_tc6"] = run_deletion_family(
         build_tc_deletion_scenario(length=6)
     )
-    # The largest bench_recursive size: the headline counters of the
+    # The largest recursive size: the headline counters of the
     # hash-join / quick-reject / delta-rederivation claims.
     snapshot["deletion_recursive_tc14"] = run_deletion_family(
         build_tc_deletion_scenario(length=14)

@@ -1,9 +1,9 @@
 """Setuptools shim.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that ``pip install -e .`` keeps working on environments whose setuptools
-cannot build PEP 660 editable wheels (e.g. offline machines without the
-``wheel`` package).
+The project's only packaging metadata: plain ``setup.py`` so that
+``pip install -e .`` keeps working on environments whose setuptools cannot
+build PEP 660 editable wheels (e.g. offline machines without the ``wheel``
+package).
 """
 
 from setuptools import find_packages, setup

@@ -8,13 +8,11 @@ operators, and a small rule-text parser.
 from repro.datalog.atoms import Atom, ConstrainedAtom, ground_atom, make_atom
 from repro.datalog.clauses import Clause, fact, rule
 from repro.datalog.fixpoint import (
-    DEFAULT_FIXPOINT_OPTIONS,
     FixpointEngine,
-    FixpointOptions,
-    WP_OPTIONS,
     compute_tp_fixpoint,
     compute_wp_fixpoint,
 )
+from repro.datalog.join import EngineOptions
 from repro.datalog.parser import (
     parse_atom,
     parse_clause,
@@ -31,13 +29,11 @@ __all__ = [
     "Clause",
     "ConstrainedAtom",
     "ConstrainedDatabase",
-    "DEFAULT_FIXPOINT_OPTIONS",
+    "EngineOptions",
     "FixpointEngine",
-    "FixpointOptions",
     "MaterializedView",
     "Support",
     "ViewEntry",
-    "WP_OPTIONS",
     "compute_tp_fixpoint",
     "compute_wp_fixpoint",
     "derived",

@@ -21,100 +21,21 @@ once.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
 
-from repro.constraints.ast import Constraint, conjoin, tuple_equalities
-from repro.constraints.projection import eliminate_variables
-from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
-from repro.constraints.terms import Constant, FreshVariableFactory, Variable
-from repro.datalog.atoms import Atom, ConstrainedAtom
-from repro.datalog.clauses import Clause
+from repro.datalog.join import (
+    DeltaJoinKernel,
+    DeltaRound,
+    EngineOptions,
+    Seed,
+    derived_entry,
+    make_fresh_factory,
+)
 from repro.datalog.program import ConstrainedDatabase
-from repro.datalog.support import Support
-from repro.constraints.solver import (
-    Interval as _Interval,
-    intersect_intervals as _intersect_intervals,
-    interval_excludes as _interval_excludes,
-)
-from repro.datalog.view import (
-    IntervalQuery,
-    MaterializedView,
-    UNBOUND,
-    ViewEntry,
-    argument_intervals,
-    bound_argument_values,
-    evaluator_token,
-    interval_query_from,
-)
+from repro.datalog.view import MaterializedView, ViewEntry
 from repro.errors import FixpointDivergenceError
-
-
-@dataclass(frozen=True)
-class FixpointOptions:
-    """Configuration of the fixpoint computation."""
-
-    #: Apply the solvability check of ``T_P``.  ``False`` gives ``W_P``.
-    check_solvability: bool = True
-    #: Keep one entry per *derivation* (duplicate semantics).  When False,
-    #: a derived entry that denotes a ground tuple already denoted by an
-    #: existing entry of the same predicate is skipped (set semantics); this
-    #: is what makes transitive closure over cyclic data terminate.
-    duplicate_semantics: bool = True
-    #: Simplify derived constraints (removes the redundancy the paper notes).
-    simplify_constraints: bool = True
-    #: Also drop comparison conjuncts entailed by the rest when simplifying.
-    drop_redundant_comparisons: bool = True
-    #: Project away auxiliary (non-head) variables bound by equalities, so
-    #: derived entries read like the paper's examples (``A(X) <- X >= 5``
-    #: instead of ``A(X) <- X1 >= 5 & X1 = X``).
-    project_auxiliary_variables: bool = True
-    #: Probe the view's argument index with the bindings accumulated so far
-    #: instead of scanning the full per-position pools (hash join).  Only
-    #: applied under ``T_P`` (``check_solvability=True``): the index prunes
-    #: combinations whose binding equalities are unsatisfiable, and ``W_P``
-    #: must keep exactly those entries (Theorem 4).
-    hash_join_index: bool = True
-    #: Consult the argument index's interval range postings: positions whose
-    #: entries are interval-constrained (not pinned to a constant) are probed
-    #: by containment/overlap instead of falling back to the unbound bucket,
-    #: and join bindings carry intervals alongside pinned values.  Only
-    #: effective when ``hash_join_index`` is on; like it, never applied under
-    #: ``W_P`` (the postings are then never even populated).
-    range_postings: bool = True
-    #: Statically-inferred (predicate, position) pairs that can actually
-    #: carry a non-degenerate interval (see
-    #: :func:`repro.analysis.signatures.infer_interval_positions`).  When
-    #: set, pinned-value probes against positions *not* in the table skip the
-    #: range-postings path entirely -- the exact-value index already answers
-    #: them, so maintaining/consulting interval postings there is pure
-    #: overhead.  ``None`` (no analysis available) keeps every position on
-    #: the range-aware path; overlap (:class:`IntervalQuery`) probes always
-    #: stay range-aware regardless.
-    range_eligible: Optional[FrozenSet[Tuple[str, int]]] = None
-    #: Hard cap on the number of iterations before giving up.
-    max_iterations: int = 200
-    #: Hard cap on the total number of view entries before giving up.
-    max_entries: int = 200_000
-
-
-DEFAULT_FIXPOINT_OPTIONS = FixpointOptions()
-
-#: Options preset for the ``W_P`` operator of Section 4.
-WP_OPTIONS = FixpointOptions(check_solvability=False)
 
 
 @dataclass
@@ -138,6 +59,11 @@ class FixpointStats:
     clauses_skipped: int = 0
     #: Argument-index probes issued by the hash-join enumeration.
     index_probes: int = 0
+    #: Clause applications and the solvability checks they ran.  The join
+    #: kernel counts them for every caller; :meth:`merge_into` leaves them
+    #: out, as DRed has never reported its rederivation's checks.
+    clause_applications: int = 0
+    solver_calls: int = 0
     #: Per-round delta sizes (number of entries new since the last round).
     round_delta_sizes: List[int] = field(default_factory=list)
     #: Per-round derivation attempts (aligned with ``round_delta_sizes``).
@@ -156,347 +82,6 @@ class FixpointStats:
         stats.index_probes += self.index_probes
 
 
-_T = TypeVar("_T")
-
-
-def iter_delta_joins(
-    old_pools: Sequence[Sequence[_T]],
-    delta_pools: Sequence[Sequence[_T]],
-    full_pools: Sequence[Sequence[_T]],
-) -> Iterator[Tuple[_T, ...]]:
-    """Enumerate premise combinations that use at least one delta element.
-
-    The enumeration is partitioned by the *first* body position that takes a
-    delta element: positions before it draw from ``old_pools`` (the view
-    minus the delta), the position itself draws from ``delta_pools`` and the
-    positions after it draw from ``full_pools`` (the whole view).  Every
-    combination containing at least one delta element is produced exactly
-    once, and no delta-free combination is ever materialized -- this is the
-    semi-naive join the naive product-then-filter loop only simulated.
-
-    Passing ``full_pools`` again as ``old_pools`` yields the combinations
-    with *exactly one* delta element instead (assuming the delta pools are
-    disjoint from the full pools), which is the Extended DRed / P_ADD
-    unfolding discipline.
-    """
-    arity = len(full_pools)
-    for position in range(arity):
-        delta_pool = delta_pools[position]
-        if not delta_pool:
-            continue
-        prefix = old_pools[:position]
-        suffix = full_pools[position + 1:]
-        if any(not pool for pool in prefix) or any(not pool for pool in suffix):
-            continue
-        for chosen in delta_pool:
-            for before in itertools.product(*prefix):
-                for after in itertools.product(*suffix):
-                    yield before + (chosen,) + after
-
-
-def _values_compatible(left: object, right: object) -> bool:
-    """Conservative equality: False only when the values definitely differ.
-
-    Mirrors the solver's value equality (Python ``==``, which already treats
-    ``3 == 3.0``); anything odd (raising ``__eq__``, non-bool result) counts
-    as compatible so the index never prunes a satisfiable combination.
-    """
-    try:
-        return bool(left == right)
-    except Exception:
-        return True
-
-
-def _extend_bindings(
-    bindings: Dict[Variable, object],
-    body_atom: Atom,
-    values: Sequence[object],
-    intervals: Optional[Sequence[Optional[_Interval]]] = None,
-) -> Optional[Dict[Variable, object]]:
-    """Fold one premise's pinned argument values into the binding map.
-
-    Returns ``None`` when a pinned value clashes with an existing binding or
-    a constant argument -- exactly the combinations whose binding equalities
-    the solver would find unsatisfiable.
-
-    With *intervals* (the premise's per-position numeric bounds, from
-    :func:`repro.datalog.view.argument_intervals`), positions the premise
-    does not pin to a value contribute an *interval* binding instead:
-    intervals intersect (an empty intersection prunes the combination), a
-    later pinned value refines an interval binding (a value outside it
-    prunes), and constants are checked for containment.  All the pruned
-    combinations are exactly those whose binding equalities plus ordering
-    conjuncts are unsatisfiable, so this stays ``T_P``-only, like the rest
-    of the indexed enumeration.
-    """
-    updated = bindings
-    copied = False
-    for index, (arg, value) in enumerate(zip(body_atom.args, values)):
-        if value is UNBOUND:
-            interval = intervals[index] if intervals is not None else None
-            if interval is None:
-                continue
-            if isinstance(arg, Constant):
-                if _interval_excludes(interval, arg.value):
-                    return None
-                continue
-            existing = updated.get(arg, UNBOUND)
-            if existing is UNBOUND:
-                if not copied:
-                    updated = dict(updated)
-                    copied = True
-                updated[arg] = interval
-            elif isinstance(existing, _Interval):
-                merged = _intersect_intervals(existing, interval)
-                if merged.is_empty():
-                    return None
-                if not copied:
-                    updated = dict(updated)
-                    copied = True
-                updated[arg] = merged
-            elif _interval_excludes(interval, existing):
-                return None
-            continue
-        if isinstance(arg, Constant):
-            if not _values_compatible(arg.value, value):
-                return None
-            continue
-        existing = updated.get(arg, UNBOUND)
-        if existing is UNBOUND:
-            if not copied:
-                updated = dict(updated)
-                copied = True
-            updated[arg] = value
-        elif isinstance(existing, _Interval):
-            if _interval_excludes(existing, value):
-                return None
-            if not copied:
-                updated = dict(updated)
-                copied = True
-            updated[arg] = value
-        elif not _values_compatible(existing, value):
-            return None
-    return updated
-
-
-def iter_indexed_delta_joins(
-    body_atoms: Sequence[Atom],
-    old_pools: Sequence[Sequence[_T]],
-    delta_pools: Sequence[Sequence[_T]],
-    full_pools: Sequence[Sequence[_T]],
-    probe_old: Callable[[Atom, int, object], Sequence[_T]],
-    probe_full: Callable[[Atom, int, object], Sequence[_T]],
-    bound_values: Optional[Callable[[_T], Sequence[object]]] = None,
-    bound_intervals: Optional[
-        Callable[[_T], Sequence[Optional[_Interval]]]
-    ] = None,
-) -> Iterator[Tuple[_T, ...]]:
-    """Hash-join variant of :func:`iter_delta_joins`.
-
-    Enumerates the same partitions (first delta position draws from the
-    delta, earlier positions from the old pools, later ones from the full
-    pools) but visits the delta position *first* so its pinned argument
-    values become bindings, then resolves every remaining position through
-    ``probe_old`` / ``probe_full`` -- an argument-index lookup returning only
-    entries that can carry the accumulated binding -- falling back to the
-    positional pool when no argument of the position is bound yet.
-
-    With *bound_intervals* (range postings enabled), positions a premise
-    bounds numerically without pinning contribute interval bindings, and a
-    position whose first informative argument carries only an interval is
-    resolved with an :class:`~repro.datalog.view.IntervalQuery` probe
-    (overlap instead of containment) -- interval-constrained workloads then
-    skip the unbound-bucket fallback that made them effectively positional.
-
-    The yielded set is the subset of :func:`iter_delta_joins`'s output whose
-    binding equalities are not trivially unsatisfiable, so it is only valid
-    for ``T_P``-style evaluation (solvability-checked derivations).  Each
-    combination is yielded with its premises in body order.
-    """
-    arity = len(full_pools)
-    if bound_values is None:
-        bound_values = _default_bound_values
-    values_cache: Dict[int, Sequence[object]] = {}
-    intervals_cache: Dict[int, Sequence[Optional[_Interval]]] = {}
-
-    def values_of(item: _T) -> Sequence[object]:
-        cached = values_cache.get(id(item))
-        if cached is None:
-            cached = values_cache[id(item)] = bound_values(item)
-        return cached
-
-    def intervals_of(item: _T) -> Optional[Sequence[Optional[_Interval]]]:
-        if bound_intervals is None:
-            return None
-        cached = intervals_cache.get(id(item))
-        if cached is None:
-            cached = intervals_cache[id(item)] = bound_intervals(item)
-        return cached
-
-    def candidates(
-        position: int, use_old: bool, bindings: Dict[Variable, object]
-    ) -> Sequence[_T]:
-        body_atom = body_atoms[position]
-        interval_query: Optional[Tuple[int, _Interval]] = None
-        for arg_index, arg in enumerate(body_atom.args):
-            if isinstance(arg, Constant):
-                value = arg.value
-            elif isinstance(arg, Variable) and arg in bindings:
-                bound = bindings[arg]
-                if isinstance(bound, _Interval):
-                    if interval_query is None:
-                        interval_query = (arg_index, bound)
-                    continue
-                value = bound
-            else:
-                continue
-            probe = probe_old if use_old else probe_full
-            return probe(body_atom, arg_index, value)
-        if interval_query is not None:
-            arg_index, interval = interval_query
-            probe = probe_old if use_old else probe_full
-            return probe(body_atom, arg_index, interval_query_from(interval))
-        return old_pools[position] if use_old else full_pools[position]
-
-    for delta_position in range(arity):
-        if not delta_pools[delta_position]:
-            continue
-        if any(not old_pools[p] for p in range(delta_position)):
-            continue
-        if any(not full_pools[p] for p in range(delta_position + 1, arity)):
-            continue
-        # Visit the delta position first so its bindings prune the rest;
-        # remaining positions go in body order.
-        order = [delta_position] + [p for p in range(arity) if p != delta_position]
-        chosen: List[Optional[_T]] = [None] * arity
-
-        def recurse(depth: int, bindings: Dict[Variable, object]) -> Iterator[Tuple[_T, ...]]:
-            if depth == arity:
-                yield tuple(chosen)  # type: ignore[arg-type]
-                return
-            position = order[depth]
-            if position == delta_position:
-                pool: Sequence[_T] = delta_pools[position]
-            else:
-                pool = candidates(position, position < delta_position, bindings)
-            for item in pool:
-                extended = _extend_bindings(
-                    bindings,
-                    body_atoms[position],
-                    values_of(item),
-                    intervals_of(item),
-                )
-                if extended is None:
-                    continue
-                chosen[position] = item
-                yield from recurse(depth + 1, extended)
-
-        yield from recurse(0, {})
-
-
-def _default_bound_values(item: object) -> Sequence[object]:
-    getter = getattr(item, "bound_args", None)
-    if getter is not None:
-        return getter()
-    return bound_argument_values(item.atom.args, item.constraint)  # type: ignore[attr-defined]
-
-
-def make_interval_getter(
-    evaluator: Optional[object],
-) -> Callable[[object], Sequence[Optional[_Interval]]]:
-    """Per-item interval getter for :func:`iter_indexed_delta_joins`.
-
-    Resolves :class:`~repro.datalog.view.ViewEntry` items through their
-    cached ``arg_intervals``; bare constrained atoms (the P_OUT / P_ADD
-    frontiers) are summarized on the fly.
-    """
-    token = evaluator_token(evaluator)
-
-    def getter(item: object) -> Sequence[Optional[_Interval]]:
-        method = getattr(item, "arg_intervals", None)
-        if method is not None:
-            return method(evaluator, token)
-        return argument_intervals(item.atom.args, item.constraint, evaluator)  # type: ignore[attr-defined]
-
-    return getter
-
-
-def make_view_probes(
-    view: MaterializedView,
-    exclude_keys: Optional[set] = None,
-    delta_by_predicate: Optional[Dict[str, list]] = None,
-    old_is_empty: bool = False,
-    on_probe: Optional[Callable[[], None]] = None,
-    range_postings: bool = False,
-    evaluator: Optional[object] = None,
-    range_eligible: Optional[FrozenSet[Tuple[str, int]]] = None,
-) -> Tuple[Callable, Callable]:
-    """Build the ``(probe_old, probe_full)`` pair for indexed delta joins.
-
-    ``probe_full`` resolves a body atom + binding against *view*'s argument
-    index; ``probe_old`` additionally drops the entries in *exclude_keys*
-    (the round's delta / frontier) so the old pools stay delta-free --
-    skipping the filter for predicates *delta_by_predicate* marks as having
-    no delta (there old == full).  ``old_is_empty`` models one-shot operator
-    application, where every entry is delta and the old pools are empty.
-    This is the single implementation shared by the fixpoint engine, the
-    P_OUT unfolding and the P_ADD unfolding.
-
-    With ``range_postings=True`` probes go through the view's range-aware
-    :meth:`~repro.datalog.view.MaterializedView.probe_range` (consulting
-    *evaluator*'s ``index_interval`` hooks for DCA-bounded positions) and
-    accept :class:`~repro.datalog.view.IntervalQuery` overlap queries.
-    *range_eligible* (the analyzer's interval-position table) routes
-    pinned-value probes of statically interval-free positions straight to
-    the exact-value index: ``probe`` returns bound matches, the unbound
-    bucket AND every interval-posted entry unfiltered, so skipping the
-    range machinery on such positions is unconditionally a superset --
-    only overlap queries must stay on the range-aware path.
-    """
-
-    token = evaluator_token(evaluator) if range_postings else None
-
-    def probe_full(body_atom: Atom, arg_index: int, value: object):
-        if on_probe is not None:
-            on_probe()
-        if range_postings:
-            if (
-                range_eligible is not None
-                and not isinstance(value, IntervalQuery)
-                and (body_atom.predicate, arg_index) not in range_eligible
-            ):
-                return view.probe(body_atom.predicate, arg_index, value)
-            return view.probe_range(
-                body_atom.predicate, arg_index, value, evaluator, token
-            )
-        if isinstance(value, IntervalQuery):
-            # Defensive: a range-unaware probe cannot answer an overlap
-            # query with a superset; fall back to the positional pool.
-            return view.entries_for(body_atom.predicate)
-        return view.probe(body_atom.predicate, arg_index, value)
-
-    if old_is_empty:
-
-        def probe_old(body_atom: Atom, arg_index: int, value: object):
-            return ()
-
-    elif not exclude_keys:
-        probe_old = probe_full
-    else:
-
-        def probe_old(body_atom: Atom, arg_index: int, value: object):
-            result = probe_full(body_atom, arg_index, value)
-            if (
-                delta_by_predicate is not None
-                and not delta_by_predicate.get(body_atom.predicate)
-            ):
-                return result
-            return tuple(
-                entry for entry in result if entry.key() not in exclude_keys
-            )
-
-    return probe_old, probe_full
-
 
 class FixpointEngine:
     """Computes ``T_P ↑ ω`` / ``W_P ↑ ω`` for a constrained database."""
@@ -505,31 +90,20 @@ class FixpointEngine:
         self,
         program: ConstrainedDatabase,
         solver: Optional[ConstraintSolver] = None,
-        options: FixpointOptions = DEFAULT_FIXPOINT_OPTIONS,
+        options: EngineOptions = EngineOptions(),
+        check_solvability: bool = True,
     ) -> None:
         self._program = program
         self._solver = solver or ConstraintSolver()
         self._options = options
+        #: The operator: ``T_P`` checks solvability, ``W_P`` (``False``)
+        #: does not.  The ``P_OUT`` / ``P_ADD`` unfoldings always check.
+        self._check_solvability = check_solvability
         self._stats = FixpointStats()
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    @property
-    def program(self) -> ConstrainedDatabase:
-        """The constrained database being evaluated."""
-        return self._program
-
-    @property
-    def solver(self) -> ConstraintSolver:
-        """The constraint solver used for solvability checks."""
-        return self._solver
-
-    @property
-    def options(self) -> FixpointOptions:
-        """The options the engine was configured with."""
-        return self._options
-
     @property
     def stats(self) -> FixpointStats:
         """Counters of the most recent :meth:`compute` / :meth:`step` call."""
@@ -555,12 +129,11 @@ class FixpointEngine:
         passes the over-deleted entries plus their direct premises, which is
         exactly the set whose derivations the over-deletion disturbed.
         """
-        self._stats = FixpointStats()
         # Copy-on-write: the computation shares the seed's per-predicate
         # shards and only clones the shards its derivations actually touch,
         # instead of re-indexing the whole seed view entry by entry.
         view = initial.copy() if initial is not None else MaterializedView()
-        factory = self._make_factory(view)
+        kernel = self._new_kernel(view)
 
         # Round 0: body-free clauses, plus the seed entries, form the delta.
         # Seed entries count as delta (they can fire clauses) but not as
@@ -576,12 +149,10 @@ class FixpointEngine:
                     continue
                 seen_keys.add(key)
                 delta.append(entry)
-        for clause in self._program:
-            if clause.is_fact_clause:
-                entry = self._derive_fact(clause)
-                if entry is not None and view.add(entry):
-                    delta.append(entry)
-                    self._stats.entries_added += 1
+        for entry in self._derive_facts(kernel):
+            if view.add(entry):
+                delta.append(entry)
+                self._stats.entries_added += 1
 
         iteration = 0
         while delta:
@@ -591,11 +162,7 @@ class FixpointEngine:
             self._stats.iterations = iteration
             self._stats.round_delta_sizes.append(len(delta))
             attempts_before = self._stats.derivation_attempts
-            produced: List[ViewEntry] = []
-            for clause, pools_for, probes, intervals in self._round_plan(view, delta):
-                produced.extend(
-                    self._derive_from_clause(clause, pools_for, factory, probes, intervals)
-                )
+            produced = self._derive_round(kernel, view, delta, Seed.IN_VIEW)
             self._stats.round_attempts.append(
                 self._stats.derivation_attempts - attempts_before
             )
@@ -621,211 +188,60 @@ class FixpointEngine:
         *interpretation*, mirroring the paper's definition of the operator
         (the result does not include ``I`` itself).
         """
-        self._stats = FixpointStats()
-        factory = self._make_factory(interpretation)
+        kernel = self._new_kernel(interpretation)
         result = MaterializedView()
-        for clause in self._program:
-            if clause.is_fact_clause:
-                entry = self._derive_fact(clause)
-                if entry is not None:
-                    result.add(entry)
+        for entry in self._derive_facts(kernel):
+            result.add(entry)
         # Every entry of the interpretation counts as "delta": one operator
         # application enumerates the full product, which the delta-join does
         # too once the old pools are empty.
-        for clause, pools_for, probes, intervals in self._round_plan(
-            interpretation, list(interpretation), everything_is_delta=True
+        for entry in self._derive_round(
+            kernel, interpretation, list(interpretation), Seed.ALL_DELTA
         ):
-            for entry in self._derive_from_clause(
-                clause, pools_for, factory, probes, intervals
-            ):
-                result.add(entry)
+            result.add(entry)
         return result
 
     # ------------------------------------------------------------------
     # Derivation helpers
     # ------------------------------------------------------------------
-    def _make_factory(self, view: MaterializedView) -> FreshVariableFactory:
-        reserved = set(view.all_variable_names())
-        for clause in self._program:
-            reserved.update(variable.name for variable in clause.variables())
-        return FreshVariableFactory(reserved)
-
-    def _derive_fact(self, clause: Clause) -> Optional[ViewEntry]:
-        constraint = self._finalize_constraint(
-            clause.constraint, clause.head.variables()
+    def _new_kernel(self, view: MaterializedView) -> DeltaJoinKernel:
+        """Reset the stats and bind a kernel avoiding every name in use."""
+        self._stats = FixpointStats()
+        return DeltaJoinKernel(
+            self._program,
+            self._solver,
+            self._options,
+            make_fresh_factory(self._program, view),
+            self._stats,
+            check_solvability=self._check_solvability,
         )
-        if constraint is None:
-            return None
-        return ViewEntry(clause.head, constraint, Support(clause.number or 0))
 
-    def _round_plan(
+    def _derive_facts(self, kernel: DeltaJoinKernel) -> List[ViewEntry]:
+        """The entries of the body-free clauses (round 0)."""
+        entries: List[ViewEntry] = []
+        for clause in self._program:
+            if clause.is_fact_clause:
+                derived = kernel.apply_clause(clause)
+                if derived is not None:
+                    entries.append(derived_entry(clause, (), derived))
+        return entries
+
+    def _derive_round(
         self,
+        kernel: DeltaJoinKernel,
         view: MaterializedView,
         delta: Sequence[ViewEntry],
-        everything_is_delta: bool = False,
-    ) -> Iterator[
-        Tuple[
-            Clause,
-            Callable[[str], Tuple[tuple, tuple, tuple]],
-            Optional[Tuple[Callable, Callable]],
-            Optional[Callable[[ViewEntry], Sequence[Optional[_Interval]]]],
+        seed: Seed,
+    ) -> List[ViewEntry]:
+        """Every entry one kernel round derives (before dedup / ``add``)."""
+        round_ = DeltaRound(kernel, view, delta, seed)
+        self._stats.clauses_skipped += len(self._program.rule_clauses) - len(
+            round_.clauses
+        )
+        return [
+            derived_entry(clause, premises, derived)
+            for clause, premises, derived in round_
         ]
-    ]:
-        """Yield the clauses a round must evaluate, with their join pools.
-
-        Only clauses whose body references a predicate that gained a delta
-        entry can derive anything new; the program's body-predicate index
-        selects exactly those, in clause-number order.  The returned
-        ``pools_for`` callable resolves a body predicate to its
-        ``(full, old, delta)`` entry pools, computed once per round; the
-        probe pair (when the hash-join index applies) resolves a body atom
-        plus one accumulated binding to the matching old / full entries.
-        """
-        delta_by_predicate: Dict[str, List[ViewEntry]] = {}
-        for entry in delta:
-            delta_by_predicate.setdefault(entry.predicate, []).append(entry)
-        delta_keys = (
-            None if everything_is_delta else {entry.key() for entry in delta}
-        )
-
-        pools: Dict[str, Tuple[tuple, tuple, tuple]] = {}
-
-        def pools_for(predicate: str) -> Tuple[tuple, tuple, tuple]:
-            cached = pools.get(predicate)
-            if cached is None:
-                full = view.entries_for(predicate)
-                fresh = tuple(delta_by_predicate.get(predicate, ()))
-                if not fresh:
-                    old = full
-                elif everything_is_delta:
-                    old = ()
-                else:
-                    old = tuple(
-                        entry for entry in full if entry.key() not in delta_keys
-                    )
-                cached = pools[predicate] = (full, old, fresh)
-            return cached
-
-        probes: Optional[Tuple[Callable, Callable]] = None
-        interval_getter: Optional[Callable] = None
-        if self._options.hash_join_index and self._options.check_solvability:
-
-            def on_probe() -> None:
-                self._stats.index_probes += 1
-
-            probes = make_view_probes(
-                view,
-                exclude_keys=delta_keys,
-                delta_by_predicate=delta_by_predicate,
-                old_is_empty=everything_is_delta,
-                on_probe=on_probe,
-                range_postings=self._options.range_postings,
-                evaluator=self._solver.evaluator,
-                range_eligible=self._options.range_eligible,
-            )
-            # Built once per round, next to the probes: the getter pins the
-            # evaluator's version token, which cannot change mid-round.
-            if self._options.range_postings:
-                interval_getter = make_interval_getter(self._solver.evaluator)
-
-        selected: Dict[int, Clause] = {}
-        for predicate in delta_by_predicate:
-            for clause in self._program.clauses_with_body_predicate(predicate):
-                selected[clause.number or 0] = clause
-        self._stats.clauses_skipped += len(self._program.rule_clauses) - len(selected)
-        for number in sorted(selected):
-            yield selected[number], pools_for, probes, interval_getter
-
-    def _derive_from_clause(
-        self,
-        clause: Clause,
-        pools_for: Callable[[str], Tuple[tuple, tuple, tuple]],
-        factory: FreshVariableFactory,
-        probes: Optional[Tuple[Callable, Callable]] = None,
-        interval_getter: Optional[
-            Callable[[ViewEntry], Sequence[Optional[_Interval]]]
-        ] = None,
-    ) -> Iterable[ViewEntry]:
-        full_pools: List[Tuple[ViewEntry, ...]] = []
-        old_pools: List[Tuple[ViewEntry, ...]] = []
-        delta_pools: List[Tuple[ViewEntry, ...]] = []
-        for body_atom in clause.body:
-            full, old, fresh = pools_for(body_atom.predicate)
-            if not full:
-                return
-            full_pools.append(full)
-            old_pools.append(old)
-            delta_pools.append(fresh)
-
-        if probes is not None:
-            probe_old, probe_full = probes
-            combinations: Iterable[Tuple[ViewEntry, ...]] = iter_indexed_delta_joins(
-                clause.body,
-                old_pools,
-                delta_pools,
-                full_pools,
-                probe_old,
-                probe_full,
-                bound_intervals=interval_getter,
-            )
-        else:
-            combinations = iter_delta_joins(old_pools, delta_pools, full_pools)
-
-        # Rename each pool entry apart once per clause evaluation instead of
-        # once per combination: fresh names are globally unique either way,
-        # and a premise reused across combinations (or across positions) can
-        # safely share its renamed copy -- each derived entry is independent.
-        renamed_cache: Dict[Tuple[int, int], ConstrainedAtom] = {}
-        for combination in combinations:
-            self._stats.derivation_attempts += 1
-            entry = self._combine(clause, combination, factory, renamed_cache)
-            if entry is not None:
-                yield entry
-
-    def _combine(
-        self,
-        clause: Clause,
-        premises: Sequence[ViewEntry],
-        factory: FreshVariableFactory,
-        renamed_cache: Optional[Dict[Tuple[int, int], ConstrainedAtom]] = None,
-    ) -> Optional[ViewEntry]:
-        parts: List[Constraint] = [clause.constraint]
-        supports: List[Support] = []
-        for position, (body_atom, premise) in enumerate(zip(clause.body, premises)):
-            renamed = None
-            cache_key = (position, id(premise))
-            if renamed_cache is not None:
-                renamed = renamed_cache.get(cache_key)
-            if renamed is None:
-                renamed, _ = premise.constrained_atom.renamed_apart(factory)
-                if renamed_cache is not None:
-                    renamed_cache[cache_key] = renamed
-            parts.append(renamed.constraint)
-            parts.append(tuple_equalities(renamed.atom.args, body_atom.args))
-            supports.append(premise.support)
-        constraint = self._finalize_constraint(
-            conjoin(*parts), clause.head.variables()
-        )
-        if constraint is None:
-            return None
-        support = Support(clause.number or 0, tuple(supports))
-        return ViewEntry(clause.head, constraint, support)
-
-    def _finalize_constraint(
-        self, constraint: Constraint, head_variables: Iterable[Variable]
-    ) -> Optional[Constraint]:
-        """Project, simplify and (for ``T_P``) solvability-check a constraint."""
-        if self._options.project_auxiliary_variables:
-            constraint = eliminate_variables(constraint, head_variables)
-        if self._options.simplify_constraints:
-            constraint = simplify(
-                constraint,
-                self._solver,
-                drop_redundant_comparisons=self._options.drop_redundant_comparisons,
-            )
-        if self._options.check_solvability and not self._solver.is_satisfiable(constraint):
-            return None
-        return constraint
 
     def _should_skip(self, entry: ViewEntry, view: MaterializedView) -> bool:
         """Set-semantics subsumption used when duplicate semantics is off."""
@@ -849,23 +265,20 @@ def compute_tp_fixpoint(
     program: ConstrainedDatabase,
     solver: Optional[ConstraintSolver] = None,
     initial: Optional[MaterializedView] = None,
-    options: Optional[FixpointOptions] = None,
+    options: Optional[EngineOptions] = None,
 ) -> MaterializedView:
     """Compute ``T_P ↑ ω`` (the paper's materialized mediated view)."""
-    effective = options or DEFAULT_FIXPOINT_OPTIONS
-    if not effective.check_solvability:
-        effective = replace(effective, check_solvability=True)
-    return FixpointEngine(program, solver, effective).compute(initial)
+    return FixpointEngine(program, solver, options or EngineOptions()).compute(initial)
 
 
 def compute_wp_fixpoint(
     program: ConstrainedDatabase,
     solver: Optional[ConstraintSolver] = None,
     initial: Optional[MaterializedView] = None,
-    options: Optional[FixpointOptions] = None,
+    options: Optional[EngineOptions] = None,
 ) -> MaterializedView:
     """Compute ``W_P ↑ ω`` (no solvability check; paper Section 4)."""
-    effective = options or DEFAULT_FIXPOINT_OPTIONS
-    if effective.check_solvability:
-        effective = replace(effective, check_solvability=False)
-    return FixpointEngine(program, solver, effective).compute(initial)
+    engine = FixpointEngine(
+        program, solver, options or EngineOptions(), check_solvability=False
+    )
+    return engine.compute(initial)

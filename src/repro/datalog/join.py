@@ -1,0 +1,705 @@
+"""The delta-join kernel shared by ``T_P``/``W_P``, ``P_OUT`` and ``P_ADD``.
+
+The fixpoint operator (paper Section 2.3), the ``P_OUT`` unfolding of
+Extended DRed (Algorithm 1, step 1) and the ``P_ADD`` unfolding of insertion
+(Algorithm 3) are the same act: apply a clause with at least one premise
+drawn from a *delta* and the rest from the view.  They differ only in where
+the delta lives (:class:`Seed`), in whether solvability is checked, and in
+what the caller does with the derived atoms (dedup key, ``view.add``, round
+cap).  The kernel owns everything else: a :class:`DeltaRound` groups the
+delta, selects clauses through the body-predicate index and sets up the
+per-round ``(full, old, delta)`` pools, the argument-index probes and the
+indexed-vs-scan choice; its :class:`DeltaJoinKernel` holds what a whole
+unfolding shares (program, solver, options, fresh names, counters) and
+performs the single clause application.
+
+:class:`EngineOptions` is the one configuration every algorithm takes, so
+the flags that must agree for views to stay key-comparable (StDel, DRed,
+insertion and recomputation all normalize constraints the same way) cannot
+be set apart.
+"""
+
+from __future__ import annotations
+
+import enum
+import itertools
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
+
+from repro.constraints.ast import Constraint, conjoin, tuple_equalities
+from repro.constraints.projection import eliminate_variables
+from repro.constraints.simplify import simplify
+from repro.constraints.solver import (
+    ConstraintSolver,
+    Interval as _Interval,
+    intersect_intervals as _intersect_intervals,
+    interval_excludes as _interval_excludes,
+)
+from repro.constraints.terms import Constant, FreshVariableFactory, Variable
+from repro.datalog.atoms import Atom, ConstrainedAtom
+from repro.datalog.clauses import Clause
+from repro.datalog.program import ConstrainedDatabase
+from repro.datalog.support import Support
+from repro.datalog.view import (
+    IntervalQuery,
+    MaterializedView,
+    UNBOUND,
+    ViewEntry,
+    argument_intervals,
+    bound_argument_values,
+    evaluator_token,
+    interval_query_from,
+)
+
+
+@dataclass(frozen=True)
+class EngineOptions:
+    """The one configuration of the fixpoint engine and every algorithm.
+
+    Values marked *reference* exist only so the differential harness (and
+    the paper's worked examples) can compare the production path against
+    the path it replaced; production always runs the defaults.
+    """
+
+    #: Keep one entry per *derivation* (duplicate semantics).  When False,
+    #: a derived entry that denotes a ground tuple already denoted by an
+    #: existing entry of the same predicate is skipped (set semantics); this
+    #: is what makes transitive closure over cyclic data terminate.
+    duplicate_semantics: bool = True
+    #: Simplify derived constraints (removes the redundancy the paper notes).
+    simplify_constraints: bool = True
+    #: Also drop comparison conjuncts entailed by the rest when simplifying.
+    #: Every algorithm normalizes with the same value, which is what keeps
+    #: StDel, DRed, insertion and recomputation *key*-identical on clauses
+    #: whose premises bound a variable on both sides (interval joins).
+    drop_redundant_comparisons: bool = True
+    #: Project away auxiliary (non-head) variables bound by equalities, so
+    #: derived entries read like the paper's examples (``A(X) <- X >= 5``
+    #: instead of ``A(X) <- X1 >= 5 & X1 = X``).
+    project_auxiliary_variables: bool = True
+    #: Probe the view's argument index with the bindings accumulated so far
+    #: instead of scanning the full per-position pools (hash join).  Only
+    #: applied when solvability is checked: the index prunes combinations
+    #: whose binding equalities are unsatisfiable, and ``W_P`` must keep
+    #: exactly those entries (Theorem 4).  ``False`` is the *reference* scan
+    #: join.
+    hash_join_index: bool = True
+    #: Consult the argument index's interval range postings: positions whose
+    #: entries are interval-constrained (not pinned to a constant) are probed
+    #: by containment/overlap instead of falling back to the unbound bucket,
+    #: and join bindings carry intervals alongside pinned values.  Only
+    #: effective when ``hash_join_index`` is on; like it, never applied under
+    #: ``W_P`` (the postings are then never even populated).  ``False`` is a
+    #: *reference*.
+    range_postings: bool = True
+    #: Statically-inferred (predicate, position) pairs that can actually
+    #: carry a non-degenerate interval (see
+    #: :func:`repro.analysis.signatures.infer_interval_positions`; filled by
+    #: :meth:`with_report`).  When set, pinned-value probes against positions
+    #: *not* in the table skip the range-postings path entirely -- the
+    #: exact-value index already answers them.  ``None`` (no analysis
+    #: available) keeps every position on the range-aware path; overlap
+    #: (:class:`IntervalQuery`) probes always stay range-aware regardless.
+    range_eligible: Optional[FrozenSet[Tuple[str, int]]] = None
+    #: Hard cap on the number of fixpoint iterations before giving up.
+    max_iterations: int = 200
+    #: Hard cap on the total number of view entries before giving up.
+    max_entries: int = 200_000
+    #: Cap on ``P_OUT`` / ``P_ADD`` unfolding rounds (defensive; recursion is
+    #: bounded by the view size because premises come from the finite view).
+    max_unfold_rounds: int = 100
+    #: Insertion: narrow the inserted atom by the instances already present
+    #: (the paper's ``Add`` construction).  With False a duplicate derivation
+    #: is recorded even when the instances already exist.
+    exclude_existing: bool = True
+    #: Deletion: remove entries whose constraint became unsolvable before
+    #: returning (StDel step 4, DRed's final sweep).  ``False`` is the
+    #: *reference* for the intermediate state of the paper's Example 6.
+    purge_unsolvable: bool = True
+    #: DRed: seed the rederivation fixpoint only with the entries the
+    #: over-deletion narrowed plus their direct premises (found through the
+    #: support index), instead of the whole over-estimate.  ``False`` is the
+    #: *reference* full-seed rederivation.
+    delta_rederivation: bool = True
+    #: DRed: segment a batch around requests that delete a *derivable*
+    #: predicate, so runs of EDB-only requests keep the single-pass path.
+    #: ``False`` is the *reference* one-at-a-time chain.
+    segment_batches: bool = True
+
+    def with_report(self, report) -> "EngineOptions":
+        """Fill :attr:`range_eligible` from an analyzer report.
+
+        The single place the interval-position table enters a configuration;
+        a caller that pinned one explicitly keeps it.
+        """
+        if self.range_eligible is not None:
+            return self
+        return replace(self, range_eligible=report.interval_positions)
+
+
+_T = TypeVar("_T")
+
+
+def iter_delta_joins(
+    old_pools: Sequence[Sequence[_T]],
+    delta_pools: Sequence[Sequence[_T]],
+    full_pools: Sequence[Sequence[_T]],
+) -> Iterator[Tuple[_T, ...]]:
+    """Enumerate premise combinations that use at least one delta element.
+
+    The enumeration is partitioned by the *first* body position that takes a
+    delta element: positions before it draw from ``old_pools`` (the view
+    minus the delta), the position itself draws from ``delta_pools`` and the
+    positions after it draw from ``full_pools`` (the whole view).  Every
+    combination containing at least one delta element is produced exactly
+    once, and no delta-free combination is ever materialized -- this is the
+    semi-naive join the naive product-then-filter loop only simulated.
+
+    Passing ``full_pools`` again as ``old_pools`` yields the combinations
+    with *exactly one* delta element instead (assuming the delta pools are
+    disjoint from the full pools), which is the Extended DRed / P_ADD
+    unfolding discipline.
+    """
+    arity = len(full_pools)
+    for position in range(arity):
+        delta_pool = delta_pools[position]
+        if not delta_pool:
+            continue
+        prefix = old_pools[:position]
+        suffix = full_pools[position + 1:]
+        if any(not pool for pool in prefix) or any(not pool for pool in suffix):
+            continue
+        for chosen in delta_pool:
+            for before in itertools.product(*prefix):
+                for after in itertools.product(*suffix):
+                    yield before + (chosen,) + after
+
+
+def _values_compatible(left: object, right: object) -> bool:
+    """Conservative equality: False only when the values definitely differ.
+
+    Mirrors the solver's value equality (Python ``==``, which already treats
+    ``3 == 3.0``); anything odd (raising ``__eq__``, non-bool result) counts
+    as compatible so the index never prunes a satisfiable combination.
+    """
+    try:
+        return bool(left == right)
+    except Exception:
+        return True
+
+
+def _extend_bindings(
+    bindings: Dict[Variable, object],
+    body_atom: Atom,
+    values: Sequence[object],
+    intervals: Optional[Sequence[Optional[_Interval]]] = None,
+) -> Optional[Dict[Variable, object]]:
+    """Fold one premise's pinned argument values into the binding map.
+
+    Returns ``None`` when a pinned value clashes with an existing binding or
+    a constant argument -- exactly the combinations whose binding equalities
+    the solver would find unsatisfiable.
+
+    With *intervals* (the premise's per-position numeric bounds, from
+    :func:`repro.datalog.view.argument_intervals`), positions the premise
+    does not pin to a value contribute an *interval* binding instead:
+    intervals intersect (an empty intersection prunes the combination), a
+    later pinned value refines an interval binding (a value outside it
+    prunes), and constants are checked for containment.  All the pruned
+    combinations are exactly those whose binding equalities plus ordering
+    conjuncts are unsatisfiable, so this stays ``T_P``-only, like the rest
+    of the indexed enumeration.
+    """
+    updated = bindings
+    copied = False
+    for index, (arg, value) in enumerate(zip(body_atom.args, values)):
+        if value is UNBOUND:
+            interval = intervals[index] if intervals is not None else None
+            if interval is None:
+                continue
+            if isinstance(arg, Constant):
+                if _interval_excludes(interval, arg.value):
+                    return None
+                continue
+            existing = updated.get(arg, UNBOUND)
+            if existing is UNBOUND:
+                if not copied:
+                    updated = dict(updated)
+                    copied = True
+                updated[arg] = interval
+            elif isinstance(existing, _Interval):
+                merged = _intersect_intervals(existing, interval)
+                if merged.is_empty():
+                    return None
+                if not copied:
+                    updated = dict(updated)
+                    copied = True
+                updated[arg] = merged
+            elif _interval_excludes(interval, existing):
+                return None
+            continue
+        if isinstance(arg, Constant):
+            if not _values_compatible(arg.value, value):
+                return None
+            continue
+        existing = updated.get(arg, UNBOUND)
+        if existing is UNBOUND:
+            if not copied:
+                updated = dict(updated)
+                copied = True
+            updated[arg] = value
+        elif isinstance(existing, _Interval):
+            if _interval_excludes(existing, value):
+                return None
+            if not copied:
+                updated = dict(updated)
+                copied = True
+            updated[arg] = value
+        elif not _values_compatible(existing, value):
+            return None
+    return updated
+
+
+def iter_indexed_delta_joins(
+    body_atoms: Sequence[Atom],
+    old_pools: Sequence[Sequence[_T]],
+    delta_pools: Sequence[Sequence[_T]],
+    full_pools: Sequence[Sequence[_T]],
+    probe_old: Callable[[Atom, int, object], Sequence[_T]],
+    probe_full: Callable[[Atom, int, object], Sequence[_T]],
+    bound_intervals: Optional[
+        Callable[[_T], Sequence[Optional[_Interval]]]
+    ] = None,
+) -> Iterator[Tuple[_T, ...]]:
+    """Hash-join variant of :func:`iter_delta_joins`.
+
+    Enumerates the same partitions (first delta position draws from the
+    delta, earlier positions from the old pools, later ones from the full
+    pools) but visits the delta position *first* so its pinned argument
+    values become bindings, then resolves every remaining position through
+    ``probe_old`` / ``probe_full`` -- an argument-index lookup returning only
+    entries that can carry the accumulated binding -- falling back to the
+    positional pool when no argument of the position is bound yet.
+
+    With *bound_intervals* (range postings enabled), positions a premise
+    bounds numerically without pinning contribute interval bindings, and a
+    position whose first informative argument carries only an interval is
+    resolved with an :class:`~repro.datalog.view.IntervalQuery` probe
+    (overlap instead of containment) -- interval-constrained workloads then
+    skip the unbound-bucket fallback that made them effectively positional.
+
+    The yielded set is the subset of :func:`iter_delta_joins`'s output whose
+    binding equalities are not trivially unsatisfiable, so it is only valid
+    for ``T_P``-style evaluation (solvability-checked derivations).  Each
+    combination is yielded with its premises in body order.
+    """
+    arity = len(full_pools)
+    values_cache: Dict[int, Sequence[object]] = {}
+    intervals_cache: Dict[int, Sequence[Optional[_Interval]]] = {}
+
+    def values_of(item: _T) -> Sequence[object]:
+        cached = values_cache.get(id(item))
+        if cached is None:
+            cached = values_cache[id(item)] = _bound_values(item)
+        return cached
+
+    def intervals_of(item: _T) -> Optional[Sequence[Optional[_Interval]]]:
+        if bound_intervals is None:
+            return None
+        cached = intervals_cache.get(id(item))
+        if cached is None:
+            cached = intervals_cache[id(item)] = bound_intervals(item)
+        return cached
+
+    def candidates(
+        position: int, use_old: bool, bindings: Dict[Variable, object]
+    ) -> Sequence[_T]:
+        body_atom = body_atoms[position]
+        interval_query: Optional[Tuple[int, _Interval]] = None
+        for arg_index, arg in enumerate(body_atom.args):
+            if isinstance(arg, Constant):
+                value = arg.value
+            elif isinstance(arg, Variable) and arg in bindings:
+                bound = bindings[arg]
+                if isinstance(bound, _Interval):
+                    if interval_query is None:
+                        interval_query = (arg_index, bound)
+                    continue
+                value = bound
+            else:
+                continue
+            probe = probe_old if use_old else probe_full
+            return probe(body_atom, arg_index, value)
+        if interval_query is not None:
+            arg_index, interval = interval_query
+            probe = probe_old if use_old else probe_full
+            return probe(body_atom, arg_index, interval_query_from(interval))
+        return old_pools[position] if use_old else full_pools[position]
+
+    for delta_position in range(arity):
+        if not delta_pools[delta_position]:
+            continue
+        if any(not old_pools[p] for p in range(delta_position)):
+            continue
+        if any(not full_pools[p] for p in range(delta_position + 1, arity)):
+            continue
+        # Visit the delta position first so its bindings prune the rest;
+        # remaining positions go in body order.
+        order = [delta_position] + [p for p in range(arity) if p != delta_position]
+        chosen: List[Optional[_T]] = [None] * arity
+
+        def recurse(depth: int, bindings: Dict[Variable, object]) -> Iterator[Tuple[_T, ...]]:
+            if depth == arity:
+                yield tuple(chosen)  # type: ignore[arg-type]
+                return
+            position = order[depth]
+            if position == delta_position:
+                pool: Sequence[_T] = delta_pools[position]
+            else:
+                pool = candidates(position, position < delta_position, bindings)
+            for item in pool:
+                extended = _extend_bindings(
+                    bindings,
+                    body_atoms[position],
+                    values_of(item),
+                    intervals_of(item),
+                )
+                if extended is None:
+                    continue
+                chosen[position] = item
+                yield from recurse(depth + 1, extended)
+
+        yield from recurse(0, {})
+
+
+def _bound_values(item: object) -> Sequence[object]:
+    getter = getattr(item, "bound_args", None)
+    if getter is not None:
+        return getter()
+    return bound_argument_values(item.atom.args, item.constraint)  # type: ignore[attr-defined]
+
+
+def make_interval_getter(
+    evaluator: Optional[object],
+) -> Callable[[object], Sequence[Optional[_Interval]]]:
+    """Per-item interval getter for :func:`iter_indexed_delta_joins`.
+
+    Resolves :class:`~repro.datalog.view.ViewEntry` items through their
+    cached ``arg_intervals``; bare constrained atoms (the P_OUT / P_ADD
+    frontiers) are summarized on the fly.
+    """
+    token = evaluator_token(evaluator)
+
+    def getter(item: object) -> Sequence[Optional[_Interval]]:
+        method = getattr(item, "arg_intervals", None)
+        if method is not None:
+            return method(evaluator, token)
+        return argument_intervals(item.atom.args, item.constraint, evaluator)  # type: ignore[attr-defined]
+
+    return getter
+
+
+class Seed(enum.Enum):
+    """Where a round's delta lives relative to the view (the seed policy)."""
+
+    #: The delta entries are members of the view; positions before the first
+    #: delta position draw from ``view − delta``, so every combination with
+    #: *at least one* delta premise is enumerated exactly once.  ``T_P`` /
+    #: ``W_P`` rounds and the ``P_ADD`` unfolding.
+    IN_VIEW = "in-view"
+    #: The delta is a frontier of bare constrained atoms *outside* the view
+    #: (grouped by signature); every other premise draws from the full view,
+    #: so each combination uses *exactly one* frontier atom.  The ``P_OUT``
+    #: unfolding.
+    FRONTIER = "frontier"
+    #: Every view entry is delta and the old pools are empty: one
+    #: (non-inflationary) operator application enumerates the full product.
+    ALL_DELTA = "all-delta"
+
+
+def derived_entry(
+    clause: Clause, premises: Sequence[ViewEntry], derived: ConstrainedAtom
+) -> ViewEntry:
+    """The view entry of one derivation: the derived atom plus its support."""
+    support = Support(
+        clause.number or 0, tuple(premise.support for premise in premises)
+    )
+    return ViewEntry(derived.atom, derived.constraint, support)
+
+
+def make_fresh_factory(
+    program: ConstrainedDatabase,
+    view: MaterializedView,
+    extra: Iterable[ConstrainedAtom] = (),
+    predicates: Optional[Iterable[str]] = None,
+) -> FreshVariableFactory:
+    """A fresh-variable factory avoiding every name used so far.
+
+    With *predicates* only those predicates' entries reserve names.  Sound
+    whenever the caller's pass combines fresh-renamed constraints only with
+    entries of that predicate set (e.g. a deletion pass scoped to its read
+    closure): entry constraints are scoped per entry, so a collision with a
+    never-read entry cannot capture anything.
+    """
+    reserved = set(view.all_variable_names(predicates))
+    for clause in program:
+        reserved.update(variable.name for variable in clause.variables())
+    for atom in extra:
+        reserved.update(variable.name for variable in atom.variables())
+    return FreshVariableFactory(reserved)
+
+
+class DeltaRound:
+    """One round of *delta* against *view* under a seed policy: the
+    selected clauses, their join pools and the probes.
+
+    Iterating yields ``(clause, premises, derived constrained atom)`` for
+    every enumerated combination whose clause application succeeds, clause
+    by clause in clause-number order.  The view must not be mutated while
+    the round is being iterated.
+    """
+
+    def __init__(
+        self,
+        kernel: "DeltaJoinKernel",
+        view: MaterializedView,
+        delta: Sequence,
+        seed: Seed = Seed.IN_VIEW,
+    ) -> None:
+        self._kernel = kernel
+        self._view = view
+        self._seed = seed
+        # P_OUT atoms only poison body atoms of their own arity; entries
+        # inside the view are pooled per predicate, like the view itself.
+        self._group = attrgetter(
+            "signature" if seed is Seed.FRONTIER else "predicate"
+        )
+        self._delta: Dict[object, list] = {}
+        for item in delta:
+            self._delta.setdefault(self._group(item.atom), []).append(item)
+        self._delta_keys = (
+            {entry.key() for entry in delta} if seed is Seed.IN_VIEW else None
+        )
+        self._pools: Dict[object, Tuple[tuple, tuple, tuple]] = {}
+
+        # Only clauses whose body references a predicate that gained a delta
+        # item can derive anything new.
+        selected: Dict[int, Clause] = {}
+        for predicate in {item.atom.predicate for item in delta}:
+            for clause in kernel.program.clauses_with_body_predicate(predicate):
+                selected[clause.number or 0] = clause
+        #: The clauses this round evaluates, in clause-number order.
+        self.clauses: Tuple[Clause, ...] = tuple(
+            selected[number] for number in sorted(selected)
+        )
+
+        self._probes: Optional[Tuple[Callable, Callable]] = None
+        self._interval_getter: Optional[Callable] = None
+        options = kernel.options
+        # Indexed only when solvability is checked: the index prunes exactly
+        # the combinations whose binding equalities are unsatisfiable, which
+        # ``W_P`` must keep (Theorem 4).
+        if options.hash_join_index and kernel.check_solvability:
+            self._probes = self._make_view_probes()
+            # Built once per round, next to the probes: the getter pins the
+            # evaluator's version token, which cannot change mid-round.
+            if options.range_postings:
+                self._interval_getter = make_interval_getter(
+                    kernel.solver.evaluator
+                )
+
+    def _make_view_probes(self) -> Tuple[Callable, Callable]:
+        """Build the ``(probe_old, probe_full)`` pair for indexed delta joins.
+
+        ``probe_full`` resolves a body atom + binding against the view's
+        argument index; ``probe_old`` additionally drops the round's delta
+        entries (``Seed.IN_VIEW``) so the old pools stay delta-free --
+        skipping the filter for predicates without a delta (there old ==
+        full) -- and is empty under ``Seed.ALL_DELTA``, where every entry is
+        delta.
+
+        With ``options.range_postings`` probes go through the view's
+        range-aware :meth:`~repro.datalog.view.MaterializedView.probe_range`
+        (consulting the evaluator's ``index_interval`` hooks for DCA-bounded
+        positions) and accept :class:`~repro.datalog.view.IntervalQuery`
+        overlap queries (only issued with range postings on, see
+        ``_interval_getter``).  ``options.range_eligible`` (the analyzer's
+        interval-position table) routes pinned-value probes of statically
+        interval-free positions straight to the exact-value index: ``probe``
+        returns bound matches, the unbound bucket AND every interval-posted
+        entry unfiltered, so skipping the range machinery on such positions
+        is unconditionally a superset -- only overlap queries must stay on
+        the range-aware path.
+        """
+        view = self._view
+        stats = self._kernel.stats
+        evaluator = self._kernel.solver.evaluator
+        range_postings = self._kernel.options.range_postings
+        range_eligible = self._kernel.options.range_eligible
+        token = evaluator_token(evaluator) if range_postings else None
+
+        def probe_full(body_atom: Atom, arg_index: int, value: object):
+            stats.index_probes += 1
+            if not range_postings or (
+                range_eligible is not None
+                and not isinstance(value, IntervalQuery)
+                and (body_atom.predicate, arg_index) not in range_eligible
+            ):
+                return view.probe(body_atom.predicate, arg_index, value)
+            return view.probe_range(
+                body_atom.predicate, arg_index, value, evaluator, token
+            )
+
+        if self._seed is Seed.ALL_DELTA:
+            return (lambda body_atom, arg_index, value: ()), probe_full
+        delta, delta_keys = self._delta, self._delta_keys
+        if not delta_keys:
+            return probe_full, probe_full
+
+        def probe_old(body_atom: Atom, arg_index: int, value: object):
+            result = probe_full(body_atom, arg_index, value)
+            if not delta.get(body_atom.predicate):
+                return result
+            return tuple(entry for entry in result if entry.key() not in delta_keys)
+
+        return probe_old, probe_full
+
+    def pools_for(self, body_atom: Atom) -> Tuple[tuple, tuple, tuple]:
+        """The ``(full, old, delta)`` pools of one body atom, cached per round."""
+        group = self._group(body_atom)
+        cached = self._pools.get(group)
+        if cached is None:
+            full = self._view.entries_for(body_atom.predicate)
+            fresh = tuple(self._delta.get(group, ()))
+            if not fresh or self._seed is Seed.FRONTIER:
+                old = full
+            elif self._seed is Seed.ALL_DELTA:
+                old = ()
+            else:
+                old = tuple(
+                    entry for entry in full if entry.key() not in self._delta_keys
+                )
+            cached = self._pools[group] = (full, old, fresh)
+        return cached
+
+    def combinations(self, clause: Clause) -> Iterator[tuple]:
+        """Premise combinations of *clause* using at least one delta item."""
+        pools = [self.pools_for(body_atom) for body_atom in clause.body]
+        if any(not full and not fresh for full, _, fresh in pools):
+            return iter(())
+        full_pools = [full for full, _, _ in pools]
+        old_pools = [old for _, old, _ in pools]
+        delta_pools = [fresh for _, _, fresh in pools]
+        if self._probes is None:
+            return iter_delta_joins(old_pools, delta_pools, full_pools)
+        return iter_indexed_delta_joins(
+            clause.body,
+            old_pools,
+            delta_pools,
+            full_pools,
+            *self._probes,
+            bound_intervals=self._interval_getter,
+        )
+
+    def __iter__(self) -> Iterator[Tuple[Clause, tuple, ConstrainedAtom]]:
+        kernel = self._kernel
+        for clause in self.clauses:
+            # Rename each premise apart once per clause evaluation instead of
+            # once per combination: fresh names are globally unique either
+            # way, and a premise reused across combinations (or positions)
+            # can safely share its renamed copy -- each derived atom is
+            # independent.
+            renamed_cache: Dict[Tuple[int, int], ConstrainedAtom] = {}
+            for premises in self.combinations(clause):
+                kernel.stats.derivation_attempts += 1
+                derived = kernel.apply_clause(clause, premises, renamed_cache)
+                if derived is not None:
+                    yield clause, premises, derived
+
+
+class DeltaJoinKernel:
+    """What the rounds of one unfolding share, and the clause application.
+
+    Counts ``derivation_attempts``, ``index_probes``, ``clause_applications``
+    and ``solver_calls`` into the caller's *stats* object.
+    """
+
+    def __init__(
+        self,
+        program: ConstrainedDatabase,
+        solver: ConstraintSolver,
+        options: EngineOptions,
+        factory: FreshVariableFactory,
+        stats,
+        check_solvability: bool = True,
+    ) -> None:
+        self.program = program
+        self.solver = solver
+        self.options = options
+        self.factory = factory
+        self.stats = stats
+        self.check_solvability = check_solvability
+
+    def apply_clause(
+        self,
+        clause: Clause,
+        premises: Sequence = (),
+        renamed_cache: Optional[Dict[Tuple[int, int], ConstrainedAtom]] = None,
+    ) -> Optional[ConstrainedAtom]:
+        """One clause application: the derived head atom, or ``None``.
+
+        Combines the clause constraint with the (renamed-apart) premise
+        constraints and the binding equalities, projects auxiliary variables
+        away, simplifies and (when solvability is checked) returns ``None``
+        for an unsolvable combination.
+
+        *renamed_cache* (keyed by ``(position, id(premise))``) lets a round
+        share renamed premise copies across the combinations of one clause;
+        each combination stays mutually renamed apart because distinct
+        premises (and distinct positions) get distinct fresh names.
+        """
+        self.stats.clause_applications += 1
+        options = self.options
+        if renamed_cache is None:
+            renamed_cache = {}
+        parts: List[Constraint] = [clause.constraint]
+        for position, (body_atom, premise) in enumerate(zip(clause.body, premises)):
+            cache_key = (position, id(premise))
+            renamed = renamed_cache.get(cache_key)
+            if renamed is None:
+                # A premise is a view entry or a bare frontier atom (P_OUT).
+                atom = (
+                    premise.constrained_atom
+                    if isinstance(premise, ViewEntry)
+                    else premise
+                )
+                renamed, _ = atom.renamed_apart(self.factory)
+                renamed_cache[cache_key] = renamed
+            parts.append(renamed.constraint)
+            parts.append(tuple_equalities(renamed.atom.args, body_atom.args))
+        constraint = conjoin(*parts)
+        if options.project_auxiliary_variables:
+            constraint = eliminate_variables(constraint, clause.head.variables())
+        if options.simplify_constraints:
+            constraint = simplify(
+                constraint,
+                self.solver,
+                drop_redundant_comparisons=options.drop_redundant_comparisons,
+            )
+        if self.check_solvability:
+            self.stats.solver_calls += 1
+            if not self.solver.is_satisfiable(constraint):
+                return None
+        return ConstrainedAtom(clause.head, constraint)

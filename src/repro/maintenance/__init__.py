@@ -9,8 +9,13 @@
   declarative semantics (the correctness yardstick),
 * :mod:`repro.maintenance.baselines` -- from-scratch recomputation,
 * :mod:`repro.maintenance.counting` -- the counting-algorithm baseline.
+
+Every algorithm takes the one :class:`~repro.datalog.join.EngineOptions`
+(re-exported here) and runs its unfolding through the shared delta-join
+kernel of :mod:`repro.datalog.join`.
 """
 
+from repro.datalog.join import EngineOptions
 from repro.maintenance.batch import (
     AppliedUpdate,
     BatchReport,
@@ -33,16 +38,12 @@ from repro.maintenance.declarative import (
     insertion_rewrite,
 )
 from repro.maintenance.delete_dred import (
-    DEFAULT_DRED_OPTIONS,
-    DRedOptions,
     DRedResult,
     ExtendedDRed,
     delete_with_dred,
 )
 from repro.maintenance.delete_stdel import (
-    DEFAULT_STDEL_OPTIONS,
     POutPair,
-    StDelOptions,
     StDelResult,
     StraightDelete,
     delete_with_stdel,
@@ -55,9 +56,7 @@ from repro.maintenance.external import (
 )
 from repro.maintenance.insert import (
     ConstrainedAtomInsertion,
-    DEFAULT_INSERTION_OPTIONS,
     EXTERNAL_CLAUSE_NUMBER,
-    InsertionOptions,
     InsertionResult,
     insert_atom,
 )
@@ -74,22 +73,17 @@ __all__ = [
     "CountingDeletionResult",
     "CountingMaintenance",
     "CountingView",
-    "DEFAULT_DRED_OPTIONS",
-    "DEFAULT_INSERTION_OPTIONS",
-    "DEFAULT_STDEL_OPTIONS",
-    "DRedOptions",
     "DRedResult",
     "DeletionRequest",
     "EXTERNAL_CLAUSE_NUMBER",
+    "EngineOptions",
     "ExtendedDRed",
     "ExternalChangeReport",
-    "InsertionOptions",
     "InsertionRequest",
     "InsertionResult",
     "MaintenanceStats",
     "POutPair",
     "RecomputationResult",
-    "StDelOptions",
     "StDelResult",
     "StraightDelete",
     "TpExternalMaintenance",

@@ -13,7 +13,8 @@ from typing import Optional
 
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
-from repro.datalog.fixpoint import FixpointEngine, FixpointOptions
+from repro.datalog.fixpoint import FixpointEngine
+from repro.datalog.join import EngineOptions, make_fresh_factory
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.maintenance.declarative import (
@@ -36,10 +37,10 @@ class RecomputationResult:
 def full_recompute(
     program: ConstrainedDatabase,
     solver: Optional[ConstraintSolver] = None,
-    options: Optional[FixpointOptions] = None,
+    options: Optional[EngineOptions] = None,
 ) -> RecomputationResult:
     """Materialize the view from scratch with ``T_P ↑ ω(∅)``."""
-    engine = FixpointEngine(program, solver, options or FixpointOptions())
+    engine = FixpointEngine(program, solver, options or EngineOptions())
     view = engine.compute()
     stats = MaintenanceStats()
     stats.rederived_entries = len(view)
@@ -51,7 +52,7 @@ def recompute_after_deletion(
     view: MaterializedView,
     atom: ConstrainedAtom,
     solver: Optional[ConstraintSolver] = None,
-    options: Optional[FixpointOptions] = None,
+    options: Optional[EngineOptions] = None,
 ) -> RecomputationResult:
     """Deletion baseline: rewrite the program and recompute from scratch.
 
@@ -69,24 +70,20 @@ def recompute_after_deletion(
     solver = solver or ConstraintSolver()
     # Restrict to instances present in the view, like the incremental
     # algorithms do: deleting something absent must be a no-op.
-    from repro.maintenance.common import (
-        build_del_set,
-        make_fresh_factory,
-        narrowed_external_entries,
-    )
+    from repro.maintenance.common import build_del_set, narrowed_external_entries
 
     factory = make_fresh_factory(program, view, (atom,))
     del_pairs = build_del_set(view, atom, solver, factory)
     del_atoms = tuple(entry_atom for _, entry_atom in del_pairs)
     rewritten = deletion_rewrite(program, del_atoms or (atom,), factory)
-    effective = options or FixpointOptions()
+    effective = options or EngineOptions()
     engine = FixpointEngine(rewritten, solver, effective)
     external = narrowed_external_entries(
         view,
         del_atoms or (atom,),
         solver,
         factory,
-        drop_redundant_comparisons=effective.drop_redundant_comparisons,
+        options=effective,
     )
     initial = MaterializedView(external) if external else None
     new_view = engine.compute(initial=initial)
@@ -101,14 +98,16 @@ def recompute_after_insertion(
     view: MaterializedView,
     atom: ConstrainedAtom,
     solver: Optional[ConstraintSolver] = None,
-    options: Optional[FixpointOptions] = None,
-    exclude_existing: bool = True,
+    options: Optional[EngineOptions] = None,
 ) -> RecomputationResult:
     """Insertion baseline: extend the program and recompute from scratch."""
     solver = solver or ConstraintSolver()
-    add_atoms = build_add_set(view, atom, solver, exclude_existing=exclude_existing)
+    effective = options or EngineOptions()
+    add_atoms = build_add_set(
+        view, atom, solver, exclude_existing=effective.exclude_existing
+    )
     rewritten = insertion_rewrite(program, add_atoms)
-    engine = FixpointEngine(rewritten, solver, options or FixpointOptions())
+    engine = FixpointEngine(rewritten, solver, effective)
     new_view = engine.compute()
     stats = MaintenanceStats()
     stats.seed_atoms = len(add_atoms)

@@ -31,12 +31,10 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.constraints.solver import ConstraintSolver
+from repro.datalog.join import EngineOptions
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.errors import MaintenanceError
-from repro.maintenance.delete_dred import DRedOptions
-from repro.maintenance.delete_stdel import StDelOptions
-from repro.maintenance.insert import InsertionOptions
 from repro.maintenance.requests import (
     DeletionRequest,
     InsertionRequest,
@@ -90,19 +88,13 @@ class ViewMaintainer:
         solver: Optional[ConstraintSolver] = None,
         view: Optional[MaterializedView] = None,
         deletion_algorithm: str = "stdel",
-        stdel_options: Optional[StDelOptions] = None,
-        dred_options: Optional[DRedOptions] = None,
-        insertion_options: Optional[InsertionOptions] = None,
+        options: Optional[EngineOptions] = None,
     ) -> None:
         # Imported lazily: repro.stream imports the maintenance algorithm
         # modules, so a module-level import here would be circular when
         # ``repro.stream`` is the first package loaded.
         from repro.stream.scheduler import StreamOptions, StreamScheduler
 
-        if deletion_algorithm not in ("stdel", "dred"):
-            raise MaintenanceError(
-                f"unknown deletion algorithm {deletion_algorithm!r}; use 'stdel' or 'dred'"
-            )
         self._deletion_algorithm = deletion_algorithm
         self._scheduler = StreamScheduler(
             program,
@@ -115,9 +107,7 @@ class ViewMaintainer:
                 # Per-request application keeps the algorithms' historical
                 # fail-fast contract; the batched path retries per unit.
                 max_unit_attempts=1,
-                stdel=stdel_options or StDelOptions(),
-                dred=dred_options or DRedOptions(),
-                insertion=insertion_options or InsertionOptions(),
+                engine=options or EngineOptions(),
             ),
         )
         self._applied: List[AppliedUpdate] = []

@@ -1,9 +1,10 @@
 """Building blocks shared by the maintenance algorithms.
 
 Both deletion algorithms start from the same ``Del`` set and the insertion
-algorithm from the analogous ``Add`` set; the ``P_OUT`` / ``P_ADD``
-unfoldings share the same clause-application step.  Factoring these out here
-keeps the three algorithm modules close to the paper's pseudo-code.
+algorithm from the analogous ``Add`` set.  Factoring these out here keeps
+the three algorithm modules close to the paper's pseudo-code.  (The clause
+application the ``P_OUT`` / ``P_ADD`` unfoldings share with the fixpoint
+lives in :mod:`repro.datalog.join`.)
 """
 
 from __future__ import annotations
@@ -18,37 +19,13 @@ from repro.constraints.ast import (
     tuple_equalities,
 )
 from repro.constraints.intern import EVENTS
-from repro.constraints.projection import eliminate_variables
 from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import FreshVariableFactory
 from repro.datalog.atoms import Atom, ConstrainedAtom
-from repro.datalog.clauses import Clause
-from repro.datalog.program import ConstrainedDatabase
+from repro.datalog.join import EngineOptions
 from repro.datalog.view import MaterializedView, ViewEntry
 from repro.maintenance.requests import MaintenanceStats
-
-
-def make_fresh_factory(
-    program: ConstrainedDatabase,
-    view: MaterializedView,
-    extra: Iterable[ConstrainedAtom] = (),
-    predicates: Optional[Iterable[str]] = None,
-) -> FreshVariableFactory:
-    """A fresh-variable factory avoiding every name used so far.
-
-    With *predicates* only those predicates' entries reserve names.  Sound
-    whenever the caller's pass combines fresh-renamed constraints only with
-    entries of that predicate set (e.g. a deletion pass scoped to its read
-    closure): entry constraints are scoped per entry, so a collision with a
-    never-read entry cannot capture anything.
-    """
-    reserved = set(view.all_variable_names(predicates))
-    for clause in program:
-        reserved.update(variable.name for variable in clause.variables())
-    for atom in extra:
-        reserved.update(variable.name for variable in atom.variables())
-    return FreshVariableFactory(reserved)
 
 
 def negated_atom_constraint(
@@ -166,7 +143,7 @@ def narrowed_external_entries(
     solver: ConstraintSolver,
     factory: FreshVariableFactory,
     stats: Optional[MaintenanceStats] = None,
-    drop_redundant_comparisons: bool = True,
+    options: EngineOptions = EngineOptions(),
 ) -> Tuple[ViewEntry, ...]:
     """Externally inserted entries, narrowed by a deletion's ``Del`` atoms.
 
@@ -193,7 +170,7 @@ def narrowed_external_entries(
             factory,
             stats,
             renamed_cache,
-            drop_redundant_comparisons=drop_redundant_comparisons,
+            options=options,
         )
         # Counted like every other satisfiability check: this sweep used to
         # run off the books, understating the recompute baseline's cost.
@@ -204,59 +181,6 @@ def narrowed_external_entries(
     return tuple(survivors)
 
 
-def apply_clause_with_premises(
-    clause: Clause,
-    premises: Sequence[ConstrainedAtom],
-    solver: ConstraintSolver,
-    factory: FreshVariableFactory,
-    check_solvable: bool = True,
-    stats: Optional[MaintenanceStats] = None,
-    renamed_cache: Optional[Dict[Tuple[int, int], ConstrainedAtom]] = None,
-    drop_redundant_comparisons: bool = True,
-) -> Optional[ConstrainedAtom]:
-    """One clause application used by the P_OUT / P_ADD unfoldings.
-
-    Combines the clause constraint with the (renamed-apart) premise
-    constraints and the binding equalities, projects auxiliary variables away
-    and optionally checks solvability.  Returns the derived constrained atom
-    for the clause head, or ``None`` when the combination is unsolvable.
-
-    *renamed_cache* (keyed by ``(position, id(premise))``) lets the caller
-    share renamed premise copies across the many combinations of one
-    unfolding round; each combination stays mutually renamed apart because
-    distinct premises (and distinct positions) get distinct fresh names.
-    """
-    if stats is not None:
-        stats.clause_applications += 1
-    parts: List[Constraint] = [clause.constraint]
-    for position, (body_atom, premise) in enumerate(zip(clause.body, premises)):
-        renamed = None
-        cache_key = (position, id(premise))
-        if renamed_cache is not None:
-            renamed = renamed_cache.get(cache_key)
-        if renamed is None:
-            renamed, _ = premise.renamed_apart(factory)
-            if renamed_cache is not None:
-                renamed_cache[cache_key] = renamed
-        parts.append(renamed.constraint)
-        parts.append(tuple_equalities(renamed.atom.args, body_atom.args))
-    constraint = eliminate_variables(conjoin(*parts), clause.head.variables())
-    # Match the fixpoint engine's normalization (by default it drops
-    # comparisons entailed by the rest), so unfolded atoms carry the same
-    # canonical constraints one clause application under T_P would produce.
-    # Callers running against a differently-configured fixpoint pass its
-    # flag through, keeping the two sides key-comparable either way.
-    constraint = simplify(
-        constraint, solver, drop_redundant_comparisons=drop_redundant_comparisons
-    )
-    if check_solvable:
-        if stats is not None:
-            stats.solver_calls += 1
-        if not solver.is_satisfiable(constraint):
-            return None
-    return ConstrainedAtom(clause.head, constraint)
-
-
 def subtract_instances(
     entry: ViewEntry,
     removed: Iterable[ConstrainedAtom],
@@ -264,7 +188,7 @@ def subtract_instances(
     factory: FreshVariableFactory,
     stats: Optional[MaintenanceStats] = None,
     renamed_cache: Optional[Dict[int, ConstrainedAtom]] = None,
-    drop_redundant_comparisons: bool = True,
+    options: EngineOptions = EngineOptions(),
 ) -> ViewEntry:
     """Conjoin ``not(ψ & bindings)`` onto an entry for each removed atom.
 
@@ -323,7 +247,9 @@ def subtract_instances(
     # deletion (e.g. ``X <= 50`` minus ``X >= 46``) otherwise keeps the
     # now-entailed bound and diverges from the other algorithms by key().
     constraint = simplify(
-        constraint, solver, drop_redundant_comparisons=drop_redundant_comparisons
+        constraint,
+        solver,
+        drop_redundant_comparisons=options.drop_redundant_comparisons,
     )
     if constraint == entry.constraint:
         return entry

@@ -29,7 +29,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
-from repro.datalog.fixpoint import FixpointEngine, FixpointOptions
+from repro.datalog.fixpoint import FixpointEngine
+from repro.datalog.join import EngineOptions
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.errors import CountingDivergenceError, FixpointDivergenceError, MaintenanceError
@@ -110,7 +111,7 @@ class CountingMaintenance:
         engine = FixpointEngine(
             self._program,
             self._solver,
-            FixpointOptions(max_iterations=self._max_iterations),
+            EngineOptions(max_iterations=self._max_iterations),
         )
         return engine.compute()
 
@@ -155,7 +156,7 @@ class CountingMaintenance:
         engine = FixpointEngine(
             rewritten,
             self._solver,
-            FixpointOptions(max_iterations=self._max_iterations),
+            EngineOptions(max_iterations=self._max_iterations),
         )
         try:
             new_counts = self._to_counts(engine.compute())

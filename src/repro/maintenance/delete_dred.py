@@ -34,27 +34,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.datalog.clauses import Clause
-
+from repro.constraints.simplify import canonical_form
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
-from repro.datalog.fixpoint import (
-    FixpointEngine,
-    FixpointOptions,
-    iter_delta_joins,
-    iter_indexed_delta_joins,
-    make_interval_getter,
-    make_view_probes,
+from repro.datalog.fixpoint import FixpointEngine
+from repro.datalog.join import (
+    DeltaJoinKernel,
+    DeltaRound,
+    EngineOptions,
+    Seed,
+    make_fresh_factory,
 )
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView, ViewEntry
 from repro.errors import MaintenanceError
-from repro.maintenance.common import (
-    apply_clause_with_premises,
-    build_del_set,
-    make_fresh_factory,
-    subtract_instances,
-)
+from repro.maintenance.common import build_del_set, subtract_instances
 from repro.maintenance.declarative import deletion_rewrite
 from repro.maintenance.insert import EXTERNAL_CLAUSE_NUMBER
 from repro.maintenance.requests import DeletionRequest, MaintenanceStats
@@ -73,49 +67,6 @@ class DRedResult:
     stats: MaintenanceStats = field(default_factory=MaintenanceStats)
 
 
-@dataclass(frozen=True)
-class DRedOptions:
-    """Tunable behaviour of the Extended DRed implementation."""
-
-    #: Prune the rederivation program to clauses whose head predicate was
-    #: touched by P_OUT (the paper's step 3(a)/(c) incrementality).
-    prune_program: bool = True
-    #: Seed the rederivation fixpoint only with the entries the over-deletion
-    #: narrowed plus their direct premises (found through the support index),
-    #: instead of the whole over-estimate.  Round 1 of the rederivation then
-    #: only enumerates joins touching the disturbed derivations -- the
-    #: delta-proportional cost the paper argues for -- rather than joining
-    #: the entire over-estimate against itself.
-    delta_rederivation: bool = True
-    #: Drop narrowed entries that rederivation fully restored: when the
-    #: rewritten program rederives a derivation (same support) whose
-    #: constraint subsumes the over-deletion's narrowed twin, the narrowed
-    #: entry is syntactically redundant -- its instances are all contained in
-    #: the rederived one's -- and keeping it is exactly the
-    #: instance-equal-but-key-different gap to StDel / recomputation on
-    #: views with duplicate (overlapping) entries.  Sound for instances
-    #: either way; with the pass on, the result is key-identical to the
-    #: recomputed ``T_{P'} ↑ ω`` view on the interval family too.
-    subsume_rederived: bool = True
-    #: Segment a batch around requests that delete a *derivable* predicate:
-    #: maximal runs of EDB-only requests keep the single-pass batched path,
-    #: and only the derivable-deleting requests run as their own chained
-    #: steps.  Off, any such request used to demote the *whole* batch to the
-    #: one-at-a-time chain (kept, as ``False``, for the differential
-    #: harness's segmented-vs-chained comparison).
-    segment_batches: bool = True
-    #: Remove entries whose constraint became unsolvable before returning.
-    purge_unsolvable: bool = True
-    #: Cap on P_OUT unfolding rounds (defensive; recursion is bounded by the
-    #: view size because premises are drawn from the finite view).
-    max_unfold_rounds: int = 100
-    #: Fixpoint options used for the rederivation step.
-    fixpoint: FixpointOptions = FixpointOptions()
-
-
-DEFAULT_DRED_OPTIONS = DRedOptions()
-
-
 class ExtendedDRed:
     """The Extended DRed deletion algorithm (paper Algorithm 1)."""
 
@@ -123,7 +74,7 @@ class ExtendedDRed:
         self,
         program: ConstrainedDatabase,
         solver: Optional[ConstraintSolver] = None,
-        options: DRedOptions = DEFAULT_DRED_OPTIONS,
+        options: EngineOptions = EngineOptions(),
         metrics=None,
     ) -> None:
         self._program = program
@@ -175,12 +126,14 @@ class ExtendedDRed:
         cannot share the single pass: their ``Del`` sets depend on the
         previous request's rederivation, which the cheap same-predicate
         narrowing cannot reproduce.  The batch is therefore *segmented*
-        around them (``DRedOptions.segment_batches``): each maximal run of
-        EDB-only requests stays one batched pass, each derivable-deleting
-        request runs as its own chained step, and the rewritten program
-        threads through the segments.  The old behaviour -- one such request
-        demoting the whole batch to the one-at-a-time chain -- remains
-        available with ``segment_batches=False``.
+        around them: each maximal run of EDB-only requests stays one batched
+        pass, each derivable-deleting request runs as its own chained step,
+        and the rewritten program threads through the segments.  Result-
+        equivalent to the one-at-a-time chain (each segment sees exactly the
+        view and program a chained run would) at a cost that is at most the
+        chain's; ``EngineOptions.segment_batches=False`` keeps that chain --
+        the degenerate segmentation where every request is its own segment
+        -- as the reference the differential harness compares against.
 
         *purge_predicates* restricts the final unsolvability purge to the
         given predicates (the stream scheduler passes the batch's write
@@ -191,12 +144,13 @@ class ExtendedDRed:
         if len(requests) > 1 and any(
             self._is_derivable(request.atom.predicate) for request in requests
         ):
-            if self._options.segment_batches:
-                return self._record(
-                    self._delete_segmented(view, requests, stats, purge_predicates)
-                )
+            segments = (
+                self._segments(requests)
+                if self._options.segment_batches
+                else [(request,) for request in requests]
+            )
             return self._record(
-                self._delete_chained(view, requests, stats, purge_predicates)
+                self._run_segments(view, segments, stats, purge_predicates)
             )
 
         factory = make_fresh_factory(
@@ -223,7 +177,7 @@ class ExtendedDRed:
                         factory,
                         stats,
                         narrow_cache,
-                        drop_redundant_comparisons=self._options.fixpoint.drop_redundant_comparisons,
+                        options=self._options,
                     )
                     if replacement is not entry:
                         working.replace(entry, replacement)
@@ -266,7 +220,7 @@ class ExtendedDRed:
                     factory,
                     stats,
                     renamed_cache,
-                    drop_redundant_comparisons=self._options.fixpoint.drop_redundant_comparisons,
+                    options=self._options,
                 )
             if replacement is not entry:
                 # ``replace`` keeps the slot (insertion order) and merges
@@ -280,9 +234,7 @@ class ExtendedDRed:
         # Step 3: rederive using the rewritten program seeded with M'.
         rewritten = deletion_rewrite(self._program, del_atoms, factory)
         rederivation_program = self._prune_program(rewritten, p_out)
-        engine = FixpointEngine(
-            rederivation_program, self._solver, self._options.fixpoint
-        )
+        engine = FixpointEngine(rederivation_program, self._solver, self._options)
         before = len(overestimate)
         initial_delta = (
             self._rederivation_seed(overestimate, narrowed, stats)
@@ -309,8 +261,7 @@ class ExtendedDRed:
                 self._solver, purge_predicates
             )
 
-        if self._options.subsume_rederived:
-            self._subsume_rederived(result_view, narrowed, stats)
+        self._subsume_rederived(result_view, narrowed, stats)
 
         return self._record(
             DRedResult(result_view, del_atoms, p_out, overestimate, rewritten, stats)
@@ -320,23 +271,6 @@ class ExtendedDRed:
         """True when some rule clause (non-empty body) derives *predicate*."""
         return any(
             clause.body for clause in self._program.clauses_for(predicate)
-        )
-
-    def _delete_chained(
-        self,
-        view: MaterializedView,
-        requests: Sequence[DeletionRequest],
-        stats: MaintenanceStats,
-        purge_predicates: Optional[Sequence[str]] = None,
-    ) -> DRedResult:
-        """Fallback: apply the requests one at a time, threading the rewrite.
-
-        Kept (behind ``segment_batches=False``) as the reference the
-        differential harness compares the segmented path against; it is the
-        degenerate segmentation where every request is its own segment.
-        """
-        return self._run_segments(
-            view, [(request,) for request in requests], stats, purge_predicates
         )
 
     def _segments(
@@ -365,27 +299,6 @@ class ExtendedDRed:
             segments.append(tuple(run))
         return segments
 
-    def _delete_segmented(
-        self,
-        view: MaterializedView,
-        requests: Sequence[DeletionRequest],
-        stats: MaintenanceStats,
-        purge_predicates: Optional[Sequence[str]] = None,
-    ) -> DRedResult:
-        """Batch around the derivable-predicate requests instead of chaining.
-
-        The old fallback demoted the *whole* batch to one-at-a-time chaining
-        as soon as any request deleted a derivable predicate, so the EDB
-        majority of a mixed batch lost all amortization.  Segmenting keeps
-        every EDB run in the single-pass path and chains only the derivable
-        steps.  Result-equivalent to the chain (each segment sees exactly
-        the view and program a chained run would) at a cost that is at most
-        the chain's.
-        """
-        return self._run_segments(
-            view, self._segments(requests), stats, purge_predicates
-        )
-
     def _run_segments(
         self,
         view: MaterializedView,
@@ -395,9 +308,7 @@ class ExtendedDRed:
     ) -> DRedResult:
         """Apply *segments* in order, threading the rewritten program.
 
-        The single place the chain-threading logic lives (the chained
-        fallback and the segmented path only differ in how they cut the
-        batch into segments): each segment runs against the program the
+        Each segment runs against the program the
         previous segment's rewrite produced, the purge restriction applies
         per segment (each segment must purge -- its successor's ``Del`` set
         depends on it -- but never outside the batch's write closure), and
@@ -561,30 +472,11 @@ class ExtendedDRed:
         view.
         """
         collected: List[ConstrainedAtom] = list(del_atoms)
-        seen = {self._atom_key(atom) for atom in collected}
+        seen = {_atom_key(atom) for atom in collected}
         frontier: List[ConstrainedAtom] = list(del_atoms)
-        use_index = self._options.fixpoint.hash_join_index
-        use_ranges = use_index and self._options.fixpoint.range_postings
-
-        def pool_for(predicate: str) -> Tuple[ViewEntry, ...]:
-            return view.entries_for(predicate)
-
-        def on_probe() -> None:
-            stats.index_probes += 1
-
-        # P_OUT draws the non-frontier premises from the *full* view, so the
-        # old-pool and full-pool probes coincide (no delta exclusion).
-        probe, _ = make_view_probes(
-            view,
-            on_probe=on_probe,
-            range_postings=use_ranges,
-            evaluator=self._solver.evaluator,
-            range_eligible=self._options.fixpoint.range_eligible,
+        kernel = DeltaJoinKernel(
+            self._program, self._solver, self._options, factory, stats
         )
-        bound_intervals = (
-            make_interval_getter(self._solver.evaluator) if use_ranges else None
-        )
-
         rounds = 0
         while frontier:
             rounds += 1
@@ -593,91 +485,37 @@ class ExtendedDRed:
                     "P_OUT unfolding exceeded "
                     f"{self._options.max_unfold_rounds} rounds"
                 )
-            frontier_by_signature: Dict[Tuple[str, int], List[ConstrainedAtom]] = {}
-            for poisoned in frontier:
-                frontier_by_signature.setdefault(poisoned.atom.signature, []).append(
-                    poisoned
-                )
-            # Only clauses whose body mentions a frontier predicate can
-            # contribute to this round of the unfolding.
-            selected: Dict[int, Clause] = {}
-            for predicate, _ in frontier_by_signature:
-                for clause in self._program.clauses_with_body_predicate(predicate):
-                    selected[clause.number or 0] = clause
+            # The frontier seed policy draws *exactly one* premise from the
+            # frontier (P_OUT_k) and every other premise from the
+            # materialized view, which is precisely the paper's unfolding
+            # discipline.
             next_frontier: List[ConstrainedAtom] = []
-            for number in sorted(selected):
-                clause = selected[number]
-                view_premises = [pool_for(atom.predicate) for atom in clause.body]
-                frontier_premises = [
-                    tuple(frontier_by_signature.get(atom.signature, ()))
-                    for atom in clause.body
-                ]
-                # Passing the view pools as "old" pools makes the delta join
-                # draw *exactly one* premise from the frontier (P_OUT_k) and
-                # every other premise from the materialized view, which is
-                # precisely the paper's unfolding discipline.  With the
-                # argument index on, the view positions are resolved by
-                # probing with the bindings the frontier atom pins down.
-                renamed_premises: Dict[Tuple[int, int], ConstrainedAtom] = {}
-                if use_index:
-                    combinations = iter_indexed_delta_joins(
-                        clause.body,
-                        view_premises,
-                        frontier_premises,
-                        view_premises,
-                        probe,
-                        probe,
-                        bound_intervals=bound_intervals,
-                    )
-                else:
-                    combinations = iter_delta_joins(
-                        view_premises, frontier_premises, view_premises
-                    )
-                for combination in combinations:
-                    stats.derivation_attempts += 1
-                    premise_atoms = tuple(
-                        item.constrained_atom if isinstance(item, ViewEntry) else item
-                        for item in combination
-                    )
-                    derived = apply_clause_with_premises(
-                        clause,
-                        premise_atoms,
-                        self._solver,
-                        factory,
-                        check_solvable=True,
-                        stats=stats,
-                        renamed_cache=renamed_premises,
-                        drop_redundant_comparisons=self._options.fixpoint.drop_redundant_comparisons,
-                    )
-                    if derived is None:
-                        continue
-                    key = self._atom_key(derived)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    collected.append(derived)
-                    next_frontier.append(derived)
+            for _, _, derived in DeltaRound(kernel, view, frontier, Seed.FRONTIER):
+                key = _atom_key(derived)
+                if key in seen:
+                    continue
+                seen.add(key)
+                collected.append(derived)
+                next_frontier.append(derived)
             frontier = next_frontier
         stats.unfolded_atoms = len(collected) - len(del_atoms)
         return tuple(collected)
 
+    @staticmethod
     def _prune_program(
-        self, rewritten: ConstrainedDatabase, p_out: Sequence[ConstrainedAtom]
+        rewritten: ConstrainedDatabase, p_out: Sequence[ConstrainedAtom]
     ) -> ConstrainedDatabase:
         """Keep only the clauses that can rederive over-deleted atoms."""
-        if not self._options.prune_program:
-            return rewritten
         touched = {atom.atom.signature for atom in p_out}
         kept = [
             clause for clause in rewritten if clause.head.signature in touched
         ]
         return ConstrainedDatabase(kept)
 
-    @staticmethod
-    def _atom_key(atom: ConstrainedAtom):
-        from repro.constraints.simplify import canonical_form
 
-        return (atom.atom, canonical_form(atom.constraint))
+def _atom_key(atom: ConstrainedAtom):
+    """Dedup key of a ``P_OUT`` atom: the atom and its canonical constraint."""
+    return (atom.atom, canonical_form(atom.constraint))
 
 
 def delete_with_dred(
@@ -685,7 +523,7 @@ def delete_with_dred(
     view: MaterializedView,
     atom: ConstrainedAtom,
     solver: Optional[ConstraintSolver] = None,
-    options: DRedOptions = DEFAULT_DRED_OPTIONS,
+    options: EngineOptions = EngineOptions(),
 ) -> DRedResult:
     """Convenience wrapper: run Extended DRed for one deletion request."""
     algorithm = ExtendedDRed(program, solver, options)

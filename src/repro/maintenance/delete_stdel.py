@@ -30,11 +30,12 @@ from repro.constraints.projection import eliminate_variables
 from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
+from repro.datalog.join import EngineOptions, make_fresh_factory
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.support import Support
 from repro.datalog.view import MaterializedView, ViewEntry
 from repro.errors import MaintenanceError
-from repro.maintenance.common import make_fresh_factory, negated_atom_constraint
+from repro.maintenance.common import negated_atom_constraint
 from repro.maintenance.requests import DeletionRequest, MaintenanceStats
 from repro.obs.metrics import NULL_METRICS
 
@@ -66,28 +67,8 @@ class StDelResult:
     stats: MaintenanceStats = field(default_factory=MaintenanceStats)
 
 
-@dataclass(frozen=True)
-class StDelOptions:
-    """Tunable behaviour of the StDel implementation."""
-
-    #: Remove entries with unsolvable constraints at the end (step 4).  Turn
-    #: off to inspect the intermediate state shown in the paper's Example 6.
-    purge_unsolvable: bool = True
-    #: Simplify replaced constraints (the paper's "simplification of the
-    #: constraints"); turning this off is the ablation measured in
-    #: ``benchmarks/bench_simplification.py``.
-    simplify_constraints: bool = True
-    #: Also drop comparison conjuncts entailed by the rest, matching the
-    #: fixpoint engine's normalization -- required for the rebuilt parent
-    #: constraints to stay *key*-identical to ``T_{P'} ↑ ω``'s on clauses
-    #: whose premises bound a variable on both sides (two-sided interval
-    #: joins make one premise's bound redundant next to the other's).
-    drop_redundant_comparisons: bool = True
-    #: Defensive bound on propagation rounds.
-    max_rounds: int = 10_000
-
-
-DEFAULT_STDEL_OPTIONS = StDelOptions()
+#: Defensive bound on step-3 propagation rounds.
+MAX_PROPAGATION_ROUNDS = 10_000
 
 
 class StraightDelete:
@@ -97,7 +78,7 @@ class StraightDelete:
         self,
         program: ConstrainedDatabase,
         solver: Optional[ConstraintSolver] = None,
-        options: StDelOptions = DEFAULT_STDEL_OPTIONS,
+        options: EngineOptions = EngineOptions(),
         metrics=None,
     ) -> None:
         self._program = program
@@ -238,9 +219,9 @@ class StraightDelete:
             frontier_start = seed_start
             while frontier_start < len(p_out):
                 rounds += 1
-                if rounds > self._options.max_rounds:
+                if rounds > MAX_PROPAGATION_ROUNDS:
                     raise MaintenanceError(
-                        f"StDel propagation exceeded {self._options.max_rounds} rounds"
+                        f"StDel propagation exceeded {MAX_PROPAGATION_ROUNDS} rounds"
                     )
                 frontier_end = len(p_out)
                 for pair_index in range(frontier_start, frontier_end):
@@ -429,7 +410,7 @@ def delete_with_stdel(
     view: MaterializedView,
     atom: ConstrainedAtom,
     solver: Optional[ConstraintSolver] = None,
-    options: StDelOptions = DEFAULT_STDEL_OPTIONS,
+    options: EngineOptions = EngineOptions(),
 ) -> StDelResult:
     """Convenience wrapper: run Straight Delete for one deletion request."""
     algorithm = StraightDelete(program, solver, options)

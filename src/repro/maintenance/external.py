@@ -24,12 +24,8 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro.constraints.solver import ConstraintSolver
-from repro.datalog.fixpoint import (
-    FixpointOptions,
-    WP_OPTIONS,
-    compute_tp_fixpoint,
-    compute_wp_fixpoint,
-)
+from repro.datalog.fixpoint import compute_tp_fixpoint, compute_wp_fixpoint
+from repro.datalog.join import EngineOptions
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.domains.versioned import FunctionDelta, VersionedDomain, add_rem_sets, function_delta
@@ -58,13 +54,13 @@ class TpExternalMaintenance:
         self,
         program: ConstrainedDatabase,
         solver: ConstraintSolver,
-        options: Optional[FixpointOptions] = None,
+        options: Optional[EngineOptions] = None,
     ) -> None:
         self._program = program
         # This class owns a change-notification contract (on_source_changed),
         # so it can safely memoize even DCA-dependent solver results.
         self._solver = solver.with_external_memoization()
-        self._options = options or FixpointOptions()
+        self._options = options
         self._view = compute_tp_fixpoint(program, self._solver, options=self._options)
 
     @property
@@ -111,14 +107,14 @@ class WpExternalMaintenance:
         self,
         program: ConstrainedDatabase,
         solver: ConstraintSolver,
-        options: Optional[FixpointOptions] = None,
+        options: Optional[EngineOptions] = None,
     ) -> None:
         self._program = program
         # Same contract as TpExternalMaintenance: memoization of external
         # results is safe because every source change runs through
         # on_source_changed, which invalidates them.
         self._solver = solver.with_external_memoization()
-        self._options = options or WP_OPTIONS
+        self._options = options
         self._view = compute_wp_fixpoint(program, self._solver, options=self._options)
 
     @property

@@ -22,22 +22,21 @@ can still track derivations that depend on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
-from repro.datalog.clauses import Clause
-from repro.datalog.fixpoint import (
-    iter_delta_joins,
-    iter_indexed_delta_joins,
-    make_interval_getter,
-    make_view_probes,
+from repro.datalog.join import (
+    DeltaJoinKernel,
+    DeltaRound,
+    EngineOptions,
+    derived_entry,
+    make_fresh_factory,
 )
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.support import Support
 from repro.datalog.view import MaterializedView, ViewEntry
 from repro.errors import MaintenanceError
-from repro.maintenance.common import apply_clause_with_premises, make_fresh_factory
 from repro.maintenance.declarative import build_add_set
 from repro.maintenance.requests import InsertionRequest, MaintenanceStats
 from repro.obs.metrics import NULL_METRICS
@@ -56,35 +55,6 @@ class InsertionResult:
     stats: MaintenanceStats = field(default_factory=MaintenanceStats)
 
 
-@dataclass(frozen=True)
-class InsertionOptions:
-    """Tunable behaviour of the insertion algorithm."""
-
-    #: Narrow the inserted atom by the instances already present (the
-    #: paper's ``Add`` construction).  With False a duplicate derivation is
-    #: recorded even when the instances already exist.
-    exclude_existing: bool = True
-    #: Defensive bound on unfolding rounds.
-    max_unfold_rounds: int = 100
-    #: Resolve view-side join positions through the argument index (hash
-    #: join) instead of scanning the per-predicate pools.
-    hash_join_index: bool = True
-    #: Also consult the argument index's interval range postings (see
-    #: :attr:`repro.datalog.fixpoint.FixpointOptions.range_postings`).
-    range_postings: bool = True
-    #: Drop comparison conjuncts entailed by the rest when simplifying
-    #: derived constraints, matching
-    #: :attr:`repro.datalog.fixpoint.FixpointOptions.drop_redundant_comparisons`
-    #: (keep the two in sync when comparing against recomputation by key).
-    drop_redundant_comparisons: bool = True
-    #: Statically-inferred interval-eligible (predicate, position) pairs
-    #: (see :attr:`repro.datalog.fixpoint.FixpointOptions.range_eligible`).
-    range_eligible: Optional[FrozenSet[Tuple[str, int]]] = None
-
-
-DEFAULT_INSERTION_OPTIONS = InsertionOptions()
-
-
 class ConstrainedAtomInsertion:
     """The constrained-atom insertion algorithm (paper Algorithm 3)."""
 
@@ -92,7 +62,7 @@ class ConstrainedAtomInsertion:
         self,
         program: ConstrainedDatabase,
         solver: Optional[ConstraintSolver] = None,
-        options: InsertionOptions = DEFAULT_INSERTION_OPTIONS,
+        options: EngineOptions = EngineOptions(),
         metrics=None,
     ) -> None:
         self._program = program
@@ -175,6 +145,9 @@ class ConstrainedAtomInsertion:
         stats: MaintenanceStats,
     ) -> None:
         """Run the ``P_ADD`` unfolding to fixpoint for one frontier."""
+        kernel = DeltaJoinKernel(
+            self._program, self._solver, self._options, factory, stats
+        )
         rounds = 0
         while frontier:
             rounds += 1
@@ -183,116 +156,21 @@ class ConstrainedAtomInsertion:
                     "P_ADD unfolding exceeded "
                     f"{self._options.max_unfold_rounds} rounds"
                 )
-            frontier_keys = {entry.key() for entry in frontier}
-            frontier_by_predicate: Dict[str, List[ViewEntry]] = {}
-            for entry in frontier:
-                frontier_by_predicate.setdefault(entry.predicate, []).append(entry)
-            selected: Dict[int, Clause] = {}
-            for predicate in frontier_by_predicate:
-                for clause in self._program.clauses_with_body_predicate(predicate):
-                    selected[clause.number or 0] = clause
-
-            # Per-round (full, old, delta) pools, computed once per predicate
-            # (mirrors FixpointEngine._round_plan).
-            round_pools: Dict[str, Tuple[tuple, tuple, tuple]] = {}
-
-            def pools_for(predicate: str) -> Tuple[tuple, tuple, tuple]:
-                cached = round_pools.get(predicate)
-                if cached is None:
-                    full = working.entries_for(predicate)
-                    fresh = tuple(frontier_by_predicate.get(predicate, ()))
-                    old = (
-                        tuple(e for e in full if e.key() not in frontier_keys)
-                        if fresh
-                        else full
-                    )
-                    cached = round_pools[predicate] = (full, old, fresh)
-                return cached
-
-            probes = None
-            bound_intervals = None
-            if self._options.hash_join_index:
-
-                def on_probe() -> None:
-                    stats.index_probes += 1
-
-                use_ranges = self._options.range_postings
-                probes = make_view_probes(
-                    working,
-                    exclude_keys=frontier_keys,
-                    delta_by_predicate=frontier_by_predicate,
-                    on_probe=on_probe,
-                    range_postings=use_ranges,
-                    evaluator=self._solver.evaluator,
-                    range_eligible=self._options.range_eligible,
-                )
-                if use_ranges:
-                    bound_intervals = make_interval_getter(self._solver.evaluator)
-
+            # P_ADD: at least one premise from the frontier, the rest from
+            # the view, which (unlike deletion's P_OUT) already contains the
+            # frontier -- the kernel's default in-view seed policy.
             produced: List[ViewEntry] = []
             produced_keys: set = set()
-            for number in sorted(selected):
-                clause = selected[number]
-                full_pools = []
-                old_pools = []
-                delta_pools = []
-                feasible = True
-                for body_atom in clause.body:
-                    full, old, fresh = pools_for(body_atom.predicate)
-                    if not full:
-                        feasible = False
-                        break
-                    full_pools.append(full)
-                    old_pools.append(old)
-                    delta_pools.append(fresh)
-                if not feasible:
+            for clause, premises, derived in DeltaRound(kernel, working, frontier):
+                entry = derived_entry(clause, premises, derived)
+                # Membership against the sharded view is O(1) per check, no
+                # O(|view|) key snapshot per batch.  ``produced_keys`` dedups
+                # within the round (those entries are not in the view yet).
+                key = entry.key()
+                if key in produced_keys or entry in working:
                     continue
-                # P_ADD: at least one premise from the frontier, the rest
-                # from the view (which, unlike deletion's P_OUT, already
-                # contains the frontier -- hence old/delta/full pools).
-                renamed_premises: Dict[Tuple[int, int], ConstrainedAtom] = {}
-                if probes is not None:
-                    combinations = iter_indexed_delta_joins(
-                        clause.body,
-                        old_pools,
-                        delta_pools,
-                        full_pools,
-                        *probes,
-                        bound_intervals=bound_intervals,
-                    )
-                else:
-                    combinations = iter_delta_joins(old_pools, delta_pools, full_pools)
-                for combination in combinations:
-                    stats.derivation_attempts += 1
-                    premise_atoms = tuple(
-                        entry.constrained_atom for entry in combination
-                    )
-                    derived = apply_clause_with_premises(
-                        clause,
-                        premise_atoms,
-                        self._solver,
-                        factory,
-                        check_solvable=True,
-                        stats=stats,
-                        renamed_cache=renamed_premises,
-                        drop_redundant_comparisons=self._options.drop_redundant_comparisons,
-                    )
-                    if derived is None:
-                        continue
-                    support = Support(
-                        clause.number or 0,
-                        tuple(entry.support for entry in combination),
-                    )
-                    entry = ViewEntry(derived.atom, derived.constraint, support)
-                    # Membership against the sharded view replaces the old
-                    # whole-view key snapshot: O(1) per check, no O(|view|)
-                    # set build per batch.  ``produced_keys`` dedups within
-                    # the round (those entries are not in the view yet).
-                    key = entry.key()
-                    if key in produced_keys or entry in working:
-                        continue
-                    produced_keys.add(key)
-                    produced.append(entry)
+                produced_keys.add(key)
+                produced.append(entry)
             frontier = []
             for entry in produced:
                 if working.add(entry):
@@ -305,7 +183,7 @@ def insert_atom(
     view: MaterializedView,
     atom: ConstrainedAtom,
     solver: Optional[ConstraintSolver] = None,
-    options: InsertionOptions = DEFAULT_INSERTION_OPTIONS,
+    options: EngineOptions = EngineOptions(),
 ) -> InsertionResult:
     """Convenience wrapper: run the insertion algorithm for one request."""
     algorithm = ConstrainedAtomInsertion(program, solver, options)

@@ -15,21 +15,22 @@ exposes the operations the paper studies:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.analysis import ProgramReport, analyze_program
 from repro.constraints.solver import ConstraintSolver, SolverOptions
 from repro.datalog.atoms import ConstrainedAtom
-from repro.datalog.fixpoint import FixpointOptions, compute_tp_fixpoint, compute_wp_fixpoint
+from repro.datalog.fixpoint import compute_tp_fixpoint, compute_wp_fixpoint
+from repro.datalog.join import EngineOptions
 from repro.datalog.parser import parse_constrained_atom, parse_program
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.domains.base import Domain, DomainRegistry
 from repro.errors import MediatorError
-from repro.maintenance.delete_dred import DRedOptions, DRedResult, ExtendedDRed
-from repro.maintenance.delete_stdel import StDelOptions, StDelResult, StraightDelete
-from repro.maintenance.insert import ConstrainedAtomInsertion, InsertionOptions, InsertionResult
+from repro.maintenance.delete_dred import DRedResult, ExtendedDRed
+from repro.maintenance.delete_stdel import StDelResult, StraightDelete
+from repro.maintenance.insert import ConstrainedAtomInsertion, InsertionResult
 from repro.maintenance.requests import DeletionRequest, InsertionRequest
 
 
@@ -124,42 +125,22 @@ class Mediator:
         program: ConstrainedDatabase,
         registry: Optional[DomainRegistry] = None,
         solver_options: SolverOptions = SolverOptions(),
-        fixpoint_options: Optional[FixpointOptions] = None,
-        dred_options: Optional[DRedOptions] = None,
-        stdel_options: Optional[StDelOptions] = None,
-        insertion_options: Optional[InsertionOptions] = None,
+        options: Optional[EngineOptions] = None,
     ) -> None:
         self._program = program
         self._registry = registry or DomainRegistry()
         self._solver = ConstraintSolver(self._registry, solver_options)
-        self._fixpoint_options = fixpoint_options or FixpointOptions()
-        self._dred_options = dred_options or DRedOptions()
-        self._stdel_options = stdel_options or StDelOptions()
-        self._insertion_options = insertion_options or InsertionOptions()
         #: Set by :meth:`open`: the recovered durable scheduler over the
         #: mediator's data directory (``None`` for in-memory mediators).
         self._durable_scheduler = None
         # Static analysis once per mediator: the report's interval-position
-        # table is threaded into every fixpoint/unfolding configuration that
-        # did not set one explicitly, so range postings stop probing
-        # positions that can never carry a non-degenerate interval.
-        # Diagnostics are not gated here -- the builder fails fast on them;
-        # direct construction stays permissive for experiments.
+        # table is threaded into the engine configuration (unless the caller
+        # pinned one), so range postings stop probing positions that can
+        # never carry a non-degenerate interval.  Diagnostics are not gated
+        # here -- the builder fails fast on them; direct construction stays
+        # permissive for experiments.
         self._report = analyze_program(program, self._registry)
-        eligible = self._report.interval_positions
-        if self._fixpoint_options.range_eligible is None:
-            self._fixpoint_options = replace(
-                self._fixpoint_options, range_eligible=eligible
-            )
-        if self._dred_options.fixpoint.range_eligible is None:
-            self._dred_options = replace(
-                self._dred_options,
-                fixpoint=replace(self._dred_options.fixpoint, range_eligible=eligible),
-            )
-        if self._insertion_options.range_eligible is None:
-            self._insertion_options = replace(
-                self._insertion_options, range_eligible=eligible
-            )
+        self._options = (options or EngineOptions()).with_report(self._report)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -278,11 +259,11 @@ class Mediator:
         )
         if resolved is MaterializationOperator.TP:
             view = compute_tp_fixpoint(
-                self._program, self._solver, options=self._fixpoint_options
+                self._program, self._solver, options=self._options
             )
         else:
             view = compute_wp_fixpoint(
-                self._program, self._solver, options=self._fixpoint_options
+                self._program, self._solver, options=self._options
             )
         return MediatedView(self, view, resolved)
 
@@ -305,11 +286,11 @@ class Mediator:
     ) -> Union[StDelResult, DRedResult]:
         """Run the chosen deletion algorithm against *view*."""
         if algorithm is DeletionAlgorithm.STDEL:
-            return StraightDelete(self._program, self._solver, self._stdel_options).delete(
+            return StraightDelete(self._program, self._solver, self._options).delete(
                 view, DeletionRequest(atom)
             )
         if algorithm is DeletionAlgorithm.DRED:
-            return ExtendedDRed(self._program, self._solver, self._dred_options).delete(
+            return ExtendedDRed(self._program, self._solver, self._options).delete(
                 view, DeletionRequest(atom)
             )
         raise MediatorError(f"unknown deletion algorithm: {algorithm!r}")
@@ -319,7 +300,7 @@ class Mediator:
     ) -> InsertionResult:
         """Run the insertion algorithm against *view*."""
         return ConstrainedAtomInsertion(
-            self._program, self._solver, self._insertion_options
+            self._program, self._solver, self._options
         ).insert(view, InsertionRequest(atom))
 
     # ------------------------------------------------------------------

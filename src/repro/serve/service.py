@@ -31,13 +31,13 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Deque, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.errors import MediatorError
-from repro.stream import BatchResult, StreamScheduler
+from repro.stream import StreamScheduler
 from repro.stream.log import StreamPayload, Transaction
 
 
@@ -137,7 +137,10 @@ class MediatorService:
         self._below_low.set()
         self._stopping = False
         self._closed = False
-        self._results: List[BatchResult] = []
+        # Counters, not the results themselves: a kept ``BatchResult`` pins
+        # its (superseded) view's shards for the service's lifetime.
+        self._batches_applied = 0
+        self._failed_units = 0
         #: Bounded error memory: the newest ``error_history`` renderings
         #: stay, older ones are dropped and counted (a long-lived service
         #: must not grow a list forever).
@@ -302,11 +305,6 @@ class MediatorService:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def results(self) -> Tuple[BatchResult, ...]:
-        """Applied batches' results, in completion order."""
-        return tuple(self._results)
-
-    @property
     def errors(self) -> Tuple[str, ...]:
         """The newest batch errors (rendered), oldest first.
 
@@ -329,14 +327,11 @@ class MediatorService:
     def stats(self) -> dict:
         """Service-level counters for operators and the serve benchmark."""
         scheduler = self._scheduler
-        failed_units = sum(
-            len(result.failed_units) for result in self._results
-        )
         data = {
-            "batches_applied": len(self._results),
+            "batches_applied": self._batches_applied,
             "batch_errors": self._errors_seen,
             "errors_dropped": self.errors_dropped,
-            "failed_units": failed_units,
+            "failed_units": self._failed_units,
             "pending": scheduler.log.pending_count(),
             "inflight_peak": scheduler.inflight_peak,
             "concurrent_commits": scheduler.concurrent_commits,
@@ -434,7 +429,8 @@ class MediatorService:
         except Exception as exc:  # keep serving; surface via .errors
             self._record_error(f"{type(exc).__name__}: {exc}")
         else:
-            self._results.append(result)
+            self._batches_applied += 1
+            self._failed_units += len(result.failed_units)
         self._wake.set()
 
     def _maybe_release_backpressure(self) -> None:

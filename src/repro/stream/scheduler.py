@@ -68,14 +68,15 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 from repro.analysis import ProgramReport, analyze_program
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.fixpoint import compute_tp_fixpoint
+from repro.datalog.join import EngineOptions
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.errors import MaintenanceError, ShardSanitizerError, WriteScopeError
 from repro.sanitizer import sanitizer_enabled
 from repro.maintenance.declarative import deletion_rewrite, insertion_rewrite
-from repro.maintenance.delete_dred import DRedOptions, ExtendedDRed
-from repro.maintenance.delete_stdel import StDelOptions, StraightDelete
-from repro.maintenance.insert import ConstrainedAtomInsertion, InsertionOptions
+from repro.maintenance.delete_dred import ExtendedDRed
+from repro.maintenance.delete_stdel import StraightDelete
+from repro.maintenance.insert import ConstrainedAtomInsertion
 from repro.maintenance.requests import (
     DeletionRequest,
     InsertionRequest,
@@ -148,9 +149,8 @@ class StreamOptions:
     #: restores the fully serialized one-batch-at-a-time behaviour -- the
     #: baseline the serve benchmark measures against.
     concurrent_batches: bool = True
-    stdel: StDelOptions = StDelOptions()
-    dred: DRedOptions = DRedOptions()
-    insertion: InsertionOptions = InsertionOptions()
+    #: The one engine configuration every maintenance pass runs with.
+    engine: EngineOptions = EngineOptions()
     #: Observability hook, called with each finished :class:`UnitReport`
     #: *before* the batch publishes (tests use it to observe snapshot
     #: isolation; operators can stream progress from it).
@@ -332,9 +332,10 @@ class StreamScheduler:
             )
         self._program = program
         self._solver = solver or ConstraintSolver()
-        self._options = options
         self._published = (
-            view if view is not None else compute_tp_fixpoint(program, self._solver)
+            view
+            if view is not None
+            else compute_tp_fixpoint(program, self._solver, options=options.engine)
         )
         # Static analysis once, up front: the scheduler consumes the report's
         # write closures / SCCs / closure groups as precomputed truth (no
@@ -344,23 +345,13 @@ class StreamScheduler:
         self._report: ProgramReport = analyze_program(program)
         self._strata = PredicateStrata.from_report(program, self._report)
         # Thread the interval-position table into the maintenance passes'
-        # configurations (unless a caller pinned one explicitly).
-        eligible = self._report.interval_positions
-        stdel = options.stdel
-        dred = options.dred
-        insertion = options.insertion
-        if dred.fixpoint.range_eligible is None:
-            dred = replace(
-                dred, fixpoint=replace(dred.fixpoint, range_eligible=eligible)
-            )
-        if insertion.range_eligible is None:
-            insertion = replace(insertion, range_eligible=eligible)
-        if dred is not options.dred or insertion is not options.insertion:
-            options = replace(options, stdel=stdel, dred=dred, insertion=insertion)
-        self._options = options
+        # configuration (unless a caller pinned one explicitly).
+        self._options = options = replace(
+            options, engine=options.engine.with_report(self._report)
+        )
         self._coalescer = Coalescer(
             self._solver,
-            dedupe_insertions=options.insertion.exclude_existing,
+            dedupe_insertions=options.engine.exclude_existing,
         )
         self._log = log if log is not None else UpdateLog()
         #: The program DRed deletions run against (threads the rewrites the
@@ -1254,14 +1245,14 @@ class StreamScheduler:
                 del_result = StraightDelete(
                     self._program,
                     self._solver,
-                    self._options.stdel,
+                    self._options.engine,
                     metrics=self._obs.metrics,
                 ).delete_many(current, unit.deletions, purge_predicates=purge)
             else:
                 del_result = ExtendedDRed(
                     deletion_program,
                     self._solver,
-                    self._options.dred,
+                    self._options.engine,
                     metrics=self._obs.metrics,
                 ).delete_many(current, unit.deletions, purge_predicates=purge)
             current = del_result.view
@@ -1284,7 +1275,7 @@ class StreamScheduler:
             ins_result = ConstrainedAtomInsertion(
                 insert_program,
                 self._solver,
-                self._options.insertion,
+                self._options.engine,
                 metrics=self._obs.metrics,
             ).insert_many(current, unit.insertions)
             current = ins_result.view

@@ -7,7 +7,7 @@ import pytest
 from repro.constraints import ConstraintSolver, Variable, equals
 from repro.datalog import (
     FixpointEngine,
-    FixpointOptions,
+    EngineOptions,
     MaterializedView,
     Support,
     ViewEntry,
@@ -113,7 +113,7 @@ class TestOperatorBehaviour:
             p(X, Y) <- e(X, Z), p(Z, Y).
             """
         )
-        options = FixpointOptions(max_iterations=3)
+        options = EngineOptions(max_iterations=3)
         with pytest.raises(FixpointDivergenceError):
             FixpointEngine(program, solver, options).compute()
 
@@ -126,14 +126,14 @@ class TestOperatorBehaviour:
             p(X, Y) <- e(X, Z), p(Z, Y).
             """
         )
-        options = FixpointOptions(duplicate_semantics=False)
+        options = EngineOptions(duplicate_semantics=False)
         view = FixpointEngine(program, solver, options).compute()
         assert view.instances_for("p") == {
             ("a", "b"), ("b", "a"), ("a", "a"), ("b", "b"),
         }
 
     def test_projection_can_be_disabled(self, example45_program, solver):
-        options = FixpointOptions(project_auxiliary_variables=False, simplify_constraints=False)
+        options = EngineOptions(project_auxiliary_variables=False, simplify_constraints=False)
         view = FixpointEngine(example45_program, solver, options).compute()
         # Without projection the derived entries keep their binding equalities.
         derived = [e for e in view.entries_for("a") if not e.support.is_leaf]
@@ -143,16 +143,17 @@ class TestOperatorBehaviour:
         program = parse_program("c(X) <- missing(X).")
         assert len(compute_tp_fixpoint(program, solver)) == 0
 
-    def test_convenience_wrappers_override_operator_flag(self, example45_program, solver):
-        # compute_tp_fixpoint forces the solvability check even when handed
-        # W_P-style options, and vice versa.
-        wp_options = FixpointOptions(check_solvability=False)
-        view = compute_tp_fixpoint(example45_program, solver, options=wp_options)
+    def test_operator_is_an_engine_argument(self, example45_program, solver):
+        # The T_P / W_P choice is not an option field: the wrappers pick it,
+        # and the same options object serves both operators.
+        options = EngineOptions()
+        view = compute_tp_fixpoint(example45_program, solver, options=options)
         assert len(view) == 5
-        tp_options = FixpointOptions(check_solvability=True)
         program = parse_program("a(X) <- X >= 3 & X <= 1.")
-        view = compute_wp_fixpoint(program, solver, options=tp_options)
-        assert len(view) == 1
+        assert len(compute_tp_fixpoint(program, solver, options=options)) == 0
+        assert len(compute_wp_fixpoint(program, solver, options=options)) == 1
+        engine = FixpointEngine(program, solver, options, check_solvability=False)
+        assert len(engine.compute()) == 1
 
 
 class TestMediatedFixpoint:

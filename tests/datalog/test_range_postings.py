@@ -14,7 +14,7 @@ import pytest
 
 from repro.constraints import ConstraintSolver, Variable, compare, conjoin, equals, member
 from repro.datalog import Atom, FixpointEngine, MaterializedView, Support, ViewEntry
-from repro.datalog.fixpoint import FixpointOptions
+from repro.datalog.join import EngineOptions
 from repro.datalog.view import IntervalQuery
 from repro.domains import DomainRegistry, make_arithmetic_domain
 from repro.workloads import make_interval_join_program
@@ -231,11 +231,11 @@ class TestJoinEnumeration:
     def test_range_postings_shrink_interval_join_enumeration(self):
         spec = make_interval_join_program(seed=2)
         ranged = FixpointEngine(
-            spec.program, ConstraintSolver(), FixpointOptions(range_postings=True)
+            spec.program, ConstraintSolver(), EngineOptions(range_postings=True)
         )
         ranged_view = ranged.compute()
         flat = FixpointEngine(
-            spec.program, ConstraintSolver(), FixpointOptions(range_postings=False)
+            spec.program, ConstraintSolver(), EngineOptions(range_postings=False)
         )
         flat_view = flat.compute()
         assert [str(e.key()) for e in ranged_view] == [str(e.key()) for e in flat_view]
@@ -280,7 +280,7 @@ class TestJoinEnumeration:
         ]
         program = ConstrainedDatabase(clauses)
         ranged = FixpointEngine(
-            program, ConstraintSolver(), FixpointOptions(range_postings=True)
+            program, ConstraintSolver(), EngineOptions(range_postings=True)
         )
         view = ranged.compute()
         assert view.entries_for("pair") == ()

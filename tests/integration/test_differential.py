@@ -12,7 +12,7 @@ are compared:
   ``T_{P'} ↑ ω`` view whenever the pre-deletion view is duplicate-free (the
   regime the paper states the algorithm is for, Section 3.1) **and** on the
   interval families regardless of duplicate-freeness: the post-rederivation
-  subsumption pass (``DRedOptions.subsume_rederived``) drops the narrowed
+  subsumption pass drops the narrowed
   duplicates rederivation used to leave behind, closing the
   instance-equal-but-key-different gap.  Any remaining non-duplicate-free
   case falls back to the documented contract: a syntactic superset of the
@@ -37,7 +37,7 @@ import pytest
 
 from repro.constraints import ConstraintSolver
 from repro.datalog import FixpointEngine, compute_tp_fixpoint
-from repro.datalog.fixpoint import FixpointOptions
+from repro.datalog.join import EngineOptions
 from repro.maintenance import (
     DeletionRequest,
     ExtendedDRed,
@@ -45,7 +45,6 @@ from repro.maintenance import (
     insert_atom,
     recompute_after_deletion,
 )
-from repro.maintenance.delete_dred import DRedOptions
 from repro.workloads import (
     deletion_stream,
     insertion_stream,
@@ -63,11 +62,7 @@ SEEDS = range(60)
 #: the subsumption pass must make DRed key-identical there too.
 INTERVAL_FAMILIES = (2, 4)
 
-POSITIONAL_DRED = DRedOptions(
-    delta_rederivation=False,
-    subsume_rederived=True,
-    fixpoint=FixpointOptions(hash_join_index=False),
-)
+POSITIONAL_DRED = EngineOptions(delta_rederivation=False, hash_join_index=False)
 
 
 def build_spec(seed: int):
@@ -272,6 +267,53 @@ def test_non_overlapping_deletion_leaves_external_entry_keys_untouched():
     assert view_keys(dred.view) == view_keys(recomputed.view)
 
 
+@pytest.mark.parametrize("seed", (9, 14, 19, 24))
+def test_one_engine_config_moves_every_algorithm_together(seed):
+    """``drop_redundant_comparisons=False`` on the interval-join family.
+
+    The flag decides how every algorithm normalizes a derived or narrowed
+    constraint, so it changes entry keys -- and because StDel, DRed,
+    insertion and recomputation all read it from the same
+    :class:`EngineOptions`, it changes them *together*: the tracks stay
+    key-identical to each other while differing from the default
+    configuration's.  (With one option class per algorithm, setting it on
+    one of them silently broke this parity.)
+    """
+
+    def run(options):
+        spec = build_spec(seed)
+        solver = ConstraintSolver()
+        initial = compute_tp_fixpoint(spec.program, solver, options=options)
+        # Per track: [view, program]; StDel always runs the original program.
+        stdel, dred, recompute = ([initial, spec.program] for _ in range(3))
+        trail = []
+        for kind, request in build_stream(spec, seed):
+            if kind == "insert":
+                for track in (stdel, dred, recompute):
+                    track[0] = insert_atom(
+                        track[1], track[0], request.atom, solver, options
+                    ).view
+            else:
+                stdel[0] = StraightDelete(spec.program, solver, options).delete(
+                    stdel[0], request
+                ).view
+                step = ExtendedDRed(dred[1], solver, options).delete(dred[0], request)
+                dred[:] = step.view, step.rewritten_program
+                step = recompute_after_deletion(
+                    recompute[1], recompute[0], request.atom, solver, options
+                )
+                recompute[:] = step.view, step.program
+            expected = view_keys(recompute[0])
+            assert view_keys(stdel[0]) == expected
+            assert view_keys(dred[0]) == expected
+            trail.append(expected)
+        return trail
+
+    assert seed % 5 == 4  # the interval-join family
+    kept = run(EngineOptions(drop_redundant_comparisons=False))
+    assert kept != run(EngineOptions())
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_coalesced_batches_match_one_at_a_time(seed):
     """The stream scheduler's batched application vs the sequential tracks.
@@ -356,17 +398,17 @@ def test_indexed_materialization_matches_positional(seed):
     ranged_engine = FixpointEngine(
         spec.program,
         ConstraintSolver(),
-        FixpointOptions(hash_join_index=True, range_postings=True),
+        EngineOptions(hash_join_index=True, range_postings=True),
     )
     ranged = ranged_engine.compute()
     indexed_engine = FixpointEngine(
         spec.program,
         ConstraintSolver(),
-        FixpointOptions(hash_join_index=True, range_postings=False),
+        EngineOptions(hash_join_index=True, range_postings=False),
     )
     indexed = indexed_engine.compute()
     positional_engine = FixpointEngine(
-        spec.program, ConstraintSolver(), FixpointOptions(hash_join_index=False)
+        spec.program, ConstraintSolver(), EngineOptions(hash_join_index=False)
     )
     positional = positional_engine.compute()
     assert [str(e.key()) for e in ranged] == [str(e.key()) for e in positional]
@@ -412,7 +454,7 @@ def test_segmented_dred_batches_match_the_chained_fallback(seed):
     )
 
     chained = ExtendedDRed(
-        spec.program, solver, DRedOptions(segment_batches=False)
+        spec.program, solver, EngineOptions(segment_batches=False)
     ).delete_many(initial, requests)
     segmented = ExtendedDRed(spec.program, solver).delete_many(initial, requests)
 

@@ -12,8 +12,7 @@ import pytest
 from repro.constraints import ConstraintSolver, Variable, compare, conjoin
 from repro.datalog import compute_tp_fixpoint, parse_constrained_atom, parse_program
 from repro.maintenance import (
-    DRedOptions,
-    StDelOptions,
+    EngineOptions,
     delete_with_dred,
     delete_with_stdel,
     recompute_after_deletion,
@@ -218,7 +217,7 @@ class TestAlgorithmSpecificBehaviour:
 
     def test_stdel_keep_unsolvable_option(self, example6_program, example6_view, solver):
         request = parse_constrained_atom("p(X, Y) <- X = 'c' & Y = 'd'")
-        options = StDelOptions(purge_unsolvable=False)
+        options = EngineOptions(purge_unsolvable=False)
         result = delete_with_stdel(
             example6_program, example6_view, request, solver, options
         )
@@ -227,19 +226,6 @@ class TestAlgorithmSpecificBehaviour:
             ("p", ("a", "b")), ("p", ("a", "c")),
             ("a", ("a", "b")), ("a", ("a", "c")),
         }
-
-    def test_dred_without_pruning_still_correct(
-        self, example45_program, example45_view, solver
-    ):
-        request = parse_constrained_atom("b(X) <- X = 6")
-        options = DRedOptions(prune_program=False)
-        result = delete_with_dred(
-            example45_program, example45_view, request, solver, options
-        )
-        expected = recompute_after_deletion(
-            example45_program, example45_view, request, solver
-        ).view.instances(solver, UNIVERSE)
-        assert result.view.instances(solver, UNIVERSE) == expected
 
     def test_dred_input_view_not_mutated(self, example45_program, example45_view, solver):
         request = parse_constrained_atom("b(X) <- X = 6")
@@ -369,7 +355,7 @@ class TestDeltaRederivationWithDuplicateSupports:
     def test_externally_inserted_base_facts_keep_alternative_paths(self):
         from repro.datalog import parse_program
         from repro.maintenance import insert_atom
-        from repro.maintenance.delete_dred import DRedOptions, ExtendedDRed
+        from repro.maintenance.delete_dred import ExtendedDRed
         from repro.maintenance.requests import DeletionRequest
         from repro.workloads import ground_request_atom
 
@@ -387,7 +373,7 @@ class TestDeltaRederivationWithDuplicateSupports:
         request = DeletionRequest(ground_request_atom("e", ("a", "b")))
         delta = ExtendedDRed(program, solver).delete(view, request)
         full = ExtendedDRed(
-            program, solver, DRedOptions(delta_rederivation=False)
+            program, solver, EngineOptions(delta_rederivation=False)
         ).delete(view, request)
 
         assert delta.view.instances(solver) == full.view.instances(solver)
@@ -404,7 +390,7 @@ class TestSubsumptionRespectsPurgeOption:
 
     def test_unsolvable_narrow_survives_with_purging_off(self):
         from repro.maintenance import insert_atom
-        from repro.maintenance.delete_dred import DRedOptions, ExtendedDRed
+        from repro.maintenance.delete_dred import ExtendedDRed
         from repro.maintenance.requests import DeletionRequest
         from repro.datalog import parse_program
         from repro.datalog.atoms import ConstrainedAtom
@@ -424,7 +410,7 @@ class TestSubsumptionRespectsPurgeOption:
             Atom("p", (x,)), conjoin(compare(x, ">=", 0), compare(x, "<=", 10))
         )
         result = ExtendedDRed(
-            program, solver, DRedOptions(purge_unsolvable=False)
+            program, solver, EngineOptions(purge_unsolvable=False)
         ).delete(view, DeletionRequest(deleted))
         # Both external entries are still present: the fully-deleted one
         # narrowed to an unsolvable constraint, the disjoint one untouched.
@@ -439,7 +425,6 @@ class TestSubsumptionRespectsPurgeOption:
         # so the subsumption pass must leave them alone (duplicate
         # semantics, and key-parity with StDel).
         from repro.maintenance import insert_atom
-        from repro.maintenance.insert import InsertionOptions
         from repro.maintenance.delete_dred import ExtendedDRed
         from repro.maintenance.delete_stdel import StraightDelete
         from repro.maintenance.requests import DeletionRequest
@@ -451,7 +436,7 @@ class TestSubsumptionRespectsPurgeOption:
         program = parse_program("q(X) <- X >= 200.")
         view = compute_tp_fixpoint(program, solver)
         x = Variable("X")
-        keep_duplicates = InsertionOptions(exclude_existing=False)
+        keep_duplicates = EngineOptions(exclude_existing=False)
         for low, high in ((0, 50), (0, 10)):
             atom = ConstrainedAtom(
                 Atom("p", (x,)), conjoin(compare(x, ">=", low), compare(x, "<=", high))

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.datalog import compute_tp_fixpoint, parse_constrained_atom, parse_program
 from repro.maintenance import (
     EXTERNAL_CLAUSE_NUMBER,
-    InsertionOptions,
+    EngineOptions,
     delete_with_stdel,
     insert_atom,
     recompute_after_insertion,
@@ -18,7 +18,7 @@ UNIVERSE = tuple(range(0, 15))
 def check_against_baseline(program, view, request, solver, universe=UNIVERSE, **options):
     incremental = insert_atom(
         program, view, request, solver,
-        InsertionOptions(**options) if options else InsertionOptions(),
+        EngineOptions(**options) if options else EngineOptions(),
     )
     baseline = recompute_after_insertion(program, view, request, solver)
     assert incremental.view.instances(solver, universe) == baseline.view.instances(
@@ -78,7 +78,7 @@ class TestNumericInsertions:
         request = parse_constrained_atom("b(X) <- X = 7")
         result = insert_atom(
             example45_program, example45_view, request, solver,
-            InsertionOptions(exclude_existing=False),
+            EngineOptions(exclude_existing=False),
         )
         # A second derivation of the same instances is recorded.
         assert len(result.added_entries) >= 1

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -90,6 +92,25 @@ class TestWriterPipeline:
         assert stats["batch_errors"] == 0
         assert stats["pending"] == 0
         assert scheduler.verify(UNIVERSE)
+
+    def test_superseded_views_are_not_kept_alive(self):
+        # Regression: the service used to append every BatchResult to a
+        # list, pinning each superseded view's shards for its lifetime.
+        async def main():
+            async with make_service() as service:
+                await service.submit(insertion("b(X) <- X = 10"))
+                await service.drained()
+                early = weakref.ref(service.view)
+                for value in range(11, 19):
+                    await service.submit(insertion(f"b(X) <- X = {value}"))
+                    await service.drained()
+                gc.collect()
+                return early() is None, service.stats()
+
+        released, stats = asyncio.run(main())
+        assert stats["batches_applied"] == 9
+        assert stats["failed_units"] == 0
+        assert released
 
     def test_submit_many_applies_in_order(self):
         async def main():

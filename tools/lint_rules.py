@@ -33,6 +33,15 @@ Two invariant families are load-bearing enough to enforce textually:
    use ``object.__new__`` on node classes; ``dataclasses.replace`` on
    nodes is banned everywhere (the classes are no longer dataclasses).
 
+5. **One join kernel, one engine config.**  The indexed delta join and
+   its probe/interval setup (``iter_indexed_delta_joins``,
+   ``make_view_probes``, ``make_interval_getter``) may be referenced only in
+   ``src/repro/datalog/join.py``: ``T_P``/``W_P``, ``P_OUT`` and ``P_ADD``
+   all go through :class:`DeltaJoinKernel`, and a fourth call site would be
+   a fourth copy of the pool/probe setup.  Likewise every engine flag is an
+   annotated dataclass field in exactly one file under ``src/`` -- a second
+   declaration is a second configuration that can disagree with the first.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/ (exit 1 on findings)
@@ -86,6 +95,33 @@ RULES: Tuple[Tuple[re.Pattern, Tuple[str, ...], str], ...] = (
         "dataclasses.replace on a term/constraint node (nodes are interned, "
         "not dataclasses; build a new node through its constructor)",
     ),
+    (
+        re.compile(
+            r"\b(?:iter_indexed_delta_joins|make_view_probes|make_interval_getter)\b"
+        ),
+        ("repro/datalog/join.py",),
+        "indexed delta-join machinery referenced outside the join kernel "
+        "(go through DeltaRound)",
+    ),
+)
+
+#: Engine flags: each must be declared (as an annotated dataclass field) in
+#: exactly one file under ``src/``.
+ENGINE_FLAGS: Tuple[str, ...] = (
+    "duplicate_semantics",
+    "simplify_constraints",
+    "drop_redundant_comparisons",
+    "project_auxiliary_variables",
+    "hash_join_index",
+    "range_postings",
+    "range_eligible",
+    "exclude_existing",
+    "purge_unsolvable",
+    "delta_rederivation",
+    "segment_batches",
+    "max_iterations",
+    "max_entries",
+    "max_unfold_rounds",
 )
 
 #: Rules scoped to the observability package only.
@@ -134,8 +170,27 @@ def iter_findings(root: Path) -> Iterator[str]:
                         yield f"{root.name}/{relative}:{line_number}: {message}"
 
 
+def iter_flag_findings(root: Path) -> Iterator[str]:
+    """Engine flags declared as a dataclass field in other than one file."""
+    texts = {
+        path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
+        for path in sorted(root.rglob("*.py"))
+    }
+    for flag in ENGINE_FLAGS:
+        # A field declaration: class-body indentation, ``name: type [= ...]``
+        # (function parameters are indented deeper or end with a comma).
+        declaration = re.compile(rf"^    {flag}: .*[^,\s]$", re.MULTILINE)
+        files = [name for name, text in texts.items() if declaration.search(text)]
+        if len(files) != 1:
+            where = ", ".join(files) or "nowhere"
+            yield (
+                f"engine flag {flag!r} must be declared as a dataclass field "
+                f"in exactly one file under {root.name}/ (found in: {where})"
+            )
+
+
 def main() -> int:
-    findings: List[str] = list(iter_findings(SRC))
+    findings: List[str] = list(iter_findings(SRC)) + list(iter_flag_findings(SRC))
     if findings:
         print(f"lint_rules: {len(findings)} finding(s)")
         for finding in findings:
