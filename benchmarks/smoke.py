@@ -16,6 +16,8 @@ into a Cartesian product) is visible even when the hardware differs.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import platform
 import sys
@@ -72,6 +74,25 @@ def timed(fn, *args, **kwargs):
     return time.perf_counter() - start, result
 
 
+def family(run):
+    """Start every run of a family from a collected heap.
+
+    The hash-consing tables hold their nodes weakly, so whether a family
+    finds a node still interned depends on whether the cyclic garbage the
+    families before it left behind has been collected yet -- on when a
+    generation-2 pass happens to land.  Collecting first makes every
+    counter in the snapshot repeat exactly.
+    """
+
+    @functools.wraps(run)
+    def collected(*args, **kwargs):
+        gc.collect()
+        return run(*args, **kwargs)
+
+    return collected
+
+
+@family
 def run_deletion_family(scenario) -> dict:
     results = {}
     for algorithm, fn in (
@@ -93,6 +114,7 @@ def run_deletion_family(scenario) -> dict:
     }
 
 
+@family
 def run_materialization(length: int) -> dict:
     spec = make_transitive_closure_program(make_path_graph_edges(length))
     engine = FixpointEngine(spec.program, ConstraintSolver())
@@ -107,6 +129,7 @@ def run_materialization(length: int) -> dict:
     }
 
 
+@family
 def run_interval_materialization() -> dict:
     """Interval-join T_P with range postings on vs off.
 
@@ -136,6 +159,7 @@ def run_interval_materialization() -> dict:
     }
 
 
+@family
 def run_deletion_batch(length: int = 14, deletions: int = 3) -> dict:
     """Batched vs one-at-a-time deletion on the recursive tc workload.
 
@@ -191,6 +215,7 @@ def run_deletion_batch(length: int = 14, deletions: int = 3) -> dict:
     return result
 
 
+@family
 def run_stream_mixed_batch() -> dict:
     """A coalesced mixed batch through the stream scheduler vs one-at-a-time.
 
@@ -278,6 +303,7 @@ def run_stream_mixed_batch() -> dict:
     }
 
 
+@family
 def run_analysis() -> dict:
     """Static-analyzer smoke: diagnostics and closure shape per workload.
 
@@ -316,6 +342,7 @@ def run_analysis() -> dict:
     return out
 
 
+@family
 def run_interning() -> dict:
     """Hash-consing effectiveness on a churny maintenance workload.
 
@@ -392,6 +419,7 @@ def run_interning() -> dict:
     return results
 
 
+@family
 def run_insertion(scenario) -> dict:
     request = insertion_stream(scenario.spec, 1, seed=5)[0]
     seconds, outcome = timed(
@@ -404,6 +432,7 @@ def run_insertion(scenario) -> dict:
     }
 
 
+@family
 def run_external(spec) -> dict:
     # W_P keeps unsolvable entries, so it needs a non-recursive workload
     # (on recursive programs those entries feed further joins forever).

@@ -21,7 +21,17 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Tuple, Union
+from typing import (
+    Container,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.constraints.intern import table
 from repro.errors import TermError
@@ -298,8 +308,19 @@ class FreshVariableFactory:
     phrasing); this factory implements that standardizing-apart step.
     """
 
-    def __init__(self, reserved: Iterable[str] = ()) -> None:
+    def __init__(
+        self,
+        reserved: Iterable[str] = (),
+        tables: Sequence[Container[str]] = (),
+    ) -> None:
+        """*reserved* names are copied; *tables* are consulted in place.
+
+        A table is any container of names kept by someone else (a program's
+        name set, a view shard's name table): a name found in one is as
+        unavailable as a reserved one, without the factory copying it.
+        """
         self._reserved = set(reserved)
+        self._tables = tuple(tables)
         self._counter = itertools.count(1)
 
     def reserve(self, names: Iterable[str]) -> None:
@@ -311,7 +332,12 @@ class FreshVariableFactory:
         stem = base.rstrip("0123456789_") or "V"
         while True:
             candidate = f"{stem}_{next(self._counter)}"
-            if candidate not in self._reserved:
+            if candidate in self._reserved:
+                continue
+            for table in self._tables:
+                if candidate in table:
+                    break
+            else:
                 self._reserved.add(candidate)
                 return Variable(candidate)
 

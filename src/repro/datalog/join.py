@@ -452,13 +452,97 @@ def make_fresh_factory(
     entries of that predicate set (e.g. a deletion pass scoped to its read
     closure): entry constraints are scoped per entry, so a collision with a
     never-read entry cannot capture anything.
+
+    The program's and the view shards' name tables are consulted in place
+    (see :meth:`MaterializedView.variable_name_tables`), not copied.
     """
-    reserved = set(view.all_variable_names(predicates))
-    for clause in program:
-        reserved.update(variable.name for variable in clause.variables())
-    for atom in extra:
-        reserved.update(variable.name for variable in atom.variables())
-    return FreshVariableFactory(reserved)
+    return FreshVariableFactory(
+        {variable.name for atom in extra for variable in atom.variables()},
+        (program.variable_names(), *view.variable_name_tables(predicates)),
+    )
+
+
+def make_view_probe(
+    view: MaterializedView, solver: ConstraintSolver, options: EngineOptions
+) -> Callable[[str, int, object], Tuple[ViewEntry, ...]]:
+    """The argument-index probe *options* asks for: ``(predicate, position,
+    query) -> entries``, with the choice bound once per round or pass.
+
+    *query* is a pinned value or an :class:`~repro.datalog.view.IntervalQuery`
+    (only issued with range postings on).  ``options.range_eligible`` (the
+    analyzer's interval-position table) routes pinned-value probes of
+    statically interval-free positions straight to the exact-value index:
+    ``probe`` returns bound matches, the unbound bucket AND every
+    interval-posted entry unfiltered, so skipping the range machinery on
+    such positions is unconditionally a superset -- only overlap queries
+    must stay on the range-aware path.
+    """
+    if not options.range_postings:
+        return view.probe
+    evaluator = solver.evaluator
+    token = evaluator_token(evaluator)
+    range_eligible = options.range_eligible
+
+    def probe(predicate: str, position: int, query: object):
+        if (
+            range_eligible is not None
+            and not isinstance(query, IntervalQuery)
+            and (predicate, position) not in range_eligible
+        ):
+            return view.probe(predicate, position, query)
+        return view.probe_range(predicate, position, query, evaluator, token)
+
+    return probe
+
+
+def overlap_candidates(
+    view: MaterializedView,
+    atom: ConstrainedAtom,
+    solver: ConstraintSolver,
+    options: EngineOptions,
+    stats=None,
+) -> Tuple[ViewEntry, ...]:
+    """Entries of *atom*'s predicate that can share an instance with it.
+
+    A superset, in insertion order: an entry left out is pinned to another
+    value, or bounded into a disjoint interval, at a position where *atom*
+    is pinned or bounded -- every overlap test (``quick_reject``, the
+    solver) would turn it down.  The maintenance passes run their exact
+    per-entry checks on what comes back, so narrowing the candidates never
+    changes a ``Del``, ``Add`` or ``P_OUT`` set.
+
+    The first position *atom* pins to a value is probed through the view's
+    argument index; failing that, with range postings on, the first position
+    it bounds numerically is probed by overlap.  The predicate's whole shard
+    is scanned only when *atom* pins and bounds nothing, when the pinned
+    value is unhashable (the index cannot look it up), or under the
+    reference configuration ``hash_join_index=False``.  A probe is counted
+    in ``stats.index_probes``.
+    """
+    found = _overlap_query(atom, solver, options) if options.hash_join_index else None
+    if found is None:
+        return view.entries_for(atom.predicate)
+    if stats is not None:
+        stats.index_probes += 1
+    return make_view_probe(view, solver, options)(atom.predicate, *found)
+
+
+def _overlap_query(
+    atom: ConstrainedAtom, solver: ConstraintSolver, options: EngineOptions
+) -> Optional[Tuple[int, object]]:
+    """The ``(position, query)`` :func:`overlap_candidates` probes with."""
+    for position, value in enumerate(
+        bound_argument_values(atom.atom.args, atom.constraint)
+    ):
+        if value is not UNBOUND:
+            return position, value
+    if options.range_postings:
+        for position, interval in enumerate(
+            argument_intervals(atom.atom.args, atom.constraint, solver.evaluator)
+        ):
+            if interval is not None:
+                return position, interval_query_from(interval)
+    return None
 
 
 class DeltaRound:
@@ -535,32 +619,17 @@ class DeltaRound:
         (consulting the evaluator's ``index_interval`` hooks for DCA-bounded
         positions) and accept :class:`~repro.datalog.view.IntervalQuery`
         overlap queries (only issued with range postings on, see
-        ``_interval_getter``).  ``options.range_eligible`` (the analyzer's
-        interval-position table) routes pinned-value probes of statically
-        interval-free positions straight to the exact-value index: ``probe``
-        returns bound matches, the unbound bucket AND every interval-posted
-        entry unfiltered, so skipping the range machinery on such positions
-        is unconditionally a superset -- only overlap queries must stay on
-        the range-aware path.
+        ``_interval_getter``); :func:`make_view_probe` makes the choice,
+        once for the round.
         """
-        view = self._view
         stats = self._kernel.stats
-        evaluator = self._kernel.solver.evaluator
-        range_postings = self._kernel.options.range_postings
-        range_eligible = self._kernel.options.range_eligible
-        token = evaluator_token(evaluator) if range_postings else None
+        probe = make_view_probe(
+            self._view, self._kernel.solver, self._kernel.options
+        )
 
         def probe_full(body_atom: Atom, arg_index: int, value: object):
             stats.index_probes += 1
-            if not range_postings or (
-                range_eligible is not None
-                and not isinstance(value, IntervalQuery)
-                and (body_atom.predicate, arg_index) not in range_eligible
-            ):
-                return view.probe(body_atom.predicate, arg_index, value)
-            return view.probe_range(
-                body_atom.predicate, arg_index, value, evaluator, token
-            )
+            return probe(body_atom.predicate, arg_index, value)
 
         if self._seed is Seed.ALL_DELTA:
             return (lambda body_atom, arg_index, value: ()), probe_full

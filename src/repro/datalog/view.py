@@ -686,6 +686,7 @@ class PredicateShard:
         "_child_index",
         "_arg",
         "_seq",
+        "_names",
         "_shared",
     )
 
@@ -699,6 +700,10 @@ class PredicateShard:
         self._arg: Dict[int, _ArgSlot] = {}
         #: entry key -> global sequence number (façade-allocated).
         self._seq: Dict[object, int] = {}
+        #: Variable name -> number of entries mentioning it.  ``None`` until
+        #: :meth:`variable_names` first builds it; every mutation keeps it
+        #: current after that.
+        self._names: Optional[Dict[str, int]] = None
         #: Sanitizer flag: set (only while ``REPRO_SHARD_SANITIZER`` is on)
         #: when another view may reference this shard; armed shards refuse
         #: mutation until copy-on-write clones them.
@@ -731,6 +736,8 @@ class PredicateShard:
             }
         dup._arg = {position: slot.copy() for position, slot in self._arg.items()}
         dup._seq = dict(self._seq)
+        if self._names is not None:
+            dup._names = dict(self._names)
         return dup
 
     def _reject_shared_write(self) -> None:
@@ -766,6 +773,8 @@ class PredicateShard:
                     parents = self._child_index[child] = _IndexedSlots()
                 parents.add(key, entry)
         self._index_arguments(key, entry)
+        if self._names is not None:
+            self._count_names(self._names, entry, 1)
 
     def remove(self, key: object, entry: ViewEntry) -> None:
         if self._shared:
@@ -776,6 +785,8 @@ class PredicateShard:
             for child in dict.fromkeys(entry.support.children):
                 self._child_index[child].remove(key)
         self._unindex_arguments(key, entry)
+        if self._names is not None:
+            self._count_names(self._names, entry, -1)
 
     def replace(
         self, old_key: object, new_key: object, old: ViewEntry, new: ViewEntry
@@ -803,6 +814,36 @@ class PredicateShard:
                     )
         self._unindex_arguments(old_key, old)
         self._index_arguments(new_key, new)
+        if self._names is not None:
+            self._count_names(self._names, old, -1)
+            self._count_names(self._names, new, 1)
+
+    # ------------------------------------------------------------------
+    # Variable names
+    # ------------------------------------------------------------------
+    def variable_names(self) -> Dict[str, int]:
+        """The shard's name table: every variable name occurring in an entry
+        (atom or constraint), with the number of entries mentioning it.
+
+        Built on first use and published with one assignment, like the
+        child-support index; read-only for callers.
+        """
+        names = self._names
+        if names is None:
+            names = {}
+            for entry in self._entries:
+                self._count_names(names, entry, 1)
+            self._names = names
+        return names
+
+    @staticmethod
+    def _count_names(names: Dict[str, int], entry: ViewEntry, step: int) -> None:
+        for variable in entry.constrained_atom.variables():
+            count = names.get(variable.name, 0) + step
+            if count:
+                names[variable.name] = count
+            else:
+                del names[variable.name]
 
     # ------------------------------------------------------------------
     # Support lookups
@@ -814,6 +855,10 @@ class PredicateShard:
     def all_by_support(self, support: Support) -> Tuple[ViewEntry, ...]:
         group = self._by_support.get(support)
         return group.to_tuple() if group is not None else ()
+
+    def count_by_support(self, support: Support) -> int:
+        group = self._by_support.get(support)
+        return len(group) if group is not None else 0
 
     def parents_of(self, support: Support) -> Tuple[ViewEntry, ...]:
         index = self._ensure_child_index()
@@ -1855,27 +1900,36 @@ class MaterializedView:
             found.update(entry.atom.variables())
         return frozenset(found)
 
+    def variable_name_tables(
+        self, predicates: Optional[Iterable[str]] = None
+    ) -> Tuple[Dict[str, int], ...]:
+        """The name tables of the view's shards (see
+        :meth:`PredicateShard.variable_names`), for membership tests.
+
+        With *predicates*, only those predicates' tables.  A table stays
+        owned by its shard and follows its writes.  Taken from a fresh
+        :meth:`copy` -- what every maintenance pass does -- the tables are
+        those of shared shards, which are never written: the pass's own
+        writes go to copy-on-write clones.
+        """
+        if predicates is None:
+            shards: Iterable[Optional[PredicateShard]] = self._shards.values()
+        else:
+            shards = (self._shards.get(name) for name in sorted(set(predicates)))
+        return tuple(
+            shard.variable_names() for shard in shards if shard is not None
+        )
+
     def all_variable_names(
         self, predicates: Optional[Iterable[str]] = None
     ) -> FrozenSet[str]:
         """Names of every variable in the view (atoms and constraints).
 
-        With *predicates* the collection walks only those predicates'
-        shards.  Callers that combine fresh variables exclusively with
-        entries of a known predicate set (a maintenance pass scoped to a
-        read closure) can reserve against just that set: a name clash with
-        an entry the pass never reads is harmless, because constraint
-        variables are scoped per entry.
+        With *predicates* only those predicates' shards are consulted.
+        Callers that combine fresh variables exclusively with entries of a
+        known predicate set (a maintenance pass scoped to a read closure)
+        can reserve against just that set: a name clash with an entry the
+        pass never reads is harmless, because constraint variables are
+        scoped per entry.
         """
-        if predicates is None:
-            entries: Iterable[ViewEntry] = self
-        else:
-            entries = (
-                entry
-                for predicate in sorted(set(predicates))
-                for entry in self.entries_for(predicate)
-            )
-        names: set = set()
-        for entry in entries:
-            names.update(v.name for v in entry.constrained_atom.variables())
-        return frozenset(names)
+        return frozenset().union(*self.variable_name_tables(predicates))

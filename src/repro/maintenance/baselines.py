@@ -72,11 +72,11 @@ def recompute_after_deletion(
     # algorithms do: deleting something absent must be a no-op.
     from repro.maintenance.common import build_del_set, narrowed_external_entries
 
+    effective = options or EngineOptions()
     factory = make_fresh_factory(program, view, (atom,))
-    del_pairs = build_del_set(view, atom, solver, factory)
+    del_pairs = build_del_set(view, atom, solver, factory, options=effective)
     del_atoms = tuple(entry_atom for _, entry_atom in del_pairs)
     rewritten = deletion_rewrite(program, del_atoms or (atom,), factory)
-    effective = options or EngineOptions()
     engine = FixpointEngine(rewritten, solver, effective)
     external = narrowed_external_entries(
         view,
@@ -104,7 +104,11 @@ def recompute_after_insertion(
     solver = solver or ConstraintSolver()
     effective = options or EngineOptions()
     add_atoms = build_add_set(
-        view, atom, solver, exclude_existing=effective.exclude_existing
+        view,
+        atom,
+        solver,
+        exclude_existing=effective.exclude_existing,
+        options=effective,
     )
     rewritten = insertion_rewrite(program, add_atoms)
     engine = FixpointEngine(rewritten, solver, effective)

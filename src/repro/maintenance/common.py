@@ -23,7 +23,7 @@ from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import FreshVariableFactory
 from repro.datalog.atoms import Atom, ConstrainedAtom
-from repro.datalog.join import EngineOptions
+from repro.datalog.join import EngineOptions, overlap_candidates
 from repro.datalog.view import MaterializedView, ViewEntry
 from repro.maintenance.requests import MaintenanceStats
 
@@ -117,6 +117,7 @@ def build_del_set(
     solver: ConstraintSolver,
     factory: FreshVariableFactory,
     stats: Optional[MaintenanceStats] = None,
+    options: EngineOptions = EngineOptions(),
 ) -> Tuple[Tuple[ViewEntry, ConstrainedAtom], ...]:
     """The paper's ``Del`` set, paired with the view entries it came from.
 
@@ -126,7 +127,7 @@ def build_del_set(
     """
     result: List[Tuple[ViewEntry, ConstrainedAtom]] = []
     renamed_cache: Dict[int, ConstrainedAtom] = {}
-    for entry in view.entries_for(request_atom.predicate):
+    for entry in overlap_candidates(view, request_atom, solver, options, stats):
         restricted = restrict_entry_to_instances(
             entry, request_atom, solver, factory, stats, renamed_cache
         )

@@ -23,14 +23,15 @@ incremental algorithm against the least model of the rewritten program.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.constraints.ast import conjoin
+from repro.constraints.ast import TRUE, Constraint, conjoin
 from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import FreshVariableFactory
 from repro.datalog.atoms import ConstrainedAtom
 from repro.datalog.clauses import Clause
+from repro.datalog.join import EngineOptions, overlap_candidates
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.maintenance.common import negated_atom_constraint
@@ -45,28 +46,42 @@ def deletion_rewrite(
 
     For every clause ``A(X̄) <- φ || B1, ..., Bn`` in ``P`` and every deleted
     atom ``A(Ȳ) <- δ`` the rewritten clause carries
-    ``φ & not(δ & (X̄ = Ȳ))``; clauses whose head predicate is untouched are
-    copied unchanged.  Clause numbers are preserved so supports remain
-    comparable across the rewrite.
+    ``φ & not(δ & (X̄ = Ȳ))``.  Clause numbers are preserved so supports
+    remain comparable across the rewrite.
+
+    Only clauses whose head can unify with a deleted atom are touched: they
+    are found through the program's head-argument index and kept only when
+    ``quick_reject`` cannot separate ``φ`` from ``δ & (X̄ = Ȳ)``.  For a
+    clause it does separate, ``φ & δ & (X̄ = Ȳ)`` has no solution, hence
+    ``φ & not(δ & (X̄ = Ȳ))`` is equivalent to ``φ``: leaving the clause as
+    it is gives the same least model as the paper's rewrite of every
+    ``A``-clause.  Every untouched clause is the same object as in
+    *program*, and the result shares *program*'s tables.
     """
     factory = factory or FreshVariableFactory(
-        {variable.name for clause in program for variable in clause.variables()}
-        | {
-            variable.name
-            for atom in deleted
-            for variable in atom.variables()
-        }
+        {variable.name for atom in deleted for variable in atom.variables()},
+        (program.variable_names(),),
     )
-    rewritten: List[Clause] = []
-    for clause in program:
-        updated = clause
-        for atom in deleted:
-            if atom.atom.signature != clause.head.signature:
-                continue
-            _, negative = negated_atom_constraint(clause.head, atom, factory)
-            updated = updated.with_extra_constraint(negative)
-        rewritten.append(updated)
-    return ConstrainedDatabase(rewritten)
+    # Without an evaluator the separation is decided from the constraints'
+    # syntax alone (pinned constants, intervals), so it holds at every time
+    # point and not only for the sources' current state.
+    separator = ConstraintSolver()
+    touched = [
+        (clause, atom)
+        for atom in deleted
+        for clause in program.head_candidates(atom)
+        if not separator.quick_reject(
+            clause.head.args, clause.constraint, atom.atom.args, atom.constraint
+        )
+    ]
+    # Clause by clause, as the paper's rewrite walks the program: the fresh
+    # names come out in the order a rewrite of every ``A``-clause gives them.
+    touched.sort(key=lambda pair: pair[0].number)
+    extras: Dict[int, Constraint] = {}
+    for clause, atom in touched:
+        _, negative = negated_atom_constraint(clause.head, atom, factory)
+        extras[clause.number] = conjoin(extras.get(clause.number, TRUE), negative)
+    return program.with_extra_constraints(extras)
 
 
 def insertion_rewrite(
@@ -88,26 +103,29 @@ def build_add_set(
     solver: ConstraintSolver,
     factory: Optional[FreshVariableFactory] = None,
     exclude_existing: bool = True,
+    options: EngineOptions = EngineOptions(),
 ) -> Tuple[ConstrainedAtom, ...]:
     """The paper's ``Add`` set for an insertion request.
 
     ``Add`` describes the instances of the inserted atom that are not already
     instances of the view: the inserted constraint ``ψ`` narrowed by
-    ``not(φi & (X̄ = Ȳi))`` for every existing entry ``A(Ȳi) <- φi``.  When
+    ``not(φi & (X̄ = Ȳi))`` for every existing entry ``A(Ȳi) <- φi`` that
+    overlaps it (looked up with
+    :func:`~repro.datalog.join.overlap_candidates` under *options*).  When
     the result is unsolvable (everything already present) the set is empty.
 
     With ``exclude_existing=False`` the set is simply ``{A(X̄) <- ψ}``
     (useful for duplicate-semantics experiments where re-insertion should
     create a second derivation).
     """
-    factory = factory or FreshVariableFactory(
-        {variable.name for variable in inserted.variables()}
-        | set(view.all_variable_names())
-    )
     if not exclude_existing:
         return (inserted,)
+    factory = factory or FreshVariableFactory(
+        {variable.name for variable in inserted.variables()},
+        view.variable_name_tables(),
+    )
     constraint = inserted.constraint
-    for entry in view.entries_for(inserted.predicate):
+    for entry in overlap_candidates(view, inserted, solver, options):
         positive, negative = negated_atom_constraint(
             inserted.atom, entry.constrained_atom, factory
         )

@@ -164,7 +164,9 @@ class ExtendedDRed:
         original_keys = {entry.key() for entry in view}
         del_atoms_all: List[ConstrainedAtom] = []
         for request in requests:
-            del_pairs = build_del_set(working, request.atom, self._solver, factory, stats)
+            del_pairs = build_del_set(
+                working, request.atom, self._solver, factory, stats, self._options
+            )
             atoms_here = tuple(atom for _, atom in del_pairs)
             del_atoms_all.extend(atoms_here)
             if len(requests) > 1 and atoms_here:

@@ -22,15 +22,16 @@ Theorem 2: the result has the same instances as the deletion rewrite
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.constraints.ast import Constraint, conjoin, negate, tuple_equalities
 from repro.constraints.projection import eliminate_variables
 from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
-from repro.datalog.atoms import ConstrainedAtom
-from repro.datalog.join import EngineOptions, make_fresh_factory
+from repro.datalog.atoms import Atom, ConstrainedAtom
+from repro.datalog.join import EngineOptions, make_fresh_factory, overlap_candidates
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.support import Support
 from repro.datalog.view import MaterializedView, ViewEntry
@@ -114,23 +115,22 @@ class StraightDelete:
           batch only ever clones the shards of predicates its steps 2/3/4
           actually rewrite (the request predicates and their upward
           closure), never the untouched rest of the view,
-        * one fresh-variable factory and one ``originals`` snapshot, updated
-          incrementally with the entries each request's propagation replaced
-          instead of being rebuilt from the whole view per request,
-        * one step-4 purge scan at the end of the batch instead of one full
+        * one fresh-variable factory for the batch, reading the name tables
+          of the read scope's shards in place,
+        * one step-4 purge at the end of the batch instead of one full
           solvability sweep per request.  Deferring the purge is safe: an
           entry narrowed to an unsolvable constraint can never seed a new
           ``P_OUT`` pair (its step-2 overlap and step-3 applicability checks
           are unsatisfiable), so later requests behave exactly as if it had
           already been removed.
 
-        *purge_predicates* further restricts the purge scan to the given
-        predicates.  The stream scheduler passes the batch's write closure:
-        on an input view with no unsolvable entries (any ``T_P``-maintained
-        view) only entries the propagation replaced -- all inside the
-        closure -- can need purging, so the scan becomes proportional to the
-        propagation cone.  Leave it ``None`` for the paper's full final
-        sweep.
+        With *purge_predicates* the purge checks only the entries this pass
+        replaced, and of those only the given predicates'.  The stream
+        scheduler passes the batch's write closure: on an input view with no
+        unsolvable entries (any ``T_P``-maintained view) nothing else can
+        need purging, so the purge is proportional to the propagation cone.
+        An unsolvable entry the input view already held stays (it denotes
+        no instance).  Leave it ``None`` for the paper's full final sweep.
 
         This is the deletion half of the update-stream subsystem's "one
         maintenance pass per algorithm per batch" discipline (see
@@ -146,42 +146,86 @@ class StraightDelete:
         # reachability -- the same closure the stream scheduler checks out),
         # and only ever *read* premises of those entries, whose predicates
         # are the body predicates of the closure heads' clauses.  Everything
-        # outside that read scope is untouched and unread, so neither the
-        # fresh-name reservation nor the ``originals`` snapshot needs to walk
-        # it -- the setup cost is proportional to the propagation cone, not
-        # the view.
-        read_scope = self._read_scope(
-            frozenset(request.atom.predicate for request in requests)
-        )
+        # outside that read scope is untouched and unread, so the fresh-name
+        # reservation need not consult it.
         factory = make_fresh_factory(
             self._program,
             working,
             tuple(request.atom for request in requests),
-            predicates=read_scope,
+            predicates=self._read_scope(
+                frozenset(request.atom.predicate for request in requests)
+            ),
         )
 
-        # Snapshot of the original constraints per support: P_OUT pair
-        # constraints are always built from pre-replacement premises so they
-        # stay free of nested negation unless the input view already had it.
-        # Between requests the snapshot is refreshed with the replacements
-        # the finished request produced, matching the fresh snapshot a
-        # sequential run would take.
-        originals: Dict[Support, ConstrainedAtom] = {
-            entry.support: entry.constrained_atom
-            for predicate in sorted(read_scope)
-            for entry in working.entries_for(predicate)
-        }
-
+        # P_OUT pair constraints are always built from *pre-request* premises
+        # so they stay free of nested negation unless the input view already
+        # had it.  A premise is looked up when it is needed; for an entry
+        # this request has replaced, ``superseded`` (keyed by the entry now
+        # in the view) keeps the atom it carried before.  Emptied between
+        # requests, matching the fresh snapshot a sequential run would take.
+        superseded: Dict[object, Tuple[ViewEntry, ConstrainedAtom]] = {}
         p_out: List[POutPair] = []
         replaced: List[ViewEntry] = []
         processed: Set[Tuple[Support, int, int]] = set()
 
+        def replace(old: ViewEntry, new: ViewEntry) -> None:
+            _, before = superseded.pop(old.key(), (old, old.constrained_atom))
+            superseded[new.key()] = (new, before)
+            working.replace(old, new)
+            replaced.append(new)
+
+        def originals(
+            support: Support, body_atom: Atom, derivation: Sequence[Constraint]
+        ) -> List[ConstrainedAtom]:
+            # A support identifies its entry, except where insertions share
+            # one: all externally inserted atoms carry the reserved clause
+            # number 0, and so may the supports built on it.  Among the
+            # entries sharing it the premise is found like every other
+            # overlap candidate -- through the argument index, with what the
+            # *derivation* pins on the body atom -- so the lookup does not
+            # grow with the number of insertions the view has seen.  An
+            # entry this request narrowed is filed under what it holds now
+            # but is a candidate for what it held before; there are only as
+            # many of those as the request replaced.
+            shard = working.shard_for(body_atom.predicate)
+            if shard is None:
+                return []
+            if shard.count_by_support(support) <= 1:
+                group = list(shard.all_by_support(support))
+            else:
+                group = [
+                    entry
+                    for entry in overlap_candidates(
+                        working,
+                        ConstrainedAtom(body_atom, conjoin(*derivation)),
+                        self._solver,
+                        self._options,
+                        stats,
+                    )
+                    if entry.support == support
+                ]
+                found = {entry.key() for entry in group}
+                group.extend(
+                    entry
+                    for key, (entry, _) in superseded.items()
+                    if key not in found
+                    and entry.support == support
+                    and entry.predicate == body_atom.predicate
+                )
+            return [
+                superseded[entry.key()][1]
+                if entry.key() in superseded
+                else entry.constrained_atom
+                for entry in group
+            ]
+
         for request in requests:
             seed_start = len(p_out)
-            replaced_start = len(replaced)
 
             # Step 2: narrow directly affected entries, seed P_OUT.
-            for entry in list(working.entries_for(request.atom.predicate)):
+            for entry in overlap_candidates(
+                working, request.atom, self._solver, self._options, stats
+            ):
                 if self._solver.quick_reject(
                     entry.atom.args, entry.constraint,
                     request.atom.atom.args, request.atom.constraint,
@@ -198,9 +242,7 @@ class StraightDelete:
                     entry.atom, self._simplify(conjoin(entry.constraint, positive))
                 )
                 new_constraint = self._simplify(conjoin(entry.constraint, negative))
-                new_entry = entry.with_constraint(new_constraint)
-                working.replace(entry, new_entry)
-                replaced.append(new_entry)
+                replace(entry, entry.with_constraint(new_constraint))
                 p_out.append(POutPair(deleted_part, entry.support))
             stats.seed_atoms += len(p_out) - seed_start
 
@@ -250,16 +292,13 @@ class StraightDelete:
                             if replacement is None:
                                 continue
                             new_entry, deleted_part = replacement
-                            working.replace(current, new_entry)
-                            replaced.append(new_entry)
+                            replace(current, new_entry)
                             p_out.append(POutPair(deleted_part, parent.support))
                 frontier_start = frontier_end
 
-            # Refresh the originals snapshot with this request's replacements
-            # so the next request's step 3 rebuilds parents from the same
-            # premise constraints a sequential run would snapshot.
-            for entry in replaced[replaced_start:]:
-                originals[entry.support] = entry.constrained_atom
+            # The next request's step 3 rebuilds parents from the premises
+            # as this request left them, like a sequential run.
+            superseded.clear()
         stats.unfolded_atoms = len(p_out) - stats.seed_atoms
         stats.replaced_entries = len(replaced)
 
@@ -268,12 +307,15 @@ class StraightDelete:
         removed: List[ViewEntry] = []
         if self._options.purge_unsolvable:
             if purge_predicates is None:
-                candidates = list(working.entries)
+                candidates: Sequence[ViewEntry] = working.entries
             else:
+                # An entry replaced twice is in the view once, as it was
+                # last left.
+                scope = frozenset(purge_predicates)
                 candidates = [
                     entry
-                    for predicate in sorted(set(purge_predicates))
-                    for entry in working.entries_for(predicate)
+                    for entry in {entry.key(): entry for entry in replaced}.values()
+                    if entry.predicate in scope and entry in working
                 ]
             for entry in candidates:
                 stats.solver_calls += 1
@@ -300,18 +342,22 @@ class StraightDelete:
                 if successor not in write_scope:
                     write_scope.add(successor)
                     frontier.append(successor)
-        read_scope = set(write_scope)
-        for predicate in write_scope:
-            for clause in self._program.clauses_for(predicate):
-                read_scope.update(atom.predicate for atom in clause.body)
-        return frozenset(read_scope)
+        # An edge ``body -> head`` into the closure is a body predicate of
+        # one of the closure heads' clauses.
+        return frozenset(write_scope).union(
+            body
+            for body, heads in edges.items()
+            if not write_scope.isdisjoint(heads)
+        )
 
     def _replace_parent(
         self,
         entry: ViewEntry,
         child_position: int,
         pair: POutPair,
-        originals: Dict[Support, ConstrainedAtom],
+        originals: Callable[
+            [Support, Atom, Sequence[Constraint]], List[ConstrainedAtom]
+        ],
         factory,
         stats: MaintenanceStats,
     ) -> Optional[Tuple[ViewEntry, ConstrainedAtom]]:
@@ -320,6 +366,21 @@ class StraightDelete:
         Returns ``(new entry, deleted part)`` or ``None`` when the paper's
         applicability condition (c) fails (the deleted premise contributed
         nothing to this derivation, so nothing changes).
+
+        The other premises are the entries carrying the derivation's child
+        supports.  A support identifies its entry, except the reserved one
+        all externally inserted atoms share (and the supports built on it):
+        there *originals* offers the inserted atoms of the body predicate
+        that admit what the derivation pins on the body atom, and the
+        premise is the one the derivation is consistent with.  The inserted
+        atoms of a predicate are disjoint (the ``Add`` construction), so
+        joined with the entry's own constraint and the other premises only
+        the one the entry was derived from is solvable, and the order they
+        are tried in costs solver calls, not answers.  Under
+        ``exclude_existing=False`` inserted atoms may overlap; which of two
+        overlapping ones a derivation used is not recorded anywhere (ROADMAP
+        item 1: supports unique per insertion), and the first consistent
+        one is taken.
         """
         clause = self._clause_for(entry.support)
         if clause is None or len(clause.body) != len(entry.support.children):
@@ -340,55 +401,50 @@ class StraightDelete:
         # Rename the clause apart so clause-local variables can never collide
         # with variables already occurring in the entry's constraint.
         clause = clause.renamed_apart(factory)
-
-        current_entry = entry
-        parts: List[Constraint] = [clause.constraint]
-        # (X̄ = Ȳ): tie the entry's atom to the clause head.
-        parts.append(tuple_equalities(clause.head.args, current_entry.atom.args))
-        parts.append(current_entry.constraint)
-
-        deleted_parts: List[Constraint] = list(parts)
-        found_premises = True
-        for position, (body_atom, child_support) in enumerate(
-            zip(clause.body, entry.support.children)
-        ):
-            if position == child_position:
-                premise = pair.atom
-            else:
-                premise = originals.get(child_support)
-                if premise is None:
-                    found_premises = False
-                    break
-            renamed, _ = premise.renamed_apart(factory)
-            binding = tuple_equalities(renamed.atom.args, body_atom.args)
-            if position == child_position:
-                # The deleted premise: positively in the "deleted part",
-                # negated in the replacement constraint.
+        head_variables = entry.atom.variables()
+        shared: List[Constraint] = [
+            clause.constraint,
+            # (X̄ = Ȳ): tie the entry's atom to the clause head.
+            tuple_equalities(clause.head.args, entry.atom.args),
+            entry.constraint,
+        ]
+        choices: List[Sequence[ConstrainedAtom]] = [
+            (pair.atom,)
+            if position == child_position
+            else originals(child_support, body_atom, shared)
+            for position, (body_atom, child_support) in enumerate(
+                zip(clause.body, entry.support.children)
+            )
+        ]
+        for premises in itertools.product(*choices):
+            parts = list(shared)
+            deleted_parts = list(shared)
+            for position, (body_atom, premise) in enumerate(zip(clause.body, premises)):
+                renamed, _ = premise.renamed_apart(factory)
+                binding = tuple_equalities(renamed.atom.args, body_atom.args)
                 deleted_parts.append(renamed.constraint)
                 deleted_parts.append(binding)
-                parts.append(negate(conjoin(renamed.constraint, binding)))
-            else:
-                deleted_parts.append(renamed.constraint)
-                deleted_parts.append(binding)
-                parts.append(renamed.constraint)
-                parts.append(binding)
-        if not found_premises:
-            return None
-
-        head_variables = current_entry.atom.variables()
-        deleted_constraint = self._simplify(
-            eliminate_variables(conjoin(*deleted_parts), head_variables)
-        )
-        stats.solver_calls += 1
-        if not self._solver.is_satisfiable(deleted_constraint):
-            # Condition (c): the combination is unsolvable, nothing to delete.
-            return None
-        new_constraint = self._simplify(
-            eliminate_variables(conjoin(*parts), head_variables)
-        )
-        new_entry = current_entry.with_constraint(new_constraint)
-        deleted_atom = ConstrainedAtom(current_entry.atom, deleted_constraint)
-        return new_entry, deleted_atom
+                if position == child_position:
+                    # The deleted premise: positively in the "deleted part",
+                    # negated in the replacement constraint.
+                    parts.append(negate(conjoin(renamed.constraint, binding)))
+                else:
+                    parts.append(renamed.constraint)
+                    parts.append(binding)
+            deleted_constraint = self._simplify(
+                eliminate_variables(conjoin(*deleted_parts), head_variables)
+            )
+            stats.solver_calls += 1
+            if self._solver.is_satisfiable(deleted_constraint):
+                new_constraint = self._simplify(
+                    eliminate_variables(conjoin(*parts), head_variables)
+                )
+                return (
+                    entry.with_constraint(new_constraint),
+                    ConstrainedAtom(entry.atom, deleted_constraint),
+                )
+        # Condition (c): no combination is solvable, nothing to delete.
+        return None
 
     def _clause_for(self, support: Support):
         if not self._program.has_clause(support.clause_number):

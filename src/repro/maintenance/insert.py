@@ -102,9 +102,7 @@ class ConstrainedAtomInsertion:
         factory = make_fresh_factory(
             self._program, working, tuple(request.atom for request in requests)
         )
-        derivable = {
-            clause.predicate for clause in self._program if clause.body
-        }
+        derivable = self._program.derivable_predicates()
 
         added: List[ViewEntry] = []
         frontier: List[ViewEntry] = []
@@ -119,6 +117,7 @@ class ConstrainedAtomInsertion:
                 self._solver,
                 factory,
                 exclude_existing=self._options.exclude_existing,
+                options=self._options,
             )
             stats.seed_atoms += len(add_atoms)
             all_add_atoms.extend(add_atoms)

@@ -67,7 +67,8 @@ class MaintenanceStats:
     #: Fixpoint iterations executed by any embedded fixpoint computation.
     fixpoint_iterations: int = 0
     #: Argument-index probes issued by the hash-join enumerations (both the
-    #: unfoldings and any embedded fixpoint computation).
+    #: unfoldings and any embedded fixpoint computation) and by the deletion
+    #: passes' overlap-candidate lookups (one per request).
     index_probes: int = 0
     #: Solver calls skipped by the quick-reject pre-filter (bound-tuple /
     #: interval-overlap test on canonical forms, see

@@ -54,8 +54,11 @@ from repro.stream.scheduler import (
 class DurabilityOptions:
     """Tunable behaviour of the durability layer."""
 
-    #: Checkpoint once the live WAL grows past this many bytes (the
-    #: WAL-size policy; ``checkpoint()`` forces one regardless).
+    #: Checkpoint once the live WAL grows past this many bytes, at the first
+    #: moment every journaled batch is committed or at twice this size,
+    #: whichever comes first (the WAL-size policy, see
+    #: :meth:`DurabilityManager.maybe_checkpoint`; ``checkpoint()`` forces
+    #: one regardless).
     checkpoint_wal_bytes: int = 1 << 20
 
 
@@ -209,8 +212,26 @@ class DurabilityManager:
     # Checkpointing
     # ------------------------------------------------------------------
     def maybe_checkpoint(self) -> Optional[CheckpointInfo]:
-        """Checkpoint when the WAL-size policy says so; else do nothing."""
-        if self._wal.size_bytes() < self._options.checkpoint_wal_bytes:
+        """Checkpoint when the WAL-size policy says so; else do nothing.
+
+        A snapshot at watermark *w* releases only the WAL segments that end
+        at or below *w*.  While a later batch is already journaled (the
+        serve pipeline drains batch n+1 while batch n applies) the segment
+        holding it survives the checkpoint, the log stays over the
+        threshold, and every following batch would write the whole
+        snapshot again without releasing a byte.  So an over-threshold log
+        waits for the first moment every journaled transaction is
+        committed -- at the latest when the pipeline runs dry -- where one
+        checkpoint releases all of it; at twice the threshold it stops
+        waiting, which bounds the replay debt under a load that never lets
+        the log catch up."""
+        threshold = self._options.checkpoint_wal_bytes
+        live = self._wal.size_bytes()
+        if live < threshold:
+            return None
+        with self._lock:
+            caught_up = self._watermark == self._txn_high
+        if not caught_up and live < 2 * threshold:
             return None
         return self.checkpoint()
 

@@ -127,6 +127,52 @@ def _describe_groups(group_ids: Optional[FrozenSet[int]]) -> str:
     return ",".join(str(gid) for gid in sorted(group_ids)) or "-"
 
 
+#: The ``(effective, deletion)`` program pair a batch maintains against.
+Programs = Tuple[ConstrainedDatabase, ConstrainedDatabase]
+
+
+def _edit_programs(programs: Programs, edits: Sequence[Tuple[str, Tuple]]) -> Programs:
+    """Apply ``(kind, atoms)`` program edits, in order.
+
+    ``"deletion"`` rewrites the DRed deletion program by its ``Del`` atoms,
+    ``"effective_delete"`` / ``"effective_insert"`` the effective program by
+    the requested atoms / the ``Add`` atoms.  The scheduler's only calls of
+    the rewrites: everything that edits a program comes through here.
+    """
+    effective, deletion = programs
+    for kind, atoms in edits:
+        if kind == "deletion":
+            deletion = deletion_rewrite(deletion, atoms)
+        elif kind == "effective_delete":
+            effective = deletion_rewrite(effective, atoms)
+        else:
+            effective = insertion_rewrite(effective, atoms)
+    return effective, deletion
+
+
+@dataclass(frozen=True)
+class _ProgramEdits:
+    """What a unit, or a whole batch, did to the program pair it started from."""
+
+    before: Programs
+    after: Programs
+    #: The ``(kind, atoms)`` edits that lead from *before* to *after*.
+    edits: Tuple[Tuple[str, Tuple], ...]
+
+    def onto(self, current: Programs) -> Programs:
+        """*current* with these edits applied.
+
+        When *current* still is the pair the edits were computed on, the
+        result is *after* itself, by pointer -- the rule a view commit
+        follows with ``current is base``.  Otherwise something else was
+        committed in between (a sibling unit, a disjoint-group batch), whose
+        edits touch other clauses: the edits are replayed on top of it.
+        """
+        if current[0] is self.before[0] and current[1] is self.before[1]:
+            return self.after
+        return _edit_programs(current, self.edits)
+
+
 @dataclass(frozen=True)
 class StreamOptions:
     """Tunable behaviour of the stream scheduler."""
@@ -371,9 +417,10 @@ class StreamScheduler:
         # only while computing a batch's net effect -- never during a
         # maintenance pass, so batch n+1 coalesces while batch n applies.
         self._coalesce_lock = threading.Lock()
-        # Stage-2 lock: the commit pointer swap plus the program rewrites
-        # (and any reader needing a consistent view/program pair).  Held
-        # for O(#shards) pointer work, never for maintenance.
+        # Stage-2 lock: the commit pointer swap of view and programs (and
+        # any reader needing a consistent view/program pair).  Held for
+        # O(#shards) pointer work -- plus, on a rebase, the replay of the
+        # batch's program edits -- never for maintenance.
         self._commit_lock = threading.Lock()
         # Admission: prepared batches carry tickets (prepare order) and the
         # closure groups they write; a batch applies once no earlier ticket
@@ -665,24 +712,20 @@ class StreamScheduler:
             # graph), so the stale snapshot is maintenance-equivalent.
             with self._commit_lock:
                 base = self._published
-                local_effective = self._effective_program
-                local_deletion = self._deletion_program
+                started: Programs = (self._effective_program, self._deletion_program)
 
             working = base
-            # Program rewrites of this batch's applied units, in unit
-            # order; replayed onto the shared programs at commit (rewrites
-            # of disjoint closure groups touch disjoint clause sets, so the
-            # replay commutes with concurrently-committed batches').
-            pending: List[Tuple[str, Tuple]] = []
+            # The batch's programs: every applied unit's edits, in unit
+            # order (edits of disjoint closure groups touch disjoint clause
+            # sets, so they commute with concurrently-committed batches').
+            programs = started
+            edits: List[Tuple[str, Tuple]] = []
             written: Set[str] = set()
             for phase, units in prepared.phases:
+                # The next phase's insertion passes must see this phase's
+                # deletion rewrites.
                 outcomes = self._run_units(
-                    working,
-                    units,
-                    local_effective,
-                    local_deletion,
-                    trace=trace,
-                    parent=apply_span,
+                    working, units, programs, trace=trace, parent=apply_span
                 )
 
                 # Publish: each successful unit rewrote copy-on-write clones
@@ -691,39 +734,13 @@ class StreamScheduler:
                 # predicate keeps the phase base's shards untouched.
                 working = self._publish(working, units, outcomes)
 
-                # Thread the programs for the successful units, in unit
-                # order, before the next phase runs (its insertion passes
-                # must see this phase's deletion rewrites).
-                for unit, (result_view, report, del_result, ins_result) in zip(
-                    units, outcomes
-                ):
+                for unit, (_, report, unit_edits) in zip(units, outcomes):
                     stats.units.append(report)
                     if report.status != "applied":
                         continue
                     written.update(unit.write_closure)
-                    del_atoms = tuple(getattr(del_result, "del_atoms", ()) or ())
-                    if del_atoms:
-                        # Only DRed results carry Del atoms: StDel needs no
-                        # threaded rewrite for its own deletions.
-                        local_deletion = deletion_rewrite(
-                            local_deletion, del_atoms
-                        )
-                        pending.append(("deletion", del_atoms))
-                    if unit.deletions:
-                        atoms = tuple(
-                            request.atom for request in unit.deletions
-                        )
-                        for atom in atoms:
-                            local_effective = deletion_rewrite(
-                                local_effective, (atom,)
-                            )
-                        pending.append(("effective_delete", atoms))
-                    if ins_result is not None and ins_result.add_atoms:
-                        add_atoms = tuple(ins_result.add_atoms)
-                        local_effective = insertion_rewrite(
-                            local_effective, add_atoms
-                        )
-                        pending.append(("effective_insert", add_atoms))
+                    programs = unit_edits.onto(programs)
+                    edits.extend(unit_edits.edits)
 
             if apply_span is not None:
                 apply_span.set(
@@ -734,7 +751,12 @@ class StreamScheduler:
                 ).finish()
             commit_span = trace.span("commit") if trace is not None else None
             next_view = self._commit(
-                base, working, written, pending, stats, prepared
+                base,
+                working,
+                written,
+                _ProgramEdits(started, programs, tuple(edits)),
+                stats,
+                prepared,
             )
             if commit_span is not None:
                 commit_span.set(
@@ -925,18 +947,20 @@ class StreamScheduler:
         base: MaterializedView,
         working: MaterializedView,
         written: Set[str],
-        pending: List[Tuple[str, Tuple]],
+        program_edits: _ProgramEdits,
         stats: StreamStats,
         prepared: Optional[PreparedBatch] = None,
     ) -> MaterializedView:
-        """Swap in the batch's view and replay its program rewrites.
+        """Swap in the batch's view and its programs.
 
         The fast path (nothing committed since ``base`` was snapshotted)
-        publishes ``working`` directly.  Otherwise a disjoint-group batch
-        committed concurrently: rebase by copying the *current* published
-        view and adopting only this batch's written closures' shard
-        pointers from ``working`` -- adopting anything more would revert
-        the sibling batch's shards.  Both paths are pointer work.
+        publishes ``working`` and the batch's own programs directly.
+        Otherwise a disjoint-group batch committed concurrently: rebase by
+        copying the *current* published view and adopting only this batch's
+        written closures' shard pointers from ``working`` -- adopting
+        anything more would revert the sibling batch's shards -- and by
+        replaying the batch's program edits onto the current programs (see
+        :meth:`_ProgramEdits.onto`).
         """
         with self._commit_lock:
             current = self._published
@@ -953,20 +977,9 @@ class StreamScheduler:
                 next_view = current.copy()
                 next_view.adopt_shards(working, sorted(written))
                 self._published = next_view
-            for kind, atoms in pending:
-                if kind == "deletion":
-                    self._deletion_program = deletion_rewrite(
-                        self._deletion_program, atoms
-                    )
-                elif kind == "effective_delete":
-                    for atom in atoms:
-                        self._effective_program = deletion_rewrite(
-                            self._effective_program, (atom,)
-                        )
-                else:
-                    self._effective_program = insertion_rewrite(
-                        self._effective_program, atoms
-                    )
+            self._effective_program, self._deletion_program = program_edits.onto(
+                (self._effective_program, self._deletion_program)
+            )
             self._batches.append(stats)
             self._commit_hook(prepared, next_view)
             return next_view
@@ -1047,8 +1060,7 @@ class StreamScheduler:
         self,
         base: MaterializedView,
         units: Sequence[StratumUnit],
-        effective: ConstrainedDatabase,
-        deletion_program: ConstrainedDatabase,
+        programs: Programs,
         trace: Optional[Trace] = None,
         parent: Optional[Span] = None,
     ) -> List[tuple]:
@@ -1059,8 +1071,10 @@ class StreamScheduler:
         it only reads stay shared with the base (and with the other units),
         and a write outside the closure raises instead of being silently
         dropped by the publish step.  The programs are the calling batch's
-        local snapshots -- never the scheduler's shared attributes, which a
-        concurrent disjoint-group commit may be rewriting.
+        local pair -- never the scheduler's shared attributes, which a
+        concurrent disjoint-group commit may be replacing.  Sequential
+        units hand view and programs on to the next; parallel units all
+        start from the phase's.
         """
         workers = min(self._options.max_workers, len(units))
         if workers > 1:
@@ -1070,8 +1084,7 @@ class StreamScheduler:
                         self._apply_unit_with_retry,
                         base.checkout(unit.write_closure),
                         unit,
-                        effective,
-                        deletion_program,
+                        programs,
                         trace,
                         parent,
                     )
@@ -1085,13 +1098,13 @@ class StreamScheduler:
                 outcome = self._apply_unit_with_retry(
                     current.checkout(unit.write_closure),
                     unit,
-                    effective,
-                    deletion_program,
+                    programs,
                     trace,
                     parent,
                 )
                 if outcome[1].status == "applied":
                     current = outcome[0]
+                    programs = outcome[2].after
                 outcomes.append(outcome)
         return outcomes
 
@@ -1125,10 +1138,10 @@ class StreamScheduler:
             # Torn-publish check: a unit whose result view rewrote a shard
             # outside its declared closure would have that write silently
             # dropped by the scoped adoption below -- fail loudly instead.
-            for unit, (result_view, _, _, _) in applied:
+            for unit, (result_view, _, _) in applied:
                 result_view.assert_publish_scope(base, unit.write_closure)
         merged = base.copy()
-        for unit, (result_view, _, _, _) in applied:
+        for unit, (result_view, _, _) in applied:
             merged.adopt_shards(result_view, sorted(unit.write_closure))
         return merged
 
@@ -1136,12 +1149,15 @@ class StreamScheduler:
         self,
         base: MaterializedView,
         unit: StratumUnit,
-        effective: ConstrainedDatabase,
-        deletion_program: ConstrainedDatabase,
+        programs: Programs,
         trace: Optional[Trace] = None,
         parent: Optional[Span] = None,
     ) -> tuple:
-        """Run one unit up to ``max_unit_attempts`` times."""
+        """Run one unit up to ``max_unit_attempts`` times.
+
+        Returns ``(view, report, program edits)``; a failed unit returns its
+        base view and no edits.
+        """
         attempts = 0
         error: Optional[str] = None
         started = time.perf_counter()
@@ -1151,9 +1167,7 @@ class StreamScheduler:
         while attempts < max(1, self._options.max_unit_attempts):
             attempts += 1
             try:
-                view, stats, del_result, ins_result = self._apply_unit(
-                    base, unit, effective, deletion_program
-                )
+                view, stats, program_edits = self._apply_unit(base, unit, programs)
             except (WriteScopeError, ShardSanitizerError) as exc:
                 # Sanitizer verdicts are deterministic facts about the code,
                 # not transient unit failures: retrying would only repeat
@@ -1193,7 +1207,7 @@ class StreamScheduler:
                 ).finish()
             if self._options.on_unit_complete is not None:
                 self._options.on_unit_complete(report)
-            return (view, report, del_result, ins_result)
+            return (view, report, program_edits)
         report = UnitReport(
             description=unit.describe(),
             predicates=tuple(sorted(unit.predicates)),
@@ -1222,24 +1236,29 @@ class StreamScheduler:
             ).finish()
         if self._options.on_unit_complete is not None:
             self._options.on_unit_complete(report)
-        return (base, report, None, None)
+        return (base, report, None)
 
     def _apply_unit(
         self,
         base: MaterializedView,
         unit: StratumUnit,
-        effective: ConstrainedDatabase,
-        deletion_program: ConstrainedDatabase,
+        programs: Programs,
     ) -> tuple:
-        """One unit = at most one batched deletion pass + one insertion pass."""
+        """One unit = at most one batched deletion pass + one insertion pass.
+
+        The unit's program edits are computed here, once: the insertion pass
+        needs the deletion rewrites anyway, and the batch and the commit
+        take the result over (see :class:`_ProgramEdits`).
+        """
         stats = MaintenanceStats()
         current = base
-        del_result = None
+        edits: List[Tuple[str, Tuple]] = []
+        after = programs
         if unit.deletions:
-            # The purge scan is restricted to the unit's write closure: the
+            # The purge is restricted to the unit's write closure: the
             # published view carries no unsolvable entries, so only entries
             # this unit's propagation can touch need the final solvability
-            # sweep.
+            # check.
             purge = tuple(sorted(unit.write_closure))
             if self._options.deletion_algorithm == "stdel":
                 del_result = StraightDelete(
@@ -1250,14 +1269,20 @@ class StreamScheduler:
                 ).delete_many(current, unit.deletions, purge_predicates=purge)
             else:
                 del_result = ExtendedDRed(
-                    deletion_program,
+                    programs[1],
                     self._solver,
                     self._options.engine,
                     metrics=self._obs.metrics,
                 ).delete_many(current, unit.deletions, purge_predicates=purge)
+                if del_result.del_atoms:
+                    # StDel needs no threaded rewrite for its own deletions.
+                    edits.append(("deletion", tuple(del_result.del_atoms)))
             current = del_result.view
             stats.merge(del_result.stats)
-        ins_result = None
+            edits.append(
+                ("effective_delete", tuple(request.atom for request in unit.deletions))
+            )
+            after = _edit_programs(programs, edits)
         if unit.insertions:
             # The P_ADD unfolding must run against the program carrying
             # every deletion rewrite applied so far -- previous batches'
@@ -1266,18 +1291,16 @@ class StreamScheduler:
             # instances those deletions removed.  Other concurrent units'
             # deletions rewrite clauses outside this unit's closure and
             # cannot affect its unfolding.
-            insert_program = effective
-            if unit.deletions:
-                insert_program = deletion_rewrite(
-                    insert_program,
-                    tuple(request.atom for request in unit.deletions),
-                )
             ins_result = ConstrainedAtomInsertion(
-                insert_program,
+                after[0],
                 self._solver,
                 self._options.engine,
                 metrics=self._obs.metrics,
             ).insert_many(current, unit.insertions)
             current = ins_result.view
             stats.merge(ins_result.stats)
-        return current, stats, del_result, ins_result
+            if ins_result.add_atoms:
+                inserted = [("effective_insert", tuple(ins_result.add_atoms))]
+                after = _edit_programs(after, inserted)
+                edits += inserted
+        return current, stats, _ProgramEdits(programs, after, tuple(edits))

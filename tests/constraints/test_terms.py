@@ -144,3 +144,13 @@ class TestFreshVariableFactory:
         first = factory.fresh("W")
         factory.reserve([first.name])
         assert factory.fresh("W").name != first.name
+
+    def test_tables_are_read_in_place_not_copied(self):
+        table = {"X_1": 3}
+        factory = FreshVariableFactory(["X_2"], (table, frozenset({"X_4"})))
+        assert factory.fresh("X").name == "X_3"
+        table["X_5"] = 1  # the owner's later writes count too
+        assert factory.fresh("X").name == "X_6"
+        # Same sequence as reserving the union up front.
+        copied = FreshVariableFactory(["X_1", "X_2", "X_4", "X_5"])
+        assert [copied.fresh("X").name for _ in range(2)] == ["X_3", "X_6"]

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints import ConstraintSolver, Variable, compare, conjoin, equals
+from repro.constraints.terms import FreshVariableFactory
 from repro.datalog import Atom, MaterializedView, Support, ViewEntry
 from repro.datalog.view import IntervalQuery
-from repro.errors import ProgramError
+from repro.errors import ProgramError, ShardSanitizerError
 
 X = Variable("X")
 
@@ -263,3 +264,133 @@ class TestCopyOnWrite:
         # build-independent by construction; entries untouched).
         assert view.entries == copied.entries
         assert view.argument_index_snapshot() == copied.argument_index_snapshot()
+
+
+# ----------------------------------------------------------------------
+# Variable-name tables (what fresh-name reservation reads instead of a scan)
+# ----------------------------------------------------------------------
+NAME_POOL = [Variable(name) for name in ("X", "Y", "Z", "X_1", "V_2", "Y_3")]
+
+named_entries = st.builds(
+    lambda predicate, head, left, right, value, number: ViewEntry(
+        Atom(predicate, (NAME_POOL[head],)),
+        conjoin(equals(NAME_POOL[left], value), compare(NAME_POOL[right], ">=", 0)),
+        Support(number),
+    ),
+    predicate=st.sampled_from(PREDICATES),
+    head=st.integers(min_value=0, max_value=2),
+    left=st.integers(min_value=0, max_value=len(NAME_POOL) - 1),
+    right=st.integers(min_value=0, max_value=len(NAME_POOL) - 1),
+    value=st.integers(min_value=0, max_value=3),
+    number=st.integers(min_value=1, max_value=4),
+)
+
+name_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), named_entries),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=30)),
+        st.tuples(
+            st.just("replace"), st.integers(min_value=0, max_value=30), named_entries
+        ),
+        st.tuples(st.just("names"), st.sampled_from(PREDICATES)),
+        st.tuples(st.just("copy"), st.none()),
+        st.tuples(st.just("checkout"), st.none()),
+        st.tuples(st.just("adopt"), named_entries),
+        st.tuples(st.just("import"), st.none()),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def scanned_names(view: MaterializedView, predicates=None):
+    return frozenset(
+        variable.name
+        for entry in view
+        if predicates is None or entry.predicate in predicates
+        for variable in entry.constrained_atom.variables()
+    )
+
+
+def assert_names_match_scan(view: MaterializedView) -> None:
+    assert view.all_variable_names() == scanned_names(view)
+    for predicate in PREDICATES:
+        assert view.all_variable_names([predicate]) == scanned_names(view, {predicate})
+    assert view.all_variable_names(PREDICATES[:2]) == scanned_names(
+        view, set(PREDICATES[:2])
+    )
+    # Reserved-name semantics: the tables, read in place, give the factory
+    # exactly the names a copied scan would.
+    from_tables = FreshVariableFactory((), view.variable_name_tables())
+    from_scan = FreshVariableFactory(scanned_names(view))
+    for base in ("X", "V", "Y", "X", "V", "Y", "Z"):
+        assert from_tables.fresh(base) == from_scan.fresh(base)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name_operations)
+def test_name_tables_match_a_scan_after_any_mutation_sequence(ops):
+    view = MaterializedView()
+    frozen = []  # views left behind by copy / checkout / adopt, with their names
+    for operation in ops:
+        kind = operation[0]
+        live = view.entries
+        if kind == "add":
+            view.add(operation[1])
+        elif kind == "remove" and live:
+            view.remove(live[operation[1] % len(live)])
+        elif kind == "replace" and live:
+            old = live[operation[1] % len(live)]
+            new = operation[2]
+            view.replace(old, ViewEntry(old.atom, new.constraint, old.support))
+        elif kind == "names":
+            # Builds the predicate's table now, so that later mutations have
+            # to keep it current (tables are lazy until first asked for).
+            assert view.all_variable_names([operation[1]]) == scanned_names(
+                view, {operation[1]}
+            )
+        elif kind == "copy":
+            frozen.append((view, scanned_names(view)))
+            view = view.copy()
+        elif kind == "checkout":
+            frozen.append((view, scanned_names(view)))
+            view = view.checkout(PREDICATES)
+        elif kind == "adopt":
+            entry = operation[1]
+            unit = view.checkout([entry.predicate])
+            unit.add(entry)
+            frozen.append((view, scanned_names(view)))
+            merged = view.copy()
+            merged.adopt_shards(unit, [entry.predicate])
+            view = merged
+        elif kind == "import":
+            rebuilt = MaterializedView()
+            for predicate in view.predicates():
+                rebuilt.import_shard_rows(predicate, view.export_shard_rows(predicate))
+            view = rebuilt
+    assert_names_match_scan(view)
+    for left_behind, names in frozen:
+        assert left_behind.all_variable_names() == names
+    assert_names_match_scan(view)
+
+
+def test_a_write_to_a_shared_shards_name_table_trips_the_sanitizer(monkeypatch):
+    monkeypatch.setenv("REPRO_SHARD_SANITIZER", "1")
+    view = MaterializedView()
+    old = make_entry("a", equals(X, 1), 1)
+    view.add(old)
+    assert view.all_variable_names() == {"X"}  # the table exists from here on
+    published = view.copy()  # arms the shard both views now reference
+    shard = view.shard_for("a")
+    new = ViewEntry(Atom("a", (NAME_POOL[1],)), equals(NAME_POOL[1], 2), Support(2))
+    with pytest.raises(ShardSanitizerError):
+        shard.add(new.key(), new)
+    with pytest.raises(ShardSanitizerError):
+        shard.remove(old.key(), old)
+    with pytest.raises(ShardSanitizerError):
+        shard.replace(old.key(), new.key(), old, new)
+    assert shard.variable_names() == {"X": 1}
+    # Through the façade the write goes to a clone, table included.
+    assert view.add(new)
+    assert view.all_variable_names() == {"X", "Y"}
+    assert published.all_variable_names() == {"X"}

@@ -1,0 +1,135 @@
+"""Update cost follows the change, not the view -- counted, not timed.
+
+The paper's claim is that maintaining a materialized mediated view costs
+the *change*.  These tests drive the stream path (``StreamScheduler``,
+StDel, one worker) on the layered family the end-to-end benchmark uses and
+count what one delete + re-insert of a base fact does:
+
+* constraint nodes constructed (``intern_stats()`` hits + misses),
+* ``solver_calls`` and ``quick_rejects`` of the maintenance passes,
+* conjuncts of the clauses the pair rewrote in the effective program.
+
+None of them may depend on the size of the view (n = 40 against n = 160)
+or on the age of the scheduler (the 20th pair against the 1st), and a
+clause the stream never unified with must stay the very object the base
+program holds.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.constraints import ConstraintSolver, Variable, equals
+from repro.constraints.intern import intern_stats
+from repro.datalog import Atom
+from repro.datalog.atoms import ConstrainedAtom
+from repro.maintenance import DeletionRequest, InsertionRequest
+from repro.stream import StreamOptions, StreamScheduler
+from repro.workloads import make_layered_program
+
+X = Variable("X1")
+
+COUNTS = ("nodes", "solver_calls", "quick_rejects", "rewritten_conjuncts")
+
+
+def fact(predicate: str, value: int) -> ConstrainedAtom:
+    return ConstrainedAtom(Atom(predicate, (X,)), equals(X, value))
+
+
+def constructed_nodes() -> int:
+    stats = intern_stats()
+    return stats["hits"] + stats["misses"]
+
+
+def layered_scheduler(base_facts: int):
+    """A scheduler over the layered family, and its base program."""
+    spec = make_layered_program(
+        base_facts=base_facts, layers=3, predicates_per_layer=2, fanin=2
+    )
+    scheduler = StreamScheduler(
+        spec.program, ConstraintSolver(), options=StreamOptions(max_workers=1)
+    )
+    return scheduler, spec.program
+
+
+def run_pairs(scheduler: StreamScheduler, values, predicate: str = "base1"):
+    """Delete and re-insert each ``predicate(value)``; one count tuple per
+    pair."""
+    costs = []
+    for value in values:
+        before = scheduler.effective_program
+        nodes = constructed_nodes()
+        solver_calls = quick_rejects = 0
+        for kind in (DeletionRequest, InsertionRequest):
+            result = scheduler.apply_batch([kind(fact(predicate, value))])
+            assert result.ok
+            totals = result.stats.totals()
+            solver_calls += totals.solver_calls
+            quick_rejects += totals.quick_rejects
+        nodes = constructed_nodes() - nodes
+        rewritten = sum(
+            len(clause.constraint.conjuncts())
+            for clause in scheduler.effective_program
+            if not before.has_clause(clause.number)
+            or before.clause(clause.number) is not clause
+        )
+        costs.append((nodes, solver_calls, quick_rejects, rewritten))
+    return costs
+
+
+def assert_within_quarter(left, right, what: str) -> None:
+    for name, a, b in zip(COUNTS, left, right):
+        assert abs(a - b) <= 0.25 * max(a, b), f"{what}: {name} {a} vs {b}"
+
+
+def test_one_pair_costs_the_same_on_a_four_times_larger_view():
+    small = run_pairs(layered_scheduler(40)[0], [3])
+    large = run_pairs(layered_scheduler(160)[0], [3])
+    assert_within_quarter(small[0], large[0], "n=40 vs n=160")
+
+
+@pytest.mark.parametrize("base_facts", (40, 160))
+def test_the_twentieth_pair_costs_what_the_first_did(base_facts):
+    scheduler, _ = layered_scheduler(base_facts)
+    costs = run_pairs(scheduler, range(20))
+    assert_within_quarter(costs[0], costs[-1], "pair 1 vs pair 20")
+    assert scheduler.verify()
+
+
+def test_a_premise_is_found_among_the_reinserted_facts_by_value():
+    # ``layer1_1(X) <- base0(X), base1(X)``: when ``base0(v)`` goes,
+    # ``layer1_1(v)`` is rebuilt from its other premise, and a re-inserted
+    # ``base1(v)`` carries the one support every re-inserted fact carries.
+    # Finding it must not cost more with twenty of them than with one,
+    # whichever of the twenty it is.
+    alone, _ = layered_scheduler(40)
+    run_pairs(alone, [7])
+    (one,) = run_pairs(alone, [7], predicate="base0")
+
+    scheduler, _ = layered_scheduler(40)
+    run_pairs(scheduler, range(20))
+    oldest, middle, latest = run_pairs(scheduler, (0, 7, 19), predicate="base0")
+    assert_within_quarter(one, oldest, "1 vs oldest of 20 re-inserted")
+    assert_within_quarter(one, middle, "1 vs 8th of 20 re-inserted")
+    assert_within_quarter(one, latest, "1 vs latest of 20 re-inserted")
+    assert scheduler.verify()
+
+
+def test_clauses_the_stream_never_unified_with_are_shared_with_the_base():
+    touched = range(20)
+    scheduler, program = layered_scheduler(40)
+    run_pairs(scheduler, touched)
+    effective = scheduler.effective_program
+    rewritten = {
+        clause.number
+        for clause, value in zip(program.clauses_for("base1"), range(40))
+        if value in touched
+    }
+    assert len(rewritten) == 20
+    for clause in program:
+        if clause.number in rewritten:
+            assert effective.clause(clause.number) is not clause
+        else:
+            assert effective.clause(clause.number) is clause
+    # The re-inserted facts are appended; nothing else was added.
+    assert len(effective) == len(program) + 20

@@ -29,6 +29,15 @@ enumerating *more* premise combinations than the positional scan -- the
 "proportional to the delta" discipline of Lu, Moerkotte, Schü &
 Subrahmanian made into an executable invariant.  The same holds for the
 interval range postings: with them on, the enumeration may only shrink.
+
+Every step also runs with ``hash_join_index=False`` for StDel, insertion and
+recomputation: that reference scans a predicate's shard for the entries a
+request can overlap where the default probes the view's argument index
+(:func:`repro.datalog.join.overlap_candidates`), and must stay
+key-identical.  And the stream scheduler's effective program, which
+rewrites only the clauses a deletion can unify with, is checked against the
+paper's rewrite (4) of *every* ``A``-clause, built here with
+``map_clauses``: the two must have the same least model.
 """
 
 from __future__ import annotations
@@ -41,10 +50,12 @@ from repro.datalog.join import EngineOptions
 from repro.maintenance import (
     DeletionRequest,
     ExtendedDRed,
+    InsertionRequest,
     StraightDelete,
     insert_atom,
     recompute_after_deletion,
 )
+from repro.stream import StreamOptions, StreamScheduler
 from repro.workloads import (
     deletion_stream,
     insertion_stream,
@@ -63,6 +74,12 @@ SEEDS = range(60)
 INTERVAL_FAMILIES = (2, 4)
 
 POSITIONAL_DRED = EngineOptions(delta_rederivation=False, hash_join_index=False)
+
+#: The reference the overlap-candidate probes are compared against: every
+#: request scans its predicate's shard.
+SCAN = EngineOptions(hash_join_index=False)
+
+UNIVERSE = range(0, 64)  # covers every generated bound and fact
 
 
 def build_spec(seed: int):
@@ -114,6 +131,31 @@ def view_keys(view):
     return sorted(str(entry.key()) for entry in view)
 
 
+def paper_rewrite(program, deleted):
+    """Rewrite (4) as the paper states it: ``not(δ & X̄ = Ȳ)`` conjoined onto
+    every clause of the deleted atom's signature -- no index, nothing skipped."""
+    from repro.constraints.terms import FreshVariableFactory
+    from repro.maintenance.common import negated_atom_constraint
+
+    factory = FreshVariableFactory(
+        {variable.name for clause in program for variable in clause.variables()}
+        | {variable.name for atom in deleted for variable in atom.variables()}
+    )
+
+    def rewrite(clause):
+        for atom in deleted:
+            if atom.atom.signature == clause.head.signature:
+                _, negative = negated_atom_constraint(clause.head, atom, factory)
+                clause = clause.with_extra_constraint(negative)
+        return clause
+
+    return program.map_clauses(rewrite)
+
+
+def least_model(program, solver):
+    return compute_tp_fixpoint(program, solver).instances(solver, UNIVERSE)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_update_sequences_produce_key_identical_views(seed):
     spec = build_spec(seed)
@@ -131,6 +173,7 @@ def test_update_sequences_produce_key_identical_views(seed):
             # each against its own current program; externally inserted
             # entries (support 0) must keep the tracks key-comparable.
             dred_was_identical = view_keys(dred_view) == view_keys(recompute_view)
+            before_insert = stdel_view
             stdel_view = insert_atom(
                 spec.program, stdel_view, request.atom, solver
             ).view
@@ -143,6 +186,9 @@ def test_update_sequences_produce_key_identical_views(seed):
             assert view_keys(stdel_view) == view_keys(recompute_view), (
                 f"insertion diverged at step {step}"
             )
+            assert view_keys(stdel_view) == view_keys(
+                insert_atom(spec.program, before_insert, request.atom, solver, SCAN).view
+            ), f"probed Add set diverged from the scanned one at step {step}"
             # Insertion must preserve whatever parity the DRed track had --
             # including when the stream ends on insertions and no later
             # deletion step would catch a divergence.
@@ -164,6 +210,15 @@ def test_update_sequences_produce_key_identical_views(seed):
 
         expected = view_keys(recomputed.view)
         assert view_keys(stdel.view) == expected, f"StDel diverged at step {step}"
+        # Probed overlap candidates vs the shard scan: same views.
+        assert expected == view_keys(
+            StraightDelete(spec.program, solver, SCAN).delete(stdel_view, request).view
+        ), f"probed StDel diverged from the scanning one at step {step}"
+        assert expected == view_keys(
+            recompute_after_deletion(
+                recompute_program, recompute_view, request.atom, solver, SCAN
+            ).view
+        ), f"probed recomputation diverged from the scanning one at step {step}"
         # The delta-aware + indexed DRed must agree exactly with the
         # legacy positional implementation on every step.
         assert view_keys(dred.view) == view_keys(positional.view), (
@@ -180,9 +235,8 @@ def test_update_sequences_produce_key_identical_views(seed):
             assert set(view_keys(dred.view)) >= set(expected), (
                 f"DRed lost entries at step {step}"
             )
-            universe = range(0, 64)  # covers every generated bound and fact
-            assert dred.view.instances(solver, universe) == recomputed.view.instances(
-                solver, universe
+            assert dred.view.instances(solver, UNIVERSE) == recomputed.view.instances(
+                solver, UNIVERSE
             ), f"DRed instances diverged at step {step}"
         # The hash-join index may only prune; it must never enumerate more
         # premise combinations than the positional scan.
@@ -326,8 +380,6 @@ def test_coalesced_batches_match_one_at_a_time(seed):
     batched into shared passes (DRed batches deleting a derivable predicate
     fall back to the safe sequential chain and may only tie).
     """
-    from repro.stream import StreamOptions, StreamScheduler
-
     spec = build_spec(seed)
     solver = ConstraintSolver()
     initial = compute_tp_fixpoint(spec.program, solver)
@@ -376,6 +428,21 @@ def test_coalesced_batches_match_one_at_a_time(seed):
         assert result.ok
         assert view_keys(result.view) == view_keys(sequential_view), (
             f"{algorithm} batch diverged from one-at-a-time"
+        )
+        # The effective program rewrites only the clauses a deletion can
+        # unify with; the paper rewrites every A-clause.  Same least model.
+        effective = scheduler.effective_program
+        reference = paper_rewrite(
+            spec.program, [request.atom for request in result.coalesced.deletions]
+        ).with_clauses_added(
+            [
+                clause.with_number(None)
+                for clause in effective
+                if not spec.program.has_clause(clause.number)
+            ]
+        )
+        assert least_model(effective, solver) == least_model(reference, solver), (
+            f"{algorithm}: targeted rewrite changed the least model"
         )
         batched_cost = (
             result.stats.derivation_attempts + result.stats.solver_calls
@@ -469,3 +536,235 @@ def test_segmented_dred_batches_match_the_chained_fallback(seed):
         segmented.stats.derivation_attempts + segmented.stats.solver_calls
     )
     assert cost_segmented <= cost_chained
+
+
+# ----------------------------------------------------------------------
+# Directed cases for the overlap-candidate lookup and the targeted rewrite
+# ----------------------------------------------------------------------
+def _parsed(rules):
+    from repro.datalog import parse_program
+
+    program = parse_program(rules)
+    solver = ConstraintSolver()
+    return program, solver, compute_tp_fixpoint(program, solver)
+
+
+def _candidates(view, atom, solver, options=EngineOptions()):
+    from repro.datalog.join import overlap_candidates
+    from repro.maintenance.requests import MaintenanceStats
+
+    stats = MaintenanceStats()
+    return overlap_candidates(view, atom, solver, options, stats), stats
+
+
+def test_interval_entries_are_reached_through_range_postings():
+    from repro.datalog import parse_constrained_atom
+
+    program, solver, view = _parsed(
+        "iv(X) <- X >= 0 & X <= 10.\niv(X) <- X >= 20 & X <= 30.\nup(X) <- iv(X)."
+    )
+    point = parse_constrained_atom("iv(X) <- X = 25")
+    assert view.range_posting_snapshot() == ()
+    found, stats = _candidates(view, point, solver)
+    assert [str(entry.constraint) for entry in found] == ["X >= 20 & X <= 30"]
+    assert stats.index_probes == 1
+    assert view.range_posting_snapshot() != ()
+    # A request that only bounds the position probes by overlap.
+    band, _ = _candidates(view, parse_constrained_atom("iv(X) <- X >= 8 & X <= 12"), solver)
+    assert [str(entry.constraint) for entry in band] == ["X >= 0 & X <= 10"]
+    scanned, stats = _candidates(view, point, solver, SCAN)
+    assert scanned == view.entries_for("iv") and stats.index_probes == 0
+    request = DeletionRequest(point)
+    assert view_keys(StraightDelete(program, solver).delete(view, request).view) == (
+        view_keys(StraightDelete(program, solver, SCAN).delete(view, request).view)
+    )
+
+
+def test_an_unhashable_pinned_value_falls_back_to_the_scan():
+    from repro.constraints import Variable, equals
+    from repro.datalog import Atom
+    from repro.datalog.atoms import ConstrainedAtom
+    from repro.maintenance import deletion_rewrite
+
+    class Moody:
+        hashable = True
+
+        def __hash__(self):
+            if not self.hashable:
+                raise TypeError("unhashable")
+            return 7
+
+    program, solver, view = _parsed("p(X) <- X = 1.\np(X) <- X = 2.\nq(X) <- p(X).")
+    x = Variable("X")
+    moody = Moody()
+    atom = ConstrainedAtom(Atom("p", (x,)), equals(x, moody))
+    moody.hashable = False  # interned while hashable; no index can look it up now
+    try:
+        found, _ = _candidates(view, atom, solver)
+        assert found == view.entries_for("p")
+        assert program.head_candidates(atom) == program.clauses_for("p")
+        # Nothing equals the value: the deletion and its rewrite change nothing.
+        result = StraightDelete(program, solver).delete(view, DeletionRequest(atom))
+        assert view_keys(result.view) == view_keys(view)
+        assert least_model(deletion_rewrite(program, (atom,)), solver) == least_model(
+            program, solver
+        )
+    finally:
+        moody.hashable = True  # the intern table drops its key by hash
+
+
+def test_a_request_that_pins_nothing_scans_the_shard():
+    from repro.datalog import parse_constrained_atom
+
+    program, solver, view = _parsed("p(X) <- X = 1.\np(X) <- X = 2.\nq(X) <- p(X).")
+    everything = parse_constrained_atom("p(X) <- X != 7")
+    found, stats = _candidates(view, everything, solver)
+    assert found == view.entries_for("p") and stats.index_probes == 0
+    assert program.head_candidates(everything) == program.clauses_for("p")
+    result = StraightDelete(program, solver).delete(view, DeletionRequest(everything))
+    assert result.view.instances(solver, UNIVERSE) == frozenset()
+
+
+def test_deleting_a_derived_predicate_rewrites_its_rule_clauses_only():
+    from repro.datalog import parse_constrained_atom
+
+    program, solver, view = _parsed(
+        "a(X) <- X = 1.\na(X) <- X = 2.\nb(X) <- a(X).\nb(X) <- X = 9."
+    )
+    scheduler = StreamScheduler(program, solver, view=view)
+    request = DeletionRequest(parse_constrained_atom("b(X) <- X = 1"))
+    assert scheduler.apply_batch([request]).ok
+    effective = scheduler.effective_program
+    rewritten = [
+        clause.number for clause in program if effective.clause(clause.number) is not clause
+    ]
+    # ``b(X) <- a(X)`` can derive b(1); ``b(X) <- X = 9`` and a's facts cannot.
+    assert rewritten == [3]
+    assert scheduler.query("b", UNIVERSE) == {(2,), (9,)}
+    assert scheduler.query("a", UNIVERSE) == {(1,), (2,)}
+    assert scheduler.verify(UNIVERSE)
+    assert least_model(effective, solver) == least_model(
+        paper_rewrite(program, [request.atom]), solver
+    )
+
+
+def test_an_unsolvable_entry_the_pass_did_not_replace_changes_nothing():
+    from repro.constraints import Variable, conjoin, equals
+    from repro.datalog import Atom, Support, ViewEntry, parse_constrained_atom
+
+    program, solver, view = _parsed(
+        "base(X) <- X = 1.\nbase(X) <- X = 2.\nmid(X) <- base(X).\ntop(X) <- mid(X)."
+    )
+    x = Variable("X")
+    view = view.copy()
+    # Inside the write closure of ``base``, but nothing the deletion touches.
+    assert view.add(
+        ViewEntry(Atom("top", (x,)), conjoin(equals(x, 1), equals(x, 2)), Support(99))
+    )
+    scheduler = StreamScheduler(program, solver, view=view)
+    assert scheduler.apply_batch(
+        [DeletionRequest(parse_constrained_atom("base(X) <- X = 1"))]
+    ).ok
+    for predicate in ("base", "mid", "top"):
+        assert scheduler.query(predicate, UNIVERSE) == {(2,)}
+    assert scheduler.verify(UNIVERSE)
+
+
+def test_a_shared_external_support_resolves_to_the_body_atoms_predicate():
+    """Externally inserted atoms all carry the reserved support 0.  When a
+    deletion reaches a parent whose *other* premise was such an insertion,
+    StDel must rebuild it from the inserted atom of the body atom's
+    predicate -- here ``g(3)``, not the ``e(7, 8)`` inserted before it."""
+    from repro.datalog import parse_constrained_atom
+
+    program, solver, view = _parsed(
+        "e(X, Y) <- X = 1 & Y = 2.\n"
+        "g(X) <- X = 5.\n"
+        "iv(X) <- X >= 0 & X <= 10.\n"
+        "j(X) <- g(X), iv(X)."
+    )
+    for algorithm in ("stdel", "dred"):
+        scheduler = StreamScheduler(
+            program,
+            solver,
+            view=view,
+            options=StreamOptions(deletion_algorithm=algorithm),
+        )
+        for text in ("e(X, Y) <- X = 7 & Y = 8", "g(X) <- X = 3"):
+            assert scheduler.apply_batch(
+                [InsertionRequest(parse_constrained_atom(text))]
+            ).ok
+        assert scheduler.query("j", UNIVERSE) == {(3,), (5,)}
+        result = scheduler.apply_batch(
+            [DeletionRequest(parse_constrained_atom("iv(X) <- X = 3"))]
+        )
+        assert result.ok, [unit.error for unit in result.failed_units]
+        assert scheduler.query("j", UNIVERSE) == {(5,)}
+        assert scheduler.verify(UNIVERSE)
+
+
+def test_the_external_premise_is_the_inserted_atom_the_derivation_used():
+    """Two inserted ``edge`` atoms share support 0.  ``path(n0, n3)`` was
+    derived from the first; when ``edge(n2, n3)`` goes, StDel must rebuild
+    it from that one -- rebuilt from the latest insertion the derivation
+    looks unaffected and ``path(n0, n3)`` survives its own premise."""
+    from repro.datalog import parse_constrained_atom
+
+    program, solver, view = _parsed(
+        "edge(X, Y) <- X = 'n1' & Y = 'n2'.\n"
+        "edge(X, Y) <- X = 'n2' & Y = 'n3'.\n"
+        "path(X, Y) <- edge(X, Y).\n"
+        "path(X, Y) <- edge(X, Z), path(Z, Y)."
+    )
+    views = {}
+    for algorithm in ("stdel", "dred"):
+        scheduler = StreamScheduler(
+            program,
+            solver,
+            view=view,
+            options=StreamOptions(deletion_algorithm=algorithm),
+        )
+        for text in (
+            "edge(X, Y) <- X = 'n0' & Y = 'n1'",
+            "edge(X, Y) <- X = 'n7' & Y = 'n8'",
+        ):
+            assert scheduler.apply_batch(
+                [InsertionRequest(parse_constrained_atom(text))]
+            ).ok
+        assert ("n0", "n3") in scheduler.query("path")
+        assert scheduler.apply_batch(
+            [DeletionRequest(parse_constrained_atom("edge(X, Y) <- X = 'n2' & Y = 'n3'"))]
+        ).ok
+        assert scheduler.query("path") == {
+            ("n0", "n1"), ("n0", "n2"), ("n1", "n2"), ("n7", "n8")
+        }
+        assert scheduler.verify()
+        views[algorithm] = scheduler.view.instances(solver)
+    assert views["stdel"] == views["dred"]
+
+
+def test_a_premise_the_request_itself_narrowed_is_still_a_candidate():
+    """One request takes ``X = 2`` from ``j``'s first premise and everything
+    from its second, one of two inserted atoms sharing support 0.  When the
+    first premise's pair reaches ``j`` the second is already narrowed to
+    ``false`` and filed in the index as such; the lookup must still offer
+    what it held before the request, as the scan does, or ``j`` loses its
+    instances in one pair instead of two."""
+    from repro.datalog import parse_constrained_atom
+
+    program, solver, view = _parsed(
+        "iv(X) <- X >= 1 & X <= 2.\n"
+        "j(X, Y) <- iv(X), iv(Y) & X <= 2 & Y >= 3 & Y <= 5.\n"
+        "top(X, Y) <- j(X, Y)."
+    )
+    for text in ("iv(X) <- X >= 3 & X <= 5", "iv(X) <- X >= 7 & X <= 9"):
+        view = insert_atom(program, view, parse_constrained_atom(text), solver).view
+    request = DeletionRequest(parse_constrained_atom("iv(X) <- X >= 2 & X <= 5"))
+    probed = StraightDelete(program, solver).delete(view, request)
+    scanned = StraightDelete(program, solver, SCAN).delete(view, request)
+    assert [str(pair) for pair in probed.p_out] == [str(pair) for pair in scanned.p_out]
+    assert len(probed.p_out) == 6
+    assert view_keys(probed.view) == view_keys(scanned.view)
+    assert probed.view.instances(solver, range(0, 12)) == {
+        ("iv", (value,)) for value in (1, 7, 8, 9)
+    }

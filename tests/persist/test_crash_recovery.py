@@ -242,3 +242,49 @@ def test_fresh_directory_without_program_is_an_error():
     with tempfile.TemporaryDirectory() as raw:
         with pytest.raises(RecoveryError):
             open_scheduler(Path(raw))
+
+
+@pytest.mark.parametrize("forced", (False, True))
+def test_an_over_threshold_log_waits_for_the_pipeline_to_catch_up(forced):
+    """Batch n+1 journaled before batch n commits -- how the serve layer
+    drives the scheduler -- shares its WAL segment with batch n, so a
+    checkpoint after batch n releases nothing.  The size policy waits for
+    the commit that catches up with the journal (one checkpoint, empty
+    log) and stops waiting at twice the threshold (*forced*)."""
+    import tempfile
+
+    spec, _ = batch_schedule(0)
+    payloads = [request for _, request in build_stream(spec, 0)]
+    ahead, behind = payloads[:2], payloads[2:3]
+
+    def journal(scheduler, batch):
+        for payload in batch:
+            scheduler.submit(payload)
+        return scheduler.drain()
+
+    with tempfile.TemporaryDirectory() as raw:
+        probe = open_scheduler(Path(raw), spec.program, durability_options=LAZY)
+        journal(probe, ahead)
+        first_record = probe.durability.wal.size_bytes()
+        journal(probe, behind)
+        assert probe.durability.wal.size_bytes() < 2 * first_record
+    threshold = first_record // 2 if forced else first_record
+
+    with tempfile.TemporaryDirectory() as raw:
+        scheduler = open_scheduler(
+            Path(raw),
+            spec.program,
+            durability_options=DurabilityOptions(checkpoint_wal_bytes=threshold),
+        )
+        stats, wal = scheduler.durability.stats, scheduler.durability.wal
+        first = scheduler.prepare_batch(journal(scheduler, ahead))
+        journaled_ahead = journal(scheduler, behind)
+        assert scheduler.apply_prepared(first).ok
+        assert stats.checkpoints == int(forced)
+        assert wal.size_bytes() >= threshold
+        assert scheduler.apply_prepared(scheduler.prepare_batch(journaled_ahead)).ok
+        assert stats.checkpoints == 1 + int(forced)
+        assert wal.size_bytes() == 0
+        expected = view_keys(scheduler.view)
+        again = open_scheduler(Path(raw), spec.program, durability_options=LAZY)
+        assert view_keys(again.view) == expected

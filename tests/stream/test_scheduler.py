@@ -16,7 +16,11 @@ from repro.maintenance import (
     insert_atom,
 )
 from repro.stream import ExternalChangeNotice, StreamOptions, StreamScheduler
-from repro.workloads import make_layered_program, stream_batches
+from repro.workloads import (
+    make_interval_program,
+    make_layered_program,
+    stream_batches,
+)
 
 TWO_TOWER_RULES = """
 left(X) <- X = 1.
@@ -86,9 +90,13 @@ class TestBatchedApplication:
         assert scheduler.verify(UNIVERSE)
 
     def test_batch_costs_less_than_one_at_a_time(self):
-        spec = make_layered_program(
-            base_facts=8, layers=2, predicates_per_layer=2, fanin=2, seed=3
-        )
+        # Interval facts: the batch's deletions narrow the same entries, so
+        # their propagation cones overlap and one pass checks each replaced
+        # entry once where one pass per request checks it once per request.
+        # (On disjoint cones -- ground facts -- a batch saves no counted
+        # work any more: the per-request closure sweep it used to amortise
+        # is gone from both sides.)
+        spec = make_interval_program(predicates=3, intervals_per_predicate=2, seed=3)
         solver = ConstraintSolver()
         initial = compute_tp_fixpoint(spec.program, solver)
         batch = stream_batches(spec, 1, deletions=3, insertions=2, seed=5)[0]
@@ -104,6 +112,50 @@ class TestBatchedApplication:
         )
         stats = scheduler.apply_batch(batch.requests).stats
         assert stats.derivation_attempts + stats.solver_calls < sequential_cost
+
+    @pytest.mark.parametrize("algorithm", ["stdel", "dred"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_batch_computes_its_program_edits_once(
+        self, monkeypatch, algorithm, workers
+    ):
+        import repro.stream.scheduler as module
+
+        calls = []
+        for name in ("deletion_rewrite", "insertion_rewrite"):
+
+            def counted(*args, _original=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        program = parse_program(TWO_TOWER_RULES)
+        scheduler = StreamScheduler(
+            program,
+            ConstraintSolver(),
+            options=StreamOptions(deletion_algorithm=algorithm, max_workers=workers),
+        )
+        result = scheduler.apply_batch(
+            [
+                deletion("left(X) <- X = 1"),
+                insertion("left(X) <- X = 7"),
+                deletion("right(X) <- X = 11"),
+            ]
+        )
+        assert result.ok and len(result.stats.units) == 2
+        # Per unit: its deletions' rewrite of the effective program (and,
+        # under DRed, of the deletion program), reused by its insertion
+        # pass; the left unit's Add facts.  The batch and the commit take
+        # the units' programs over.  Parallel units all start from the
+        # batch's programs, so the second one's edits are replayed on top
+        # of the first one's.
+        per_unit = 2 if algorithm == "dred" else 1
+        replayed = per_unit if workers > 1 else 0
+        assert calls.count("deletion_rewrite") == 2 * per_unit + replayed
+        assert calls.count("insertion_rewrite") == 1
+        effective = scheduler.effective_program
+        assert [c.number for c in program if effective.clause(c.number) is not c] == [1, 3]
+        assert len(effective) == len(program) + 1
+        assert scheduler.verify(UNIVERSE)
 
     def test_coalescing_shrinks_the_applied_batch(self):
         program = parse_program(TWO_TOWER_RULES)

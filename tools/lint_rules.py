@@ -42,6 +42,15 @@ Two invariant families are load-bearing enough to enforce textually:
    annotated dataclass field in exactly one file under ``src/`` -- a second
    declaration is a second configuration that can disagree with the first.
 
+6. **Update cost follows the change.**  A maintenance pass finds the
+   entries a request can overlap through
+   ``repro.datalog.join.overlap_candidates`` (an argument-index probe; the
+   shard scan is its fallback) and reserves fresh names against the shards'
+   name tables (``variable_name_tables``).  ``.entries_for(`` outside the
+   datalog layer -- DRed's purge count excepted -- or a call of
+   ``all_variable_names(`` anywhere in ``src/`` would be a shard-sized walk
+   back on the stream path.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/ (exit 1 on findings)
@@ -102,6 +111,23 @@ RULES: Tuple[Tuple[re.Pattern, Tuple[str, ...], str], ...] = (
         ("repro/datalog/join.py",),
         "indexed delta-join machinery referenced outside the join kernel "
         "(go through DeltaRound)",
+    ),
+    (
+        re.compile(r"\ball_variable_names\s*\("),
+        ("repro/datalog/view.py",),
+        "all_variable_names() copies every shard's names per call (reserve "
+        "fresh names through make_fresh_factory / variable_name_tables)",
+    ),
+    (
+        re.compile(r"\.entries_for\s*\("),
+        (
+            "repro/datalog/view.py",
+            "repro/datalog/join.py",
+            "repro/datalog/fixpoint.py",
+            "repro/maintenance/delete_dred.py",
+        ),
+        "shard scan in a maintenance pass (look the entries a request can "
+        "overlap up with repro.datalog.join.overlap_candidates)",
     ),
 )
 
