@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import attrgetter
 from typing import (
     Callable,
@@ -545,14 +546,65 @@ def _overlap_query(
     return None
 
 
+def _without(delta_keys, pool: Sequence) -> tuple:
+    """*pool* minus the round's delta entries (the ``old`` pool)."""
+    return tuple(entry for entry in pool if entry.key() not in delta_keys)
+
+
+class _DeferredPool:
+    """A positional pool of the indexed join, built only if it is read.
+
+    The indexed join asks a pool whether it is empty for every clause and
+    reads its items only for a body position none of whose arguments is
+    bound yet, so the length is worked out up front (from the shard's length
+    and the delta's keys) and the tuple on first use.  Compares equal to the
+    tuple it stands for.  The builder must not refer to the round: a round
+    that is its own garbage cycle keeps its view alive until the collector
+    finds it.
+    """
+
+    __slots__ = ("_size", "_build", "_items")
+
+    def __init__(self, size: int, build: Callable[[], tuple]) -> None:
+        self._size = size
+        self._build = build
+        self._items: Optional[tuple] = None
+
+    def _tuple(self) -> tuple:
+        items = self._items
+        if items is None:
+            items = self._items = self._build()
+        return items
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator:
+        return iter(self._tuple())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _DeferredPool):
+            other = other._tuple()
+        return self._tuple() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 class DeltaRound:
     """One round of *delta* against *view* under a seed policy: the
     selected clauses, their join pools and the probes.
 
     Iterating yields ``(clause, premises, derived constrained atom)`` for
     every enumerated combination whose clause application succeeds, clause
-    by clause in clause-number order.  The view must not be mutated while
-    the round is being iterated.
+    by clause in clause-number order.
+
+    **The view must not be mutated until the round has been iterated to the
+    end.**  Probes read the view as the iteration reaches them, and under
+    the indexed join the positional pools do too (:meth:`pools_for` defers
+    them): a round is a function of the view it was built over only while
+    that view stands still.  Every consumer collects a round's derivations
+    before it applies them (``FixpointEngine._derive_round``, the ``P_ADD``
+    loop of ``insert.py``, DRed's ``P_OUT`` loop).
     """
 
     def __init__(
@@ -645,20 +697,39 @@ class DeltaRound:
 
         return probe_old, probe_full
 
-    def pools_for(self, body_atom: Atom) -> Tuple[tuple, tuple, tuple]:
-        """The ``(full, old, delta)`` pools of one body atom, cached per round."""
+    def pools_for(self, body_atom: Atom) -> Tuple[Sequence, Sequence, tuple]:
+        """The ``(full, old, delta)`` pools of one body atom, cached per round.
+
+        The scan join reads every pool, so it gets tuples.  The indexed join
+        gets ``full`` and ``old`` deferred (:class:`_DeferredPool`): a round
+        whose every join position is bound by its delta never walks the
+        predicate's entries at all.
+        """
         group = self._group(body_atom)
         cached = self._pools.get(group)
         if cached is None:
-            full = self._view.entries_for(body_atom.predicate)
+            view, predicate = self._view, body_atom.predicate
             fresh = tuple(self._delta.get(group, ()))
+            if self._probes is None:
+                full: Sequence = view.entries_for(predicate)
+            else:
+                shard = view.shard_for(predicate)
+                full = _DeferredPool(
+                    len(shard) if shard is not None else 0,
+                    partial(view.entries_for, predicate),
+                )
             if not fresh or self._seed is Seed.FRONTIER:
                 old = full
             elif self._seed is Seed.ALL_DELTA:
                 old = ()
+            elif self._probes is None:
+                old = _without(self._delta_keys, full)
             else:
-                old = tuple(
-                    entry for entry in full if entry.key() not in self._delta_keys
+                # Every delta key the shard holds is one entry less.
+                keys = {entry.key() for entry in fresh}
+                held = sum(map(shard.contains_key, keys)) if shard is not None else 0
+                old = _DeferredPool(
+                    len(full) - held, partial(_without, self._delta_keys, full)
                 )
             cached = self._pools[group] = (full, old, fresh)
         return cached

@@ -36,6 +36,15 @@ class Support:
         for child in self.children:
             if not isinstance(child, Support):
                 raise ProgramError(f"support child is not a Support: {child!r}")
+        # Supports key the view's per-support and child-support tables, which
+        # hash every key on every operation: computed here, once, from the
+        # children's stored hashes instead of recursively per lookup.
+        object.__setattr__(
+            self, "_hash", hash((self.clause_number, self.children))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     # Structure

@@ -7,14 +7,20 @@ provides the container used by the fixpoint operators, the maintenance
 algorithms and the mediator.
 
 Storage is **sharded by predicate**: every predicate's entries and indexes
-live in their own :class:`PredicateShard`, and :class:`MaterializedView` is a
-copy-on-write façade over the shard map.  ``copy()`` shares shard pointers
-and only clones a shard when it is first written, so a maintenance pass over
-a view pays copy cost proportional to the predicates it actually touches --
-the paper's delta-proportionality carried into the storage layer -- and the
+live in their own :class:`~repro.datalog.shard.PredicateShard`, and
+:class:`MaterializedView` is a copy-on-write façade over the shard map.
+``copy()`` shares shard pointers and only clones a shard when it is first
+written, and a clone shares its tables with the shard it was cloned from
+part by part (see :mod:`repro.datalog.shard`), so a maintenance pass over a
+view pays copy cost proportional to the entries it actually writes -- the
+paper's delta-proportionality carried into the storage layer -- and the
 stream scheduler can run independent stratum units in parallel against the
 same base shards, publishing by swapping shard pointers instead of merging
 whole views.
+
+This module keeps the entry type, the interval helpers and the façade, and
+still exports the storage names its callers import from here (``UNBOUND``,
+``PredicateShard``, ``_SortedValueWindow``).
 """
 
 from __future__ import annotations
@@ -32,8 +38,6 @@ from typing import (
     Tuple,
 )
 
-import bisect
-
 from repro.constraints.ast import Constraint, conjoin, tuple_equalities
 from repro.constraints.simplify import canonical_form, extract_bindings
 from repro.constraints.solver import (
@@ -42,27 +46,19 @@ from repro.constraints.solver import (
     PROFILE_UNKNOWN as _UNKNOWN,
     build_argument_profile,
     intersect_intervals as _intersect_intervals,
-    interval_excludes as _interval_excludes,
-    intervals_disjoint as _intervals_disjoint,
 )
 from repro.constraints.terms import Constant, FreshVariableFactory, Variable
 from repro.datalog.atoms import Atom, ConstrainedAtom
+from repro.datalog.shard import (
+    UNBOUND,
+    PredicateShard,
+    _RangePostings,
+    _SortedValueWindow,
+)
 from repro.datalog.support import Support
 from repro.errors import ProgramError, ShardSanitizerError, WriteScopeError
 from repro.sanitizer import sanitizer_enabled
 
-
-class _UnboundArgument:
-    """Sentinel: an atom argument not pinned to a constant by the constraint."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unbound>"
-
-
-#: Marks argument positions whose value the constraint does not determine.
-UNBOUND = _UnboundArgument()
 
 #: Sentinel: "compute the evaluator's version token here".  Callers on the
 #: hot join path (probe pairs, interval getters) fetch the token once per
@@ -307,828 +303,6 @@ class ViewEntry:
         return f"{self.atom} <- {self.constraint}   {self.support}"
 
 
-class _IndexedSlots:
-    """An insertion-ordered entry sequence with O(1) add/remove/replace.
-
-    Entries live in a slot list; removal tombstones the slot and the list is
-    compacted once tombstones dominate, so amortized cost stays O(1) while
-    insertion order (and the position of in-place replacements) is preserved.
-    """
-
-    __slots__ = ("_slots", "_pos", "_dead")
-
-    def __init__(self) -> None:
-        self._slots: List[Optional[ViewEntry]] = []
-        self._pos: Dict[object, int] = {}
-        self._dead = 0
-
-    def __len__(self) -> int:
-        return len(self._pos)
-
-    def __iter__(self) -> Iterator[ViewEntry]:
-        for entry in self._slots:
-            if entry is not None:
-                yield entry
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._pos
-
-    def copy(self) -> "_IndexedSlots":
-        dup = _IndexedSlots.__new__(_IndexedSlots)
-        dup._slots = list(self._slots)
-        dup._pos = dict(self._pos)
-        dup._dead = self._dead
-        return dup
-
-    def add(self, key: object, entry: ViewEntry) -> None:
-        self._pos[key] = len(self._slots)
-        self._slots.append(entry)
-
-    def remove(self, key: object) -> None:
-        index = self._pos.pop(key)
-        self._slots[index] = None
-        self._dead += 1
-        if self._dead > len(self._pos) and self._dead > 8:
-            self._compact()
-
-    def replace(self, old_key: object, new_key: object, entry: ViewEntry) -> None:
-        index = self._pos.pop(old_key)
-        self._pos[new_key] = index
-        self._slots[index] = entry
-
-    def first(self) -> Optional[ViewEntry]:
-        for entry in self._slots:
-            if entry is not None:
-                return entry
-        return None
-
-    def to_tuple(self) -> Tuple[ViewEntry, ...]:
-        if not self._dead:
-            return tuple(self._slots)
-        return tuple(entry for entry in self._slots if entry is not None)
-
-    def _compact(self) -> None:
-        live = [
-            (key, self._slots[index])
-            for key, index in sorted(self._pos.items(), key=lambda item: item[1])
-        ]
-        self._slots = [entry for _, entry in live]
-        self._pos = {key: index for index, (key, _) in enumerate(live)}
-        self._dead = 0
-
-
-class _SortedValueWindow:
-    """Sorted numeric bound values of one argument-index slot.
-
-    ``probe_range``'s overlap path used to scan *every* distinct bound value
-    of the slot linearly; this keeps the numeric values in a sorted list so
-    an interval query bisects its window instead (the ROADMAP's "sorted
-    value list with a bisected query window").  Values that cannot serve as
-    an **exact** float sort key -- non-numbers, bools, NaN, and ints whose
-    ``float()`` rounding moves them (so a bisected window could cut them
-    off) -- are kept aside and offered to every query; the caller's
-    ``_interval_excludes`` screens them exactly as the linear scan did, so
-    results are unchanged.
-
-    Removals tombstone (the sorted list keeps the value until compaction);
-    the live set is the authority, mirroring ``_RangePostings``.
-    """
-
-    __slots__ = ("_sorted", "_live", "_other", "_dead")
-
-    def __init__(self) -> None:
-        self._sorted: List[float] = []
-        self._live: set = set()
-        self._other: set = set()
-        self._dead = 0
-
-    @staticmethod
-    def _window_key(value: object) -> Optional[float]:
-        """The value's exact float sort key, or ``None`` when it has none.
-
-        A key is only usable when ``float(value) == value`` *exactly*: huge
-        ints round (``2**53 + 1`` becomes ``2**53``), so bisecting on the
-        rounded key could place the value outside a query window that a
-        linear scan would include -- the value must then be screened by the
-        exact per-value check instead.  NaN (never equal to itself) and
-        overflowing ints land in the same bucket, which also fixes the old
-        leak where an overflowing int filed under ``_other`` on ``add`` was
-        never discarded (the numeric ``discard`` path could not find it).
-        """
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return None
-        try:
-            key = float(value)
-        except OverflowError:  # int beyond float range: cannot be windowed
-            return None
-        if key != value:  # rounded (huge int) or NaN: bisect would misplace
-            return None
-        return key
-
-    def copy(self) -> "_SortedValueWindow":
-        dup = _SortedValueWindow.__new__(_SortedValueWindow)
-        dup._sorted = list(self._sorted)
-        dup._live = set(self._live)
-        dup._other = set(self._other)
-        dup._dead = self._dead
-        return dup
-
-    def add(self, value: object) -> None:
-        key = self._window_key(value)
-        if key is None:
-            self._other.add(value)
-            return
-        if value in self._live:
-            return
-        self._live.add(value)
-        bisect.insort(self._sorted, key)
-
-    def discard(self, value: object) -> None:
-        key = self._window_key(value)
-        if key is None:
-            self._other.discard(value)
-            return
-        if value in self._live:
-            self._live.discard(value)
-            self._dead += 1
-            if self._dead > len(self._live) and self._dead > 8:
-                self._compact()
-
-    def _compact(self) -> None:
-        live_keys = {float(value) for value in self._live}
-        self._sorted = sorted(live_keys)
-        self._dead = 0
-
-    def window(self, interval: _Interval) -> Iterator[object]:
-        """Values the query *interval* could admit (superset; exact filter
-        stays with the caller's ``_interval_excludes`` check)."""
-        low = bisect.bisect_left(self._sorted, interval.low)
-        high = bisect.bisect_right(self._sorted, interval.high)
-        previous = None
-        for key in self._sorted[low:high]:
-            if key == previous:  # tombstoned duplicates collapse to one probe
-                continue
-            previous = key
-            yield key
-        yield from self._other
-
-    def candidate_values(self, interval: _Interval, buckets: Dict[object, Dict]):
-        """The slot's bound values admitted by *interval*, bucket-resolved.
-
-        The sorted window yields float keys; the bucket dictionary's own
-        hashing resolves them to the stored values (``3`` and ``3.0`` hash
-        and compare alike), and every candidate -- windowed numerics and
-        non-numeric leftovers -- is screened by ``_interval_excludes``
-        exactly like the linear scan this replaces.
-
-        A bucket is yielded at most once: a straggler that compares equal
-        to a windowed numeric (``True`` vs ``1``, ``Decimal('3.5')`` vs
-        ``3.5``) resolves to the *same* bucket dictionary, and the linear
-        scan this replaces -- which iterated distinct bucket keys -- never
-        returned a bucket twice.
-        """
-        emitted: set = set()
-        for value in self.window(interval):
-            if _interval_excludes(interval, value):
-                continue
-            members = buckets.get(value)
-            if members:
-                ident = id(members)
-                if ident in emitted:
-                    continue
-                emitted.add(ident)
-                yield from members.items()
-
-
-class _RangePostings:
-    """A sorted interval list for one per-position index slot.
-
-    Holds the entries of the slot's *unbound* bucket that carry a numeric
-    interval at the position, sorted by interval lower bound, so a probe for
-    a value (or an overlap query) only scans the prefix whose lower bounds
-    can admit it.  Entries without an interval stay in the plain unbound
-    bucket and are returned by every probe, as before.  Removals tombstone;
-    the list is compacted once tombstones dominate.
-    """
-
-    __slots__ = ("_items", "_bounds", "_dead", "_counter")
-
-    def __init__(self) -> None:
-        #: ``(low, low_strict_rank, tiebreak, key)`` sorted ascending.  The
-        #: monotonic tiebreak keeps tuples comparable (keys never compared),
-        #: makes the order deterministic for equal lower bounds, and -- held
-        #: alongside the bounds entry -- identifies the one live item of a
-        #: key, so stale items from remove/re-add cycles are recognized by
-        #: both the scans and the compaction.
-        self._items: List[Tuple[float, int, int, object]] = []
-        self._bounds: Dict[object, Tuple[_Interval, ViewEntry, int]] = {}
-        self._dead = 0
-        self._counter = 0
-
-    def __len__(self) -> int:
-        return len(self._bounds)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._bounds
-
-    def copy(self) -> "_RangePostings":
-        dup = _RangePostings.__new__(_RangePostings)
-        dup._items = list(self._items)
-        dup._bounds = dict(self._bounds)
-        dup._dead = self._dead
-        dup._counter = self._counter
-        return dup
-
-    def add(self, key: object, entry: ViewEntry, interval: _Interval) -> None:
-        if key in self._bounds:
-            self.remove(key)
-        self._counter += 1
-        self._bounds[key] = (interval, entry, self._counter)
-        bisect.insort(
-            self._items,
-            (interval.low, int(interval.low_strict), self._counter, key),
-        )
-
-    def remove(self, key: object) -> None:
-        if self._bounds.pop(key, None) is None:
-            return
-        self._dead += 1
-        if self._dead > len(self._bounds) and self._dead > 8:
-            self._compact()
-
-    def _compact(self) -> None:
-        live = {counter for _, _, counter in self._bounds.values()}
-        self._items = [item for item in self._items if item[2] in live]
-        self._dead = 0
-
-    def _scan(self, upper: float) -> Iterator[Tuple[object, _Interval, ViewEntry]]:
-        """Live postings whose lower bound is at most *upper*.
-
-        A key removed and re-added leaves its old sort item as a tombstone
-        next to the fresh one; matching the item's tiebreak against the
-        live posting's yields each key exactly once, from the item carrying
-        the authoritative interval.
-        """
-        limit = bisect.bisect_right(self._items, (upper, 2))
-        for _, _, counter, key in self._items[:limit]:
-            found = self._bounds.get(key)
-            if found is None or found[2] != counter:
-                continue
-            yield key, found[0], found[1]
-
-    def probe_value(self, value: object) -> List[Tuple[object, ViewEntry]]:
-        """Entries whose interval can admit *value* (conservative for bools)."""
-        if isinstance(value, bool):
-            # Mirror the quick-reject pre-filter: the solver coerces bools in
-            # numeric comparisons, so range postings venture no opinion.
-            return self.entries()
-        if not isinstance(value, (int, float)):
-            # Non-numeric values can only satisfy trivial intervals, and
-            # trivial intervals are never posted -- nothing matches.
-            return []
-        try:
-            upper = float(value)
-        except OverflowError:
-            # int beyond float range: scan everything; the exact
-            # containment filter below still decides precisely (Python
-            # compares big ints against floats without converting).
-            upper = float("inf")
-        return [
-            (key, entry)
-            for key, interval, entry in self._scan(upper)
-            if not _interval_excludes(interval, value)
-        ]
-
-    def probe_overlap(self, query: _Interval) -> List[Tuple[object, ViewEntry]]:
-        """Entries whose interval overlaps *query*."""
-        return [
-            (key, entry)
-            for key, interval, entry in self._scan(query.high)
-            if not _intervals_disjoint(interval, query)
-        ]
-
-    def entries(self) -> List[Tuple[object, ViewEntry]]:
-        """All live ``(key, entry)`` postings, in no particular order."""
-        return [(key, entry) for key, (_, entry, _) in self._bounds.items()]
-
-    def snapshot_rows(self) -> List[Tuple[str, str]]:
-        """Canonical ``(interval repr, entry key)`` rows for the tests."""
-        rows = []
-        for key, (interval, _, _) in self._bounds.items():
-            lo = "(" if interval.low_strict else "["
-            hi = ")" if interval.high_strict else "]"
-            rows.append((f"{lo}{interval.low}, {interval.high}{hi}", str(key)))
-        return rows
-
-
-class _ArgSlot:
-    """Argument-index state of one argument position inside one shard.
-
-    Bundling the per-position bound buckets, unbound bucket, range postings
-    and sorted value window into one object gives lazy index builds an
-    atomic publication point: a build constructs a *complete* replacement
-    slot and swaps it in with a single assignment, so a concurrent reader
-    holding the old slot object always sees a consistent (postings-free,
-    unbound-complete) superset state.  Shared shards are read-only apart
-    from these swaps -- writers always operate on a copy-on-write clone --
-    which is what makes the stream scheduler's parallel units safe without
-    per-probe locking.
-    """
-
-    __slots__ = ("bound", "unbound", "postings", "postings_gate", "window")
-
-    def __init__(self) -> None:
-        #: bound value -> {entry key -> entry}
-        self.bound: Dict[object, Dict[object, ViewEntry]] = {}
-        #: entry key -> entry (position not pinned, no posted interval)
-        self.unbound: Dict[object, ViewEntry] = {}
-        self.postings: Optional[_RangePostings] = None
-        #: ``(evaluator, version token)`` the postings were built under.
-        #: Kept on the slot -- not the shard -- so an evaluator change is
-        #: handled per slot by one more atomic slot swap; shard-level gate
-        #: fields would need a multi-step reset that a concurrent reader
-        #: could observe half-done.
-        self.postings_gate: Optional[Tuple[object, object]] = None
-        self.window: Optional[_SortedValueWindow] = None
-
-    def copy(self) -> "_ArgSlot":
-        dup = _ArgSlot()
-        dup.bound = {value: dict(members) for value, members in self.bound.items()}
-        dup.unbound = dict(self.unbound)
-        dup.postings = self.postings.copy() if self.postings is not None else None
-        dup.postings_gate = self.postings_gate
-        dup.window = self.window.copy() if self.window is not None else None
-        return dup
-
-
-class PredicateShard:
-    """Entries and indexes of one predicate.
-
-    Everything the monolithic view used to keep in global maps keyed by
-    ``(predicate, ...)`` lives here scoped to a single predicate: the
-    insertion-ordered entry sequence, the per-support groups, the
-    child-support -> parent index, and the per-position argument slots
-    (bound-value buckets, unbound bucket, range postings, sorted value
-    window).  The façade owns the cross-predicate glue -- global sequence
-    numbers (kept in ``_seq`` here, allocated by the façade) and the merge
-    of per-shard answers for support lookups and snapshots.
-
-    Mutating methods must only be called on shards the owning view has
-    checked out (see :meth:`MaterializedView._writable_shard`); read paths
-    may run concurrently on shared shards, and every lazy index build
-    publishes fully-built state with a single atomic assignment.
-    """
-
-    __slots__ = (
-        "predicate",
-        "_entries",
-        "_by_support",
-        "_child_index",
-        "_arg",
-        "_seq",
-        "_names",
-        "_shared",
-    )
-
-    def __init__(self, predicate: str) -> None:
-        self.predicate = predicate
-        self._entries = _IndexedSlots()
-        self._by_support: Dict[Support, _IndexedSlots] = {}
-        #: ``None`` until the first :meth:`parents_of` probe builds it; after
-        #: that it is maintained incrementally by every mutation.
-        self._child_index: Optional[Dict[Support, _IndexedSlots]] = None
-        self._arg: Dict[int, _ArgSlot] = {}
-        #: entry key -> global sequence number (façade-allocated).
-        self._seq: Dict[object, int] = {}
-        #: Variable name -> number of entries mentioning it.  ``None`` until
-        #: :meth:`variable_names` first builds it; every mutation keeps it
-        #: current after that.
-        self._names: Optional[Dict[str, int]] = None
-        #: Sanitizer flag: set (only while ``REPRO_SHARD_SANITIZER`` is on)
-        #: when another view may reference this shard; armed shards refuse
-        #: mutation until copy-on-write clones them.
-        self._shared = False
-
-    # ------------------------------------------------------------------
-    # Container basics
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[ViewEntry]:
-        return iter(self._entries)
-
-    def contains_key(self, key: object) -> bool:
-        return key in self._entries
-
-    def to_tuple(self) -> Tuple[ViewEntry, ...]:
-        return self._entries.to_tuple()
-
-    def copy(self) -> "PredicateShard":
-        dup = PredicateShard(self.predicate)
-        dup._entries = self._entries.copy()
-        dup._by_support = {
-            support: group.copy() for support, group in self._by_support.items()
-        }
-        if self._child_index is not None:
-            dup._child_index = {
-                child: group.copy() for child, group in self._child_index.items()
-            }
-        dup._arg = {position: slot.copy() for position, slot in self._arg.items()}
-        dup._seq = dict(self._seq)
-        if self._names is not None:
-            dup._names = dict(self._names)
-        return dup
-
-    def _reject_shared_write(self) -> None:
-        """Sanitizer trip: a mutator ran on a shard another view references.
-
-        Only reachable while ``REPRO_SHARD_SANITIZER`` armed the flag at
-        share time: every legal write path goes through the façade's
-        copy-on-write (:meth:`MaterializedView._writable_shard`), which
-        clones a borrowed shard -- and the clone is private -- before
-        mutating it.
-        """
-        raise ShardSanitizerError(
-            f"mutation of shared shard {self.predicate!r}: the shard is "
-            "referenced by a published view; writes must go through a "
-            "checked-out copy (copy-on-write), not the shared pointer"
-        )
-
-    # ------------------------------------------------------------------
-    # Mutation (writable shards only)
-    # ------------------------------------------------------------------
-    def add(self, key: object, entry: ViewEntry) -> None:
-        if self._shared:
-            self._reject_shared_write()
-        self._entries.add(key, entry)
-        group = self._by_support.get(entry.support)
-        if group is None:
-            group = self._by_support[entry.support] = _IndexedSlots()
-        group.add(key, entry)
-        if self._child_index is not None:
-            for child in dict.fromkeys(entry.support.children):
-                parents = self._child_index.get(child)
-                if parents is None:
-                    parents = self._child_index[child] = _IndexedSlots()
-                parents.add(key, entry)
-        self._index_arguments(key, entry)
-        if self._names is not None:
-            self._count_names(self._names, entry, 1)
-
-    def remove(self, key: object, entry: ViewEntry) -> None:
-        if self._shared:
-            self._reject_shared_write()
-        self._entries.remove(key)
-        self._by_support[entry.support].remove(key)
-        if self._child_index is not None:
-            for child in dict.fromkeys(entry.support.children):
-                self._child_index[child].remove(key)
-        self._unindex_arguments(key, entry)
-        if self._names is not None:
-            self._count_names(self._names, entry, -1)
-
-    def replace(
-        self, old_key: object, new_key: object, old: ViewEntry, new: ViewEntry
-    ) -> None:
-        """Swap *old* for *new* in place (same predicate, slot preserved)."""
-        if self._shared:
-            self._reject_shared_write()
-        self._entries.replace(old_key, new_key, new)
-        group = self._by_support[old.support]
-        if new.support == old.support:
-            group.replace(old_key, new_key, new)
-            if self._child_index is not None:
-                for child in dict.fromkeys(old.support.children):
-                    self._child_index[child].replace(old_key, new_key, new)
-        else:  # pragma: no cover - algorithms never change the support
-            group.remove(old_key)
-            fresh = self._by_support.setdefault(new.support, _IndexedSlots())
-            fresh.add(new_key, new)
-            if self._child_index is not None:
-                for child in dict.fromkeys(old.support.children):
-                    self._child_index[child].remove(old_key)
-                for child in dict.fromkeys(new.support.children):
-                    self._child_index.setdefault(child, _IndexedSlots()).add(
-                        new_key, new
-                    )
-        self._unindex_arguments(old_key, old)
-        self._index_arguments(new_key, new)
-        if self._names is not None:
-            self._count_names(self._names, old, -1)
-            self._count_names(self._names, new, 1)
-
-    # ------------------------------------------------------------------
-    # Variable names
-    # ------------------------------------------------------------------
-    def variable_names(self) -> Dict[str, int]:
-        """The shard's name table: every variable name occurring in an entry
-        (atom or constraint), with the number of entries mentioning it.
-
-        Built on first use and published with one assignment, like the
-        child-support index; read-only for callers.
-        """
-        names = self._names
-        if names is None:
-            names = {}
-            for entry in self._entries:
-                self._count_names(names, entry, 1)
-            self._names = names
-        return names
-
-    @staticmethod
-    def _count_names(names: Dict[str, int], entry: ViewEntry, step: int) -> None:
-        for variable in entry.constrained_atom.variables():
-            count = names.get(variable.name, 0) + step
-            if count:
-                names[variable.name] = count
-            else:
-                del names[variable.name]
-
-    # ------------------------------------------------------------------
-    # Support lookups
-    # ------------------------------------------------------------------
-    def first_by_support(self, support: Support) -> Optional[ViewEntry]:
-        group = self._by_support.get(support)
-        return group.first() if group is not None else None
-
-    def all_by_support(self, support: Support) -> Tuple[ViewEntry, ...]:
-        group = self._by_support.get(support)
-        return group.to_tuple() if group is not None else ()
-
-    def count_by_support(self, support: Support) -> int:
-        group = self._by_support.get(support)
-        return len(group) if group is not None else 0
-
-    def parents_of(self, support: Support) -> Tuple[ViewEntry, ...]:
-        index = self._ensure_child_index()
-        group = index.get(support)
-        return group.to_tuple() if group is not None else ()
-
-    def _ensure_child_index(self) -> Dict[Support, _IndexedSlots]:
-        """Build the child-support index on first use (lazy, then live).
-
-        The index is assembled fully before the single publishing
-        assignment, so concurrent readers of a shared shard either see the
-        complete index or build their own identical one.
-        """
-        index = self._child_index
-        if index is None:
-            index = {}
-            for entry in self._entries:
-                key = entry.key()
-                for child in dict.fromkeys(entry.support.children):
-                    parents = index.get(child)
-                    if parents is None:
-                        parents = index[child] = _IndexedSlots()
-                    parents.add(key, entry)
-            self._child_index = index
-        return index
-
-    # ------------------------------------------------------------------
-    # Argument index
-    # ------------------------------------------------------------------
-    def _index_arguments(self, key: object, entry: ViewEntry) -> None:
-        for position, value in enumerate(entry.bound_args()):
-            slot = self._arg.get(position)
-            if slot is None:
-                slot = self._arg[position] = _ArgSlot()
-            if value is UNBOUND:
-                if slot.postings is not None:
-                    gate = slot.postings_gate or (None, None)
-                    interval = entry.arg_intervals(gate[0], gate[1])[position]
-                    if interval is not None:
-                        slot.postings.add(key, entry, interval)
-                        continue
-                slot.unbound[key] = entry
-                continue
-            try:
-                slot.bound.setdefault(value, {})[key] = entry
-                if slot.window is not None:
-                    slot.window.add(value)
-            except TypeError:  # unhashable constant: keep it probe-visible
-                slot.unbound[key] = entry
-
-    def _unindex_arguments(self, key: object, entry: ViewEntry) -> None:
-        for position, value in enumerate(entry.bound_args()):
-            slot = self._arg.get(position)
-            if slot is None:  # pragma: no cover - slots exist for all positions
-                continue
-            if value is not UNBOUND:
-                try:
-                    members = slot.bound.get(value)
-                    if members is not None and key in members:
-                        del members[key]
-                        if not members:
-                            del slot.bound[value]
-                            if slot.window is not None:
-                                slot.window.discard(value)
-                        continue
-                except TypeError:
-                    pass  # was filed under the unbound bucket on the way in
-            if slot.unbound.pop(key, None) is not None:
-                continue
-            if slot.postings is not None:
-                slot.postings.remove(key)
-
-    def probe(self, position: int, value: object) -> Optional[Tuple[ViewEntry, ...]]:
-        """Entries that can carry *value* at *position* (``None``: fall back).
-
-        Returns ``None`` for unhashable values, telling the façade to fall
-        back to the full per-predicate pool.
-        """
-        slot = self._arg.get(position)
-        if slot is None:
-            return ()
-        try:
-            matched = slot.bound.get(value)
-        except TypeError:
-            return None
-        candidates = list(matched.items()) if matched else []
-        if slot.unbound:
-            candidates.extend(slot.unbound.items())
-        if slot.postings is not None:
-            # A range-unaware probe must stay a superset: posted entries are
-            # returned unfiltered, exactly as if they still sat in the
-            # unbound bucket.
-            candidates.extend(slot.postings.entries())
-        return self._ordered(candidates)
-
-    def probe_range(
-        self,
-        position: int,
-        query: object,
-        evaluator: Optional[object],
-        token: object,
-    ) -> Optional[Tuple[ViewEntry, ...]]:
-        """Range-aware probe (``None``: fall back to the full pool)."""
-        if isinstance(query, IntervalQuery):
-            interval = query.as_interval()
-            slot = self._ensure_postings(position, evaluator, token)
-            if slot is None:
-                return ()
-            candidates: List[Tuple[object, ViewEntry]] = []
-            if slot.bound:
-                # Bisected window over the slot's sorted distinct bound
-                # values (plus the not-exactly-floatable stragglers,
-                # screened exactly like the linear scan this replaced) --
-                # logarithmic in the number of distinct values instead of
-                # linear.
-                window = self._ensure_window(slot)
-                candidates.extend(window.candidate_values(interval, slot.bound))
-            candidates.extend(slot.postings.probe_overlap(interval))
-        else:
-            probe_slot = self._arg.get(position)
-            if probe_slot is None:
-                return ()
-            try:
-                matched = probe_slot.bound.get(query)
-            except TypeError:
-                return None
-            slot = self._ensure_postings(position, evaluator, token)
-            candidates = list(matched.items()) if matched else []
-            if slot is not None and slot.postings is not None:
-                candidates.extend(slot.postings.probe_value(query))
-            if slot is None:  # pragma: no cover - slot existed above
-                slot = probe_slot
-        if slot.unbound:
-            candidates.extend(slot.unbound.items())
-        return self._ordered(candidates)
-
-    def _ordered(
-        self, candidates: List[Tuple[object, ViewEntry]]
-    ) -> Tuple[ViewEntry, ...]:
-        # A sort (not a two-bucket merge) is required for correctness:
-        # ``replace`` keeps the old sequence number but re-files the entry at
-        # the end of its dict bucket, so bucket order alone is not sequence
-        # order.  Timsort is adaptive, so the common nearly-sorted case
-        # stays effectively linear.
-        sequence = self._seq
-        candidates.sort(key=lambda item: sequence[item[0]])
-        return tuple(entry for _, entry in candidates)
-
-    @staticmethod
-    def _ensure_window(slot: _ArgSlot) -> _SortedValueWindow:
-        """Build (or fetch) the slot's sorted bound-value window.
-
-        Built fully, then published with one assignment; duplicate builds by
-        concurrent readers produce identical windows (last write wins).
-        """
-        window = slot.window
-        if window is None:
-            window = _SortedValueWindow()
-            for value in slot.bound:
-                window.add(value)
-            slot.window = window
-        return window
-
-    def _ensure_postings(
-        self, position: int, evaluator: Optional[object], token: object = _NO_TOKEN
-    ) -> Optional[_ArgSlot]:
-        """Build (or fetch) the range postings of one argument slot.
-
-        Gated on the evaluator's identity *and* its version token: a
-        different evaluator could resolve ``index_interval`` hooks
-        differently, and re-registering a function on the same registry
-        installs a different hook (the token changes, exactly like the
-        solver's external memo gating) -- either way the slot's postings
-        rebuild from scratch before they can serve stale intervals.
-
-        The gate lives on the slot itself (``postings_gate``), so both the
-        first build and an evaluator-change rebuild are one and the same
-        operation: construct a complete replacement ``_ArgSlot`` (stale
-        postings dissolved, fresh postings populated, unbound bucket drained
-        of posted entries, gate recorded) and swap it in with a single
-        assignment.  Concurrent readers of a shared shard always see either
-        the previous complete state or the new complete state -- never a
-        half-drained bucket or a slot whose postings disagree with a
-        shard-level gate field.
-        """
-        if token is _NO_TOKEN:
-            token = evaluator_token(evaluator)
-        slot = self._arg.get(position)
-        if slot is None:
-            return None
-        if slot.postings is not None:
-            gate = slot.postings_gate
-            if gate is not None and gate[0] is evaluator and gate[1] == token:
-                return slot
-        unbound = dict(slot.unbound)
-        if slot.postings is not None:
-            # Stale evaluator/token: dissolve the old postings back into the
-            # unbound pool and re-post under the new hooks.
-            for key, entry in slot.postings.entries():
-                unbound[key] = entry
-        postings = _RangePostings()
-        remaining: Dict[object, ViewEntry] = {}
-        for key, entry in unbound.items():
-            interval = entry.arg_intervals(evaluator, token)[position]
-            if interval is not None:
-                postings.add(key, entry, interval)
-            else:
-                remaining[key] = entry
-        fresh = _ArgSlot()
-        fresh.bound = slot.bound
-        fresh.unbound = remaining
-        fresh.postings = postings
-        fresh.postings_gate = (evaluator, token)
-        fresh.window = slot.window
-        self._arg[position] = fresh
-        return fresh
-
-    # ------------------------------------------------------------------
-    # Snapshot rows (merged and sorted by the façade)
-    # ------------------------------------------------------------------
-    def argument_rows(self) -> List[Tuple[str, int, str, Tuple[str, ...]]]:
-        rows = []
-        for position, slot in self._arg.items():
-            for value, members in slot.bound.items():
-                rows.append(
-                    (
-                        self.predicate,
-                        position,
-                        repr(value),
-                        tuple(sorted(str(key) for key in members)),
-                    )
-                )
-            # Entries moved into range postings still belong to the unbound
-            # partition of the value index; merging them back here keeps the
-            # snapshot independent of whether a slot's postings were built.
-            unbound_keys = [str(key) for key in slot.unbound]
-            if slot.postings is not None:
-                unbound_keys.extend(str(key) for key, _ in slot.postings.entries())
-            if unbound_keys:
-                rows.append(
-                    (self.predicate, position, "<unbound>", tuple(sorted(unbound_keys)))
-                )
-        return rows
-
-    def posting_rows(self) -> List[Tuple[str, int, str, str]]:
-        rows = []
-        for position, slot in self._arg.items():
-            if slot.postings is None:
-                continue
-            for interval_repr, key_repr in slot.postings.snapshot_rows():
-                rows.append((self.predicate, position, interval_repr, key_repr))
-        return rows
-
-    def built_postings(self) -> Dict[int, _RangePostings]:
-        """Positions with built range postings (tests and compat accessors)."""
-        return {
-            position: slot.postings
-            for position, slot in self._arg.items()
-            if slot.postings is not None
-        }
-
-    def built_windows(self) -> Dict[int, _SortedValueWindow]:
-        """Positions with built value windows (tests and compat accessors)."""
-        return {
-            position: slot.window
-            for position, slot in self._arg.items()
-            if slot.window is not None
-        }
-
-
 class MaterializedView:
     """An insertion-ordered collection of :class:`ViewEntry` objects.
 
@@ -1218,7 +392,7 @@ class MaterializedView:
         self._borrowed.update(self._shards)
         if sanitizer_enabled():
             for shard in self._shards.values():
-                shard._shared = True
+                shard.arm()
         return dup
 
     def checkout(self, predicates: Iterable[str]) -> "MaterializedView":
@@ -1288,7 +462,7 @@ class MaterializedView:
             self._borrowed.add(predicate)
             source._borrowed.add(predicate)
             if armed:
-                shard._shared = True
+                shard.arm()
         if source._next_seq > self._next_seq:
             self._next_seq = source._next_seq
         if source._support_hints is not self._support_hints:
@@ -1310,8 +484,13 @@ class MaterializedView:
         ``adopt_shards`` publish.  A shard pointer that differs from the
         base's outside the unit's declared write closure is a torn publish
         in the making -- the adoption would silently drop that write -- so
-        it raises :class:`~repro.errors.ShardSanitizerError` instead.
+        it raises :class:`~repro.errors.ShardSanitizerError` instead.  So does
+        a *base* shard that no longer holds what it held when it was shared:
+        the unit's clones share its containers, and a write that reached one
+        of them without copying it first has changed the published view.
         """
+        for shard in base._shards.values():
+            shard.assert_unwritten()
         allowed_set = set(allowed)
         for predicate, shard in self._shards.items():
             if predicate in allowed_set:
@@ -1338,10 +517,7 @@ class MaterializedView:
         sequence numbers -- everything a shard codec needs to persist.
         Indexes are deliberately absent: they rebuild lazily on load."""
         shard = self._shards.get(predicate)
-        if shard is None:
-            return ()
-        sequence = shard._seq
-        return tuple((entry, sequence[entry.key()]) for entry in shard)
+        return shard.rows() if shard is not None else ()
 
     def import_shard_rows(
         self, predicate: str, rows: Iterable[Tuple["ViewEntry", int]]
@@ -1379,8 +555,7 @@ class MaterializedView:
                 raise ProgramError(
                     f"duplicate entry key in imported shard {predicate!r}: {entry}"
                 )
-            shard._seq[key] = seq
-            shard.add(key, entry)
+            shard.add(key, entry, seq)
             self._record_support_hints(entry)
             if seq >= self._next_seq:
                 self._next_seq = seq + 1
@@ -1419,11 +594,8 @@ class MaterializedView:
             return shards[0].to_tuple()
         decorated: List[Tuple[int, str, ViewEntry]] = []
         for shard in shards:
-            sequence = shard._seq
             predicate = shard.predicate
-            decorated.extend(
-                (sequence[entry.key()], predicate, entry) for entry in shard
-            )
+            decorated.extend((seq, predicate, entry) for entry, seq in shard.rows())
         # Sequence numbers are unique within one lineage; after a parallel
         # publish adopted shards from sibling units they can collide across
         # predicates, so the predicate tiebreak keeps the order total and
@@ -1442,11 +614,8 @@ class MaterializedView:
         existing = self._shards.get(entry.predicate)
         if existing is not None and existing.contains_key(key):
             return False
-        shard = self._writable_shard(entry.predicate)
-        if key not in shard._seq:
-            shard._seq[key] = self._next_seq
-            self._next_seq += 1
-        shard.add(key, entry)
+        self._writable_shard(entry.predicate).add(key, entry, self._next_seq)
+        self._next_seq += 1
         self._record_support_hints(entry)
         self._entries_cache = None
         return True
@@ -1482,9 +651,7 @@ class MaterializedView:
         existing = self._shards.get(entry.predicate)
         if existing is None or not existing.contains_key(key):
             return False
-        shard = self._writable_shard(entry.predicate)
-        shard.remove(key, entry)
-        shard._seq.pop(key, None)
+        self._writable_shard(entry.predicate).remove(key, entry)
         self._entries_cache = None
         return True
 
@@ -1508,13 +675,7 @@ class MaterializedView:
             if new_key != old_key and existing.contains_key(new_key):
                 self.remove(old)
                 return False
-            shard = self._writable_shard(old.predicate)
-            sequence = shard._seq.pop(old_key, None)
-            if sequence is None:
-                sequence = self._next_seq
-                self._next_seq += 1
-            shard._seq[new_key] = sequence
-            shard.replace(old_key, new_key, old, new)
+            self._writable_shard(old.predicate).replace(old_key, new_key, old, new)
             self._record_support_hints(new)
             self._entries_cache = None
             return True
@@ -1524,14 +685,9 @@ class MaterializedView:
                 self.remove(old)
                 return False
             source = self._writable_shard(old.predicate)
-            sequence = source._seq.pop(old_key, None)
+            sequence = source.sequence_of(old_key)
             source.remove(old_key, old)
-            shard = self._writable_shard(new.predicate)
-            if sequence is None:
-                sequence = self._next_seq
-                self._next_seq += 1
-            shard._seq[new_key] = sequence
-            shard.add(new_key, new)
+            self._writable_shard(new.predicate).add(new_key, new, sequence)
             self._record_support_hints(new)
             self._entries_cache = None
             return True
@@ -1583,7 +739,7 @@ class MaterializedView:
             entry = shard.first_by_support(support)
             if entry is None:
                 continue
-            rank = (shard._seq[entry.key()], shard.predicate)
+            rank = (shard.sequence_of(entry.key()), shard.predicate)
             if best_rank is None or rank < best_rank:
                 best, best_rank = entry, rank
         return best
@@ -1609,10 +765,10 @@ class MaterializedView:
             group = shard.all_by_support(support)
             if not group:
                 continue
-            sequence = shard._seq
+            sequence_of = shard.sequence_of
             predicate = shard.predicate
             decorated.extend(
-                (sequence[entry.key()], predicate, entry) for entry in group
+                (sequence_of(entry.key()), predicate, entry) for entry in group
             )
         decorated.sort(key=lambda item: (item[0], item[1]))
         return tuple(item[2] for item in decorated)
@@ -1652,10 +808,10 @@ class MaterializedView:
             group = shard.parents_of(support)
             if not group:
                 continue
-            sequence = shard._seq
+            sequence_of = shard.sequence_of
             predicate = shard.predicate
             decorated.extend(
-                (sequence[entry.key()], predicate, entry) for entry in group
+                (sequence_of(entry.key()), predicate, entry) for entry in group
             )
         decorated.sort(key=lambda item: (item[0], item[1]))
         return tuple(item[2] for item in decorated)
@@ -1670,7 +826,7 @@ class MaterializedView:
         """
         merged: Dict[str, List[str]] = {}
         for shard in self._shards.values():
-            for child, group in shard._ensure_child_index().items():
+            for child, group in shard.child_rows():
                 if len(group):
                     merged.setdefault(str(child), []).extend(
                         str(entry.key()) for entry in group
@@ -1733,7 +889,9 @@ class MaterializedView:
             return ()
         if token is _NO_TOKEN:
             token = evaluator_token(evaluator)
-        result = shard.probe_range(position, query, evaluator, token)
+        if isinstance(query, IntervalQuery):
+            return shard.probe_overlap(position, query.as_interval(), evaluator, token)
+        result = shard.probe_value(position, query, evaluator, token)
         if result is None:
             return shard.to_tuple()
         return result

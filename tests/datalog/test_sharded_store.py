@@ -394,3 +394,203 @@ def test_a_write_to_a_shared_shards_name_table_trips_the_sanitizer(monkeypatch):
     assert view.add(new)
     assert view.all_variable_names() == {"X", "Y"}
     assert published.all_variable_names() == {"X"}
+
+
+# ----------------------------------------------------------------------
+# Structural sharing: a clone shares its tables with the shard it was cloned
+# from, part by part, and a write copies only the containers it reaches
+# ----------------------------------------------------------------------
+#: Several entries of one predicate under the support every inserted fact
+#: carries, and derivations built on it: groups with many members.
+SHARED = Support(0)
+SHARING_SUPPORTS = SUPPORTS + [SHARED, Support(7, (SHARED,)), Support(8, (SHARED, LEAF[0]))]
+PROBE_WINDOW = IntervalQuery(2.0, False, 6.0, False)
+
+sharing_entries = st.builds(
+    lambda predicate, constraint_index, support_index: ViewEntry(
+        Atom(predicate, (X,)),
+        CONSTRAINTS[constraint_index],
+        SHARING_SUPPORTS[support_index],
+    ),
+    predicate=st.sampled_from(PREDICATES),
+    constraint_index=st.integers(min_value=0, max_value=len(CONSTRAINTS) - 1),
+    support_index=st.integers(min_value=0, max_value=len(SHARING_SUPPORTS) - 1),
+)
+
+picks = st.integers(min_value=0, max_value=40)
+
+sharing_writes = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), sharing_entries),
+        st.tuples(st.just("remove"), picks),
+        st.tuples(
+            st.just("replace"),
+            picks,
+            st.integers(min_value=0, max_value=len(CONSTRAINTS) - 1),
+        ),
+        # Enough removals to outnumber what stays: the entry sequence
+        # compacts, and every slot number changes.
+        st.tuples(st.just("churn"), st.sampled_from(PREDICATES)),
+        # A lazy index built on the view being written (a private shard once
+        # it has been written, a shared one before) or on an ancestor.
+        st.tuples(
+            st.just("build"),
+            st.sampled_from(("children", "postings", "window", "names")),
+            st.sampled_from(PREDICATES),
+            st.one_of(st.none(), picks),
+        ),
+    ),
+    max_size=12,
+)
+
+generations = st.lists(
+    st.tuples(st.sampled_from(("copy", "checkout", "adopt", "import")), sharing_writes),
+    min_size=3,
+    max_size=5,
+)
+
+
+def build_lazily(view: MaterializedView, what: str, predicate: str) -> None:
+    if what == "children":
+        view.find_parents_of(SHARED)
+        view.find_parents_of(LEAF[0])
+    elif what == "postings":
+        view.probe_range(predicate, 0, 3)
+    elif what == "window":
+        view.probe_range(predicate, 0, PROBE_WINDOW)
+    else:
+        view.all_variable_names([predicate])
+
+
+def exported(view: MaterializedView):
+    return {
+        predicate: view.export_shard_rows(predicate) for predicate in view.predicates()
+    }
+
+
+def assert_indistinguishable_from_rebuild(view: MaterializedView, rows) -> None:
+    """*view* answers every storage function like a view rebuilt from *rows*
+    (what it exported, now or when a descendant branched off)."""
+    from repro.persist.codec import encode_shard
+
+    reference = MaterializedView()
+    for predicate, shard_rows in rows.items():
+        reference.import_shard_rows(predicate, shard_rows)
+    assert view.predicates() == reference.predicates()
+    assert view.entries == reference.entries
+    for predicate in PREDICATES:
+        shard_rows = rows.get(predicate, ())
+        assert view.export_shard_rows(predicate) == shard_rows
+        assert view.entries_for(predicate) == tuple(entry for entry, _ in shard_rows)
+        assert encode_shard(predicate, view.export_shard_rows(predicate)) == (
+            encode_shard(predicate, shard_rows)
+        )
+        # (A shard emptied by removals stays behind with an empty table.)
+        assert [dict(table) for table in view.variable_name_tables([predicate]) if table] == [
+            dict(table) for table in reference.variable_name_tables([predicate])
+        ]
+        for value in (0, 1, 3, 99):
+            assert view.probe(predicate, 0, value) == reference.probe(predicate, 0, value)
+            assert view.probe_range(predicate, 0, value) == reference.probe_range(
+                predicate, 0, value
+            )
+        assert view.probe_range(predicate, 0, PROBE_WINDOW) == reference.probe_range(
+            predicate, 0, PROBE_WINDOW
+        )
+    # Every slot's postings are built on both sides by now.
+    assert view.range_posting_snapshot() == reference.range_posting_snapshot()
+    assert view.argument_index_snapshot() == reference.argument_index_snapshot()
+    assert view.child_support_snapshot() == reference.child_support_snapshot()
+    for support in SHARING_SUPPORTS:
+        assert view.find_all_by_support(support) == reference.find_all_by_support(support)
+        assert view.find_by_support(support) == reference.find_by_support(support)
+        assert view.find_parents_of(support) == reference.find_parents_of(support)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(sharing_entries, max_size=12), generations)
+def test_a_descendants_writes_never_reach_an_ancestor(initial, chain_of_clones):
+    view = MaterializedView(initial)
+    ancestors = []  # (view a descendant branched off, what it exported then)
+    for how, writes in chain_of_clones:
+        ancestors.append((view, exported(view)))
+        if how == "copy":
+            view = view.copy()
+        elif how == "checkout":
+            view = view.checkout(PREDICATES)
+        elif how == "adopt":
+            unit = view.checkout(PREDICATES[:1])
+            unit.add(make_entry(PREDICATES[0], equals(X, 50 + len(ancestors)), 0))
+            unit.assert_publish_scope(view, PREDICATES[:1])
+            merged = view.copy()
+            merged.adopt_shards(unit, PREDICATES[:1])
+            ancestors.append((unit, exported(unit)))
+            view = merged
+        else:
+            rebuilt = MaterializedView()
+            for predicate, shard_rows in exported(view).items():
+                rebuilt.import_shard_rows(predicate, shard_rows)
+            view = rebuilt
+        for write in writes:
+            kind = write[0]
+            live = view.entries
+            if kind == "add":
+                view.add(write[1])
+            elif kind == "remove" and live:
+                view.remove(live[write[1] % len(live)])
+            elif kind == "replace" and live:
+                old = live[write[1] % len(live)]
+                view.replace(old, old.with_constraint(CONSTRAINTS[write[2]]))
+            elif kind == "churn":
+                passing = [
+                    make_entry(write[1], equals(X, 100 + number), 100 + number)
+                    for number in range(24)
+                ]
+                for entry in passing:
+                    view.add(entry)
+                for entry in passing:
+                    view.remove(entry)
+            elif kind == "build":
+                target = view if write[3] is None else ancestors[write[3] % len(ancestors)][0]
+                build_lazily(target, write[1], write[2])
+    assert_indistinguishable_from_rebuild(view, exported(view))
+    for ancestor, rows in ancestors:
+        assert_indistinguishable_from_rebuild(ancestor, rows)
+
+
+def test_groups_do_not_outlive_their_entries():
+    # Regression: removing an entry left an empty group under its support
+    # (and under each of its premises in the child-support index) forever.
+    # A re-inserted base fact derives under new supports, so every delete /
+    # re-insert pair leaked the groups of the derivations it replaced --
+    # memory, and every copy of those tables, grew with the age of a stream.
+    from repro.datalog.atoms import ConstrainedAtom
+    from repro.maintenance import DeletionRequest, InsertionRequest
+    from repro.stream import StreamOptions, StreamScheduler
+    from repro.workloads import make_layered_program
+
+    spec = make_layered_program(
+        base_facts=40, layers=3, predicates_per_layer=2, fanin=2
+    )
+    scheduler = StreamScheduler(
+        spec.program, ConstraintSolver(), options=StreamOptions(max_workers=1)
+    )
+    X1 = Variable("X1")
+    fact = ConstrainedAtom(Atom("base1", (X1,)), equals(X1, 3))
+
+    def groups_after_a_pair() -> int:
+        for request in (DeletionRequest(fact), InsertionRequest(fact)):
+            assert scheduler.apply_batch([request]).ok
+        view = scheduler.view
+        snapshot = view.child_support_snapshot()  # every child index is built
+        counted = 0
+        for predicate in view.predicates():
+            shard = view.shard_for(predicate)
+            counted += len(shard._by_support) + len(shard._child_index)
+        return counted, len(view), snapshot
+
+    first = groups_after_a_pair()
+    for _ in range(4):
+        later = groups_after_a_pair()
+    assert later == first
+    assert scheduler.verify()

@@ -76,3 +76,22 @@ class TestSupportQueries:
         one = derived(4, (leaf(1),))
         other = derived(4, (leaf(2),))
         assert one != other
+
+    def test_hash_is_computed_once_per_support(self, monkeypatch):
+        # Supports key the view's per-support and child-support tables, and
+        # every table operation hashes its key: the hash is worked out when
+        # the support is built, not by walking the derivation per lookup.
+        deep = derived(5, (derived(4, (leaf(3), leaf(2))), leaf(2)))
+        twin = derived(5, (derived(4, (leaf(3), leaf(2))), leaf(2)))
+        assert deep is not twin and deep == twin
+        assert hash(deep) == hash(twin)
+        assert {deep: "filed"}[twin] == "filed"
+        assert hash(deep) != hash(derived(5, (derived(4, (leaf(3), leaf(1))), leaf(2))))
+        hashed = []
+        original = Support.__hash__
+        monkeypatch.setattr(
+            Support, "__hash__", lambda self: hashed.append(self) or original(self)
+        )
+        assert hash(deep) == hash(twin)
+        # One call each: no recursion into the children.
+        assert len(hashed) == 2 and hashed[0] is deep and hashed[1] is twin

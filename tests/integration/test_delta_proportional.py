@@ -12,10 +12,15 @@ count what one delete + re-insert of a base fact does:
 None of them may depend on the size of the view (n = 40 against n = 160)
 or on the age of the scheduler (the 20th pair against the 1st), and a
 clause the stream never unified with must stay the very object the base
-program holds.
+program holds.  The same goes for the view's storage: the objects a pair
+leaves allocated are counted, and a delta join all of whose positions are
+bound must not walk a predicate's entries.
 """
 
 from __future__ import annotations
+
+import gc
+import sys
 
 import pytest
 
@@ -133,3 +138,96 @@ def test_clauses_the_stream_never_unified_with_are_shared_with_the_base():
             assert effective.clause(clause.number) is clause
     # The re-inserted facts are appended; nothing else was added.
     assert len(effective) == len(program) + 20
+
+
+# ----------------------------------------------------------------------
+# View writes: what an update allocates and what it walks
+# ----------------------------------------------------------------------
+def retained_objects(scheduler: StreamScheduler, values) -> list:
+    """Per delete + re-insert pair: the gc-tracked objects it leaves behind
+    while a reader still holds the view the pair started from -- what
+    copy-on-write is for, and what makes a whole-shard clone visible: the
+    clone and the original are both alive.  The collector is off, so
+    nothing an update allocated has been swept when it is counted and no
+    collection's timing decides the count."""
+    counts = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for value in values:
+            gc.collect()
+            before = len(gc.get_objects())
+            pinned = scheduler.view
+            for kind in (DeletionRequest, InsertionRequest):
+                assert scheduler.apply_batch([kind(fact("base1", value))]).ok
+            counts.append(len(gc.get_objects()) - before)
+            del pinned  # released before the next pair's count starts
+    finally:
+        if was_enabled:
+            gc.enable()
+    return counts
+
+
+def assert_counts_within_quarter(a: int, b: int, what: str) -> None:
+    assert abs(a - b) <= 0.25 * max(a, b), f"{what}: {a} vs {b} objects"
+
+
+def test_a_pair_leaves_as_many_objects_behind_on_a_four_times_larger_view():
+    # The first pair of a scheduler's life also pays the lazy builds of the
+    # shards it reads (child-support index, name tables): one-off, and the
+    # size of the shard.  Every later pair allocates for what it *writes*:
+    # a clone copies pointers, a write one part / chunk / group / bucket.
+    small = retained_objects(layered_scheduler(40)[0], [0, 3])[1]
+    large = retained_objects(layered_scheduler(160)[0], [0, 3])[1]
+    assert_counts_within_quarter(small, large, "n=40 vs n=160")
+
+
+@pytest.mark.parametrize("base_facts", (40, 160))
+def test_the_twentieth_pair_leaves_what_the_first_did(base_facts):
+    scheduler, _ = layered_scheduler(base_facts)
+    counts = retained_objects(scheduler, range(21))[1:]
+    assert_counts_within_quarter(counts[0], counts[-1], "pair 1 vs pair 20")
+
+
+def test_a_bound_delta_join_never_walks_a_predicate():
+    # Every body atom of the layered family shares its variable with the
+    # delta, so every join position is reached through the argument index;
+    # the positional pools -- a predicate's whole entry sequence, and that
+    # sequence filtered by the delta -- must not be built on the way.
+    from repro.datalog.join import DeltaRound
+    from repro.datalog.view import MaterializedView, PredicateShard
+
+    walks = []
+
+    def from_a_round() -> bool:
+        frame = sys._getframe(2)
+        while frame is not None:
+            owner = frame.f_locals.get("self")
+            if isinstance(owner, DeltaRound) or type(owner).__name__ == "_DeferredPool":
+                return True
+            frame = frame.f_back
+        return False
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args):
+            if from_a_round():
+                walks.append(f"{cls.__name__}.{name}")
+            return original(self, *args)
+
+        return wrapper
+
+    scheduler, _ = layered_scheduler(40)
+    rounds = []
+    iterate = DeltaRound.__iter__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MaterializedView, "entries_for", counting(MaterializedView, "entries_for"))
+        patch.setattr(PredicateShard, "to_tuple", counting(PredicateShard, "to_tuple"))
+        patch.setattr(
+            DeltaRound, "__iter__", lambda self: rounds.append(self) or iterate(self)
+        )
+        run_pairs(scheduler, [3])
+    assert rounds, "the pair ran no delta round: nothing was measured"
+    assert walks == []
+    assert scheduler.verify()

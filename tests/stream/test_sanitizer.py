@@ -91,6 +91,70 @@ class TestSharedShardMutation:
             shard.remove(entry.key(), entry)
 
 
+class TestSharedContainerWrite:
+    """A clone shares its parts, chunks, groups and buckets with the shard
+    it was cloned from; a write that skipped the ownership test would change
+    the published shard without going through any of its mutators.  The
+    sharing events record what an armed shard holds, and the publish check
+    looks again."""
+
+    CLOSURE = ["left", "mid", "top"]
+
+    def checked_out(self):
+        _, view = make_view()
+        working = view.checkout(self.CLOSURE)
+        entry = working.entries_for("left")[0]
+        assert working.remove(entry) and working.add(entry)  # clones the shard
+        clone, published = working._shards["left"], view._shards["left"]
+        assert clone is not published
+        # The writes above copied only what they reached.
+        other = working.entries_for("left")[0]
+        assert other is not entry
+        return view, working, clone, published, other
+
+    def test_legal_writes_and_lazy_builds_pass_the_publish_check(self, armed):
+        view, working, _, _, _ = self.checked_out()
+        view.find_parents_of(Support(1))  # lazy builds on the armed shards
+        view.probe_range("left", 0, 1)
+        view.all_variable_names()
+        working.assert_publish_scope(view, self.CLOSURE)
+
+    def test_write_into_a_shared_group_trips_the_publish_check(self, armed):
+        view, working, clone, published, other = self.checked_out()
+        group = clone._by_support.get(other.support)
+        assert group is published._by_support.get(other.support)
+        group.remove(other.key())  # by hand: no ownership test, no copy
+        with pytest.raises(ShardSanitizerError, match="changed after it was published"):
+            working.assert_publish_scope(view, self.CLOSURE)
+
+    def test_write_into_a_shared_bucket_trips_the_publish_check(self, armed):
+        view, working, clone, published, other = self.checked_out()
+        (value,) = other.bound_args()
+        bucket = clone._arg[0].bound.get(value)
+        assert bucket is published._arg[0].bound.get(value)
+        bucket.clear()
+        with pytest.raises(ShardSanitizerError, match="changed after it was published"):
+            working.assert_publish_scope(view, self.CLOSURE)
+
+    def test_write_into_a_shared_part_trips_the_publish_check(self, armed):
+        view, working, _, _, _ = self.checked_out()
+        # ``mid`` is cloned but never written: every part is still shared.
+        clone, published = working._writable_shard("mid"), view._shards["mid"]
+        part = next(part for part in clone._index._parts if part)
+        assert any(part is shared for shared in published._index._parts)
+        part.clear()
+        with pytest.raises(ShardSanitizerError, match="changed after it was published"):
+            working.assert_publish_scope(view, self.CLOSURE)
+
+    def test_write_into_a_shared_chunk_trips_the_publish_check(self, armed):
+        view, working, _, _, _ = self.checked_out()
+        clone, published = working._writable_shard("mid"), view._shards["mid"]
+        assert clone._chunks[0] is published._chunks[0]
+        clone._chunks[0][0] = None
+        with pytest.raises(ShardSanitizerError, match="changed after it was published"):
+            working.assert_publish_scope(view, self.CLOSURE)
+
+
 class TestWriteScope:
     def test_write_outside_checkout_scope_raises(self, armed):
         _, view = make_view()

@@ -9,7 +9,12 @@ Two invariant families are load-bearing enough to enforce textually:
    (``add`` / ``remove`` / ``replace`` / ``checkout`` / ``adopt_shards``):
    a direct shard mutation bypasses the write-scope fence and the shard
    sanitizer, which is exactly the silent-corruption class the stream
-   scheduler's publish step is designed against.
+   scheduler's publish step is designed against.  The storage classes a
+   shard is made of (``_SharedTable``, ``_IndexedSlots``, ``_ArgSlot``, the
+   owned parts, chunks and buckets, ...) are constructed only in
+   ``src/repro/datalog/shard.py``: each one is stamped with the edit token
+   of the shard that may write it in place, and a container built anywhere
+   else would be shared without that stamp.
 
 2. **Stream determinism.**  ``src/repro/stream/`` must not call the wall
    clock for logic (``time.time()`` / ``time.sleep()``) or use ``random``:
@@ -79,8 +84,17 @@ RULES: Tuple[Tuple[re.Pattern, Tuple[str, ...], str], ...] = (
     ),
     (
         re.compile(r"PredicateShard\s*\("),
-        ("repro/datalog/view.py",),
+        ("repro/datalog/view.py", "repro/datalog/shard.py"),
         "PredicateShard construction outside the view facade",
+    ),
+    (
+        re.compile(
+            r"\b_(?:SharedTable|IndexedSlots|ArgSlot|RangePostings|"
+            r"SortedValueWindow|OwnedDict|OwnedList|owned_dict|owned_list)\s*\("
+        ),
+        ("repro/datalog/shard.py",),
+        "shard storage class constructed outside repro/datalog/shard.py "
+        "(containers are stamped with their shard's edit token there)",
     ),
     (
         re.compile(
