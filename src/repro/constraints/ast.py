@@ -74,8 +74,10 @@ _CONJUNCTIONS = table("conjunction")
 #: and ``_scoped`` are written by ``simplify``/``projection``; ``_sat`` /
 #: ``_simplify0`` / ``_simplify1`` by the solver's pure paths; ``_vars`` and
 #: ``_str`` lazily by the node itself; ``_elim`` holds a small bounded dict
-#: of projection results.  All writes are idempotent (the value is a pure
-#: function of the node), so racing threads are benign.
+#: of projection results; ``_domains`` the names of the domains the node
+#: calls; ``_plan`` the compiled search plan of ``solutions`` for the last
+#: variable list the node was enumerated over.  All writes are idempotent
+#: (the value is a pure function of the node), so racing threads are benign.
 _MEMO_SLOTS = (
     "_str",
     "_vars",
@@ -85,6 +87,8 @@ _MEMO_SLOTS = (
     "_simplify0",
     "_simplify1",
     "_elim",
+    "_domains",
+    "_plan",
 )
 
 
@@ -121,6 +125,21 @@ class Constraint:
         """
         return self._membership
 
+    def domains(self) -> Tuple[str, ...]:
+        """Names of the domains called anywhere in the constraint, sorted.
+
+        What a DCA-dependent result about this node depends on: the solver
+        gates its instance memo on the versions of exactly these domains.
+        """
+        cached = self._domains
+        if cached is None:
+            cached = self._compute_domains() if self._membership else ()
+            object.__setattr__(self, "_domains", cached)
+        return cached
+
+    def _compute_domains(self) -> Tuple[str, ...]:
+        raise NotImplementedError
+
     def conjuncts(self) -> Tuple["Constraint", ...]:
         """Return the top-level conjuncts (a non-conjunction is its own)."""
         return (self,)
@@ -154,6 +173,13 @@ def _prime(node: Constraint, hash_value: int, membership: bool) -> None:
     object.__setattr__(node, "_membership", membership)
     for slot in _MEMO_SLOTS:
         object.__setattr__(node, slot, None)
+
+
+def _domains_of(parts: Iterable[Constraint]) -> Tuple[str, ...]:
+    found: set = set()
+    for part in parts:
+        found.update(part.domains())
+    return tuple(sorted(found))
 
 
 class TrueConstraint(Constraint):
@@ -420,6 +446,9 @@ class Membership(Constraint):
             found.add(self.element)
         return frozenset(found)
 
+    def _compute_domains(self) -> Tuple[str, ...]:
+        return (self.call.domain,)
+
     def substitute(self, subst: Substitution) -> "Membership":
         element = subst.apply(self.element)
         call = self.call.substitute(subst)
@@ -516,6 +545,9 @@ class NegatedConjunction(Constraint):
             found.update(part.variables())
         return frozenset(found)
 
+    def _compute_domains(self) -> Tuple[str, ...]:
+        return _domains_of(self.parts)
+
     def substitute(self, subst: Substitution) -> "Constraint":
         parts = tuple(part.substitute(subst) for part in self.parts)
         if all(new is old for new, old in zip(parts, self.parts)):
@@ -576,6 +608,9 @@ class Conjunction(Constraint):
         for part in self.parts:
             found.update(part.variables())
         return frozenset(found)
+
+    def _compute_domains(self) -> Tuple[str, ...]:
+        return _domains_of(self.parts)
 
     def substitute(self, subst: Substitution) -> "Constraint":
         parts = tuple(part.substitute(subst) for part in self.parts)

@@ -42,7 +42,7 @@ class ResultSetLike(Protocol):
 class CallEvaluator(Protocol):
     """Evaluates ground domain calls; implemented by the domain registry.
 
-    Beyond the two required methods, the solver discovers two *optional*
+    Beyond the two required methods, the solver discovers four *optional*
     members by ``getattr`` (so ad-hoc evaluators need not provide them):
 
     * ``version`` -- a comparable token that changes whenever any source's
@@ -52,6 +52,12 @@ class CallEvaluator(Protocol):
     * ``quick_reject(domain, function, args, value) -> bool`` -- a cheap
       membership refuter consulted by the quick-reject pre-filter; True only
       when *value* is definitely not in ``domain:function(args)``.
+    * ``versions_of(domains) -> tuple`` -- the current version of each named
+      domain; its presence lets the solver remember the instance set of a
+      DCA-dependent constrained atom while the domains it names stand.
+    * ``source_changed(source)`` -- told of every change notice the solver
+      receives (``invalidate_external_functions``), so an evaluator that
+      remembers call results can forget those of *source*.
     """
 
     def evaluate_call(

@@ -6,7 +6,7 @@ query layer and the examples need to *materialize* these instance sets (over
 finite domains, or clipped to a caller-supplied universe when a constraint
 like ``Y >= X`` has infinitely many solutions).
 
-Enumeration is a backtracking search:
+Enumeration is a backtracking search over a compiled :class:`_Plan`:
 
 1. at every step the "cheapest" still-unassigned variable is picked -- one
    pinned by an equality first, then one whose finite DCA result set can be
@@ -14,11 +14,14 @@ Enumeration is a backtracking search:
    calls such as the law-enforcement mediator's
    ``in(A, paradox:select_eq(...)) & in(P, spatialdb:locateaddress(A, ...))``
    enumerable), then one with a bounded integer interval, then one drawing
-   from the caller-supplied universe;
-2. candidate values are filtered eagerly against the conjuncts that have
-   become fully ground;
-3. complete assignments are checked with the solver's exact ground
-   evaluator, so negated conjunctions and negative memberships are honoured.
+   from the caller-supplied universe; ties go to the earlier variable.  The
+   rule fixes the search tree and with it the order of the solutions, so it
+   is part of the module's contract;
+2. every conjunct is evaluated exactly once per branch, with the solver's
+   exact ground evaluator, at the assignment that grounds its last variable;
+3. what cannot be decided on the way down -- a negation with variables of
+   its own (quantified inside it), a membership the solver could not
+   evaluate -- is evaluated at the complete assignment.
 
 Because negations and memberships only ever *remove* solutions, generating
 candidates from the positive conjuncts alone is complete.
@@ -30,6 +33,7 @@ import math
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.constraints.ast import (
+    FLIPPED_OPERATOR,
     Comparison,
     Constraint,
     FalseConstraint,
@@ -64,29 +68,18 @@ def enumerate_solutions(
     solver = solver or ConstraintSolver()
     if isinstance(constraint, FalseConstraint):
         return
-    wanted = list(dict.fromkeys(variables))
-    # Auxiliary constraint variables must be assigned too (they are
-    # existentially quantified); include them in the search but project them
-    # away from the yielded assignments.  Variables occurring *only* inside
-    # negated conjunctions are excluded: the ground evaluator treats them as
-    # quantified inside the negation (``not(ψ)`` holds iff ψ has no witness).
-    positively_occurring: set = set()
-    for part in constraint.conjuncts():
-        if not isinstance(part, NegatedConjunction):
-            positively_occurring.update(part.variables())
-    auxiliary = sorted(
-        positively_occurring - set(wanted), key=lambda v: v.name
+    plan = _plan_for(constraint, variables)
+    wanted = plan.wanted
+    search = _Search(
+        plan,
+        solver,
+        list(universe) if universe is not None else None,
+        max_interval_width,
     )
-    search_vars = wanted + auxiliary
-    universe_values = list(universe) if universe is not None else None
-
     produced = 0
     seen: set = set()
-    for assignment in _search(
-        constraint, search_vars, {}, solver, universe_values, max_interval_width
-    ):
-        projected = {var: assignment[var] for var in wanted}
-        key = tuple(projected[var] for var in wanted)
+    for assignment in search.run(list(range(len(plan.search)))):
+        key = tuple(assignment[var] for var in wanted)
         if key in seen:
             continue
         seen.add(key)
@@ -95,7 +88,7 @@ def enumerate_solutions(
             raise SolverError(
                 f"solution enumeration exceeded {max_solutions} assignments"
             )
-        yield projected
+        yield dict(zip(wanted, key))
 
 
 def solution_set(
@@ -138,76 +131,222 @@ def equivalent_on_universe(
 
 
 # ---------------------------------------------------------------------------
+# The compiled plan
+# ---------------------------------------------------------------------------
+
+#: What a variable is to the conjuncts: ``(mentions, pins, sources, bounds)``
+#: -- the indexes of the conjuncts it helps to ground, the other sides of its
+#: equalities, the positive memberships it is the element of, and the
+#: ``(op, other side)`` of its orderings oriented with the variable on the
+#: left -- each in conjunct order.
+_Role = Tuple[
+    Tuple[int, ...], Tuple[Term, ...], Tuple[Membership, ...], Tuple[Tuple[str, Term], ...]
+]
+
+
+class _Plan:
+    """What the search reads about one ``(constraint, variables)`` pair.
+
+    A pure function of the interned node and the variable list, so it is
+    built once and kept in the node's ``_plan`` slot (collected with the
+    node).  Everything is indexed by variable -- its position in
+    :attr:`search`, which is also how the search names it: no step walks
+    the conjuncts.
+    """
+
+    __slots__ = ("key", "wanted", "search", "parts", "arity", "roles", "ground", "leaf")
+
+    def __init__(self, constraint: Constraint, key: Tuple[Variable, ...]) -> None:
+        #: The variable list as the caller gave it (the memo key).
+        self.key = key
+        #: The requested variables, duplicates dropped (usually *key* itself).
+        wanted = tuple(dict.fromkeys(key))
+        wanted = self.wanted = key if wanted == key else wanted
+        parts = self.parts = constraint.conjuncts()
+        # Auxiliary constraint variables must be assigned too (they are
+        # existentially quantified); they are searched but projected away.
+        # Variables occurring *only* inside negated conjunctions are not:
+        # the ground evaluator treats them as quantified inside the negation
+        # (``not(ψ)`` holds iff ψ has no witness).
+        positive: set = set()
+        for part in parts:
+            if not isinstance(part, NegatedConjunction):
+                positive.update(part.variables())
+        positive.difference_update(wanted)
+        #: Search order: the requested variables, then the auxiliary ones.
+        self.search = wanted + tuple(sorted(positive, key=lambda v: v.name))
+        position = {variable: index for index, variable in enumerate(self.search)}
+        roles: List[Tuple[list, list, list, list]] = [([], [], [], []) for _ in position]
+        arity: List[int] = []
+        ground: List[int] = []
+        leaf: List[int] = []
+        for index, part in enumerate(parts):
+            variables = part.variables()
+            arity.append(len(variables))
+            if not position or not variables <= position.keys():
+                leaf.append(index)
+                continue
+            if not variables:
+                ground.append(index)
+            for variable in variables:
+                roles[position[variable]][0].append(index)
+            if isinstance(part, Comparison):
+                for this, op, other in (
+                    (part.left, part.op, part.right),
+                    (part.right, FLIPPED_OPERATOR[part.op], part.left),
+                ):
+                    if not isinstance(this, Variable) or this == other:
+                        continue
+                    if op == "=":
+                        roles[position[this]][1].append(other)
+                    elif op != "!=":
+                        roles[position[this]][3].append((op, other))
+            elif isinstance(part, Membership) and part.positive:
+                if isinstance(part.element, Variable):
+                    roles[position[part.element]][2].append(part)
+        #: Per conjunct, how many searched variables it waits for.
+        self.arity = tuple(arity)
+        #: The :data:`_Role` of each variable of :attr:`search`, by position.
+        self.roles: Tuple[_Role, ...] = tuple(
+            tuple(map(tuple, role)) for role in roles  # type: ignore[misc]
+        )
+        #: Conjuncts without variables: decided by the first assignment.
+        self.ground = tuple(ground)
+        #: Conjuncts only the complete assignment decides.
+        self.leaf = tuple(leaf)
+
+
+def _plan_for(constraint: Constraint, variables: Sequence[Variable]) -> _Plan:
+    key = tuple(variables)
+    plan = constraint._plan
+    if plan is None or plan.key != key:
+        plan = _Plan(constraint, key)
+        object.__setattr__(constraint, "_plan", plan)
+    return plan
+
+
+# ---------------------------------------------------------------------------
 # Backtracking search
 # ---------------------------------------------------------------------------
 
 
-def _search(
-    constraint: Constraint,
-    unassigned: List[Variable],
-    partial: Dict[Variable, object],
-    solver: ConstraintSolver,
-    universe: Optional[List[object]],
-    max_interval_width: int,
-) -> Iterator[Dict[Variable, object]]:
-    if not unassigned:
-        if solver.evaluate_ground(constraint, partial):
-            yield dict(partial)
-        return
+class _Search:
+    """One enumeration: the plan plus the state of the current branch."""
 
-    variable, candidates = _pick_variable(
-        constraint, unassigned, partial, solver, universe, max_interval_width
+    __slots__ = (
+        "plan", "solver", "universe", "max_width", "partial", "pending", "deferred",
     )
-    remaining = [var for var in unassigned if var != variable]
-    for value in candidates:
-        partial[variable] = value
-        if _partial_consistent(constraint, partial, solver):
-            yield from _search(
-                constraint, remaining, partial, solver, universe, max_interval_width
+
+    def __init__(
+        self,
+        plan: _Plan,
+        solver: ConstraintSolver,
+        universe: Optional[List[object]],
+        max_width: int,
+    ) -> None:
+        self.plan = plan
+        self.solver = solver
+        self.universe = universe
+        self.max_width = max_width
+        self.partial: Dict[Variable, object] = {}
+        #: Per conjunct, how many of its variables are still unassigned.
+        self.pending = list(plan.arity)
+        #: Conjuncts of this branch whose evaluation raised ``SolverError``
+        #: (a membership the solver cannot evaluate): left to the leaf.
+        self.deferred: List[int] = []
+
+    def run(self, unassigned: List[int]) -> Iterator[Dict[Variable, object]]:
+        """Yield the live assignment at every solution below this node.
+
+        *unassigned* holds the positions (in ``plan.search``) of the
+        variables still to assign, in search order.
+        """
+        plan = self.plan
+        partial = self.partial
+        deferred = self.deferred
+        evaluate = self.solver.evaluate_ground
+        parts = plan.parts
+        if not unassigned:
+            for index in sorted(plan.leaf + tuple(deferred)) if deferred else plan.leaf:
+                if not evaluate(parts[index], partial):
+                    return
+            yield partial
+            return
+
+        chosen, candidates = self._choose(unassigned)
+        variable = plan.search[chosen]
+        remaining = [position for position in unassigned if position != chosen]
+        pending = self.pending
+        mentions = plan.roles[chosen][0]
+        # The conjuncts this assignment grounds: evaluated here, once, and
+        # never again further down.
+        ready = [index for index in mentions if pending[index] == 1]
+        if not partial and plan.ground:
+            ready = sorted(ready + list(plan.ground))
+        for index in mentions:
+            pending[index] -= 1
+        mark = len(deferred)
+        for value in candidates:
+            partial[variable] = value
+            for index in ready:
+                part = parts[index]
+                try:
+                    if not evaluate(part, partial):
+                        break
+                except SolverError:
+                    if isinstance(part, NegatedConjunction):
+                        raise
+                    deferred.append(index)
+            else:
+                yield from self.run(remaining)
+            del deferred[mark:]
+        partial.pop(variable, None)
+        for index in mentions:
+            pending[index] += 1
+
+    def _choose(self, unassigned: List[int]) -> Tuple[int, Iterable[object]]:
+        """Choose the next variable (by position) and its candidate values.
+
+        Preference: equality-pinned variables, then finite membership sets,
+        then bounded integer intervals, then the universe.  Raises
+        :class:`SolverError` when nothing applies and no universe is
+        available.
+        """
+        roles = self.plan.roles
+        partial = self.partial
+        evaluator = self.solver.evaluator
+        best: Optional[Tuple[int, int]] = None
+        best_position = -1
+        best_values: Iterable[object] = ()
+        for position in unassigned:
+            _, pins, sources, bounds = roles[position]
+            for other in pins:
+                value = _resolve(other, partial)
+                if value is not _NO_VALUE:
+                    return position, (value,)
+            values: Optional[Iterable[object]] = None
+            if sources and evaluator is not None:
+                values = _membership_values(sources, partial, evaluator)
+            if values is not None:
+                rank = (1, len(values))
+            else:
+                interval = _integer_interval(bounds, partial) if bounds else None
+                if interval is None or interval[1] - interval[0] + 1 > self.max_width:
+                    continue
+                values = range(interval[0], interval[1] + 1)
+                rank = (2, len(values))
+            if best is None or rank < best:
+                best, best_position, best_values = rank, position, values
+        if best is not None:
+            if best[0] == 1:
+                best_values = sorted(best_values, key=_sort_key)
+            return best_position, best_values
+        if self.universe is None:
+            raise SolverError(
+                "cannot enumerate candidate values for variable "
+                f"{self.plan.search[unassigned[0]]}; supply a universe"
             )
-        del partial[variable]
-
-
-def _pick_variable(
-    constraint: Constraint,
-    unassigned: List[Variable],
-    partial: Dict[Variable, object],
-    solver: ConstraintSolver,
-    universe: Optional[List[object]],
-    max_interval_width: int,
-) -> Tuple[Variable, List[object]]:
-    """Choose the next variable and its candidate values.
-
-    Preference: equality-pinned variables, then finite membership sets, then
-    bounded integer intervals, then the universe.  Raises
-    :class:`SolverError` when nothing applies and no universe is available.
-    """
-    best: Optional[Tuple[int, int, Variable, List[object]]] = None
-    for variable in unassigned:
-        pinned = _pinned_value(variable, constraint, partial)
-        if pinned is not _NO_VALUE:
-            return variable, [pinned]
-        membership_values = _membership_candidates(variable, constraint, partial, solver)
-        if membership_values is not None:
-            candidate = (1, len(membership_values), variable, membership_values)
-            if best is None or candidate[:2] < best[:2]:
-                best = candidate
-            continue
-        interval = _integer_interval(variable, constraint, partial)
-        if interval is not None and interval[1] - interval[0] + 1 <= max_interval_width:
-            values = list(range(interval[0], interval[1] + 1))
-            candidate = (2, len(values), variable, values)
-            if best is None or candidate[:2] < best[:2]:
-                best = candidate
-    if best is not None:
-        return best[2], best[3]
-    variable = unassigned[0]
-    if universe is None:
-        raise SolverError(
-            f"cannot enumerate candidate values for variable {variable}; "
-            "supply a universe"
-        )
-    return variable, list(universe)
+        return unassigned[0], self.universe
 
 
 class _NoValue:
@@ -224,120 +363,51 @@ def _resolve(term: Term, partial: Dict[Variable, object]) -> object:
     return partial.get(term, _NO_VALUE)
 
 
-def _pinned_value(
-    variable: Variable, constraint: Constraint, partial: Dict[Variable, object]
-) -> object:
-    """Value forced on *variable* by a positive equality, if any."""
-    for part in constraint.conjuncts():
-        if not isinstance(part, Comparison) or part.op != "=":
-            continue
-        for this, other in ((part.left, part.right), (part.right, part.left)):
-            if this != variable:
-                continue
-            value = _resolve(other, partial)
-            if value is not _NO_VALUE:
-                return value
-    return _NO_VALUE
-
-
-def _membership_candidates(
-    variable: Variable,
-    constraint: Constraint,
-    partial: Dict[Variable, object],
-    solver: ConstraintSolver,
-) -> Optional[List[object]]:
-    """Finite candidate values from positive DCA-atoms over *variable*."""
-    evaluator = solver.evaluator
-    if evaluator is None:
-        return None
+def _membership_values(
+    sources: Sequence[Membership], partial: Dict[Variable, object], evaluator
+) -> Optional[set]:
+    """Finite candidate values from a variable's positive DCA-atoms."""
     collected: Optional[set] = None
-    for part in constraint.conjuncts():
-        if not isinstance(part, Membership) or not part.positive:
+    for part in sources:
+        call = part.call
+        args = tuple(_resolve(arg, partial) for arg in call.args)
+        if _NO_VALUE in args:
             continue
-        if part.element != variable:
+        if not evaluator.has_domain(call.domain):
             continue
-        args = [_resolve(arg, partial) for arg in part.call.args]
-        if any(arg is _NO_VALUE for arg in args):
-            continue
-        if not evaluator.has_domain(part.call.domain):
-            continue
-        result = evaluator.evaluate_call(
-            part.call.domain, part.call.function, tuple(args)
-        )
+        result = evaluator.evaluate_call(call.domain, call.function, args)
         if not result.is_finite():
             continue
         values = set(result.iter_values())
         collected = values if collected is None else (collected & values)
-    if collected is None:
-        return None
-    return sorted(collected, key=_sort_key)
+    return collected
 
 
 def _integer_interval(
-    variable: Variable,
-    constraint: Constraint,
-    partial: Dict[Variable, object],
+    bounds: Sequence[Tuple[str, Term]], partial: Dict[Variable, object]
 ) -> Optional[Tuple[int, int]]:
-    """Bounded integer interval implied by comparisons on *variable*."""
+    """Bounded integer interval implied by a variable's orderings."""
     low: float = -math.inf
     high: float = math.inf
-    for part in constraint.conjuncts():
-        if not isinstance(part, Comparison) or variable not in part.variables():
+    for op, other in bounds:
+        value = _resolve(other, partial)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             continue
-        comparison = part
-        if comparison.right == variable:
-            comparison = comparison.flipped()
-        if comparison.left != variable:
-            continue
-        value = _resolve(comparison.right, partial)
-        if value is _NO_VALUE or isinstance(value, bool):
-            continue
-        if not isinstance(value, (int, float)):
-            continue
-        if comparison.op == "=":
-            low = max(low, float(value))
-            high = min(high, float(value))
-        elif comparison.op == "<":
+        if op == "<":
             bound = math.ceil(value) - 1 if float(value).is_integer() else math.floor(value)
             high = min(high, bound)
-        elif comparison.op == "<=":
+        elif op == "<=":
             high = min(high, math.floor(value))
-        elif comparison.op == ">":
+        elif op == ">":
             bound = math.floor(value) + 1 if float(value).is_integer() else math.ceil(value)
             low = max(low, bound)
-        elif comparison.op == ">=":
+        else:
             low = max(low, math.ceil(value))
     if low == -math.inf or high == math.inf:
         return None
     if low > high:
         return (0, -1)  # empty interval
     return (int(low), int(high))
-
-
-def _partial_consistent(
-    constraint: Constraint, partial: Dict[Variable, object], solver: ConstraintSolver
-) -> bool:
-    """Evaluate the conjuncts that are fully ground under *partial*."""
-    for part in constraint.conjuncts():
-        if isinstance(part, NegatedConjunction):
-            # Deferred to the final full evaluation: a negation may become
-            # true again once more variables are assigned only if some inner
-            # conjunct turns false, which cannot be decided partially in
-            # general -- but if *all* its variables are assigned we can.
-            if not all(var in partial for var in part.variables()):
-                continue
-            if not solver.evaluate_ground(part, partial):
-                return False
-            continue
-        if not all(var in partial for var in part.variables()):
-            continue
-        try:
-            if not solver.evaluate_ground(part, partial):
-                return False
-        except SolverError:
-            # A membership over an unknown domain: leave it to the caller.
-            continue
-    return True
 
 
 def _sort_key(value: object) -> Tuple[str, str]:

@@ -283,6 +283,13 @@ class ConstraintSolver:
         # valid across external source changes (only the per-domain
         # quick_reject hooks consult live sources, at comparison time).
         self._profile_cache: Dict[Tuple[Tuple[Term, ...], Constraint], "ArgumentProfile"] = {}
+        # Instance sets of DCA-dependent constrained atoms read without a
+        # universe (filled by repro.datalog.atoms): atom -> (versions of the
+        # domains its constraint names, instances).  Membership-free ones
+        # live on the atom itself.  The hit / miss pair counts both levels.
+        self._external_instances: Dict[object, Tuple[object, frozenset]] = {}
+        self.instance_memo_hits = 0
+        self.instance_memo_misses = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -312,19 +319,29 @@ class ConstraintSolver:
         options = dataclasses.replace(self._options, memoize_external_calls=True)
         return ConstraintSolver(self._evaluator, options)
 
-    def invalidate_external_functions(self) -> None:
+    def invalidate_external_functions(self, source: Optional[str] = None) -> None:
         """Drop memoized results that consulted external domain functions.
 
-        The external-maintenance strategies of Section 4 call this whenever a
-        source changes: satisfiability of a constraint containing DCA-atoms
-        is a function of the sources' current behaviour, so those cached
+        The external-maintenance strategies of Section 4 and the stream
+        scheduler's change-notice step call this whenever a source changes:
+        satisfiability and instances of a constraint containing DCA-atoms
+        are functions of the sources' current behaviour, so those cached
         results are stale the moment a behaviour changes.  Pure comparison
         results are time-invariant and are kept -- including the per-node
-        ``_sat``/``_simplify*`` slots, which are only ever written for
-        membership-free constraints and therefore can never go stale.
+        ``_sat``/``_simplify*`` slots and the per-atom instance sets, which
+        are only ever written for membership-free constraints and therefore
+        can never go stale.
+
+        The notice is passed on to the evaluator (``source_changed``, when
+        it has one): the domain registry forgets what it remembered of
+        *source*, or of every domain when *source* names none of them.
         """
         self._external_sat_cache.clear()
         self._external_simplify_cache.clear()
+        self._external_instances.clear()
+        notify = getattr(self._evaluator, "source_changed", None)
+        if notify is not None:
+            notify(source)
 
     def is_satisfiable(self, constraint: Constraint) -> bool:
         """Return True if the constraint has at least one solution."""
@@ -478,6 +495,51 @@ class ConstraintSolver:
         if self._refresh_external_caches() or self._options.memoize_external_calls:
             return self._external_simplify_cache
         return None
+
+    def cached_instances(self, atom) -> Tuple[Optional[frozenset], object]:
+        """Look up the instance set of a constrained atom read with no universe.
+
+        *atom* is a :class:`~repro.datalog.atoms.ConstrainedAtom` (see its
+        ``instances``).  Gating mirrors the satisfiability memo: a
+        membership-free result is a function of the atom alone and lives in
+        its ``_instances`` attribute, shared by every solver with default
+        limits and collected with the atom; a DCA-dependent one lives in
+        this solver's table, valid while the versions of exactly the
+        domains the constraint names stand.  Returns ``(instances, gate)``
+        -- ``None`` instances on a miss -- where *gate* is what
+        :meth:`cache_instances` files a freshly enumerated result under.
+        The versions are read here, *before* the enumeration, so a result
+        computed across a source change is filed under the version that
+        passed and never served.
+        """
+        constraint = atom.constraint
+        if not constraint._membership:
+            if not self._node_memo:
+                return None, None
+            gate: object = _ON_ATOM
+            cached = atom._instances
+        else:
+            versions_of = getattr(self._evaluator, "versions_of", None)
+            if versions_of is None:
+                return None, None
+            gate = versions_of(constraint.domains())
+            record = self._external_instances.get(atom)
+            cached = record[1] if record is not None and record[0] == gate else None
+        if cached is None:
+            self.instance_memo_misses += 1
+        else:
+            self.instance_memo_hits += 1
+        return cached, gate
+
+    def cache_instances(self, atom, gate: object, instances: frozenset) -> None:
+        """Store an enumerated instance set (see :meth:`cached_instances`)."""
+        if gate is _ON_ATOM:
+            object.__setattr__(atom, "_instances", instances)
+        elif gate is not None:
+            table = self._external_instances
+            if len(table) >= self._options.max_memoized_results:
+                table.clear()
+            table[atom] = (gate, instances)
 
     def is_unsatisfiable(self, constraint: Constraint) -> bool:
         """Return True if the constraint has no solution."""
@@ -1101,6 +1163,9 @@ class _Unknown:
 
 
 _UNKNOWN = _Unknown()
+
+#: Gate of an instance set that is stored on its atom (membership-free).
+_ON_ATOM = object()
 
 
 # ---------------------------------------------------------------------------

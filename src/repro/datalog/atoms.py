@@ -91,6 +91,12 @@ class ConstrainedAtom:
     atom: Atom
     constraint: Constraint = TRUE
 
+    #: The instance set read without a universe, once enumerated, when the
+    #: constraint is membership-free (written through the solver's
+    #: ``cache_instances``).  Not a field: it is no part of the atom's
+    #: identity and costs nothing until the atom is read.
+    _instances = None
+
     def __post_init__(self) -> None:
         if not isinstance(self.atom, Atom):
             raise ProgramError(f"not an atom: {self.atom!r}")
@@ -152,7 +158,24 @@ class ConstrainedAtom:
         does not determine a finite set).  Auxiliary variables occurring only
         in the constraint are existentially quantified: solutions are
         enumerated over all variables and projected onto the atom arguments.
+
+        Without a universe the set is a function of the atom and of the
+        sources its constraint names, and the solver remembers it (see
+        :meth:`ConstraintSolver.cached_instances`): a repeated read
+        enumerates only what changed.
         """
+        if universe is not None:
+            return self._enumerate_instances(solver, universe)
+        solver = solver or ConstraintSolver()
+        instances, gate = solver.cached_instances(self)
+        if instances is None:
+            instances = self._enumerate_instances(solver, None)
+            solver.cache_instances(self, gate, instances)
+        return instances
+
+    def _enumerate_instances(
+        self, solver: Optional[ConstraintSolver], universe: Optional[Iterable[object]]
+    ) -> FrozenSet[Tuple[str, Tuple[object, ...]]]:
         atom_variables = list(
             dict.fromkeys(
                 arg for arg in self.atom.args if isinstance(arg, Variable)

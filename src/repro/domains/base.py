@@ -16,6 +16,7 @@ CallEvaluator` protocol consumed by the constraint solver.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
@@ -81,10 +82,13 @@ def coerce_result(value: object) -> ResultSetLike:
     * ``None`` maps to the empty set,
     * sets / frozensets / lists / tuples / iterators become finite sets,
     * any other single value becomes a singleton set.
+
+    Concrete types are tested first: the ``isinstance`` check against the
+    runtime-checkable ``ResultSetLike`` protocol inspects every protocol
+    member and costs a third of an uncached call, so it is left for values
+    that are none of the usual return types.
     """
     if isinstance(value, (FrozenResultSet, IntensionalResultSet)):
-        return value
-    if isinstance(value, ResultSetLike):
         return value
     if value is None:
         return FrozenResultSet()
@@ -92,6 +96,8 @@ def coerce_result(value: object) -> ResultSetLike:
         return FrozenResultSet([True]) if value else FrozenResultSet()
     if isinstance(value, (set, frozenset, list, tuple)):
         return FrozenResultSet(value)
+    if isinstance(value, ResultSetLike):
+        return value
     if hasattr(value, "__iter__") and not isinstance(value, (str, bytes, Mapping)):
         return FrozenResultSet(value)
     return FrozenResultSet([value])
@@ -245,88 +251,167 @@ class Domain:
         return f"Domain({self._name!r}, functions={list(self.function_names())})"
 
 
+#: Results one domain's call memo holds before it is cleared wholesale (the
+#: solver's memos use the same branch-free policy).
+MAX_MEMOIZED_CALLS_PER_DOMAIN = 65_536
+
+
+class _Source:
+    """One registered domain: its call memo, notice epoch and counters."""
+
+    __slots__ = ("domain", "epoch", "memo", "calls", "memo_hits")
+
+    def __init__(self, domain: Domain, epoch: int) -> None:
+        self.domain = domain
+        self.calls = 0
+        self.memo_hits = 0
+        self.forget(epoch)
+
+    def forget(self, epoch: int) -> None:
+        """Drop every remembered result and move to a never-used version."""
+        self.epoch = epoch
+        #: ``(version the results were filed under, key -> result)``; one
+        #: object, so a reader that raced a version change stores into the
+        #: table it looked at and never into its successor.
+        self.memo: Tuple[object, Dict[object, ResultSetLike]] = (None, {})
+
+    def version(self) -> object:
+        """What a result of this domain is valid under.
+
+        The domain's own :meth:`Domain.source_version` (tracked changes)
+        paired with the registry-side epoch that change notices and
+        (re-)registration advance (changes nothing else can see).
+        """
+        return (self.epoch, self.domain.source_version())
+
+
 class DomainRegistry:
     """The mediator's collection of integrated domains.
 
-    Implements the solver-facing :class:`CallEvaluator` protocol.  A small
-    memoization cache can be enabled for ground calls; it must be invalidated
-    whenever an underlying source changes (the versioned domains of
-    :mod:`repro.domains.versioned` do this automatically through the
-    registry's ``invalidate_cache`` hook).
+    Implements the solver-facing :class:`CallEvaluator` protocol.
+
+    **Call memo and the change-notice contract.**  With ``cache_calls=True``
+    (what every :class:`~repro.mediator.Mediator`-built registry passes; a
+    bare registry stays uncached) the result of a ground call is remembered
+    *per domain*, filed under the version that domain reported before the
+    call, and served while that one domain's version stands -- a change to
+    one source re-executes that source's calls only.  Two kinds of source
+    follow:
+
+    * a **tracked** source folds whatever its functions read into
+      :meth:`Domain.source_version` (a table version, a clock, a mutation
+      counter -- every domain shipped here does) and publishes its data
+      *before* its version.  It needs no notice for correctness: the next
+      call sees the new version and the stale table is dropped.
+    * an **untracked** source (a function reading state the domain does not
+      version) needs exactly one thing: a change notice naming it --
+      :class:`~repro.stream.ExternalChangeNotice` through the stream, or
+      ``on_source_changed`` of the Section-4 maintenance classes -- which
+      ends in :meth:`source_changed` and advances that domain's epoch.
+      Until the notice arrives reads keep the remembered answer.
+
+    :meth:`versions_of` exposes the same per-domain versions to the solver,
+    which gates its memoised instance sets on exactly the domains a
+    constraint names.
     """
 
     def __init__(self, domains: Iterable[Domain] = (), cache_calls: bool = False) -> None:
-        self._domains: Dict[str, Domain] = {}
+        self._sources: Dict[str, _Source] = {}
+        self._sorted_sources: Tuple[_Source, ...] = ()
         self._cache_calls = cache_calls
-        self._cache: Dict[Tuple[str, str, Tuple[object, ...]], ResultSetLike] = {}
-        self._cache_token: object = None
         self._mutation_counter = 0
-        self._sorted_domains: Tuple[Domain, ...] = ()
+        # Epochs are registry-wide and never reused, so a name that is
+        # unregistered and registered again cannot repeat an old version.
+        self._epochs = itertools.count()
         for domain in domains:
             self.register(domain)
 
     # -- registration ------------------------------------------------------
     def register(self, domain: Domain) -> Domain:
         """Add a domain; replaces any previous domain with the same name."""
-        self._domains[domain.name] = domain
-        self._sorted_domains = tuple(
-            self._domains[name] for name in sorted(self._domains)
-        )
+        source = self._sources.get(domain.name)
+        if source is None:
+            self._sources[domain.name] = _Source(domain, next(self._epochs))
+        else:
+            source.domain = domain
+        self._sort_sources()
         self.invalidate_cache()
         return domain
 
     def unregister(self, name: str) -> None:
         """Remove a domain."""
-        if name not in self._domains:
+        if name not in self._sources:
             raise UnknownDomainError(f"unknown domain: {name!r}")
-        del self._domains[name]
-        self._sorted_domains = tuple(
-            self._domains[name] for name in sorted(self._domains)
-        )
+        del self._sources[name]
+        self._sort_sources()
         self.invalidate_cache()
+
+    def _sort_sources(self) -> None:
+        self._sorted_sources = tuple(
+            self._sources[name] for name in sorted(self._sources)
+        )
+
+    def _source(self, name: str) -> _Source:
+        try:
+            return self._sources[name]
+        except KeyError as exc:
+            raise UnknownDomainError(
+                f"unknown domain: {name!r} (registered: {sorted(self._sources)})"
+            ) from exc
 
     def domain(self, name: str) -> Domain:
         """Look up a domain; raises :class:`UnknownDomainError`."""
-        try:
-            return self._domains[name]
-        except KeyError as exc:
-            raise UnknownDomainError(
-                f"unknown domain: {name!r} (registered: {sorted(self._domains)})"
-            ) from exc
+        return self._source(name).domain
 
     def domain_names(self) -> Tuple[str, ...]:
         """Names of all registered domains, sorted."""
-        return tuple(sorted(self._domains))
+        return tuple(sorted(self._sources))
 
     def __contains__(self, name: str) -> bool:
-        return name in self._domains
+        return name in self._sources
 
     # -- CallEvaluator protocol ---------------------------------------------
     def has_domain(self, domain: str) -> bool:
         """True when the named domain is registered."""
-        return domain in self._domains
+        return domain in self._sources
 
     def evaluate_call(
         self, domain: str, function: str, args: Tuple[object, ...]
     ) -> ResultSetLike:
-        """Execute ``domain:function(args)``.
+        """Execute ``domain:function(args)``, or serve its remembered result.
 
-        The call memo is gated on the registry's version token, mirroring
-        the solver's external memo: any tracked source change (clock
-        advance, behaviour installation, database mutation, registration)
-        drops cached results before they can be served stale.
+        The domain's version is read *before* the function runs and the
+        result is stored in the table of that version: a result computed
+        while the source changes underneath the call is filed under the
+        version that just passed (sources publish data before version) and
+        is dropped with it, never served.  Arguments are keyed together
+        with their types -- ``1``, ``True`` and ``1.0`` are one dict key
+        but three different calls -- and an unhashable argument bypasses
+        the memo.
         """
+        source = self._source(domain)
+        source.calls += 1
+        args = tuple(args)
+        results: Optional[Dict[object, ResultSetLike]] = None
         if self._cache_calls:
-            token = self.version
-            if token != self._cache_token:
-                self._cache.clear()
-                self._cache_token = token
-        key = (domain, function, tuple(args))
-        if self._cache_calls and key in self._cache:
-            return self._cache[key]
-        result = self.domain(domain).call(function, tuple(args))
-        if self._cache_calls:
-            self._cache[key] = result
+            version = source.version()
+            memo = source.memo
+            if memo[0] != version:
+                memo = source.memo = (version, {})
+            key = (function, args, tuple(map(type, args)))
+            try:
+                cached = memo[1].get(key)
+                results = memo[1]
+            except TypeError:  # an unhashable argument: answer uncached
+                cached = None
+            if cached is not None:
+                source.memo_hits += 1
+                return cached
+        result = source.domain.call(function, args)
+        if results is not None:
+            if len(results) >= MAX_MEMOIZED_CALLS_PER_DOMAIN:
+                results.clear()
+            results[key] = result
         return result
 
     def quick_reject(
@@ -340,10 +425,7 @@ class DomainRegistry:
         domains, functions without a hook, and hook errors all answer False
         (no opinion).
         """
-        registered = self._domains.get(domain)
-        if registered is None or not registered.has_function(function):
-            return False
-        hook = registered.function(function).quick_reject
+        hook = self._hook(domain, function, "quick_reject")
         if hook is None:
             return False
         try:
@@ -363,10 +445,7 @@ class DomainRegistry:
         functions without a hook, and hook errors all answer ``None`` (no
         bound), which merely keeps the entry in the always-returned bucket.
         """
-        registered = self._domains.get(domain)
-        if registered is None or not registered.has_function(function):
-            return None
-        hook = registered.function(function).index_interval
+        hook = self._hook(domain, function, "index_interval")
         if hook is None:
             return None
         try:
@@ -374,10 +453,29 @@ class DomainRegistry:
         except Exception:
             return None
 
+    def _hook(self, domain: str, function: str, name: str) -> Optional[Callable]:
+        source = self._sources.get(domain)
+        if source is None or not source.domain.has_function(function):
+            return None
+        return getattr(source.domain.function(function), name)
+
     # -- cache management ----------------------------------------------------
+    def source_changed(self, source: Optional[str] = None) -> None:
+        """Act on a change notice: forget what *source* was remembered to say.
+
+        Advances the named domain's epoch, which drops its call memo and
+        invalidates everything gated on its version (see the class
+        docstring).  A name that is not a registered domain -- a table
+        name, an empty notice, ``None`` -- cannot be attributed, so every
+        domain is treated as changed.
+        """
+        named = self._sources.get(source) if source else None
+        for changed in (named,) if named is not None else self._sorted_sources:
+            changed.forget(next(self._epochs))
+
     def invalidate_cache(self) -> None:
         """Drop all memoized call results (call after any source update)."""
-        self._cache.clear()
+        self.source_changed()
         self._mutation_counter += 1
 
     @property
@@ -385,20 +483,45 @@ class DomainRegistry:
         """Whether ground calls are memoized."""
         return self._cache_calls
 
+    def call_counters(self) -> Dict[str, Dict[str, int]]:
+        """Per-domain totals: calls made, served from the memo, executed."""
+        return {
+            source.domain.name: {
+                "calls": source.calls,
+                "memo_hits": source.memo_hits,
+                "executed": source.calls - source.memo_hits,
+            }
+            for source in self._sorted_sources
+        }
+
+    def versions_of(self, domains: Iterable[str]) -> Tuple[object, ...]:
+        """The current version of each named domain, in the order given.
+
+        ``None`` stands for a name that is not registered (registering it
+        later is a change like any other).  This is the gate of every
+        per-domain memo: the call memo compares one of these per call, the
+        solver's instance memo the tuple for the domains a constraint names.
+        """
+        sources = self._sources
+        return tuple(
+            sources[name].version() if name in sources else None for name in domains
+        )
+
     @property
     def version(self) -> object:
         """A token that changes whenever any integrated source may have.
 
         Aggregates the registry's own mutation counter (registrations,
-        explicit invalidations) with every domain's :meth:`Domain.
-        source_version`.  Solvers compare successive tokens to decide whether
+        explicit invalidations) with every domain's version (its
+        :meth:`Domain.source_version` and its change-notice epoch).
+        Solvers compare successive tokens to decide whether
         memoized DCA-dependent satisfiability results are still valid --
         which makes that memoization safe *by default*, without the manual
         ``invalidate_external_functions`` choreography.
         """
         return (
             self._mutation_counter,
-            tuple(domain.source_version() for domain in self._sorted_domains),
+            tuple(source.version() for source in self._sorted_sources),
         )
 
     @property
@@ -413,5 +536,8 @@ class DomainRegistry:
         """
         return (
             self._mutation_counter,
-            tuple(domain.registration_version() for domain in self._sorted_domains),
+            tuple(
+                source.domain.registration_version()
+                for source in self._sorted_sources
+            ),
         )

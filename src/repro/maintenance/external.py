@@ -77,7 +77,7 @@ class TpExternalMaintenance:
         restore consistency because the view is recomputed outright, which is
         exactly the cost the paper's ``W_P`` proposal avoids.
         """
-        self._solver.invalidate_external_functions()
+        _notify_solver(self._solver, deltas)
         added, removed = add_rem_sets(deltas)
         old_entries = {entry.key() for entry in self._view}
         self._view = compute_tp_fixpoint(self._program, self._solver, options=self._options)
@@ -131,7 +131,7 @@ class WpExternalMaintenance:
         invalidation keeps query-time evaluation honest about the sources'
         *current* behaviour (Corollary 1).
         """
-        self._solver.invalidate_external_functions()
+        _notify_solver(self._solver, deltas)
         added, removed = add_rem_sets(deltas)
         return ExternalChangeReport(
             strategy="wp-noop",
@@ -150,6 +150,16 @@ class WpExternalMaintenance:
         time, against whatever the sources currently return.
         """
         return self._view.instances_for(predicate, solver=self._solver, universe=universe)
+
+
+def _notify_solver(solver: ConstraintSolver, deltas: Sequence[FunctionDelta]) -> None:
+    """Pass a source change on as change notices, one per domain in *deltas*.
+
+    Without deltas the change cannot be attributed: everything remembered
+    about any source is dropped.
+    """
+    for source in {delta.domain for delta in deltas} or (None,):
+        solver.invalidate_external_functions(source)
 
 
 def collect_function_deltas(

@@ -69,7 +69,7 @@ class MediatorBuilder:
         program = ConstrainedDatabase(
             clause.with_number(None) for clause in clauses
         )
-        registry = DomainRegistry(self._domains)
+        registry = DomainRegistry(self._domains, cache_calls=True)
         # Fail fast on the analysis errors no program should ship with:
         # unsafe head variables and unstratified negation make the fixpoint
         # semantics itself ill-defined.  Registry-level errors (unknown

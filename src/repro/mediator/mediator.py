@@ -154,7 +154,7 @@ class Mediator:
     ) -> "Mediator":
         """Build a mediator from rule text and a list of domains."""
         program = parse_program(rules)
-        registry = DomainRegistry(domains)
+        registry = DomainRegistry(domains, cache_calls=True)
         return cls(program, registry, **kwargs)
 
     @classmethod
@@ -195,7 +195,7 @@ class Mediator:
                     "pass rules to initialize it"
                 )
             program = state.program
-        registry = DomainRegistry(domains)
+        registry = DomainRegistry(domains, cache_calls=True)
         mediator = cls(program, registry, **kwargs)
         mediator._durable_scheduler = open_scheduler(
             path,

@@ -220,6 +220,35 @@ class Metrics:
         for event, value in stats.get("events", {}).items():
             self.set_counter(f"repro_constraints_{event}_total", value)
 
+    def record_domains(self, solver) -> None:
+        """Mirror the read path's own totals into the registry.
+
+        *solver* is the :class:`~repro.constraints.solver.ConstraintSolver`
+        reads go through.  Its evaluator's per-domain call counters (the
+        domain registry's ``call_counters``) become
+        ``repro_domains_calls_total`` / ``repro_domains_memo_hits_total``
+        (labelled by domain -- a closed set, one per registered source) and
+        the solver's instance-memo pair becomes
+        ``repro_read_instance_memo_{hits,misses}_total``.  Like
+        :meth:`record_intern` this is an absolute-value sync of totals the
+        sources keep themselves, not a hook on the hot path.
+        """
+        counters = getattr(solver.evaluator, "call_counters", None)
+        if counters is not None:
+            for domain, row in counters().items():
+                self.set_counter(
+                    "repro_domains_calls_total", row["calls"], domain=domain
+                )
+                self.set_counter(
+                    "repro_domains_memo_hits_total", row["memo_hits"], domain=domain
+                )
+        self.set_counter(
+            "repro_read_instance_memo_hits_total", solver.instance_memo_hits
+        )
+        self.set_counter(
+            "repro_read_instance_memo_misses_total", solver.instance_memo_misses
+        )
+
     # ------------------------------------------------------------------
     # Readers (operator surface)
     # ------------------------------------------------------------------
@@ -335,6 +364,9 @@ class NullMetrics(Metrics):
         pass
 
     def record_intern(self, stats: Optional[Mapping[str, object]] = None) -> None:
+        pass
+
+    def record_domains(self, solver) -> None:
         pass
 
 

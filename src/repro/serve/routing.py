@@ -93,9 +93,10 @@ class RequestRouter:
     async def _op_metrics(self, request: dict) -> dict:
         """The metrics registry, as JSON or Prometheus text exposition."""
         obs = self._service.obs
-        # Sync the intern-table totals at scrape time so the exposition is
-        # fresh even when no batch has run since the tables last moved.
+        # Sync the intern-table and read-path totals at scrape time so the
+        # exposition is fresh even when no batch has run since they moved.
         obs.metrics.record_intern()
+        obs.metrics.record_domains(self._service.scheduler.solver)
         fmt = self._optional_str(request, "format") or "json"
         if fmt == "prometheus":
             return {

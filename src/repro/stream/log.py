@@ -30,9 +30,19 @@ class ExternalChangeNotice:
     :meth:`repro.reldb.changelog.ChangeLog.inserted_rows`); an empty notice
     just says "something about *source* changed".  Under the ``W_P``
     maintenance discipline the scheduler needs no row detail at all -- the
-    view is syntactically invariant (Theorem 4) and only the solver's
-    external memos must be dropped -- so the rows exist for reporting and
+    view is syntactically invariant (Theorem 4) and only what was remembered
+    about the source must be dropped -- so the rows exist for reporting and
     for ``T_P``-style consumers.
+
+    The notice is the invalidation protocol of the read path's memos (see
+    :class:`~repro.domains.base.DomainRegistry`): when *source* is the name
+    of a registered domain, flushing the notice forgets that domain's
+    remembered call results and the solver's DCA-dependent results, and
+    nothing of any other domain; any other name (a table name, an empty
+    string) cannot be attributed and drops all of them.  A tracked source
+    -- one whose ``source_version()`` moves with its data -- needs no
+    notice for correctness; an untracked one needs exactly this, and reads
+    stay on the remembered answer until it is flushed.
     """
 
     source: str

@@ -13,9 +13,10 @@ batches to it with the batch entry points of the maintenance algorithms:
   pass (one ``P_ADD`` fixpoint seeded with every inserted atom);
 * external change notices cost nothing: under the ``W_P`` reading of
   Section 4 the view is syntactically invariant (Theorem 4), so the
-  scheduler only drops the solver's external memos -- the registry version
-  token already does this for well-behaved sources, the explicit
-  invalidation covers sources mutated behind the domain layer's back.
+  scheduler only passes each notice on to the solver, which drops its
+  DCA-dependent memos and has the registry forget the notified source --
+  a tracked source's version already does this, the notice covers sources
+  mutated behind the domain layer's back.
 
 Independent strata (disjoint upward closures, see
 :mod:`repro.stream.strata`) are applied as separate units -- concurrently
@@ -698,11 +699,11 @@ class StreamScheduler:
             apply_span = trace.span("apply") if trace is not None else None
 
             # External changes first: the batch must be maintained against
-            # the sources' *current* behaviour.  Under W_P-style memoization
-            # the registry version token already invalidates stale results;
-            # the explicit call covers behind-the-back mutations.
-            if coalesced.notices:
-                self._solver.invalidate_external_functions()
+            # the sources' *current* behaviour.  A tracked source's version
+            # already invalidates what was remembered of it; the notice is
+            # what reaches a source mutated behind the registry's back.
+            for notice in coalesced.notices:
+                self._solver.invalidate_external_functions(notice.source)
 
             # One consistent (view, programs) snapshot to maintain against.
             # A concurrent batch can commit while this one runs, but only a
@@ -794,10 +795,11 @@ class StreamScheduler:
                 )
             if stats.rebased:
                 metrics.inc("repro_rebased_commits_total")
-            # Mirror the hash-consing tables once per batch: the intern
-            # layer keeps its own monotonic totals, so this is a cheap
-            # absolute-value sync, not a per-construction hot-path hook.
+            # Mirror the hash-consing tables and the read path's counters
+            # once per batch: both layers keep their own monotonic totals,
+            # so this is a cheap absolute-value sync, not a hot-path hook.
             metrics.record_intern()
+            metrics.record_domains(self._solver)
         trace = prepared.trace
         if trace is not None:
             # Totals on the root are a convenience reading; reconciliation

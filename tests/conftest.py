@@ -6,7 +6,7 @@ import pytest
 
 from repro.constraints import ConstraintSolver
 from repro.datalog import compute_tp_fixpoint, parse_program
-from repro.domains import DomainRegistry, make_arithmetic_domain
+from repro.domains import Domain, DomainRegistry, make_arithmetic_domain
 
 #: The paper's Example 4 / Example 5 constrained database.  The scanned paper
 #: renders the comparison operators illegibly; the worked example only makes
@@ -66,3 +66,29 @@ def example6_program():
 def example6_view(example6_program, solver):
     """The materialized view of Example 6 (with supports)."""
     return compute_tp_fixpoint(example6_program, solver)
+
+
+@pytest.fixture
+def untracked_sources():
+    """``(mediator, shelves, executed)``: two domains, ``book`` and ``shop``,
+    whose ``all()`` reads a plain set of *shelves* that no version follows,
+    under a mediator-built (call-remembering) registry; ``executed()`` is
+    how often each one's function has actually run.  ``listed`` / ``priced``
+    are the predicates over them."""
+    from repro.mediator import Mediator
+
+    shelves = {"book": {"ann"}, "shop": {"pen"}}
+    domains = []
+    for name in shelves:
+        domain = Domain(name)
+        domain.register("all", lambda name=name: set(shelves[name]))
+        domains.append(domain)
+    mediator = Mediator.from_rules(
+        "listed(X) <- in(X, book:all()). priced(X) <- in(X, shop:all()).", domains
+    )
+
+    def executed():
+        counters = mediator.registry.call_counters()
+        return counters["book"]["executed"], counters["shop"]["executed"]
+
+    return mediator, shelves, executed

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.constraints import (
     ConstraintSolver,
@@ -19,8 +22,14 @@ from repro.constraints import (
     not_equals,
     solution_set,
 )
-from repro.domains import Domain, DomainRegistry, make_arithmetic_domain
-from repro.errors import SolverError
+from repro.constraints.ast import NegatedConjunction
+from repro.domains import (
+    Domain,
+    DomainRegistry,
+    IntensionalResultSet,
+    make_arithmetic_domain,
+)
+from repro.errors import SolverError, UnknownDomainError
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -176,3 +185,181 @@ class TestEquivalenceOnUniverse:
                     TRUE, [X, Y], solver=solver, universe=range(100), max_solutions=10
                 )
             )
+
+
+# ---------------------------------------------------------------------------
+# The single-pass search against a brute-force reference
+# ---------------------------------------------------------------------------
+
+W = Variable("W")  # only ever used inside a negation: quantified there
+SMALL_UNIVERSE = tuple(range(5))
+
+
+def toy_registry(executed=None) -> DomainRegistry:
+    """Finite, chained and intensional calls whose values stay in the universe."""
+    log = executed if executed is not None else []
+    toy = Domain("toy")
+    toy.register("nums", lambda: log.append("nums") or {0, 1, 2})
+    toy.register(
+        "succ", lambda x: log.append("succ") or ({x + 1} if x in (0, 1, 2) else set())
+    )
+    toy.register("small", lambda x: log.append("small") or x < 2)
+    toy.register(
+        "big",
+        lambda: IntensionalResultSet(lambda v: v >= 2, description="values >= 2"),
+    )
+    return DomainRegistry([toy])
+
+
+def brute_force(constraint, wanted, solver, universe):
+    """``{θ|wanted}`` over every assignment of the searched variables drawn
+    from *universe* that the solver's exact ground evaluator accepts."""
+    searched = list(dict.fromkeys(wanted))
+    for part in constraint.conjuncts():
+        if not isinstance(part, NegatedConjunction):
+            searched += sorted(part.variables() - set(searched), key=lambda v: v.name)
+    found = set()
+    for values in itertools.product(universe, repeat=len(searched)):
+        assignment = dict(zip(searched, values))
+        if solver.evaluate_ground(constraint, assignment):
+            found.add(tuple(assignment[var] for var in wanted))
+    return found
+
+
+def literals(variables):
+    terms = st.one_of(st.sampled_from(variables), st.sampled_from(SMALL_UNIVERSE))
+    comparisons = st.builds(
+        compare,
+        st.sampled_from(variables),
+        st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
+        terms,
+    )
+    calls = st.one_of(
+        st.builds(lambda element: member(element, "toy", "nums"), terms),
+        st.builds(lambda element, arg: member(element, "toy", "succ", arg), terms, terms),
+        st.builds(lambda arg: member(True, "toy", "small", arg), terms),
+        st.builds(lambda element: member(element, "toy", "big"), terms),
+    )
+    memberships = st.builds(
+        lambda literal, positive: literal if positive else literal.negated(),
+        calls,
+        st.booleans(),
+    )
+    return st.one_of(comparisons, memberships)
+
+
+@st.composite
+def search_cases(draw):
+    outer = (X, Y, Z)
+    positive = draw(st.lists(literals(outer), min_size=1, max_size=5))
+    negations = draw(
+        st.lists(
+            st.lists(literals(outer + (W,)), min_size=1, max_size=3), max_size=2
+        )
+    )
+    wanted = draw(st.lists(st.sampled_from(outer), min_size=1, max_size=3))
+    constraint = conjoin(*positive, *(negate(conjoin(*inner)) for inner in negations))
+    return constraint, wanted
+
+
+class TestSearchMatchesBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases())
+    def test_same_solutions_as_the_reference(self, case):
+        constraint, wanted = case
+        solver = ConstraintSolver(toy_registry())
+        assert solution_set(
+            constraint, wanted, solver=solver, universe=SMALL_UNIVERSE
+        ) == brute_force(constraint, list(dict.fromkeys(wanted)), solver, SMALL_UNIVERSE)
+
+    def test_negation_with_an_inner_only_variable_is_decided_at_the_leaf(self):
+        solver = ConstraintSolver(toy_registry())
+        constraint = conjoin(
+            member(X, "toy", "nums"),
+            member(Y, "toy", "succ", X),
+            negate(conjoin(equals(W, Y), member(W, "toy", "nums"))),
+        )
+        assert solution_set(constraint, [X, Y], solver=solver) == {(2, 3)}
+        assert brute_force(constraint, [X, Y], solver, SMALL_UNIVERSE) == {(2, 3)}
+
+    def test_solutions_come_in_the_order_of_the_frozen_variable_rule(self):
+        """Pinned first, then the smallest finite membership set, then the
+        bounded interval; ties by position; values sorted by type name and
+        ``repr``.  The order below is the parent implementation's."""
+        solver = ConstraintSolver(toy_registry())
+        constraint = conjoin(
+            compare(X, ">=", 1), compare(X, "<=", 4),
+            member(Y, "toy", "nums"),
+            member(Z, "toy", "succ", Y),
+            compare(X, "!=", Z),
+        )
+        found = [
+            (s[X], s[Y], s[Z])
+            for s in enumerate_solutions(constraint, [X, Y, Z], solver=solver)
+        ]
+        assert found == [
+            (2, 0, 1), (3, 0, 1), (4, 0, 1),
+            (1, 1, 2), (3, 1, 2), (4, 1, 2),
+            (1, 2, 3), (2, 2, 3), (4, 2, 3),
+        ]
+
+    def test_a_conjunct_is_evaluated_once_per_branch(self):
+        """``small(X)`` is decided when X is assigned and never again below."""
+        executed = []
+        solver = ConstraintSolver(toy_registry(executed))
+        constraint = conjoin(
+            member(X, "toy", "nums"),
+            member(Y, "toy", "nums"),
+            member(True, "toy", "small", X),
+        )
+        assert solution_set(constraint, [X, Y], solver=solver) == {
+            (x, y) for x in (0, 1) for y in (0, 1, 2)
+        }
+        assert executed.count("small") == 3  # one per candidate of X
+
+    def test_an_unevaluable_membership_raises_at_the_leaf_not_before(self):
+        bounded = conjoin(compare(X, ">=", 0), compare(X, "<=", 2))
+        unknown = member(X, "nosuch", "f")
+        # No evaluator: SolverError, but only once a complete assignment
+        # survives everything that could be decided.
+        with pytest.raises(SolverError, match="without a domain evaluator"):
+            solution_set(conjoin(bounded, unknown), [X])
+        empty = conjoin(compare(Y, ">=", 5), compare(Y, "<=", 4))
+        assert solution_set(conjoin(bounded, empty, unknown), [X, Y]) == frozenset()
+        assert solution_set(conjoin(bounded, equals(X, 7), unknown), [X]) == frozenset()
+        # A registry that lacks the domain answers at the first ground call.
+        with pytest.raises(UnknownDomainError):
+            solution_set(
+                conjoin(bounded, unknown), [X], solver=ConstraintSolver(toy_registry())
+            )
+
+    def test_max_solutions_is_an_exact_bound(self):
+        constraint = conjoin(compare(X, ">=", 0), compare(X, "<=", 3))
+        assert len(list(enumerate_solutions(constraint, [X], max_solutions=4))) == 4
+        produced = []
+        with pytest.raises(SolverError, match="exceeded 3 assignments"):
+            for solution in enumerate_solutions(constraint, [X], max_solutions=3):
+                produced.append(solution[X])
+        assert produced == [0, 1, 2]
+
+    def test_an_unbounded_variable_falls_back_to_the_universe_or_says_so(self):
+        constraint = conjoin(member(X, "toy", "nums"), compare(Y, "!=", X))
+        solver = ConstraintSolver(toy_registry())
+        assert solution_set(constraint, [X, Y], solver=solver, universe=(1, 7)) == {
+            (0, 1), (0, 7), (1, 7), (2, 1), (2, 7),
+        }
+        with pytest.raises(SolverError, match="variable Y; supply a universe"):
+            solution_set(constraint, [X, Y], solver=solver)
+        # A requested variable the constraint never mentions is unbounded too.
+        assert solution_set(equals(X, 1), [X, Z], universe=(5, 6)) == {(1, 5), (1, 6)}
+        with pytest.raises(SolverError, match="variable Z; supply a universe"):
+            solution_set(equals(X, 1), [X, Z])
+
+    def test_the_plan_is_kept_with_the_node_and_rebuilt_for_other_variables(self):
+        constraint = conjoin(compare(X, ">=", 0), compare(X, "<=", 1), equals(Y, X))
+        assert solution_set(constraint, [X, Y]) == {(0, 0), (1, 1)}
+        plan = constraint._plan
+        assert solution_set(constraint, [X, Y]) == {(0, 0), (1, 1)}
+        assert constraint._plan is plan
+        assert solution_set(constraint, [Y]) == {(0,), (1,)}
+        assert constraint._plan is not plan

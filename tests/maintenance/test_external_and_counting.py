@@ -105,6 +105,47 @@ class TestWpAgainstTp:
         assert wp.query("local") == {("ann",), ("bob",)}
 
 
+class TestNoticeProtocol:
+    """``on_source_changed`` is the change notice of the Section-4 classes:
+    under a mediator-built (call-remembering) registry it is what reaches a
+    source whose functions read state no version follows."""
+
+    @pytest.mark.parametrize("strategy", [TpExternalMaintenance, WpExternalMaintenance])
+    def test_on_source_changed_reaches_an_untracked_source(
+        self, strategy, untracked_sources
+    ):
+        from repro.domains.versioned import FunctionDelta
+
+        mediator, shelves, executed = untracked_sources
+        maintained = strategy(mediator.program, mediator.solver)
+
+        def read():
+            return maintained.query("listed"), maintained.query("priced")
+
+        def delta(domain):
+            return FunctionDelta(domain, "all", (), (), ())
+
+        assert read() == ({("ann",)}, {("pen",)})
+        cold = executed()
+        shelves["book"].add("bob")  # behind the registry's back
+        assert read() == ({("ann",)}, {("pen",)}) and executed() == cold
+        maintained.on_source_changed([delta("shop")])  # somebody else's change
+        assert read() == ({("ann",)}, {("pen",)})
+        assert executed() == (cold[0], cold[1] + 1)
+        maintained.on_source_changed([delta("book")])
+        assert read() == ({("ann",), ("bob",)}, {("pen",)})
+        assert executed() == (cold[0] + 1, cold[1] + 1)
+        shelves["book"].discard("ann")
+        shelves["shop"].add("ink")
+        assert read() == ({("ann",), ("bob",)}, {("pen",)})
+        maintained.on_source_changed([delta("a-table-not-a-domain")])
+        assert read() == ({("bob",)}, {("ink",), ("pen",)})
+        shelves["shop"].discard("pen")
+        maintained.on_source_changed()  # no deltas: nothing to attribute
+        assert read() == ({("bob",)}, {("ink",)})
+        assert executed() == (cold[0] + 3, cold[1] + 3)
+
+
 class TestCountingBaseline:
     def test_counts_on_nonrecursive_ground_program(self, solver):
         program = parse_program(

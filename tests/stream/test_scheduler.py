@@ -382,6 +382,38 @@ class TestExternalNotices:
         assert result.stats.solver_calls == 0
         assert view_keys(scheduler.view) == before  # Theorem 4: no view work
 
+    def test_the_notice_is_the_invalidation_protocol(self, untracked_sources):
+        """Untracked sources -- functions reading plain sets no version
+        follows -- under a mediator-built (call-remembering) registry: a
+        read stays on the remembered answer until a notice for *its* source
+        is flushed; a name that is no domain drops everything."""
+        mediator, shelves, executed = untracked_sources
+        scheduler = mediator.streaming()
+
+        def read():
+            return scheduler.query("listed"), scheduler.query("priced")
+
+        def notify(source):
+            scheduler.submit(ExternalChangeNotice(source))
+            assert scheduler.flush().ok
+
+        assert read() == ({("ann",)}, {("pen",)})
+        cold = executed()
+        shelves["book"].add("bob")  # behind the registry's back
+        assert read() == ({("ann",)}, {("pen",)}) and executed() == cold
+        notify("shop")  # somebody else's notice
+        assert read() == ({("ann",)}, {("pen",)})
+        assert executed() == (cold[0], cold[1] + 1)
+        notify("book")
+        assert read() == ({("ann",), ("bob",)}, {("pen",)})
+        assert executed() == (cold[0] + 1, cold[1] + 1)
+        shelves["book"].discard("ann")
+        shelves["shop"].add("ink")
+        assert read() == ({("ann",), ("bob",)}, {("pen",)})
+        notify("a-table-not-a-domain")
+        assert read() == ({("bob",)}, {("ink",), ("pen",)})
+        assert executed() == (cold[0] + 2, cold[1] + 2)
+
 
 class TestLogIntegration:
     def test_submit_and_flush_drain_the_log(self):

@@ -56,6 +56,13 @@ Two invariant families are load-bearing enough to enforce textually:
    ``all_variable_names(`` anywhere in ``src/`` would be a shard-sized walk
    back on the stream path.
 
+7. **Sources are reached through the registry.**  A domain function runs
+   only from ``DomainRegistry.evaluate_call``: ``.invoke(`` / ``.call(``
+   anywhere outside ``src/repro/domains/`` would reach a source around the
+   per-source call memo, its version gate and its counters -- a read that
+   neither the change-notice protocol nor ``repro_domains_calls_total``
+   knows about.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/ (exit 1 on findings)
@@ -70,7 +77,7 @@ from typing import Iterator, List, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
-#: (regex, allowed path suffixes, message)
+#: (regex, allowed path suffixes -- or directory prefixes, ending in "/" --, message)
 RULES: Tuple[Tuple[re.Pattern, Tuple[str, ...], str], ...] = (
     (
         re.compile(r"\._shards\b"),
@@ -143,6 +150,12 @@ RULES: Tuple[Tuple[re.Pattern, Tuple[str, ...], str], ...] = (
         "shard scan in a maintenance pass (look the entries a request can "
         "overlap up with repro.datalog.join.overlap_candidates)",
     ),
+    (
+        re.compile(r"\.(?:invoke|call)\s*\("),
+        ("repro/domains/",),
+        "domain function called around DomainRegistry.evaluate_call (the "
+        "call memo, its version gate and the per-domain counters live there)",
+    ),
 )
 
 #: Engine flags: each must be declared (as an annotated dataclass field) in
@@ -196,7 +209,10 @@ def iter_findings(root: Path) -> Iterator[str]:
         text = path.read_text(encoding="utf-8")
         for line_number, line in enumerate(text.splitlines(), start=1):
             for pattern, allowed, message in RULES:
-                if any(relative.endswith(suffix) for suffix in allowed):
+                if any(
+                    relative.startswith(path) if path.endswith("/") else relative.endswith(path)
+                    for path in allowed
+                ):
                     continue
                 if pattern.search(line):
                     yield f"{root.name}/{relative}:{line_number}: {message}"
