@@ -44,6 +44,7 @@ from repro.datalog import (  # noqa: E402
 from repro.datalog.join import EngineOptions  # noqa: E402
 from repro.maintenance import (  # noqa: E402
     DeletionRequest,
+    MaintenanceStats,
     TpExternalMaintenance,
     WpExternalMaintenance,
     delete_with_dred,
@@ -54,7 +55,6 @@ from repro.maintenance import (  # noqa: E402
 from repro.maintenance import (  # noqa: E402
     ExtendedDRed,
     StraightDelete,
-    ViewMaintainer,
 )
 from repro.stream import StreamOptions, StreamScheduler  # noqa: E402
 from repro.workloads import (  # noqa: E402
@@ -221,7 +221,7 @@ def run_stream_mixed_batch() -> dict:
 
     The batch carries duplicates and an insert-then-delete pair, so the
     snapshot also records what coalescing removed; the `sequential` payload
-    is the same stream through the per-request ``ViewMaintainer`` path.
+    is the same stream as batches of one request, not coalesced.
 
     The batched run forces ``max_workers=4``: with predicate-sharded
     storage the parallel units check out (copy-on-write) only the shards of
@@ -236,14 +236,19 @@ def run_stream_mixed_batch() -> dict:
         spec, 1, deletions=3, insertions=2, seed=3, duplicates=1, cancellations=1
     )[0]
 
-    maintainer = ViewMaintainer(spec.program, ConstraintSolver())
-    seconds_sequential, report = timed(maintainer.apply_all, batch.requests)
-    sequential = None
-    for item in report.applied:
-        if sequential is None:
-            sequential = item.stats
-        else:
-            sequential.merge(item.stats)
+    one_at_a_time = StreamScheduler(
+        spec.program, ConstraintSolver(), options=StreamOptions(max_workers=1)
+    )
+
+    def apply_one_at_a_time() -> MaintenanceStats:
+        total = MaintenanceStats()
+        for request in batch.requests:
+            result = one_at_a_time.apply_batch((request,), coalesce=False)
+            assert result.ok, result.failed_units
+            total.merge(result.stats.totals())
+        return total
+
+    seconds_sequential, sequential = timed(apply_one_at_a_time)
 
     scheduler = StreamScheduler(
         spec.program, ConstraintSolver(), options=StreamOptions(max_workers=4)

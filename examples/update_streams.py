@@ -2,7 +2,7 @@
 
 The paper's algorithms handle one update at a time; this example shows the
 bookkeeping a real deployment needs on top of them, provided by
-:class:`repro.maintenance.ViewMaintainer`:
+:class:`repro.stream.StreamScheduler`:
 
 * a synthetic layered view is materialized once,
 * a mixed stream of deletions and insertions is applied incrementally
@@ -20,8 +20,8 @@ Run with::
 from __future__ import annotations
 
 from repro.constraints import ConstraintSolver
-from repro.maintenance import ViewMaintainer
-from repro.stream import StreamScheduler
+from repro.maintenance import MaintenanceStats
+from repro.stream import StreamOptions, StreamScheduler
 from repro.workloads import make_layered_program, mixed_stream
 
 
@@ -32,28 +32,35 @@ def main() -> None:
     )
     print(f"Workload: {spec.description}")
 
-    maintainer = ViewMaintainer(spec.program, solver, deletion_algorithm="stdel")
-    print(f"Materialized view: {len(maintainer.view)} entries")
+    one_at_a_time = StreamScheduler(
+        spec.program, solver, options=StreamOptions(deletion_algorithm="stdel")
+    )
+    print(f"Materialized view: {len(one_at_a_time.view)} entries")
     top = spec.top_predicates[0]
-    print(f"|{top}| = {len(maintainer.view.instances_for(top, solver))} instances\n")
+    print(f"|{top}| = {len(one_at_a_time.query(top))} instances\n")
 
     stream = mixed_stream(spec, deletions=4, insertions=4, seed=7)
     print(f"Applying {len(stream.requests)} updates "
           f"({len(stream.deletions())} deletions, {len(stream.insertions())} insertions)...")
+    sequential = MaintenanceStats()
     for request in stream.requests:
-        record = maintainer.apply(request)
-        print(f"  {request}  ->  view has {record.view_size_after} entries "
-              f"({record.stats.solver_calls} solver calls)")
+        # A batch of one, not coalesced: the per-request path.
+        result = one_at_a_time.apply_batch((request,), coalesce=False)
+        assert result.ok, result.failed_units
+        stats = result.stats.totals()
+        sequential.merge(stats)
+        print(f"  {request}  ->  view has {len(result.view)} entries "
+              f"({stats.solver_calls} solver calls)")
 
-    report = maintainer.report()
     print()
-    print(f"Totals: {report.deletions} deletions, {report.insertions} insertions, "
-          f"{report.total_solver_calls()} solver calls, "
-          f"{report.total_replaced_entries()} in-place constraint replacements")
-    print(f"|{top}| = {len(maintainer.view.instances_for(top, solver))} instances")
+    print(f"Totals: {len(stream.deletions())} deletions, "
+          f"{len(stream.insertions())} insertions, "
+          f"{sequential.solver_calls} solver calls, "
+          f"{sequential.replaced_entries} in-place constraint replacements")
+    print(f"|{top}| = {len(one_at_a_time.query(top))} instances")
 
     print("\nVerifying against the declarative semantics of the whole stream ...")
-    assert maintainer.verify(), "incremental view diverged from the declarative semantics"
+    assert one_at_a_time.verify(), "incremental view diverged from the declarative semantics"
     print("OK: the incrementally maintained view equals the least model of the "
           "effective (rewritten) program.")
 
@@ -67,10 +74,11 @@ def main() -> None:
     print(f"  {result.stats.submitted} requests -> {result.stats.applied} after "
           f"coalescing, {len(result.stats.units)} stratum unit(s)")
     print(f"  batched counters: {totals.solver_calls} solver calls vs "
-          f"{report.total_solver_calls()} one-at-a-time")
-    batched = scheduler.view.instances_for(top, ConstraintSolver())
-    sequential = maintainer.view.instances_for(top, solver)
-    assert batched == sequential, "batched application diverged from sequential"
+          f"{sequential.solver_calls} one-at-a-time")
+    batched = scheduler.query(top)
+    assert batched == one_at_a_time.query(top), (
+        "batched application diverged from sequential"
+    )
     print(f"OK: batched |{top}| matches the one-at-a-time result "
           f"({len(batched)} instances).")
 

@@ -34,8 +34,9 @@ from typing import List, Optional, Sequence
 from repro.analysis import analyze_program
 from repro.constraints import ConstraintSolver
 from repro.datalog import compute_tp_fixpoint, compute_wp_fixpoint, parse_constrained_atom, parse_program
-from repro.errors import ReproError
-from repro.maintenance import DeletionRequest, InsertionRequest, ViewMaintainer
+from repro.errors import MaintenanceError, ReproError
+from repro.maintenance import DeletionRequest, InsertionRequest
+from repro.stream import StreamOptions, StreamScheduler
 
 
 def parse_universe(spec: Optional[str]) -> Optional[List[object]]:
@@ -106,26 +107,31 @@ def _cmd_query(args, stream) -> int:
 def _cmd_update(args, stream, kind: str) -> int:
     program = _load_program(args.rules)
     solver = ConstraintSolver()
-    maintainer = ViewMaintainer(
-        program, solver, deletion_algorithm=args.algorithm
+    scheduler = StreamScheduler(
+        program, solver, options=StreamOptions(deletion_algorithm=args.algorithm)
     )
     atom = parse_constrained_atom(args.atom)
     request = DeletionRequest(atom) if kind == "delete" else InsertionRequest(atom)
-    record = maintainer.apply(request)
+    result = scheduler.apply_batch((request,), coalesce=False)
+    if not result.ok:
+        raise MaintenanceError(
+            f"update failed: {request} ({result.failed_units[0].error})"
+        )
+    algorithm = args.algorithm if kind == "delete" else "insert"
     print(
-        f"applied {kind} of {atom} using {record.algorithm}; "
-        f"view now has {record.view_size_after} entries",
+        f"applied {kind} of {atom} using {algorithm}; "
+        f"view now has {len(result.view)} entries",
         file=stream,
     )
     if args.verify:
-        ok = maintainer.verify(parse_universe(args.universe))
+        ok = scheduler.verify(parse_universe(args.universe))
         print(f"verification against declarative semantics: {'OK' if ok else 'MISMATCH'}",
               file=stream)
         if not ok:
             return 1
     if args.query:
         _print_instances(
-            maintainer.view, args.query, solver, parse_universe(args.universe), stream
+            result.view, args.query, solver, parse_universe(args.universe), stream
         )
     return 0
 
@@ -150,10 +156,9 @@ def _cmd_analyze(args, stream) -> int:
 def _cmd_serve(args, stream) -> int:
     import asyncio
 
-    # Imported lazily: the serve layer pulls in the stream scheduler and
-    # asyncio machinery no other subcommand needs.
+    # Imported lazily: the serve layer pulls in asyncio machinery no other
+    # subcommand needs.
     from repro.serve import MediatorServer, MediatorService, ServeOptions
-    from repro.stream import StreamOptions, StreamScheduler
 
     from repro.obs import Observability
 

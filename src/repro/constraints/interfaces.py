@@ -42,22 +42,23 @@ class ResultSetLike(Protocol):
 class CallEvaluator(Protocol):
     """Evaluates ground domain calls; implemented by the domain registry.
 
-    Beyond the two required methods, the solver discovers four *optional*
+    Beyond the two required methods, the solver discovers three *optional*
     members by ``getattr`` (so ad-hoc evaluators need not provide them):
 
-    * ``version`` -- a comparable token that changes whenever any source's
-      behaviour may have changed; its presence makes memoization of
-      DCA-dependent satisfiability results safe by default (the solver drops
-      stale entries on token change).
     * ``quick_reject(domain, function, args, value) -> bool`` -- a cheap
       membership refuter consulted by the quick-reject pre-filter; True only
       when *value* is definitely not in ``domain:function(args)``.
     * ``versions_of(domains) -> tuple`` -- the current version of each named
-      domain; its presence lets the solver remember the instance set of a
-      DCA-dependent constrained atom while the domains it names stand.
+      domain, comparable by ``==``.  The one gate of everything the solver
+      remembers about a DCA-dependent constraint (satisfiability,
+      simplification, instance sets): a result is served while the domains
+      the constraint names stand at the versions read before it was
+      computed.  A source must publish its data before its version.  An
+      evaluator without it gets no such memo.
     * ``source_changed(source)`` -- told of every change notice the solver
       receives (``invalidate_external_functions``), so an evaluator that
-      remembers call results can forget those of *source*.
+      remembers call results can forget those of *source* and move it to a
+      new version.
     """
 
     def evaluate_call(

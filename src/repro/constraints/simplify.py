@@ -67,18 +67,14 @@ def simplify(
     if isinstance(constraint, (TrueConstraint, FalseConstraint)):
         return constraint
 
-    cached = solver.cached_simplification(constraint, drop_redundant_comparisons)
+    cached, gate = solver.cached_simplification(constraint, drop_redundant_comparisons)
     if cached is not None:
         return cached
-    original = constraint
 
-    constraint = scope_negations(constraint)
-    if isinstance(constraint, (TrueConstraint, FalseConstraint)):
-        solver.cache_simplification(original, drop_redundant_comparisons, constraint)
-        return constraint
-
-    result = _simplify_conjuncts(constraint, solver, drop_redundant_comparisons)
-    solver.cache_simplification(original, drop_redundant_comparisons, result)
+    result = scope_negations(constraint)
+    if not isinstance(result, (TrueConstraint, FalseConstraint)):
+        result = _simplify_conjuncts(result, solver, drop_redundant_comparisons)
+    solver.cache_simplification(constraint, drop_redundant_comparisons, gate, result)
     return result
 
 
@@ -124,9 +120,8 @@ def canonical_form(constraint: Constraint) -> Constraint:
     and maintenance dedup goes through here.
 
     The memo lives *on the node* (the ``_canonical`` slot of the interned
-    constraint): the form is purely syntactic, so it can never go stale --
-    in particular ``invalidate_external_functions`` rightly leaves it alone
-    -- and because nodes are hash-consed into weak tables, the memo's size
+    constraint): the form is purely syntactic, so it can never go stale,
+    and because nodes are hash-consed into weak tables, the memo's size
     policy is the node's own lifetime.  This replaced the old module-global
     ``_CANONICAL_CACHE`` dict, which a long-lived serve process could grow
     to its 200k cap and whose wholesale clears threw away every form at

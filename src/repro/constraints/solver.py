@@ -34,7 +34,6 @@ unchanged); it merely costs a little space -- exactly the trade the paper's
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -61,7 +60,7 @@ from repro.constraints.terms import (
     Term,
     Variable,
 )
-from repro.errors import EvaluationError, SolverError, UnknownDomainError, UnknownFunctionError
+from repro.errors import EvaluationError, SolverError, UnknownFunctionError
 
 
 @dataclass(frozen=True)
@@ -70,39 +69,39 @@ class SolverOptions:
 
     #: Maximum number of DNF branches explored before giving up.
     max_branches: int = 4096
-    #: Number of rounds of bound propagation across variable orderings.
-    propagation_rounds: int = 8
-    #: Largest finite membership result set that is enumerated during
-    #: per-class candidate filtering.
-    max_membership_enumeration: int = 10_000
     #: What to assume about DCA-atoms whose call cannot be evaluated
-    #: (non-ground arguments, unknown domain, or no evaluator configured).
-    #: ``True`` (the default) treats them as satisfiable, which matches the
-    #: deferred-evaluation reading of Section 4 of the paper.
+    #: (non-ground arguments, unknown domain, a failing function, or no
+    #: evaluator configured).  ``True`` (the default) treats them as
+    #: satisfiable, which matches the deferred-evaluation reading of
+    #: Section 4 of the paper.
     unknown_membership_satisfiable: bool = True
-    #: When True, failing to evaluate a *ground* call raises instead of
-    #: falling back to the unknown-membership assumption.
-    strict_evaluation: bool = False
-    #: Memoize :meth:`ConstraintSolver.is_satisfiable` results, keyed on the
-    #: constraint's canonical form.  Results that depend on external domain
-    #: functions (DCA-atoms with an evaluator attached) go into a separate
-    #: cache dropped by :meth:`ConstraintSolver.invalidate_external_functions`.
+    #: Remember satisfiability, simplification and instance-set results
+    #: (see :meth:`ConstraintSolver._gate` for what each is valid under).
+    #: ``False`` decides everything afresh.
     memoize_satisfiability: bool = True
-    #: Force-cache results that consult external domain functions even when
-    #: the evaluator exposes no ``version`` token.  Evaluators *with* a token
-    #: (the domain registry) get external memoization automatically -- the
-    #: solver drops stale entries whenever the token changes -- so this flag
-    #: only matters for tokenless evaluators, where the caller must own a
-    #: change-notification contract (calling
-    #: :meth:`ConstraintSolver.invalidate_external_functions` on every
-    #: source change, as the Section-4 maintenance classes do).
-    memoize_external_calls: bool = False
-    #: Hard cap on cached satisfiability results (per cache; the cache is
-    #: cleared wholesale when the cap is hit -- a simple, branch-free policy).
-    max_memoized_results: int = 100_000
 
 
 DEFAULT_OPTIONS = SolverOptions()
+
+#: Rounds of bound propagation across variable-variable orderings.
+PROPAGATION_ROUNDS = 8
+
+#: Largest finite membership result set that is enumerated during
+#: per-class candidate filtering.
+MAX_MEMBERSHIP_ENUMERATION = 10_000
+
+#: Results one memo table of a solver holds before it is cleared wholesale
+#: (a simple, branch-free policy).
+MAX_MEMOIZED_RESULTS = 100_000
+
+#: Gate of a result stored on the node (or atom) it is about: a function
+#: of that object alone, valid as long as the object lives.
+_ON_OWNER = object()
+
+
+def _no_versions(domains: Iterable[str]) -> Tuple[object, ...]:
+    """``versions_of`` of a solver that has no evaluator."""
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -253,43 +252,38 @@ class ConstraintSolver:
     ) -> None:
         self._evaluator = evaluator
         self._options = options
-        # Pure results for membership-free constraints are a function of the
-        # node alone (no evaluator can be consulted, and the branch/round
-        # limits are the only options that matter); with default limits they
-        # are stored *on the interned node* (``_sat`` / ``_simplify{0,1}``
-        # slots), shared by every solver in the process and dropped exactly
-        # when the node dies.  Solvers with non-default limits fall back to
-        # the per-solver dictionaries below.
-        self._node_memo = (
-            options.memoize_satisfiability
-            and options.max_branches == DEFAULT_OPTIONS.max_branches
-            and options.propagation_rounds == DEFAULT_OPTIONS.propagation_rounds
-        )
-        # Satisfiability memo, split by what the result depends on.  Pure
-        # results (no DCA-atom consults the evaluator) are time-invariant and
-        # survive source changes; external results are valid while the
-        # evaluator's version token is unchanged (or, for evaluators without
-        # one, until invalidate_external_functions() is called).
-        self._pure_sat_cache: Dict[Constraint, bool] = {}
-        self._external_sat_cache: Dict[Constraint, bool] = {}
-        self._external_cache_version: object = None
-        # Simplification memo (filled by repro.constraints.simplify), split
-        # the same way: simplification consults entailment, which can depend
-        # on external functions.
-        self._pure_simplify_cache: Dict[object, Constraint] = {}
-        self._external_simplify_cache: Dict[object, Constraint] = {}
+        # The two halves of _gate.  A membership-free result under the
+        # default branch limit is a function of the node alone and is stored
+        # *on the interned node* (``_sat`` / ``_simplify{0,1}`` slots, an
+        # atom's ``_instances``), shared by every solver in the process and
+        # dropped when the node dies; under another limit it is this
+        # solver's.  Without an evaluator no DCA-atom reaches a source.
+        memoize = options.memoize_satisfiability
+        default_limit = options.max_branches == DEFAULT_OPTIONS.max_branches
+        self._pure_gate = (_ON_OWNER if default_limit else ()) if memoize else None
+        self._versions_of = None
+        if memoize:
+            self._versions_of = (
+                _no_versions
+                if evaluator is None
+                else getattr(evaluator, "versions_of", None)
+            )
+        # One table per result kind, ``key -> (gate, result)``: whatever is
+        # not stored on its node.  An entry is served while the gate read
+        # for the lookup equals the gate it was filed under.
+        self._sat_memo: Dict[Constraint, Tuple[object, bool]] = {}
+        self._simplify_memo: Dict[object, Tuple[object, Constraint]] = {}
+        #: Instance sets of constrained atoms read without a universe
+        #: (filled by repro.datalog.atoms).  The hit / miss pair counts the
+        #: per-atom slot and this table alike.
+        self._instance_memo: Dict[object, Tuple[object, frozenset]] = {}
+        self.instance_memo_hits = 0
+        self.instance_memo_misses = 0
         # Argument-profile memo for the quick-reject pre-filter.  Profiles
         # are purely syntactic summaries of the canonical form, so they stay
         # valid across external source changes (only the per-domain
         # quick_reject hooks consult live sources, at comparison time).
         self._profile_cache: Dict[Tuple[Tuple[Term, ...], Constraint], "ArgumentProfile"] = {}
-        # Instance sets of DCA-dependent constrained atoms read without a
-        # universe (filled by repro.datalog.atoms): atom -> (versions of the
-        # domains its constraint names, instances).  Membership-free ones
-        # live on the atom itself.  The hit / miss pair counts both levels.
-        self._external_instances: Dict[object, Tuple[object, frozenset]] = {}
-        self.instance_memo_hits = 0
-        self.instance_memo_misses = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -308,40 +302,58 @@ class ConstraintSolver:
         """Return a solver sharing options but using a different evaluator."""
         return ConstraintSolver(evaluator, self._options)
 
-    def with_external_memoization(self) -> "ConstraintSolver":
-        """Return a solver that also memoizes DCA-dependent results.
-
-        The caller takes on the obligation to call
-        :meth:`invalidate_external_functions` whenever an external source
-        changes; the external-maintenance strategies of Section 4 do exactly
-        that on every ``on_source_changed``.
-        """
-        options = dataclasses.replace(self._options, memoize_external_calls=True)
-        return ConstraintSolver(self._evaluator, options)
-
     def invalidate_external_functions(self, source: Optional[str] = None) -> None:
-        """Drop memoized results that consulted external domain functions.
+        """Pass a change notice on to the evaluator (``source_changed``).
 
-        The external-maintenance strategies of Section 4 and the stream
-        scheduler's change-notice step call this whenever a source changes:
-        satisfiability and instances of a constraint containing DCA-atoms
-        are functions of the sources' current behaviour, so those cached
-        results are stale the moment a behaviour changes.  Pure comparison
-        results are time-invariant and are kept -- including the per-node
-        ``_sat``/``_simplify*`` slots and the per-atom instance sets, which
-        are only ever written for membership-free constraints and therefore
-        can never go stale.
-
-        The notice is passed on to the evaluator (``source_changed``, when
-        it has one): the domain registry forgets what it remembered of
-        *source*, or of every domain when *source* names none of them.
+        Called by the Section-4 maintenance strategies and the stream
+        scheduler whenever a source changes.  The domain registry forgets
+        what it remembered of *source* -- of every domain when *source*
+        names none -- and moves it to a new version, which ends every
+        result of this solver filed under the old one (see :meth:`_gate`).
+        No table of the solver is touched: results about other sources stay.
         """
-        self._external_sat_cache.clear()
-        self._external_simplify_cache.clear()
-        self._external_instances.clear()
         notify = getattr(self._evaluator, "source_changed", None)
         if notify is not None:
             notify(source)
+
+    # ------------------------------------------------------------------
+    # The freshness rule of every memo
+    # ------------------------------------------------------------------
+    def _gate(self, constraint: Constraint) -> object:
+        """What a result about *constraint* computed now is valid under.
+
+        The one freshness rule of the solver's memos (satisfiability,
+        simplification, instance sets).  ``None``: remember nothing.
+        :data:`_ON_OWNER` and ``()``: nothing can change the result, no
+        DCA-atom reaches a source (unknown memberships resolve by a fixed
+        option).  Otherwise the current versions of exactly the domains the
+        constraint names (an evaluator without ``versions_of`` gets no such
+        memo), so one source's change leaves results about the others.
+
+        Callers read the gate *before* they compute and store it with the
+        result: one computed across a source change is filed under the
+        version that passed and never served, whatever other threads looked
+        up or stored in between.
+        """
+        if not constraint._membership:
+            return self._pure_gate
+        if self._versions_of is None:
+            return None
+        return self._versions_of(constraint.domains())
+
+    @staticmethod
+    def _fresh(table: Dict, key: object, gate: object):
+        """The result filed under *key*, when it was filed under *gate*."""
+        record = table.get(key)
+        if record is not None and record[0] == gate:
+            return record[1]
+        return None
+
+    @staticmethod
+    def _remember(table: Dict, key: object, gate: object, result: object) -> None:
+        if len(table) >= MAX_MEMOIZED_RESULTS:
+            table.clear()
+        table[key] = (gate, result)
 
     def is_satisfiable(self, constraint: Constraint) -> bool:
         """Return True if the constraint has at least one solution."""
@@ -349,13 +361,14 @@ class ConstraintSolver:
             return True
         if isinstance(constraint, FalseConstraint):
             return False
-        if self._node_memo and not constraint._membership:
+        from repro.constraints.simplify import canonical_form
+
+        if self._pure_gate is _ON_OWNER and not constraint._membership:
             # Membership-free satisfiability is a pure function of the
             # interned node: the memo lives on the node itself (shared by
             # every solver in the process) and the two-level probe --
             # constraint, then canonical form -- is two pointer reads.
             from repro.constraints.intern import EVENTS
-            from repro.constraints.simplify import canonical_form
 
             cached = constraint._sat
             if cached is not None:
@@ -371,27 +384,25 @@ class ConstraintSolver:
             object.__setattr__(key, "_sat", result)
             object.__setattr__(constraint, "_sat", result)
             return result
-        cache = self._cache_for(constraint)
-        key: Optional[Constraint] = None
-        if cache is not None:
-            from repro.constraints.simplify import canonical_form
-
-            # Two-level probe: the constraint itself first (its hash is
-            # cached on the node, so this is nearly free), then the
-            # canonical form, which also catches reordered conjunctions.
-            cached = cache.get(constraint)
-            if cached is None:
-                key = canonical_form(constraint)
-                cached = cache.get(key)
+        gate = self._gate(constraint)
+        if gate is None:
+            return self._decide_satisfiable(constraint)
+        # Two-level probe: the constraint itself first (its hash is cached
+        # on the node, so this is nearly free), then the canonical form,
+        # which also catches reordered conjunctions.
+        memo = self._sat_memo
+        cached = self._fresh(memo, constraint, gate)
+        if cached is not None:
+            return cached
+        key = canonical_form(constraint)
+        if key is not constraint:
+            cached = self._fresh(memo, key, gate)
             if cached is not None:
                 return cached
         result = self._decide_satisfiable(constraint)
-        if cache is not None and key is not None:
-            if len(cache) >= self._options.max_memoized_results:
-                cache.clear()
-            cache[key] = result
-            if key != constraint:
-                cache[constraint] = result
+        self._remember(memo, key, gate, result)
+        if key is not constraint:
+            self._remember(memo, constraint, gate, result)
         return result
 
     def _decide_satisfiable(self, constraint: Constraint) -> bool:
@@ -411,120 +422,59 @@ class ConstraintSolver:
                 return True
         return False
 
-    def _cache_for(self, constraint: Constraint) -> Optional[Dict[Constraint, bool]]:
-        """Pick the memo for *constraint*, or ``None`` when caching is unsafe.
-
-        A result is *pure* -- cacheable forever -- when no DCA-atom can reach
-        the evaluator: either the constraint mentions none, or there is no
-        evaluator (unknown memberships resolve by a fixed option).  Results
-        that do consult external functions are cached when the evaluator
-        exposes a ``version`` token (the registry's token changes on every
-        source change, so stale entries are dropped automatically) or when
-        the caller opted in via ``memoize_external_calls`` (pairing it with
-        :meth:`invalidate_external_functions` on every source change).
-        """
-        if not self._options.memoize_satisfiability:
-            return None
-        if self._evaluator is None or not _mentions_membership(constraint):
-            return self._pure_sat_cache
-        if self._refresh_external_caches() or self._options.memoize_external_calls:
-            return self._external_sat_cache
-        return None
-
-    def _refresh_external_caches(self) -> bool:
-        """Version-gate the external memo; True when it is safe to use.
-
-        Compares the evaluator's current version token against the one the
-        cached results were computed under, dropping them on mismatch.
-        Evaluators without a token answer False, keeping the legacy opt-in
-        behaviour.
-        """
-        token = getattr(self._evaluator, "version", None)
-        if token is None:
-            return False
-        if token != self._external_cache_version:
-            self._external_sat_cache.clear()
-            self._external_simplify_cache.clear()
-            self._external_cache_version = token
-        return True
-
     def cached_simplification(
-        self, constraint: Constraint, variant: object
-    ) -> Optional[Constraint]:
+        self, constraint: Constraint, variant: bool
+    ) -> Tuple[Optional[Constraint], object]:
         """Look up a memoized simplification result (see ``simplify``).
 
-        *variant* distinguishes simplification modes (e.g. whether redundant
-        comparisons are dropped); gating mirrors the satisfiability memo.
-        Pure (membership-free) results live on the interned node itself --
-        one slot per variant -- so every solver in the process shares them.
+        *variant* is the simplification mode (whether redundant comparisons
+        are dropped).  Returns ``(result, gate)`` -- ``None`` result on a
+        miss -- where *gate* (see :meth:`_gate`, read here, before the
+        simplification runs) is what :meth:`cache_simplification` files the
+        fresh result under.  Pure results under the default limit live on
+        the interned node itself, one slot per variant.
         """
-        if self._node_memo and not constraint._membership and isinstance(variant, bool):
+        # (the membership-free half of _gate, without the call: a hot path)
+        gate = self._gate(constraint) if constraint._membership else self._pure_gate
+        if gate is _ON_OWNER:
             cached = constraint._simplify1 if variant else constraint._simplify0
             if cached is not None:
                 from repro.constraints.intern import EVENTS
 
                 EVENTS.simplify_node_hits += 1
-            return cached
-        cache = self._simplify_cache_for(constraint)
-        if cache is None:
-            return None
-        return cache.get((constraint, variant))
+        elif gate is None:
+            cached = None
+        else:
+            cached = self._fresh(self._simplify_memo, (constraint, variant), gate)
+        return cached, gate
 
     def cache_simplification(
-        self, constraint: Constraint, variant: object, result: Constraint
+        self, constraint: Constraint, variant: bool, gate: object, result: Constraint
     ) -> None:
-        """Store a simplification result in the memo (see ``simplify``)."""
-        if self._node_memo and not constraint._membership and isinstance(variant, bool):
+        """Store a simplification result (see :meth:`cached_simplification`)."""
+        if gate is _ON_OWNER:
             slot = "_simplify1" if variant else "_simplify0"
             object.__setattr__(constraint, slot, result)
-            return
-        cache = self._simplify_cache_for(constraint)
-        if cache is None:
-            return
-        if len(cache) >= self._options.max_memoized_results:
-            cache.clear()
-        cache[(constraint, variant)] = result
-
-    def _simplify_cache_for(
-        self, constraint: Constraint
-    ) -> Optional[Dict[object, Constraint]]:
-        if not self._options.memoize_satisfiability:
-            return None
-        if self._evaluator is None or not _mentions_membership(constraint):
-            return self._pure_simplify_cache
-        if self._refresh_external_caches() or self._options.memoize_external_calls:
-            return self._external_simplify_cache
-        return None
+        elif gate is not None:
+            self._remember(self._simplify_memo, (constraint, variant), gate, result)
 
     def cached_instances(self, atom) -> Tuple[Optional[frozenset], object]:
         """Look up the instance set of a constrained atom read with no universe.
 
         *atom* is a :class:`~repro.datalog.atoms.ConstrainedAtom` (see its
-        ``instances``).  Gating mirrors the satisfiability memo: a
-        membership-free result is a function of the atom alone and lives in
-        its ``_instances`` attribute, shared by every solver with default
-        limits and collected with the atom; a DCA-dependent one lives in
-        this solver's table, valid while the versions of exactly the
-        domains the constraint names stand.  Returns ``(instances, gate)``
-        -- ``None`` instances on a miss -- where *gate* is what
-        :meth:`cache_instances` files a freshly enumerated result under.
-        The versions are read here, *before* the enumeration, so a result
-        computed across a source change is filed under the version that
-        passed and never served.
+        ``instances``).  Returns ``(instances, gate)`` like
+        :meth:`cached_simplification`; a membership-free set under the
+        default limit lives in the atom's ``_instances`` attribute and is
+        collected with it.
         """
         constraint = atom.constraint
-        if not constraint._membership:
-            if not self._node_memo:
-                return None, None
-            gate: object = _ON_ATOM
+        gate = self._gate(constraint) if constraint._membership else self._pure_gate
+        if gate is None:
+            return None, None
+        if gate is _ON_OWNER:
             cached = atom._instances
         else:
-            versions_of = getattr(self._evaluator, "versions_of", None)
-            if versions_of is None:
-                return None, None
-            gate = versions_of(constraint.domains())
-            record = self._external_instances.get(atom)
-            cached = record[1] if record is not None and record[0] == gate else None
+            cached = self._fresh(self._instance_memo, atom, gate)
         if cached is None:
             self.instance_memo_misses += 1
         else:
@@ -533,13 +483,10 @@ class ConstraintSolver:
 
     def cache_instances(self, atom, gate: object, instances: frozenset) -> None:
         """Store an enumerated instance set (see :meth:`cached_instances`)."""
-        if gate is _ON_ATOM:
+        if gate is _ON_OWNER:
             object.__setattr__(atom, "_instances", instances)
         elif gate is not None:
-            table = self._external_instances
-            if len(table) >= self._options.max_memoized_results:
-                table.clear()
-            table[atom] = (gate, instances)
+            self._remember(self._instance_memo, atom, gate, instances)
 
     def is_unsatisfiable(self, constraint: Constraint) -> bool:
         """Return True if the constraint has no solution."""
@@ -564,7 +511,7 @@ class ConstraintSolver:
             return build_argument_profile(args, constraint)
         if cached is None:
             cached = build_argument_profile(args, constraint)
-            if len(self._profile_cache) >= self._options.max_memoized_results:
+            if len(self._profile_cache) >= MAX_MEMOIZED_RESULTS:
                 self._profile_cache.clear()
             self._profile_cache[key] = cached
         return cached
@@ -949,7 +896,7 @@ class ConstraintSolver:
                 return None
 
         # Bound propagation across variable-variable orderings.
-        for _ in range(self._options.propagation_rounds):
+        for _ in range(PROPAGATION_ROUNDS):
             changed = False
             for low_root, high_root, strict in var_edges:
                 low_iv = intervals[low_root]
@@ -1028,7 +975,7 @@ class ConstraintSolver:
                 if literal.positive
                 and result is not None
                 and result.is_finite()
-                and (result.size_hint() or 0) <= self._options.max_membership_enumeration
+                and (result.size_hint() or 0) <= MAX_MEMBERSHIP_ENUMERATION
             ]
             if not finite_positive:
                 continue
@@ -1116,14 +1063,10 @@ class ConstraintSolver:
                 return None
             args.append(constant.value)
         if not self._evaluator.has_domain(call.domain):
-            if self._options.strict_evaluation:
-                raise UnknownDomainError(f"unknown domain: {call.domain}")
             return None
         try:
             return self._evaluator.evaluate_call(call.domain, call.function, tuple(args))
         except (UnknownFunctionError, EvaluationError):
-            if self._options.strict_evaluation:
-                raise
             return None
 
     # ------------------------------------------------------------------
@@ -1163,9 +1106,6 @@ class _Unknown:
 
 
 _UNKNOWN = _Unknown()
-
-#: Gate of an instance set that is stored on its atom (membership-free).
-_ON_ATOM = object()
 
 
 # ---------------------------------------------------------------------------
@@ -1363,15 +1303,6 @@ def _ground_term(term: Term, assignment: Mapping[Variable, object]) -> object:
     if term in assignment:
         return assignment[term]
     raise SolverError(f"unbound variable in ground evaluation: {term}")
-
-
-def _mentions_membership(constraint: Constraint) -> bool:
-    """True when a DCA-atom occurs anywhere in the constraint.
-
-    Precomputed at construction on every interned node (the ``_membership``
-    flag), so this is an attribute read, not a tree walk.
-    """
-    return constraint._membership
 
 
 def _is_number(value: object) -> bool:

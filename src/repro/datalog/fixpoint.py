@@ -29,6 +29,7 @@ from repro.datalog.join import (
     DeltaJoinKernel,
     DeltaRound,
     EngineOptions,
+    MAX_VIEW_ENTRIES,
     Seed,
     derived_entry,
     make_fresh_factory,
@@ -173,10 +174,10 @@ class FixpointEngine:
                 if view.add(entry):
                     new_delta.append(entry)
                     self._stats.entries_added += 1
-            if len(view) > self._options.max_entries:
+            if len(view) > MAX_VIEW_ENTRIES:
                 raise FixpointDivergenceError(
                     iteration,
-                    f"fixpoint exceeded {self._options.max_entries} view entries",
+                    f"fixpoint exceeded {MAX_VIEW_ENTRIES} view entries",
                 )
             delta = new_delta
         return view

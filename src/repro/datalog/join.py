@@ -65,6 +65,15 @@ from repro.datalog.view import (
 )
 
 
+#: Hard cap on the total number of view entries a fixpoint builds before it
+#: gives up.
+MAX_VIEW_ENTRIES = 200_000
+
+#: Cap on ``P_OUT`` / ``P_ADD`` unfolding rounds (defensive; recursion is
+#: bounded by the view size because premises come from the finite view).
+MAX_UNFOLD_ROUNDS = 100
+
+
 @dataclass(frozen=True)
 class EngineOptions:
     """The one configuration of the fixpoint engine and every algorithm.
@@ -116,11 +125,6 @@ class EngineOptions:
     range_eligible: Optional[FrozenSet[Tuple[str, int]]] = None
     #: Hard cap on the number of fixpoint iterations before giving up.
     max_iterations: int = 200
-    #: Hard cap on the total number of view entries before giving up.
-    max_entries: int = 200_000
-    #: Cap on ``P_OUT`` / ``P_ADD`` unfolding rounds (defensive; recursion is
-    #: bounded by the view size because premises come from the finite view).
-    max_unfold_rounds: int = 100
     #: Insertion: narrow the inserted atom by the instances already present
     #: (the paper's ``Add`` construction).  With False a duplicate derivation
     #: is recorded even when the instances already exist.

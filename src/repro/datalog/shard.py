@@ -1093,8 +1093,7 @@ class PredicateShard:
         Gated on the evaluator's identity *and* its version token: a
         different evaluator could resolve ``index_interval`` hooks
         differently, and re-registering a function on the same registry
-        installs a different hook (the token changes, exactly like the
-        solver's external memo gating) -- either way the slot's postings
+        installs a different hook (the token changes) -- either way the slot's postings
         rebuild from scratch before they can serve stale intervals.
 
         The gate lives on the slot itself (``postings_gate``), so both the
@@ -1179,7 +1178,7 @@ class PredicateShard:
         return self._ensure_child_index().items()
 
     def built_postings(self) -> Dict[int, _RangePostings]:
-        """Positions with built range postings (tests and compat accessors)."""
+        """Positions with built range postings (read by the tests)."""
         return {
             position: slot.postings
             for position, slot in self._arg.items()
@@ -1187,7 +1186,7 @@ class PredicateShard:
         }
 
     def built_windows(self) -> Dict[int, _SortedValueWindow]:
-        """Positions with built value windows (tests and compat accessors)."""
+        """Positions with built value windows (read by the tests)."""
         return {
             position: slot.window
             for position, slot in self._arg.items()

@@ -20,7 +20,7 @@ whole views.
 
 This module keeps the entry type, the interval helpers and the façade, and
 still exports the storage names its callers import from here (``UNBOUND``,
-``PredicateShard``, ``_SortedValueWindow``).
+``PredicateShard``).
 """
 
 from __future__ import annotations
@@ -49,12 +49,7 @@ from repro.constraints.solver import (
 )
 from repro.constraints.terms import Constant, FreshVariableFactory, Variable
 from repro.datalog.atoms import Atom, ConstrainedAtom
-from repro.datalog.shard import (
-    UNBOUND,
-    PredicateShard,
-    _RangePostings,
-    _SortedValueWindow,
-)
+from repro.datalog.shard import UNBOUND, PredicateShard
 from repro.datalog.support import Support
 from repro.errors import ProgramError, ShardSanitizerError, WriteScopeError
 from repro.sanitizer import sanitizer_enabled
@@ -262,9 +257,8 @@ class ViewEntry:
         and while the hook *contract* makes a given hook's answers
         time-invariant, re-registering a function installs a different hook
         -- the registry's version token changes then, dropping the stale
-        tuple (the same gating the solver's external memo uses).  Pass a
-        pre-fetched *token* on hot paths; the token cannot change inside a
-        single evaluation round.
+        tuple.  Pass a pre-fetched *token* on hot paths; the token cannot
+        change inside a single evaluation round.
         """
         if token is _NO_TOKEN:
             token = evaluator_token(evaluator)
@@ -895,31 +889,6 @@ class MaterializedView:
         if result is None:
             return shard.to_tuple()
         return result
-
-    # ------------------------------------------------------------------
-    # Test / compatibility accessors over the sharded index state
-    # ------------------------------------------------------------------
-    @property
-    def _range_postings(self) -> Dict[Tuple[str, int], _RangePostings]:
-        """Built range postings keyed by ``(predicate, position)``.
-
-        Read-only compatibility accessor (the tests assert build/identity
-        behaviour through it); the authoritative state lives in the shards.
-        """
-        found: Dict[Tuple[str, int], _RangePostings] = {}
-        for shard in self._shards.values():
-            for position, postings in shard.built_postings().items():
-                found[(shard.predicate, position)] = postings
-        return found
-
-    @property
-    def _arg_value_windows(self) -> Dict[Tuple[str, int], _SortedValueWindow]:
-        """Built value windows keyed by ``(predicate, position)`` (read-only)."""
-        found: Dict[Tuple[str, int], _SortedValueWindow] = {}
-        for shard in self._shards.values():
-            for position, window in shard.built_windows().items():
-                found[(shard.predicate, position)] = window
-        return found
 
     def range_posting_snapshot(
         self,

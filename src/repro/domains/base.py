@@ -230,8 +230,9 @@ class Domain:
         The base implementation counts function (re)registrations and
         explicit :meth:`_bump_source` calls; subclasses fold in whatever
         state their functions actually read (a database version, a clock,
-        a mutable scenario).  :attr:`DomainRegistry.version` aggregates
-        these tokens so solvers can cache DCA-dependent results safely.
+        a mutable scenario).  :meth:`DomainRegistry.versions_of` hands
+        these tokens to the solver, which is what makes remembering
+        DCA-dependent results safe.
         """
         return self._source_counter
 
@@ -311,8 +312,8 @@ class DomainRegistry:
       Until the notice arrives reads keep the remembered answer.
 
     :meth:`versions_of` exposes the same per-domain versions to the solver,
-    which gates its memoised instance sets on exactly the domains a
-    constraint names.
+    which gates everything it remembers about a constraint on exactly the
+    domains the constraint names.
     """
 
     def __init__(self, domains: Iterable[Domain] = (), cache_calls: bool = False) -> None:
@@ -500,7 +501,7 @@ class DomainRegistry:
         ``None`` stands for a name that is not registered (registering it
         later is a change like any other).  This is the gate of every
         per-domain memo: the call memo compares one of these per call, the
-        solver's instance memo the tuple for the domains a constraint names.
+        solver's memos the tuple for the domains a constraint names.
         """
         sources = self._sources
         return tuple(
@@ -513,11 +514,9 @@ class DomainRegistry:
 
         Aggregates the registry's own mutation counter (registrations,
         explicit invalidations) with every domain's version (its
-        :meth:`Domain.source_version` and its change-notice epoch).
-        Solvers compare successive tokens to decide whether
-        memoized DCA-dependent satisfiability results are still valid --
-        which makes that memoization safe *by default*, without the manual
-        ``invalidate_external_functions`` choreography.
+        :meth:`Domain.source_version` and its change-notice epoch).  The
+        whole-registry reading of :meth:`versions_of`; memos gate on that
+        method, per domain.
         """
         return (
             self._mutation_counter,

@@ -16,11 +16,6 @@ kernel of :mod:`repro.datalog.join`.
 """
 
 from repro.datalog.join import EngineOptions
-from repro.maintenance.batch import (
-    AppliedUpdate,
-    BatchReport,
-    ViewMaintainer,
-)
 from repro.maintenance.baselines import (
     RecomputationResult,
     full_recompute,
@@ -67,8 +62,6 @@ from repro.maintenance.requests import (
 )
 
 __all__ = [
-    "AppliedUpdate",
-    "BatchReport",
     "ConstrainedAtomInsertion",
     "CountingDeletionResult",
     "CountingMaintenance",
@@ -87,7 +80,6 @@ __all__ = [
     "StDelResult",
     "StraightDelete",
     "TpExternalMaintenance",
-    "ViewMaintainer",
     "WpExternalMaintenance",
     "build_add_set",
     "collect_function_deltas",

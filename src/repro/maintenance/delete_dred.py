@@ -42,6 +42,7 @@ from repro.datalog.join import (
     DeltaJoinKernel,
     DeltaRound,
     EngineOptions,
+    MAX_UNFOLD_ROUNDS,
     Seed,
     make_fresh_factory,
 )
@@ -482,10 +483,9 @@ class ExtendedDRed:
         rounds = 0
         while frontier:
             rounds += 1
-            if rounds > self._options.max_unfold_rounds:
+            if rounds > MAX_UNFOLD_ROUNDS:
                 raise MaintenanceError(
-                    "P_OUT unfolding exceeded "
-                    f"{self._options.max_unfold_rounds} rounds"
+                    f"P_OUT unfolding exceeded {MAX_UNFOLD_ROUNDS} rounds"
                 )
             # The frontier seed policy draws *exactly one* premise from the
             # frontier (P_OUT_k) and every other premise from the

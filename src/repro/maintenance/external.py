@@ -57,9 +57,7 @@ class TpExternalMaintenance:
         options: Optional[EngineOptions] = None,
     ) -> None:
         self._program = program
-        # This class owns a change-notification contract (on_source_changed),
-        # so it can safely memoize even DCA-dependent solver results.
-        self._solver = solver.with_external_memoization()
+        self._solver = solver
         self._options = options
         self._view = compute_tp_fixpoint(program, self._solver, options=self._options)
 
@@ -110,10 +108,7 @@ class WpExternalMaintenance:
         options: Optional[EngineOptions] = None,
     ) -> None:
         self._program = program
-        # Same contract as TpExternalMaintenance: memoization of external
-        # results is safe because every source change runs through
-        # on_source_changed, which invalidates them.
-        self._solver = solver.with_external_memoization()
+        self._solver = solver
         self._options = options
         self._view = compute_wp_fixpoint(program, self._solver, options=self._options)
 
@@ -125,11 +120,11 @@ class WpExternalMaintenance:
     def on_source_changed(
         self, deltas: Sequence[FunctionDelta] = ()
     ) -> ExternalChangeReport:
-        """React to a source change: only stale solver memos are dropped.
+        """React to a source change: only the change notice is passed on.
 
-        The view itself needs no work at all (Theorem 4); the solver cache
-        invalidation keeps query-time evaluation honest about the sources'
-        *current* behaviour (Corollary 1).
+        The view itself needs no work at all (Theorem 4); the notice moves
+        the changed sources to a new version, which keeps query-time
+        evaluation honest about their *current* behaviour (Corollary 1).
         """
         _notify_solver(self._solver, deltas)
         added, removed = add_rem_sets(deltas)
@@ -155,8 +150,8 @@ class WpExternalMaintenance:
 def _notify_solver(solver: ConstraintSolver, deltas: Sequence[FunctionDelta]) -> None:
     """Pass a source change on as change notices, one per domain in *deltas*.
 
-    Without deltas the change cannot be attributed: everything remembered
-    about any source is dropped.
+    Without deltas the change cannot be attributed: every source is
+    treated as changed.
     """
     for source in {delta.domain for delta in deltas} or (None,):
         solver.invalidate_external_functions(source)

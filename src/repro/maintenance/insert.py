@@ -30,6 +30,7 @@ from repro.datalog.join import (
     DeltaJoinKernel,
     DeltaRound,
     EngineOptions,
+    MAX_UNFOLD_ROUNDS,
     derived_entry,
     make_fresh_factory,
 )
@@ -150,10 +151,9 @@ class ConstrainedAtomInsertion:
         rounds = 0
         while frontier:
             rounds += 1
-            if rounds > self._options.max_unfold_rounds:
+            if rounds > MAX_UNFOLD_ROUNDS:
                 raise MaintenanceError(
-                    "P_ADD unfolding exceeded "
-                    f"{self._options.max_unfold_rounds} rounds"
+                    f"P_ADD unfolding exceeded {MAX_UNFOLD_ROUNDS} rounds"
                 )
             # P_ADD: at least one premise from the frontier, the rest from
             # the view, which (unlike deletion's P_OUT) already contains the

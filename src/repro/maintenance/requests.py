@@ -10,7 +10,7 @@ same vocabulary; external changes are handled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 from repro.datalog.atoms import ConstrainedAtom
@@ -94,36 +94,19 @@ class MaintenanceStats:
         reports them as a single set of counters; the chained fallbacks of
         ``delete_many`` use it too.
         """
-        self.seed_atoms += other.seed_atoms
-        self.unfolded_atoms += other.unfolded_atoms
-        self.replaced_entries += other.replaced_entries
-        self.rederived_entries += other.rederived_entries
-        self.removed_entries += other.removed_entries
-        self.solver_calls += other.solver_calls
-        self.clause_applications += other.clause_applications
-        self.derivation_attempts += other.derivation_attempts
-        self.fixpoint_iterations += other.fixpoint_iterations
-        self.index_probes += other.index_probes
-        self.quick_rejects += other.quick_rejects
-        self.support_probes += other.support_probes
+        mine, theirs = vars(self), vars(other)
+        for name in _COUNTERS:
+            mine[name] += theirs[name]
         for name, amount in other.extra.items():
             self.bump(name, amount)
 
     def as_dict(self) -> Dict[str, int]:
         """Flatten to a plain dictionary (used by the benchmark reports)."""
-        flat = {
-            "seed_atoms": self.seed_atoms,
-            "unfolded_atoms": self.unfolded_atoms,
-            "replaced_entries": self.replaced_entries,
-            "rederived_entries": self.rederived_entries,
-            "removed_entries": self.removed_entries,
-            "solver_calls": self.solver_calls,
-            "clause_applications": self.clause_applications,
-            "derivation_attempts": self.derivation_attempts,
-            "fixpoint_iterations": self.fixpoint_iterations,
-            "index_probes": self.index_probes,
-            "quick_rejects": self.quick_rejects,
-            "support_probes": self.support_probes,
-        }
+        mine = vars(self)
+        flat = {name: mine[name] for name in _COUNTERS}
         flat.update(self.extra)
         return flat
+
+
+#: The named counters of :class:`MaintenanceStats`, in declaration order.
+_COUNTERS = tuple(f.name for f in fields(MaintenanceStats) if f.name != "extra")

@@ -29,6 +29,7 @@ from .render import (
     verify_batch_traces,
 )
 from .trace import (
+    NULL_TRACE,
     JsonLinesExporter,
     RingExporter,
     Span,
@@ -44,6 +45,7 @@ __all__ = [
     "MAINTENANCE_COUNTERS",
     "Metrics",
     "NULL_METRICS",
+    "NULL_TRACE",
     "NullMetrics",
     "OBS_DISABLED",
     "Observability",

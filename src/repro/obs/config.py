@@ -22,8 +22,8 @@ import logging
 import os
 from typing import Optional
 
-from .metrics import Metrics, NULL_METRICS, NullMetrics
-from .trace import JsonLinesExporter, RingExporter, Trace, Tracer
+from .metrics import Metrics, NULL_METRICS
+from .trace import NULL_TRACE, JsonLinesExporter, RingExporter, Trace, Tracer
 
 logger = logging.getLogger("repro.obs")
 
@@ -37,7 +37,6 @@ class Observability:
     def __init__(
         self,
         metrics: Optional[Metrics] = None,
-        tracer: Optional[Tracer] = None,
         ring: Optional[RingExporter] = None,
         file_exporter: Optional[JsonLinesExporter] = None,
         slow_batch_seconds: float = DEFAULT_SLOW_BATCH_SECONDS,
@@ -45,10 +44,8 @@ class Observability:
         self.metrics = NULL_METRICS if metrics is None else metrics
         self.ring = ring
         self.file_exporter = file_exporter
-        if tracer is None:
-            exporters = [e for e in (ring, file_exporter) if e is not None]
-            tracer = Tracer(exporters) if exporters else None
-        self.tracer = tracer
+        exporters = [e for e in (ring, file_exporter) if e is not None]
+        self.tracer = Tracer(exporters) if exporters else None
         self.slow_batch_seconds = slow_batch_seconds
 
     # ------------------------------------------------------------------
@@ -60,14 +57,15 @@ class Observability:
     def trace_enabled(self) -> bool:
         return self.tracer is not None
 
-    def start_trace(self, name: str = "batch") -> Optional[Trace]:
-        """A new trace, or ``None`` when tracing is off.
+    def start_trace(self, name: str = "batch") -> Trace:
+        """A new trace -- the shared :data:`NULL_TRACE` when tracing is off.
 
-        Callers hold the ``Optional`` -- the scheduler's instrumentation
-        branches once per batch, never per span.
+        The no-op trace hands out no-op spans, so instrumented code opens
+        and fills spans unconditionally; nothing branches on whether the
+        batch is traced.
         """
         if self.tracer is None:
-            return None
+            return NULL_TRACE
         return self.tracer.start_trace(name)
 
     def note_slow_batch(self, seconds: float, **context: object) -> bool:
@@ -131,15 +129,6 @@ class Observability:
         )
 
 
-class _DisabledObservability(Observability):
-    """The no-op bundle: NullMetrics, no tracer, nothing to close."""
-
-    def __init__(self) -> None:
-        super().__init__(metrics=NULL_METRICS, slow_batch_seconds=float("inf"))
-
-    def note_slow_batch(self, seconds: float, **context: object) -> bool:
-        return False
-
-
-#: Shared disabled bundle; ``Observability.disabled()`` returns it.
-OBS_DISABLED = _DisabledObservability()
+#: Shared disabled bundle (null metrics, no tracer, no batch ever slow);
+#: ``Observability.disabled()`` returns it.
+OBS_DISABLED = Observability(slow_batch_seconds=float("inf"))

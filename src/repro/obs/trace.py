@@ -85,6 +85,12 @@ class Span:
         self.attrs.update(attrs)
         return self
 
+    def fail(self, error: str) -> "Span":
+        """Mark the span failed, recording *error* unless one is attached."""
+        self.status = "error"
+        self.attrs.setdefault("error", error)
+        return self
+
     def finish(self, end: Optional[float] = None) -> None:
         if self._finished:
             return
@@ -92,19 +98,12 @@ class Span:
         self.end = monotonic() if end is None else end
         self.trace._record(self)
 
-    @property
-    def seconds(self) -> float:
-        if self.end is None:
-            return 0.0
-        return self.end - self.start
-
     def __enter__(self) -> "Span":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
-            self.status = "error"
-            self.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
+            self.fail(f"{exc_type.__name__}: {exc}")
         self.finish()
 
 
@@ -184,6 +183,50 @@ class Trace:
                 "attrs": span.attrs,
             }
         )
+
+
+class _NullSpan:
+    """A span of :data:`NULL_TRACE`: accepts everything, keeps nothing."""
+
+    __slots__ = ()
+
+    def set(self, **attrs: object) -> "_NullSpan":
+        return self
+
+    def fail(self, error: str) -> "_NullSpan":
+        return self
+
+    def finish(self, end: Optional[float] = None) -> None:
+        pass
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        pass
+
+
+class _NullTrace:
+    """The trace of a batch nobody traces: every span is the one no-op span,
+    so instrumented code never asks whether tracing is on (what
+    :data:`~repro.obs.metrics.NULL_METRICS` is to the registry)."""
+
+    __slots__ = ()
+    trace_id = "-"
+    root = _NullSpan()
+
+    def span(self, name, parent=None, start=None) -> _NullSpan:
+        return self.root
+
+    def record_span(self, name, start, end, parent=None, **attrs) -> _NullSpan:
+        return self.root
+
+    def finish(self, end=None) -> None:
+        pass
+
+
+#: What ``Observability.start_trace`` returns when tracing is off.
+NULL_TRACE = _NullTrace()
 
 
 class JsonLinesExporter:
@@ -284,10 +327,6 @@ class Tracer:
 
     def __init__(self, exporters: Sequence[object] = ()) -> None:
         self._exporters = tuple(exporters)
-
-    @property
-    def exporters(self) -> Tuple[object, ...]:
-        return self._exporters
 
     def start_trace(
         self, name: str = "batch", start: Optional[float] = None

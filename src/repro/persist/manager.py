@@ -341,12 +341,8 @@ class DurableScheduler(StreamScheduler):
             # The batch's trace was parked by the base drain; the WAL
             # append happens between drain and prepare, so its span hangs
             # directly off the trace root.
-            trace = self._pending_trace_for(transactions)
-            if trace is not None:
-                with trace.span("journal") as span:
-                    span.set(records=len(transactions))
-                    self._durability.journal(transactions)
-            else:
+            with self._pending_trace_for(transactions).span("journal") as span:
+                span.set(records=len(transactions))
                 self._durability.journal(transactions)
         return transactions
 
@@ -367,7 +363,7 @@ class DurableScheduler(StreamScheduler):
         # checkpoint lands inside the batch's trace before it seals.
         started = monotonic()
         info = self._durability.maybe_checkpoint()
-        if info is not None and prepared.trace is not None:
+        if info is not None:
             prepared.trace.record_span(
                 "checkpoint",
                 started,

@@ -31,8 +31,8 @@ the number of requests submitted.
   deletion atoms (one ``P_OUT`` unfolding, one rename/simplify regime, one
   final purge), one ``P_ADD`` fixpoint seeded with all insertions, and
   external changes folded in for free under the ``W_P`` discipline (the
-  registry version token invalidates the solver's external memos; the view
-  itself needs no work, per Theorem 4).  Queries served mid-batch read a
+  changed domain's version ends what the solver remembered about it; the
+  view itself needs no work, per Theorem 4).  Queries served mid-batch read a
   snapshot-isolated pre-batch view.
 """
 

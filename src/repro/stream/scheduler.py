@@ -13,10 +13,11 @@ batches to it with the batch entry points of the maintenance algorithms:
   pass (one ``P_ADD`` fixpoint seeded with every inserted atom);
 * external change notices cost nothing: under the ``W_P`` reading of
   Section 4 the view is syntactically invariant (Theorem 4), so the
-  scheduler only passes each notice on to the solver, which drops its
-  DCA-dependent memos and has the registry forget the notified source --
-  a tracked source's version already does this, the notice covers sources
-  mutated behind the domain layer's back.
+  scheduler only passes each notice on, through the solver, to the
+  registry, which forgets the notified source and moves it to a new
+  version -- the version every remembered DCA-dependent result is gated
+  on.  A tracked source's own version already does this; the notice covers
+  sources mutated behind the domain layer's back.
 
 Independent strata (disjoint upward closures, see
 :mod:`repro.stream.strata`) are applied as separate units -- concurrently
@@ -84,7 +85,7 @@ from repro.maintenance.requests import (
     MaintenanceStats,
 )
 from repro.obs import Observability
-from repro.obs.trace import Span, Trace
+from repro.obs.trace import NULL_TRACE, Span, Trace
 from repro.stream.coalesce import CoalescedBatch, CoalesceReport, Coalescer
 from repro.stream.log import ExternalChangeNotice, StreamPayload, Transaction, UpdateLog
 from repro.stream.strata import (
@@ -349,10 +350,10 @@ class PreparedBatch:
     #: durability layer marks these committed -- and advances the snapshot
     #: watermark -- from the commit hook.
     txn_ids: Tuple[int, ...] = ()
-    #: The batch's lifecycle trace (``None`` when tracing is off).  Born at
-    #: drain (or at prepare for raw batches), finished by the scheduler's
-    #: batch epilogue after commit.
-    trace: Optional[Trace] = None
+    #: The batch's lifecycle trace (the no-op trace when tracing is off).
+    #: Born at drain (or at prepare for raw batches), finished by the
+    #: scheduler's batch epilogue after commit.
+    trace: Trace = NULL_TRACE
 
     def __len__(self) -> int:
         return len(self.coalesced)
@@ -513,13 +514,11 @@ class StreamScheduler:
         subclass that journals drained batches (the durability layer's
         scheduler) interposes once and covers every write path.
 
-        When tracing is on, the batch's trace is born here -- drain is the
-        first thing that happens to a batch -- and parked until
-        :meth:`prepare_batch` claims it by the first transaction id (the
-        serve writer drains and prepares on different pool threads).
+        The batch's trace is born here -- drain is the first thing that
+        happens to a batch -- and parked until :meth:`prepare_batch` claims
+        it by the first transaction id (the serve writer drains and
+        prepares on different pool threads).
         """
-        if not self._obs.trace_enabled:
-            return self._log.drain(limit=limit)
         trace = self._obs.start_trace("batch")
         span = trace.span("drain")
         transactions = self._log.drain(limit=limit)
@@ -536,28 +535,22 @@ class StreamScheduler:
             self._pending_traces[transactions[0].txn_id] = trace
         return transactions
 
-    def _pending_trace_for(
-        self, transactions: Sequence[Transaction]
-    ) -> Optional[Trace]:
+    def _pending_trace_for(self, transactions: Sequence[Transaction]) -> Trace:
         """Peek (without claiming) the trace a drain parked for a batch.
 
         The durability subclass wraps its WAL append in a child span while
         the batch is between drain and prepare."""
-        if not transactions:
-            return None
         with self._trace_lock:
-            return self._pending_traces.get(transactions[0].txn_id)
+            return self._pending_traces.get(transactions[0].txn_id, NULL_TRACE)
 
-    def _trace_for_payloads(
-        self, payloads: Sequence[StreamPayload]
-    ) -> Optional[Trace]:
+    def _trace_for_payloads(self, payloads: Sequence[StreamPayload]) -> Trace:
         """Claim the batch's parked trace, or start one for raw payloads.
 
         Batches that bypass drain (direct ``apply_batch`` calls, recovery
         replay) still get a trace -- just without a drain span, which is
         why trace verification takes a ``require_drain`` flag."""
-        if not self._obs.trace_enabled or not payloads:
-            return None
+        if not payloads:
+            return NULL_TRACE
         first = payloads[0]
         if isinstance(first, Transaction):
             with self._trace_lock:
@@ -606,24 +599,17 @@ class StreamScheduler:
             stats = StreamStats()
             stats.queue_seconds = start - queued
             trace = self._trace_for_payloads(payloads)
-            prepare_span = (
-                trace.span("prepare") if trace is not None else None
-            )
+            prepare_span = trace.span("prepare")
             effective_coalesce = (
                 self._options.coalesce if coalesce is None else coalesce
             )
             if effective_coalesce:
-                coalesce_span = (
-                    trace.span("coalesce", parent=prepare_span)
-                    if trace is not None
-                    else None
-                )
+                coalesce_span = trace.span("coalesce", parent=prepare_span)
                 coalesced = self._coalescer.coalesce(payloads)
-                if coalesce_span is not None:
-                    coalesce_span.set(
-                        raw_ops=coalesced.report.submitted,
-                        coalesced_ops=len(coalesced),
-                    ).finish()
+                coalesce_span.set(
+                    raw_ops=coalesced.report.submitted,
+                    coalesced_ops=len(coalesced),
+                ).finish()
                 stats.coalesce = coalesced.report
                 stats.submitted = coalesced.report.submitted
                 # One phase: the coalescer's cancel/narrow pass is exactly
@@ -631,12 +617,11 @@ class StreamScheduler:
                 # interleaved stream's net effect.
                 raw_phases = [coalesced]
             else:
-                coalesced = self._raw_batch(payloads)
-                stats.submitted = len(coalesced)
                 # Without coalescing there is no cancel/narrow pass, so the
                 # stream order must be preserved: consecutive same-kind runs
                 # become phases, applied in order.
-                raw_phases = self._raw_phases(payloads)
+                coalesced, raw_phases = self._raw_batch(payloads)
+                stats.submitted = len(coalesced)
             stats.applied = len(coalesced)
             stats.external_notices = len(coalesced.notices)
             phases = tuple(
@@ -650,11 +635,10 @@ class StreamScheduler:
             group_ids = self._closure_group_ids(phases)
             ticket = self._register_claim(group_ids)
             prepare_seconds = time.perf_counter() - start
-            if prepare_span is not None:
-                prepare_span.set(
-                    units=sum(len(units) for _, units in phases),
-                    groups=_describe_groups(group_ids),
-                ).finish()
+            prepare_span.set(
+                units=sum(len(units) for _, units in phases),
+                groups=_describe_groups(group_ids),
+            ).finish()
             metrics = self._obs.metrics
             if metrics.enabled:
                 metrics.inc("repro_batches_prepared_total")
@@ -685,18 +669,17 @@ class StreamScheduler:
         stats = prepared.stats
         trace = prepared.trace
         queued = time.perf_counter()
-        admit_span = trace.span("admit") if trace is not None else None
+        admit_span = trace.span("admit")
         self._await_admission(prepared.ticket)
         admitted = time.perf_counter()
         stats.queue_seconds += admitted - queued
-        if admit_span is not None:
-            admit_span.set(
-                ticket=prepared.ticket,
-                groups=_describe_groups(prepared.group_ids),
-            ).finish()
+        admit_span.set(
+            ticket=prepared.ticket,
+            groups=_describe_groups(prepared.group_ids),
+        ).finish()
         try:
             coalesced = prepared.coalesced
-            apply_span = trace.span("apply") if trace is not None else None
+            apply_span = trace.span("apply")
 
             # External changes first: the batch must be maintained against
             # the sources' *current* behaviour.  A tracked source's version
@@ -726,7 +709,7 @@ class StreamScheduler:
                 # The next phase's insertion passes must see this phase's
                 # deletion rewrites.
                 outcomes = self._run_units(
-                    working, units, programs, trace=trace, parent=apply_span
+                    working, units, programs, trace, apply_span
                 )
 
                 # Publish: each successful unit rewrote copy-on-write clones
@@ -743,14 +726,11 @@ class StreamScheduler:
                     programs = unit_edits.onto(programs)
                     edits.extend(unit_edits.edits)
 
-            if apply_span is not None:
-                apply_span.set(
-                    units=len(stats.units),
-                    failed=sum(
-                        1 for unit in stats.units if unit.status != "applied"
-                    ),
-                ).finish()
-            commit_span = trace.span("commit") if trace is not None else None
+            apply_span.set(
+                units=len(stats.units),
+                failed=sum(1 for unit in stats.units if unit.status != "applied"),
+            ).finish()
+            commit_span = trace.span("commit")
             next_view = self._commit(
                 base,
                 working,
@@ -759,10 +739,7 @@ class StreamScheduler:
                 stats,
                 prepared,
             )
-            if commit_span is not None:
-                commit_span.set(
-                    shards=len(written), rebased=stats.rebased
-                ).finish()
+            commit_span.set(shards=len(written), rebased=stats.rebased).finish()
         finally:
             self._release_claim(prepared.ticket)
         stats.apply_seconds = prepared.prepare_seconds + (
@@ -801,24 +778,21 @@ class StreamScheduler:
             metrics.record_intern()
             metrics.record_domains(self._solver)
         trace = prepared.trace
-        if trace is not None:
-            # Totals on the root are a convenience reading; reconciliation
-            # sums the unit spans (TraceView.counter_totals skips roots).
-            trace.root.set(
-                applied=stats.applied,
-                units=len(stats.units),
-                failed=sum(
-                    1 for unit in stats.units if unit.status != "applied"
-                ),
-                solver_calls=stats.solver_calls,
-                derivation_attempts=stats.derivation_attempts,
-                shard_checkouts=stats.shard_checkouts,
-                rebased=stats.rebased,
-            )
-            trace.finish()
+        # Totals on the root are a convenience reading; reconciliation sums
+        # the unit spans (TraceView.counter_totals skips roots).
+        trace.root.set(
+            applied=stats.applied,
+            units=len(stats.units),
+            failed=sum(1 for unit in stats.units if unit.status != "applied"),
+            solver_calls=stats.solver_calls,
+            derivation_attempts=stats.derivation_attempts,
+            shard_checkouts=stats.shard_checkouts,
+            rebased=stats.rebased,
+        )
+        trace.finish()
         self._obs.note_slow_batch(
             stats.seconds,
-            trace=trace.trace_id if trace is not None else "-",
+            trace=trace.trace_id,
             applied=stats.applied,
             units=len(stats.units),
         )
@@ -1003,68 +977,50 @@ class StreamScheduler:
     # Internals
     # ------------------------------------------------------------------
     @staticmethod
-    def _raw_batch(payloads: Sequence[StreamPayload]) -> CoalescedBatch:
-        """Wrap a batch without computing its net effect."""
-        deletions: List[DeletionRequest] = []
-        insertions: List[InsertionRequest] = []
-        notices: List[ExternalChangeNotice] = []
-        for payload in payloads:
-            if isinstance(payload, Transaction):
-                payload = payload.payload
-            if isinstance(payload, DeletionRequest):
-                deletions.append(payload)
-            elif isinstance(payload, InsertionRequest):
-                insertions.append(payload)
-            elif isinstance(payload, ExternalChangeNotice):
-                notices.append(payload)
-            else:
-                raise MaintenanceError(f"unknown update request: {payload!r}")
-        return CoalescedBatch(
-            tuple(deletions), tuple(insertions), tuple(notices), CoalesceReport()
-        )
-
-    @staticmethod
-    def _raw_phases(payloads: Sequence[StreamPayload]) -> List[CoalescedBatch]:
-        """Split an uncoalesced batch into consecutive same-kind runs.
+    def _raw_batch(
+        payloads: Sequence[StreamPayload],
+    ) -> Tuple[CoalescedBatch, List[CoalescedBatch]]:
+        """Wrap a batch without computing its net effect: ``(batch, phases)``.
 
         Without the coalescer's cancel/narrow pass, applying all deletions
         before all insertions would silently change the meaning of an
-        insert-then-delete sequence; replaying the stream as alternating
-        deletion-only / insertion-only phases preserves it exactly.
+        insert-then-delete sequence; replaying the stream as *phases* --
+        its consecutive same-kind runs, deletion-only or insertion-only --
+        preserves it exactly.
         """
-        phases: List[CoalescedBatch] = []
-        run: List[object] = []
-        run_kind: Optional[type] = None
-
-        def close_run() -> None:
-            if not run:
-                return
-            if run_kind is DeletionRequest:
-                phases.append(CoalescedBatch(tuple(run), (), ()))
-            else:
-                phases.append(CoalescedBatch((), tuple(run), ()))
-            run.clear()
-
+        notices: List[ExternalChangeNotice] = []
+        runs: List[list] = []
         for payload in payloads:
             if isinstance(payload, Transaction):
                 payload = payload.payload
             if isinstance(payload, ExternalChangeNotice):
-                continue
-            kind = type(payload)
-            if kind is not run_kind:
-                close_run()
-                run_kind = kind
-            run.append(payload)
-        close_run()
-        return phases
+                notices.append(payload)
+            elif not isinstance(payload, (DeletionRequest, InsertionRequest)):
+                raise MaintenanceError(f"unknown update request: {payload!r}")
+            elif runs and type(runs[-1][0]) is type(payload):
+                runs[-1].append(payload)
+            else:
+                runs.append([payload])
+        phases = [
+            CoalescedBatch(tuple(run), (), ())
+            if isinstance(run[0], DeletionRequest)
+            else CoalescedBatch((), tuple(run), ())
+            for run in runs
+        ]
+        batch = CoalescedBatch(
+            tuple(request for phase in phases for request in phase.deletions),
+            tuple(request for phase in phases for request in phase.insertions),
+            tuple(notices),
+        )
+        return batch, phases
 
     def _run_units(
         self,
         base: MaterializedView,
         units: Sequence[StratumUnit],
         programs: Programs,
-        trace: Optional[Trace] = None,
-        parent: Optional[Span] = None,
+        trace: Trace,
+        parent: Span,
     ) -> List[tuple]:
         """Apply every unit (with retries), concurrently when configured.
 
@@ -1152,8 +1108,8 @@ class StreamScheduler:
         base: MaterializedView,
         unit: StratumUnit,
         programs: Programs,
-        trace: Optional[Trace] = None,
-        parent: Optional[Span] = None,
+        trace: Trace,
+        parent: Span,
     ) -> tuple:
         """Run one unit up to ``max_unit_attempts`` times.
 
@@ -1162,14 +1118,15 @@ class StreamScheduler:
         """
         attempts = 0
         error: Optional[str] = None
+        outcome: Optional[tuple] = None
         started = time.perf_counter()
         # The unit span is born *here*, on the worker thread, so the span's
         # thread field records the actual pool handoff.
-        span = trace.span("unit", parent=parent) if trace is not None else None
-        while attempts < max(1, self._options.max_unit_attempts):
+        span = trace.span("unit", parent=parent)
+        while outcome is None and attempts < max(1, self._options.max_unit_attempts):
             attempts += 1
             try:
-                view, stats, program_edits = self._apply_unit(base, unit, programs)
+                outcome = self._apply_unit(base, unit, programs)
             except (WriteScopeError, ShardSanitizerError) as exc:
                 # Sanitizer verdicts are deterministic facts about the code,
                 # not transient unit failures: retrying would only repeat
@@ -1178,38 +1135,15 @@ class StreamScheduler:
                 break
             except Exception as exc:  # individually retryable by design
                 error = f"{type(exc).__name__}: {exc}"
-                continue
-            report = UnitReport(
-                description=unit.describe(),
-                predicates=tuple(sorted(unit.predicates)),
-                strata=unit.strata,
-                deletions=len(unit.deletions),
-                insertions=len(unit.insertions),
-                attempts=attempts,
-                status="applied",
-                stats=stats,
-                seconds=time.perf_counter() - started,
-                write_closure=tuple(sorted(unit.write_closure)),
-                # Copy-on-write clones this unit's passes made on top of the
-                # checkout it was handed (the counter is carried through
-                # ``copy()``, so the difference is exactly this unit's own).
-                shard_checkouts=view.shard_checkouts - base.shard_checkouts,
-            )
-            if span is not None:
-                # Counter deltas come from the same stats object StreamStats
-                # sums, so span deltas reconcile with scheduler totals
-                # exactly, by construction.
-                span.set(
-                    unit=unit.describe(),
-                    attempts=attempts,
-                    status="applied",
-                    solver_calls=stats.solver_calls,
-                    derivation_attempts=stats.derivation_attempts,
-                    shard_checkouts=report.shard_checkouts,
-                ).finish()
-            if self._options.on_unit_complete is not None:
-                self._options.on_unit_complete(report)
-            return (view, report, program_edits)
+        if outcome is None:
+            # A failed unit's attempts were discarded: it hands back its
+            # base view, and its report and span carry zero counters, so
+            # reconciliation with StreamStats stays exact.
+            view, stats, program_edits = base, MaintenanceStats(), None
+            span.fail(str(error))
+        else:
+            view, stats, program_edits = outcome
+            error = None
         report = UnitReport(
             description=unit.describe(),
             predicates=tuple(sorted(unit.predicates)),
@@ -1217,28 +1151,30 @@ class StreamScheduler:
             deletions=len(unit.deletions),
             insertions=len(unit.insertions),
             attempts=attempts,
-            status="failed",
+            status="failed" if outcome is None else "applied",
             error=error,
+            stats=stats,
             seconds=time.perf_counter() - started,
             write_closure=tuple(sorted(unit.write_closure)),
+            # Copy-on-write clones this unit's passes made on top of the
+            # checkout it was handed (the counter is carried through
+            # ``copy()``, so the difference is exactly this unit's own).
+            shard_checkouts=view.shard_checkouts - base.shard_checkouts,
         )
-        if span is not None:
-            # Failed units contributed nothing to StreamStats' counters
-            # (their attempts' work was discarded), so the span records
-            # explicit zeros -- reconciliation stays exact.
-            span.status = "error"
-            span.set(
-                unit=unit.describe(),
-                attempts=attempts,
-                status="failed",
-                error=error,
-                solver_calls=0,
-                derivation_attempts=0,
-                shard_checkouts=0,
-            ).finish()
+        # Counter deltas come from the same stats object StreamStats sums,
+        # so span deltas reconcile with scheduler totals exactly, by
+        # construction.
+        span.set(
+            unit=report.description,
+            attempts=attempts,
+            status=report.status,
+            solver_calls=stats.solver_calls,
+            derivation_attempts=stats.derivation_attempts,
+            shard_checkouts=report.shard_checkouts,
+        ).finish()
         if self._options.on_unit_complete is not None:
             self._options.on_unit_complete(report)
-        return (base, report, None)
+        return (view, report, program_edits)
 
     def _apply_unit(
         self,

@@ -335,11 +335,11 @@ class TestSatisfiabilityMemoization:
         assert len(calls) == 1
 
     def test_external_results_cached_under_registry_version_token(self):
-        # The registry exposes a version token, so DCA-dependent results are
+        # The registry versions its domains, so DCA-dependent results are
         # memoized by default; any *tracked* source change (here: function
-        # re-registration) bumps the token and drops the stale entry.  A
-        # mutation the domain layer cannot see (the closure's set) is the
-        # one remaining case needing an explicit bump.
+        # re-registration) moves the domain's version and the stale entry is
+        # no longer served.  A mutation the domain layer cannot see (the
+        # closure's set) is the one remaining case needing a change notice.
         contents = {"a"}
         domain = Domain("d")
         domain.register("f", lambda: set(contents))
@@ -363,13 +363,13 @@ class TestSatisfiabilityMemoization:
         constraint = conjoin(member(X, "d", "f"), equals(X, "a"))
         assert solver.is_satisfiable(constraint)
         contents.clear()
-        registry.invalidate_cache()  # bumps the registry version token
+        registry.invalidate_cache()  # moves every domain to a new version
         assert not solver.is_satisfiable(constraint)
 
     def test_external_results_not_cached_without_version_token(self):
-        # An ad-hoc evaluator without a version token keeps the old
-        # conservative behaviour: nothing is cached unless the caller opts
-        # in via with_external_memoization().
+        # An ad-hoc evaluator that cannot say what version its domains are
+        # at (no ``versions_of``) gets no external memo: every DCA-dependent
+        # question is decided afresh.
         contents = {"a"}
 
         class BareEvaluator:
@@ -391,18 +391,118 @@ class TestSatisfiabilityMemoization:
         contents = {"a"}
         domain = Domain("d")
         domain.register("f", lambda: set(contents))
-        solver = ConstraintSolver(DomainRegistry([domain])).with_external_memoization()
+        solver = ConstraintSolver(DomainRegistry([domain]))
         constraint = conjoin(member(X, "d", "f"), equals(X, "a"))
         assert solver.is_satisfiable(constraint)
         contents.clear()
-        # Stale until the owner of the change notifies the solver...
+        # Stale (the closure's set is untracked) until the owner of the
+        # change notifies the solver...
         assert solver.is_satisfiable(constraint)
         solver.invalidate_external_functions()
         # ...after which the answer reflects the current source contents.
         assert not solver.is_satisfiable(constraint)
 
+    @pytest.mark.parametrize("ask", ["satisfiable", "simplified"])
+    def test_notice_for_one_domain_keeps_results_about_the_other(
+        self, ask, monkeypatch
+    ):
+        import importlib
+
+        # (the package attribute of that name is the function)
+        simplify_module = importlib.import_module("repro.constraints.simplify")
+        registry = DomainRegistry()
+        for name in ("kept", "changed"):
+            registry.register(Domain(name)).register("f", lambda: {"a"})
+        solver = ConstraintSolver(registry)
+        decided = []
+        if ask == "satisfiable":
+            target, attribute, question = solver, "_decide_satisfiable", solver.is_satisfiable
+        else:
+            target, attribute = simplify_module, "_simplify_conjuncts"
+
+            def question(constraint):
+                return simplify_module.simplify(constraint, solver)
+
+        original = getattr(target, attribute)
+
+        def counting(constraint, *rest):
+            decided.append(constraint.domains())
+            return original(constraint, *rest)
+
+        monkeypatch.setattr(target, attribute, counting)
+        constraints = {
+            name: conjoin(member(X, name, "f"), compare(X, "!=", "b"))
+            for name in ("kept", "changed")
+        }
+        first = {name: question(constraint) for name, constraint in constraints.items()}
+        assert decided == [("kept",), ("changed",)]
+        solver.invalidate_external_functions("changed")
+        again = {name: question(constraint) for name, constraint in constraints.items()}
+        assert again == first
+        # Only the notified domain's result was computed again.
+        assert decided == [("kept",), ("changed",), ("changed",)]
+
+    def test_result_computed_across_a_source_change_is_never_served(self):
+        # Thread A is held inside ``slow:f()`` with the old world's answer
+        # in hand while the source changes and another question is asked;
+        # what A files on its return was computed under the version that
+        # passed and must not answer a later question.
+        import threading
+
+        from repro.constraints.interfaces import FrozenResultSet
+
+        class HeldSource:
+            def __init__(self):
+                self.contents = {"slow": {"a"}, "other": {"a"}}
+                self.versions = {"slow": 0, "other": 0}
+                self.hold = True
+                self.entered = threading.Event()
+                self.release = threading.Event()
+
+            def has_domain(self, name):
+                return name in self.contents
+
+            def versions_of(self, domains):
+                return tuple(self.versions.get(name) for name in domains)
+
+            @property
+            def version(self):
+                return tuple(sorted(self.versions.items()))
+
+            def change(self, name, contents):
+                self.contents[name] = set(contents)  # data before version
+                self.versions[name] += 1
+
+            def evaluate_call(self, domain_name, function, args):
+                result = FrozenResultSet(self.contents[domain_name])
+                if domain_name == "slow" and self.hold:
+                    self.entered.set()
+                    assert self.release.wait(timeout=30)
+                return result
+
+        source = HeldSource()
+        solver = ConstraintSolver(source)
+        slow = conjoin(member(X, "slow", "f"), equals(X, "a"))
+        other = conjoin(member(X, "other", "f"), equals(X, "a"))
+        answers = []
+        thread = threading.Thread(
+            target=lambda: answers.append(solver.is_satisfiable(slow))
+        )
+        thread.start()
+        try:
+            assert source.entered.wait(timeout=30)
+            source.hold = False
+            source.change("slow", ())
+            assert solver.is_satisfiable(other)
+        finally:
+            source.release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert answers == [True]  # the old world's answer, to the old question
+        assert not solver.is_satisfiable(slow)
+
     def test_memoization_can_be_disabled(self):
         solver = ConstraintSolver(options=SolverOptions(memoize_satisfiability=False))
         constraint = conjoin(compare(X, ">=", 3), compare(X, "<=", 1))
         assert not solver.is_satisfiable(constraint)
-        assert solver._pure_sat_cache == {}
+        assert solver._sat_memo == {}

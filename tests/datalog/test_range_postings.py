@@ -128,7 +128,7 @@ class TestIncrementalMaintenance:
         for _ in range(200):
             interval_view.remove(bounded)
             interval_view.add(bounded)
-        postings = interval_view._range_postings[("p", 0)]
+        postings = interval_view.shard_for("p").built_postings()[0]
         assert len(postings._items) < 50
         hits = [e.support.clause_number for e in interval_view.probe_range("p", 0, 3)]
         assert hits.count(2) == 1
@@ -206,12 +206,12 @@ class TestDomainHooks:
         view = MaterializedView()
         view.add(entry("p", member(X, "arith", "between", 2, 9), 1))
         view.probe_range("p", 0, 5, evaluator=registry)
-        postings = view._range_postings[("p", 0)]
+        postings = view.shard_for("p").built_postings()[0]
         before = registry.version
         clock.advance()
         assert registry.version != before  # the full token did move
         view.probe_range("p", 0, 5, evaluator=registry)
-        assert view._range_postings[("p", 0)] is postings  # no rebuild
+        assert view.shard_for("p").built_postings()[0] is postings  # no rebuild
 
     def test_registry_index_interval_dispatch(self):
         registry = DomainRegistry([make_arithmetic_domain()])
@@ -331,7 +331,7 @@ class TestSortedBoundValueWindow:
             view.add(entry("p", equals(X, value), value + 1))
         query = IntervalQuery(10.0, False, 12.0, False)
         view.probe_range("p", 0, query)  # builds the window
-        window = view._arg_value_windows[("p", 0)]
+        window = view.shard_for("p").built_windows()[0]
         visited = list(window.window(query.as_interval()))
         assert len(visited) <= 3  # 10, 11, 12 -- not all 100 values
 
@@ -355,7 +355,7 @@ class TestSortedBoundValueWindow:
         for _ in range(200):
             view.remove(five)
             view.add(five)
-        window = view._arg_value_windows[("p", 0)]
+        window = view.shard_for("p").built_windows()[0]
         assert len(window._sorted) < 50
         assert self.overlap_hits(view, 4, 6).count(3) == 1
 
@@ -393,7 +393,7 @@ class TestWindowKeyRepresentability:
     """
 
     def test_huge_int_value_beyond_float_precision_is_not_missed(self):
-        from repro.datalog.view import _SortedValueWindow
+        from repro.datalog.shard import _SortedValueWindow
         from repro.constraints.solver import Interval
 
         value = 2**53 + 1  # float(value) rounds DOWN to 2**53
@@ -409,7 +409,7 @@ class TestWindowKeyRepresentability:
         assert hits == ["k"]
 
     def test_nan_bound_value_does_not_corrupt_the_sorted_order(self):
-        from repro.datalog.view import _SortedValueWindow
+        from repro.datalog.shard import _SortedValueWindow
         from repro.constraints.solver import Interval
 
         window = _SortedValueWindow()
@@ -426,7 +426,7 @@ class TestWindowKeyRepresentability:
         assert hits == ["k1", "k2"]
 
     def test_overflowing_int_is_discardable(self):
-        from repro.datalog.view import _SortedValueWindow
+        from repro.datalog.shard import _SortedValueWindow
 
         window = _SortedValueWindow()
         huge = 10**400
@@ -473,7 +473,7 @@ class TestSortedValueWindowProperty:
 
     def test_window_output_matches_brute_force_scan(self):
         from hypothesis import given, settings, strategies as st
-        from repro.datalog.view import _SortedValueWindow
+        from repro.datalog.shard import _SortedValueWindow
         from repro.constraints.solver import Interval, interval_excludes
 
         values = self.VALUES

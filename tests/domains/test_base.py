@@ -250,7 +250,7 @@ class TestVersionTokens:
 
     def test_call_cache_is_version_gated(self):
         # Regression: with cache_calls=True a tracked source change bumped
-        # the version token (clearing the solver's memo) but the registry's
+        # the version token (ending the solver's memo) but the registry's
         # own call cache kept serving the stale result set.
         from repro.constraints import ConstraintSolver, Variable, conjoin, equals, member
         from repro.domains import DomainClock, VersionedDomain

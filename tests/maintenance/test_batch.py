@@ -1,4 +1,9 @@
-"""Unit tests for the batch view maintainer."""
+"""Per-request application of update streams: batches of one, not coalesced.
+
+The stream scheduler's uncoalesced path is the per-request reference the
+batched path is compared against (these tests drove it through the
+``ViewMaintainer`` façade before that class was folded into the scheduler).
+"""
 
 from __future__ import annotations
 
@@ -7,87 +12,127 @@ import pytest
 from repro.constraints import ConstraintSolver
 from repro.datalog import parse_constrained_atom
 from repro.errors import MaintenanceError
-from repro.maintenance import DeletionRequest, InsertionRequest, ViewMaintainer
+from repro.maintenance import DeletionRequest, InsertionRequest
+from repro.stream import StreamOptions, StreamScheduler
 from repro.workloads import make_layered_program, mixed_stream
 
 UNIVERSE = tuple(range(0, 15))
 
 
+def per_request_scheduler(program, solver, view=None, deletion_algorithm="stdel"):
+    return StreamScheduler(
+        program,
+        solver,
+        view=view,
+        options=StreamOptions(
+            deletion_algorithm=deletion_algorithm, coalesce=False, max_workers=1
+        ),
+    )
+
+
+def apply_each(scheduler, requests):
+    """Apply *requests* one batch each; returns the per-request results."""
+    results = [scheduler.apply_batch((request,)) for request in requests]
+    assert all(result.ok for result in results)
+    return results
+
+
 class TestViewMaintainerBasics:
     def test_initial_view_materialized_when_not_given(self, example45_program, solver):
-        maintainer = ViewMaintainer(example45_program, solver)
-        assert len(maintainer.view) == 5
-        assert maintainer.effective_program == example45_program
+        scheduler = per_request_scheduler(example45_program, solver)
+        assert len(scheduler.view) == 5
+        assert scheduler.effective_program == example45_program
 
     def test_existing_view_reused(self, example45_program, example45_view, solver):
-        maintainer = ViewMaintainer(example45_program, solver, view=example45_view.copy())
-        assert len(maintainer.view) == len(example45_view)
+        scheduler = per_request_scheduler(
+            example45_program, solver, view=example45_view.copy()
+        )
+        assert len(scheduler.view) == len(example45_view)
 
     def test_invalid_algorithm_rejected(self, example45_program, solver):
         with pytest.raises(MaintenanceError):
-            ViewMaintainer(example45_program, solver, deletion_algorithm="magic")
+            per_request_scheduler(example45_program, solver, deletion_algorithm="magic")
 
     def test_invalid_request_rejected(self, example45_program, solver):
-        maintainer = ViewMaintainer(example45_program, solver)
+        scheduler = per_request_scheduler(example45_program, solver)
         with pytest.raises(MaintenanceError):
-            maintainer.apply("not a request")  # type: ignore[arg-type]
+            scheduler.apply_batch(("not a request",))  # type: ignore[arg-type]
 
 
 class TestApplyingUpdates:
     def test_delete_then_insert_sequence(self, example45_program, solver):
-        maintainer = ViewMaintainer(example45_program, solver)
-        maintainer.apply(DeletionRequest(parse_constrained_atom("b(X) <- X = 6")))
-        maintainer.apply(InsertionRequest(parse_constrained_atom("b(X) <- X = 1")))
-        b_values = {v for (v,) in maintainer.view.instances_for("b", solver, UNIVERSE)}
+        scheduler = per_request_scheduler(example45_program, solver)
+        apply_each(
+            scheduler,
+            [
+                DeletionRequest(parse_constrained_atom("b(X) <- X = 6")),
+                InsertionRequest(parse_constrained_atom("b(X) <- X = 1")),
+            ],
+        )
+        b_values = {v for (v,) in scheduler.query("b", UNIVERSE)}
         assert 6 not in b_values and 1 in b_values
-        assert maintainer.verify(UNIVERSE)
+        assert scheduler.verify(UNIVERSE)
 
     def test_effective_program_grows_with_updates(self, example45_program, solver):
-        maintainer = ViewMaintainer(example45_program, solver)
-        maintainer.apply(DeletionRequest(parse_constrained_atom("b(X) <- X = 6")))
-        maintainer.apply(InsertionRequest(parse_constrained_atom("d(X) <- X = 2")))
-        assert maintainer.effective_program != example45_program
-        assert len(maintainer.effective_program) == len(example45_program) + 1
+        scheduler = per_request_scheduler(example45_program, solver)
+        apply_each(
+            scheduler,
+            [
+                DeletionRequest(parse_constrained_atom("b(X) <- X = 6")),
+                InsertionRequest(parse_constrained_atom("d(X) <- X = 2")),
+            ],
+        )
+        assert scheduler.effective_program != example45_program
+        assert len(scheduler.effective_program) == len(example45_program) + 1
 
     def test_report_counts(self, example45_program, solver):
-        maintainer = ViewMaintainer(example45_program, solver)
-        report = maintainer.apply_all(
+        scheduler = per_request_scheduler(example45_program, solver)
+        results = apply_each(
+            scheduler,
             [
                 DeletionRequest(parse_constrained_atom("b(X) <- X = 6")),
                 DeletionRequest(parse_constrained_atom("b(X) <- X = 7")),
                 InsertionRequest(parse_constrained_atom("b(X) <- X = 1")),
-            ]
+            ],
         )
-        assert report.deletions == 2
-        assert report.insertions == 1
-        assert report.total_solver_calls() > 0
-        assert report.total_replaced_entries() > 0
-        assert len(report.applied) == 3
+        batches = scheduler.batches
+        assert len(batches) == 3
+        assert sum(len(result.coalesced.deletions) for result in results) == 2
+        assert sum(len(result.coalesced.insertions) for result in results) == 1
+        assert sum(stats.solver_calls for stats in batches) > 0
+        assert sum(stats.totals().replaced_entries for stats in batches) > 0
 
     def test_sequential_deletions_with_dred_thread_the_program(
         self, example45_program, solver
     ):
-        maintainer = ViewMaintainer(example45_program, solver, deletion_algorithm="dred")
-        maintainer.apply(DeletionRequest(parse_constrained_atom("b(X) <- X = 6")))
-        maintainer.apply(DeletionRequest(parse_constrained_atom("b(X) <- X = 7")))
-        b_values = {v for (v,) in maintainer.view.instances_for("b", solver, UNIVERSE)}
+        scheduler = per_request_scheduler(
+            example45_program, solver, deletion_algorithm="dred"
+        )
+        apply_each(
+            scheduler,
+            [
+                DeletionRequest(parse_constrained_atom("b(X) <- X = 6")),
+                DeletionRequest(parse_constrained_atom("b(X) <- X = 7")),
+            ],
+        )
+        b_values = {v for (v,) in scheduler.query("b", UNIVERSE)}
         assert 6 not in b_values and 7 not in b_values
-        assert maintainer.verify(UNIVERSE)
+        assert scheduler.verify(UNIVERSE)
 
     def test_stream_on_layered_program_verifies(self):
         solver = ConstraintSolver()
         spec = make_layered_program(base_facts=5, layers=2, seed=8)
         stream = mixed_stream(spec, deletions=2, insertions=2, seed=3)
-        maintainer = ViewMaintainer(spec.program, solver)
-        maintainer.apply_all(stream.requests)
-        assert maintainer.verify()
+        scheduler = per_request_scheduler(spec.program, solver)
+        apply_each(scheduler, stream.requests)
+        assert scheduler.verify()
 
     def test_stdel_and_dred_streams_agree(self):
         solver = ConstraintSolver()
         spec = make_layered_program(base_facts=5, layers=2, seed=12)
         stream = mixed_stream(spec, deletions=2, insertions=1, seed=4)
-        stdel_maintainer = ViewMaintainer(spec.program, solver, deletion_algorithm="stdel")
-        dred_maintainer = ViewMaintainer(spec.program, solver, deletion_algorithm="dred")
-        stdel_maintainer.apply_all(stream.requests)
-        dred_maintainer.apply_all(stream.requests)
-        assert stdel_maintainer.view.instances(solver) == dred_maintainer.view.instances(solver)
+        stdel = per_request_scheduler(spec.program, solver, deletion_algorithm="stdel")
+        dred = per_request_scheduler(spec.program, solver, deletion_algorithm="dred")
+        apply_each(stdel, stream.requests)
+        apply_each(dred, stream.requests)
+        assert stdel.view.instances(solver) == dred.view.instances(solver)

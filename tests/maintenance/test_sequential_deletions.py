@@ -18,9 +18,12 @@ from repro.datalog import compute_tp_fixpoint, parse_constrained_atom, parse_pro
 from repro.maintenance import (
     DeletionRequest,
     ExtendedDRed,
+    InsertionRequest,
     StraightDelete,
     recompute_after_deletion,
 )
+from repro.stream import StreamOptions, StreamScheduler
+from repro.workloads import ground_request_atom, make_layered_program
 
 PROGRAM = """
 a(X) <- X = 1.
@@ -127,3 +130,48 @@ class TestSequentialStDel:
         )
         assert second.view.instances_for("a", solver, UNIVERSE) == frozenset()
         assert second.view.instances_for("b", solver, UNIVERSE) == frozenset()
+
+
+class TestDeleteReinsertHistory:
+    """Theorems 1-3 over a five-request history of one stream.
+
+    ``layer1_0(X) <- base1(X), base1(X)`` over two re-inserted facts gives
+    two parents the same support, and StDel takes one for the other: after
+    the fifth request ``layer1_0(7)`` is still in the view (ROADMAP item 1).
+    The StDel case is pinned as a strict xfail so the fix flips it.
+    """
+
+    HISTORY = (
+        ("delete", 0),
+        ("insert", 0),
+        ("delete", 7),
+        ("insert", 7),
+        ("delete", 7),
+    )
+
+    @pytest.mark.parametrize(
+        "deletion_algorithm",
+        [
+            "dred",
+            pytest.param(
+                "stdel",
+                marks=pytest.mark.xfail(
+                    strict=True, reason="ROADMAP item 1: two parents share one support"
+                ),
+            ),
+        ],
+    )
+    def test_view_equals_recomputation_after_five_requests(self, deletion_algorithm):
+        spec = make_layered_program(base_facts=12)
+        scheduler = StreamScheduler(
+            spec.program,
+            ConstraintSolver(),
+            options=StreamOptions(
+                max_workers=1, deletion_algorithm=deletion_algorithm
+            ),
+        )
+        for kind, value in self.HISTORY:
+            atom = ground_request_atom("base1", (value,))
+            request = DeletionRequest(atom) if kind == "delete" else InsertionRequest(atom)
+            assert scheduler.apply_batch((request,)).ok
+        assert scheduler.verify()

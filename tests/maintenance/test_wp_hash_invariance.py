@@ -89,11 +89,10 @@ class TestWpIndexInvariance:
             assert wp.view.range_posting_snapshot() == ()
 
     def test_version_token_keeps_queries_honest_without_notification(self, setup):
-        # The ROADMAP footgun: before the registry version token, a solver
-        # that cached DCA-dependent results needed a manual
-        # invalidate_external_functions() after every source change.  Now the
-        # clock advance changes the registry's version, so even *without*
-        # calling on_source_changed the next query re-evaluates.
+        # A tracked source needs no notice: the clock advance moves the
+        # domain's version, which is what the solver's memos are gated on,
+        # so even *without* calling on_source_changed the next query
+        # re-evaluates.
         clock, solver, program = setup
         wp = WpExternalMaintenance(program, solver)
         assert wp.query("b") == {(1,)}

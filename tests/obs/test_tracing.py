@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.obs import (
+    NULL_TRACE,
     JsonLinesExporter,
     Observability,
     RingExporter,
@@ -251,7 +252,13 @@ class TestObservabilityBundle:
     def test_disabled_bundle_is_inert(self):
         obs = Observability.disabled()
         assert obs.enabled is False
-        assert obs.start_trace() is None
+        # The no-op trace: spans open, fill, fail and finish into nothing.
+        trace = obs.start_trace()
+        assert trace is NULL_TRACE and trace.trace_id == "-"
+        with trace.span("unit", parent=trace.root) as span:
+            assert span.set(solver_calls=3).fail("boom") is span
+        trace.record_span("checkpoint", 0.0, 1.0, watermark=1)
+        trace.finish()
         assert obs.note_slow_batch(10_000.0) is False
         obs.close()
 

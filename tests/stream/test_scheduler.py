@@ -12,7 +12,6 @@ from repro.maintenance import (
     ExtendedDRed,
     InsertionRequest,
     StraightDelete,
-    ViewMaintainer,
     insert_atom,
 )
 from repro.stream import ExternalChangeNotice, StreamOptions, StreamScheduler
@@ -101,12 +100,11 @@ class TestBatchedApplication:
         initial = compute_tp_fixpoint(spec.program, solver)
         batch = stream_batches(spec, 1, deletions=3, insertions=2, seed=5)[0]
 
-        maintainer = ViewMaintainer(spec.program, solver, view=initial.copy())
-        report = maintainer.apply_all(batch.requests)
-        sequential_cost = sum(
-            item.stats.derivation_attempts + item.stats.solver_calls
-            for item in report.applied
-        )
+        one_at_a_time = StreamScheduler(spec.program, solver, view=initial.copy())
+        sequential_cost = 0
+        for request in batch.requests:
+            stats = one_at_a_time.apply_batch((request,), coalesce=False).stats
+            sequential_cost += stats.derivation_attempts + stats.solver_calls
         scheduler = StreamScheduler(
             spec.program, ConstraintSolver(), view=initial.copy()
         )
@@ -246,15 +244,17 @@ class TestStreamOrderSemantics:
         assert scheduler.verify(UNIVERSE)
 
     def test_per_request_maintainer_keeps_deletion_rewrites_for_insertions(self):
-        # Same scenario through the rebased per-request ViewMaintainer.
+        # Same scenario as three batches of one request, not coalesced.
         program = parse_program(self.JOIN_RULES)
-        maintainer = ViewMaintainer(program, ConstraintSolver())
-        maintainer.apply(deletion("t(X) <- X = 1"))
-        maintainer.apply(deletion("f(X) <- X = 1"))
-        maintainer.apply(insertion("f(X) <- X = 1"))
-        solver = ConstraintSolver()
-        assert maintainer.view.instances_for("t", solver, UNIVERSE) == frozenset()
-        assert maintainer.verify(UNIVERSE)
+        scheduler = StreamScheduler(program, ConstraintSolver())
+        for request in (
+            deletion("t(X) <- X = 1"),
+            deletion("f(X) <- X = 1"),
+            insertion("f(X) <- X = 1"),
+        ):
+            assert scheduler.apply_batch((request,), coalesce=False).ok
+        assert scheduler.query("t", UNIVERSE) == frozenset()
+        assert scheduler.verify(UNIVERSE)
 
     def test_uncoalesced_batch_preserves_insert_then_delete_order(self):
         # Regression: with coalescing off there is no cancel/narrow pass,
@@ -433,11 +433,15 @@ class TestLogIntegration:
 class TestViewMaintainerRebase:
     def test_apply_batched_routes_through_the_scheduler(self):
         spec = make_layered_program(base_facts=5, layers=2, seed=8)
-        maintainer = ViewMaintainer(spec.program, ConstraintSolver())
+        scheduler = StreamScheduler(
+            spec.program, ConstraintSolver(), options=StreamOptions(coalesce=False)
+        )
         batch = stream_batches(spec, 1, deletions=2, insertions=2, seed=3)[0]
-        result = maintainer.apply_batched(batch.requests)
+        # The per-call argument wins over the scheduler's option.
+        result = scheduler.apply_batch(batch.requests, coalesce=True)
         assert result.ok
-        assert maintainer.verify()
+        assert result.stats.coalesce.submitted == len(batch.requests)
+        assert scheduler.verify()
 
     def test_rejects_unknown_algorithm(self):
         spec = make_layered_program(base_facts=4, layers=1, seed=1)

@@ -63,6 +63,15 @@ Two invariant families are load-bearing enough to enforce textually:
    neither the change-notice protocol nor ``repro_domains_calls_total``
    knows about.
 
+8. **Budgets: a new knob shows in the diff that adds it.**  The fields of
+   the five option classes (``SolverOptions``, ``EngineOptions``,
+   ``StreamOptions``, ``ServeOptions``, ``DurabilityOptions``), the distinct
+   ``REPRO_*`` environment variables named under ``src/`` and the lines of
+   Python under ``src/repro`` may not exceed the numbers committed below:
+   each option doubles the configurations tests and benchmarks must cover,
+   so a change that needs one more raises the number where a reviewer
+   sees it.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/ (exit 1 on findings)
@@ -70,6 +79,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 from typing import Iterator, List, Tuple
@@ -173,9 +183,21 @@ ENGINE_FLAGS: Tuple[str, ...] = (
     "delta_rederivation",
     "segment_batches",
     "max_iterations",
-    "max_entries",
-    "max_unfold_rounds",
 )
+
+#: Option classes whose annotated fields count against the knob budget.
+OPTION_CLASSES: Tuple[str, ...] = (
+    "SolverOptions",
+    "EngineOptions",
+    "StreamOptions",
+    "ServeOptions",
+    "DurabilityOptions",
+)
+
+#: The budgets (rule 8).  Raise one only in the change that needs it.
+MAX_OPTION_FIELDS = 30
+MAX_ENV_VARIABLES = 5
+MAX_SOURCE_LINES = 22_200
 
 #: Rules scoped to the observability package only.
 OBS_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
@@ -245,8 +267,47 @@ def iter_flag_findings(root: Path) -> Iterator[str]:
             )
 
 
+def iter_budget_findings(root: Path) -> Iterator[str]:
+    """Option fields, environment variables and source lines over budget."""
+    fields: List[str] = []
+    variables = set()
+    lines = 0
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines += len(text.splitlines())
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef) and node.name in OPTION_CLASSES:
+                fields.extend(
+                    f"{node.name}.{statement.target.id}"
+                    for statement in node.body
+                    if isinstance(statement, ast.AnnAssign)
+                    and isinstance(statement.target, ast.Name)
+                )
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value)
+            ):
+                variables.add(node.value)
+    for what, count, budget, listing in (
+        ("option-class fields", len(fields), MAX_OPTION_FIELDS, fields),
+        ("REPRO_* environment variables", len(variables), MAX_ENV_VARIABLES, sorted(variables)),
+        (f"lines of Python under {root.name}/", lines, MAX_SOURCE_LINES, ()),
+    ):
+        if count > budget:
+            yield (
+                f"{count} {what}, budget {budget} -- remove one, or raise the "
+                f"budget in tools/lint_rules.py in the change that needs it"
+                + (f" ({', '.join(listing)})" if listing else "")
+            )
+
+
 def main() -> int:
-    findings: List[str] = list(iter_findings(SRC)) + list(iter_flag_findings(SRC))
+    findings: List[str] = (
+        list(iter_findings(SRC))
+        + list(iter_flag_findings(SRC))
+        + list(iter_budget_findings(SRC))
+    )
     if findings:
         print(f"lint_rules: {len(findings)} finding(s)")
         for finding in findings:
