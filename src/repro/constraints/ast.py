@@ -76,7 +76,8 @@ _CONJUNCTIONS = table("conjunction")
 #: ``_str`` lazily by the node itself; ``_elim`` holds a small bounded dict
 #: of projection results; ``_domains`` the names of the domains the node
 #: calls; ``_plan`` the compiled search plan of ``solutions`` for the last
-#: variable list the node was enumerated over.  All writes are idempotent
+#: variable list the node was enumerated over; ``_pins`` what
+#: ``simplify.pins_of`` found (``False``: not pins).  All writes are idempotent
 #: (the value is a pure function of the node), so racing threads are benign.
 _MEMO_SLOTS = (
     "_str",
@@ -89,6 +90,7 @@ _MEMO_SLOTS = (
     "_elim",
     "_domains",
     "_plan",
+    "_pins",
 )
 
 

@@ -185,6 +185,31 @@ def extract_bindings(constraint: Constraint) -> "dict[Variable, Constant]":
     return bindings
 
 
+def pins_of(constraint: Constraint) -> "Optional[dict[Variable, Constant]]":
+    """The constant every variable of *constraint* equals, when it is nothing
+    but pins; ``None`` otherwise.  Read once per interned node.
+
+    Pins are top-level ``Var = Const`` equalities in either orientation and
+    the ``Var = Var`` links that reach one (``X_1 = 1 & X_1 = X``).  Two
+    constant nodes for one variable (``1`` and ``1.0`` too) are not pins:
+    whether they agree is the solver's call.  ``true`` pins nothing (``{}``).
+    """
+    cached = constraint._pins
+    if cached is None:
+        cached = False
+        parts = constraint.conjuncts()
+        if all(isinstance(part, Comparison) and part.op == "=" for part in parts):
+            bindings = extract_bindings(constraint)
+
+            def value(term):
+                return term if isinstance(term, Constant) else bindings.get(term)
+
+            if all(value(part.left) is value(part.right) is not None for part in parts):
+                cached = bindings
+        object.__setattr__(constraint, "_pins", cached)
+    return None if cached is False else cached
+
+
 # ---------------------------------------------------------------------------
 # Internal helpers
 # ---------------------------------------------------------------------------

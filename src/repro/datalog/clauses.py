@@ -30,6 +30,10 @@ class Clause:
     body: Tuple[Atom, ...] = field(default_factory=tuple)
     number: Optional[int] = None
 
+    #: :meth:`application_plan`, once compiled.  Not a field: no part of the
+    #: clause's identity.
+    _plan = None
+
     def __post_init__(self) -> None:
         if not isinstance(self.head, Atom):
             raise ProgramError(f"clause head must be an atom: {self.head!r}")
@@ -62,6 +66,28 @@ class Clause:
         for atom in self.body:
             found.update(atom.variables())
         return frozenset(found)
+
+    def application_plan(self) -> tuple:
+        """What applying the clause to premises that pin their arguments
+        comes down to, compiled once (see ``DeltaJoinKernel.apply_clause``).
+
+        ``(bodies, emitted, plain_head)``: the argument tuple the values of
+        each body position must equal; the head variables the body binds, in
+        the order the derived constraint pins them (first occurrence in the
+        body); whether the head arguments are distinct variables or
+        constants.
+        """
+        plan = self._plan
+        if plan is None:
+            heads = self.head.variables()
+            bound = dict.fromkeys(arg for atom in self.body for arg in atom.args)
+            plan = (
+                tuple(atom.args for atom in self.body),
+                tuple(arg for arg in bound if arg in heads),
+                len(heads) == sum(isinstance(arg, Variable) for arg in self.head.args),
+            )
+            object.__setattr__(self, "_plan", plan)
+        return plan
 
     def body_predicates(self) -> Tuple[str, ...]:
         """Predicates referenced in the body, in order."""

@@ -39,9 +39,17 @@ from typing import (
     TypeVar,
 )
 
-from repro.constraints.ast import Constraint, conjoin, tuple_equalities
+from repro.constraints.ast import (
+    FALSE,
+    TRUE,
+    Comparison,
+    Constraint,
+    conjoin,
+    negate,
+    tuple_equalities,
+)
 from repro.constraints.projection import eliminate_variables
-from repro.constraints.simplify import simplify
+from repro.constraints.simplify import pins_of, simplify
 from repro.constraints.solver import (
     ConstraintSolver,
     Interval as _Interval,
@@ -800,14 +808,31 @@ class DeltaJoinKernel:
         self,
         clause: Clause,
         premises: Sequence = (),
-        renamed_cache: Optional[Dict[Tuple[int, int], ConstrainedAtom]] = None,
+        renamed_cache: Optional[Dict[Tuple[int, int], object]] = None,
+        onto: Optional[ConstrainedAtom] = None,
+        negated: Optional[int] = None,
     ) -> Optional[ConstrainedAtom]:
         """One clause application: the derived head atom, or ``None``.
 
-        Combines the clause constraint with the (renamed-apart) premise
-        constraints and the binding equalities, projects auxiliary variables
-        away, simplifies and (when solvability is checked) returns ``None``
-        for an unsolvable combination.
+        A premise (view entry or bare frontier atom) whose constraint is
+        nothing but pins covering its arguments contributes a substitution:
+        its constants meet the body atom's arguments directly, which is what
+        renaming it apart, conjoining and projecting leaves of it.  When
+        every premise does and the clause constraint is ``true``, comparing
+        the values decides the application (:meth:`_by_comparison`): no
+        fresh name, no intermediate node, no solver call.  Every other
+        premise is renamed apart and conjoined with the clause constraint
+        and the binding equalities, auxiliary variables are projected away,
+        the result is simplified and (when solvability is checked) ``None``
+        is returned for an unsolvable combination.
+
+        With *onto* (StDel's parent rebuild) the derivation is tied to that
+        entry: the clause is renamed apart from it, ``head = onto's
+        arguments`` and onto's constraint join the conjunction, and the
+        result -- the part of the entry this derivation accounts for -- is
+        over onto's atom.  *negated* (with *onto*) names the body position
+        whose premise contributes negated instead: what the entry keeps once
+        that premise's instances are gone, never checked for solvability.
 
         *renamed_cache* (keyed by ``(position, id(premise))``) lets a round
         share renamed premise copies across the combinations of one clause;
@@ -816,34 +841,126 @@ class DeltaJoinKernel:
         """
         self.stats.clause_applications += 1
         options = self.options
+        check = self.check_solvability and negated is None
+        pinned: Sequence = ()
+        if premises and options.project_auxiliary_variables:
+            pinned = [_pinned_args(premise) for premise in premises]
+            if (
+                options.simplify_constraints
+                and clause.constraint is TRUE
+                and None not in pinned
+                and (onto is not None or negated is None)
+            ):
+                decided = self._by_comparison(clause, premises, pinned, onto, negated, check)
+                if decided is not NotImplemented:
+                    return decided
         if renamed_cache is None:
             renamed_cache = {}
-        parts: List[Constraint] = [clause.constraint]
+        head, tied = clause.head, ()
+        if onto is not None:
+            # Renamed apart so clause-local variables cannot collide with
+            # the entry's; both halves of a rebuild share the copy.
+            key = (-1, id(clause))
+            clause = renamed_cache.get(key) or renamed_cache.setdefault(
+                key, clause.renamed_apart(self.factory)
+            )
+            head = onto.atom
+            tied = (tuple_equalities(clause.head.args, head.args), onto.constraint)
+        parts: List[Constraint] = [clause.constraint, *tied]
         for position, (body_atom, premise) in enumerate(zip(clause.body, premises)):
-            cache_key = (position, id(premise))
-            renamed = renamed_cache.get(cache_key)
-            if renamed is None:
-                # A premise is a view entry or a bare frontier atom (P_OUT).
-                atom = (
-                    premise.constrained_atom
-                    if isinstance(premise, ViewEntry)
-                    else premise
+            if pinned and position != negated and pinned[position] is not None:
+                part = tuple_equalities(pinned[position], body_atom.args)
+            else:
+                cache_key = (position, id(premise))
+                renamed = renamed_cache.get(cache_key)
+                if renamed is None:
+                    # A premise is a view entry or a bare frontier atom (P_OUT).
+                    atom = (
+                        premise.constrained_atom
+                        if isinstance(premise, ViewEntry)
+                        else premise
+                    )
+                    renamed, _ = atom.renamed_apart(self.factory)
+                    renamed_cache[cache_key] = renamed
+                part = conjoin(
+                    renamed.constraint,
+                    tuple_equalities(renamed.atom.args, body_atom.args),
                 )
-                renamed, _ = atom.renamed_apart(self.factory)
-                renamed_cache[cache_key] = renamed
-            parts.append(renamed.constraint)
-            parts.append(tuple_equalities(renamed.atom.args, body_atom.args))
+            parts.append(negate(part) if position == negated else part)
         constraint = conjoin(*parts)
-        if options.project_auxiliary_variables:
-            constraint = eliminate_variables(constraint, clause.head.variables())
+        if options.project_auxiliary_variables or onto is not None:
+            constraint = eliminate_variables(constraint, head.variables())
         if options.simplify_constraints:
             constraint = simplify(
                 constraint,
                 self.solver,
                 drop_redundant_comparisons=options.drop_redundant_comparisons,
             )
-        if self.check_solvability:
+        if check:
             self.stats.solver_calls += 1
             if not self.solver.is_satisfiable(constraint):
                 return None
-        return ConstrainedAtom(clause.head, constraint)
+        return ConstrainedAtom(head, constraint)
+
+    def _by_comparison(self, clause, premises, pinned, onto, negated, check):
+        """An application of a ``true``-constrained clause to pinned
+        premises, decided by comparing values: the atom the pipeline of
+        :meth:`apply_clause` would build (the same interned constraint),
+        ``None`` for values that definitely clash when solvability is
+        checked, ``NotImplemented`` for what only the pipeline reproduces --
+        a clash under ``W_P`` (Theorem 4 keeps the entry, in the pipeline's
+        form), constants that are equal but not the same node, a rebuild
+        onto an entry that is not one pin per variable of its atom.
+        """
+        bodies, emitted, plain_head = clause.application_plan()
+        pairs = list(zip(bodies, pinned))
+        if onto is not None:
+            # The ties ``head = onto's arguments`` come first in the
+            # pipeline: a head constant against an entry variable would pin
+            # that variable ahead of the entry's own conjunct.
+            parts, ties = onto.constraint.conjuncts(), _pinned_args(onto)
+            if (
+                ties is None
+                or not plain_head
+                or len(parts) != len(onto.atom.variables())
+                or any(len(part.variables()) != 1 for part in parts)
+                or any(
+                    mine.__class__ is Constant and theirs.__class__ is Variable
+                    for mine, theirs in zip(clause.head.args, onto.atom.args)
+                )
+            ):
+                return NotImplemented
+            pairs.insert(0, (clause.head.args, ties))
+        bindings: Dict[object, Constant] = {}
+        for args, values in pairs:
+            for arg, value in zip(args, values):
+                bound = arg if arg.__class__ is Constant else bindings.setdefault(arg, value)
+                if bound is not value:
+                    if check and not _values_compatible(bound.value, value.value):
+                        return None
+                    return NotImplemented
+        if onto is None:
+            # ``c = X`` per head variable, in the order the body binds them:
+            # what projection and simplification leave of the pins.
+            pins = [Comparison(bindings[variable], "=", variable) for variable in emitted]
+            return ConstrainedAtom(clause.head, conjoin(*pins))
+        if negated is None:
+            return onto
+        premise = premises[negated]
+        if len(premise.atom.args) + len(premise.constraint.conjuncts()) == 1:
+            return NotImplemented  # negates to a literal, not to ``not(...)``
+        return ConstrainedAtom(onto.atom, FALSE)
+
+
+def _pinned_args(premise) -> Optional[Tuple[Constant, ...]]:
+    """The constant each argument of *premise* equals, when its constraint
+    is nothing but pins (``pins_of``) and they cover the arguments."""
+    pins = pins_of(premise.constraint)
+    if pins is None:
+        return None
+    try:
+        return tuple(
+            arg if arg.__class__ is Constant else pins[arg] for arg in premise.atom.args
+        )
+    except KeyError:
+        return None

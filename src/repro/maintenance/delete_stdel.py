@@ -26,12 +26,17 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.constraints.ast import Constraint, conjoin, negate, tuple_equalities
-from repro.constraints.projection import eliminate_variables
+from repro.constraints.ast import Constraint, FalseConstraint, conjoin, tuple_equalities
 from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
-from repro.datalog.atoms import Atom, ConstrainedAtom
-from repro.datalog.join import EngineOptions, make_fresh_factory, overlap_candidates
+from repro.datalog.atoms import ConstrainedAtom
+from repro.datalog.clauses import Clause
+from repro.datalog.join import (
+    DeltaJoinKernel,
+    EngineOptions,
+    make_fresh_factory,
+    overlap_candidates,
+)
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.support import Support
 from repro.datalog.view import MaterializedView, ViewEntry
@@ -174,8 +179,10 @@ class StraightDelete:
             working.replace(old, new)
             replaced.append(new)
 
+        kernel = DeltaJoinKernel(self._program, self._solver, self._options, factory, stats)
+
         def originals(
-            support: Support, body_atom: Atom, derivation: Sequence[Constraint]
+            support: Support, clause: Clause, position: int, parent: ViewEntry
         ) -> List[ConstrainedAtom]:
             # A support identifies its entry, except where insertions share
             # one: all externally inserted atoms carry the reserved clause
@@ -187,17 +194,26 @@ class StraightDelete:
             # entry this request narrowed is filed under what it holds now
             # but is a candidate for what it held before; there are only as
             # many of those as the request replaced.
-            shard = working.shard_for(body_atom.predicate)
+            predicate = clause.body[position].predicate
+            shard = working.shard_for(predicate)
             if shard is None:
                 return []
             if shard.count_by_support(support) <= 1:
                 group = list(shard.all_by_support(support))
             else:
+                # Renamed apart: a clause variable must not read as the
+                # entry's variable of the same name.
+                clause = clause.renamed_apart(factory)
+                derivation = conjoin(
+                    clause.constraint,
+                    tuple_equalities(clause.head.args, parent.atom.args),
+                    parent.constraint,
+                )
                 group = [
                     entry
                     for entry in overlap_candidates(
                         working,
-                        ConstrainedAtom(body_atom, conjoin(*derivation)),
+                        ConstrainedAtom(clause.body[position], derivation),
                         self._solver,
                         self._options,
                         stats,
@@ -210,7 +226,7 @@ class StraightDelete:
                     for key, (entry, _) in superseded.items()
                     if key not in found
                     and entry.support == support
-                    and entry.predicate == body_atom.predicate
+                    and entry.predicate == predicate
                 )
             return [
                 superseded[entry.key()][1]
@@ -287,7 +303,7 @@ class StraightDelete:
                             if current is None:
                                 continue
                             replacement = self._replace_parent(
-                                current, child_position, pair, originals, factory, stats
+                                current, child_position, pair, originals, kernel
                             )
                             if replacement is None:
                                 continue
@@ -355,17 +371,17 @@ class StraightDelete:
         entry: ViewEntry,
         child_position: int,
         pair: POutPair,
-        originals: Callable[
-            [Support, Atom, Sequence[Constraint]], List[ConstrainedAtom]
-        ],
-        factory,
-        stats: MaintenanceStats,
+        originals: Callable[[Support, Clause, int, ViewEntry], List[ConstrainedAtom]],
+        kernel: DeltaJoinKernel,
     ) -> Optional[Tuple[ViewEntry, ConstrainedAtom]]:
         """Rebuild a parent entry's constraint with ``not(ψj)`` at one premise.
 
         Returns ``(new entry, deleted part)`` or ``None`` when the paper's
         applicability condition (c) fails (the deleted premise contributed
-        nothing to this derivation, so nothing changes).
+        nothing to this derivation, so nothing changes).  Both halves are
+        clause applications tied to the entry
+        (:meth:`DeltaJoinKernel.apply_clause` with ``onto``): the deleted
+        part with the premise as it was, the replacement with it negated.
 
         The other premises are the entries carrying the derivation's child
         supports.  A support identifies its entry, except the reserved one
@@ -382,6 +398,8 @@ class StraightDelete:
         item 1: supports unique per insertion), and the first consistent
         one is taken.
         """
+        if isinstance(entry.constraint, FalseConstraint):
+            return None  # nothing left for the premise to have contributed
         clause = self._clause_for(entry.support)
         if clause is None or len(clause.body) != len(entry.support.children):
             raise MaintenanceError(
@@ -398,51 +416,19 @@ class StraightDelete:
             # unrelated predicate's derivations (mirrors the predicate
             # filter in ExtendedDRed._rederivation_seed).
             return None
-        # Rename the clause apart so clause-local variables can never collide
-        # with variables already occurring in the entry's constraint.
-        clause = clause.renamed_apart(factory)
-        head_variables = entry.atom.variables()
-        shared: List[Constraint] = [
-            clause.constraint,
-            # (X̄ = Ȳ): tie the entry's atom to the clause head.
-            tuple_equalities(clause.head.args, entry.atom.args),
-            entry.constraint,
-        ]
         choices: List[Sequence[ConstrainedAtom]] = [
             (pair.atom,)
             if position == child_position
-            else originals(child_support, body_atom, shared)
-            for position, (body_atom, child_support) in enumerate(
-                zip(clause.body, entry.support.children)
-            )
+            else originals(child_support, clause, position, entry)
+            for position, child_support in enumerate(entry.support.children)
         ]
+        onto = entry.constrained_atom
         for premises in itertools.product(*choices):
-            parts = list(shared)
-            deleted_parts = list(shared)
-            for position, (body_atom, premise) in enumerate(zip(clause.body, premises)):
-                renamed, _ = premise.renamed_apart(factory)
-                binding = tuple_equalities(renamed.atom.args, body_atom.args)
-                deleted_parts.append(renamed.constraint)
-                deleted_parts.append(binding)
-                if position == child_position:
-                    # The deleted premise: positively in the "deleted part",
-                    # negated in the replacement constraint.
-                    parts.append(negate(conjoin(renamed.constraint, binding)))
-                else:
-                    parts.append(renamed.constraint)
-                    parts.append(binding)
-            deleted_constraint = self._simplify(
-                eliminate_variables(conjoin(*deleted_parts), head_variables)
-            )
-            stats.solver_calls += 1
-            if self._solver.is_satisfiable(deleted_constraint):
-                new_constraint = self._simplify(
-                    eliminate_variables(conjoin(*parts), head_variables)
-                )
-                return (
-                    entry.with_constraint(new_constraint),
-                    ConstrainedAtom(entry.atom, deleted_constraint),
-                )
+            renamed: Dict[Tuple[int, int], object] = {}
+            deleted_part = kernel.apply_clause(clause, premises, renamed, onto)
+            if deleted_part is not None:
+                kept = kernel.apply_clause(clause, premises, renamed, onto, child_position)
+                return entry.with_constraint(kept.constraint), deleted_part
         # Condition (c): no combination is solvable, nothing to delete.
         return None
 

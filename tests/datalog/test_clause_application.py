@@ -1,0 +1,342 @@
+"""A clause application decided by substitution is the one the paper's step
+builds -- the same atom and the same interned constraint object.
+
+``DeltaJoinKernel.apply_clause`` lets a premise whose constraint is nothing
+but pins contribute its constants directly, and decides an application all
+of whose premises are pinned by comparing values.  The reference here is
+the ``T_P`` step as the paper states it, for every premise: rename apart,
+conjoin with the clause constraint and the binding equalities, project the
+auxiliary variables away, simplify, ask the solver.  Generated clauses
+(arity 1-3, repeated variables, constants in head and body, clause
+constraint ``true`` or comparisons) meet generated premises (pins in both
+orientations, chains through an auxiliary variable, constants as arguments,
+intervals, clashing pins, mixtures), under ``T_P`` and under ``W_P``.  The
+same for StDel's parent rebuild: ``(replacement, deleted part)`` against the
+rebuild written out with its own renaming and negation.
+
+Premise constraints only mention the premise's arguments and pinned
+auxiliaries, so no fresh name survives projection: the kernel draws fewer of
+them than the reference, and an interned node is compared by identity.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from repro.constraints import ConstraintSolver
+from repro.constraints.ast import (
+    FALSE,
+    TRUE,
+    Comparison,
+    conjoin,
+    negate,
+    tuple_equalities,
+)
+from repro.constraints.projection import eliminate_variables
+from repro.constraints.simplify import pins_of, simplify
+from repro.constraints.terms import Constant, FreshVariableFactory, Variable
+from repro.datalog.atoms import Atom, ConstrainedAtom
+from repro.datalog.clauses import Clause
+from repro.datalog.join import DeltaJoinKernel, EngineOptions
+from repro.datalog.program import ConstrainedDatabase
+from repro.datalog.support import Support
+from repro.datalog.view import ViewEntry
+from repro.maintenance.delete_stdel import POutPair, StraightDelete
+from repro.maintenance.requests import MaintenanceStats
+
+solver = ConstraintSolver()
+
+CLAUSE_VARIABLES = [Variable(name) for name in "XYZW"]
+PREMISE_VARIABLES = [Variable(name) for name in "ABC"]
+#: ``1`` and ``1.0`` are equal values and different nodes; ``'a'`` is not a
+#: number (a clause constraint over it is the solver's to decide).
+CONSTANTS = [Constant(value) for value in (0, 1, 2, 3, 1.0, "a")]
+
+constants = st.sampled_from(CONSTANTS)
+small = st.sampled_from(CONSTANTS[:3])
+
+
+def terms(variables):
+    # Mostly variables and the three small constants, so that joins meet.
+    return st.one_of(st.sampled_from(variables), st.sampled_from(variables), small, constants)
+
+
+def atoms(predicate: str, variables):
+    return st.builds(
+        Atom, st.just(predicate), st.lists(terms(variables), min_size=1, max_size=3).map(tuple)
+    )
+
+
+@st.composite
+def clauses(draw):
+    body = tuple(
+        draw(atoms(f"p{position}", CLAUSE_VARIABLES))
+        for position in range(draw(st.integers(1, 3)))
+    )
+    comparisons = st.builds(
+        Comparison,
+        terms(CLAUSE_VARIABLES),
+        st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+        terms(CLAUSE_VARIABLES),
+    )
+    constraint = conjoin(*draw(st.one_of(st.just([]), st.lists(comparisons, max_size=2))))
+    return Clause(draw(atoms("h", CLAUSE_VARIABLES)), constraint, body, number=1)
+
+
+PINS = ["pin", "pin", "pin", "nip", "chain"]
+BOUNDED = PINS + ["interval", "clash"]
+
+
+def meeting(valuation, theirs, mine):
+    """The value each variable of *mine* must take for the arguments to
+    meet *theirs* under *valuation* (of the variables of *theirs*)."""
+    return {
+        arg: valuation.get(other, other)
+        for arg, other in zip(mine, theirs)
+        if isinstance(arg, Variable) and (other in valuation or isinstance(other, Constant))
+    }
+
+
+@st.composite
+def constrained(draw, atom: Atom, kinds, preferred):
+    """A constrained atom over *atom*: every variable pinned (either
+    orientation), chained to a pinned auxiliary, bounded, pinned twice to
+    different constants, or free, as *kinds* allows; pinned to its
+    *preferred* value nine times in ten."""
+    parts = []
+    for index, variable in enumerate(sorted(atom.variables())):
+        value = draw(small if draw(st.booleans()) else constants)
+        if variable in preferred and draw(st.integers(0, 9)):
+            value = preferred[variable]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "pin":
+            parts.append(Comparison(variable, "=", value))
+        elif kind == "nip":
+            parts.append(Comparison(value, "=", variable))
+        elif kind == "chain":
+            aux = Variable(f"T{index}")
+            link = Comparison(aux, "=", variable)
+            parts.extend(draw(st.permutations([Comparison(aux, "=", value), link])))
+        elif kind == "interval":
+            parts.append(Comparison(variable, ">=", Constant(draw(st.integers(0, 2)))))
+            parts.append(Comparison(variable, "<=", Constant(draw(st.integers(1, 3)))))
+        elif kind == "clash":
+            parts.append(Comparison(variable, "=", value))
+            parts.append(Comparison(variable, "=", draw(constants)))
+    return ConstrainedAtom(atom, conjoin(*parts))
+
+
+@st.composite
+def applications(draw, mixed=BOUNDED + ["free"]):
+    clause = draw(clauses())
+    kinds = draw(st.sampled_from([PINS, PINS, mixed]))
+    # Three times in four the premises agree on a value per clause
+    # variable, so that derivations go through; otherwise they mostly clash.
+    valuation = {variable: draw(small) for variable in CLAUSE_VARIABLES * min(1, draw(st.integers(0, 3)))}
+    premises = []
+    for body_atom in clause.body:
+        args = draw(st.lists(terms(PREMISE_VARIABLES), min_size=body_atom.arity, max_size=body_atom.arity))
+        premise = draw(
+            constrained(
+                Atom(body_atom.predicate, tuple(args)),
+                kinds,
+                meeting(valuation, body_atom.args, args),
+            )
+        )
+        if draw(st.booleans()):
+            premise = ViewEntry(premise.atom, premise.constraint, Support(7, ()))
+        premises.append(premise)
+    return clause, tuple(premises), valuation
+
+
+def fresh_factory(clause, *atoms) -> FreshVariableFactory:
+    names = {variable.name for variable in clause.variables()}
+    for atom in atoms:
+        names.update(variable.name for variable in atom.constraint.variables())
+        names.update(variable.name for variable in atom.atom.variables())
+    return FreshVariableFactory(names)
+
+
+def normalise(constraint, keep):
+    return simplify(
+        eliminate_variables(constraint, keep), solver, drop_redundant_comparisons=True
+    )
+
+
+def reference_application(clause, premises, factory, check_solvability):
+    """The ``T_P`` / ``W_P`` step of the paper, every premise renamed apart."""
+    parts = [clause.constraint]
+    for body_atom, premise in zip(clause.body, premises):
+        renamed, _ = ConstrainedAtom(premise.atom, premise.constraint).renamed_apart(factory)
+        parts.append(renamed.constraint)
+        parts.append(tuple_equalities(renamed.atom.args, body_atom.args))
+    constraint = normalise(conjoin(*parts), clause.head.variables())
+    if check_solvability and not solver.is_satisfiable(constraint):
+        return None
+    return ConstrainedAtom(clause.head, constraint)
+
+
+def reference_rebuild(clause, entry, premises, child_position, factory):
+    """StDel step 3 for one choice of premises, written out: the deleted
+    part and the replacement constraint, or ``None`` (condition (c))."""
+    clause = clause.renamed_apart(factory)
+    keep = entry.atom.variables()
+    shared = [
+        clause.constraint,
+        tuple_equalities(clause.head.args, entry.atom.args),
+        entry.constraint,
+    ]
+    kept, deleted = list(shared), list(shared)
+    for position, (body_atom, premise) in enumerate(zip(clause.body, premises)):
+        renamed, _ = premise.renamed_apart(factory)
+        part = conjoin(renamed.constraint, tuple_equalities(renamed.atom.args, body_atom.args))
+        deleted.append(part)
+        kept.append(negate(part) if position == child_position else part)
+    deleted_constraint = normalise(conjoin(*deleted), keep)
+    if not solver.is_satisfiable(deleted_constraint):
+        return None
+    return normalise(conjoin(*kept), keep), deleted_constraint
+
+
+@settings(max_examples=600, deadline=None)
+@given(applications(), st.booleans())
+def test_the_kernel_builds_the_atom_the_paper_s_step_builds(application, check_solvability):
+    clause, premises, _ = application
+    stats = MaintenanceStats()
+    kernel = DeltaJoinKernel(
+        ConstrainedDatabase([clause]),
+        solver,
+        EngineOptions(),
+        fresh_factory(clause, *premises),
+        stats,
+        check_solvability=check_solvability,
+    )
+    derived = kernel.apply_clause(clause, premises)
+    expected = reference_application(
+        clause, premises, fresh_factory(clause, *premises), check_solvability
+    )
+    if expected is None:
+        assert derived is None
+    else:
+        assert derived is not None
+        assert derived.atom == expected.atom
+        assert derived.constraint is expected.constraint, (
+            f"{derived.constraint}  vs  {expected.constraint}"
+        )
+    assert stats.clause_applications == 1
+    assert stats.solver_calls <= int(check_solvability)
+
+
+@st.composite
+def rebuilds(draw):
+    # A free variable of the negated premise would keep its fresh name.
+    clause, premises, valuation = draw(applications(BOUNDED))
+    premises = tuple(ConstrainedAtom(premise.atom, premise.constraint) for premise in premises)
+    args = draw(st.lists(terms(PREMISE_VARIABLES), min_size=clause.head.arity, max_size=clause.head.arity))
+    atom = Atom("h", tuple(args))
+    if draw(st.integers(0, 9)) == 0:
+        entry = ConstrainedAtom(atom, FALSE)
+    else:
+        kinds = draw(st.sampled_from([["pin", "nip"], PINS, BOUNDED + ["free"]]))
+        entry = draw(constrained(atom, kinds, meeting(valuation, clause.head.args, args)))
+    return clause, premises, entry, draw(st.integers(0, len(premises) - 1))
+
+
+@settings(max_examples=600, deadline=None)
+@given(rebuilds())
+def test_a_parent_rebuild_is_the_one_step_3_builds(rebuild):
+    clause, premises, entry_atom, child_position = rebuild
+    program = ConstrainedDatabase([clause])
+    (clause,) = program
+    children = tuple(Support(7 + position, ()) for position in range(len(premises)))
+    entry = ViewEntry(entry_atom.atom, entry_atom.constraint, Support(clause.number, children))
+    stats = MaintenanceStats()
+    kernel = DeltaJoinKernel(
+        program, solver, EngineOptions(), fresh_factory(clause, entry, *premises), stats
+    )
+    rebuilt = StraightDelete(program, solver)._replace_parent(
+        entry,
+        child_position,
+        POutPair(premises[child_position], children[child_position]),
+        lambda support, clause, position, entry: [premises[position]],
+        kernel,
+    )
+    expected = (
+        None
+        if entry.constraint is FALSE
+        else reference_rebuild(
+            clause, entry, premises, child_position, fresh_factory(clause, entry, *premises)
+        )
+    )
+    if expected is None:
+        assert rebuilt is None
+        assert entry.constraint is not FALSE or stats.clause_applications == 0
+        return
+    replacement, deleted_part = rebuilt
+    kept, deleted = expected
+    assert (replacement.atom, replacement.support) == (entry.atom, entry.support)
+    assert deleted_part.atom == entry.atom
+    assert deleted_part.constraint is deleted, f"{deleted_part.constraint}  vs  {deleted}"
+    assert replacement.constraint is kept, f"{replacement.constraint}  vs  {kept}"
+
+
+def test_pins_are_read_once_per_interned_node():
+    x, y, t = Variable("X"), Variable("Y"), Variable("T")
+    one, two = Constant(1), Constant(2)
+    chain = conjoin(Comparison(t, "=", one), Comparison(t, "=", x), Comparison(two, "=", y))
+    assert pins_of(chain) == {t: one, x: one, y: two}
+    assert pins_of(chain) is pins_of(chain)
+    assert pins_of(TRUE) == {}
+    for not_pins in (
+        FALSE,
+        Comparison(x, ">=", one),
+        conjoin(Comparison(x, "=", one), Comparison(x, "=", two)),
+        conjoin(Comparison(x, "=", one), Comparison(x, "=", Constant(1.0))),
+        Comparison(x, "=", y),
+        Comparison(one, "=", two),
+        conjoin(Comparison(x, "=", one), Comparison(y, "!=", two)),
+    ):
+        assert pins_of(not_pins) is None
+
+
+def test_an_all_pinned_application_constructs_no_intermediate_node():
+    from repro.constraints.intern import intern_stats
+
+    x, y, z = CLAUSE_VARIABLES[:3]
+    clause = Clause(Atom("path", (x, y)), TRUE, (Atom("edge", (x, z)), Atom("path", (z, y))), 1)
+    a, b = PREMISE_VARIABLES[:2]
+
+    def pinned(predicate, left, right):
+        return ConstrainedAtom(
+            Atom(predicate, (a, b)), conjoin(Comparison(a, "=", Constant(left)), Comparison(b, "=", Constant(right)))
+        )
+
+    premises = (pinned("edge", "n1", "n2"), pinned("path", "n2", "n3"))
+    stats = MaintenanceStats()
+    factory = fresh_factory(clause, *premises)
+    kernel = DeltaJoinKernel(ConstrainedDatabase([clause]), solver, EngineOptions(), factory, stats)
+    # Compiles the plan and reads the pins; held, so its nodes stay interned.
+    first = kernel.apply_clause(clause, premises)
+    before = intern_stats()
+    derived = kernel.apply_clause(clause, premises)
+    after = intern_stats()
+    assert str(derived) == "path(X, Y) <- 'n1' = X & 'n3' = Y"
+    assert derived.constraint is first.constraint
+    # Two head pins and their conjunction: looked up, not built.
+    assert after["misses"] == before["misses"]
+    assert after["hits"] - before["hits"] == 3
+    assert stats.solver_calls == 0 and stats.clause_applications == 2
+    assert factory.fresh("X").name == "X_1"  # no fresh name was drawn
+    # A clash ends the application without the solver under T_P ...
+    clash = (premises[0], pinned("path", "n9", "n3"))
+    assert kernel.apply_clause(clause, clash) is None
+    assert stats.solver_calls == 0
+    # ... and keeps the pipeline's entry under W_P (Theorem 4).
+    wp = DeltaJoinKernel(
+        ConstrainedDatabase([clause]), solver, EngineOptions(), factory, stats, check_solvability=False
+    )
+    kept = wp.apply_clause(clause, clash)
+    assert kept.constraint is reference_application(
+        clause, clash, fresh_factory(clause, *clash), False
+    ).constraint
+    assert not solver.is_satisfiable(kept.constraint)

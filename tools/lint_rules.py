@@ -43,9 +43,14 @@ Two invariant families are load-bearing enough to enforce textually:
    ``make_view_probes``, ``make_interval_getter``) may be referenced only in
    ``src/repro/datalog/join.py``: ``T_P``/``W_P``, ``P_OUT`` and ``P_ADD``
    all go through :class:`DeltaJoinKernel`, and a fourth call site would be
-   a fourth copy of the pool/probe setup.  Likewise every engine flag is an
-   annotated dataclass field in exactly one file under ``src/`` -- a second
-   declaration is a second configuration that can disagree with the first.
+   a fourth copy of the pool/probe setup.  The clause application is the
+   kernel's too: StDel's parent rebuild calls ``apply_clause``, and no
+   module under ``src/repro/maintenance/`` may reference
+   ``eliminate_variables`` -- projecting after a clause application is what a
+   second copy of the derivation pipeline would start with.  Likewise every
+   engine flag is an annotated dataclass field in exactly one file under
+   ``src/`` -- a second declaration is a second configuration that can
+   disagree with the first.
 
 6. **Update cost follows the change.**  A maintenance pass finds the
    entries a request can overlap through
@@ -197,7 +202,11 @@ OPTION_CLASSES: Tuple[str, ...] = (
 #: The budgets (rule 8).  Raise one only in the change that needs it.
 MAX_OPTION_FIELDS = 30
 MAX_ENV_VARIABLES = 5
-MAX_SOURCE_LINES = 22_200
+#: 22 200 + 139: PR 23's clause-application plan came to +156 lines net of the
+#: fold of ``_replace_parent`` against a target of +17 (the pins memo, the
+#: per-clause plan, the by-comparison decision and the ``onto`` / ``negated``
+#: halves of the rebuild inside the one kernel; a third of it docstrings).
+MAX_SOURCE_LINES = 22_339
 
 #: Rules scoped to the observability package only.
 OBS_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
@@ -205,6 +214,15 @@ OBS_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
         re.compile(r"\btime\.time\s*\("),
         "time.time() in the obs package (spans are monotonic-only; use "
         "repro.obs.trace.monotonic)",
+    ),
+)
+
+#: Rules scoped to the maintenance algorithms only.
+MAINTENANCE_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
+    (
+        re.compile(r"\beliminate_variables\b"),
+        "projection in a maintenance pass (a clause application, projection "
+        "included, is DeltaJoinKernel.apply_clause in repro/datalog/join.py)",
     ),
 )
 
@@ -238,14 +256,15 @@ def iter_findings(root: Path) -> Iterator[str]:
                     continue
                 if pattern.search(line):
                     yield f"{root.name}/{relative}:{line_number}: {message}"
-            if relative.startswith("repro/stream/"):
-                for pattern, message in STREAM_RULES:
-                    if pattern.search(line):
-                        yield f"{root.name}/{relative}:{line_number}: {message}"
-            if relative.startswith("repro/obs/"):
-                for pattern, message in OBS_RULES:
-                    if pattern.search(line):
-                        yield f"{root.name}/{relative}:{line_number}: {message}"
+            for prefix, scoped in (
+                ("repro/stream/", STREAM_RULES),
+                ("repro/obs/", OBS_RULES),
+                ("repro/maintenance/", MAINTENANCE_RULES),
+            ):
+                if relative.startswith(prefix):
+                    for pattern, message in scoped:
+                        if pattern.search(line):
+                            yield f"{root.name}/{relative}:{line_number}: {message}"
 
 
 def iter_flag_findings(root: Path) -> Iterator[str]:
