@@ -842,8 +842,9 @@ class PredicateShard:
         table: _SharedTable, support: Support, key: object, edit: object
     ) -> None:
         """Drop *key* from *support*'s group, and the group once it empties:
-        a deleted fact's supports never come back (a re-inserted one derives
-        under new supports), so a group left behind would stay forever."""
+        a deleted clause fact's supports never come back (re-inserted, it
+        derives under its inserted leaf), so a group left behind would stay
+        forever."""
         if len(table[support]) == 1:
             table.pop(support, edit)
         else:
@@ -901,10 +902,6 @@ class PredicateShard:
     def all_by_support(self, support: Support) -> Tuple["ViewEntry", ...]:
         group = self._by_support.get(support)
         return group.to_tuple() if group is not None else ()
-
-    def count_by_support(self, support: Support) -> int:
-        group = self._by_support.get(support)
-        return len(group) if group is not None else 0
 
     def parents_of(self, support: Support) -> Tuple["ViewEntry", ...]:
         group = self._ensure_child_index().get(support)

@@ -10,12 +10,17 @@ atom -- supports uniquely identify derivations.  The Straight Delete
 algorithm (Algorithm 2) uses supports to find exactly the view entries whose
 derivation used a deleted entry, which is what lets it skip DRed's
 rederivation step.
+
+A fact inserted by Algorithm 3 was produced by no program clause: its leaf
+carries, as *origin*, the text of the ``Add`` atom it inserted
+(:func:`repro.maintenance.common.external_support`, the one place such a
+leaf is built), so the lemma holds for inserted facts too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import ProgramError
 
@@ -26,6 +31,8 @@ class Support:
 
     clause_number: int
     children: Tuple["Support", ...] = field(default_factory=tuple)
+    #: What an inserted fact's leaf inserted (``None`` on every other support).
+    origin: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.clause_number, int) or self.clause_number < 0:
@@ -36,11 +43,13 @@ class Support:
         for child in self.children:
             if not isinstance(child, Support):
                 raise ProgramError(f"support child is not a Support: {child!r}")
+        if self.origin is not None and (self.children or not isinstance(self.origin, str)):
+            raise ProgramError(f"only a leaf has an origin, a string: {self.origin!r}")
         # Supports key the view's per-support and child-support tables, which
         # hash every key on every operation: computed here, once, from the
         # children's stored hashes instead of recursively per lookup.
         object.__setattr__(
-            self, "_hash", hash((self.clause_number, self.children))
+            self, "_hash", hash((self.clause_number, self.children, self.origin))
         )
 
     def __hash__(self) -> int:
@@ -98,7 +107,8 @@ class Support:
 
     def __str__(self) -> str:
         if not self.children:
-            return f"<{self.clause_number}>"
+            origin = "" if self.origin is None else f": {self.origin}"
+            return f"<{self.clause_number}{origin}>"
         inner = ", ".join(str(child) for child in self.children)
         return f"<{self.clause_number}, {inner}>"
 

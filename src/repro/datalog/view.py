@@ -61,10 +61,6 @@ from repro.sanitizer import sanitizer_enabled
 #: every probe.
 _NO_TOKEN = object()
 
-#: Sentinel distinguishing "support never recorded in this lineage" from the
-#: ``None`` hint value ("recorded under several predicates, scan them all").
-_NO_HINT = object()
-
 
 def evaluator_token(evaluator: Optional[object]) -> Optional[object]:
     """The evaluator's hook-relevant version token (``None`` when absent).
@@ -318,8 +314,12 @@ class MaterializedView:
     and a child-support index mapping each *direct premise* support to the
     parent entries whose derivation used it (StDel's upward propagation), so
     ``remove``, ``replace``, ``__contains__``, ``find_by_support`` and
-    ``find_parents_of`` stay O(1) in the shard (support lookups merge the
+    ``find_parents_of`` stay O(1) in the shard (a parent lookup merges the
     handful of shards).
+
+    A support names one derivation (Lemma 1), so it names one predicate:
+    ``add`` raises :class:`~repro.errors.ProgramError` for an entry whose
+    support this lineage has filed under another predicate.
     """
 
     def __init__(self, entries: Iterable[ViewEntry] = ()) -> None:
@@ -337,13 +337,12 @@ class MaterializedView:
         self._shard_checkouts = 0
         #: Memoized global-order entry tuple; dropped by every mutation.
         self._entries_cache: Optional[Tuple[ViewEntry, ...]] = None
-        #: Support -> owning predicate (``None`` = several predicates have
-        #: carried it, e.g. the shared external support 0).  Shared *by
-        #: reference* across the whole copy lineage and append-only, so it
-        #: is a superset hint: a recorded predicate may no longer hold the
-        #: support (harmless -- the shard probe answers), but a support
-        #: carried by any entry of this lineage is always recorded.
-        self._support_hints: Dict[Support, Optional[str]] = {}
+        #: Support -> owning predicate.  Shared *by reference* across the
+        #: whole copy lineage and append-only, so it is a superset hint: a
+        #: recorded predicate may no longer hold the support (harmless --
+        #: the shard probe answers), but a support carried by any entry of
+        #: this lineage is always recorded.
+        self._support_hints: Dict[Support, str] = {}
         #: Child support -> predicates whose entries ever used it as a
         #: direct premise (same lineage-shared superset discipline).
         self._parent_hints: Dict[Support, Set[str]] = {}
@@ -445,6 +444,12 @@ class MaterializedView:
         the adopted shards borrowed, and the sequence counter advances past
         *source*'s so later insertions cannot collide.
         """
+        if source._support_hints is not self._support_hints:
+            # Foreign lineage: fold its hints into ours first (refused, adopt nothing).
+            for support, predicate in source._support_hints.items():
+                self._file_support(support, predicate)
+            for support, owners in source._parent_hints.items():
+                self._parent_hints.setdefault(support, set()).update(owners)
         armed = sanitizer_enabled()
         for predicate in predicates:
             shard = source._shards.get(predicate)
@@ -459,14 +464,6 @@ class MaterializedView:
                 shard.arm()
         if source._next_seq > self._next_seq:
             self._next_seq = source._next_seq
-        if source._support_hints is not self._support_hints:
-            # Foreign lineage: fold its hints into ours (supersets union).
-            for support, predicate in source._support_hints.items():
-                known = self._support_hints.setdefault(support, predicate)
-                if known is not None and known != predicate:
-                    self._support_hints[support] = None
-            for support, owners in source._parent_hints.items():
-                self._parent_hints.setdefault(support, set()).update(owners)
         self._entries_cache = None
 
     def assert_publish_scope(
@@ -549,8 +546,8 @@ class MaterializedView:
                 raise ProgramError(
                     f"duplicate entry key in imported shard {predicate!r}: {entry}"
                 )
-            shard.add(key, entry, seq)
             self._record_support_hints(entry)
+            shard.add(key, entry, seq)
             if seq >= self._next_seq:
                 self._next_seq = seq + 1
             imported += 1
@@ -608,9 +605,9 @@ class MaterializedView:
         existing = self._shards.get(entry.predicate)
         if existing is not None and existing.contains_key(key):
             return False
+        self._record_support_hints(entry)
         self._writable_shard(entry.predicate).add(key, entry, self._next_seq)
         self._next_seq += 1
-        self._record_support_hints(entry)
         self._entries_cache = None
         return True
 
@@ -618,14 +615,10 @@ class MaterializedView:
         """File the entry's support (and premises) in the lineage hints.
 
         Individual dict/set operations are atomic under the GIL, so
-        concurrent stratum units can record into the shared hints safely;
-        a same-support race across predicates at worst records ``None``
-        (the "several owners" sentinel), which only widens a later probe.
+        concurrent stratum units can record into the shared hints safely.
         """
         support = entry.support
-        known = self._support_hints.setdefault(support, entry.predicate)
-        if known is not None and known != entry.predicate:
-            self._support_hints[support] = None
+        self._file_support(support, entry.predicate)
         children = support.children
         if children:
             parents = self._parent_hints
@@ -634,6 +627,11 @@ class MaterializedView:
                 if owners is None:
                     owners = parents.setdefault(child, set())
                 owners.add(entry.predicate)
+
+    def _file_support(self, support: Support, predicate: str) -> None:
+        known = self._support_hints.setdefault(support, predicate)
+        if known != predicate:
+            raise ProgramError(f"support {support} derives {known!r}, not {predicate!r}")
 
     def add_all(self, entries: Iterable[ViewEntry]) -> int:
         """Add several entries; return how many were actually new."""
@@ -669,8 +667,8 @@ class MaterializedView:
             if new_key != old_key and existing.contains_key(new_key):
                 self.remove(old)
                 return False
-            self._writable_shard(old.predicate).replace(old_key, new_key, old, new)
             self._record_support_hints(new)
+            self._writable_shard(old.predicate).replace(old_key, new_key, old, new)
             self._entries_cache = None
             return True
         else:  # pragma: no cover - algorithms never change the predicate
@@ -678,11 +676,11 @@ class MaterializedView:
             if target is not None and target.contains_key(new_key):
                 self.remove(old)
                 return False
+            self._record_support_hints(new)
             source = self._writable_shard(old.predicate)
             sequence = source.sequence_of(old_key)
             source.remove(old_key, old)
             self._writable_shard(new.predicate).add(new_key, new, sequence)
-            self._record_support_hints(new)
             self._entries_cache = None
             return True
 
@@ -716,56 +714,23 @@ class MaterializedView:
     def find_by_support(self, support: Support) -> Optional[ViewEntry]:
         """Return the (first-inserted) entry carrying exactly this support.
 
-        The lineage's support hints usually name the one shard that can
-        hold the support, so the probe is O(1) instead of per-shard; the
-        ``None`` sentinel (several predicates have carried the support,
-        e.g. the shared external support) falls back to the full merge.
+        The lineage's support hints name the one shard that can hold the
+        support, so the probe is O(1) instead of per-shard.
         """
-        hint = self._support_hints.get(support, _NO_HINT)
-        if hint is _NO_HINT:
-            return None  # no entry of this lineage ever carried the support
-        if hint is not None:
-            shard = self._shards.get(hint)
-            return shard.first_by_support(support) if shard is not None else None
-        best: Optional[ViewEntry] = None
-        best_rank: Optional[Tuple[int, str]] = None
-        for shard in self._shards.values():
-            entry = shard.first_by_support(support)
-            if entry is None:
-                continue
-            rank = (shard.sequence_of(entry.key()), shard.predicate)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = entry, rank
-        return best
+        shard = self._shards.get(self._support_hints.get(support))
+        return shard.first_by_support(support) if shard is not None else None
 
     def find_all_by_support(self, support: Support) -> Tuple[ViewEntry, ...]:
         """Every entry carrying exactly this support, in insertion order.
 
-        Supports are unique in a freshly-computed fixpoint view, but not in
-        general: all externally inserted atoms share the reserved clause
-        number 0, and DRed rederivation can add a rederived twin alongside a
-        narrowed entry.  Callers that reason about *all* derivations touching
-        a support (the delta-rederivation seed) must use this, not
-        :meth:`find_by_support`.
+        A support names one derivation, but DRed rederivation can add a
+        rederived twin (same predicate, wider constraint) alongside a
+        narrowed entry.  Callers that reason about *all* entries under a
+        support (the delta-rederivation seed, the subsumption pass) must
+        use this, not :meth:`find_by_support`.
         """
-        hint = self._support_hints.get(support, _NO_HINT)
-        if hint is _NO_HINT:
-            return ()
-        if hint is not None:
-            shard = self._shards.get(hint)
-            return shard.all_by_support(support) if shard is not None else ()
-        decorated: List[Tuple[int, str, ViewEntry]] = []
-        for shard in self._shards.values():
-            group = shard.all_by_support(support)
-            if not group:
-                continue
-            sequence_of = shard.sequence_of
-            predicate = shard.predicate
-            decorated.extend(
-                (sequence_of(entry.key()), predicate, entry) for entry in group
-            )
-        decorated.sort(key=lambda item: (item[0], item[1]))
-        return tuple(item[2] for item in decorated)
+        shard = self._shards.get(self._support_hints.get(support))
+        return shard.all_by_support(support) if shard is not None else ()
 
     def find_parents_of(self, support: Support) -> Tuple[ViewEntry, ...]:
         """Entries whose derivation used *support* as a direct premise.

@@ -22,6 +22,7 @@ from repro.maintenance.baselines import (
     recompute_after_deletion,
     recompute_after_insertion,
 )
+from repro.maintenance.common import EXTERNAL_CLAUSE_NUMBER
 from repro.maintenance.counting import (
     CountingDeletionResult,
     CountingMaintenance,
@@ -51,7 +52,6 @@ from repro.maintenance.external import (
 )
 from repro.maintenance.insert import (
     ConstrainedAtomInsertion,
-    EXTERNAL_CLAUSE_NUMBER,
     InsertionResult,
     insert_atom,
 )

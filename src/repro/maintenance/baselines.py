@@ -62,8 +62,8 @@ def recompute_after_deletion(
     measured against.
 
     Entries the view acquired through external insertions (Algorithm 3,
-    reserved support 0) are not program clauses; they are treated as extra
-    EDB -- narrowed by the deletion like any rewritten clause and seeded
+    a leaf with the reserved clause number 0) are not program clauses; they
+    are treated as extra EDB -- narrowed by the deletion like any rewritten clause and seeded
     into the recomputation -- so interleaved insert/delete streams stay
     comparable against the incremental algorithms.
     """

@@ -19,13 +19,30 @@ from repro.constraints.ast import (
     tuple_equalities,
 )
 from repro.constraints.intern import EVENTS
-from repro.constraints.simplify import simplify
+from repro.constraints.simplify import canonical_form, simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import FreshVariableFactory
 from repro.datalog.atoms import Atom, ConstrainedAtom
 from repro.datalog.join import EngineOptions, overlap_candidates
+from repro.datalog.support import Support
 from repro.datalog.view import MaterializedView, ViewEntry
 from repro.maintenance.requests import MaintenanceStats
+
+#: Clause number used in supports of externally inserted atoms.
+EXTERNAL_CLAUSE_NUMBER = 0
+
+
+def external_support(add_atom: ConstrainedAtom) -> Support:
+    """The leaf of the fact Algorithm 3 inserts for one ``Add`` atom.
+
+    The paper numbers the fact clause ``P♭`` gains; here the leaf names the
+    fact itself, by its canonical text: a value of the insertion alone (the
+    same under WAL replay, with any number of workers, on every algorithm's
+    track), and as the ``Add`` atoms of a predicate are disjoint, no two
+    live entries carry one leaf (Lemma 1).
+    """
+    origin = f"{add_atom.atom} <- {canonical_form(add_atom.constraint)}"
+    return Support(EXTERNAL_CLAUSE_NUMBER, (), origin)
 
 
 def negated_atom_constraint(
@@ -148,7 +165,7 @@ def narrowed_external_entries(
 ) -> Tuple[ViewEntry, ...]:
     """Externally inserted entries, narrowed by a deletion's ``Del`` atoms.
 
-    Entries whose support is the bare reserved clause number 0 were inserted
+    Entries whose support is a leaf with the reserved number 0 were inserted
     by Algorithm 3, not produced by any program clause, so a from-scratch
     recomputation of the rewritten program would silently lose them.  The
     declarative reading treats them as extra EDB: they survive a deletion as
@@ -157,13 +174,18 @@ def narrowed_external_entries(
     Entries whose narrowed constraint is unsolvable are dropped (they would
     be purged by ``T_P`` anyway).
     """
-    from repro.maintenance.insert import EXTERNAL_CLAUSE_NUMBER
-    from repro.datalog.support import Support
-
-    external_support = Support(EXTERNAL_CLAUSE_NUMBER)
     survivors: List[ViewEntry] = []
     renamed_cache: Dict[int, ConstrainedAtom] = {}
-    for entry in view.find_all_by_support(external_support):
+    # Shard by shard: the merged ``view.entries`` tuple is view-sized and
+    # stays cached on the view.
+    external = (
+        entry
+        for predicate in view.predicates()
+        for entry in view.shard_for(predicate)
+        if entry.support.clause_number == EXTERNAL_CLAUSE_NUMBER
+        and not entry.support.children
+    )
+    for entry in external:
         narrowed = subtract_instances(
             entry,
             deleted,

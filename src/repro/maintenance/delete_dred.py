@@ -51,7 +51,6 @@ from repro.datalog.view import MaterializedView, ViewEntry
 from repro.errors import MaintenanceError
 from repro.maintenance.common import build_del_set, subtract_instances
 from repro.maintenance.declarative import deletion_rewrite
-from repro.maintenance.insert import EXTERNAL_CLAUSE_NUMBER
 from repro.maintenance.requests import DeletionRequest, MaintenanceStats
 from repro.obs.metrics import NULL_METRICS
 
@@ -366,14 +365,6 @@ class ExtendedDRed:
         for entry in narrowed:
             if entry not in view:
                 continue  # purged, or merged away by a replace
-            if entry.support.clause_number == EXTERNAL_CLAUSE_NUMBER:
-                # Externally inserted (Algorithm 3's reserved support 0):
-                # no program clause carries number 0, so rederivation can
-                # never produce a twin of this derivation -- any same-
-                # support sibling is a *different* external insertion, and
-                # dropping it would lose a distinct derivation (duplicate
-                # semantics).
-                continue
             stats.solver_calls += 1
             if not self._solver.is_satisfiable(entry.constraint):
                 # An empty instance set is vacuously subsumed by *any*
@@ -385,11 +376,6 @@ class ExtendedDRed:
                 continue
             for sibling in view.find_all_by_support(entry.support):
                 if sibling.key() == entry.key():
-                    continue
-                if sibling.atom.signature != entry.atom.signature:
-                    # Supports are not unique across externally inserted
-                    # atoms (all carry clause number 0); only a same-
-                    # predicate twin can represent the same derivation.
                     continue
                 stats.solver_calls += 1
                 if self._solver.subsumes_instances(
@@ -421,14 +407,8 @@ class ExtendedDRed:
         each probe is counted under ``support_probes``, the same counter
         StDel's child-support propagation reports).
 
-        Supports need not be unique: externally inserted atoms all carry the
-        bare clause number 0, so a probe for such a child support returns
-        *every* external entry.  Only entries matching the clause's body-atom
-        predicate at that premise position can actually have been the premise
-        of the narrowed derivation, so the candidates are filtered against
-        the clause before seeding -- on external-insertion-heavy views this
-        keeps the seed proportional to the disturbed derivations instead of
-        the total number of insertions ever applied.
+        A probe returns the premise and, when an earlier pass left one, its
+        rederived twin (:meth:`MaterializedView.find_all_by_support`).
         """
         seed: List[ViewEntry] = []
         seen: set = set()
@@ -441,23 +421,10 @@ class ExtendedDRed:
 
         for entry in narrowed:
             push(entry)
-            clause = (
-                self._program.clause(entry.support.clause_number)
-                if self._program.has_clause(entry.support.clause_number)
-                else None
-            )
-            body = (
-                clause.body
-                if clause is not None
-                and len(clause.body) == len(entry.support.children)
-                else None
-            )
-            for position, child in enumerate(entry.support.children):
+            for child in entry.support.children:
                 if stats is not None:
                     stats.support_probes += 1
                 for premise in overestimate.find_all_by_support(child):
-                    if body is not None and premise.predicate != body[position].predicate:
-                        continue
                     push(premise)
         return tuple(seed)
 

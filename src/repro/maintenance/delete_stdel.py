@@ -22,15 +22,13 @@ Theorem 2: the result has the same instances as the deletion rewrite
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.constraints.ast import Constraint, FalseConstraint, conjoin, tuple_equalities
+from repro.constraints.ast import Constraint, FalseConstraint, conjoin
 from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
-from repro.datalog.clauses import Clause
 from repro.datalog.join import (
     DeltaJoinKernel,
     EngineOptions,
@@ -168,72 +166,25 @@ class StraightDelete:
         # this request has replaced, ``superseded`` (keyed by the entry now
         # in the view) keeps the atom it carried before.  Emptied between
         # requests, matching the fresh snapshot a sequential run would take.
-        superseded: Dict[object, Tuple[ViewEntry, ConstrainedAtom]] = {}
+        superseded: Dict[object, ConstrainedAtom] = {}
         p_out: List[POutPair] = []
         replaced: List[ViewEntry] = []
         processed: Set[Tuple[Support, int, int]] = set()
 
         def replace(old: ViewEntry, new: ViewEntry) -> None:
-            _, before = superseded.pop(old.key(), (old, old.constrained_atom))
-            superseded[new.key()] = (new, before)
+            superseded[new.key()] = superseded.pop(old.key(), old.constrained_atom)
             working.replace(old, new)
             replaced.append(new)
 
         kernel = DeltaJoinKernel(self._program, self._solver, self._options, factory, stats)
 
-        def originals(
-            support: Support, clause: Clause, position: int, parent: ViewEntry
-        ) -> List[ConstrainedAtom]:
-            # A support identifies its entry, except where insertions share
-            # one: all externally inserted atoms carry the reserved clause
-            # number 0, and so may the supports built on it.  Among the
-            # entries sharing it the premise is found like every other
-            # overlap candidate -- through the argument index, with what the
-            # *derivation* pins on the body atom -- so the lookup does not
-            # grow with the number of insertions the view has seen.  An
-            # entry this request narrowed is filed under what it holds now
-            # but is a candidate for what it held before; there are only as
-            # many of those as the request replaced.
-            predicate = clause.body[position].predicate
-            shard = working.shard_for(predicate)
-            if shard is None:
-                return []
-            if shard.count_by_support(support) <= 1:
-                group = list(shard.all_by_support(support))
-            else:
-                # Renamed apart: a clause variable must not read as the
-                # entry's variable of the same name.
-                clause = clause.renamed_apart(factory)
-                derivation = conjoin(
-                    clause.constraint,
-                    tuple_equalities(clause.head.args, parent.atom.args),
-                    parent.constraint,
-                )
-                group = [
-                    entry
-                    for entry in overlap_candidates(
-                        working,
-                        ConstrainedAtom(clause.body[position], derivation),
-                        self._solver,
-                        self._options,
-                        stats,
-                    )
-                    if entry.support == support
-                ]
-                found = {entry.key() for entry in group}
-                group.extend(
-                    entry
-                    for key, (entry, _) in superseded.items()
-                    if key not in found
-                    and entry.support == support
-                    and entry.predicate == predicate
-                )
-            return [
-                superseded[entry.key()][1]
-                if entry.key() in superseded
-                else entry.constrained_atom
-                for entry in group
-            ]
+        def original(support: Support) -> Optional[ConstrainedAtom]:
+            # A support identifies its entry (Lemma 1; the view refuses a
+            # second predicate under one support).
+            entry = working.find_by_support(support)
+            if entry is None:
+                return None
+            return superseded.get(entry.key(), entry.constrained_atom)
 
         for request in requests:
             seed_start = len(p_out)
@@ -303,7 +254,7 @@ class StraightDelete:
                             if current is None:
                                 continue
                             replacement = self._replace_parent(
-                                current, child_position, pair, originals, kernel
+                                current, child_position, pair, original, kernel
                             )
                             if replacement is None:
                                 continue
@@ -371,7 +322,7 @@ class StraightDelete:
         entry: ViewEntry,
         child_position: int,
         pair: POutPair,
-        originals: Callable[[Support, Clause, int, ViewEntry], List[ConstrainedAtom]],
+        original: Callable[[Support], Optional[ConstrainedAtom]],
         kernel: DeltaJoinKernel,
     ) -> Optional[Tuple[ViewEntry, ConstrainedAtom]]:
         """Rebuild a parent entry's constraint with ``not(ψj)`` at one premise.
@@ -384,19 +335,8 @@ class StraightDelete:
         part with the premise as it was, the replacement with it negated.
 
         The other premises are the entries carrying the derivation's child
-        supports.  A support identifies its entry, except the reserved one
-        all externally inserted atoms share (and the supports built on it):
-        there *originals* offers the inserted atoms of the body predicate
-        that admit what the derivation pins on the body atom, and the
-        premise is the one the derivation is consistent with.  The inserted
-        atoms of a predicate are disjoint (the ``Add`` construction), so
-        joined with the entry's own constraint and the other premises only
-        the one the entry was derived from is solvable, and the order they
-        are tried in costs solver calls, not answers.  Under
-        ``exclude_existing=False`` inserted atoms may overlap; which of two
-        overlapping ones a derivation used is not recorded anywhere (ROADMAP
-        item 1: supports unique per insertion), and the first consistent
-        one is taken.
+        supports, as *original* finds them: each as it was before this
+        request.
         """
         if isinstance(entry.constraint, FalseConstraint):
             return None  # nothing left for the premise to have contributed
@@ -406,31 +346,19 @@ class StraightDelete:
                 f"support {entry.support} does not match clause "
                 f"{entry.support.clause_number} of the program"
             )
-        if clause.body[child_position].predicate != pair.atom.predicate:
-            # Supports are not unique across externally inserted atoms (all
-            # carry the reserved clause number 0), so a parent probed through
-            # such a shared child support may have used a *different*
-            # external insertion as this premise.  Only an entry of the body
-            # atom's predicate can have contributed to the derivation;
-            # anything else would subtract the deleted instances from an
-            # unrelated predicate's derivations (mirrors the predicate
-            # filter in ExtendedDRed._rederivation_seed).
-            return None
-        choices: List[Sequence[ConstrainedAtom]] = [
-            (pair.atom,)
-            if position == child_position
-            else originals(child_support, clause, position, entry)
-            for position, child_support in enumerate(entry.support.children)
-        ]
+        premises: List[ConstrainedAtom] = []
+        for position, child_support in enumerate(entry.support.children):
+            premise = pair.atom if position == child_position else original(child_support)
+            if premise is None:
+                return None  # a premise already gone: nothing to delete
+            premises.append(premise)
         onto = entry.constrained_atom
-        for premises in itertools.product(*choices):
-            renamed: Dict[Tuple[int, int], object] = {}
-            deleted_part = kernel.apply_clause(clause, premises, renamed, onto)
-            if deleted_part is not None:
-                kept = kernel.apply_clause(clause, premises, renamed, onto, child_position)
-                return entry.with_constraint(kept.constraint), deleted_part
-        # Condition (c): no combination is solvable, nothing to delete.
-        return None
+        renamed: Dict[Tuple[int, int], object] = {}
+        deleted_part = kernel.apply_clause(clause, premises, renamed, onto)
+        if deleted_part is None:
+            return None  # condition (c)
+        kept = kernel.apply_clause(clause, premises, renamed, onto, child_position)
+        return entry.with_constraint(kept.constraint), deleted_part
 
     def _clause_for(self, support: Support):
         if not self._program.has_clause(support.clause_number):

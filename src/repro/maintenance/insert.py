@@ -15,8 +15,8 @@ Theorem 3: the result has the same instances as the least model of the
 insertion rewrite ``P♭``.
 
 Inserted base atoms carry the reserved clause number 0 in their supports
-(they were not produced by any program clause), so later deletions via StDel
-can still track derivations that depend on them.
+(no program clause produced them) and the text of the ``Add`` atom they
+inserted, so later deletions via StDel track the derivations that use them.
 """
 
 from __future__ import annotations
@@ -35,15 +35,12 @@ from repro.datalog.join import (
     make_fresh_factory,
 )
 from repro.datalog.program import ConstrainedDatabase
-from repro.datalog.support import Support
 from repro.datalog.view import MaterializedView, ViewEntry
 from repro.errors import MaintenanceError
+from repro.maintenance.common import external_support
 from repro.maintenance.declarative import build_add_set
 from repro.maintenance.requests import InsertionRequest, MaintenanceStats
 from repro.obs.metrics import NULL_METRICS
-
-#: Clause number used in supports of externally inserted atoms.
-EXTERNAL_CLAUSE_NUMBER = 0
 
 
 @dataclass
@@ -123,9 +120,7 @@ class ConstrainedAtomInsertion:
             stats.seed_atoms += len(add_atoms)
             all_add_atoms.extend(add_atoms)
             for atom in add_atoms:
-                entry = ViewEntry(
-                    atom.atom, atom.constraint, Support(EXTERNAL_CLAUSE_NUMBER)
-                )
+                entry = ViewEntry(atom.atom, atom.constraint, external_support(atom))
                 if working.add(entry):
                     added.append(entry)
                     frontier.append(entry)

@@ -61,7 +61,9 @@ from repro.stream.log import ExternalChangeNotice, StreamPayload, Transaction
 
 #: On-disk format version.  Bump on any incompatible encoding change; the
 #: decoder rejects versions it does not know rather than guessing.
-FORMAT_VERSION = 1
+#: 2: an inserted fact's leaf carries its origin (1 filed them all under
+#: the one leaf ``[0, []]``, which must not be read as naming a fact).
+FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -242,16 +244,20 @@ def decode_constraint(obj: object) -> Constraint:
 
 
 def encode_support(support: Support) -> object:
-    return [
+    encoded = [
         support.clause_number,
         [encode_support(child) for child in support.children],
     ]
+    if support.origin is not None:
+        # An inserted fact's leaf: what it inserted is part of its identity.
+        encoded.append(support.origin)
+    return encoded
 
 
 def decode_support(obj: object) -> Support:
-    if not isinstance(obj, list) or len(obj) != 2 or not isinstance(obj[1], list):
+    if not isinstance(obj, list) or len(obj) not in (2, 3) or not isinstance(obj[1], list):
         raise CodecError(f"unknown support encoding: {obj!r}")
-    return Support(obj[0], tuple(decode_support(child) for child in obj[1]))
+    return Support(obj[0], tuple(decode_support(child) for child in obj[1]), *obj[2:])
 
 
 def encode_entry(entry: ViewEntry, seq: int) -> object:

@@ -258,7 +258,7 @@ def test_a_parent_rebuild_is_the_one_step_3_builds(rebuild):
         entry,
         child_position,
         POutPair(premises[child_position], children[child_position]),
-        lambda support, clause, position, entry: [premises[position]],
+        lambda support: premises[children.index(support)],
         kernel,
     )
     expected = (

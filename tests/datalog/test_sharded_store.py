@@ -44,13 +44,21 @@ CONSTRAINTS = [
     UNSOLVABLE,
 ]
 
+
+def owner(index: int) -> str:
+    """The one predicate a drawn support derives: a support names one
+    derivation, and the view refuses a second predicate under it.  Children
+    are still shared across shards (``LEAF[0]`` is a premise under ``a``
+    and ``c``)."""
+    return PREDICATES[index % len(PREDICATES)]
+
+
 entries = st.builds(
-    lambda predicate, constraint_index, support_index: ViewEntry(
-        Atom(predicate, (X,)),
+    lambda constraint_index, support_index: ViewEntry(
+        Atom(owner(support_index), (X,)),
         CONSTRAINTS[constraint_index],
         SUPPORTS[support_index],
     ),
-    predicate=st.sampled_from(PREDICATES),
     constraint_index=st.integers(min_value=0, max_value=len(CONSTRAINTS) - 1),
     support_index=st.integers(min_value=0, max_value=len(SUPPORTS) - 1),
 )
@@ -190,6 +198,24 @@ def make_entry(predicate: str, constraint, number: int) -> ViewEntry:
     return ViewEntry(Atom(predicate, (X,)), constraint, Support(number))
 
 
+def test_a_second_predicate_under_a_live_support_is_refused():
+    # Lemma 1 as the store enforces it: a support names one derivation, so
+    # it names one predicate.  Checked against the update alone, before the
+    # shard is touched; a same-predicate twin (what a DRed pass can leave
+    # beside a narrowed entry) is still two entries.
+    view = MaterializedView([make_entry("a", equals(X, 1), 1)])
+    unit = view.checkout(PREDICATES)
+    for target in (view, unit):
+        with pytest.raises(ProgramError, match="derives 'a', not 'b'"):
+            target.add(make_entry("b", equals(X, 1), 1))
+        assert target.predicates() == ("a",)
+    assert view.add(make_entry("a", equals(X, 2), 1))
+    assert len(view.find_all_by_support(Support(1))) == 2
+    foreign = MaterializedView([make_entry("b", equals(X, 3), 1)])
+    with pytest.raises(ProgramError, match="derives 'a', not 'b'"):
+        view.adopt_shards(foreign, ["b"])
+
+
 class TestCopyOnWrite:
     def test_copy_shares_shards_until_either_side_writes(self):
         view = MaterializedView()
@@ -272,12 +298,11 @@ class TestCopyOnWrite:
 NAME_POOL = [Variable(name) for name in ("X", "Y", "Z", "X_1", "V_2", "Y_3")]
 
 named_entries = st.builds(
-    lambda predicate, head, left, right, value, number: ViewEntry(
-        Atom(predicate, (NAME_POOL[head],)),
+    lambda head, left, right, value, number: ViewEntry(
+        Atom(owner(number), (NAME_POOL[head],)),
         conjoin(equals(NAME_POOL[left], value), compare(NAME_POOL[right], ">=", 0)),
         Support(number),
     ),
-    predicate=st.sampled_from(PREDICATES),
     head=st.integers(min_value=0, max_value=2),
     left=st.integers(min_value=0, max_value=len(NAME_POOL) - 1),
     right=st.integers(min_value=0, max_value=len(NAME_POOL) - 1),
@@ -400,19 +425,18 @@ def test_a_write_to_a_shared_shards_name_table_trips_the_sanitizer(monkeypatch):
 # Structural sharing: a clone shares its tables with the shard it was cloned
 # from, part by part, and a write copies only the containers it reaches
 # ----------------------------------------------------------------------
-#: Several entries of one predicate under the support every inserted fact
-#: carries, and derivations built on it: groups with many members.
+#: Several entries of one predicate under one support (a narrowed entry and
+#: its rederived twins), and derivations built on it: groups with many members.
 SHARED = Support(0)
 SHARING_SUPPORTS = SUPPORTS + [SHARED, Support(7, (SHARED,)), Support(8, (SHARED, LEAF[0]))]
 PROBE_WINDOW = IntervalQuery(2.0, False, 6.0, False)
 
 sharing_entries = st.builds(
-    lambda predicate, constraint_index, support_index: ViewEntry(
-        Atom(predicate, (X,)),
+    lambda constraint_index, support_index: ViewEntry(
+        Atom(owner(support_index), (X,)),
         CONSTRAINTS[constraint_index],
         SHARING_SUPPORTS[support_index],
     ),
-    predicate=st.sampled_from(PREDICATES),
     constraint_index=st.integers(min_value=0, max_value=len(CONSTRAINTS) - 1),
     support_index=st.integers(min_value=0, max_value=len(SHARING_SUPPORTS) - 1),
 )
@@ -542,8 +566,9 @@ def test_a_descendants_writes_never_reach_an_ancestor(initial, chain_of_clones):
                 old = live[write[1] % len(live)]
                 view.replace(old, old.with_constraint(CONSTRAINTS[write[2]]))
             elif kind == "churn":
+                own = 100 * (1 + PREDICATES.index(write[1]))  # supports of its own
                 passing = [
-                    make_entry(write[1], equals(X, 100 + number), 100 + number)
+                    make_entry(write[1], equals(X, 100 + number), own + number)
                     for number in range(24)
                 ]
                 for entry in passing:

@@ -21,7 +21,7 @@ are compared:
   its own current program -- DRed and recomputation thread the rewritten
   program, per the Extended DRed module docstring) and must leave the
   tracks exactly as comparable as before.  The recomputation baseline
-  carries externally inserted (support-0) entries as extra EDB.
+  carries externally inserted entries (leaves numbered 0) as extra EDB.
 
 Each DRed step additionally runs a second time with the hash-join argument
 index disabled; the indexed run must produce the identical view while never
@@ -808,9 +808,12 @@ def test_views_and_shard_bytes_are_the_committed_ones(seed):
     """What a derivation *is* must not move when how it is computed does.
 
     ``golden_views.json`` holds :func:`golden_digest` of every seed as
-    computed at the commit before clause application was specialised by
-    pinned premises (PR 23); an optimisation of the derivation pipeline has
-    to reproduce every entry key and every persisted shard byte for byte.
+    computed at the commit that gave an inserted fact's leaf its origin and
+    took the shard format to 2 (PR 24; with the origin erased, keys and rows
+    equalled those from before clause application was specialised by pinned
+    premises, PR 23, on every seed); an optimisation of the derivation
+    pipeline has to reproduce every entry key and every persisted shard byte
+    for byte.
     A change that means to alter them regenerates the file with
     ``{seed: golden_digest(seed) for seed in SEEDS}`` and says why.
     """

@@ -272,8 +272,8 @@ class TestStDelKeyConvergence:
     Regression for the MaterializedView.replace key-collision handling:
     StDel's step 2 narrows ``a(X) <- X >= 0`` (Support(0)) by
     ``not(X = 5)``; if the view also holds ``a(X) <- X >= 0 & X != 5``
-    with the *same* support (external insertions all share support 0),
-    the replacement's key collides with that entry.  The container must
+    with the *same* support (as a DRed pass leaves a narrowed entry beside
+    its twin), the replacement's key collides with that entry.  The container must
     merge the two -- not corrupt its key index, not abort the deletion.
     """
 
@@ -305,13 +305,13 @@ class TestStDelKeyConvergence:
 
 
 class TestCrossPredicateSupportCollision:
-    """Regression: external insertions all share ``Support(0)``, so StDel's
-    step-3 parent probe for a deleted external entry returns parents derived
+    """Regression: while external insertions all shared ``Support(0)``, StDel's
+    step-3 parent probe for a deleted external entry returned parents derived
     from *other* external insertions too -- including insertions of entirely
-    different predicates whose constraints overlap.  The premise slot's
-    clause body atom names the only predicate that can actually have
-    contributed; without that filter, deleting ``c(X) <- X = 5`` subtracted
-    the instances from ``d``'s derivation through ``b`` as well."""
+    different predicates whose constraints overlap -- and deleting
+    ``c(X) <- X = 5`` subtracted the instances from ``d``'s derivation
+    through ``b`` as well.  An inserted fact's leaf names the fact, so the
+    probe finds the parents of that fact only."""
 
     def test_deleting_one_external_atom_spares_unrelated_towers(self):
         from repro.maintenance import insert_atom
@@ -329,7 +329,7 @@ class TestCrossPredicateSupportCollision:
         )
         view = compute_tp_fixpoint(program, solver)
         # Two external insertions with identical constraints but different
-        # predicates: both entries carry the shared Support(0).
+        # predicates: each entry's leaf names its own ``Add`` atom.
         view = insert_atom(
             program, view, parse_constrained_atom("b(X) <- X = 5"), solver
         ).view
@@ -348,9 +348,11 @@ class TestCrossPredicateSupportCollision:
 
 
 class TestDeltaRederivationWithDuplicateSupports:
-    """Regression: external insertions all share Support(0), so the
-    delta-rederivation seed must include *every* entry carrying a child
-    support, not just the first one the support index returns."""
+    """Regression: the delta-rederivation seed must include the premise of
+    every disturbed derivation.  While external insertions all shared
+    Support(0) that took *every* entry carrying a child support, not just the
+    first one the support index returned; each inserted edge now has a leaf
+    of its own and the probe returns that edge."""
 
     def test_externally_inserted_base_facts_keep_alternative_paths(self):
         from repro.datalog import parse_program
@@ -418,12 +420,12 @@ class TestSubsumptionRespectsPurgeOption:
         assert "subsumed_rederived" not in result.stats.extra
 
     def test_overlapping_external_duplicates_are_never_subsumed(self):
-        # Regression: with exclude_existing=False two overlapping external
-        # insertions both carry Support(0); after a deletion narrows both,
-        # one subsumes the other syntactically -- but they are *distinct
-        # derivations* and rederivation can never produce a support-0 twin,
-        # so the subsumption pass must leave them alone (duplicate
-        # semantics, and key-parity with StDel).
+        # Regression: with exclude_existing=False two external insertions
+        # overlap; after a deletion narrows both, one subsumes the other
+        # syntactically -- but they are *distinct derivations* (each leaf
+        # names its own ``Add`` atom, so neither is the other's same-support
+        # sibling) and the subsumption pass must leave them alone
+        # (duplicate semantics, and key-parity with StDel).
         from repro.maintenance import insert_atom
         from repro.maintenance.delete_dred import ExtendedDRed
         from repro.maintenance.delete_stdel import StraightDelete

@@ -133,35 +133,42 @@ class TestSequentialStDel:
 
 
 class TestDeleteReinsertHistory:
-    """Theorems 1-3 over a five-request history of one stream.
+    """Theorems 1-3 over five-request histories of one stream.
 
-    ``layer1_0(X) <- base1(X), base1(X)`` over two re-inserted facts gives
-    two parents the same support, and StDel takes one for the other: after
-    the fifth request ``layer1_0(7)`` is still in the view (ROADMAP item 1).
-    The StDel case is pinned as a strict xfail so the fix flips it.
+    ``layer1_0(X) <- base1(X), base1(X)`` over two re-inserted facts gave
+    two parents the same support while every inserted fact carried the one
+    leaf ``<0>``, and StDel took one for the other: after the fifth request
+    ``layer1_0(7)`` was still in the view.  PR 12's history left
+    ``layer1_1(6)`` the same way.  A leaf now names the fact it inserted.
     """
 
     HISTORY = (
-        ("delete", 0),
-        ("insert", 0),
-        ("delete", 7),
-        ("insert", 7),
-        ("delete", 7),
+        ("delete", "base1", 0),
+        ("insert", "base1", 0),
+        ("delete", "base1", 7),
+        ("insert", "base1", 7),
+        ("delete", "base1", 7),
+    )
+    PR12_HISTORY = (
+        ("delete", "base0", 6),
+        ("insert", "base0", 6),
+        ("delete", "base1", 10),
+        ("insert", "base1", 10),
+        ("delete", "base1", 6),
     )
 
     @pytest.mark.parametrize(
-        "deletion_algorithm",
+        "deletion_algorithm, history",
         [
-            "dred",
-            pytest.param(
-                "stdel",
-                marks=pytest.mark.xfail(
-                    strict=True, reason="ROADMAP item 1: two parents share one support"
-                ),
-            ),
+            pytest.param("dred", HISTORY, id="dred"),
+            pytest.param("stdel", HISTORY, id="stdel"),
+            pytest.param("dred", PR12_HISTORY, id="dred-pr12"),
+            pytest.param("stdel", PR12_HISTORY, id="stdel-pr12"),
         ],
     )
-    def test_view_equals_recomputation_after_five_requests(self, deletion_algorithm):
+    def test_view_equals_recomputation_after_five_requests(
+        self, deletion_algorithm, history
+    ):
         spec = make_layered_program(base_facts=12)
         scheduler = StreamScheduler(
             spec.program,
@@ -170,8 +177,8 @@ class TestDeleteReinsertHistory:
                 max_workers=1, deletion_algorithm=deletion_algorithm
             ),
         )
-        for kind, value in self.HISTORY:
-            atom = ground_request_atom("base1", (value,))
+        for kind, predicate, value in history:
+            atom = ground_request_atom(predicate, (value,))
             request = DeletionRequest(atom) if kind == "delete" else InsertionRequest(atom)
             assert scheduler.apply_batch((request,)).ok
         assert scheduler.verify()

@@ -94,9 +94,11 @@ constraints = st.one_of(
 )
 
 supports = st.recursive(
-    # clause_number 0 = externally inserted entry (Algorithm 3's support-0
-    # convention); the codec must carry it like any other.
-    st.integers(min_value=0, max_value=50).map(Support),
+    # A leaf is a body-free clause's, or an inserted fact's (Algorithm 3:
+    # clause number 0 and, as origin, the text of what it inserted); the
+    # codec must carry the origin wherever in the tree the leaf sits.
+    st.integers(min_value=1, max_value=50).map(Support)
+    | st.builds(Support, st.just(0), st.just(()), st.text(max_size=12)),
     lambda children: st.builds(
         Support,
         st.integers(min_value=0, max_value=50),
@@ -169,6 +171,27 @@ def test_view_import_export_round_trip(shard):
 def test_empty_shard_round_trips():
     payload = codec.encode_shard("p", ())
     assert codec.decode_shard(payload) == ("p", ())
+
+
+def test_a_leaf_is_written_with_its_origin_only_when_it_has_one():
+    inserted = Support(0, (), "p(X) <- X = 7")
+    assert codec.encode_support(Support(3, (Support(1), inserted))) == [
+        3, [[1, []], [0, [], "p(X) <- X = 7"]]
+    ]
+    with pytest.raises(CodecError):
+        codec.decode_support([0, [], "p(X) <- X = 7", "again"])
+
+
+def test_a_version_1_shard_is_refused():
+    """Format 1 filed every inserted fact under the one leaf ``<0>``: a
+    shard written then must not be read as if its leaves named their facts."""
+    import json
+
+    payload = json.loads(codec.encode_shard("p", ()))
+    assert payload["format"] == codec.FORMAT_VERSION == 2
+    payload["format"] = 1
+    with pytest.raises(CodecError, match="format version 1"):
+        codec.decode_shard(codec.canonical_bytes(payload))
 
 
 @settings(max_examples=50, deadline=None)

@@ -16,6 +16,7 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.datalog import parse_constrained_atom
 from repro.errors import MediatorError
 from repro.maintenance import InsertionRequest
 from repro.mediator import Mediator
@@ -62,6 +63,27 @@ class TestMediatorOpen:
         assert recovered.query("top", UNIVERSE) == {
             (1,), (2,), (7,), (8,),
         }
+
+    def test_a_format_1_directory_is_refused(self, tmp_path):
+        # Format 1 filed every inserted fact under the one leaf ``<0>``; a
+        # directory written then is refused, never opened with shared leaves.
+        import json
+
+        from repro.errors import CodecError
+
+        data_dir = tmp_path / "data"
+        scheduler = Mediator.open(data_dir, rules=RULES).streaming()
+        scheduler.submit(
+            InsertionRequest(parse_constrained_atom("b(X) <- X = 7"))
+        )
+        assert scheduler.flush().ok
+        assert scheduler.checkpoint() is not None
+        manifest = data_dir / "snapshots" / (data_dir / "CURRENT").read_text().strip()
+        stored = json.loads(manifest.read_text())
+        assert stored["format"] == 2
+        manifest.write_text(json.dumps({**stored, "format": 1}))
+        with pytest.raises(CodecError, match="format version 1"):
+            Mediator.open(data_dir)
 
     def test_streaming_rejects_options_on_a_durable_mediator(self, tmp_path):
         from repro.stream import StreamOptions
