@@ -78,10 +78,12 @@ class CallEvaluator(Protocol):
 class FrozenResultSet:
     """A simple finite, immutable result set usable by tests and domains."""
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_order")
 
     def __init__(self, values: Iterable[object] = ()) -> None:
         self._values = frozenset(values)
+        #: The values in solution-search order, set by that search.
+        self._order: Optional[Tuple[object, ...]] = None
 
     def contains(self, value: object) -> bool:
         return value in self._values

@@ -23,6 +23,10 @@ Enumeration is a backtracking search over a compiled :class:`_Plan`:
    its own (quantified inside it), a membership the solver could not
    evaluate -- is evaluated at the complete assignment.
 
+A distinct ground domain call is asked once per enumeration (one call
+table serves candidates and membership checks alike); a candidate set is
+recomputed only for the variables an assignment feeds (:attr:`_Plan.feeds`).
+
 Because negations and memberships only ever *remove* solutions, generating
 candidates from the positive conjuncts alone is complete.
 """
@@ -36,10 +40,12 @@ from repro.constraints.ast import (
     FLIPPED_OPERATOR,
     Comparison,
     Constraint,
+    DomainCall,
     FalseConstraint,
     Membership,
     NegatedConjunction,
 )
+from repro.constraints.interfaces import FrozenResultSet, ResultSetLike
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import Constant, Term, Variable
 from repro.errors import SolverError
@@ -154,7 +160,9 @@ class _Plan:
     the conjuncts.
     """
 
-    __slots__ = ("key", "wanted", "search", "parts", "arity", "roles", "ground", "leaf")
+    __slots__ = (
+        "key", "wanted", "search", "parts", "arity", "roles", "feeds", "ground", "leaf",
+    )
 
     def __init__(self, constraint: Constraint, key: Tuple[Variable, ...]) -> None:
         #: The variable list as the caller gave it (the memo key).
@@ -210,6 +218,13 @@ class _Plan:
         self.roles: Tuple[_Role, ...] = tuple(
             tuple(map(tuple, role)) for role in roles  # type: ignore[misc]
         )
+        #: Per variable, the variables whose DCA-atoms take it as an argument
+        #: (its value feeds their candidate sets); ``()`` when no DCA-atom does.
+        feeds: List[set] = [set() for _ in position]
+        for target, role in enumerate(roles):
+            for variable in {v for part in role[2] for v in part.call.variables()}:
+                feeds[position[variable]].add(target)
+        self.feeds = tuple(map(tuple, map(sorted, feeds))) if any(r[2] for r in roles) else ()
         #: Conjuncts without variables: decided by the first assignment.
         self.ground = tuple(ground)
         #: Conjuncts only the complete assignment decides.
@@ -234,7 +249,8 @@ class _Search:
     """One enumeration: the plan plus the state of the current branch."""
 
     __slots__ = (
-        "plan", "solver", "universe", "max_width", "partial", "pending", "deferred",
+        "plan", "solver", "evaluator", "evaluate", "universe", "max_width", "partial",
+        "pending", "deferred", "calls", "candidates",
     )
 
     def __init__(
@@ -246,6 +262,9 @@ class _Search:
     ) -> None:
         self.plan = plan
         self.solver = solver
+        evaluator = self.evaluator = solver.evaluator
+        dca = evaluator is not None and any(type(part) is Membership for part in plan.parts)
+        self.evaluate = self._holds if dca else solver.evaluate_ground
         self.universe = universe
         self.max_width = max_width
         self.partial: Dict[Variable, object] = {}
@@ -254,6 +273,10 @@ class _Search:
         #: Conjuncts of this branch whose evaluation raised ``SolverError``
         #: (a membership the solver cannot evaluate): left to the leaf.
         self.deferred: List[int] = []
+        #: ``(domain, function, args, arg types) -> result``: each asked once.
+        self.calls: Dict[tuple, ResultSetLike] = {}
+        #: Per variable, its DCA candidates under the live assignment.
+        self.candidates = [_STALE] * len(plan.search) if plan.feeds and dca else None
 
     def run(self, unassigned: List[int]) -> Iterator[Dict[Variable, object]]:
         """Yield the live assignment at every solution below this node.
@@ -264,7 +287,7 @@ class _Search:
         plan = self.plan
         partial = self.partial
         deferred = self.deferred
-        evaluate = self.solver.evaluate_ground
+        evaluate = self.evaluate
         parts = plan.parts
         if not unassigned:
             for index in sorted(plan.leaf + tuple(deferred)) if deferred else plan.leaf:
@@ -285,9 +308,15 @@ class _Search:
             ready = sorted(ready + list(plan.ground))
         for index in mentions:
             pending[index] -= 1
+        # The candidate sets this variable feeds: reset per value, restored after.
+        cache = self.candidates
+        fed = plan.feeds[chosen] if cache is not None else ()
+        saved = [cache[position] for position in fed] if fed else None
         mark = len(deferred)
         for value in candidates:
             partial[variable] = value
+            for position in fed:
+                cache[position] = _STALE
             for index in ready:
                 part = parts[index]
                 try:
@@ -303,6 +332,8 @@ class _Search:
         partial.pop(variable, None)
         for index in mentions:
             pending[index] += 1
+        for position, entry in zip(fed, saved or ()):
+            cache[position] = entry
 
     def _choose(self, unassigned: List[int]) -> Tuple[int, Iterable[object]]:
         """Choose the next variable (by position) and its candidate values.
@@ -314,7 +345,7 @@ class _Search:
         """
         roles = self.plan.roles
         partial = self.partial
-        evaluator = self.solver.evaluator
+        cache = self.candidates
         best: Optional[Tuple[int, int]] = None
         best_position = -1
         best_values: Iterable[object] = ()
@@ -324,9 +355,11 @@ class _Search:
                 value = _resolve(other, partial)
                 if value is not _NO_VALUE:
                     return position, (value,)
-            values: Optional[Iterable[object]] = None
-            if sources and evaluator is not None:
-                values = _membership_values(sources, partial, evaluator)
+            values: Optional[Sequence[object]] = None
+            if sources and cache is not None:
+                values = cache[position]
+                if values is _STALE:
+                    values = cache[position] = self._membership_values(sources)
             if values is not None:
                 rank = (1, len(values))
             else:
@@ -338,8 +371,6 @@ class _Search:
             if best is None or rank < best:
                 best, best_position, best_values = rank, position, values
         if best is not None:
-            if best[0] == 1:
-                best_values = sorted(best_values, key=_sort_key)
             return best_position, best_values
         if self.universe is None:
             raise SolverError(
@@ -348,13 +379,53 @@ class _Search:
             )
         return unassigned[0], self.universe
 
+    def _call(self, call: DomainCall, args: Tuple[object, ...]) -> ResultSetLike:
+        """The result of *call* at *args*; keyed like the registry's memo
+        (argument types included, an unhashable argument bypasses it)."""
+        key = (call.domain, call.function, args, tuple(map(type, args)))
+        try:
+            result = self.calls.get(key)
+        except TypeError:
+            return self.evaluator.evaluate_call(call.domain, call.function, args)
+        if result is None:
+            result = self.calls[key] = self.evaluator.evaluate_call(
+                call.domain, call.function, args
+            )
+        return result
 
-class _NoValue:
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<no value>"
+    def _holds(self, part: Constraint, partial: Dict[Variable, object]) -> bool:
+        """``evaluate_ground``, a DCA-atom's call read through the call table."""
+        if type(part) is not Membership:
+            return self.solver.evaluate_ground(part, partial)
+        result = self._call(part.call, _resolved(part.call.args, partial))
+        return bool(result.contains(_resolve(part.element, partial))) == part.positive
+
+    def _membership_values(self, sources: Sequence[Membership]) -> Optional[Sequence[object]]:
+        """Finite candidate values from a variable's positive DCA-atoms, in
+        :func:`_sort_key` order: the first finite result's, filtered by the rest."""
+        collected: Optional[Sequence[object]] = None
+        for part in sources:
+            call = part.call
+            args = _resolved(call.args, self.partial)
+            if _NO_VALUE in args or not self.evaluator.has_domain(call.domain):
+                continue
+            result = self._call(call, args)
+            if not result.is_finite():
+                continue
+            if collected is not None:
+                collected = [value for value in collected if result.contains(value)]
+            elif isinstance(result, FrozenResultSet):
+                if result._order is None:  # kept while the registry keeps the result
+                    result._order = tuple(sorted(result._values, key=_sort_key))
+                collected = result._order
+            else:
+                collected = sorted(set(result.iter_values()), key=_sort_key)
+        return collected
 
 
-_NO_VALUE = _NoValue()
+_NO_VALUE = object()
+#: A candidate-cache entry not computed under the live assignment.
+_STALE = object()
 
 
 def _resolve(term: Term, partial: Dict[Variable, object]) -> object:
@@ -363,24 +434,8 @@ def _resolve(term: Term, partial: Dict[Variable, object]) -> object:
     return partial.get(term, _NO_VALUE)
 
 
-def _membership_values(
-    sources: Sequence[Membership], partial: Dict[Variable, object], evaluator
-) -> Optional[set]:
-    """Finite candidate values from a variable's positive DCA-atoms."""
-    collected: Optional[set] = None
-    for part in sources:
-        call = part.call
-        args = tuple(_resolve(arg, partial) for arg in call.args)
-        if _NO_VALUE in args:
-            continue
-        if not evaluator.has_domain(call.domain):
-            continue
-        result = evaluator.evaluate_call(call.domain, call.function, args)
-        if not result.is_finite():
-            continue
-        values = set(result.iter_values())
-        collected = values if collected is None else (collected & values)
-    return collected
+def _resolved(terms: Tuple[Term, ...], partial: Dict[Variable, object]) -> Tuple[object, ...]:
+    return tuple([t.value if type(t) is Constant else partial.get(t, _NO_VALUE) for t in terms])
 
 
 def _integer_interval(

@@ -17,7 +17,7 @@ from repro.errors import SchemaError, UnknownColumnError
 class Row(Mapping[str, object]):
     """An immutable named tuple of column values."""
 
-    __slots__ = ("_names", "_values")
+    __slots__ = ("_names", "_values", "_hash")
 
     def __init__(self, values: Mapping[str, object]) -> None:
         names = tuple(values.keys())
@@ -26,15 +26,13 @@ class Row(Mapping[str, object]):
                 raise SchemaError(f"invalid column name in row: {name!r}")
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_values", tuple(values[name] for name in names))
+        # Computed on the first ``__hash__``: a row holding an unhashable
+        # value still constructs, it just cannot be hashed.
+        object.__setattr__(self, "_hash", None)
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_pair_sequence(cls, pairs: Sequence[Tuple[str, object]]) -> "Row":
-        """Build a row from an ordered sequence of (name, value) pairs."""
-        return cls(dict(pairs))
-
     @classmethod
     def from_values(cls, names: Sequence[str], values: Sequence[object]) -> "Row":
         """Build a row by zipping column names with values."""
@@ -74,7 +72,9 @@ class Row(Mapping[str, object]):
         raise AttributeError("Row objects are immutable")
 
     def __hash__(self) -> int:
-        return hash((self._names, self._values))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self._names, self._values)))
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Row):

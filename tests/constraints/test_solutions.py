@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,16 @@ from repro.constraints import (
     not_equals,
     solution_set,
 )
-from repro.constraints.ast import NegatedConjunction
+from repro.constraints import solutions as solutions_module
+from repro.constraints.ast import FLIPPED_OPERATOR, Comparison, Membership, NegatedConjunction
+from repro.constraints.interfaces import FrozenResultSet
+from repro.constraints.solutions import (
+    DEFAULT_MAX_INTERVAL_WIDTH,
+    _integer_interval,
+    _plan_for,
+    _Search,
+)
+from repro.constraints.terms import Constant
 from repro.domains import (
     Domain,
     DomainRegistry,
@@ -363,3 +374,223 @@ class TestSearchMatchesBruteForce:
         assert constraint._plan is plan
         assert solution_set(constraint, [Y]) == {(0,), (1,)}
         assert constraint._plan is not plan
+
+
+# ---------------------------------------------------------------------------
+# One enumeration pays for distinct work only
+# ---------------------------------------------------------------------------
+
+
+def frozen_rule_sequence(constraint, wanted, solver, universe):
+    """The variable rule written out plainly, as the reference for the
+    solution *order*: every node recomputes every candidate set from the
+    evaluator, and the whole constraint is decided at the leaves (deciding
+    a conjunct earlier only removes leaves, it never reorders them)."""
+    wanted = list(dict.fromkeys(wanted))
+    parts = constraint.conjuncts()
+    searched = set()
+    for part in parts:
+        if not isinstance(part, NegatedConjunction):
+            searched |= part.variables()
+    order = wanted + sorted(searched - set(wanted), key=lambda v: v.name)
+    missing = object()
+    evaluator = solver.evaluator
+
+    def value_of(term, partial):
+        return term.value if isinstance(term, Constant) else partial.get(term, missing)
+
+    def sides(variable):
+        for part in parts:
+            if isinstance(part, Comparison) and part.left != part.right:
+                if part.left == variable:
+                    yield part.op, part.right
+                elif part.right == variable:
+                    yield FLIPPED_OPERATOR[part.op], part.left
+
+    def choose(unassigned, partial):
+        best = None
+        for variable in unassigned:
+            for op, other in sides(variable):
+                if op == "=" and value_of(other, partial) is not missing:
+                    return variable, [value_of(other, partial)]
+            values = None
+            for part in parts:
+                if not (isinstance(part, Membership) and part.positive):
+                    continue
+                args = [value_of(arg, partial) for arg in part.call.args]
+                if part.element != variable or missing in args or evaluator is None:
+                    continue
+                if not evaluator.has_domain(part.call.domain):
+                    continue
+                result = evaluator.evaluate_call(part.call.domain, part.call.function, tuple(args))
+                if result.is_finite():
+                    found = set(result.iter_values())
+                    values = found if values is None else values & found
+            if values is not None:
+                rank = (1, len(values))
+                values = sorted(values, key=lambda value: (type(value).__name__, repr(value)))
+            else:
+                bounds = [(op, other) for op, other in sides(variable) if op not in ("=", "!=")]
+                interval = _integer_interval(bounds, partial) if bounds else None
+                if interval is None or interval[1] - interval[0] + 1 > DEFAULT_MAX_INTERVAL_WIDTH:
+                    continue
+                values = range(interval[0], interval[1] + 1)
+                rank = (2, len(values))
+            if best is None or rank < best[0]:
+                best = (rank, variable, values)
+        return (best[1], best[2]) if best else (unassigned[0], universe)
+
+    def walk(unassigned, partial):
+        if not unassigned:
+            if solver.evaluate_ground(constraint, partial):
+                yield tuple(partial[variable] for variable in wanted)
+            return
+        variable, values = choose(unassigned, partial)
+        rest = [other for other in unassigned if other != variable]
+        for value in values:
+            partial[variable] = value
+            yield from walk(rest, partial)
+        partial.pop(variable, None)
+
+    return list(dict.fromkeys(walk(order, {})))
+
+
+class TestOneEnumerationPaysForDistinctWork:
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases())
+    def test_the_sequence_is_the_reference_order_and_the_reference_set(self, case):
+        constraint, wanted = case
+        wanted = list(dict.fromkeys(wanted))
+        solver = ConstraintSolver(toy_registry())
+        found = [
+            tuple(solution[variable] for variable in wanted)
+            for solution in enumerate_solutions(
+                constraint, wanted, solver=solver, universe=SMALL_UNIVERSE
+            )
+        ]
+        assert found == frozen_rule_sequence(constraint, wanted, solver, SMALL_UNIVERSE)
+        assert set(found) == brute_force(constraint, wanted, solver, SMALL_UNIVERSE)
+
+    def test_each_distinct_call_is_asked_once(self):
+        asked = []
+        toy = Domain("toy")
+        toy.register("nums", lambda: asked.append(("nums",)) or {0, 1, 2})
+        toy.register("succ", lambda x: asked.append(("succ", x)) or {x + 1})
+        toy.register("small", lambda x: asked.append(("small", x)) or x < 2)
+        registry = DomainRegistry([toy])  # uncached: every lookup reaches the domain
+        constraint = conjoin(
+            member(X, "toy", "nums"),
+            member(Y, "toy", "nums"),
+            member(Z, "toy", "succ", X),  # a candidate source and a check
+            member(True, "toy", "small", Z),
+            member(True, "toy", "small", Y),  # same calls as small(Z) for Y = Z
+        )
+        solutions = solution_set(constraint, [X, Y, Z], solver=ConstraintSolver(registry))
+        assert solutions == {(0, y, 1) for y in (0, 1)}
+        assert sorted(asked) == sorted(set(asked))
+        # nums, succ of 0..2, small of 0..3: the Y and Z checks share small(1), small(2).
+        assert registry.call_counters()["toy"]["calls"] == len(asked) == 8
+        # A second enumeration has a table of its own.
+        solution_set(constraint, [X, Y, Z], solver=ConstraintSolver(registry))
+        assert len(asked) == 16
+
+    def test_an_unhashable_argument_answers_uncached(self):
+        sets = Domain("sets")
+        sets.register("has", lambda items, value: value in items)
+        registry = DomainRegistry([sets])
+        constraint = conjoin(
+            compare(Y, ">=", 0), compare(Y, "<=", 1), member(True, "sets", "has", X, Y)
+        )
+        universe = [[0], [0], [1]]  # X only: Y is bounded
+        assert solution_set(
+            constraint, [Y], solver=ConstraintSolver(registry), universe=universe
+        ) == {(0,), (1,)}
+        # Two values of Y times three lists: the equal lists are asked twice.
+        assert registry.call_counters()["sets"]["calls"] == 6
+
+    def test_a_membership_the_evaluator_cannot_evaluate_is_deferred_to_the_leaf(self):
+        class Refusing:
+            """Answers ``toy:nums`` and refuses every other call."""
+
+            def __init__(self):
+                self.refused = 0
+
+            def has_domain(self, domain):
+                return domain == "toy"
+
+            def evaluate_call(self, domain, function, args):
+                if function == "nums":
+                    return FrozenResultSet({1, 2})
+                self.refused += 1
+                raise SolverError(f"cannot evaluate {function}{args}")
+
+        refusing = Refusing()
+        solver = ConstraintSolver(refusing)
+        checked = member(True, "toy", "check", X)
+        base = conjoin(member(X, "toy", "nums"), equals(Y, 3), checked)
+        # Every branch dies on X > Y after the refusal: deferred, never raised.
+        assert solution_set(conjoin(base, compare(X, ">", Y)), [X], solver=solver) == frozenset()
+        assert refusing.refused == 2
+        # A branch that survives asks again at the leaf, and the error stands.
+        with pytest.raises(SolverError, match="cannot evaluate check"):
+            solution_set(conjoin(base, compare(X, "<", Y)), [X], solver=solver)
+        assert refusing.refused == 4
+
+    def test_a_domain_that_changed_between_two_enumerations_is_asked_again(self):
+        state = {"nums": {0, 1}}
+        toy = Domain("toy")
+        toy.register("nums", lambda: state["nums"])
+        toy.register("succ", lambda x: {x + 1})
+        registry = DomainRegistry([toy], cache_calls=True)
+        solver = ConstraintSolver(registry)
+        constraint = conjoin(member(X, "toy", "nums"), member(Y, "toy", "succ", X))
+        assert solution_set(constraint, [X, Y], solver=solver) == {(0, 1), (1, 2)}
+        executed = registry.call_counters()["toy"]["executed"]
+        assert solution_set(constraint, [X, Y], solver=solver) == {(0, 1), (1, 2)}
+        assert registry.call_counters()["toy"]["executed"] == executed  # registry memo
+        state["nums"] = {5}
+        toy._bump_source()
+        assert solution_set(constraint, [X, Y], solver=solver) == {(5, 6)}
+        assert registry.call_counters()["toy"]["executed"] == executed + 2
+
+    def test_a_plan_without_dca_candidates_allocates_no_candidate_state(self):
+        """Counted: the lines that invalidate and restore candidate sets
+        never run for a plan whose variables draw nothing from a DCA-atom."""
+        source = inspect.getsource(solutions_module)
+        watched = {
+            number
+            for number, line in enumerate(source.splitlines(), start=1)
+            if line.strip() in ("cache[position] = _STALE", "cache[position] = entry")
+        }
+        assert len(watched) == 2  # invalidate below a value, restore on the way back
+
+        def executions(constraint, variables, solver):
+            ran = []
+
+            def tracer(frame, event, arg):
+                if frame.f_code.co_filename == solutions_module.__file__:
+                    if event == "line" and frame.f_lineno in watched:
+                        ran.append(frame.f_lineno)
+                    return tracer
+                return None
+
+            sys.settrace(tracer)
+            try:
+                found = solution_set(constraint, variables, solver=solver)
+            finally:
+                sys.settrace(None)
+            return found, len(ran)
+
+        ladder = conjoin(compare(X, ">=", 0), compare(X, "<=", 3), compare(Y, ">", X),
+                         compare(Y, "<=", 4), member(True, "toy", "small", X))
+        solver = ConstraintSolver(toy_registry())
+        plan = _plan_for(ladder, (X, Y))
+        assert plan.feeds == ()
+        assert _Search(plan, solver, None, DEFAULT_MAX_INTERVAL_WIDTH).candidates is None
+        found, ran = executions(ladder, [X, Y], solver)
+        assert found == {(0, y) for y in (1, 2, 3, 4)} | {(1, y) for y in (2, 3, 4)}
+        assert ran == 0
+        # The control: a chained DCA plan does run them.
+        chained = conjoin(member(X, "toy", "nums"), member(Y, "toy", "succ", X))
+        assert _plan_for(chained, (X, Y)).feeds == ((1,), ())
+        assert executions(chained, [X, Y], solver)[1] > 0
