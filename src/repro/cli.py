@@ -42,8 +42,9 @@ from repro.stream import StreamOptions, StreamScheduler
 def parse_universe(spec: Optional[str]) -> Optional[List[object]]:
     """Parse ``--universe`` values: ``0:10`` (range) or ``a,b,c`` (list).
 
-    Public because the serve layer's request router reuses it for the
-    wire-format ``"universe"`` field.
+    It is the ``--universe`` argument type, so a malformed value is a usage
+    error; the serve layer's request router reuses it for the wire-format
+    ``"universe"`` field.
     """
     if spec is None:
         return None
@@ -92,7 +93,7 @@ def _cmd_materialize(args, stream) -> int:
     _print_view(view, stream)
     print(f"-- {len(view)} entries ({args.operator})", file=stream)
     if args.query:
-        _print_instances(view, args.query, solver, parse_universe(args.universe), stream)
+        _print_instances(view, args.query, solver, args.universe, stream)
     return 0
 
 
@@ -100,7 +101,7 @@ def _cmd_query(args, stream) -> int:
     program = _load_program(args.rules)
     solver = ConstraintSolver()
     view = compute_tp_fixpoint(program, solver)
-    _print_instances(view, args.predicate, solver, parse_universe(args.universe), stream)
+    _print_instances(view, args.predicate, solver, args.universe, stream)
     return 0
 
 
@@ -124,15 +125,13 @@ def _cmd_update(args, stream, kind: str) -> int:
         file=stream,
     )
     if args.verify:
-        ok = scheduler.verify(parse_universe(args.universe))
+        ok = scheduler.verify(args.universe)
         print(f"verification against declarative semantics: {'OK' if ok else 'MISMATCH'}",
               file=stream)
         if not ok:
             return 1
     if args.query:
-        _print_instances(
-            result.view, args.query, solver, parse_universe(args.universe), stream
-        )
+        _print_instances(result.view, args.query, solver, args.universe, stream)
     return 0
 
 
@@ -334,12 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     materialize.add_argument("rules", help="path to a rule file")
     materialize.add_argument("--operator", choices=("tp", "wp"), default="tp")
     materialize.add_argument("--query", help="also print instances of this predicate")
-    materialize.add_argument("--universe", help="value universe, e.g. 0:20 or a,b,c")
+    materialize.add_argument(
+        "--universe", type=parse_universe, help="value universe, e.g. 0:20 or a,b,c"
+    )
 
     query = subparsers.add_parser("query", help="print the instances of one predicate")
     query.add_argument("rules")
     query.add_argument("predicate")
-    query.add_argument("--universe")
+    query.add_argument("--universe", type=parse_universe)
 
     for kind in ("delete", "insert"):
         update = subparsers.add_parser(
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="deletion algorithm (ignored for insert)",
         )
         update.add_argument("--query", help="print instances of this predicate afterwards")
-        update.add_argument("--universe")
+        update.add_argument("--universe", type=parse_universe)
         update.add_argument(
             "--verify", action="store_true",
             help="recompute the declarative semantics and compare",

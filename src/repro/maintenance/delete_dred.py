@@ -389,7 +389,7 @@ class ExtendedDRed:
                     break
         if dropped:
             stats.removed_entries += dropped
-            stats.bump("subsumed_rederived", dropped)
+            stats.subsumed_rederived += dropped
 
     def _rederivation_seed(
         self,

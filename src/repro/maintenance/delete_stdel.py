@@ -235,9 +235,6 @@ class StraightDelete:
                 frontier_end = len(p_out)
                 for pair_index in range(frontier_start, frontier_end):
                     pair = p_out[pair_index]
-                    # What the pre-index implementation would have compared
-                    # for this pair: every entry of the working view.
-                    stats.bump("stdel_scan_equivalent", len(working))
                     for parent in working.find_parents_of(pair.support):
                         stats.support_probes += 1
                         for child_position, child in enumerate(parent.support.children):

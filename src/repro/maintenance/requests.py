@@ -10,7 +10,7 @@ same vocabulary; external changes are handled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict
 
 from repro.datalog.atoms import ConstrainedAtom
@@ -75,16 +75,9 @@ class MaintenanceStats:
     #: :meth:`repro.constraints.solver.ConstraintSolver.quick_reject`).
     quick_rejects: int = 0
     #: Parent entries returned by child-support index probes (StDel step 3).
-    #: The pre-index implementation compared every view entry against every
-    #: ``P_OUT`` pair; the ``stdel_scan_equivalent`` extra counter records
-    #: what that scan would have cost, so the benchmarks can show the ratio.
     support_probes: int = 0
-    #: Free-form extra counters.
-    extra: Dict[str, int] = field(default_factory=dict)
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        """Increment a free-form counter."""
-        self.extra[name] = self.extra.get(name, 0) + amount
+    #: Rederived entries DRed dropped as subsumed by a same-support sibling.
+    subsumed_rederived: int = 0
 
     def merge(self, other: "MaintenanceStats") -> None:
         """Fold another stats object into this one (counter-wise addition).
@@ -97,16 +90,12 @@ class MaintenanceStats:
         mine, theirs = vars(self), vars(other)
         for name in _COUNTERS:
             mine[name] += theirs[name]
-        for name, amount in other.extra.items():
-            self.bump(name, amount)
 
     def as_dict(self) -> Dict[str, int]:
         """Flatten to a plain dictionary (used by the benchmark reports)."""
         mine = vars(self)
-        flat = {name: mine[name] for name in _COUNTERS}
-        flat.update(self.extra)
-        return flat
+        return {name: mine[name] for name in _COUNTERS}
 
 
-#: The named counters of :class:`MaintenanceStats`, in declaration order.
-_COUNTERS = tuple(f.name for f in fields(MaintenanceStats) if f.name != "extra")
+#: The counters of :class:`MaintenanceStats`, in declaration order.
+_COUNTERS = tuple(f.name for f in fields(MaintenanceStats))

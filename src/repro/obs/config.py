@@ -13,13 +13,15 @@ repo's existing ``REPRO_*`` convention:
     ``REPRO_OBS``).
 ``REPRO_OBS_SLOW_BATCH_MS=250``
     Log a warning for any batch whose drain→commit wall time exceeds the
-    threshold (default 1000 ms; only meaningful when obs is enabled).
+    threshold (default 1000 ms, also what a malformed value falls back to,
+    with a warning; only meaningful when obs is enabled).
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import warnings
 from typing import Optional
 
 from .metrics import Metrics, NULL_METRICS
@@ -123,6 +125,12 @@ class Observability:
                 DEFAULT_SLOW_BATCH_SECONDS
             )
         except ValueError:
+            warnings.warn(
+                f"REPRO_OBS_SLOW_BATCH_MS={slow_ms!r} is not a number; "
+                f"falling back to {DEFAULT_SLOW_BATCH_SECONDS * 1000:.0f} ms",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             slow_seconds = DEFAULT_SLOW_BATCH_SECONDS
         return Observability.enabled_with(
             trace_path=trace_path, slow_batch_seconds=slow_seconds

@@ -49,8 +49,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 #: The MaintenanceStats counters mirrored into the registry per algorithm
-#: pass (a closed set: free-form ``extra`` counters stay out of the
-#: registry to keep label/metric cardinality bounded).
+#: pass (a closed set, to keep label/metric cardinality bounded).
 MAINTENANCE_COUNTERS: Tuple[str, ...] = (
     "solver_calls",
     "derivation_attempts",

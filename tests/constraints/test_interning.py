@@ -1,7 +1,8 @@
 """Property-based tests of the hash-consing invariants.
 
 The interning layer promises exactly three things, and each gets a
-randomized check here:
+randomized check here (a fourth section checks that maintenance actually
+takes the fast paths identity buys):
 
 1. **Construction canonicalizes.**  Building the same term or constraint
    twice -- from scratch, in any thread -- yields the *same object*, so
@@ -18,6 +19,7 @@ randomized check here:
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.constraints import (
     Comparison,
+    ConstraintSolver,
     Constant,
     Membership,
     NegatedConjunction,
@@ -38,12 +41,23 @@ from repro.constraints import (
     conjoin,
 )
 from repro.constraints.ast import DomainCall
+from repro.constraints.intern import intern_stats
+from repro.datalog import compute_tp_fixpoint
 from repro.errors import ConstraintError, TermError
+from repro.maintenance import delete_with_dred, delete_with_stdel
 from repro.persist.codec import (
     decode_constraint,
     decode_term,
     encode_constraint,
     encode_term,
+)
+from repro.stream import StreamOptions, StreamScheduler
+from repro.workloads import (
+    deletion_stream,
+    make_layered_program,
+    make_path_graph_edges,
+    make_transitive_closure_program,
+    stream_batches,
 )
 
 VARIABLE_NAMES = ("X", "Y", "Z", "W")
@@ -201,3 +215,51 @@ def test_pickle_and_copy_re_intern(constraint):
     assert pickle.loads(pickle.dumps(constraint)) is constraint
     assert copy.copy(constraint) is constraint
     assert copy.deepcopy(constraint) is constraint
+
+
+# ---------------------------------------------------------------------------
+# 4. Maintenance takes the identity fast paths
+# ---------------------------------------------------------------------------
+
+
+def test_a_recursive_deletion_is_answered_by_identity_and_node_memos():
+    """On tc-10, StDel and DRed decide some subsumptions and subtractions by
+    pointer identity (each one a solver call not made) and hit the per-node
+    canonical and satisfiability memos.  Single-threaded: the event
+    counters are exact only there."""
+    gc.collect()
+    before = intern_stats()
+    spec = make_transitive_closure_program(make_path_graph_edges(10))
+    solver = ConstraintSolver()
+    view = compute_tp_fixpoint(spec.program, solver)
+    atom = deletion_stream(spec, 1, seed=4)[0].atom
+    delete_with_stdel(spec.program, view, atom, solver)
+    delete_with_dred(spec.program, view, atom, solver)
+    after = intern_stats()
+    events = {
+        name: count - before["events"].get(name, 0)
+        for name, count in after["events"].items()
+    }
+    assert events["identity_subsumptions"] + events["identity_subtractions"] >= 1
+    assert events["canonical_hits"] >= 1
+    assert events["sat_node_hits"] + events["simplify_node_hits"] >= 1
+    # Construction shares structure: 0.59 of the lookups find the node
+    # already interned, cold or after the rest of this file.
+    hits = after["hits"] - before["hits"]
+    misses = after["misses"] - before["misses"]
+    assert hits >= 0.2 * (hits + misses)
+
+
+def test_the_coalescer_cancels_an_identical_pair_without_the_solver():
+    spec = make_layered_program(
+        base_facts=6, layers=2, predicates_per_layer=2, fanin=2, seed=9
+    )
+    batch = stream_batches(
+        spec, 1, deletions=2, insertions=2, seed=9, duplicates=1, cancellations=1
+    )[0]
+    scheduler = StreamScheduler(
+        spec.program, ConstraintSolver(), options=StreamOptions(max_workers=1)
+    )
+    coalesce = scheduler.apply_batch(batch.requests).stats.coalesce
+    assert coalesce.cancelled >= 1
+    assert coalesce.solver_calls == 0

@@ -20,6 +20,10 @@ The read path is held to the same rule: a ``query`` after a pair runs a
 search for the entries the pair wrote and looks the others up, and a read
 of the law-enforcement mediator calls the sources that changed since the
 last read and no others.
+
+Last, one table holds the absolute work of the deletion algorithms, the
+fixpoint and a coalesced stream batch on small fixed workloads: a count may
+go down, never up, and StDel never rederives.
 """
 
 from __future__ import annotations
@@ -31,11 +35,28 @@ import pytest
 
 from repro.constraints import ConstraintSolver, Variable, equals
 from repro.constraints.intern import intern_stats
-from repro.datalog import Atom
+from repro.datalog import Atom, FixpointEngine, compute_tp_fixpoint
 from repro.datalog.atoms import ConstrainedAtom
-from repro.maintenance import DeletionRequest, InsertionRequest
+from repro.maintenance import (
+    DeletionRequest,
+    ExtendedDRed,
+    InsertionRequest,
+    MaintenanceStats,
+    StraightDelete,
+    delete_with_dred,
+    delete_with_stdel,
+)
 from repro.stream import StreamOptions, StreamScheduler
-from repro.workloads import make_layered_program
+from repro.workloads import (
+    deletion_stream,
+    make_chain_program,
+    make_interval_join_program,
+    make_interval_program,
+    make_layered_program,
+    make_path_graph_edges,
+    make_transitive_closure_program,
+    stream_batches,
+)
 
 X = Variable("X1")
 
@@ -69,6 +90,10 @@ def layered_scheduler(base_facts: int):
 def run_pairs(scheduler: StreamScheduler, values, predicate: str = "base1"):
     """Delete and re-insert each ``predicate(value)``; one count tuple per
     pair."""
+    # Nodes an earlier test left as garbage keep their memos until a
+    # collection frees them, and a memo hit constructs nothing: collect
+    # first so the count does not depend on when the last pass ran.
+    gc.collect()
     costs = []
     for value in values:
         before = scheduler.effective_program
@@ -339,3 +364,201 @@ def test_a_mediated_read_calls_the_sources_that_changed(monkeypatch):
 
     assert scheduler.query("suspect") == cold  # nothing changed in between
     assert counters() == (entered, {**after, "dbase": dbase_after})  # a lookup
+
+
+# ----------------------------------------------------------------------
+# The count table: absolute work on small fixed workloads
+# ----------------------------------------------------------------------
+def tc_spec(length: int):
+    return make_transitive_closure_program(make_path_graph_edges(length))
+
+
+def interval_join_spec():
+    return make_interval_join_program(
+        ground_facts=6, intervals_per_predicate=3, pairs=2, width=40, seed=2
+    )
+
+
+def small_layered_spec():
+    return make_layered_program(
+        base_facts=8, layers=2, predicates_per_layer=2, fanin=2, seed=1
+    )
+
+
+def one_deletion(spec, seed: int, predicate=None) -> dict:
+    """StDel, then DRed, deleting one base fact of *spec* from its view."""
+    solver = ConstraintSolver()
+    view = compute_tp_fixpoint(spec.program, solver)
+    atom = deletion_stream(spec, 1, seed=seed, predicate=predicate)[0].atom
+    return {
+        "stdel": delete_with_stdel(spec.program, view, atom, solver).stats,
+        "dred": delete_with_dred(spec.program, view, atom, solver).stats,
+    }
+
+
+def one_fixpoint(spec) -> dict:
+    engine = FixpointEngine(spec.program, ConstraintSolver())
+    engine.compute()
+    return {"fixpoint": engine.stats}
+
+
+def three_deletions_tc14() -> dict:
+    """Three deletions on tc-14, one at a time and as one ``delete_many``."""
+    spec = tc_spec(14)
+    requests = deletion_stream(spec, 3, seed=4)
+    counts = {}
+    for name, algorithm in (("stdel", StraightDelete), ("dred", ExtendedDRed)):
+        solver = ConstraintSolver()
+        view = FixpointEngine(spec.program, solver).compute()
+        program, sequential = spec.program, MaintenanceStats()
+        for request in requests:
+            step = algorithm(program, solver).delete(view, request)
+            view = step.view
+            if name == "dred":
+                program = step.rewritten_program
+            sequential.merge(step.stats)
+        solver = ConstraintSolver()
+        view = FixpointEngine(spec.program, solver).compute()
+        batched = algorithm(spec.program, solver).delete_many(view, requests)
+        counts[f"{name}_sequential"] = sequential
+        counts[f"{name}_batched"] = batched.stats
+    return counts
+
+
+def mixed_stream_batch() -> dict:
+    """A coalesced batch (a duplicate, an insert-then-delete pair) against
+    the same requests one at a time."""
+    spec = small_layered_spec()
+    batch = stream_batches(
+        spec, 1, deletions=3, insertions=2, seed=3, duplicates=1, cancellations=1
+    )[0]
+    one_at_a_time = StreamScheduler(
+        spec.program, ConstraintSolver(), options=StreamOptions(max_workers=1)
+    )
+    sequential = MaintenanceStats()
+    for request in batch.requests:
+        result = one_at_a_time.apply_batch((request,), coalesce=False)
+        assert result.ok
+        sequential.merge(result.stats.totals())
+    result = StreamScheduler(
+        spec.program, ConstraintSolver(), options=StreamOptions(max_workers=4)
+    ).apply_batch(batch.requests)
+    assert result.ok
+    assert result.stats.coalesce.deduplicated >= 1
+    assert result.stats.coalesce.cancelled >= 1
+    # Copy-on-write stays inside the units' write closures: at most one
+    # clone per shard per pass (one deletion pass, one insertion pass).
+    closure = set().union(*(unit.write_closure for unit in result.stats.units))
+    assert 0 < result.stats.shard_checkouts <= 2 * len(closure)
+    return {"sequential": sequential, "batched": result.stats.totals()}
+
+
+SCENARIOS = {
+    "deletion_layered_small": lambda: one_deletion(small_layered_spec(), seed=1),
+    "deletion_chain_depth2": lambda: one_deletion(
+        make_chain_program(base_facts=6, depth=2), seed=3
+    ),
+    "deletion_interval": lambda: one_deletion(
+        make_interval_program(
+            predicates=2, intervals_per_predicate=3, width=40, seed=2
+        ),
+        seed=2,
+    ),
+    "deletion_interval_join": lambda: one_deletion(
+        interval_join_spec(), seed=2, predicate="iv0"
+    ),
+    "deletion_recursive_tc6": lambda: one_deletion(tc_spec(6), seed=4),
+    "deletion_recursive_tc10": lambda: one_deletion(tc_spec(10), seed=4),
+    "deletion_recursive_tc14": lambda: one_deletion(tc_spec(14), seed=4),
+    "fixpoint_tc": lambda: one_fixpoint(tc_spec(6)),
+    "fixpoint_interval_join": lambda: one_fixpoint(interval_join_spec()),
+    "deletion_batch_tc14": three_deletions_tc14,
+    "stream_mixed_batch": mixed_stream_batch,
+}
+
+#: The most each count may read: the figure measured when the table was
+#: written.  A change that does less work lowers a ceiling in its own diff;
+#: one that does more fails here.
+CEILINGS = {
+    "deletion_layered_small": {
+        "stdel.solver_calls": 49,
+        "dred.derivation_attempts": 7,
+        "dred.solver_calls": 50,
+    },
+    "deletion_chain_depth2": {
+        "stdel.solver_calls": 19,
+        "dred.derivation_attempts": 4,
+        "dred.solver_calls": 20,
+    },
+    "deletion_interval": {
+        "stdel.solver_calls": 18,
+        "dred.derivation_attempts": 4,
+        "dred.solver_calls": 23,
+    },
+    "deletion_interval_join": {
+        "stdel.solver_calls": 41,
+        "dred.derivation_attempts": 2,
+        "dred.solver_calls": 45,
+    },
+    "deletion_recursive_tc6": {
+        "stdel.solver_calls": 28,
+        "dred.derivation_attempts": 12,
+        "dred.solver_calls": 29,
+    },
+    "deletion_recursive_tc10": {
+        "stdel.solver_calls": 66,
+        "dred.derivation_attempts": 35,
+        "dred.solver_calls": 67,
+    },
+    "deletion_recursive_tc14": {
+        "stdel.solver_calls": 120,
+        "dred.derivation_attempts": 51,
+        "dred.solver_calls": 121,
+    },
+    "fixpoint_tc": {"fixpoint.derivation_attempts": 21},
+    "fixpoint_interval_join": {"fixpoint.derivation_attempts": 12},
+    "deletion_batch_tc14": {
+        "stdel_sequential.solver_calls": 259,
+        "stdel_batched.solver_calls": 122,
+        "dred_sequential.derivation_attempts": 68,
+        "dred_sequential.solver_calls": 262,
+        "dred_batched.derivation_attempts": 84,
+        "dred_batched.solver_calls": 125,
+    },
+    "stream_mixed_batch": {
+        "sequential.derivation_attempts": 1,
+        "sequential.solver_calls": 18,
+        "batched.derivation_attempts": 1,
+        "batched.solver_calls": 16,
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_counted_work_stays_at_or_below_its_ceiling(scenario):
+    gc.collect()
+    passes = SCENARIOS[scenario]()
+    counts = {
+        f"{name}.{counter}": getattr(stats, counter)
+        for name, stats in passes.items()
+        for counter in ("derivation_attempts", "solver_calls")
+    }
+    # Section 3's claim, exactly: StDel replaces constraints and removes
+    # entries, and never rederives one.
+    for name in passes:
+        if name.startswith("stdel"):
+            assert counts[f"{name}.derivation_attempts"] == 0, name
+    over = {
+        key: (counts[key], ceiling)
+        for key, ceiling in CEILINGS[scenario].items()
+        if counts[key] > ceiling
+    }
+    assert not over, f"{scenario}: (count, ceiling) {over}"
+    # A batch never costs what its requests cost one at a time.
+    for name in passes:
+        if name.endswith("batched"):
+            batched, sequential = (
+                counts[f"{run}.derivation_attempts"] + counts[f"{run}.solver_calls"]
+                for run in (name, name.replace("batched", "sequential"))
+            )
+            assert batched < sequential, name

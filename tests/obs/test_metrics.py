@@ -95,7 +95,7 @@ class TestRecordMaintenance:
         stats = MaintenanceStats()
         stats.solver_calls = 4
         stats.derivation_attempts = 9
-        stats.bump("stdel_scan_equivalent", 100)  # free-form extra: not mirrored
+        stats.subsumed_rederived = 100  # outside the closed set: not mirrored
         metrics.record_maintenance("stdel", stats)
         assert (
             metrics.counter_value(

@@ -285,3 +285,10 @@ class TestObservabilityBundle:
         assert with_file.file_exporter is not None
         assert with_file.slow_batch_seconds == 0.25
         with_file.close()
+
+    def test_from_env_warns_on_a_malformed_slow_batch_threshold(self):
+        with pytest.warns(RuntimeWarning, match="REPRO_OBS_SLOW_BATCH_MS='250ms'"):
+            obs = Observability.from_env(
+                {"REPRO_OBS": "1", "REPRO_OBS_SLOW_BATCH_MS": "250ms"}
+            )
+        assert obs.slow_batch_seconds == 1.0

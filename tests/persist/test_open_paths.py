@@ -97,6 +97,49 @@ class TestMediatorOpen:
             Mediator.open(tmp_path / "empty")
 
 
+class TestCheckpointsWriteTheChange:
+    def test_a_second_checkpoint_rewrites_only_the_changed_shards(self, tmp_path):
+        # Two towers; the update touches one.  The other tower's shards are
+        # the objects the first checkpoint wrote, so the second one reuses
+        # their files, and a reopen replays the WAL tail after it.
+        from repro.constraints import ConstraintSolver
+        from repro.datalog import parse_program
+        from repro.persist import DurabilityOptions, open_scheduler
+        from repro.stream import StreamScheduler
+
+        program = parse_program(RULES + "\nc(X) <- X = 1.\nctop(X) <- c(X).")
+        manual = DurabilityOptions(checkpoint_wal_bytes=1 << 30)
+        updates = [
+            InsertionRequest(parse_constrained_atom(f"b(X) <- X = {value}"))
+            for value in (7, 8)
+        ]
+        writer = open_scheduler(tmp_path / "data", program, durability_options=manual)
+        stats = writer.durability.stats
+        assert writer.checkpoint() is not None
+        assert (stats.shards_written, stats.shards_reused) == (4, 0)
+        shards = {p: writer.view.shard_for(p) for p in writer.view.predicates()}
+
+        writer.submit(updates[0])
+        assert writer.flush().ok
+        changed = {
+            p for p, shard in shards.items() if writer.view.shard_for(p) is not shard
+        }
+        assert changed == {"b", "top"}
+        assert writer.checkpoint() is not None
+        assert stats.shards_reused >= 1
+        assert stats.shards_written == 4 + len(changed)
+
+        writer.submit(updates[1])  # journaled only: the WAL tail
+        assert writer.flush().ok
+        recovered = open_scheduler(tmp_path / "data", program, durability_options=manual)
+        assert recovered._replayed_batches >= 1
+        recomputed = StreamScheduler(program, ConstraintSolver())
+        for update in updates:
+            assert recomputed.apply_batch([update]).ok
+        assert view_keys(recovered.view) == view_keys(writer.view)
+        assert view_keys(recovered.view) == view_keys(recomputed.view)
+
+
 class TestCliServeDataDir:
     def test_serve_recovers_and_checkpoints_on_exit(self, tmp_path):
         rules_path = tmp_path / "rules.pl"

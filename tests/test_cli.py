@@ -58,6 +58,12 @@ class TestMaterializeAndQuery:
         assert code == 0
         assert "b(99)" in output
 
+    def test_malformed_universe_is_a_usage_error(self, rules_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("query", rules_file, "a", "--universe", "banana:apple")
+        assert exit_info.value.code == 2
+        assert "argument --universe" in capsys.readouterr().err
+
     def test_missing_file(self):
         code, _ = run_cli("materialize", "/nonexistent/rules.pl")
         assert code == 2

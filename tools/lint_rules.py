@@ -236,7 +236,7 @@ OPTION_CLASSES: Tuple[str, ...] = (
 #: The budgets (rule 8).  Raise one only in the change that needs it.
 MAX_OPTION_FIELDS = 30
 MAX_ENV_VARIABLES = 5
-MAX_SOURCE_LINES = 22_286
+MAX_SOURCE_LINES = 22_280
 
 #: Rules scoped to the observability package only.
 OBS_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
