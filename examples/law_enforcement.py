@@ -13,7 +13,9 @@ The script then exercises all three kinds of updates the paper studies:
   from the view, and the derived ``swlndc`` / ``suspect`` facts disappear
   with it -- without recomputing the view;
 * **atom insertion**: a policeman reports having seen a new pair together,
-  which is inserted even though no photograph supports it;
+  which is inserted even though no photograph supports it -- unfolded
+  against the program the deletion rewrote, so the forged pair's
+  consequences stay deleted;
 * **external change**: new surveillance photographs arrive
   (``facextract:segmentface`` now returns more faces); under the ``W_P``
   reading the materialized view needs **no maintenance at all** -- the next
@@ -62,12 +64,12 @@ def main() -> None:
     if suspects:
         framed = suspects[0]
         print(f"External evidence: the photo of {framed!r} with the Don is a forgery.")
-        result = view.delete(
+        stats = view.delete(
             f"seenwith(X, Y) <- X = '{scenario.kingpin}' & Y = '{framed}'",
             algorithm=DeletionAlgorithm.STDEL,
-        )
+        ).stats.totals()
         print(
-            f"  StDel touched {result.stats.replaced_entries} entries "
+            f"  StDel touched {stats.replaced_entries} entries "
             f"(no rederivation step was needed)"
         )
         print(f"  suspects now: {kingpin_suspects(view, scenario.kingpin)}")
@@ -80,7 +82,7 @@ def main() -> None:
     reported = scenario.people[2]
     print(f"A policeman reports seeing {reported!r} with {witness!r}.")
     insertion = view.insert(f"seenwith(X, Y) <- X = '{witness}' & Y = '{reported}'")
-    print(f"  insertion added {len(insertion.added_entries)} entries")
+    print(f"  insertion added {insertion.stats.totals().rederived_entries} entries")
     print(f"  seenwith now contains the reported pair: "
           f"{(witness, reported) in view.query('seenwith')}")
     print()

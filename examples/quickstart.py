@@ -48,16 +48,16 @@ def main() -> None:
 
     # 3. Delete b(X) <- X = 6 with StDel: the affected entries are narrowed
     #    in place by following supports; no rederivation happens.
-    result = view.delete("b(X) <- X = 6", algorithm=DeletionAlgorithm.STDEL)
-    print(f"StDel replaced {result.stats.replaced_entries} entries, "
-          f"removed {result.stats.removed_entries}, "
-          f"P_OUT size {len(result.p_out)}")
+    stats = view.delete("b(X) <- X = 6", algorithm=DeletionAlgorithm.STDEL).stats.totals()
+    print(f"StDel replaced {stats.replaced_entries} entries, "
+          f"removed {stats.removed_entries}, "
+          f"P_OUT size {stats.seed_atoms + stats.unfolded_atoms}")
     show("after deleting b(X) <- X = 6 (note: a keeps 6 via the X >= 3 rule)", view)
 
     # 4. Insert a constrained atom: b gains the interval [0, 2] and the
     #    insertion propagates to a and c through the rules.
-    insertion = view.insert("b(X) <- X >= 0 & X <= 2")
-    print(f"insertion added {len(insertion.added_entries)} view entries")
+    insertion = view.insert("b(X) <- X >= 0 & X <= 2").stats.totals()
+    print(f"insertion added {insertion.rederived_entries} view entries")
     show("after inserting b(X) <- 0 <= X <= 2", view)
 
 

@@ -45,7 +45,7 @@ def main() -> None:
     sequential = MaintenanceStats()
     for request in stream.requests:
         # A batch of one, not coalesced: the per-request path.
-        result = one_at_a_time.apply_batch((request,), coalesce=False)
+        result = one_at_a_time.apply_batch((request,))
         assert result.ok, result.failed_units
         stats = result.stats.totals()
         sequential.merge(stats)

@@ -113,7 +113,7 @@ def _cmd_update(args, stream, kind: str) -> int:
     )
     atom = parse_constrained_atom(args.atom)
     request = DeletionRequest(atom) if kind == "delete" else InsertionRequest(atom)
-    result = scheduler.apply_batch((request,), coalesce=False)
+    result = scheduler.apply_batch((request,))
     if not result.ok:
         raise MaintenanceError(
             f"update failed: {request} ({result.failed_units[0].error})"

@@ -52,7 +52,6 @@ from repro.errors import MaintenanceError
 from repro.maintenance.common import build_del_set, subtract_instances
 from repro.maintenance.declarative import deletion_rewrite
 from repro.maintenance.requests import DeletionRequest, MaintenanceStats
-from repro.obs.metrics import NULL_METRICS
 
 
 @dataclass
@@ -75,17 +74,10 @@ class ExtendedDRed:
         program: ConstrainedDatabase,
         solver: Optional[ConstraintSolver] = None,
         options: EngineOptions = EngineOptions(),
-        metrics=None,
     ) -> None:
         self._program = program
         self._solver = solver or ConstraintSolver()
         self._options = options
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-
-    def _record(self, result: "DRedResult") -> "DRedResult":
-        """Mirror a finished pass's counters into the metrics registry."""
-        self._metrics.record_maintenance("dred", result.stats)
-        return result
 
     def delete(
         self, view: MaterializedView, request: DeletionRequest
@@ -149,9 +141,7 @@ class ExtendedDRed:
                 if self._options.segment_batches
                 else [(request,) for request in requests]
             )
-            return self._record(
-                self._run_segments(view, segments, stats, purge_predicates)
-            )
+            return self._run_segments(view, segments, stats, purge_predicates)
 
         factory = make_fresh_factory(
             self._program, view, tuple(request.atom for request in requests)
@@ -187,9 +177,7 @@ class ExtendedDRed:
         if not del_atoms:
             # Nothing to delete: the view is returned unchanged (but copied,
             # to keep the no-mutation contract).
-            return self._record(
-                DRedResult(view.copy(), (), (), view.copy(), self._program, stats)
-            )
+            return DRedResult(view.copy(), (), (), view.copy(), self._program, stats)
 
         # Step 1: P_OUT -- unfold the deletions upward through the program.
         # Premises come from the pre-batch view: a superset of what any
@@ -265,9 +253,7 @@ class ExtendedDRed:
 
         self._subsume_rederived(result_view, narrowed, stats)
 
-        return self._record(
-            DRedResult(result_view, del_atoms, p_out, overestimate, rewritten, stats)
-        )
+        return DRedResult(result_view, del_atoms, p_out, overestimate, rewritten, stats)
 
     def _is_derivable(self, predicate: str) -> bool:
         """True when some rule clause (non-empty body) derives *predicate*."""

@@ -41,7 +41,6 @@ from repro.datalog.view import MaterializedView, ViewEntry
 from repro.errors import MaintenanceError
 from repro.maintenance.common import negated_atom_constraint
 from repro.maintenance.requests import DeletionRequest, MaintenanceStats
-from repro.obs.metrics import NULL_METRICS
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,10 @@ class StraightDelete:
         program: ConstrainedDatabase,
         solver: Optional[ConstraintSolver] = None,
         options: EngineOptions = EngineOptions(),
-        metrics=None,
     ) -> None:
         self._program = program
         self._solver = solver or ConstraintSolver()
         self._options = options
-        self._metrics = metrics if metrics is not None else NULL_METRICS
 
     def delete(
         self, view: MaterializedView, request: DeletionRequest
@@ -288,7 +285,6 @@ class StraightDelete:
                     removed.append(entry)
             stats.removed_entries = len(removed)
 
-        self._metrics.record_maintenance("stdel", stats)
         return StDelResult(working, tuple(p_out), tuple(replaced), tuple(removed), stats)
 
     # ------------------------------------------------------------------

@@ -40,7 +40,6 @@ from repro.errors import MaintenanceError
 from repro.maintenance.common import external_support
 from repro.maintenance.declarative import build_add_set
 from repro.maintenance.requests import InsertionRequest, MaintenanceStats
-from repro.obs.metrics import NULL_METRICS
 
 
 @dataclass
@@ -61,12 +60,10 @@ class ConstrainedAtomInsertion:
         program: ConstrainedDatabase,
         solver: Optional[ConstraintSolver] = None,
         options: EngineOptions = EngineOptions(),
-        metrics=None,
     ) -> None:
         self._program = program
         self._solver = solver or ConstraintSolver()
         self._options = options
-        self._metrics = metrics if metrics is not None else NULL_METRICS
 
     def insert(
         self, view: MaterializedView, request: InsertionRequest
@@ -128,7 +125,6 @@ class ConstrainedAtomInsertion:
             self._unfold_p_add(working, frontier, factory, added, stats)
         stats.unfolded_atoms = len(added) - stats.seed_atoms
         stats.rederived_entries = len(added)
-        self._metrics.record_maintenance("insert", stats)
         return InsertionResult(working, tuple(all_add_atoms), tuple(added), stats)
 
     def _unfold_p_add(

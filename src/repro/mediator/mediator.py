@@ -7,7 +7,8 @@ exposes the operations the paper studies:
 
 * materialization by unfolding (``T_P`` or ``W_P`` fixpoints),
 * view updates of the first kind (constrained-atom deletion via Extended
-  DRed or StDel, constrained-atom insertion), and
+  DRed or StDel, constrained-atom insertion), each a one-request batch on
+  the view's :class:`~repro.stream.StreamScheduler`, and
 * view maintenance under updates of the second kind (source changes),
   either by re-materialization (``T_P``) or by doing nothing (``W_P``).
 """
@@ -15,7 +16,7 @@ exposes the operations the paper studies:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.analysis import ProgramReport, analyze_program
@@ -28,10 +29,8 @@ from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.domains.base import Domain, DomainRegistry
 from repro.errors import MediatorError
-from repro.maintenance.delete_dred import DRedResult, ExtendedDRed
-from repro.maintenance.delete_stdel import StDelResult, StraightDelete
-from repro.maintenance.insert import ConstrainedAtomInsertion, InsertionResult
 from repro.maintenance.requests import DeletionRequest, InsertionRequest
+from repro.stream import BatchResult, StreamOptions, StreamScheduler
 
 
 class MaterializationOperator(enum.Enum):
@@ -50,11 +49,21 @@ class DeletionAlgorithm(enum.Enum):
 
 @dataclass
 class MediatedView:
-    """A materialized mediated view bound to the mediator that produced it."""
+    """A materialized mediated view bound to the mediator that produced it.
+
+    Updates of the first kind go through one in-memory
+    :class:`~repro.stream.StreamScheduler`, built over this view at its
+    first update: a deletion rewrites the scheduler's program (Section
+    3.1), and a later insertion's ``P_ADD`` unfolds against the rewritten
+    one.
+    """
 
     mediator: "Mediator"
     view: MaterializedView
     operator: MaterializationOperator
+    _scheduler: Optional[StreamScheduler] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.view)
@@ -88,20 +97,52 @@ class MediatedView:
         self,
         atom: Union[str, ConstrainedAtom],
         algorithm: DeletionAlgorithm = DeletionAlgorithm.STDEL,
-    ) -> Union[StDelResult, DRedResult]:
-        """Delete a constrained atom from this view (returns the result).
+    ) -> BatchResult:
+        """Delete a constrained atom from this view (returns the batch result).
 
-        The view object is updated in place to the algorithm's output view.
+        The view object is updated in place to the batch's published view.
+        The first update fixes the view's deletion algorithm: StDel records
+        no deletion rewrite, so a DRed pass after it could rederive what
+        StDel removed, and naming the other algorithm later raises
+        :class:`~repro.errors.MediatorError`.
         """
-        request = self.mediator.parse_update_atom(atom)
-        result = self.mediator.delete_from(self.view, request, algorithm)
-        self.view = result.view
-        return result
+        request = DeletionRequest(self.mediator.parse_update_atom(atom))
+        return self._apply(request, algorithm)
 
-    def insert(self, atom: Union[str, ConstrainedAtom]) -> InsertionResult:
-        """Insert a constrained atom into this view (returns the result)."""
-        request = self.mediator.parse_update_atom(atom)
-        result = self.mediator.insert_into(self.view, request)
+    def insert(self, atom: Union[str, ConstrainedAtom]) -> BatchResult:
+        """Insert a constrained atom into this view (returns the batch result).
+
+        As a first update it fixes the default deletion algorithm, StDel.
+        """
+        request = InsertionRequest(self.mediator.parse_update_atom(atom))
+        return self._apply(request, None)
+
+    def _apply(
+        self,
+        request: Union[DeletionRequest, InsertionRequest],
+        algorithm: Optional[DeletionAlgorithm],
+    ) -> BatchResult:
+        """Apply *request* as a one-request batch on the view's scheduler."""
+        if self._scheduler is None:
+            self._scheduler = StreamScheduler(
+                self.mediator.program,
+                self.mediator.solver,
+                view=self.view,
+                options=StreamOptions(
+                    deletion_algorithm=(algorithm or DeletionAlgorithm.STDEL).value,
+                    max_workers=1,
+                    engine=self.mediator._options,
+                ),
+            )
+        elif algorithm is not None and (
+            algorithm.value != self._scheduler.options.deletion_algorithm
+        ):
+            raise MediatorError(
+                "this view is maintained with "
+                f"{self._scheduler.options.deletion_algorithm}; refresh() it "
+                f"before deleting with {algorithm.value}"
+            )
+        result = self._scheduler.apply_batch((request,))
         self.view = result.view
         return result
 
@@ -110,10 +151,12 @@ class MediatedView:
         """Re-materialize (only meaningful for ``T_P`` views).
 
         Under ``W_P`` this is unnecessary by Theorem 4; the method still
-        recomputes and returns a fresh view for comparison purposes.
+        recomputes and returns a fresh view for comparison purposes.  The
+        updates applied so far are dropped with the view's scheduler.
         """
         refreshed = self.mediator.materialize(self.operator)
         self.view = refreshed.view
+        self._scheduler = None
         return self
 
 
@@ -182,7 +225,6 @@ class Mediator:
         from repro.persist import open_scheduler
         from repro.persist.manager import DurabilityOptions
         from repro.persist.snapshot import SnapshotStore
-        from repro.stream import StreamOptions
 
         program = parse_program(rules) if rules is not None else None
         if program is None:
@@ -278,31 +320,6 @@ class Mediator:
             return parse_constrained_atom(atom)
         raise MediatorError(f"cannot interpret update atom: {atom!r}")
 
-    def delete_from(
-        self,
-        view: MaterializedView,
-        atom: ConstrainedAtom,
-        algorithm: DeletionAlgorithm = DeletionAlgorithm.STDEL,
-    ) -> Union[StDelResult, DRedResult]:
-        """Run the chosen deletion algorithm against *view*."""
-        if algorithm is DeletionAlgorithm.STDEL:
-            return StraightDelete(self._program, self._solver, self._options).delete(
-                view, DeletionRequest(atom)
-            )
-        if algorithm is DeletionAlgorithm.DRED:
-            return ExtendedDRed(self._program, self._solver, self._options).delete(
-                view, DeletionRequest(atom)
-            )
-        raise MediatorError(f"unknown deletion algorithm: {algorithm!r}")
-
-    def insert_into(
-        self, view: MaterializedView, atom: ConstrainedAtom
-    ) -> InsertionResult:
-        """Run the insertion algorithm against *view*."""
-        return ConstrainedAtomInsertion(
-            self._program, self._solver, self._options
-        ).insert(view, InsertionRequest(atom))
-
     # ------------------------------------------------------------------
     # Streaming & serving
     # ------------------------------------------------------------------
@@ -312,14 +329,14 @@ class Mediator:
         The scheduler shares the mediator's solver (and therefore its
         domain registry and memo discipline); *view* defaults to a fresh
         ``T_P`` materialization.  Batched updates submitted to the
-        scheduler's log maintain the same view the mediator would.
+        scheduler's log maintain the same view the mediator would.  Without
+        *options* the scheduler runs with the mediator's engine options,
+        the ones :meth:`materialize` uses.
 
         A mediator built by :meth:`open` hands out its recovered durable
         scheduler instead (options/view arguments then must be left unset:
         both were decided by recovery).
         """
-        from repro.stream import StreamOptions, StreamScheduler
-
         if self._durable_scheduler is not None:
             if options is not None or view is not None:
                 raise MediatorError(
@@ -331,7 +348,9 @@ class Mediator:
             self._program,
             self._solver,
             view=view,
-            options=options if options is not None else StreamOptions(),
+            options=(
+                options if options is not None else StreamOptions(engine=self._options)
+            ),
         )
 
     def serve(

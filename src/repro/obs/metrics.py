@@ -1,8 +1,9 @@
 """A thread-safe metrics registry: counters, gauges, bounded histograms.
 
 One :class:`Metrics` handle is injected through the stream scheduler, the
-serving layer, the durability manager and the maintenance algorithms; it
-absorbs the per-subsystem counters those layers used to keep in scattered
+serving layer and the durability manager (the scheduler mirrors each
+maintenance pass's counters; the algorithms know no registry); it absorbs
+the per-subsystem counters those layers used to keep in scattered
 dataclasses behind a single queryable surface.  Two renderings exist:
 ``as_dict()`` for the JSON-lines wire protocol and benchmark snapshots, and
 ``render_prometheus()`` for scrape-style text exposition.
@@ -156,9 +157,9 @@ class Metrics:
         """Mirror one maintenance pass's counters, labelled by algorithm.
 
         *stats* is a :class:`~repro.maintenance.requests.MaintenanceStats`;
-        only the closed :data:`MAINTENANCE_COUNTERS` set is mirrored, so the
-        registry's cardinality stays bounded no matter what free-form extras
-        a pass records.
+        the stream scheduler calls this once per pass it runs.  Only the
+        closed :data:`MAINTENANCE_COUNTERS` set is mirrored, so the
+        registry's cardinality stays bounded.
         """
         for counter in MAINTENANCE_COUNTERS:
             value = getattr(stats, counter, 0)

@@ -77,6 +77,12 @@ class ServeOptions:
             raise MediatorError(
                 f"error_history must be positive (got {self.error_history})"
             )
+        if self.max_batch is not None and self.max_batch < 1:
+            # A drain of at most 0 transactions never drains: the writer
+            # would stall with the submitted updates pending forever.
+            raise MediatorError(
+                f"max_batch must be positive or None (got {self.max_batch})"
+            )
 
 
 @dataclass(frozen=True)

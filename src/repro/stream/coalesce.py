@@ -40,6 +40,7 @@ from repro.constraints.solver import ConstraintSolver
 from repro.constraints.ast import conjoin
 from repro.constraints.terms import FreshVariableFactory
 from repro.datalog.atoms import ConstrainedAtom
+from repro.errors import MaintenanceError
 from repro.maintenance.common import negated_atom_constraint
 from repro.maintenance.requests import DeletionRequest, InsertionRequest
 from repro.stream.log import ExternalChangeNotice, StreamPayload, Transaction
@@ -166,7 +167,7 @@ class Coalescer:
                 report.notices += 1
                 notices.append(payload)
             else:
-                raise TypeError(f"not a stream payload: {payload!r}")
+                raise MaintenanceError(f"unknown update request: {payload!r}")
 
         kept_deletions = self._dedupe(
             deletions, opposite=insertions, report=report

@@ -19,6 +19,16 @@ batches to it with the batch entry points of the maintenance algorithms:
   on.  A tracked source's own version already does this; the notice covers
   sources mutated behind the domain layer's back.
 
+**A batch is its net effect.**  Every batch is coalesced first
+(:mod:`repro.stream.coalesce`): the cancel/narrow pass is what makes
+deletions-first-then-insertions reproduce the interleaved stream, and a
+batch of one request is applied as it is.  This is the one write path for
+updates of the first kind -- the CLI's ``delete`` / ``insert``, a
+:class:`~repro.mediator.MediatedView`'s updates, the serve layer and WAL
+replay all apply batches here -- and the one place each maintenance pass's
+counters are mirrored into the metrics registry (the algorithms know no
+registry).
+
 Independent strata (disjoint upward closures, see
 :mod:`repro.stream.strata`) are applied as separate units -- concurrently
 on a ``ThreadPoolExecutor`` when ``max_workers > 1`` -- and each unit is
@@ -65,7 +75,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import ProgramReport, analyze_program
 from repro.constraints.solver import ConstraintSolver
@@ -79,15 +89,11 @@ from repro.maintenance.declarative import deletion_rewrite, insertion_rewrite
 from repro.maintenance.delete_dred import ExtendedDRed
 from repro.maintenance.delete_stdel import StraightDelete
 from repro.maintenance.insert import ConstrainedAtomInsertion
-from repro.maintenance.requests import (
-    DeletionRequest,
-    InsertionRequest,
-    MaintenanceStats,
-)
+from repro.maintenance.requests import MaintenanceStats
 from repro.obs import Observability
 from repro.obs.trace import NULL_TRACE, Span, Trace
 from repro.stream.coalesce import CoalescedBatch, CoalesceReport, Coalescer
-from repro.stream.log import ExternalChangeNotice, StreamPayload, Transaction, UpdateLog
+from repro.stream.log import StreamPayload, Transaction, UpdateLog
 from repro.stream.strata import (
     PredicateStrata,
     StratumUnit,
@@ -184,8 +190,6 @@ class StreamOptions:
     #: deletion rewrites are irrelevant to it -- the documented advantage);
     #: DRed runs against the threaded rewritten program it requires.
     deletion_algorithm: str = "stdel"
-    #: Compute the net effect of a batch before applying it.
-    coalesce: bool = True
     #: Threads for independent strata (1 = apply units sequentially; the
     #: default honours ``REPRO_STREAM_MAX_WORKERS`` so CI can force the
     #: parallel path across the whole stream suite).
@@ -199,10 +203,6 @@ class StreamOptions:
     concurrent_batches: bool = True
     #: The one engine configuration every maintenance pass runs with.
     engine: EngineOptions = EngineOptions()
-    #: Observability hook, called with each finished :class:`UnitReport`
-    #: *before* the batch publishes (tests use it to observe snapshot
-    #: isolation; operators can stream progress from it).
-    on_unit_complete: Optional[Callable[["UnitReport"], None]] = None
 
 
 @dataclass
@@ -328,9 +328,8 @@ class PreparedBatch:
     """
 
     coalesced: CoalescedBatch
-    #: ``(phase, units)`` pairs, in application order (one pair when the
-    #: batch was coalesced; one per same-kind run otherwise).
-    phases: Tuple[Tuple[CoalescedBatch, Tuple[StratumUnit, ...]], ...]
+    #: The net effect's stratum units, in application order.
+    units: Tuple[StratumUnit, ...]
     #: The batch's stats object; prepare fills the coalesce counters, apply
     #: fills the rest (shared by reference with the scheduler's history).
     stats: StreamStats
@@ -563,14 +562,10 @@ class StreamScheduler:
         """Drain the log and apply the pending transactions as one batch."""
         return self.apply_batch(self.drain())
 
-    def apply_batch(
-        self,
-        payloads: Sequence[StreamPayload],
-        coalesce: Optional[bool] = None,
-    ) -> BatchResult:
+    def apply_batch(self, payloads: Sequence[StreamPayload]) -> BatchResult:
         """Apply one ordered batch of requests / notices.
 
-        The batch is coalesced (unless disabled), partitioned into
+        The batch is coalesced to its net effect, partitioned into
         independent stratum units, applied -- deletions first, then
         insertions, matching the net-effect construction of the coalescer --
         and published atomically at the end.  Equivalent to
@@ -578,13 +573,9 @@ class StreamScheduler:
         :meth:`apply_prepared`; callers that want the two stages pipelined
         (the serve layer's writer) call them separately.
         """
-        return self.apply_prepared(self.prepare_batch(payloads, coalesce))
+        return self.apply_prepared(self.prepare_batch(payloads))
 
-    def prepare_batch(
-        self,
-        payloads: Sequence[StreamPayload],
-        coalesce: Optional[bool] = None,
-    ) -> PreparedBatch:
+    def prepare_batch(self, payloads: Sequence[StreamPayload]) -> PreparedBatch:
         """Stage 1: coalesce, partition, and claim admission for one batch.
 
         Runs under the coalesce lock only -- preparing the next batch never
@@ -600,44 +591,26 @@ class StreamScheduler:
             stats.queue_seconds = start - queued
             trace = self._trace_for_payloads(payloads)
             prepare_span = trace.span("prepare")
-            effective_coalesce = (
-                self._options.coalesce if coalesce is None else coalesce
-            )
-            if effective_coalesce:
-                coalesce_span = trace.span("coalesce", parent=prepare_span)
-                coalesced = self._coalescer.coalesce(payloads)
-                coalesce_span.set(
-                    raw_ops=coalesced.report.submitted,
-                    coalesced_ops=len(coalesced),
-                ).finish()
-                stats.coalesce = coalesced.report
-                stats.submitted = coalesced.report.submitted
-                # One phase: the coalescer's cancel/narrow pass is exactly
-                # what makes deletions-first-then-insertions reproduce the
-                # interleaved stream's net effect.
-                raw_phases = [coalesced]
-            else:
-                # Without coalescing there is no cancel/narrow pass, so the
-                # stream order must be preserved: consecutive same-kind runs
-                # become phases, applied in order.
-                coalesced, raw_phases = self._raw_batch(payloads)
-                stats.submitted = len(coalesced)
+            coalesce_span = trace.span("coalesce", parent=prepare_span)
+            coalesced = self._coalescer.coalesce(payloads)
+            coalesce_span.set(
+                raw_ops=coalesced.report.submitted,
+                coalesced_ops=len(coalesced),
+            ).finish()
+            stats.coalesce = coalesced.report
+            stats.submitted = coalesced.report.submitted
             stats.applied = len(coalesced)
             stats.external_notices = len(coalesced.notices)
-            phases = tuple(
-                (phase, self._strata.partition(phase.deletions, phase.insertions))
-                for phase in raw_phases
-            )
+            units = self._strata.partition(coalesced.deletions, coalesced.insertions)
             # Register the claim before releasing the coalesce lock: ticket
             # order is then exactly prepare order, so conflicting batches
             # are admitted in the order their net effects were computed --
             # the stream's total order wherever it can matter.
-            group_ids = self._closure_group_ids(phases)
+            group_ids = self._closure_group_ids(units)
             ticket = self._register_claim(group_ids)
             prepare_seconds = time.perf_counter() - start
             prepare_span.set(
-                units=sum(len(units) for _, units in phases),
-                groups=_describe_groups(group_ids),
+                units=len(units), groups=_describe_groups(group_ids)
             ).finish()
             metrics = self._obs.metrics
             if metrics.enabled:
@@ -645,7 +618,7 @@ class StreamScheduler:
                 metrics.observe("repro_prepare_seconds", prepare_seconds)
             return PreparedBatch(
                 coalesced=coalesced,
-                phases=phases,
+                units=units,
                 stats=stats,
                 group_ids=group_ids,
                 ticket=ticket,
@@ -698,33 +671,27 @@ class StreamScheduler:
                 base = self._published
                 started: Programs = (self._effective_program, self._deletion_program)
 
-            working = base
+            units = prepared.units
+            outcomes = self._run_units(base, units, started, trace, apply_span)
+            # Publish: each successful unit rewrote copy-on-write clones of
+            # exactly its disjoint write closure's shards, so the next view
+            # adopts those shard pointers; every other predicate keeps the
+            # base's shards untouched.
+            working = self._publish(base, units, outcomes)
+
             # The batch's programs: every applied unit's edits, in unit
             # order (edits of disjoint closure groups touch disjoint clause
             # sets, so they commute with concurrently-committed batches').
             programs = started
             edits: List[Tuple[str, Tuple]] = []
             written: Set[str] = set()
-            for phase, units in prepared.phases:
-                # The next phase's insertion passes must see this phase's
-                # deletion rewrites.
-                outcomes = self._run_units(
-                    working, units, programs, trace, apply_span
-                )
-
-                # Publish: each successful unit rewrote copy-on-write clones
-                # of exactly its disjoint write closure's shards, so the
-                # next view adopts those shard pointers; every other
-                # predicate keeps the phase base's shards untouched.
-                working = self._publish(working, units, outcomes)
-
-                for unit, (_, report, unit_edits) in zip(units, outcomes):
-                    stats.units.append(report)
-                    if report.status != "applied":
-                        continue
-                    written.update(unit.write_closure)
-                    programs = unit_edits.onto(programs)
-                    edits.extend(unit_edits.edits)
+            for unit, (_, report, unit_edits) in zip(units, outcomes):
+                stats.units.append(report)
+                if report.status != "applied":
+                    continue
+                written.update(unit.write_closure)
+                programs = unit_edits.onto(programs)
+                edits.extend(unit_edits.edits)
 
             apply_span.set(
                 units=len(stats.units),
@@ -849,8 +816,7 @@ class StreamScheduler:
         return self._solver
 
     def _closure_group_ids(
-        self,
-        phases: Tuple[Tuple[CoalescedBatch, Tuple[StratumUnit, ...]], ...],
+        self, units: Sequence[StratumUnit]
     ) -> Optional[FrozenSet[int]]:
         """The closure groups a prepared batch writes; ``None`` = exclusive.
 
@@ -866,13 +832,12 @@ class StreamScheduler:
         if groups is None:
             return None
         ids: Set[int] = set()
-        for _, units in phases:
-            for unit in units:
-                for predicate in unit.write_closure:
-                    group = groups.get(predicate)
-                    if group is None:
-                        return None
-                    ids.add(group)
+        for unit in units:
+            for predicate in unit.write_closure:
+                group = groups.get(predicate)
+                if group is None:
+                    return None
+                ids.add(group)
         return frozenset(ids)
 
     @staticmethod
@@ -976,44 +941,6 @@ class StreamScheduler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _raw_batch(
-        payloads: Sequence[StreamPayload],
-    ) -> Tuple[CoalescedBatch, List[CoalescedBatch]]:
-        """Wrap a batch without computing its net effect: ``(batch, phases)``.
-
-        Without the coalescer's cancel/narrow pass, applying all deletions
-        before all insertions would silently change the meaning of an
-        insert-then-delete sequence; replaying the stream as *phases* --
-        its consecutive same-kind runs, deletion-only or insertion-only --
-        preserves it exactly.
-        """
-        notices: List[ExternalChangeNotice] = []
-        runs: List[list] = []
-        for payload in payloads:
-            if isinstance(payload, Transaction):
-                payload = payload.payload
-            if isinstance(payload, ExternalChangeNotice):
-                notices.append(payload)
-            elif not isinstance(payload, (DeletionRequest, InsertionRequest)):
-                raise MaintenanceError(f"unknown update request: {payload!r}")
-            elif runs and type(runs[-1][0]) is type(payload):
-                runs[-1].append(payload)
-            else:
-                runs.append([payload])
-        phases = [
-            CoalescedBatch(tuple(run), (), ())
-            if isinstance(run[0], DeletionRequest)
-            else CoalescedBatch((), tuple(run), ())
-            for run in runs
-        ]
-        batch = CoalescedBatch(
-            tuple(request for phase in phases for request in phase.deletions),
-            tuple(request for phase in phases for request in phase.insertions),
-            tuple(notices),
-        )
-        return batch, phases
-
     def _run_units(
         self,
         base: MaterializedView,
@@ -1032,7 +959,7 @@ class StreamScheduler:
         local pair -- never the scheduler's shared attributes, which a
         concurrent disjoint-group commit may be replacing.  Sequential
         units hand view and programs on to the next; parallel units all
-        start from the phase's.
+        start from the batch's.
         """
         workers = min(self._options.max_workers, len(units))
         if workers > 1:
@@ -1172,8 +1099,6 @@ class StreamScheduler:
             derivation_attempts=stats.derivation_attempts,
             shard_checkouts=report.shard_checkouts,
         ).finish()
-        if self._options.on_unit_complete is not None:
-            self._options.on_unit_complete(report)
         return (view, report, program_edits)
 
     def _apply_unit(
@@ -1189,6 +1114,7 @@ class StreamScheduler:
         take the result over (see :class:`_ProgramEdits`).
         """
         stats = MaintenanceStats()
+        metrics = self._obs.metrics
         current = base
         edits: List[Tuple[str, Tuple]] = []
         after = programs
@@ -1198,23 +1124,19 @@ class StreamScheduler:
             # this unit's propagation can touch need the final solvability
             # check.
             purge = tuple(sorted(unit.write_closure))
-            if self._options.deletion_algorithm == "stdel":
+            algorithm = self._options.deletion_algorithm
+            if algorithm == "stdel":
                 del_result = StraightDelete(
-                    self._program,
-                    self._solver,
-                    self._options.engine,
-                    metrics=self._obs.metrics,
+                    self._program, self._solver, self._options.engine
                 ).delete_many(current, unit.deletions, purge_predicates=purge)
             else:
                 del_result = ExtendedDRed(
-                    programs[1],
-                    self._solver,
-                    self._options.engine,
-                    metrics=self._obs.metrics,
+                    programs[1], self._solver, self._options.engine
                 ).delete_many(current, unit.deletions, purge_predicates=purge)
                 if del_result.del_atoms:
                     # StDel needs no threaded rewrite for its own deletions.
                     edits.append(("deletion", tuple(del_result.del_atoms)))
+            metrics.record_maintenance(algorithm, del_result.stats)
             current = del_result.view
             stats.merge(del_result.stats)
             edits.append(
@@ -1230,11 +1152,9 @@ class StreamScheduler:
             # deletions rewrite clauses outside this unit's closure and
             # cannot affect its unfolding.
             ins_result = ConstrainedAtomInsertion(
-                after[0],
-                self._solver,
-                self._options.engine,
-                metrics=self._obs.metrics,
+                after[0], self._solver, self._options.engine
             ).insert_many(current, unit.insertions)
+            metrics.record_maintenance("insert", ins_result.stats)
             current = ins_result.view
             stats.merge(ins_result.stats)
             if ins_result.add_atoms:

@@ -301,7 +301,9 @@ def searched_after_a_pair(base_facts: int):
     solver = scheduler.solver
     answer = scheduler.query(TOP)
     assert solver.instance_memo_misses == len(answer) == len(scheduler.view.entries_for(TOP))
-    before = {id(entry) for entry in scheduler.view}
+    # Held, so no entry the pair writes can reuse a replaced entry's id.
+    pinned = list(scheduler.view)
+    before = {id(entry) for entry in pinned}
     run_pairs(scheduler, [3])
     written = sum(id(entry) not in before for entry in scheduler.view)
     misses = solver.instance_memo_misses
@@ -437,7 +439,7 @@ def mixed_stream_batch() -> dict:
     )
     sequential = MaintenanceStats()
     for request in batch.requests:
-        result = one_at_a_time.apply_batch((request,), coalesce=False)
+        result = one_at_a_time.apply_batch((request,))
         assert result.ok
         sequential.merge(result.stats.totals())
     result = StreamScheduler(

@@ -101,7 +101,7 @@ class HistoryMachine(RuleBasedStateMachine):
         self.checked = True
 
     def teardown(self) -> None:
-        self.flush(coalesce=True)
+        self.flush(True)
         self.theorems_hold()
 
     # ------------------------------------------------------------------
@@ -170,7 +170,7 @@ class HistoryMachine(RuleBasedStateMachine):
         self.pending = []
         for scheduler in self.tracks.values():
             for batch in batches:
-                assert scheduler.apply_batch(batch, coalesce=coalesce).ok
+                assert scheduler.apply_batch(batch).ok
         self.checked = False
 
     # ------------------------------------------------------------------

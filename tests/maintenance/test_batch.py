@@ -1,8 +1,9 @@
-"""Per-request application of update streams: batches of one, not coalesced.
+"""Per-request application of update streams: batches of one.
 
-The stream scheduler's uncoalesced path is the per-request reference the
-batched path is compared against (these tests drove it through the
-``ViewMaintainer`` façade before that class was folded into the scheduler).
+The stream scheduler applying one request per batch is the per-request
+reference the batched path is compared against (these tests drove it
+through the ``ViewMaintainer`` façade before that class was folded into the
+scheduler).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def per_request_scheduler(program, solver, view=None, deletion_algorithm="stdel"
         solver,
         view=view,
         options=StreamOptions(
-            deletion_algorithm=deletion_algorithm, coalesce=False, max_workers=1
+            deletion_algorithm=deletion_algorithm, max_workers=1
         ),
     )
 

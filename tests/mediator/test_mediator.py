@@ -5,10 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.constraints import SolverOptions
-from repro.datalog import parse_constrained_atom
+from repro.datalog import EngineOptions, parse_constrained_atom, parse_program
 from repro.domains import Domain
 from repro.errors import MediatorError, ParseError
-from repro.maintenance import DRedResult, StDelResult
 from repro.mediator import (
     DeletionAlgorithm,
     MaterializationOperator,
@@ -60,13 +59,15 @@ class TestViewUpdates:
     def test_delete_with_default_algorithm(self, mediator):
         view = mediator.materialize()
         result = view.delete("b(X) <- X = 6")
-        assert isinstance(result, StDelResult)
+        assert result.ok
+        assert result.stats.totals().derivation_attempts == 0  # StDel
+        assert result.view is view.view
         assert (6,) not in view.query("b", universe=UNIVERSE)
 
     def test_delete_with_dred(self, mediator):
         view = mediator.materialize()
         result = view.delete("b(X) <- X = 6", algorithm=DeletionAlgorithm.DRED)
-        assert isinstance(result, DRedResult)
+        assert result.ok
         assert (6,) not in view.query("b", universe=UNIVERSE)
 
     def test_delete_accepts_constructed_atom(self, mediator):
@@ -77,8 +78,30 @@ class TestViewUpdates:
     def test_insert(self, mediator):
         view = mediator.materialize()
         result = view.insert("b(X) <- X = 1")
-        assert len(result.added_entries) == 3
+        totals = result.stats.totals()
+        assert totals.rederived_entries == 3
+        assert totals.seed_atoms + totals.unfolded_atoms == 3  # |P_ADD|
         assert (1,) in view.query("c", universe=UNIVERSE)
+
+    @pytest.mark.parametrize("algorithm", list(DeletionAlgorithm))
+    def test_an_insertion_unfolds_against_the_rewritten_program(self, algorithm):
+        # A deletion rewrites the program (Section 3.1): ``a``'s clause no
+        # longer derives 5, so a later ``b`` insertion must not bring it back.
+        view = Mediator.from_rules("b(X) <- X = 1.\na(X) <- b(X).").materialize()
+        view.delete("a(X) <- X = 5", algorithm=algorithm)
+        view.insert("b(X) <- X >= 4 & X <= 6")
+        assert view.query("a", universe=range(10)) == {(1,), (4,), (6,)}
+        assert view.query("b", universe=range(10)) == {(1,), (4,), (5,), (6,)}
+
+    def test_a_view_keeps_the_deletion_algorithm_it_started_with(self, mediator):
+        view = mediator.materialize()
+        view.delete("b(X) <- X = 6")
+        with pytest.raises(MediatorError, match="stdel"):
+            view.delete("b(X) <- X = 7", algorithm=DeletionAlgorithm.DRED)
+        assert (7,) in view.query("b", universe=UNIVERSE)
+        view.refresh()
+        assert view.delete("b(X) <- X = 7", algorithm=DeletionAlgorithm.DRED).ok
+        assert (7,) not in view.query("b", universe=UNIVERSE)
 
     def test_invalid_update_atom(self, mediator):
         view = mediator.materialize()
@@ -101,6 +124,12 @@ class TestMediatorWithDomains:
         mediator = Mediator.from_rules("item(X) <- in(X, wh:stock()).", domains=[warehouse])
         view = mediator.materialize()
         assert view.query("item") == {("apple",), ("pear",)}
+
+    def test_streaming_runs_with_the_mediators_engine_options(self):
+        mediator = Mediator(
+            parse_program(RULES), options=EngineOptions(range_postings=False)
+        )
+        assert mediator.streaming().options.engine.range_postings is False
 
     def test_solver_options_passed_through(self):
         mediator = Mediator.from_rules(

@@ -4,9 +4,21 @@ from __future__ import annotations
 
 import threading
 
-from repro.maintenance import MaintenanceStats
-from repro.obs import NULL_METRICS, Metrics
+import pytest
+
+from repro.constraints import ConstraintSolver
+from repro.datalog import parse_constrained_atom, parse_program
+from repro.maintenance import DeletionRequest, InsertionRequest, MaintenanceStats
+from repro.obs import NULL_METRICS, Metrics, Observability
 from repro.obs.metrics import MAINTENANCE_COUNTERS, NullMetrics
+from repro.stream import StreamOptions, StreamScheduler
+
+RULES = """
+a(X) <- X >= 3.
+a(X) <- b(X).
+b(X) <- X >= 5.
+c(X) <- a(X).
+"""
 
 
 class TestCounters:
@@ -124,6 +136,36 @@ class TestRecordMaintenance:
         stats = MaintenanceStats()
         for counter in MAINTENANCE_COUNTERS:
             assert hasattr(stats, counter), counter
+
+
+class TestSchedulerMirrorsEachPass:
+    @pytest.mark.parametrize(
+        "algorithm, request_",
+        [
+            ("stdel", DeletionRequest(parse_constrained_atom("b(X) <- X = 6"))),
+            ("dred", DeletionRequest(parse_constrained_atom("b(X) <- X = 6"))),
+            ("insert", InsertionRequest(parse_constrained_atom("b(X) <- X = 1"))),
+        ],
+    )
+    def test_a_batch_moves_its_algorithms_counters_by_its_totals(
+        self, algorithm, request_
+    ):
+        obs = Observability.enabled_with()
+        scheduler = StreamScheduler(
+            parse_program(RULES),
+            ConstraintSolver(),
+            options=StreamOptions(
+                deletion_algorithm="dred" if algorithm == "dred" else "stdel",
+                max_workers=1,
+            ),
+            obs=obs,
+        )
+        totals = scheduler.apply_batch((request_,)).stats.totals()
+        assert totals.solver_calls + totals.derivation_attempts > 0
+        for counter in ("solver_calls", "derivation_attempts"):
+            assert obs.metrics.counter_value(
+                f"repro_maintenance_{counter}_total", algorithm=algorithm
+            ) == getattr(totals, counter)
 
 
 class TestNullMetrics:

@@ -229,6 +229,14 @@ class TestBackpressure:
         with pytest.raises(MediatorError, match="backpressure_low"):
             ServeOptions(backpressure_high=1, backpressure_low=2)
 
+    @pytest.mark.parametrize("max_batch", [0, -1])
+    def test_rejects_a_batch_limit_that_drains_nothing(self, max_batch):
+        # A writer draining at most 0 transactions never applies a submitted
+        # update, and stop() waits for it forever.
+        with pytest.raises(MediatorError, match="max_batch"):
+            ServeOptions(max_batch=max_batch)
+        assert ServeOptions(max_batch=None).max_batch is None
+
 
 class TestSnapshotLeases:
     def test_lease_pins_view_and_program_across_updates(self):

@@ -103,7 +103,7 @@ class TestBatchedApplication:
         one_at_a_time = StreamScheduler(spec.program, solver, view=initial.copy())
         sequential_cost = 0
         for request in batch.requests:
-            stats = one_at_a_time.apply_batch((request,), coalesce=False).stats
+            stats = one_at_a_time.apply_batch((request,)).stats
             sequential_cost += stats.derivation_attempts + stats.solver_calls
         scheduler = StreamScheduler(
             spec.program, ConstraintSolver(), view=initial.copy()
@@ -252,18 +252,16 @@ class TestStreamOrderSemantics:
             deletion("f(X) <- X = 1"),
             insertion("f(X) <- X = 1"),
         ):
-            assert scheduler.apply_batch((request,), coalesce=False).ok
+            assert scheduler.apply_batch((request,)).ok
         assert scheduler.query("t", UNIVERSE) == frozenset()
         assert scheduler.verify(UNIVERSE)
 
     def test_uncoalesced_batch_preserves_insert_then_delete_order(self):
-        # Regression: with coalescing off there is no cancel/narrow pass,
-        # so the scheduler must NOT reorder deletions ahead of insertions;
-        # the stream is replayed as consecutive same-kind phases instead.
+        # Regression: deletions are applied ahead of insertions, so an
+        # insert-then-delete pair must cancel in the batch's net effect
+        # rather than leave the inserted fact behind.
         program = parse_program(TWO_TOWER_RULES)
-        scheduler = StreamScheduler(
-            program, ConstraintSolver(), options=StreamOptions(coalesce=False)
-        )
+        scheduler = StreamScheduler(program, ConstraintSolver())
         result = scheduler.apply_batch(
             [insertion("left(X) <- X = 30"), deletion("left(X) <- X = 30")]
         )
@@ -273,9 +271,7 @@ class TestStreamOrderSemantics:
 
     def test_uncoalesced_batch_preserves_delete_then_insert_order(self):
         program = parse_program(TWO_TOWER_RULES)
-        scheduler = StreamScheduler(
-            program, ConstraintSolver(), options=StreamOptions(coalesce=False)
-        )
+        scheduler = StreamScheduler(program, ConstraintSolver())
         scheduler.apply_batch(
             [deletion("left(X) <- X = 1"), insertion("left(X) <- X = 1")]
         )
@@ -284,25 +280,24 @@ class TestStreamOrderSemantics:
 
 
 class TestSnapshotIsolation:
-    def test_mid_batch_reads_see_the_pre_batch_view(self):
+    def test_mid_batch_reads_see_the_pre_batch_view(self, monkeypatch):
         program = parse_program(TWO_TOWER_RULES)
         observed = []
+        apply_unit = StreamScheduler._apply_unit_with_retry
 
-        scheduler = StreamScheduler(
-            program,
-            ConstraintSolver(),
-            options=StreamOptions(
-                on_unit_complete=lambda report: observed.append(
-                    scheduler.query("left", UNIVERSE)
-                )
-            ),
-        )
+        def observing(self, *args):
+            outcome = apply_unit(self, *args)
+            observed.append(self.query("left", UNIVERSE))
+            return outcome
+
+        monkeypatch.setattr(StreamScheduler, "_apply_unit_with_retry", observing)
+        scheduler = StreamScheduler(program, ConstraintSolver())
         before = scheduler.query("left", UNIVERSE)
         scheduler.apply_batch(
             [deletion("left(X) <- X = 1"), deletion("right(X) <- X = 11")]
         )
-        # Both unit-completion callbacks ran before publication: every
-        # mid-batch read must still see the full pre-batch instance set.
+        # Both units finished before publication: every mid-batch read must
+        # still see the full pre-batch instance set.
         assert observed == [before, before]
         assert scheduler.query("left", UNIVERSE) == {(2,)}
 
@@ -433,12 +428,9 @@ class TestLogIntegration:
 class TestViewMaintainerRebase:
     def test_apply_batched_routes_through_the_scheduler(self):
         spec = make_layered_program(base_facts=5, layers=2, seed=8)
-        scheduler = StreamScheduler(
-            spec.program, ConstraintSolver(), options=StreamOptions(coalesce=False)
-        )
+        scheduler = StreamScheduler(spec.program, ConstraintSolver())
         batch = stream_batches(spec, 1, deletions=2, insertions=2, seed=3)[0]
-        # The per-call argument wins over the scheduler's option.
-        result = scheduler.apply_batch(batch.requests, coalesce=True)
+        result = scheduler.apply_batch(batch.requests)
         assert result.ok
         assert result.stats.coalesce.submitted == len(batch.requests)
         assert scheduler.verify()

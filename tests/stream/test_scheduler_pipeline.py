@@ -245,18 +245,18 @@ class TestConcurrentDisjointBatches:
 
 
 class TestSnapshotState:
-    def test_snapshot_state_returns_a_consistent_pair(self):
+    def test_snapshot_state_returns_a_consistent_pair(self, monkeypatch):
         observed = []
+        apply_unit = StreamScheduler._apply_unit_with_retry
+
+        def observing(self, *args):
+            outcome = apply_unit(self, *args)
+            observed.append(self.snapshot_state())
+            return outcome
+
+        monkeypatch.setattr(StreamScheduler, "_apply_unit_with_retry", observing)
         program = parse_program(TWO_TOWER_RULES)
-        scheduler = StreamScheduler(
-            program,
-            ConstraintSolver(),
-            options=StreamOptions(
-                on_unit_complete=lambda report: observed.append(
-                    scheduler.snapshot_state()
-                )
-            ),
-        )
+        scheduler = StreamScheduler(program, ConstraintSolver())
         before_view, before_program = scheduler.snapshot_state()
         assert before_program is program
         scheduler.apply_batch([deletion("left(X) <- X = 1")])

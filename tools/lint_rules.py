@@ -88,6 +88,11 @@ Two invariant families are load-bearing enough to enforce textually:
    of it: ``hashlib`` is imported only under ``src/repro/persist/`` (loading
    it costs a process that never checkpoints 3.7 MB of ``peak_rss_mb``).
 
+10. **One place mirrors maintenance counters.**  No module under
+    ``src/repro/maintenance/`` imports ``repro.obs``: a pass returns its
+    ``MaintenanceStats`` and ``StreamScheduler._apply_unit`` records them,
+    once per pass, into the metrics registry.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/ (exit 1 on findings)
@@ -234,9 +239,9 @@ OPTION_CLASSES: Tuple[str, ...] = (
 )
 
 #: The budgets (rule 8).  Raise one only in the change that needs it.
-MAX_OPTION_FIELDS = 30
+MAX_OPTION_FIELDS = 28
 MAX_ENV_VARIABLES = 5
-MAX_SOURCE_LINES = 22_280
+MAX_SOURCE_LINES = 22_205
 
 #: Rules scoped to the observability package only.
 OBS_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
@@ -253,6 +258,11 @@ MAINTENANCE_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
         re.compile(r"\beliminate_variables\b"),
         "projection in a maintenance pass (a clause application, projection "
         "included, is DeltaJoinKernel.apply_clause in repro/datalog/join.py)",
+    ),
+    (
+        re.compile(r"^\s*(?:from|import)\s+repro\.obs\b"),
+        "observability in a maintenance pass (the algorithms know no "
+        "registry; StreamScheduler._apply_unit mirrors each pass's counters)",
     ),
 )
 
