@@ -44,7 +44,7 @@ def main() -> None:
           f"({len(stream.deletions())} deletions, {len(stream.insertions())} insertions)...")
     sequential = MaintenanceStats()
     for request in stream.requests:
-        # A batch of one, not coalesced: the per-request path.
+        # A batch of one: the per-request path.
         result = one_at_a_time.apply_batch((request,))
         assert result.ok, result.failed_units
         stats = result.stats.totals()

@@ -122,17 +122,18 @@ class MediatedView:
         request: Union[DeletionRequest, InsertionRequest],
         algorithm: Optional[DeletionAlgorithm],
     ) -> BatchResult:
-        """Apply *request* as a one-request batch on the view's scheduler."""
+        """Apply *request* as a one-request batch on the view's scheduler.
+
+        A pass fails deterministically, so it is attempted once; a failure
+        raises :class:`~repro.errors.MediatorError` and leaves the view and
+        the scheduler's programs as they were.
+        """
         if self._scheduler is None:
-            self._scheduler = StreamScheduler(
-                self.mediator.program,
-                self.mediator.solver,
-                view=self.view,
-                options=StreamOptions(
-                    deletion_algorithm=(algorithm or DeletionAlgorithm.STDEL).value,
-                    max_workers=1,
-                    engine=self.mediator._options,
-                ),
+            self._scheduler = self.mediator._new_scheduler(
+                self.view,
+                deletion_algorithm=(algorithm or DeletionAlgorithm.STDEL).value,
+                max_workers=1,
+                max_unit_attempts=1,
             )
         elif algorithm is not None and (
             algorithm.value != self._scheduler.options.deletion_algorithm
@@ -143,6 +144,10 @@ class MediatedView:
                 f"before deleting with {algorithm.value}"
             )
         result = self._scheduler.apply_batch((request,))
+        if not result.ok:
+            raise MediatorError(
+                f"update failed: {request} ({result.failed_units[0].error})"
+            )
         self.view = result.view
         return result
 
@@ -344,14 +349,22 @@ class Mediator:
                     "time; streaming() takes no options/view here"
                 )
             return self._durable_scheduler
-        return StreamScheduler(
-            self._program,
-            self._solver,
-            view=view,
-            options=(
-                options if options is not None else StreamOptions(engine=self._options)
-            ),
-        )
+        return self._new_scheduler(view, options)
+
+    def _new_scheduler(
+        self,
+        view: Optional[MaterializedView],
+        options: Optional[StreamOptions] = None,
+        **fields,
+    ) -> StreamScheduler:
+        """An in-memory scheduler over this mediator's program and solver.
+
+        Without *options* it runs with the mediator's engine options and
+        the given :class:`~repro.stream.StreamOptions` *fields*.
+        """
+        if options is None:
+            options = StreamOptions(engine=self._options, **fields)
+        return StreamScheduler(self._program, self._solver, view=view, options=options)
 
     def serve(
         self,

@@ -136,8 +136,8 @@ def stream_batches(
       cancels outright via ``subsumes_instances``.
 
     The same seed always produces the same batches, so every scheduler
-    configuration (coalescing on/off, sequential/parallel strata, either
-    deletion algorithm) is measured on an identical stream.
+    configuration (sequential/parallel strata, either deletion algorithm)
+    is measured on an identical stream.
     """
     rng = random.Random(seed)
     candidates: List[Tuple[str, Tuple[object, ...]]] = []

@@ -7,7 +7,8 @@ import pytest
 from repro.constraints import SolverOptions
 from repro.datalog import EngineOptions, parse_constrained_atom, parse_program
 from repro.domains import Domain
-from repro.errors import MediatorError, ParseError
+from repro.errors import MaintenanceError, MediatorError, ParseError
+from repro.maintenance.delete_stdel import StraightDelete
 from repro.mediator import (
     DeletionAlgorithm,
     MaterializationOperator,
@@ -102,6 +103,24 @@ class TestViewUpdates:
         view.refresh()
         assert view.delete("b(X) <- X = 7", algorithm=DeletionAlgorithm.DRED).ok
         assert (7,) not in view.query("b", universe=UNIVERSE)
+
+    def test_a_failed_pass_raises_and_leaves_the_view(self, mediator, monkeypatch):
+        calls = []
+
+        def failing(self, *args, **kwargs):
+            calls.append(args)
+            raise MaintenanceError("round limit")
+
+        view = mediator.materialize()
+        before = view.query("b", universe=UNIVERSE)
+        monkeypatch.setattr(StraightDelete, "delete_many", failing)
+        with pytest.raises(MediatorError, match="round limit"):
+            view.delete("b(X) <- X = 6")
+        assert len(calls) == 1
+        assert view.query("b", universe=UNIVERSE) == before
+        monkeypatch.undo()
+        assert view.delete("b(X) <- X = 6").ok
+        assert (6,) not in view.query("b", universe=UNIVERSE)
 
     def test_invalid_update_atom(self, mediator):
         view = mediator.materialize()

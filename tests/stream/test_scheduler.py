@@ -244,7 +244,7 @@ class TestStreamOrderSemantics:
         assert scheduler.verify(UNIVERSE)
 
     def test_per_request_maintainer_keeps_deletion_rewrites_for_insertions(self):
-        # Same scenario as three batches of one request, not coalesced.
+        # Same scenario as three batches of one request each.
         program = parse_program(self.JOIN_RULES)
         scheduler = StreamScheduler(program, ConstraintSolver())
         for request in (

@@ -241,7 +241,7 @@ OPTION_CLASSES: Tuple[str, ...] = (
 #: The budgets (rule 8).  Raise one only in the change that needs it.
 MAX_OPTION_FIELDS = 28
 MAX_ENV_VARIABLES = 5
-MAX_SOURCE_LINES = 22_205
+MAX_SOURCE_LINES = 22_218
 
 #: Rules scoped to the observability package only.
 OBS_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
