@@ -50,7 +50,7 @@ from repro.constraints.solutions import (
     equivalent_on_universe,
     solution_set,
 )
-from repro.constraints.solver import ConstraintSolver, SolverOptions
+from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import (
     Constant,
     FreshVariableFactory,
@@ -79,7 +79,6 @@ __all__ = [
     "Membership",
     "NegatedConjunction",
     "ResultSetLike",
-    "SolverOptions",
     "Substitution",
     "TRUE",
     "Term",

@@ -63,28 +63,11 @@ from repro.constraints.terms import (
 from repro.errors import EvaluationError, SolverError, UnknownFunctionError
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tunable knobs of the satisfiability procedure."""
-
-    #: Maximum number of DNF branches explored before giving up.
-    max_branches: int = 4096
-    #: What to assume about DCA-atoms whose call cannot be evaluated
-    #: (non-ground arguments, unknown domain, a failing function, or no
-    #: evaluator configured).  ``True`` (the default) treats them as
-    #: satisfiable, which matches the deferred-evaluation reading of
-    #: Section 4 of the paper.
-    unknown_membership_satisfiable: bool = True
-    #: Remember satisfiability, simplification and instance-set results
-    #: (see :meth:`ConstraintSolver._gate` for what each is valid under).
-    #: ``False`` decides everything afresh.
-    memoize_satisfiability: bool = True
-
-
-DEFAULT_OPTIONS = SolverOptions()
-
 #: Rounds of bound propagation across variable-variable orderings.
 PROPAGATION_ROUNDS = 8
+
+#: DNF branches one satisfiability check explores before it gives up.
+MAX_BRANCHES = 4096
 
 #: Largest finite membership result set that is enumerated during
 #: per-class candidate filtering.
@@ -239,35 +222,21 @@ class ConstraintSolver:
     ----------
     evaluator:
         An object implementing :class:`CallEvaluator` (typically the
-        mediator's domain registry).  When omitted, DCA-atoms are treated
-        according to ``options.unknown_membership_satisfiable``.
-    options:
-        A :class:`SolverOptions` instance.
+        mediator's domain registry).  A DCA-atom whose call cannot be
+        evaluated (non-ground arguments, unknown domain, a failing function,
+        or no evaluator) is treated as satisfiable, the deferred-evaluation
+        reading of Section 4 of the paper.
     """
 
-    def __init__(
-        self,
-        evaluator: Optional[CallEvaluator] = None,
-        options: SolverOptions = DEFAULT_OPTIONS,
-    ) -> None:
+    def __init__(self, evaluator: Optional[CallEvaluator] = None) -> None:
         self._evaluator = evaluator
-        self._options = options
-        # The two halves of _gate.  A membership-free result under the
-        # default branch limit is a function of the node alone and is stored
-        # *on the interned node* (``_sat`` / ``_simplify{0,1}`` slots, an
-        # atom's ``_instances``), shared by every solver in the process and
-        # dropped when the node dies; under another limit it is this
-        # solver's.  Without an evaluator no DCA-atom reaches a source.
-        memoize = options.memoize_satisfiability
-        default_limit = options.max_branches == DEFAULT_OPTIONS.max_branches
-        self._pure_gate = (_ON_OWNER if default_limit else ()) if memoize else None
-        self._versions_of = None
-        if memoize:
-            self._versions_of = (
-                _no_versions
-                if evaluator is None
-                else getattr(evaluator, "versions_of", None)
-            )
+        # The membership half of _gate (a membership-free result is stored
+        # on its node).  Without an evaluator no DCA-atom reaches a source.
+        self._versions_of = (
+            _no_versions
+            if evaluator is None
+            else getattr(evaluator, "versions_of", None)
+        )
         # One table per result kind, ``key -> (gate, result)``: whatever is
         # not stored on its node.  An entry is served while the gate read
         # for the lookup equals the gate it was filed under.
@@ -293,15 +262,6 @@ class ConstraintSolver:
         """The domain-call evaluator this solver consults (may be ``None``)."""
         return self._evaluator
 
-    @property
-    def options(self) -> SolverOptions:
-        """The options this solver was configured with."""
-        return self._options
-
-    def with_evaluator(self, evaluator: Optional[CallEvaluator]) -> "ConstraintSolver":
-        """Return a solver sharing options but using a different evaluator."""
-        return ConstraintSolver(evaluator, self._options)
-
     def invalidate_external_functions(self, source: Optional[str] = None) -> None:
         """Pass a change notice on to the evaluator (``source_changed``).
 
@@ -323,12 +283,16 @@ class ConstraintSolver:
         """What a result about *constraint* computed now is valid under.
 
         The one freshness rule of the solver's memos (satisfiability,
-        simplification, instance sets).  ``None``: remember nothing.
-        :data:`_ON_OWNER` and ``()``: nothing can change the result, no
-        DCA-atom reaches a source (unknown memberships resolve by a fixed
-        option).  Otherwise the current versions of exactly the domains the
-        constraint names (an evaluator without ``versions_of`` gets no such
-        memo), so one source's change leaves results about the others.
+        simplification, instance sets).  :data:`_ON_OWNER`: the constraint
+        names no DCA-atom, so the result is a function of the interned node
+        alone and is stored *on the node* (``_sat`` / ``_simplify{0,1}``
+        slots, an atom's ``_instances``), shared by every solver in the
+        process and dropped when the node dies.  ``()``: no evaluator, so no
+        DCA-atom reaches a source (unknown memberships are satisfiable).
+        Otherwise the current versions of exactly the domains the constraint
+        names, so one source's change leaves results about the others;
+        ``None`` -- remember nothing -- for an evaluator without
+        ``versions_of``.
 
         Callers read the gate *before* they compute and store it with the
         result: one computed across a source change is filed under the
@@ -336,7 +300,7 @@ class ConstraintSolver:
         up or stored in between.
         """
         if not constraint._membership:
-            return self._pure_gate
+            return _ON_OWNER
         if self._versions_of is None:
             return None
         return self._versions_of(constraint.domains())
@@ -363,7 +327,7 @@ class ConstraintSolver:
             return False
         from repro.constraints.simplify import canonical_form
 
-        if self._pure_gate is _ON_OWNER and not constraint._membership:
+        if not constraint._membership:
             # Membership-free satisfiability is a pure function of the
             # interned node: the memo lives on the node itself (shared by
             # every solver in the process) and the two-level probe --
@@ -431,11 +395,11 @@ class ConstraintSolver:
         are dropped).  Returns ``(result, gate)`` -- ``None`` result on a
         miss -- where *gate* (see :meth:`_gate`, read here, before the
         simplification runs) is what :meth:`cache_simplification` files the
-        fresh result under.  Pure results under the default limit live on
-        the interned node itself, one slot per variant.
+        fresh result under.  Pure results live on the interned node itself,
+        one slot per variant.
         """
         # (the membership-free half of _gate, without the call: a hot path)
-        gate = self._gate(constraint) if constraint._membership else self._pure_gate
+        gate = self._gate(constraint) if constraint._membership else _ON_OWNER
         if gate is _ON_OWNER:
             cached = constraint._simplify1 if variant else constraint._simplify0
             if cached is not None:
@@ -463,12 +427,11 @@ class ConstraintSolver:
 
         *atom* is a :class:`~repro.datalog.atoms.ConstrainedAtom` (see its
         ``instances``).  Returns ``(instances, gate)`` like
-        :meth:`cached_simplification`; a membership-free set under the
-        default limit lives in the atom's ``_instances`` attribute and is
-        collected with it.
+        :meth:`cached_simplification`; a membership-free set lives in the
+        atom's ``_instances`` attribute and is collected with it.
         """
         constraint = atom.constraint
-        gate = self._gate(constraint) if constraint._membership else self._pure_gate
+        gate = self._gate(constraint) if constraint._membership else _ON_OWNER
         if gate is None:
             return None, None
         if gate is _ON_OWNER:
@@ -762,10 +725,9 @@ class ConstraintSolver:
                         dead = True
                         break
                     produced += len(current.parts)
-                    if produced > self._options.max_branches:
+                    if produced > MAX_BRANCHES:
                         raise SolverError(
-                            "constraint requires more than "
-                            f"{self._options.max_branches} DNF branches"
+                            f"constraint requires more than {MAX_BRANCHES} DNF branches"
                         )
                     for picked in current.parts:
                         if isinstance(picked, NegatedConjunction):
@@ -951,9 +913,7 @@ class ConstraintSolver:
             result = self._try_evaluate(literal.call, uf)
             element_value = self._pinned_value(literal.element, uf, intervals)
             if result is None:
-                # Unknown call: assume satisfiable (or not) per options.
-                if not self._options.unknown_membership_satisfiable:
-                    return False
+                # Unknown call: assume satisfiable.
                 continue
             if element_value is not _UNKNOWN:
                 member = result.contains(element_value)

@@ -29,6 +29,7 @@ from repro.datalog.join import (
     DeltaJoinKernel,
     DeltaRound,
     EngineOptions,
+    MAX_FIXPOINT_ROUNDS,
     MAX_VIEW_ENTRIES,
     Seed,
     derived_entry,
@@ -158,8 +159,8 @@ class FixpointEngine:
         iteration = 0
         while delta:
             iteration += 1
-            if iteration > self._options.max_iterations:
-                raise FixpointDivergenceError(self._options.max_iterations)
+            if iteration > MAX_FIXPOINT_ROUNDS:
+                raise FixpointDivergenceError(MAX_FIXPOINT_ROUNDS)
             self._stats.iterations = iteration
             self._stats.round_delta_sizes.append(len(delta))
             attempts_before = self._stats.derivation_attempts
@@ -169,8 +170,6 @@ class FixpointEngine:
             )
             new_delta: List[ViewEntry] = []
             for entry in produced:
-                if self._should_skip(entry, view):
-                    continue
                 if view.add(entry):
                     new_delta.append(entry)
                     self._stats.entries_added += 1
@@ -243,18 +242,6 @@ class FixpointEngine:
             derived_entry(clause, premises, derived)
             for clause, premises, derived in round_
         ]
-
-    def _should_skip(self, entry: ViewEntry, view: MaterializedView) -> bool:
-        """Set-semantics subsumption used when duplicate semantics is off."""
-        if self._options.duplicate_semantics:
-            return False
-        bound = entry.constrained_atom.bound_tuple()
-        if bound is None:
-            return False
-        for existing in view.entries_for(entry.predicate):
-            if existing.constrained_atom.bound_tuple() == bound:
-                return True
-        return False
 
 
 # ---------------------------------------------------------------------------

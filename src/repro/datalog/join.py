@@ -13,10 +13,10 @@ indexed-vs-scan choice; its :class:`DeltaJoinKernel` holds what a whole
 unfolding shares (program, solver, options, fresh names, counters) and
 performs the single clause application.
 
-:class:`EngineOptions` is the one configuration every algorithm takes, so
-the flags that must agree for views to stay key-comparable (StDel, DRed,
-insertion and recomputation all normalize constraints the same way) cannot
-be set apart.
+:class:`EngineOptions` is the one configuration every algorithm takes.  How
+a derived constraint is normalized is not part of it: every algorithm
+projects and simplifies the same way, which keeps StDel, DRed, insertion and
+recomputation key-comparable.
 """
 
 from __future__ import annotations
@@ -77,6 +77,9 @@ from repro.datalog.view import (
 #: gives up.
 MAX_VIEW_ENTRIES = 200_000
 
+#: Cap on the rounds of one ``T_P`` / ``W_P`` fixpoint before it gives up.
+MAX_FIXPOINT_ROUNDS = 200
+
 #: Cap on ``P_OUT`` / ``P_ADD`` unfolding rounds (defensive; recursion is
 #: bounded by the view size because premises come from the finite view).
 MAX_UNFOLD_ROUNDS = 100
@@ -86,27 +89,16 @@ MAX_UNFOLD_ROUNDS = 100
 class EngineOptions:
     """The one configuration of the fixpoint engine and every algorithm.
 
-    Values marked *reference* exist only so the differential harness (and
-    the paper's worked examples) can compare the production path against
-    the path it replaced; production always runs the defaults.
+    The engine has one behaviour for what the paper fixes: duplicate
+    semantics (one entry per derivation), an ``Add`` set that excludes the
+    instances already present, derived constraints projected onto the head
+    variables and simplified with entailed comparisons dropped, and
+    deletions that purge the entries left unsolvable.  What remains here
+    are the fast paths.  Values marked *reference* exist only so the
+    differential harness can compare a fast path against the path it
+    replaced; production always runs the defaults.
     """
 
-    #: Keep one entry per *derivation* (duplicate semantics).  When False,
-    #: a derived entry that denotes a ground tuple already denoted by an
-    #: existing entry of the same predicate is skipped (set semantics); this
-    #: is what makes transitive closure over cyclic data terminate.
-    duplicate_semantics: bool = True
-    #: Simplify derived constraints (removes the redundancy the paper notes).
-    simplify_constraints: bool = True
-    #: Also drop comparison conjuncts entailed by the rest when simplifying.
-    #: Every algorithm normalizes with the same value, which is what keeps
-    #: StDel, DRed, insertion and recomputation *key*-identical on clauses
-    #: whose premises bound a variable on both sides (interval joins).
-    drop_redundant_comparisons: bool = True
-    #: Project away auxiliary (non-head) variables bound by equalities, so
-    #: derived entries read like the paper's examples (``A(X) <- X >= 5``
-    #: instead of ``A(X) <- X1 >= 5 & X1 = X``).
-    project_auxiliary_variables: bool = True
     #: Probe the view's argument index with the bindings accumulated so far
     #: instead of scanning the full per-position pools (hash join).  Only
     #: applied when solvability is checked: the index prunes combinations
@@ -131,16 +123,6 @@ class EngineOptions:
     #: available) keeps every position on the range-aware path; overlap
     #: (:class:`IntervalQuery`) probes always stay range-aware regardless.
     range_eligible: Optional[FrozenSet[Tuple[str, int]]] = None
-    #: Hard cap on the number of fixpoint iterations before giving up.
-    max_iterations: int = 200
-    #: Insertion: narrow the inserted atom by the instances already present
-    #: (the paper's ``Add`` construction).  With False a duplicate derivation
-    #: is recorded even when the instances already exist.
-    exclude_existing: bool = True
-    #: Deletion: remove entries whose constraint became unsolvable before
-    #: returning (StDel step 4, DRed's final sweep).  ``False`` is the
-    #: *reference* for the intermediate state of the paper's Example 6.
-    purge_unsolvable: bool = True
     #: DRed: seed the rederivation fixpoint only with the entries the
     #: over-deletion narrowed plus their direct premises (found through the
     #: support index), instead of the whole over-estimate.  ``False`` is the
@@ -840,20 +822,17 @@ class DeltaJoinKernel:
         premises (and distinct positions) get distinct fresh names.
         """
         self.stats.clause_applications += 1
-        options = self.options
         check = self.check_solvability and negated is None
-        pinned: Sequence = ()
-        if premises and options.project_auxiliary_variables:
-            pinned = [_pinned_args(premise) for premise in premises]
-            if (
-                options.simplify_constraints
-                and clause.constraint is TRUE
-                and None not in pinned
-                and (onto is not None or negated is None)
-            ):
-                decided = self._by_comparison(clause, premises, pinned, onto, negated, check)
-                if decided is not NotImplemented:
-                    return decided
+        pinned = [_pinned_args(premise) for premise in premises]
+        if (
+            premises
+            and clause.constraint is TRUE
+            and None not in pinned
+            and (onto is not None or negated is None)
+        ):
+            decided = self._by_comparison(clause, premises, pinned, onto, negated, check)
+            if decided is not NotImplemented:
+                return decided
         if renamed_cache is None:
             renamed_cache = {}
         head, tied = clause.head, ()
@@ -887,15 +866,11 @@ class DeltaJoinKernel:
                     tuple_equalities(renamed.atom.args, body_atom.args),
                 )
             parts.append(negate(part) if position == negated else part)
-        constraint = conjoin(*parts)
-        if options.project_auxiliary_variables or onto is not None:
-            constraint = eliminate_variables(constraint, head.variables())
-        if options.simplify_constraints:
-            constraint = simplify(
-                constraint,
-                self.solver,
-                drop_redundant_comparisons=options.drop_redundant_comparisons,
-            )
+        constraint = simplify(
+            eliminate_variables(conjoin(*parts), head.variables()),
+            self.solver,
+            drop_redundant_comparisons=True,
+        )
         if check:
             self.stats.solver_calls += 1
             if not self.solver.is_satisfiable(constraint):

@@ -12,7 +12,11 @@
 
 Every algorithm takes the one :class:`~repro.datalog.join.EngineOptions`
 (re-exported here) and runs its unfolding through the shared delta-join
-kernel of :mod:`repro.datalog.join`.
+kernel of :mod:`repro.datalog.join`.  The options choose fast paths only;
+what the paper fixes is fixed here too: the view keeps one entry per
+derivation (duplicate semantics), an insertion's ``Add`` set excludes the
+instances already present, and a deletion drops the entries its narrowing
+left unsolvable (StDel's step 4, DRed's final sweep).
 """
 
 from repro.datalog.join import EngineOptions

@@ -78,13 +78,7 @@ def recompute_after_deletion(
     del_atoms = tuple(entry_atom for _, entry_atom in del_pairs)
     rewritten = deletion_rewrite(program, del_atoms or (atom,), factory)
     engine = FixpointEngine(rewritten, solver, effective)
-    external = narrowed_external_entries(
-        view,
-        del_atoms or (atom,),
-        solver,
-        factory,
-        options=effective,
-    )
+    external = narrowed_external_entries(view, del_atoms or (atom,), solver, factory)
     initial = MaterializedView(external) if external else None
     new_view = engine.compute(initial=initial)
     stats = MaintenanceStats()
@@ -103,13 +97,7 @@ def recompute_after_insertion(
     """Insertion baseline: extend the program and recompute from scratch."""
     solver = solver or ConstraintSolver()
     effective = options or EngineOptions()
-    add_atoms = build_add_set(
-        view,
-        atom,
-        solver,
-        exclude_existing=effective.exclude_existing,
-        options=effective,
-    )
+    add_atoms = build_add_set(view, atom, solver, options=effective)
     rewritten = insertion_rewrite(program, add_atoms)
     engine = FixpointEngine(rewritten, solver, effective)
     new_view = engine.compute()

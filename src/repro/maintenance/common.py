@@ -161,7 +161,6 @@ def narrowed_external_entries(
     solver: ConstraintSolver,
     factory: FreshVariableFactory,
     stats: Optional[MaintenanceStats] = None,
-    options: EngineOptions = EngineOptions(),
 ) -> Tuple[ViewEntry, ...]:
     """Externally inserted entries, narrowed by a deletion's ``Del`` atoms.
 
@@ -186,15 +185,7 @@ def narrowed_external_entries(
         and not entry.support.children
     )
     for entry in external:
-        narrowed = subtract_instances(
-            entry,
-            deleted,
-            solver,
-            factory,
-            stats,
-            renamed_cache,
-            options=options,
-        )
+        narrowed = subtract_instances(entry, deleted, solver, factory, stats, renamed_cache)
         # Counted like every other satisfiability check: this sweep used to
         # run off the books, understating the recompute baseline's cost.
         if stats is not None:
@@ -211,7 +202,6 @@ def subtract_instances(
     factory: FreshVariableFactory,
     stats: Optional[MaintenanceStats] = None,
     renamed_cache: Optional[Dict[int, ConstrainedAtom]] = None,
-    options: EngineOptions = EngineOptions(),
 ) -> ViewEntry:
     """Conjoin ``not(ψ & bindings)`` onto an entry for each removed atom.
 
@@ -269,11 +259,7 @@ def subtract_instances(
     # replacement step) do: a two-sided entry narrowed by an overlapping
     # deletion (e.g. ``X <= 50`` minus ``X >= 46``) otherwise keeps the
     # now-entailed bound and diverges from the other algorithms by key().
-    constraint = simplify(
-        constraint,
-        solver,
-        drop_redundant_comparisons=options.drop_redundant_comparisons,
-    )
+    constraint = simplify(constraint, solver, drop_redundant_comparisons=True)
     if constraint == entry.constraint:
         return entry
     return entry.with_constraint(constraint)

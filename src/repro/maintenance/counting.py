@@ -30,7 +30,6 @@ from typing import Dict, Optional, Tuple
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
 from repro.datalog.fixpoint import FixpointEngine
-from repro.datalog.join import EngineOptions
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.errors import CountingDivergenceError, FixpointDivergenceError, MaintenanceError
@@ -77,11 +76,9 @@ class CountingMaintenance:
         self,
         program: ConstrainedDatabase,
         solver: Optional[ConstraintSolver] = None,
-        max_iterations: int = 200,
     ) -> None:
         self._program = program
         self._solver = solver or ConstraintSolver()
-        self._max_iterations = max_iterations
 
     # ------------------------------------------------------------------
     # Materialization with counts
@@ -108,12 +105,7 @@ class CountingMaintenance:
         return self._to_counts(view)
 
     def _duplicate_fixpoint(self) -> MaterializedView:
-        engine = FixpointEngine(
-            self._program,
-            self._solver,
-            EngineOptions(max_iterations=self._max_iterations),
-        )
-        return engine.compute()
+        return FixpointEngine(self._program, self._solver).compute()
 
     def _to_counts(self, view: MaterializedView) -> CountingView:
         counts: Dict[GroundFact, int] = {}
@@ -153,13 +145,8 @@ class CountingMaintenance:
         from repro.maintenance.declarative import deletion_rewrite
 
         rewritten = deletion_rewrite(self._program, (atom,))
-        engine = FixpointEngine(
-            rewritten,
-            self._solver,
-            EngineOptions(max_iterations=self._max_iterations),
-        )
         try:
-            new_counts = self._to_counts(engine.compute())
+            new_counts = self._to_counts(FixpointEngine(rewritten, self._solver).compute())
         except FixpointDivergenceError as exc:
             raise CountingDivergenceError(
                 "counting deletion diverged on a recursive view"

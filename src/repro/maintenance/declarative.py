@@ -102,7 +102,6 @@ def build_add_set(
     inserted: ConstrainedAtom,
     solver: ConstraintSolver,
     factory: Optional[FreshVariableFactory] = None,
-    exclude_existing: bool = True,
     options: EngineOptions = EngineOptions(),
 ) -> Tuple[ConstrainedAtom, ...]:
     """The paper's ``Add`` set for an insertion request.
@@ -113,13 +112,7 @@ def build_add_set(
     overlaps it (looked up with
     :func:`~repro.datalog.join.overlap_candidates` under *options*).  When
     the result is unsolvable (everything already present) the set is empty.
-
-    With ``exclude_existing=False`` the set is simply ``{A(X̄) <- ψ}``
-    (useful for duplicate-semantics experiments where re-insertion should
-    create a second derivation).
     """
-    if not exclude_existing:
-        return (inserted,)
     factory = factory or FreshVariableFactory(
         {variable.name for variable in inserted.variables()},
         view.variable_name_tables(),

@@ -163,13 +163,7 @@ class ExtendedDRed:
                 narrow_cache: Dict[int, ConstrainedAtom] = {}
                 for entry, _ in del_pairs:
                     replacement = subtract_instances(
-                        entry,
-                        atoms_here,
-                        self._solver,
-                        factory,
-                        stats,
-                        narrow_cache,
-                        options=self._options,
+                        entry, atoms_here, self._solver, factory, stats, narrow_cache
                     )
                     if replacement is not entry:
                         working.replace(entry, replacement)
@@ -204,13 +198,7 @@ class ExtendedDRed:
             replacement = entry
             if relevant:
                 replacement = subtract_instances(
-                    entry,
-                    relevant,
-                    self._solver,
-                    factory,
-                    stats,
-                    renamed_cache,
-                    options=self._options,
+                    entry, relevant, self._solver, factory, stats, renamed_cache
                 )
             if replacement is not entry:
                 # ``replace`` keeps the slot (insertion order) and merges
@@ -235,21 +223,20 @@ class ExtendedDRed:
         stats.rederived_entries = len(result_view) - before
         engine.stats.merge_into(stats)
 
-        if self._options.purge_unsolvable:
-            # One satisfiability check per scanned entry: count them like
-            # StDel's step 4 does, so the batched purge restriction (scan
-            # only the write closure, once per batch) shows up in the
-            # counters the benchmarks gate on.
-            if purge_predicates is None:
-                stats.solver_calls += len(result_view)
-            else:
-                stats.solver_calls += sum(
-                    len(result_view.entries_for(predicate))
-                    for predicate in set(purge_predicates)
-                )
-            stats.removed_entries += result_view.prune_unsolvable(
-                self._solver, purge_predicates
+        # One satisfiability check per scanned entry: count them like StDel's
+        # step 4 does, so the batched purge restriction (scan only the write
+        # closure, once per batch) shows up in the counters the benchmarks
+        # gate on.
+        if purge_predicates is None:
+            stats.solver_calls += len(result_view)
+        else:
+            stats.solver_calls += sum(
+                len(result_view.entries_for(predicate))
+                for predicate in set(purge_predicates)
             )
+        stats.removed_entries += result_view.prune_unsolvable(
+            self._solver, purge_predicates
+        )
 
         self._subsume_rederived(result_view, narrowed, stats)
 
@@ -354,11 +341,10 @@ class ExtendedDRed:
             stats.solver_calls += 1
             if not self._solver.is_satisfiable(entry.constraint):
                 # An empty instance set is vacuously subsumed by *any*
-                # sibling; removing it here would purge behind
-                # ``purge_unsolvable=False``'s back and miscount the drop
-                # as a subsumption.  Leave unsolvable narrows to the purge
-                # option.  (With purging on -- the default -- these entries
-                # are already gone and this check is a memo hit.)
+                # sibling; dropping it here would count a purge as a
+                # subsumption.  Unsolvable narrows are the purge's to drop
+                # (inside its scope they are already gone and this check is
+                # a memo hit).
                 continue
             for sibling in view.find_all_by_support(entry.support):
                 if sibling.key() == entry.key():

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.constraints.ast import Constraint, FalseConstraint, conjoin
+from repro.constraints.ast import FalseConstraint, conjoin
 from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
@@ -203,9 +203,18 @@ class StraightDelete:
                 if not self._solver.is_satisfiable(conjoin(entry.constraint, positive)):
                     continue
                 deleted_part = ConstrainedAtom(
-                    entry.atom, self._simplify(conjoin(entry.constraint, positive))
+                    entry.atom,
+                    simplify(
+                        conjoin(entry.constraint, positive),
+                        self._solver,
+                        drop_redundant_comparisons=True,
+                    ),
                 )
-                new_constraint = self._simplify(conjoin(entry.constraint, negative))
+                new_constraint = simplify(
+                    conjoin(entry.constraint, negative),
+                    self._solver,
+                    drop_redundant_comparisons=True,
+                )
                 replace(entry, entry.with_constraint(new_constraint))
                 p_out.append(POutPair(deleted_part, entry.support))
             stats.seed_atoms += len(p_out) - seed_start
@@ -266,24 +275,23 @@ class StraightDelete:
         # Step 4: drop entries whose constraint became unsolvable -- once for
         # the whole batch.
         removed: List[ViewEntry] = []
-        if self._options.purge_unsolvable:
-            if purge_predicates is None:
-                candidates: Sequence[ViewEntry] = working.entries
-            else:
-                # An entry replaced twice is in the view once, as it was
-                # last left.
-                scope = frozenset(purge_predicates)
-                candidates = [
-                    entry
-                    for entry in {entry.key(): entry for entry in replaced}.values()
-                    if entry.predicate in scope and entry in working
-                ]
-            for entry in candidates:
-                stats.solver_calls += 1
-                if not self._solver.is_satisfiable(entry.constraint):
-                    working.remove(entry)
-                    removed.append(entry)
-            stats.removed_entries = len(removed)
+        if purge_predicates is None:
+            candidates: Sequence[ViewEntry] = working.entries
+        else:
+            # An entry replaced twice is in the view once, as it was last
+            # left.
+            scope = frozenset(purge_predicates)
+            candidates = [
+                entry
+                for entry in {entry.key(): entry for entry in replaced}.values()
+                if entry.predicate in scope and entry in working
+            ]
+        for entry in candidates:
+            stats.solver_calls += 1
+            if not self._solver.is_satisfiable(entry.constraint):
+                working.remove(entry)
+                removed.append(entry)
+        stats.removed_entries = len(removed)
 
         return StDelResult(working, tuple(p_out), tuple(replaced), tuple(removed), stats)
 
@@ -357,15 +365,6 @@ class StraightDelete:
         if not self._program.has_clause(support.clause_number):
             return None
         return self._program.clause(support.clause_number)
-
-    def _simplify(self, constraint: Constraint) -> Constraint:
-        if not self._options.simplify_constraints:
-            return constraint
-        return simplify(
-            constraint,
-            self._solver,
-            drop_redundant_comparisons=self._options.drop_redundant_comparisons,
-        )
 
 
 def delete_with_stdel(

@@ -107,12 +107,7 @@ class ConstrainedAtomInsertion:
                 self._unfold_p_add(working, frontier, factory, added, stats)
                 frontier = []
             add_atoms = build_add_set(
-                working,
-                request.atom,
-                self._solver,
-                factory,
-                exclude_existing=self._options.exclude_existing,
-                options=self._options,
+                working, request.atom, self._solver, factory, options=self._options
             )
             stats.seed_atoms += len(add_atoms)
             all_add_atoms.extend(add_atoms)

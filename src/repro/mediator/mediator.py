@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.analysis import ProgramReport, analyze_program
-from repro.constraints.solver import ConstraintSolver, SolverOptions
+from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
 from repro.datalog.fixpoint import compute_tp_fixpoint, compute_wp_fixpoint
 from repro.datalog.join import EngineOptions
@@ -172,12 +172,11 @@ class Mediator:
         self,
         program: ConstrainedDatabase,
         registry: Optional[DomainRegistry] = None,
-        solver_options: SolverOptions = SolverOptions(),
         options: Optional[EngineOptions] = None,
     ) -> None:
         self._program = program
         self._registry = registry or DomainRegistry()
-        self._solver = ConstraintSolver(self._registry, solver_options)
+        self._solver = ConstraintSolver(self._registry)
         #: Set by :meth:`open`: the recovered durable scheduler over the
         #: mediator's data directory (``None`` for in-memory mediators).
         self._durable_scheduler = None
@@ -226,6 +225,8 @@ class Mediator:
         must hash-identically match the program the directory was built
         from.  The durable scheduler is available as
         :attr:`durable_scheduler`; :meth:`serve` picks it up automatically.
+        Without *stream_options* it runs with the mediator's engine options,
+        like the scheduler :meth:`streaming` builds.
         """
         from repro.persist import open_scheduler
         from repro.persist.manager import DurabilityOptions
@@ -249,7 +250,9 @@ class Mediator:
             program,
             solver=mediator._solver,
             options=(
-                stream_options if stream_options is not None else StreamOptions()
+                stream_options
+                if stream_options is not None
+                else StreamOptions(engine=mediator._options)
             ),
             durability_options=(
                 durability_options

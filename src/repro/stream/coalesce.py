@@ -136,16 +136,8 @@ def _request_key(request) -> Tuple[str, object, object]:
 class Coalescer:
     """Computes the net effect of an ordered update batch."""
 
-    def __init__(
-        self,
-        solver: Optional[ConstraintSolver] = None,
-        dedupe_insertions: bool = True,
-    ) -> None:
+    def __init__(self, solver: Optional[ConstraintSolver] = None) -> None:
         self._solver = solver or ConstraintSolver()
-        #: Under duplicate-semantics experiments (``exclude_existing=False``)
-        #: a repeated insertion creates a second derivation on purpose, so
-        #: the scheduler turns insertion dedup off there.
-        self._dedupe_insertions = dedupe_insertions
 
     def coalesce(self, payloads: Sequence[StreamPayload]) -> CoalescedBatch:
         """Shrink *payloads* (stream order) to their net effect."""
@@ -175,11 +167,7 @@ class Coalescer:
         kept_deletions = self._subsume_deletions(
             kept_deletions, insertions, report
         )
-        kept_insertions = (
-            self._dedupe(insertions, opposite=deletions, report=report)
-            if self._dedupe_insertions
-            else list(insertions)
-        )
+        kept_insertions = self._dedupe(insertions, opposite=deletions, report=report)
         surviving_insertions = self._cancel_and_narrow(
             kept_insertions, deletions, report
         )

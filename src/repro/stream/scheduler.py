@@ -396,10 +396,7 @@ class StreamScheduler:
         self._options = options = replace(
             options, engine=options.engine.with_report(self._report)
         )
-        self._coalescer = Coalescer(
-            self._solver,
-            dedupe_insertions=options.engine.exclude_existing,
-        )
+        self._coalescer = Coalescer(self._solver)
         self._log = log if log is not None else UpdateLog()
         #: The program DRed deletions run against (threads the rewrites the
         #: algorithm's rederivation step requires; == original for StDel).

@@ -103,11 +103,6 @@ class TestBuildAddSet:
         }
         assert values == {4}
 
-    def test_exclude_existing_false_keeps_request(self, example45_view, solver):
-        inserted = parse_constrained_atom("b(X) <- X = 7")
-        add = build_add_set(example45_view, inserted, solver, exclude_existing=False)
-        assert add == (inserted,)
-
     def test_fresh_predicate(self, example45_view, solver):
         inserted = parse_constrained_atom("d(X) <- X = 1")
         add = build_add_set(example45_view, inserted, solver)

@@ -211,17 +211,14 @@ class TestAlgorithmSpecificBehaviour:
     def test_stdel_purge_unsolvable_entries(self, example6_program, example6_view, solver):
         request = parse_constrained_atom("p(X, Y) <- X = 'c' & Y = 'd'")
         result = delete_with_stdel(example6_program, example6_view, request, solver)
-        # Entries 3, 6 and 7 of the paper's Example 6 become unsolvable.
-        assert len(result.removed) == 3
+        # Step 4 removes exactly the paper's entries 3, 6 and 7 of Example 6
+        # (p(c, d) and the two a-entries derived through it), each left
+        # with an unsolvable constraint.
+        assert {str(entry.support) for entry in result.removed} == {
+            "<3>", "<4, <3>>", "<5, <2>, <4, <3>>>",
+        }
+        assert not any(solver.is_satisfiable(entry.constraint) for entry in result.removed)
         assert len(result.view) == 4
-
-    def test_stdel_keep_unsolvable_option(self, example6_program, example6_view, solver):
-        request = parse_constrained_atom("p(X, Y) <- X = 'c' & Y = 'd'")
-        options = EngineOptions(purge_unsolvable=False)
-        result = delete_with_stdel(
-            example6_program, example6_view, request, solver, options
-        )
-        assert len(result.view) == 7
         assert result.view.instances(solver) == {
             ("p", ("a", "b")), ("p", ("a", "c")),
             ("a", ("a", "b")), ("a", ("a", "c")),
@@ -384,72 +381,35 @@ class TestDeltaRederivationWithDuplicateSupports:
         assert ("a", "c") in delta.view.instances_for("t", solver)
 
 
-class TestSubsumptionRespectsPurgeOption:
-    """Regression: the post-rederivation subsumption pass must not remove
-    entries narrowed to an unsolvable constraint when purging is off -- an
-    empty instance set is vacuously subsumed by any same-support sibling,
-    but dropping it is ``purge_unsolvable``'s decision, not subsumption's."""
+class TestReinsertionAfterPartialDeletion:
+    """Lemma 1 across insert, partial delete, insert again.
 
-    def test_unsolvable_narrow_survives_with_purging_off(self):
-        from repro.maintenance import insert_atom
-        from repro.maintenance.delete_dred import ExtendedDRed
-        from repro.maintenance.requests import DeletionRequest
-        from repro.datalog import parse_program
-        from repro.datalog.atoms import ConstrainedAtom
-        from repro.datalog.atoms import Atom
-        from repro.constraints.terms import Variable
+    The first insertion files ``p(X) <- 0 <= X <= 10`` under a leaf naming
+    that ``Add`` atom; the deletion narrows it to exclude 4; the second
+    insertion's ``Add`` set is the one missing instance, a different atom
+    under a leaf of its own.  No two entries of ``p`` share a support.
+    """
 
-        solver = ConstraintSolver()
-        program = parse_program("q(X) <- X >= 200.")
-        view = compute_tp_fixpoint(program, solver)
-        x = Variable("X")
-        for low, high in ((0, 10), (20, 30)):
-            atom = ConstrainedAtom(
-                Atom("p", (x,)), conjoin(compare(x, ">=", low), compare(x, "<=", high))
-            )
-            view = insert_atom(program, view, atom, solver).view
-        deleted = ConstrainedAtom(
-            Atom("p", (x,)), conjoin(compare(x, ">=", 0), compare(x, "<=", 10))
-        )
-        result = ExtendedDRed(
-            program, solver, EngineOptions(purge_unsolvable=False)
-        ).delete(view, DeletionRequest(deleted))
-        # Both external entries are still present: the fully-deleted one
-        # narrowed to an unsolvable constraint, the disjoint one untouched.
-        assert len(result.view.entries_for("p")) == 2
-        assert result.stats.subsumed_rederived == 0
-
-    def test_overlapping_external_duplicates_are_never_subsumed(self):
-        # Regression: with exclude_existing=False two external insertions
-        # overlap; after a deletion narrows both, one subsumes the other
-        # syntactically -- but they are *distinct derivations* (each leaf
-        # names its own ``Add`` atom, so neither is the other's same-support
-        # sibling) and the subsumption pass must leave them alone
-        # (duplicate semantics, and key-parity with StDel).
-        from repro.maintenance import insert_atom
-        from repro.maintenance.delete_dred import ExtendedDRed
-        from repro.maintenance.delete_stdel import StraightDelete
-        from repro.maintenance.requests import DeletionRequest
-        from repro.datalog import parse_program
-        from repro.datalog.atoms import Atom, ConstrainedAtom
-        from repro.constraints.terms import Variable
+    @pytest.mark.parametrize("algorithm", ("stdel", "dred"))
+    def test_reinserted_atom_files_no_second_entry_under_one_leaf(self, algorithm):
+        from repro.maintenance import DeletionRequest, InsertionRequest
+        from repro.stream import StreamOptions, StreamScheduler
 
         solver = ConstraintSolver()
-        program = parse_program("q(X) <- X >= 200.")
-        view = compute_tp_fixpoint(program, solver)
-        x = Variable("X")
-        keep_duplicates = EngineOptions(exclude_existing=False)
-        for low, high in ((0, 50), (0, 10)):
-            atom = ConstrainedAtom(
-                Atom("p", (x,)), conjoin(compare(x, ">=", low), compare(x, "<=", high))
-            )
-            view = insert_atom(program, view, atom, solver, keep_duplicates).view
-        deleted = ConstrainedAtom(
-            Atom("p", (x,)), conjoin(compare(x, ">=", 3), compare(x, "<=", 4))
+        program = parse_program("q(X) <- p(X).")
+        scheduler = StreamScheduler(
+            program,
+            solver,
+            options=StreamOptions(max_workers=1, deletion_algorithm=algorithm),
         )
-        request = DeletionRequest(deleted)
-        dred = ExtendedDRed(program, solver).delete(view, request)
-        stdel = StraightDelete(program, solver).delete(view, request)
-        assert len(dred.view.entries_for("p")) == 2
-        assert len(stdel.view.entries_for("p")) == 2
-        assert dred.stats.subsumed_rederived == 0
+        interval = parse_constrained_atom("p(X) <- X >= 0 & X <= 10")
+        for request in (
+            InsertionRequest(interval),
+            DeletionRequest(parse_constrained_atom("p(X) <- X = 4")),
+            InsertionRequest(interval),
+        ):
+            assert scheduler.apply_batch((request,)).ok
+        supports = [entry.support for entry in scheduler.view.entries_for("p")]
+        assert len(supports) == len(set(supports))
+        assert scheduler.query("p", UNIVERSE) == {(v,) for v in range(0, 11)}
+        assert scheduler.verify(UNIVERSE)

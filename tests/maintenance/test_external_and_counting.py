@@ -219,7 +219,7 @@ class TestCountingBaseline:
             p(X, Y) <- e(X, Z), p(Z, Y).
             """
         )
-        counting = CountingMaintenance(program, solver, max_iterations=30)
+        counting = CountingMaintenance(program, solver)
         with pytest.raises(CountingDivergenceError):
             counting.materialize()
 

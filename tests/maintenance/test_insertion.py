@@ -74,18 +74,6 @@ class TestNumericInsertions:
             e.support.clause_number == EXTERNAL_CLAUSE_NUMBER for e in seeds
         )
 
-    def test_duplicate_semantics_reinsertion(self, example45_program, example45_view, solver):
-        request = parse_constrained_atom("b(X) <- X = 7")
-        result = insert_atom(
-            example45_program, example45_view, request, solver,
-            EngineOptions(exclude_existing=False),
-        )
-        # A second derivation of the same instances is recorded.
-        assert len(result.added_entries) >= 1
-        assert result.view.instances(solver, UNIVERSE) == example45_view.instances(
-            solver, UNIVERSE
-        )
-
     def test_input_view_not_mutated(self, example45_program, example45_view, solver):
         before = len(example45_view)
         insert_atom(

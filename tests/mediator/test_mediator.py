@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.constraints import SolverOptions
 from repro.datalog import EngineOptions, parse_constrained_atom, parse_program
 from repro.domains import Domain
 from repro.errors import MaintenanceError, MediatorError, ParseError
@@ -150,11 +149,13 @@ class TestMediatorWithDomains:
         )
         assert mediator.streaming().options.engine.range_postings is False
 
-    def test_solver_options_passed_through(self):
-        mediator = Mediator.from_rules(
-            RULES, solver_options=SolverOptions(max_branches=123)
+    def test_open_runs_with_the_mediators_engine_options(self, tmp_path):
+        mediator = Mediator.open(
+            tmp_path / "data", rules=RULES, options=EngineOptions(range_postings=False)
         )
-        assert mediator.solver.options.max_branches == 123
+        scheduler = mediator.streaming()
+        assert scheduler is mediator.durable_scheduler
+        assert scheduler.options.engine.range_postings is False
 
 
 class TestMediatorBuilder:
@@ -203,10 +204,10 @@ class TestMediatorBuilder:
         mediator = (
             MediatorBuilder()
             .with_rules("a(X) <- X >= 3.")
-            .with_options(solver_options=SolverOptions(max_branches=55))
+            .with_options(options=EngineOptions(range_postings=False))
             .build()
         )
-        assert mediator.solver.options.max_branches == 55
+        assert mediator.streaming().options.engine.range_postings is False
 
 
 def _warehouse() -> Domain:

@@ -16,8 +16,8 @@ def insertion(text: str) -> InsertionRequest:
     return InsertionRequest(parse_constrained_atom(text))
 
 
-def coalesce(*payloads, **kwargs):
-    return Coalescer(ConstraintSolver(), **kwargs).coalesce(payloads)
+def coalesce(*payloads):
+    return Coalescer(ConstraintSolver()).coalesce(payloads)
 
 
 class TestDeduplication:
@@ -64,14 +64,6 @@ class TestDeduplication:
         assert len(batch.insertions) == 1
         assert batch.report.cancelled == 1
         assert len(batch.deletions) == 1
-
-    def test_duplicate_insertions_kept_under_duplicate_semantics(self):
-        batch = coalesce(
-            insertion("b(X) <- X = 6"),
-            insertion("b(X) <- X = 6"),
-            dedupe_insertions=False,
-        )
-        assert len(batch.insertions) == 2
 
 
 class TestCancellation:

@@ -68,14 +68,14 @@ Two invariant families are load-bearing enough to enforce textually:
    neither the change-notice protocol nor ``repro_domains_calls_total``
    knows about.
 
-8. **Budgets: a new knob shows in the diff that adds it.**  The fields of
-   the five option classes (``SolverOptions``, ``EngineOptions``,
-   ``StreamOptions``, ``ServeOptions``, ``DurabilityOptions``), the distinct
-   ``REPRO_*`` environment variables named under ``src/`` and the lines of
-   Python under ``src/repro`` may not exceed the numbers committed below:
-   each option doubles the configurations tests and benchmarks must cover,
-   so a change that needs one more raises the number where a reviewer
-   sees it.
+8. **Budgets: a new knob shows in the diff that adds it.**  The annotated
+   fields of every class under ``src/`` whose name ends in ``Options``
+   (found by the AST, so a new option class counts from the change that
+   adds it), the distinct ``REPRO_*`` environment variables named under
+   ``src/`` and the lines of Python under ``src/repro`` may not exceed the
+   numbers committed below: each option doubles the configurations tests
+   and benchmarks must cover, so a change that needs one more raises the
+   number where a reviewer sees it.
 
 9. **A support names one derivation (Lemma 1).**  An inserted fact's leaf
    names the fact it inserted: it is built by
@@ -175,7 +175,6 @@ RULES: Tuple[Tuple[re.Pattern, Tuple[str, ...], str], ...] = (
         (
             "repro/datalog/view.py",
             "repro/datalog/join.py",
-            "repro/datalog/fixpoint.py",
             "repro/maintenance/delete_dred.py",
         ),
         "shard scan in a maintenance pass (look the entries a request can "
@@ -215,33 +214,17 @@ RULES: Tuple[Tuple[re.Pattern, Tuple[str, ...], str], ...] = (
 #: Engine flags: each must be declared (as an annotated dataclass field) in
 #: exactly one file under ``src/``.
 ENGINE_FLAGS: Tuple[str, ...] = (
-    "duplicate_semantics",
-    "simplify_constraints",
-    "drop_redundant_comparisons",
-    "project_auxiliary_variables",
     "hash_join_index",
     "range_postings",
     "range_eligible",
-    "exclude_existing",
-    "purge_unsolvable",
     "delta_rederivation",
     "segment_batches",
-    "max_iterations",
-)
-
-#: Option classes whose annotated fields count against the knob budget.
-OPTION_CLASSES: Tuple[str, ...] = (
-    "SolverOptions",
-    "EngineOptions",
-    "StreamOptions",
-    "ServeOptions",
-    "DurabilityOptions",
 )
 
 #: The budgets (rule 8).  Raise one only in the change that needs it.
-MAX_OPTION_FIELDS = 28
+MAX_OPTION_FIELDS = 18
 MAX_ENV_VARIABLES = 5
-MAX_SOURCE_LINES = 22_218
+MAX_SOURCE_LINES = 22_065
 
 #: Rules scoped to the observability package only.
 OBS_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
@@ -335,7 +318,7 @@ def iter_budget_findings(root: Path) -> Iterator[str]:
         text = path.read_text(encoding="utf-8")
         lines += len(text.splitlines())
         for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.ClassDef) and node.name in OPTION_CLASSES:
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Options"):
                 fields.extend(
                     f"{node.name}.{statement.target.id}"
                     for statement in node.body
