@@ -237,6 +237,18 @@ class TestMembership:
     def test_unknown_domain_is_tolerated_by_default(self, solver):
         assert solver.is_satisfiable(member(X, "nowhere", "f"))
 
+    def test_unknown_domain_unsat_when_configured(self, registry):
+        # An unknown membership is always satisfiable, with or without an
+        # evaluator; it answers "no" once its domain is registered and the
+        # function returns nothing -- and the earlier answer is not served.
+        solver = ConstraintSolver(registry)
+        constraint = member(X, "nowhere", "f")
+        assert solver.is_satisfiable(constraint)
+        nowhere = Domain("nowhere")
+        nowhere.register("f", lambda: set())
+        registry.register(nowhere)
+        assert not solver.is_satisfiable(constraint)
+
 
 class TestGroundEvaluation:
     def test_comparisons(self, solver):
@@ -279,6 +291,24 @@ class TestGroundEvaluation:
 
 
 class TestSolverConfiguration:
+    def test_with_evaluator_shares_options(self, monkeypatch):
+        import importlib
+
+        # A solver over an evaluator is ConstraintSolver(evaluator); the
+        # branch budget is the module's MAX_BRANCHES, shared by every solver.
+        monkeypatch.setattr(
+            importlib.import_module("repro.constraints.solver"), "MAX_BRANCHES", 4
+        )
+        rebound = ConstraintSolver(DomainRegistry())
+        assert rebound.evaluator is not None
+        # (variables no other test touches: a decided node keeps its answer)
+        A, B, C = Variable("SharedA"), Variable("SharedB"), Variable("SharedC")
+        negations = [
+            negate(conjoin(equals(A, i), equals(B, i), equals(C, i))) for i in range(5)
+        ]
+        with pytest.raises(SolverError):
+            rebound.is_satisfiable(conjoin(*negations))
+
     def test_options_exposed(self, solver):
         assert solver.evaluator is None
 
@@ -491,3 +521,25 @@ class TestSatisfiabilityMemoization:
         assert not thread.is_alive()
         assert answers == [True]  # the old world's answer, to the old question
         assert not solver.is_satisfiable(slow)
+
+    def test_memoization_can_be_disabled(self):
+        # There is no switch: an evaluator that cannot version its sources
+        # (no ``versions_of``) is what turns the external memo off.  The
+        # solver files nothing, and membership-free answers still live on
+        # their nodes.
+        from repro.constraints.interfaces import FrozenResultSet
+
+        class BareEvaluator:
+            def has_domain(self, name):
+                return name == "d"
+
+            def evaluate_call(self, domain_name, function, args):
+                return FrozenResultSet({"a"})
+
+        solver = ConstraintSolver(BareEvaluator())
+        assert solver.is_satisfiable(conjoin(member(X, "d", "f"), equals(X, "a")))
+        fresh = Variable("MemoBare")
+        pure = conjoin(compare(fresh, ">=", 3), compare(fresh, "<=", 1))
+        assert not solver.is_satisfiable(pure)
+        assert solver._sat_memo == {}
+        assert pure._sat is False

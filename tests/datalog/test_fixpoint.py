@@ -118,6 +118,18 @@ class TestOperatorBehaviour:
         with pytest.raises(FixpointDivergenceError):
             FixpointEngine(program, solver).compute()
 
+    def test_derived_entries_are_always_projected(self, example45_program, solver):
+        view = FixpointEngine(example45_program, solver).compute()
+        # The binding equalities and renamed body variables are projected
+        # away: a derived entry's constraint mentions only its head's.
+        derived = [e for e in view.entries_for("a") if not e.support.is_leaf]
+        assert derived
+        for entry in view:
+            if entry.support.is_leaf:
+                continue
+            assert entry.constraint.variables() <= set(entry.atom.args)
+            assert len(list(entry.constraint.conjuncts())) == 1
+
     def test_body_predicate_without_entries_produces_nothing(self, solver):
         program = parse_program("c(X) <- missing(X).")
         assert len(compute_tp_fixpoint(program, solver)) == 0

@@ -321,6 +321,56 @@ def test_non_overlapping_deletion_leaves_external_entry_keys_untouched():
     assert view_keys(dred.view) == view_keys(recomputed.view)
 
 
+@pytest.mark.parametrize("seed", (9, 14, 19, 24))
+def test_one_engine_config_moves_every_algorithm_together(seed):
+    """Every reference path at once, on the interval-join family.
+
+    StDel, DRed, insertion and recomputation read one :class:`EngineOptions`.
+    What the paper fixes has no flag, so the fields left choose only how a
+    result is found: the reference scan join, no range postings, full-seed
+    rederivation and one pass per deletion must give key-identical tracks,
+    step by step, equal to the default configuration's.
+    """
+
+    def run(options):
+        spec = build_spec(seed)
+        solver = ConstraintSolver()
+        initial = compute_tp_fixpoint(spec.program, solver, options=options)
+        # Per track: [view, program]; StDel always runs the original program.
+        stdel, dred, recompute = ([initial, spec.program] for _ in range(3))
+        trail = []
+        for kind, request in build_stream(spec, seed):
+            if kind == "insert":
+                for track in (stdel, dred, recompute):
+                    track[0] = insert_atom(
+                        track[1], track[0], request.atom, solver, options
+                    ).view
+            else:
+                stdel[0] = StraightDelete(spec.program, solver, options).delete(
+                    stdel[0], request
+                ).view
+                step = ExtendedDRed(dred[1], solver, options).delete(dred[0], request)
+                dred[:] = step.view, step.rewritten_program
+                step = recompute_after_deletion(
+                    recompute[1], recompute[0], request.atom, solver, options
+                )
+                recompute[:] = step.view, step.program
+            expected = view_keys(recompute[0])
+            assert view_keys(stdel[0]) == expected
+            assert view_keys(dred[0]) == expected
+            trail.append(expected)
+        return trail
+
+    assert seed % 5 == 4  # the interval-join family
+    references = EngineOptions(
+        hash_join_index=False,
+        range_postings=False,
+        delta_rederivation=False,
+        segment_batches=False,
+    )
+    assert run(references) == run(EngineOptions())
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_coalesced_batches_match_one_at_a_time(seed):
     """The stream scheduler's batched application vs the sequential tracks.

@@ -103,6 +103,14 @@ class TestBuildAddSet:
         }
         assert values == {4}
 
+    def test_exclude_existing_false_keeps_request(self, example45_view, solver):
+        # Excluding the existing instances always runs; when no instance of
+        # the request exists (b holds X >= 5 only) it removes nothing, and
+        # the request itself is the Add set, not a narrowed copy.
+        inserted = parse_constrained_atom("b(X) <- X <= 2")
+        add = build_add_set(example45_view, inserted, solver)
+        assert add == (inserted,)
+
     def test_fresh_predicate(self, example45_view, solver):
         inserted = parse_constrained_atom("d(X) <- X = 1")
         add = build_add_set(example45_view, inserted, solver)

@@ -32,6 +32,11 @@ def check_both_algorithms(program, view, request, solver, universe=UNIVERSE):
     return declarative, dred, stdel
 
 
+def view_keys(view):
+    """Every entry's ``key()`` (atom, canonical constraint, support), sorted."""
+    return sorted(map(str, (entry.key() for entry in view)))
+
+
 class TestNumericDeletions:
     def test_delete_single_point(self, example45_program, example45_view, solver):
         request = parse_constrained_atom("b(X) <- X = 6")
@@ -413,3 +418,56 @@ class TestReinsertionAfterPartialDeletion:
         assert len(supports) == len(set(supports))
         assert scheduler.query("p", UNIVERSE) == {(v,) for v in range(0, 11)}
         assert scheduler.verify(UNIVERSE)
+
+
+class TestSubsumptionRespectsPurgeOption:
+    """The purge and the post-rederivation subsumption pass remove different
+    entries.  An entry narrowed to an unsolvable constraint goes to the
+    purge (StDel's step 4, DRed's final sweep), which always runs; an empty
+    instance set is vacuously subsumed by any same-support sibling, but
+    that is not subsumption's to count.  And subsumption drops only
+    same-support siblings, never another derivation of the same instances."""
+
+    def test_unsolvable_narrow_is_purged_not_subsumed(self, solver):
+        from repro.maintenance import DeletionRequest, ExtendedDRed, insert_atom
+
+        program = parse_program("q(X) <- X >= 200.")
+        view = compute_tp_fixpoint(program, solver)
+        for text in ("p(X) <- X >= 0 & X <= 10", "p(X) <- X >= 20 & X <= 30"):
+            view = insert_atom(program, view, parse_constrained_atom(text), solver).view
+        request = DeletionRequest(parse_constrained_atom("p(X) <- X >= 0 & X <= 10"))
+        result = ExtendedDRed(program, solver).delete(view, request)
+        # The fully deleted external entry is purged; the disjoint one stays.
+        assert [str(e.constraint) for e in result.view.entries_for("p")] == [
+            "X >= 20 & X <= 30"
+        ]
+        assert result.stats.subsumed_rederived == 0
+        stdel = delete_with_stdel(program, view, request.atom, solver)
+        assert view_keys(stdel.view) == view_keys(result.view)
+
+    def test_overlapping_external_duplicates_are_never_subsumed(self, solver):
+        # An external q entry and a q entry derived from an external p
+        # overlap; after a deletion narrows both, the derived one is
+        # syntactically subsumed by the external one -- but they are
+        # *distinct derivations* (different supports), so the subsumption
+        # pass leaves them alone (duplicate semantics, and key parity with
+        # StDel).
+        from repro.maintenance import (
+            DeletionRequest,
+            ExtendedDRed,
+            StraightDelete,
+            insert_atom,
+        )
+
+        program = parse_program("q(X) <- p(X). r(X) <- X >= 200.")
+        view = compute_tp_fixpoint(program, solver)
+        for text in ("q(X) <- X >= 0 & X <= 50", "p(X) <- X >= 0 & X <= 10"):
+            view = insert_atom(program, view, parse_constrained_atom(text), solver).view
+        assert len(view.entries_for("q")) == 2
+        request = DeletionRequest(parse_constrained_atom("q(X) <- X >= 3 & X <= 4"))
+        dred = ExtendedDRed(program, solver).delete(view, request)
+        stdel = StraightDelete(program, solver).delete(view, request)
+        assert len(dred.view.entries_for("q")) == 2
+        assert len(stdel.view.entries_for("q")) == 2
+        assert dred.stats.subsumed_rederived == 0
+        assert view_keys(dred.view) == view_keys(stdel.view)

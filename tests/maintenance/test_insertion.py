@@ -74,6 +74,23 @@ class TestNumericInsertions:
             e.support.clause_number == EXTERNAL_CLAUSE_NUMBER for e in seeds
         )
 
+    def test_duplicate_semantics_reinsertion(self, example45_program, example45_view, solver):
+        request = parse_constrained_atom("b(X) <- X = 1")
+        first = insert_atom(example45_program, example45_view, request, solver)
+        again = insert_atom(example45_program, first.view, request, solver)
+        # The view keeps one entry per derivation; inserting instances it
+        # already holds is not a second derivation (Add excludes them).
+        assert again.add_atoms == ()
+        assert len(again.added_entries) == 0
+        external = [
+            e for e in again.view.entries_for("b")
+            if e.support.clause_number == EXTERNAL_CLAUSE_NUMBER
+        ]
+        assert len(external) == 1
+        assert again.view.instances(solver, UNIVERSE) == first.view.instances(
+            solver, UNIVERSE
+        )
+
     def test_input_view_not_mutated(self, example45_program, example45_view, solver):
         before = len(example45_view)
         insert_atom(

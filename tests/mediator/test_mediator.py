@@ -149,6 +149,15 @@ class TestMediatorWithDomains:
         )
         assert mediator.streaming().options.engine.range_postings is False
 
+    def test_solver_options_passed_through(self):
+        # The solver has no options of its own: it is configured by the
+        # mediator's registry, and every scheduler shares that one solver.
+        warehouse = _warehouse()
+        mediator = Mediator.from_rules(RULES, domains=[warehouse])
+        assert mediator.solver.evaluator is mediator.registry
+        assert mediator.registry.has_domain(warehouse.name)
+        assert mediator.streaming().solver is mediator.solver
+
     def test_open_runs_with_the_mediators_engine_options(self, tmp_path):
         mediator = Mediator.open(
             tmp_path / "data", rules=RULES, options=EngineOptions(range_postings=False)

@@ -65,6 +65,17 @@ class TestDeduplication:
         assert batch.report.cancelled == 1
         assert len(batch.deletions) == 1
 
+    def test_duplicate_insertions_kept_under_duplicate_semantics(self):
+        # Only identical requests dedupe.  Overlapping insertions of
+        # different atoms are both kept: at apply time each one's Add set
+        # excludes what the view (and the other) already holds.
+        batch = coalesce(
+            insertion("b(X) <- X >= 5 & X <= 7"),
+            insertion("b(X) <- X = 6"),
+        )
+        assert len(batch.insertions) == 2
+        assert batch.report.deduplicated == 0
+
 
 class TestCancellation:
     def test_insert_then_covering_delete_cancels(self):
