@@ -77,8 +77,9 @@ _CONJUNCTIONS = table("conjunction")
 #: of projection results; ``_domains`` the names of the domains the node
 #: calls; ``_plan`` the compiled search plan of ``solutions`` for the last
 #: variable list the node was enumerated over; ``_pins`` what
-#: ``simplify.pins_of`` found (``False``: not pins).  All writes are idempotent
-#: (the value is a pure function of the node), so racing threads are benign.
+#: ``simplify.pins_of`` found and ``_box`` what ``solver.box_of`` found
+#: (``False``: not pins, not a box).  All writes are idempotent (the value is
+#: a pure function of the node), so racing threads are benign.
 _MEMO_SLOTS = (
     "_str",
     "_vars",
@@ -91,6 +92,7 @@ _MEMO_SLOTS = (
     "_domains",
     "_plan",
     "_pins",
+    "_box",
 )
 
 

@@ -40,7 +40,13 @@ from repro.constraints.ast import (
 )
 from repro.constraints.intern import EVENTS
 from repro.constraints.projection import scope_negations
-from repro.constraints.solver import ConstraintSolver
+from repro.constraints.solver import (
+    ConstraintSolver,
+    box_entails,
+    box_literal,
+    box_of,
+    box_satisfiable,
+)
 from repro.constraints.terms import Constant, Variable
 
 
@@ -87,22 +93,31 @@ def _simplify_conjuncts(
     if any(isinstance(part, FalseConstraint) for part in conjuncts):
         return FALSE
 
-    positives = [part for part in conjuncts if part.is_primitive()]
-    context = conjoin(*positives)
-
-    reduced: List[Constraint] = []
-    for part in conjuncts:
-        if isinstance(part, NegatedConjunction):
-            replacement = _reduce_negation(part, context, solver)
-            if isinstance(replacement, FalseConstraint):
-                return FALSE
-            if isinstance(replacement, TrueConstraint):
-                continue
-            reduced.append(replacement)
-        else:
-            reduced.append(part)
-
-    reduced = _dedupe(reduced)
+    # With two or more negations, one that reduces to a literal narrows the
+    # context of the others (``not(X <= 6 & X <= 7) & not(X <= 6)`` keeps
+    # ``X > 6`` alone): reduce them again until none does.
+    narrowing = sum(isinstance(part, NegatedConjunction) for part in conjuncts) > 1
+    negations = narrowed = True
+    while negations and narrowed:
+        negations = narrowed = False
+        context = conjoin(*(part for part in conjuncts if part.is_primitive()))
+        reduced: List[Constraint] = []
+        for part in conjuncts:
+            if isinstance(part, NegatedConjunction):
+                replacement = _reduce_negation(part, context, solver)
+                if isinstance(replacement, FalseConstraint):
+                    return FALSE
+                if isinstance(replacement, TrueConstraint):
+                    continue
+                if narrowing and replacement.is_primitive():
+                    context = conjoin(context, replacement)
+                    narrowed = True
+                else:
+                    negations = True
+                reduced.append(replacement)
+            else:
+                reduced.append(part)
+        conjuncts = reduced = _dedupe(reduced)
 
     if drop_redundant_comparisons:
         reduced = _drop_redundant_comparisons(reduced, solver)
@@ -254,21 +269,32 @@ def _reduce_negation(
     context: Constraint,
     solver: ConstraintSolver,
 ) -> Constraint:
-    """Reduce ``not(p1 & ... & pk)`` relative to the positive *context*."""
+    """Reduce ``not(p1 & ... & pk)`` relative to the positive *context*.
+
+    Against a box context a box literal is decided by bounds arithmetic."""
+    box = box_of(context)
     residue: List[Constraint] = []
     for part in negation.parts:
         if isinstance(part, FalseConstraint):
             # The inner conjunction is false, so the negation is true.
             return TRUE
-        if solver.entails(context, part):
+        literal = None if box is None else box_literal(part)
+        if literal is None:
+            entailed = solver.entails(context, part)
+            meets = entailed or solver.is_satisfiable(conjoin(context, part))
+        else:
+            entailed = box_entails(box, literal)
+            meets = entailed or box_satisfiable(box, literal)
+        if entailed:
             # Under the context this inner conjunct always holds; the
             # negation reduces to the negation of the remaining conjuncts.
             continue
-        if not solver.is_satisfiable(conjoin(context, part)):
+        if not meets:
             # The inner conjunct can never hold together with the context,
             # so the negated conjunction is always true here.
             return TRUE
         residue.append(part)
+    residue = _dedupe(residue)
     if not residue:
         return FALSE
     if len(residue) == 1:
@@ -279,13 +305,15 @@ def _reduce_negation(
 def _drop_redundant_comparisons(
     parts: List[Constraint], solver: ConstraintSolver
 ) -> List[Constraint]:
+    """Drop the comparisons the other parts entail.  When every part is a
+    box literal, a comparison is tested against the box of the others."""
     result = list(parts)
+    literals: Optional[List] = None  # read on the first entailment test
     index = 0
     while index < len(result):
         part = result[index]
         if isinstance(part, Comparison):
             rest = result[:index] + result[index + 1:]
-            rest_constraint = conjoin(*rest)
             # Keep equalities that define a variable otherwise unconstrained:
             # dropping them would lose binding information used for display
             # and for solution enumeration even though the solution set over
@@ -295,8 +323,18 @@ def _drop_redundant_comparisons(
                 and not any(term in other.variables() for other in rest)
                 for term in (part.left, part.right)
             )
-            if not defines_variable and rest and solver.entails(rest_constraint, part):
+            if defines_variable or not rest:
+                index += 1
+                continue
+            if literals is None:
+                literals = [box_literal(other) for other in result]
+            if (
+                box_entails((*literals[:index], *literals[index + 1:]), literals[index])
+                if None not in literals
+                else solver.entails(conjoin(*rest), part)
+            ):
                 result.pop(index)
+                literals.pop(index)
                 continue
         index += 1
     return result

@@ -449,13 +449,11 @@ def _integer_interval(
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             continue
         if op == "<":
-            bound = math.ceil(value) - 1 if float(value).is_integer() else math.floor(value)
-            high = min(high, bound)
+            high = min(high, math.ceil(value) - 1)  # the largest integer below
         elif op == "<=":
             high = min(high, math.floor(value))
         elif op == ">":
-            bound = math.floor(value) + 1 if float(value).is_integer() else math.ceil(value)
-            low = max(low, bound)
+            low = max(low, math.floor(value) + 1)  # the smallest integer above
         else:
             low = max(low, math.ceil(value))
     if low == -math.inf or high == math.inf:

@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.constraints.ast import (
+    FLIPPED_OPERATOR,
+    NEGATED_OPERATOR,
     Comparison,
     Conjunction,
     Constraint,
@@ -179,12 +181,6 @@ class _UnionFind:
     def constant_of(self, term: Term) -> Optional[Constant]:
         return self._constant.get(self.find(term))
 
-    def classes(self) -> Dict[Term, List[Term]]:
-        grouped: Dict[Term, List[Term]] = {}
-        for term in list(self._parent):
-            grouped.setdefault(self.find(term), []).append(term)
-        return grouped
-
 
 @dataclass
 class _Branch:
@@ -213,6 +209,82 @@ class _Branch:
             self.memberships.append(literal)
             return True
         raise SolverError(f"unexpected literal in branch: {literal!r}")
+
+
+# ---------------------------------------------------------------------------
+# Boxes: conjunctions of ``variable op constant``, decided by bounds arithmetic
+# ---------------------------------------------------------------------------
+#: A box literal ``(X, op, value)``, and a box: the literals of a conjunction.
+BoxLiteral = Tuple[Variable, str, object]
+Box = Tuple[BoxLiteral, ...]
+
+
+def box_literal(part: Constraint) -> Optional[BoxLiteral]:
+    """*part* as a box literal, the variable put left: a comparison of one
+    variable with an ordering against a number or ``=`` / ``!=`` against any
+    constant but a bool or NaN (the branch procedure coerces those)."""
+    if part.__class__ is not Comparison:
+        return None
+    left, op, right = part.left, part.op, part.right
+    if left.__class__ is Constant:
+        left, op, right = right, FLIPPED_OPERATOR[op], left
+    if left.__class__ is not Variable or right.__class__ is not Constant:
+        return None
+    value = right.value
+    if value.__class__ is bool or value != value:
+        return None
+    return (left, op, value) if op in ("=", "!=") or _is_number(value) else None
+
+
+def box_of(constraint: Constraint) -> Optional[Box]:
+    """The box *constraint* is when each conjunct is a box literal (``true``:
+    ``()``), else ``None``.  Read once per interned node."""
+    cached = constraint._box
+    if cached is None:
+        literals = tuple(box_literal(part) for part in constraint.conjuncts())
+        cached = False if None in literals else literals
+        object.__setattr__(constraint, "_box", cached)
+    return None if cached is False else cached
+
+
+def box_satisfiable(box: Box, extra: Optional[BoxLiteral] = None) -> bool:
+    """Whether *box* and the literal *extra* have a solution: what
+    :meth:`ConstraintSolver._branch_satisfiable` answers, per variable."""
+    literals = box if extra is None else (*box, extra)
+    return all(
+        _bounds_satisfiable([(op, value) for other, op, value in literals if other is variable])
+        for variable in {literal[0] for literal in literals}
+    )
+
+
+def box_entails(box: Box, literal: BoxLiteral) -> bool:
+    variable, op, value = literal
+    return not box_satisfiable(box, (variable, NEGATED_OPERATOR[op], value))
+
+
+def _bounds_satisfiable(pairs: List[Tuple[str, object]]) -> bool:
+    # A pinned value meets every other literal by ground comparison.  Else
+    # the bounds must leave an interval, and a point one a value that no
+    # ``!=`` excludes: between two distinct bounds the order is dense.
+    for op, pinned in pairs:
+        if op == "=":
+            return all(_compare_values(pinned, other, value) for other, value in pairs)
+    interval = _interval_of(pairs)
+    point = interval.is_point()
+    if point is not None:
+        return all(value != point for op, value in pairs if op == "!=")
+    return not interval.is_empty()
+
+
+def _interval_of(pairs: Iterable[Tuple[str, object]]) -> _Interval:
+    """The interval the orderings among ``(op, number)`` pairs leave."""
+    interval = _Interval()
+    for op, value in pairs:
+        if op in ("<", "<="):
+            interval.tighten_high(value, op == "<")
+        elif op in (">", ">="):
+            interval.tighten_low(value, op == ">")
+    return interval
 
 
 class ConstraintSolver:
@@ -370,6 +442,9 @@ class ConstraintSolver:
         return result
 
     def _decide_satisfiable(self, constraint: Constraint) -> bool:
+        box = box_of(constraint)
+        if box is not None:
+            return box_satisfiable(box)
         # Inline equality-determined local variables inside negations so the
         # branch expansion treats ``not(ψ)`` exactly (see scope_negations).
         from repro.constraints.projection import scope_negations
@@ -507,7 +582,7 @@ class ConstraintSolver:
             return True
         for left_slot, right_slot in zip(left.slots, right.slots):
             if left_slot.value is not _UNKNOWN and right_slot.value is not _UNKNOWN:
-                if not _values_equal(left_slot.value, right_slot.value):
+                if left_slot.value != right_slot.value:
                     return True
                 continue
             if left_slot.value is not _UNKNOWN:
@@ -519,14 +594,14 @@ class ConstraintSolver:
             elif (
                 left_slot.interval is not None
                 and right_slot.interval is not None
-                and _intervals_disjoint(left_slot.interval, right_slot.interval)
+                and intervals_disjoint(left_slot.interval, right_slot.interval)
             ):
                 return True
         return False
 
     def _slot_excludes(self, slot: "ArgumentSlot", value: object) -> bool:
         """True when *slot*'s summary definitely excludes the pinned *value*."""
-        if slot.interval is not None and _interval_excludes(slot.interval, value):
+        if slot.interval is not None and interval_excludes(slot.interval, value):
             return True
         if slot.calls:
             hook = getattr(self._evaluator, "quick_reject", None)
@@ -627,8 +702,6 @@ class ConstraintSolver:
         primitives).  ``context is fact`` short-circuits: with interned
         nodes a constraint trivially entails itself.
         """
-        from repro.constraints.ast import conjoin
-
         if context is fact or isinstance(fact, TrueConstraint):
             return True
         return not self.is_satisfiable(conjoin(context, negate(fact)))
@@ -781,14 +854,10 @@ class ConstraintSolver:
         if intervals is None:
             return False
 
-        # Interval consistency per class.
-        for root, interval in intervals.items():
-            constant = uf.constant_of(root)
-            if constant is not None:
-                if not interval.admits(constant.value):
-                    return False
-            elif interval.is_empty():
-                return False
+        # Interval consistency per class (a pinned class has no interval:
+        # its orderings are ground checks).
+        if any(interval.is_empty() for interval in intervals.values()):
+            return False
 
         # Single-point intervals interacting with disequalities.
         if not self._check_point_disequalities(branch, uf, intervals):
@@ -801,28 +870,21 @@ class ConstraintSolver:
     ) -> Optional[Dict[Term, _Interval]]:
         intervals: Dict[Term, _Interval] = {}
 
-        def interval_for(term: Term) -> _Interval:
-            root = uf.find(term)
-            if root not in intervals:
-                intervals[root] = _Interval()
-                constant = uf.constant_of(root)
-                if constant is not None and _is_number(constant.value):
-                    intervals[root].tighten_low(float(constant.value), False)
-                    intervals[root].tighten_high(float(constant.value), False)
-            return intervals[root]
+        def interval_for(term: Term) -> _Interval:  # only unpinned classes have one
+            return intervals.setdefault(uf.find(term), _Interval())
 
-        ground_checks: List[Comparison] = []
         var_edges: List[Tuple[Term, Term, bool]] = []  # (low_root, high_root, strict)
-
         for ordering in branch.orderings:
             left_const = uf.constant_of(ordering.left)
             right_const = uf.constant_of(ordering.right)
             if left_const is not None and right_const is not None:
-                ground_checks.append(ordering)
+                if not _compare_values(left_const.value, ordering.op, right_const.value):
+                    return None
                 continue
             comparison = ordering
             if comparison.op in (">", ">="):
                 comparison = comparison.flipped()
+                left_const, right_const = right_const, left_const
             # Now op is < or <=:  left  <(=)  right.
             strict = comparison.op == "<"
             left_root = uf.find(comparison.left)
@@ -831,31 +893,18 @@ class ConstraintSolver:
                 if strict:
                     return None
                 continue
-            left_const = uf.constant_of(comparison.left)
-            right_const = uf.constant_of(comparison.right)
             if right_const is not None:
                 if not _is_number(right_const.value):
                     return None
-                interval_for(comparison.left).tighten_high(
-                    float(right_const.value), strict
-                )
+                interval_for(comparison.left).tighten_high(right_const.value, strict)
             elif left_const is not None:
                 if not _is_number(left_const.value):
                     return None
-                interval_for(comparison.right).tighten_low(
-                    float(left_const.value), strict
-                )
+                interval_for(comparison.right).tighten_low(left_const.value, strict)
             else:
                 interval_for(comparison.left)
                 interval_for(comparison.right)
                 var_edges.append((left_root, right_root, strict))
-
-        for ordering in ground_checks:
-            left_const = uf.constant_of(ordering.left)
-            right_const = uf.constant_of(ordering.right)
-            assert left_const is not None and right_const is not None
-            if not _compare_values(left_const.value, ordering.op, right_const.value):
-                return None
 
         # Bound propagation across variable-variable orderings.
         for _ in range(PROPAGATION_ROUNDS):
@@ -878,23 +927,10 @@ class ConstraintSolver:
         uf: _UnionFind,
         intervals: Dict[Term, _Interval],
     ) -> bool:
-        def pinned_value(term: Term) -> Optional[object]:
-            constant = uf.constant_of(term)
-            if constant is not None:
-                return constant.value
-            interval = intervals.get(uf.find(term))
-            if interval is not None:
-                point = interval.is_point()
-                if point is not None:
-                    return point
-            return None
-
         for disequality in branch.disequalities:
-            left_value = pinned_value(disequality.left)
-            right_value = pinned_value(disequality.right)
-            if left_value is None or right_value is None:
-                continue
-            if _values_equal(left_value, right_value):
+            left_value = self._pinned_value(disequality.left, uf, intervals)
+            right_value = self._pinned_value(disequality.right, uf, intervals)
+            if left_value is not _UNKNOWN is not right_value and left_value == right_value:
                 return False
         return True
 
@@ -954,12 +990,9 @@ class ConstraintSolver:
             base = finite_positive[0]
             found = False
             for value in base.iter_values():
-                if not interval.admits(value) and not interval.is_trivial():
-                    if _is_number(value) and not interval.admits(value):
-                        continue
-                    if not _is_number(value) and not interval.is_trivial():
-                        continue
-                if any(_values_equal(value, bad) for bad in disequal_values):
+                if not interval.admits(value):
+                    continue
+                if any(value == bad for bad in disequal_values):
                     continue
                 if any(not other.contains(value) for other in finite_positive[1:]):
                     continue
@@ -1006,7 +1039,7 @@ class ConstraintSolver:
         if interval is not None:
             point = interval.is_point()
             if point is not None:
-                if point == int(point):
+                if isinstance(point, float) and point.is_integer():
                     return int(point)
                 return point
         return _UNKNOWN
@@ -1100,7 +1133,7 @@ class ArgumentProfile:
     unsatisfiable: bool = False
 
 
-def _interval_excludes(interval: _Interval, value: object) -> bool:
+def interval_excludes(interval: _Interval, value: object) -> bool:
     """True when *interval* definitely excludes the pinned *value*.
 
     Booleans get no opinion: the solver's ground comparisons coerce them to
@@ -1112,7 +1145,8 @@ def _interval_excludes(interval: _Interval, value: object) -> bool:
     return not interval.admits(value)
 
 
-def _intervals_disjoint(left: _Interval, right: _Interval) -> bool:
+def intervals_disjoint(left: _Interval, right: _Interval) -> bool:
+    """True when the two intervals share no point."""
     if left.high < right.low:
         return True
     if left.high == right.low and (left.high_strict or right.low_strict):
@@ -1158,36 +1192,20 @@ def build_argument_profile(
             elif isinstance(part, FalseConstraint):
                 return ArgumentProfile((), unsatisfiable=True)
 
-    intervals: Dict[Term, _Interval] = {}
-
-    def interval_for(term: Term) -> _Interval:
-        root = uf.find(term)
-        if root not in intervals:
-            intervals[root] = _Interval()
-        return intervals[root]
-
+    bounds: Dict[Term, List[Tuple[str, object]]] = {}
     for ordering in orderings:
-        comparison = ordering
-        if comparison.op in (">", ">="):
-            comparison = comparison.flipped()
-        strict = comparison.op == "<"
-        left_const = uf.constant_of(comparison.left)
-        right_const = uf.constant_of(comparison.right)
+        left_const = uf.constant_of(ordering.left)
+        right_const = uf.constant_of(ordering.right)
         if left_const is not None and right_const is not None:
-            if not _compare_values(left_const.value, comparison.op, right_const.value):
+            if not _compare_values(left_const.value, ordering.op, right_const.value):
                 return ArgumentProfile((), unsatisfiable=True)
-            continue
-        try:
-            if right_const is not None and _is_number(right_const.value):
-                interval_for(comparison.left).tighten_high(
-                    float(right_const.value), strict
-                )
-            elif left_const is not None and _is_number(left_const.value):
-                interval_for(comparison.right).tighten_low(
-                    float(left_const.value), strict
-                )
-        except OverflowError:
-            pass  # int beyond float range: the profile ventures no bound
+        elif right_const is not None and _is_number(right_const.value):
+            bounds.setdefault(uf.find(ordering.left), []).append((ordering.op, right_const.value))
+        elif left_const is not None and _is_number(left_const.value):
+            bounds.setdefault(uf.find(ordering.right), []).append(
+                (FLIPPED_OPERATOR[ordering.op], left_const.value)
+            )
+    intervals = {root: _interval_of(pairs) for root, pairs in bounds.items()}
 
     def ground_call(call: DomainCall) -> Optional[Tuple[object, ...]]:
         values: List[object] = []
@@ -1207,7 +1225,7 @@ def build_argument_profile(
         if interval is not None and interval.is_trivial():
             interval = None
         if value is not _UNKNOWN and interval is not None:
-            if _interval_excludes(interval, value):
+            if interval_excludes(interval, value):
                 return ArgumentProfile((), unsatisfiable=True)
             interval = None  # the pinned value subsumes the interval
         calls: List[Tuple[str, str, Tuple[object, ...]]] = []
@@ -1228,25 +1246,15 @@ def build_argument_profile(
 # ---------------------------------------------------------------------------
 # The argument index's range postings (repro.datalog.view) and the indexed
 # join enumeration (repro.datalog.fixpoint) are built on the same interval
-# arithmetic the branch procedure and the quick-reject profiles use.  These
-# aliases are the supported surface for that sharing: the underscore names
-# remain internal to this module and may be refactored freely.
+# arithmetic the branch procedure and the quick-reject profiles use:
+# ``Interval``, ``interval_excludes``, ``intervals_disjoint`` and
+# ``intersect_intervals`` are the supported surface for that sharing.
 
 #: A (possibly unbounded) numeric interval; see :class:`_Interval`.
 Interval = _Interval
 
 #: Sentinel for "no pinned value" in :class:`ArgumentSlot` profiles.
 PROFILE_UNKNOWN = _UNKNOWN
-
-
-def interval_excludes(interval: Interval, value: object) -> bool:
-    """True when *interval* definitely excludes *value* (bools: no opinion)."""
-    return _interval_excludes(interval, value)
-
-
-def intervals_disjoint(left: Interval, right: Interval) -> bool:
-    """True when the two intervals share no point."""
-    return _intervals_disjoint(left, right)
 
 
 def intersect_intervals(left: Interval, right: Interval) -> Interval:
@@ -1269,17 +1277,12 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _values_equal(left: object, right: object) -> bool:
-    if _is_number(left) and _is_number(right):
-        return float(left) == float(right)
-    return left == right
-
-
 def _compare_values(left: object, op: str, right: object) -> bool:
+    # Raw values: Python compares ints and floats exactly, at any size.
     if op == "=":
-        return _values_equal(left, right)
+        return left == right
     if op == "!=":
-        return not _values_equal(left, right)
+        return left != right
     try:
         if op == "<":
             return left < right  # type: ignore[operator]

@@ -129,7 +129,7 @@ class Constant(_InternedTerm):
     The intern key is ``(type(value), value)``: ``Constant(1)``,
     ``Constant(True)`` and ``Constant(1.0)`` are distinct nodes (they render
     differently and the solver compares *values* where numeric equality
-    matters, see ``_values_equal``).
+    matters, see ``_compare_values``).
     """
 
     __slots__ = ("value",)

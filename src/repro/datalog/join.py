@@ -52,11 +52,12 @@ from repro.constraints.projection import eliminate_variables
 from repro.constraints.simplify import pins_of, simplify
 from repro.constraints.solver import (
     ConstraintSolver,
+    box_of,
     Interval as _Interval,
     intersect_intervals as _intersect_intervals,
     interval_excludes as _interval_excludes,
 )
-from repro.constraints.terms import Constant, FreshVariableFactory, Variable
+from repro.constraints.terms import Constant, FreshVariableFactory, Substitution, Variable
 from repro.datalog.atoms import Atom, ConstrainedAtom
 from repro.datalog.clauses import Clause
 from repro.datalog.program import ConstrainedDatabase
@@ -799,7 +800,10 @@ class DeltaJoinKernel:
         A premise (view entry or bare frontier atom) whose constraint is
         nothing but pins covering its arguments contributes a substitution:
         its constants meet the body atom's arguments directly, which is what
-        renaming it apart, conjoining and projecting leaves of it.  When
+        renaming it apart, conjoining and projecting leaves of it.  So does
+        a premise over distinct variables whose constraint is a box without
+        pins (:func:`_box_arguments`): its comparisons, over the body atom's
+        arguments, are what projection leaves of the renamed copy.  When
         every premise does and the clause constraint is ``true``, comparing
         the values decides the application (:meth:`_by_comparison`): no
         fresh name, no intermediate node, no solver call.  Every other
@@ -849,6 +853,8 @@ class DeltaJoinKernel:
         for position, (body_atom, premise) in enumerate(zip(clause.body, premises)):
             if pinned and position != negated and pinned[position] is not None:
                 part = tuple_equalities(pinned[position], body_atom.args)
+            elif position != negated and (args := _box_arguments(premise)) is not None:
+                part = premise.constraint.substitute(Substitution(dict(zip(args, body_atom.args))))
             else:
                 cache_key = (position, id(premise))
                 renamed = renamed_cache.get(cache_key)
@@ -939,3 +945,19 @@ def _pinned_args(premise) -> Optional[Tuple[Constant, ...]]:
         )
     except KeyError:
         return None
+
+
+def _box_arguments(premise) -> Optional[Tuple[Variable, ...]]:
+    """The arguments of *premise* when they are distinct variables and its
+    constraint is a box over them without pins (``solver.box_of``).  Each
+    renamed variable is then projected onto its body argument's term and
+    nothing else, so substituting the arguments builds the pipeline's node."""
+    args, box = premise.atom.args, box_of(premise.constraint)
+    if (
+        box is None
+        or any(arg.__class__ is not Variable for arg in args)
+        or len(set(args)) < len(args)
+        or any(variable not in args or op == "=" for variable, op, _ in box)
+    ):
+        return None
+    return args

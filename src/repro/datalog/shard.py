@@ -445,16 +445,10 @@ class _RangePostings:
             # Non-numeric values can only satisfy trivial intervals, and
             # trivial intervals are never posted -- nothing matches.
             return []
-        try:
-            upper = float(value)
-        except OverflowError:
-            # int beyond float range: scan everything; the exact
-            # containment filter below still decides precisely (Python
-            # compares big ints against floats without converting).
-            upper = float("inf")
+        # Bounds and value compare exactly (an int beyond float range too).
         return [
             (key, entry)
-            for key, interval, entry in self._scan(upper)
+            for key, interval, entry in self._scan(value)
             if not _interval_excludes(interval, value)
         ]
 

@@ -161,12 +161,7 @@ def argument_intervals(
         if slot.value is not _UNKNOWN:
             value = slot.value
             if isinstance(value, (int, float)) and not isinstance(value, bool):
-                try:
-                    point = float(value)
-                except OverflowError:  # int beyond float range: no bound
-                    intervals.append(None)
-                    continue
-                interval = _Interval(point, False, point, False)
+                interval = _Interval(value, False, value, False)  # exact
             else:
                 intervals.append(None)
                 continue

@@ -3,14 +3,17 @@ builds -- the same atom and the same interned constraint object.
 
 ``DeltaJoinKernel.apply_clause`` lets a premise whose constraint is nothing
 but pins contribute its constants directly, and decides an application all
-of whose premises are pinned by comparing values.  The reference here is
+of whose premises are pinned by comparing values; a premise over distinct
+variables whose constraint is a box (``variable op constant`` comparisons,
+no pins) contributes its comparisons over the body atom's arguments.  The reference here is
 the ``T_P`` step as the paper states it, for every premise: rename apart,
 conjoin with the clause constraint and the binding equalities, project the
 auxiliary variables away, simplify, ask the solver.  Generated clauses
 (arity 1-3, repeated variables, constants in head and body, clause
 constraint ``true`` or comparisons) meet generated premises (pins in both
 orientations, chains through an auxiliary variable, constants as arguments,
-intervals, clashing pins, mixtures), under ``T_P`` and under ``W_P``.  The
+intervals, boxes of strict and non-strict bounds and holes in either
+orientation, clashing pins, mixtures), under ``T_P`` and under ``W_P``.  The
 same for StDel's parent rebuild: ``(replacement, deleted part)`` against the
 rebuild written out with its own renaming and negation.
 
@@ -54,6 +57,11 @@ CONSTANTS = [Constant(value) for value in (0, 1, 2, 3, 1.0, "a")]
 
 constants = st.sampled_from(CONSTANTS)
 small = st.sampled_from(CONSTANTS[:3])
+#: Box bounds: floats, an int beyond float precision and one beyond its
+#: range; ``'a'`` under an ordering is no box (the pipeline's to build).
+box_constants = st.sampled_from(
+    CONSTANTS + [Constant(value) for value in (2.5, 2**53 + 1, 10**400)]
+)
 
 
 def terms(variables):
@@ -84,7 +92,7 @@ def clauses(draw):
 
 
 PINS = ["pin", "pin", "pin", "nip", "chain"]
-BOUNDED = PINS + ["interval", "clash"]
+BOUNDED = PINS + ["interval", "clash", "box"]
 
 
 def meeting(valuation, theirs, mine):
@@ -120,6 +128,11 @@ def constrained(draw, atom: Atom, kinds, preferred):
         elif kind == "interval":
             parts.append(Comparison(variable, ">=", Constant(draw(st.integers(0, 2)))))
             parts.append(Comparison(variable, "<=", Constant(draw(st.integers(1, 3)))))
+        elif kind == "box":
+            for _ in range(draw(st.integers(1, 3))):
+                op = draw(st.sampled_from(["!=", "<", "<=", ">", ">="]))
+                literal = Comparison(variable, op, draw(box_constants))
+                parts.append(literal.flipped() if draw(st.booleans()) else literal)
         elif kind == "clash":
             parts.append(Comparison(variable, "=", value))
             parts.append(Comparison(variable, "=", draw(constants)))
@@ -129,13 +142,18 @@ def constrained(draw, atom: Atom, kinds, preferred):
 @st.composite
 def applications(draw, mixed=BOUNDED + ["free"]):
     clause = draw(clauses())
-    kinds = draw(st.sampled_from([PINS, PINS, mixed]))
+    # Boxes beside pins, over distinct variables half of the time: the
+    # kernel's substitution applies to a box without pins then.
+    boxes = ["box", "box", "pin", "nip"] + [kind for kind in mixed if kind in ("interval", "free")]
+    kinds = draw(st.sampled_from([PINS, PINS, mixed, boxes]))
     # Three times in four the premises agree on a value per clause
     # variable, so that derivations go through; otherwise they mostly clash.
     valuation = {variable: draw(small) for variable in CLAUSE_VARIABLES * min(1, draw(st.integers(0, 3)))}
     premises = []
     for body_atom in clause.body:
         args = draw(st.lists(terms(PREMISE_VARIABLES), min_size=body_atom.arity, max_size=body_atom.arity))
+        if kinds is boxes and draw(st.booleans()):
+            args = draw(st.permutations(PREMISE_VARIABLES))[: body_atom.arity]
         premise = draw(
             constrained(
                 Atom(body_atom.predicate, tuple(args)),
@@ -340,3 +358,28 @@ def test_an_all_pinned_application_constructs_no_intermediate_node():
         clause, clash, fresh_factory(clause, *clash), False
     ).constraint
     assert not solver.is_satisfiable(kept.constraint)
+
+
+def test_a_box_premise_is_substituted_not_renamed():
+    x, y = CLAUSE_VARIABLES[:2]
+    a = PREMISE_VARIABLES[0]
+    clause = Clause(Atom("pair", (x,)), TRUE, (Atom("iv0", (x,)), Atom("iv1", (x,))), 1)
+    premises = (
+        ConstrainedAtom(Atom("iv0", (a,)), conjoin(Comparison(a, ">=", Constant(3)), Comparison(a, "<=", Constant(8)))),
+        ConstrainedAtom(Atom("iv1", (a,)), conjoin(Comparison(Constant(6), "<", a), Comparison(a, "!=", Constant(7)))),
+    )
+    stats = MaintenanceStats()
+    factory = fresh_factory(clause, *premises)
+    kernel = DeltaJoinKernel(ConstrainedDatabase([clause]), solver, EngineOptions(), factory, stats)
+    derived = kernel.apply_clause(clause, premises)
+    assert str(derived) == "pair(X) <- X <= 8 & 6 < X & X != 7"
+    assert derived.constraint is reference_application(
+        clause, premises, fresh_factory(clause, *premises), True
+    ).constraint
+    assert factory.fresh("X").name == "X_1"  # no premise was renamed apart
+    # A clause variable outside the head projects the same way.
+    clause = Clause(Atom("h", (x,)), TRUE, (Atom("iv0", (y,)), Atom("iv1", (x,))), 1)
+    derived = kernel.apply_clause(clause, premises)
+    assert derived.constraint is reference_application(
+        clause, premises, fresh_factory(clause, *premises), True
+    ).constraint

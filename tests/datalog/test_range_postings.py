@@ -244,10 +244,10 @@ class TestJoinEnumeration:
         assert ranged.stats.derivation_attempts < flat.stats.derivation_attempts
 
     def test_huge_int_constants_do_not_overflow_the_index(self):
-        # Regression: interval extraction floats pinned constants; an int
-        # beyond float range must degrade to "no bound", not crash the
-        # default-options fixpoint.  (Orderings against such constants are
-        # a pre-existing solver limitation, unrelated to the index.)
+        # Regression: interval extraction once floated pinned constants; an
+        # int beyond float range must not crash the default-options
+        # fixpoint.  Bounds and pins now keep their exact values, so the
+        # solver and the index compare such constants as they are.
         from repro.datalog.clauses import Clause
         from repro.datalog.program import ConstrainedDatabase
         from repro.constraints.ast import TRUE
@@ -264,6 +264,24 @@ class TestJoinEnumeration:
         assert view.entries_for("j") == ()
         # And the probe path itself survives huge probe values.
         assert view.probe_range("iv", 0, huge) == ()
+
+    def test_a_pin_beyond_float_precision_meets_a_bound_it_satisfies(self):
+        # ``2**53 + 1`` rounds onto ``2**53`` as a float: the index must not
+        # prune the join of a pin with the interval that holds it.
+        from repro.datalog.clauses import Clause
+        from repro.datalog.program import ConstrainedDatabase
+        from repro.constraints.ast import TRUE
+
+        low = 2**53 + 1
+        clauses = [
+            Clause(Atom("g", (X,)), equals(X, low), ()),
+            Clause(Atom("iv", (X,)), conjoin(compare(X, ">=", low), compare(X, "<=", low + 2)), ()),
+            Clause(Atom("j", (X,)), TRUE, (Atom("g", (X,)), Atom("iv", (X,)))),
+        ]
+        view = FixpointEngine(ConstrainedDatabase(clauses), ConstraintSolver()).compute()
+        assert [str(entry.constraint) for entry in view.entries_for("j")] == [f"{low} = X"]
+        assert len(view.probe_range("iv", 0, low)) == 1
+        assert view.probe_range("iv", 0, low - 1) == ()
 
     def test_disjoint_interval_bindings_prune_without_solver(self):
         # pair(X) <- a(X), b(X) where a and b live in disjoint intervals:

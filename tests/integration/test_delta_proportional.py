@@ -22,14 +22,16 @@ of the law-enforcement mediator calls the sources that changed since the
 last read and no others.
 
 Last, one table holds the absolute work of the deletion algorithms, the
-fixpoint and a coalesced stream batch on small fixed workloads: a count may
-go down, never up, and StDel never rederives.
+fixpoint, a coalesced stream batch and interval delete / re-insert pairs on
+small fixed workloads: a count may go down, never up, and StDel never
+rederives.
 """
 
 from __future__ import annotations
 
 import gc
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,6 +51,7 @@ from repro.maintenance import (
 from repro.stream import StreamOptions, StreamScheduler
 from repro.workloads import (
     deletion_stream,
+    ground_request_atom,
     make_chain_program,
     make_interval_join_program,
     make_interval_program,
@@ -455,6 +458,46 @@ def mixed_stream_batch() -> dict:
     return {"sequential": sequential, "batched": result.stats.totals()}
 
 
+def interval_pairs() -> dict:
+    """Four delete / re-insert pairs of points inside interval facts, on a
+    StDel and on a DRed stream: constraint nodes constructed and calls of
+    the branch procedure (a box is decided without it)."""
+    spec = interval_join_spec()
+    points = [
+        (predicate, values)
+        for predicate in ("iv0", "iv1")
+        for values in spec.base_facts[predicate]
+    ][:4]
+    counts = {}
+    branch = ConstraintSolver._branch_satisfiable
+    for algorithm in ("stdel", "dred"):
+        scheduler = StreamScheduler(
+            spec.program,
+            ConstraintSolver(),
+            options=StreamOptions(max_workers=1, deletion_algorithm=algorithm),
+        )
+        checks = []
+
+        def counted(solver, *args):
+            checks.append(1)
+            return branch(solver, *args)
+
+        gc.collect()
+        nodes = constructed_nodes()
+        ConstraintSolver._branch_satisfiable = counted
+        try:
+            for predicate, values in points:
+                for kind in (DeletionRequest, InsertionRequest):
+                    result = scheduler.apply_batch([kind(ground_request_atom(predicate, values))])
+                    assert result.ok
+        finally:
+            ConstraintSolver._branch_satisfiable = branch
+        counts[f"pairs_{algorithm}"] = SimpleNamespace(
+            nodes=constructed_nodes() - nodes, branch_checks=len(checks)
+        )
+    return counts
+
+
 SCENARIOS = {
     "deletion_layered_small": lambda: one_deletion(small_layered_spec(), seed=1),
     "deletion_chain_depth2": lambda: one_deletion(
@@ -476,6 +519,7 @@ SCENARIOS = {
     "fixpoint_interval_join": lambda: one_fixpoint(interval_join_spec()),
     "deletion_batch_tc14": three_deletions_tc14,
     "stream_mixed_batch": mixed_stream_batch,
+    "interval_pairs": interval_pairs,
 }
 
 #: The most each count may read: the figure measured when the table was
@@ -533,6 +577,12 @@ CEILINGS = {
         "batched.derivation_attempts": 1,
         "batched.solver_calls": 16,
     },
+    "interval_pairs": {
+        "pairs_stdel.nodes": 555,
+        "pairs_stdel.branch_checks": 20,
+        "pairs_dred.nodes": 1048,
+        "pairs_dred.branch_checks": 43,
+    },
 }
 
 
@@ -543,7 +593,8 @@ def test_counted_work_stays_at_or_below_its_ceiling(scenario):
     counts = {
         f"{name}.{counter}": getattr(stats, counter)
         for name, stats in passes.items()
-        for counter in ("derivation_attempts", "solver_calls")
+        for counter in ("derivation_attempts", "solver_calls", "nodes", "branch_checks")
+        if hasattr(stats, counter)
     }
     # Section 3's claim, exactly: StDel replaces constraints and removes
     # entries, and never rederives one.

@@ -45,9 +45,9 @@ from repro.workloads import (
 
 #: family -> (spec, the base predicates a history updates with point
 #: requests, those it also updates with interval requests, the universe).
-#: An interval carved out of an interval fact leaves DRed and StDel with
-#: differently written constraints, so the interval-join family aims its
-#: interval requests at the ground facts.
+#: The interval-join family carves intervals out of its interval facts as
+#: well as its ground ones: StDel and DRed write a carve in one form, so
+#: their keys are compared there too.
 FAMILIES = {
     "layered": lambda: (
         make_layered_program(base_facts=12),
@@ -58,7 +58,7 @@ FAMILIES = {
     "interval-join": lambda: (
         make_interval_join_program(ground_facts=5, intervals_per_predicate=2, pairs=1, width=12),
         ("g0", "g1", "iv0", "iv1"),
-        ("g0", "g1"),
+        ("g0", "g1", "iv0", "iv1"),
         range(18),
     ),
     # Acyclic, with two paths from 0 to 2 and from 1 to 3: duplicates.

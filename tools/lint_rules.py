@@ -93,6 +93,13 @@ Two invariant families are load-bearing enough to enforce textually:
     ``MaintenanceStats`` and ``StreamScheduler._apply_unit`` records them,
     once per pass, into the metrics registry.
 
+11. **Numbers compare exactly.**  No ``float(`` under
+    ``src/repro/constraints/``: the solver, the boxes, the quick-reject
+    profiles and the solution search compare the raw ``int`` / ``float``
+    values, which Python does exactly at any size.  A conversion rounds
+    ``2**53 + 1`` onto ``2**53`` (a solvable entry called unsolvable) and
+    raises on ``10**400``.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/ (exit 1 on findings)
@@ -224,7 +231,7 @@ ENGINE_FLAGS: Tuple[str, ...] = (
 #: The budgets (rule 8).  Raise one only in the change that needs it.
 MAX_OPTION_FIELDS = 18
 MAX_ENV_VARIABLES = 5
-MAX_SOURCE_LINES = 22_065
+MAX_SOURCE_LINES = 22_117
 
 #: Rules scoped to the observability package only.
 OBS_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
@@ -246,6 +253,15 @@ MAINTENANCE_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
         re.compile(r"^\s*(?:from|import)\s+repro\.obs\b"),
         "observability in a maintenance pass (the algorithms know no "
         "registry; StreamScheduler._apply_unit mirrors each pass's counters)",
+    ),
+)
+
+#: Rules scoped to the constraint layer only.
+CONSTRAINTS_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
+    (
+        re.compile(r"\bfloat\s*\("),
+        "float() in the constraint layer (compare the raw int / float values: "
+        "a conversion rounds big ints and overflows beyond float range)",
     ),
 )
 
@@ -283,6 +299,7 @@ def iter_findings(root: Path) -> Iterator[str]:
                 ("repro/stream/", STREAM_RULES),
                 ("repro/obs/", OBS_RULES),
                 ("repro/maintenance/", MAINTENANCE_RULES),
+                ("repro/constraints/", CONSTRAINTS_RULES),
             ):
                 if relative.startswith(prefix):
                     for pattern, message in scoped:
