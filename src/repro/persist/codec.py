@@ -17,7 +17,9 @@ Design rules:
   keys, fixed separators and ASCII escapes, so encoding the same object
   twice yields the same bytes and checksums are meaningful.  Indexes are
   *not* serialized -- they rebuild lazily on load, so only entries and
-  sequence numbers need to be byte-stable.
+  sequence numbers need to be byte-stable.  A payload is the join of its
+  members' bytes (:func:`canonical_object`), so a checkpoint splices the
+  entries and clauses it encoded before instead of encoding them again.
 * **Typed rejection.**  Every decoder raises
   :class:`~repro.errors.CodecError` on malformed input (unknown format
   version, unknown tag, truncated or bit-flipped payload).  A decode never
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.constraints.ast import (
     Comparison,
@@ -78,6 +80,15 @@ def canonical_bytes(obj: object) -> bytes:
         ensure_ascii=True,
         allow_nan=False,
     ).encode("utf-8")
+
+
+def canonical_object(encoded: Dict[str, bytes], **plain: object) -> bytes:
+    """``canonical_bytes`` of the object whose members are *plain* and
+    *encoded* (canonical bytes already, spliced as they are)."""
+    members = {key: canonical_bytes(value) for key, value in plain.items()}
+    members.update(encoded)
+    pairs = (canonical_bytes(key) + b":" + members[key] for key in sorted(members))
+    return b"{" + b",".join(pairs) + b"}"
 
 
 def checksum(data: bytes) -> str:
@@ -269,6 +280,10 @@ def encode_entry(entry: ViewEntry, seq: int) -> object:
     }
 
 
+def entry_bytes(entry: ViewEntry, seq: int) -> bytes:
+    return canonical_bytes(encode_entry(entry, seq))
+
+
 def decode_entry(obj: object) -> Tuple[ViewEntry, int]:
     if not isinstance(obj, dict) or set(obj) != {"atom", "constraint", "support", "seq"}:
         raise CodecError(f"unknown entry encoding: {obj!r}")
@@ -286,18 +301,22 @@ def decode_entry(obj: object) -> Tuple[ViewEntry, int]:
 # ----------------------------------------------------------------------
 # Shard payloads
 # ----------------------------------------------------------------------
+def _payload(member: str, fragments: Iterable[bytes], **plain: object) -> bytes:
+    """A shard or program payload: its list *member* joined from fragments."""
+    joined = b"[" + b",".join(fragments) + b"]"
+    return canonical_object({member: joined}, format=FORMAT_VERSION, **plain)
+
+
 def encode_shard(
-    predicate: str, rows: Sequence[Tuple[ViewEntry, int]]
+    predicate: str,
+    rows: Sequence[Tuple[ViewEntry, int]],
+    fragment: Callable[[ViewEntry, int], bytes] = entry_bytes,
 ) -> bytes:
     """Serialize one shard: entries in insertion order with their global
     sequence numbers.  Indexes are rebuilt lazily on load and are never
-    written."""
-    payload = {
-        "format": FORMAT_VERSION,
-        "predicate": predicate,
-        "entries": [encode_entry(entry, seq) for entry, seq in rows],
-    }
-    return canonical_bytes(payload)
+    written.  A checkpoint passes a *fragment* that remembers entry bytes."""
+    fragments = (fragment(entry, seq) for entry, seq in rows)
+    return _payload("entries", fragments, predicate=predicate)
 
 
 def decode_shard(data: bytes) -> Tuple[str, Tuple[Tuple[ViewEntry, int], ...]]:
@@ -336,6 +355,10 @@ def encode_clause(clause: Clause) -> object:
     }
 
 
+def clause_bytes(clause: Clause) -> bytes:
+    return canonical_bytes(encode_clause(clause))
+
+
 def decode_clause(obj: object) -> Clause:
     if not isinstance(obj, dict) or set(obj) != {"head", "constraint", "body", "n"}:
         raise CodecError(f"unknown clause encoding: {obj!r}")
@@ -347,12 +370,10 @@ def decode_clause(obj: object) -> Clause:
     )
 
 
-def encode_program(program: ConstrainedDatabase) -> bytes:
-    payload = {
-        "format": FORMAT_VERSION,
-        "clauses": [encode_clause(clause) for clause in program.clauses],
-    }
-    return canonical_bytes(payload)
+def encode_program(
+    program: ConstrainedDatabase, fragment: Callable[[Clause], bytes] = clause_bytes
+) -> bytes:
+    return _payload("clauses", map(fragment, program.clauses))
 
 
 def decode_program(data: bytes) -> ConstrainedDatabase:

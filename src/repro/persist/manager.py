@@ -371,6 +371,8 @@ class DurableScheduler(StreamScheduler):
                 watermark=info.watermark,
                 shards_written=info.shards_written,
                 shards_reused=info.shards_reused,
+                entries_encoded=info.entries_encoded,
+                clauses_encoded=info.clauses_encoded,
             )
         super()._batch_epilogue(prepared)
 
@@ -407,6 +409,7 @@ def open_scheduler(
     """
     root = Path(data_dir)
     store = SnapshotStore(root)
+    store.remove_temporaries()
     wal = WriteAheadLog(root / "wal")
     state = store.load_current(expected_program=program)
     journaled = wal.replay()

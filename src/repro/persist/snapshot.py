@@ -14,7 +14,9 @@ object as the previous checkpoint, courtesy of the copy-on-write
 pointer-swap publish -- is referenced by checksum without rewriting a
 byte), then the manifest, then atomically swings ``CURRENT``.  A crash at
 any point leaves ``CURRENT`` pointing at the previous complete snapshot;
-the WAL tail then carries everything since.
+the WAL tail then carries everything since.  Encoding follows the change
+too: the store remembers, by object identity, the bytes of every entry and
+clause the last checkpoint wrote, and encodes only the objects that are new.
 
 The manifest is self-contained: the base program (encoded), its hash, the
 analyzer report digest, the scheduler's effective/deletion programs (the
@@ -29,7 +31,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView, PredicateShard
@@ -42,6 +44,37 @@ from repro.persist import codec
 from repro.persist.faults import fire
 
 
+def fsync_dir(path: Path) -> None:
+    """Make the names in directory *path* durable: POSIX persists a rename
+    or a newly created file only once its directory is fsynced."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+#: ``id(obj) -> (obj, args, bytes)``; holding *obj* keeps the id its own.
+Fragments = Dict[int, Tuple[object, tuple, bytes]]
+
+
+class _Remembered:
+    """*encode*, reusing the bytes *previous* holds for the same object and
+    arguments.  ``current`` ends up holding exactly the objects encoded
+    through it: bounded by the view and programs just written."""
+
+    def __init__(self, previous: Fragments, encode: Callable[..., bytes]) -> None:
+        self.previous, self.encode, self.current, self.encoded = previous, encode, {}, 0
+
+    def __call__(self, obj: object, *args: object) -> bytes:
+        hit = self.previous.get(id(obj)) or self.current.get(id(obj))
+        if hit is None or hit[1] != args:
+            hit = (obj, args, self.encode(obj, *args))
+            self.encoded += 1
+        self.current[id(obj)] = hit
+        return hit[2]
+
+
 @dataclass(frozen=True)
 class CheckpointInfo:
     """What one checkpoint did (the persist benchmark's raw numbers)."""
@@ -51,6 +84,9 @@ class CheckpointInfo:
     shards_written: int
     shards_reused: int
     bytes_written: int
+    #: Entries and clauses encoded afresh (the rest were remembered).
+    entries_encoded: int
+    clauses_encoded: int
 
 
 @dataclass
@@ -76,30 +112,25 @@ class SnapshotStore:
         self._shard_dir = self._root / "shards"
         self._snapshots.mkdir(parents=True, exist_ok=True)
         self._shard_dir.mkdir(parents=True, exist_ok=True)
-        #: predicate -> (shard object, checksum, byte size) as of the last
-        #: checkpoint.  Identity of the *object* is the dirtiness test: the
+        #: predicate -> (shard object, checksum, byte size, entry bytes) as of the
+        #: last checkpoint.  Identity of the *object* is the dirtiness test: the
         #: stream scheduler publishes by pointer swap, so an untouched
         #: predicate keeps the same shard object across commits.  Holding
         #: the reference (not ``id()``) makes the test immune to id reuse.
-        self._last_shards: Dict[str, Tuple[PredicateShard, str, int]] = {}
-
-    @property
-    def root(self) -> Path:
-        return self._root
+        self._last_shards: Dict[str, Tuple[PredicateShard, str, int, Fragments]] = {}
+        #: Clause bytes of the last checkpoint's three programs.
+        self._clause_bytes: Fragments = {}
+        #: manifest name -> the shard files it names, for each manifest this
+        #: store wrote or read (pruning reads only the others).
+        self._manifest_files: Dict[str, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _next_manifest_number(self) -> int:
-        highest = 0
-        for path in self._snapshots.iterdir():
-            stem = path.name
-            if stem.endswith(".json"):
-                try:
-                    highest = max(highest, int(stem[:-5]))
-                except ValueError:
-                    continue
-        return highest + 1
+    def _manifests(self) -> List[Path]:
+        """The manifest files, oldest first."""
+        found = (path for path in self._snapshots.glob("*.json") if path.stem.isdigit())
+        return sorted(found, key=lambda path: int(path.stem))
 
     @staticmethod
     def _write_atomic(path: Path, data: bytes) -> None:
@@ -109,6 +140,12 @@ class SnapshotStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
+
+    def remove_temporaries(self) -> None:
+        """Delete what a crash inside :meth:`_write_atomic` left (the writer
+        only, before its first checkpoint: a reader would race its renames)."""
+        for path in self._root.glob("**/*.tmp"):
+            path.unlink(missing_ok=True)
 
     def write_checkpoint(
         self,
@@ -124,22 +161,24 @@ class SnapshotStore:
         """Write one snapshot (dirty shards + manifest) and publish it."""
         fire("checkpoint.write")
         shard_table: Dict[str, Dict[str, object]] = {}
-        next_last: Dict[str, Tuple[PredicateShard, str, int]] = {}
+        next_last: Dict[str, Tuple[PredicateShard, str, int, Fragments]] = {}
         shards_written = 0
         shards_reused = 0
         bytes_written = 0
+        entries_encoded = 0
         for predicate in sorted(view.predicates()):
             shard = view.shard_for(predicate)
             if shard is None or not len(shard):
                 continue
             cached = self._last_shards.get(predicate)
             if cached is not None and cached[0] is shard:
-                digest, size = cached[1], cached[2]
+                digest, size, fragments = cached[1:]
                 shards_reused += 1
             else:
-                payload = codec.encode_shard(
-                    predicate, view.export_shard_rows(predicate)
-                )
+                memo = _Remembered(cached[3] if cached else {}, codec.entry_bytes)
+                payload = codec.encode_shard(predicate, view.export_shard_rows(predicate), memo)
+                fragments = memo.current
+                entries_encoded += memo.encoded
                 digest = codec.checksum(payload)
                 size = len(payload)
                 target = self._shard_dir / f"{digest}.json"
@@ -147,70 +186,71 @@ class SnapshotStore:
                     self._write_atomic(target, payload)
                     bytes_written += size
                 shards_written += 1
-            next_last[predicate] = (shard, digest, size)
+            next_last[predicate] = (shard, digest, size, fragments)
             shard_table[predicate] = {
                 "file": f"{digest}.json",
                 "checksum": digest,
                 "entries": len(shard),
             }
-        program_bytes = codec.encode_program(program)
-        manifest = {
-            "format": codec.FORMAT_VERSION,
-            "program": json.loads(program_bytes.decode("utf-8")),
-            "program_hash": codec.checksum(program_bytes),
-            "report_digest": report_digest,
-            "effective_program": json.loads(
-                codec.encode_program(effective_program).decode("utf-8")
-            ),
-            "deletion_program": json.loads(
-                codec.encode_program(deletion_program).decode("utf-8")
-            ),
-            "shards": shard_table,
-            "next_seq": view.next_sequence_number(),
-            "txn_watermark": watermark,
-            "txn_high": txn_high,
-        }
-        manifest_bytes = codec.canonical_bytes(manifest)
+        if bytes_written:
+            fsync_dir(self._shard_dir)
+        clauses = _Remembered(self._clause_bytes, codec.clause_bytes)
+        program_bytes = codec.encode_program(program, clauses)
+        manifest_bytes = codec.canonical_object(
+            {
+                "program": program_bytes,
+                "effective_program": codec.encode_program(effective_program, clauses),
+                "deletion_program": codec.encode_program(deletion_program, clauses),
+            },
+            format=codec.FORMAT_VERSION,
+            program_hash=codec.checksum(program_bytes),
+            report_digest=report_digest,
+            shards=shard_table,
+            next_seq=view.next_sequence_number(),
+            txn_watermark=watermark,
+            txn_high=txn_high,
+        )
         fire("checkpoint.manifest")
-        number = self._next_manifest_number()
-        name = f"{number:08d}.json"
+        manifests = self._manifests()
+        name = f"{int(manifests[-1].stem) + 1 if manifests else 1:08d}.json"
         self._write_atomic(self._snapshots / name, manifest_bytes)
+        fsync_dir(self._snapshots)
         bytes_written += len(manifest_bytes)
         fire("checkpoint.rename")
         self._write_atomic(self._root / "CURRENT", (name + "\n").encode("ascii"))
+        fsync_dir(self._root)
         self._last_shards = next_last
-        self._prune_snapshots(keep=2)
+        self._clause_bytes = clauses.current
+        self._manifest_files[name] = frozenset(meta["file"] for meta in shard_table.values())
+        self._prune_snapshots(manifests + [self._snapshots / name])
         return CheckpointInfo(
             manifest=name,
             watermark=watermark,
             shards_written=shards_written,
             shards_reused=shards_reused,
             bytes_written=bytes_written,
+            entries_encoded=entries_encoded,
+            clauses_encoded=clauses.encoded,
         )
 
-    def _prune_snapshots(self, keep: int) -> None:
-        """Drop manifests older than the newest *keep*, then orphan shards."""
-        manifests = sorted(
-            path for path in self._snapshots.iterdir() if path.name.endswith(".json")
-        )
-        current = self._current_name()
-        doomed = manifests[:-keep] if keep > 0 else manifests
-        survivors = [path for path in manifests if path not in doomed]
-        referenced = set()
-        for path in survivors:
-            try:
-                manifest = json.loads(path.read_text())
-            except ValueError:
-                continue
-            for meta in manifest.get("shards", {}).values():
-                referenced.add(meta.get("file"))
-        for path in doomed:
-            if path.name == current:
-                continue
+    def _prune_snapshots(self, manifests: List[Path]) -> None:
+        """Keep the newest two *manifests* and the shard files they name;
+        a manifest this store has not seen is read to learn them."""
+        for path in manifests[:-2]:
             path.unlink(missing_ok=True)
+            self._manifest_files.pop(path.name, None)
+        referenced = set()
+        for path in manifests[-2:]:
+            if path.name not in self._manifest_files:
+                try:
+                    shards = json.loads(path.read_text()).get("shards", {})
+                except ValueError:
+                    shards = {}
+                self._manifest_files[path.name] = frozenset(
+                    meta.get("file") for meta in shards.values()
+                )
+            referenced |= self._manifest_files[path.name]
         for path in self._shard_dir.iterdir():
-            if path.name.endswith(".tmp"):
-                continue
             if path.name not in referenced:
                 path.unlink(missing_ok=True)
 
@@ -316,11 +356,8 @@ class SnapshotStore:
             view.import_shard_rows(predicate, rows)
             cached = view.shard_for(predicate)
             if cached is not None:
-                self._last_shards[predicate] = (
-                    cached,
-                    meta["checksum"],
-                    len(data),
-                )
+                self._last_shards[predicate] = (cached, meta["checksum"], len(data), {})
+        self._manifest_files[name] = frozenset(meta["file"] for meta in shard_table.values())
         next_seq = manifest.get("next_seq")
         if isinstance(next_seq, int) and not isinstance(next_seq, bool):
             view.advance_sequence_number(next_seq)

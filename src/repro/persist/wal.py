@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import WalError
 from repro.persist import codec
 from repro.persist.faults import InjectedFault, fire, should_fire
+from repro.persist.snapshot import fsync_dir
 from repro.stream.log import Transaction
 
 _SEGMENT_PREFIX = "wal-"
@@ -177,22 +178,20 @@ class WriteAheadLog:
         record = _encode_record(transactions)
         with self._lock:
             fire("wal.append.before")
-            if self._active is None:
+            opens_segment = self._active is None
+            if opens_segment:
                 self._active = self._next_index_locked()
                 self._segment_max.setdefault(self._active, 0)
             path = self._segment_path(self._active)
             torn = should_fire("wal.append.torn")
             with open(path, "ab") as handle:
-                if torn:
-                    # Simulated crash mid-write: half the record reaches the
-                    # file (and disk), the rest never does.
-                    handle.write(record[: max(1, len(record) // 2)])
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                else:
-                    handle.write(record)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                # A simulated crash mid-write gets half the record to the
+                # file (and disk); the rest never arrives.
+                handle.write(record[: max(1, len(record) // 2)] if torn else record)
+                handle.flush()
+                os.fsync(handle.fileno())
+            if opens_segment:
+                fsync_dir(self._root)  # the new segment's name is durable too
             if torn:
                 self._active_bytes += len(record) // 2
                 self._total_bytes += len(record) // 2

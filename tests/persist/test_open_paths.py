@@ -12,6 +12,10 @@ checkpoints on exit.
 from __future__ import annotations
 
 import io
+import json
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,18 @@ UNIVERSE = tuple(range(0, 32))
 
 def view_keys(view):
     return sorted(str(entry.key()) for entry in view)
+
+
+def two_towers():
+    from repro.datalog import parse_program
+
+    return parse_program(RULES + "\nc(X) <- X = 1.\nctop(X) <- c(X).")
+
+
+def manual_options():
+    from repro.persist import DurabilityOptions
+
+    return DurabilityOptions(checkpoint_wal_bytes=1 << 30)
 
 
 class TestMediatorOpen:
@@ -138,6 +154,196 @@ class TestCheckpointsWriteTheChange:
             assert recomputed.apply_batch([update]).ok
         assert view_keys(recovered.view) == view_keys(writer.view)
         assert view_keys(recovered.view) == view_keys(recomputed.view)
+
+
+class TestCheckpointsEncodeTheChange:
+    """A checkpoint encodes the entries and clauses that are new since the
+    last one; everything else is spliced from remembered bytes."""
+
+    def test_a_checkpoint_with_no_change_encodes_nothing(self, tmp_path):
+        from repro.persist import open_scheduler
+
+        writer = open_scheduler(tmp_path / "data", two_towers(), durability_options=manual_options())
+        first = writer.checkpoint()
+        assert first.entries_encoded == len(writer.view)
+        assert first.clauses_encoded > 0
+        second = writer.checkpoint()
+        assert (second.entries_encoded, second.clauses_encoded) == (0, 0)
+        assert second.shards_written == 0
+
+    def test_one_deletion_encodes_only_what_it_made(self, tmp_path):
+        from repro.maintenance import DeletionRequest
+        from repro.persist import open_scheduler
+
+        writer = open_scheduler(tmp_path / "data", two_towers(), durability_options=manual_options())
+        writer.submit(InsertionRequest(parse_constrained_atom("b(X) <- X >= 4 & X <= 8")))
+        assert writer.flush().ok
+        assert writer.checkpoint() is not None
+        # Keep the checkpointed objects alive: their ids stay theirs.
+        before = writer.view
+        programs = (writer.program, writer.effective_program, writer._deletion_program)
+
+        # Narrows the inserted fact and what it derives: new entry objects.
+        writer.submit(DeletionRequest(parse_constrained_atom("b(X) <- X = 6")))
+        assert writer.flush().ok
+        info = writer.checkpoint()
+
+        after = writer.view
+        new_entries = 0
+        for predicate in after.predicates():
+            if after.shard_for(predicate) is before.shard_for(predicate):
+                continue
+            old_rows = {(id(entry), seq) for entry, seq in before.export_shard_rows(predicate)}
+            new_entries += sum(
+                (id(entry), seq) not in old_rows
+                for entry, seq in after.export_shard_rows(predicate)
+            )
+        old_clauses = {id(clause) for program in programs for clause in program.clauses}
+        new_clauses = {
+            id(clause)
+            for program in (writer.effective_program, writer._deletion_program)
+            for clause in program.clauses
+        } - old_clauses
+        assert new_clauses and new_entries
+        assert info.entries_encoded == new_entries
+        assert info.clauses_encoded == len(new_clauses)
+
+    def test_an_entry_added_again_is_encoded_again(self, tmp_path):
+        # Same entry object, new sequence number: its remembered bytes are stale.
+        from repro.constraints import ConstraintSolver
+        from repro.persist import codec
+        from repro.persist.snapshot import SnapshotStore
+        from repro.stream import StreamScheduler
+
+        program = two_towers()
+        store = SnapshotStore(tmp_path / "data")
+
+        def checkpoint(view):
+            return store.write_checkpoint(
+                view, program=program, report_digest="", effective_program=program,
+                deletion_program=program, watermark=0, txn_high=0,
+            )
+
+        view = StreamScheduler(program, ConstraintSolver()).view
+        assert checkpoint(view).entries_encoded == len(view)
+        again = view.copy()
+        entry = next(iter(again.shard_for("b")))
+        assert again.remove(entry) and again.add(entry)
+        info = checkpoint(again)
+        assert (info.entries_encoded, info.shards_written) == (1, 1)
+        fresh = codec.encode_shard("b", again.export_shard_rows("b"))
+        assert (tmp_path / "data" / "shards" / f"{codec.checksum(fresh)}.json").exists()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_checkpoint_bytes_equal_a_fresh_encoding(self, tmp_path, seed):
+        # One seed per differential workload family.
+        from repro.persist import codec, open_scheduler
+
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+        from integration.test_differential import build_spec, build_stream
+
+        spec = build_spec(seed)
+        payloads = [request for _, request in build_stream(spec, seed)]
+        data_dir = tmp_path / "data"
+        writer = open_scheduler(data_dir, spec.program, durability_options=manual_options())
+        for start in range(0, len(payloads), 2):
+            for payload in payloads[start : start + 2]:
+                writer.submit(payload)
+            assert writer.flush().ok
+            info = writer.checkpoint()
+            manifest = (data_dir / "snapshots" / info.manifest).read_bytes()
+            assert manifest == codec.canonical_bytes(json.loads(manifest))
+            for predicate, meta in json.loads(manifest)["shards"].items():
+                stored = (data_dir / "shards" / meta["file"]).read_bytes()
+                fresh = codec.encode_shard(predicate, writer.view.export_shard_rows(predicate))
+                assert stored == fresh, predicate
+        reopened = open_scheduler(data_dir, spec.program, durability_options=manual_options())
+        assert reopened._replayed_batches == 0
+        assert view_keys(reopened.view) == view_keys(writer.view)
+
+
+class TestCrashLeftovers:
+    def test_open_removes_temporary_files(self, tmp_path):
+        from repro.persist import open_scheduler
+
+        data_dir = tmp_path / "data"
+        writer = open_scheduler(data_dir, two_towers(), durability_options=manual_options())
+        writer.submit(InsertionRequest(parse_constrained_atom("b(X) <- X = 7")))
+        assert writer.flush().ok
+        assert writer.checkpoint() is not None
+        planted = [
+            data_dir / "shards" / "x.json.tmp",
+            data_dir / "snapshots" / "00000009.json.tmp",
+            data_dir / "CURRENT.tmp",
+        ]
+        for path in planted:
+            path.write_bytes(b"half a write")
+        reopened = open_scheduler(data_dir, two_towers(), durability_options=manual_options())
+        assert [path for path in planted if path.exists()] == []
+        assert view_keys(reopened.view) == view_keys(writer.view)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+class TestDirectoriesAreFsynced:
+    """A rename or a new file is durable only once its directory is."""
+
+    @staticmethod
+    def record(monkeypatch):
+        events = []
+        real_fsync, real_replace, real_unlink = os.fsync, os.replace, os.unlink
+
+        def fsync(fd):
+            events.append(("fsync", os.readlink(f"/proc/self/fd/{fd}")))
+            return real_fsync(fd)
+
+        def replace(src, dst, *args, **kwargs):
+            events.append(("replace", str(Path(dst).resolve())))
+            return real_replace(src, dst, *args, **kwargs)
+
+        def unlink(path, *args, **kwargs):
+            events.append(("unlink", str(Path(path).resolve())))
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "unlink", unlink)
+        return events
+
+    def test_current_is_durable_before_the_wal_is_pruned(self, tmp_path, monkeypatch):
+        from repro.persist import open_scheduler
+
+        data_dir = (tmp_path / "data").resolve()
+        writer = open_scheduler(data_dir, two_towers(), durability_options=manual_options())
+        writer.submit(InsertionRequest(parse_constrained_atom("b(X) <- X = 7")))
+        assert writer.flush().ok
+        events = self.record(monkeypatch)
+        assert writer.checkpoint() is not None
+        swing = events.index(("replace", str(data_dir / "CURRENT")))
+        synced = events.index(("fsync", str(data_dir)), swing)
+        pruned = [
+            index
+            for index, (kind, path) in enumerate(events)
+            if kind == "unlink" and Path(path).parent == data_dir / "wal"
+        ]
+        assert pruned and synced < pruned[0]
+        # The shard files and the manifest are named durably as well.
+        assert ("fsync", str(data_dir / "shards")) in events[:swing]
+        assert ("fsync", str(data_dir / "snapshots")) in events[:swing]
+
+    def test_a_new_segment_is_durable_when_append_returns(self, tmp_path, monkeypatch):
+        from repro.persist.wal import WriteAheadLog
+        from repro.stream.log import Transaction
+
+        root = (tmp_path / "wal").resolve()
+        wal = WriteAheadLog(root)
+        request = InsertionRequest(parse_constrained_atom("b(X) <- X = 7"))
+        events = self.record(monkeypatch)
+        wal.append((Transaction(1, 0.0, request),))
+        (segment,) = wal.segments()
+        assert events == [("fsync", str(segment)), ("fsync", str(root))]
+        events.clear()
+        wal.append((Transaction(2, 0.0, request),))
+        assert events == [("fsync", str(segment))]  # not a new name
 
 
 class TestCliServeDataDir:
