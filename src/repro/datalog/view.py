@@ -923,28 +923,22 @@ class MaterializedView:
     def prune_unsolvable(
         self,
         solver: ConstraintSolver,
-        predicates: Optional[Iterable[str]] = None,
+        candidates: Optional[Iterable[ViewEntry]] = None,
     ) -> int:
         """Drop entries whose constraint is unsatisfiable; return the count.
 
         StDel's final step ("remove any constraint atom from M whose
         constraint is not solvable") and W_P's query-time evaluation both use
-        this operation.  With *predicates*, only those predicates' entries
-        are scanned -- the stream scheduler passes a batch's write closure,
-        outside of which a solvability-purged input view cannot have gained
-        unsolvable entries, making the purge proportional to the batch's
-        propagation cone instead of the view.
+        this operation.  With *candidates*, only those of them still in the
+        view are checked -- DRed passes the entries its pass narrowed, the
+        only ones a solvability-purged input view can have made unsolvable.
         """
-        if predicates is None:
-            candidates: Iterable[ViewEntry] = self
-        else:
-            candidates = (
-                entry
-                for predicate in sorted(set(predicates))
-                for entry in self.entries_for(predicate)
-            )
+        if candidates is None:
+            candidates = self
         doomed = [
-            entry for entry in candidates if not solver.is_satisfiable(entry.constraint)
+            entry
+            for entry in candidates
+            if entry in self and not solver.is_satisfiable(entry.constraint)
         ]
         for entry in doomed:
             self.remove(entry)

@@ -11,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
 from repro.datalog.fixpoint import FixpointEngine
 from repro.datalog.join import EngineOptions, make_fresh_factory
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
+from repro.maintenance.common import narrow_overlapping, narrowed_external_entries
 from repro.maintenance.declarative import (
     build_add_set,
     deletion_rewrite,
@@ -70,15 +72,20 @@ def recompute_after_deletion(
     solver = solver or ConstraintSolver()
     # Restrict to instances present in the view, like the incremental
     # algorithms do: deleting something absent must be a no-op.
-    from repro.maintenance.common import build_del_set, narrowed_external_entries
-
     effective = options or EngineOptions()
     factory = make_fresh_factory(program, view, (atom,))
-    del_pairs = build_del_set(view, atom, solver, factory, options=effective)
-    del_atoms = tuple(entry_atom for _, entry_atom in del_pairs)
+    del_atoms = tuple(
+        ConstrainedAtom(narrowing.entry.atom, simplify(overlap, solver))
+        for narrowing in narrow_overlapping(
+            view, (atom,), solver, factory, effective, overlaps=True
+        )
+        for overlap in narrowing.overlaps
+    )
     rewritten = deletion_rewrite(program, del_atoms or (atom,), factory)
     engine = FixpointEngine(rewritten, solver, effective)
-    external = narrowed_external_entries(view, del_atoms or (atom,), solver, factory)
+    external = narrowed_external_entries(
+        view, del_atoms or (atom,), solver, factory, effective
+    )
     initial = MaterializedView(external) if external else None
     new_view = engine.compute(initial=initial)
     stats = MaintenanceStats()

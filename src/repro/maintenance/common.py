@@ -1,15 +1,17 @@
 """Building blocks shared by the maintenance algorithms.
 
-Both deletion algorithms start from the same ``Del`` set and the insertion
-algorithm from the analogous ``Add`` set.  Factoring these out here keeps
-the three algorithm modules close to the paper's pseudo-code.  (The clause
+Both deletion algorithms and the recomputation baseline narrow the entries a
+list of removed atoms overlaps through one routine, :func:`narrow_overlapping`
+(StDel's step 2, DRed's ``Del`` set and over-estimate); the insertion
+algorithm starts from the analogous ``Add`` set.  Factoring these out here
+keeps the algorithm modules close to the paper's pseudo-code.  (The clause
 application the ``P_OUT`` / ``P_ADD`` unfoldings share with the fixpoint
 lives in :mod:`repro.datalog.join`.)
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.constraints.ast import (
     Constraint,
@@ -78,80 +80,100 @@ def negated_atom_constraint(
     return positive, negative
 
 
-def restrict_entry_to_instances(
-    entry: ViewEntry,
-    request_atom: ConstrainedAtom,
-    solver: ConstraintSolver,
-    factory: FreshVariableFactory,
-    stats: Optional[MaintenanceStats] = None,
-    renamed_cache: Optional[Dict[int, ConstrainedAtom]] = None,
-) -> Optional[ConstrainedAtom]:
-    """The ``Del`` construction for one view entry.
+class Narrowing(NamedTuple):
+    """A view entry removed atoms overlap: ``not(ψ & bindings)`` for each
+    (``false`` for the entry itself) and, when asked for, ``φ & ψ & (Ȳ = X̄)``."""
 
-    For a view entry ``A(Ȳ) <- φ`` and a deletion request ``A(X̄) <- δ``,
-    return ``A(Ȳ) <- φ & (Ȳ = X̄) & δ`` when that conjunction is solvable
-    (those are the instances of the entry that are actually being deleted),
-    otherwise ``None``.
-    """
-    if entry.atom.signature != request_atom.atom.signature:
-        return None
-    if solver.quick_reject(
-        entry.atom.args, entry.constraint,
-        request_atom.atom.args, request_atom.constraint,
-    ):
-        if stats is not None:
-            stats.quick_rejects += 1
-        return None
-    positive, _ = negated_atom_constraint(
-        entry.atom, request_atom, factory, renamed_cache
-    )
-    combined = conjoin(entry.constraint, positive)
-    if solver.identical_instances(
-        entry.atom.args, entry.constraint,
-        request_atom.atom.args, request_atom.constraint,
-    ):
-        # The request is the entry itself (pointer-identical interned
-        # constraint): the overlap is the whole entry, and the combined
-        # constraint ``φ & φ' & (Ȳ = Ȳ')`` is solvable iff ``φ`` is (give
-        # the renamed copy the same witness).  Checking ``φ`` instead is a
-        # per-node ``_sat`` slot read in the common case, so the counted
-        # solver call is skipped; the returned atom is built through the
-        # same ``simplify(combined)`` path so differential keys match.
-        if not solver.is_satisfiable(entry.constraint):
-            return None
-    else:
-        if stats is not None:
-            stats.solver_calls += 1
-        if not solver.is_satisfiable(combined):
-            return None
-    simplified = simplify(combined, solver)
-    return ConstrainedAtom(entry.atom, simplified)
+    entry: ViewEntry
+    negations: Tuple[Constraint, ...]
+    overlaps: Tuple[Constraint, ...]
 
+    def replacement(self, solver: ConstraintSolver) -> ViewEntry:
+        """The entry minus the removed instances (``entry`` itself when the
+        subtraction simplifies back to its constraint).
 
-def build_del_set(
-    view: MaterializedView,
-    request_atom: ConstrainedAtom,
-    solver: ConstraintSolver,
-    factory: FreshVariableFactory,
-    stats: Optional[MaintenanceStats] = None,
-    options: EngineOptions = EngineOptions(),
-) -> Tuple[Tuple[ViewEntry, ConstrainedAtom], ...]:
-    """The paper's ``Del`` set, paired with the view entries it came from.
-
-    Only constrained atoms that are actually in the existing materialized
-    view are deleted (the paper stresses this); entries of other predicates
-    or with empty overlap are skipped.
-    """
-    result: List[Tuple[ViewEntry, ConstrainedAtom]] = []
-    renamed_cache: Dict[int, ConstrainedAtom] = {}
-    for entry in overlap_candidates(view, request_atom, solver, options, stats):
-        restricted = restrict_entry_to_instances(
-            entry, request_atom, solver, factory, stats, renamed_cache
+        Redundant comparisons are dropped like the fixpoint engine drops
+        them: a two-sided entry narrowed by an overlapping deletion
+        (``X <= 50`` minus ``X >= 46``) otherwise keeps the now-entailed
+        bound and differs by key() from a recomputation.
+        """
+        constraint = simplify(
+            conjoin(self.entry.constraint, *self.negations),
+            solver,
+            drop_redundant_comparisons=True,
         )
-        if restricted is not None:
-            result.append((entry, restricted))
-    if stats is not None:
-        stats.seed_atoms += len(result)
+        if constraint == self.entry.constraint:
+            return self.entry
+        return self.entry.with_constraint(constraint)
+
+
+def narrow_overlapping(
+    view: MaterializedView,
+    removed: Sequence[ConstrainedAtom],
+    solver: ConstraintSolver,
+    factory: FreshVariableFactory,
+    options: EngineOptions,
+    stats: Optional[MaintenanceStats] = None,
+    overlaps: bool = False,
+) -> Tuple[Narrowing, ...]:
+    """The entries the *removed* atoms overlap, each with what it loses.
+
+    The narrowing step of every deletion: StDel's step 2, DRed's ``Del``
+    set, between-request composition and over-estimate ``M'``, and the
+    recomputation baseline.  Each removed atom probes the view once
+    (:func:`~repro.datalog.join.overlap_candidates`) and is tested once
+    against each candidate it returns: the identity test, ``quick_reject``,
+    then a counted solver call on the entry as narrowed so far.  *overlaps*
+    keeps the overlap conjunctions, for callers that record the deleted
+    part.  Entries come back in the order the probes first returned them;
+    one no atom overlaps is left out, so it keeps its exact constraint.
+    """
+    renamed: Dict[int, ConstrainedAtom] = {}
+    probed: Dict[object, Tuple[ViewEntry, List[ConstrainedAtom]]] = {}
+    for atom in removed:
+        for entry in overlap_candidates(view, atom, solver, options, stats):
+            if entry.atom.signature == atom.atom.signature:
+                probed.setdefault(entry.key(), (entry, []))[1].append(atom)
+    result: List[Narrowing] = []
+    for entry, atoms in probed.values():
+        negations: List[Constraint] = []
+        found: List[Constraint] = []
+        for atom in atoms:
+            if solver.identical_instances(
+                entry.atom.args, entry.constraint, atom.atom.args, atom.constraint
+            ):
+                # The atom is this entry: the overlap is solvable iff the
+                # entry is, and every instance goes.
+                if not solver.is_satisfiable(entry.constraint):
+                    break
+                EVENTS.identity_subtractions += 1
+                if overlaps:
+                    positive, _ = negated_atom_constraint(
+                        entry.atom, atom, factory, renamed
+                    )
+                    found.append(conjoin(entry.constraint, positive))
+                negations.append(FALSE)
+                break
+            if solver.quick_reject(
+                entry.atom.args, entry.constraint, atom.atom.args, atom.constraint
+            ):
+                if stats is not None:
+                    stats.quick_rejects += 1
+                continue
+            positive, negative = negated_atom_constraint(
+                entry.atom, atom, factory, renamed
+            )
+            # Tested against the entry as narrowed so far.
+            overlap = conjoin(entry.constraint, *negations, positive)
+            if stats is not None:
+                stats.solver_calls += 1
+            if not solver.is_satisfiable(overlap):
+                continue
+            if overlaps:
+                found.append(overlap)
+            negations.append(negative)
+        if negations:
+            result.append(Narrowing(entry, tuple(negations), tuple(found)))
     return tuple(result)
 
 
@@ -160,7 +182,7 @@ def narrowed_external_entries(
     deleted: Sequence[ConstrainedAtom],
     solver: ConstraintSolver,
     factory: FreshVariableFactory,
-    stats: Optional[MaintenanceStats] = None,
+    options: EngineOptions,
 ) -> Tuple[ViewEntry, ...]:
     """Externally inserted entries, narrowed by a deletion's ``Del`` atoms.
 
@@ -173,93 +195,17 @@ def narrowed_external_entries(
     Entries whose narrowed constraint is unsolvable are dropped (they would
     be purged by ``T_P`` anyway).
     """
-    survivors: List[ViewEntry] = []
-    renamed_cache: Dict[int, ConstrainedAtom] = {}
+    narrowed = {
+        narrowing.entry.key(): narrowing.replacement(solver)
+        for narrowing in narrow_overlapping(view, deleted, solver, factory, options)
+    }
     # Shard by shard: the merged ``view.entries`` tuple is view-sized and
     # stays cached on the view.
     external = (
-        entry
+        narrowed.get(entry.key(), entry)
         for predicate in view.predicates()
         for entry in view.shard_for(predicate)
         if entry.support.clause_number == EXTERNAL_CLAUSE_NUMBER
         and not entry.support.children
     )
-    for entry in external:
-        narrowed = subtract_instances(entry, deleted, solver, factory, stats, renamed_cache)
-        # Counted like every other satisfiability check: this sweep used to
-        # run off the books, understating the recompute baseline's cost.
-        if stats is not None:
-            stats.solver_calls += 1
-        if solver.is_satisfiable(narrowed.constraint):
-            survivors.append(narrowed)
-    return tuple(survivors)
-
-
-def subtract_instances(
-    entry: ViewEntry,
-    removed: Iterable[ConstrainedAtom],
-    solver: ConstraintSolver,
-    factory: FreshVariableFactory,
-    stats: Optional[MaintenanceStats] = None,
-    renamed_cache: Optional[Dict[int, ConstrainedAtom]] = None,
-) -> ViewEntry:
-    """Conjoin ``not(ψ & bindings)`` onto an entry for each removed atom.
-
-    This is the over-estimation step of the Extended DRed algorithm: the
-    entry's constraint is narrowed so its instances no longer include any
-    instance of the removed atoms.  Pass one *renamed_cache* for a whole
-    batch of entries so each removed atom is renamed apart only once.
-
-    Most (entry, removed atom) pairs do not overlap at all; the quick-reject
-    profile comparison (bound tuples, intervals, domain hooks) skips those
-    without a solver call.  The profile is built from the entry's *original*
-    constraint -- a weaker summary than the evolving narrowed constraint,
-    hence still sound -- so it is computed once per entry, not once per pair.
-    """
-    constraint = entry.constraint
-    subtracted = False
-    for atom in removed:
-        if atom.atom.signature != entry.atom.signature:
-            continue
-        if solver.identical_instances(
-            entry.atom.args, entry.constraint, atom.atom.args, atom.constraint
-        ):
-            # The removed atom *is* this entry (interned constraints are
-            # pointer-identical): every instance is subtracted.  Any prior
-            # narrowing in this loop only shrank the instance set, so the
-            # result collapses to FALSE outright -- no overlap check, no
-            # negation build, and the remaining removed atoms are moot.
-            EVENTS.identity_subtractions += 1
-            constraint = FALSE
-            subtracted = True
-            break
-        if solver.quick_reject(
-            entry.atom.args, entry.constraint, atom.atom.args, atom.constraint
-        ):
-            # Definitely no overlap: same outcome as the unsat branch below.
-            if stats is not None:
-                stats.quick_rejects += 1
-            continue
-        positive, negative = negated_atom_constraint(
-            entry.atom, atom, factory, renamed_cache
-        )
-        if stats is not None:
-            stats.solver_calls += 1
-        if not solver.is_satisfiable(conjoin(constraint, positive)):
-            # No overlap: nothing to subtract for this removed atom.
-            continue
-        constraint = conjoin(constraint, negative)
-        subtracted = True
-    if not subtracted:
-        # Untouched entries keep their exact constraint: re-canonicalizing
-        # them here would change keys StDel (which only rewrites affected
-        # entries) leaves alone.
-        return entry
-    # Drop redundant comparisons like the fixpoint engine (and StDel's
-    # replacement step) do: a two-sided entry narrowed by an overlapping
-    # deletion (e.g. ``X <= 50`` minus ``X >= 46``) otherwise keeps the
-    # now-entailed bound and diverges from the other algorithms by key().
-    constraint = simplify(constraint, solver, drop_redundant_comparisons=True)
-    if constraint == entry.constraint:
-        return entry
-    return entry.with_constraint(constraint)
+    return tuple(entry for entry in external if solver.is_satisfiable(entry.constraint))

@@ -7,13 +7,16 @@ to constrained / mediated views (paper Section 3.1.1):
    compute ``P_OUT``, the constrained atoms that are *candidates* for
    deletion (each uses the deleted atom in exactly one body position, all
    other body positions coming from the current view).
-2. **Over-estimate** -- ``M'`` subtracts the ``P_OUT`` instances from every
-   affected view entry by conjoining ``not(ψ & bindings)``.
+2. **Over-estimate** -- ``M'`` subtracts the ``P_OUT`` instances from the
+   view entries they overlap, found through the argument index, by
+   conjoining ``not(ψ & bindings)``.
 3. **Rederivation** -- re-run the fixpoint of the *rewritten* program ``P'``
    seeded with ``M'``; alternative derivations put over-deleted instances
-   back.  The program is pruned to the clauses that can actually contribute
-   (head predicate touched by ``P_OUT``), which is the incrementality lever
-   the paper describes in steps 3(a)-(c).
+   back.  The program is pruned to the clauses that can contribute: the
+   rule clauses of the predicates ``P_OUT`` touches and the fact clauses a
+   ``P_OUT`` atom overlaps -- the incrementality lever the paper describes
+   in steps 3(a)-(c).  The narrowed entries that became unsolvable are then
+   purged.
 
 Theorem 1: the result has the same instances as ``T_{P'} ↑ ω(∅)``.
 
@@ -23,10 +26,11 @@ exactly the weakness the Straight Delete algorithm (Algorithm 2) removes.
 
 **Sequences of deletions.**  Because step 3 rederives from the *program*, a
 later deletion must be run against the program produced by the earlier
-deletion's rewrite (``DRedResult.rewritten_program``); otherwise rederivation
-can resurrect instances the earlier request removed.  The Straight Delete
-algorithm has no such requirement -- it never rederives -- which is one more
-practical advantage the benchmarks quantify.
+deletion's rewrite (``DRedResult.rewritten_program``); otherwise
+rederivation can resurrect instances the earlier request removed, through
+an original clause the later request's ``P_OUT`` overlaps.  The Straight
+Delete algorithm has no such requirement -- it never rederives -- which is
+one more practical advantage the benchmarks quantify.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.constraints.simplify import canonical_form
+from repro.constraints.simplify import canonical_form, simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
 from repro.datalog.fixpoint import FixpointEngine
@@ -49,7 +53,7 @@ from repro.datalog.join import (
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView, ViewEntry
 from repro.errors import MaintenanceError
-from repro.maintenance.common import build_del_set, subtract_instances
+from repro.maintenance.common import narrow_overlapping
 from repro.maintenance.declarative import deletion_rewrite
 from repro.maintenance.requests import DeletionRequest, MaintenanceStats
 
@@ -127,9 +131,11 @@ class ExtendedDRed:
         the degenerate segmentation where every request is its own segment
         -- as the reference the differential harness compares against.
 
-        *purge_predicates* restricts the final unsolvability purge to the
-        given predicates (the stream scheduler passes the batch's write
-        closure; see :meth:`StraightDelete.delete_many`).
+        With *purge_predicates* the final unsolvability purge checks only
+        the entries this pass narrowed, and of those only the given
+        predicates' (the stream scheduler passes the batch's write closure;
+        see :meth:`StraightDelete.delete_many`); with ``None`` it sweeps the
+        whole view.
         """
         requests = tuple(requests)
         stats = MaintenanceStats()
@@ -150,24 +156,37 @@ class ExtendedDRed:
         # Step 0: Del -- the actually-present instances to delete, composed
         # sequentially across the batch (same-predicate entries are narrowed
         # between requests so each Del set matches its sequential twin).
+        # ``narrowed`` maps the key of each entry this pass replaced to the
+        # entry now in its slot: what the rederivation seeds and the purge
+        # and subsumption passes check.
         working = view.copy()
-        original_keys = {entry.key() for entry in view}
+        narrowed: Dict[object, ViewEntry] = {}
+
+        def narrow(view_now: MaterializedView, removed: Sequence[ConstrainedAtom]) -> None:
+            for narrowing in narrow_overlapping(
+                view_now, removed, self._solver, factory, self._options, stats
+            ):
+                replacement = narrowing.replacement(self._solver)
+                if replacement is not narrowing.entry:
+                    view_now.replace(narrowing.entry, replacement)
+                    narrowed.pop(narrowing.entry.key(), None)
+                    narrowed[replacement.key()] = replacement
+
         del_atoms_all: List[ConstrainedAtom] = []
         for request in requests:
-            del_pairs = build_del_set(
-                working, request.atom, self._solver, factory, stats, self._options
+            atoms_here = tuple(
+                ConstrainedAtom(narrowing.entry.atom, simplify(overlap, self._solver))
+                for narrowing in narrow_overlapping(
+                    working, (request.atom,), self._solver, factory, self._options,
+                    stats, overlaps=True,
+                )
+                for overlap in narrowing.overlaps
             )
-            atoms_here = tuple(atom for _, atom in del_pairs)
             del_atoms_all.extend(atoms_here)
             if len(requests) > 1 and atoms_here:
-                narrow_cache: Dict[int, ConstrainedAtom] = {}
-                for entry, _ in del_pairs:
-                    replacement = subtract_instances(
-                        entry, atoms_here, self._solver, factory, stats, narrow_cache
-                    )
-                    if replacement is not entry:
-                        working.replace(entry, replacement)
+                narrow(working, atoms_here)
         del_atoms = tuple(del_atoms_all)
+        stats.seed_atoms += len(del_atoms)
         if not del_atoms:
             # Nothing to delete: the view is returned unchanged (but copied,
             # to keep the no-mutation contract).
@@ -178,36 +197,16 @@ class ExtendedDRed:
         # sequential step would use, so the unfolding can only over-delete.
         p_out = self._unfold_p_out(view, del_atoms, factory, stats)
 
-        # Step 2: M' -- subtract the P_OUT instances from affected entries.
-        # ``working`` already carries the between-request narrowing of the
-        # deleted predicates; subtracting a Del atom twice is a no-op (the
-        # overlap check against the already-narrowed constraint is
-        # unsatisfiable).
-        p_out_by_signature: Dict[Tuple[str, int], List[ConstrainedAtom]] = {}
-        for atom in p_out:
-            p_out_by_signature.setdefault(atom.atom.signature, []).append(atom)
-        renamed_cache: Dict[int, ConstrainedAtom] = {}
-        # The over-estimate is a copy-on-write copy of the working view with
-        # only the affected entries replaced: predicates outside the
-        # propagation cone keep their shard pointers, so building M' costs
-        # the narrowed entries, not a re-index of the whole view.
+        # Step 2: M' -- subtract the P_OUT instances from the entries they
+        # overlap, found by index like the Del set's.  ``working`` already
+        # carries the between-request narrowing of the deleted predicates;
+        # subtracting a Del atom twice is a no-op (the overlap check against
+        # the already-narrowed constraint is unsatisfiable).  The
+        # over-estimate is a copy-on-write copy of the working view: the
+        # predicates outside the propagation cone keep their shard pointers,
+        # so building M' costs the narrowed entries.
         overestimate = working.copy()
-        narrowed: List[ViewEntry] = []
-        for entry in working:
-            relevant = p_out_by_signature.get(entry.atom.signature)
-            replacement = entry
-            if relevant:
-                replacement = subtract_instances(
-                    entry, relevant, self._solver, factory, stats, renamed_cache
-                )
-            if replacement is not entry:
-                # ``replace`` keeps the slot (insertion order) and merges
-                # key collisions exactly like the old rebuild's ``add`` did.
-                overestimate.replace(entry, replacement)
-            if replacement.key() not in original_keys:
-                # Narrowed either by this pass or by the between-request
-                # composition above -- both disturb the entry's derivations.
-                narrowed.append(replacement)
+        narrow(overestimate, p_out)
 
         # Step 3: rederive using the rewritten program seeded with M'.
         rewritten = deletion_rewrite(self._program, del_atoms, factory)
@@ -215,7 +214,7 @@ class ExtendedDRed:
         engine = FixpointEngine(rederivation_program, self._solver, self._options)
         before = len(overestimate)
         initial_delta = (
-            self._rederivation_seed(overestimate, narrowed, stats)
+            self._rederivation_seed(overestimate, narrowed.values(), stats)
             if self._options.delta_rederivation
             else None
         )
@@ -223,22 +222,19 @@ class ExtendedDRed:
         stats.rederived_entries = len(result_view) - before
         engine.stats.merge_into(stats)
 
-        # One satisfiability check per scanned entry: count them like StDel's
-        # step 4 does, so the batched purge restriction (scan only the write
-        # closure, once per batch) shows up in the counters the benchmarks
-        # gate on.
-        if purge_predicates is None:
-            stats.solver_calls += len(result_view)
-        else:
-            stats.solver_calls += sum(
-                len(result_view.entries_for(predicate))
-                for predicate in set(purge_predicates)
-            )
-        stats.removed_entries += result_view.prune_unsolvable(
-            self._solver, purge_predicates
-        )
+        # Step 4: drop the narrowed entries whose constraint became
+        # unsolvable (a rederived entry is solvable, an untouched one as
+        # solvable as it was), within *purge_predicates*; with ``None``, the
+        # paper's sweep of the whole view.  One counted satisfiability check
+        # per candidate, like StDel's step 4.
+        candidates = None
+        if purge_predicates is not None:
+            scope = frozenset(purge_predicates)
+            candidates = [entry for entry in narrowed.values() if entry.predicate in scope]
+        stats.solver_calls += len(result_view if candidates is None else candidates)
+        stats.removed_entries += result_view.prune_unsolvable(self._solver, candidates)
 
-        self._subsume_rederived(result_view, narrowed, stats)
+        self._subsume_rederived(result_view, narrowed.values(), stats)
 
         return DRedResult(result_view, del_atoms, p_out, overestimate, rewritten, stats)
 
@@ -446,12 +442,27 @@ class ExtendedDRed:
     def _prune_program(
         rewritten: ConstrainedDatabase, p_out: Sequence[ConstrainedAtom]
     ) -> ConstrainedDatabase:
-        """Keep only the clauses that can rederive over-deleted atoms."""
+        """Keep only the clauses that can rederive over-deleted atoms.
+
+        Those are the rule clauses of the predicates ``P_OUT`` touches and
+        the fact clauses whose head a ``P_OUT`` atom can unify with
+        (:meth:`ConstrainedDatabase.head_candidates`).  The view being the
+        program's fixpoint, any other fact clause derives an entry the
+        over-estimate holds unchanged.
+        """
         touched = {atom.atom.signature for atom in p_out}
-        kept = [
-            clause for clause in rewritten if clause.head.signature in touched
-        ]
-        return ConstrainedDatabase(kept)
+        kept = {
+            clause.number: clause
+            for clause in rewritten.rule_clauses
+            if clause.head.signature in touched
+        }
+        for atom in p_out:
+            kept.update(
+                (clause.number, clause)
+                for clause in rewritten.head_candidates(atom)
+                if not clause.body
+            )
+        return ConstrainedDatabase(kept[number] for number in sorted(kept))
 
 
 def _atom_key(atom: ConstrainedAtom):

@@ -25,21 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.constraints.ast import FalseConstraint, conjoin
+from repro.constraints.ast import FalseConstraint
 from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.atoms import ConstrainedAtom
-from repro.datalog.join import (
-    DeltaJoinKernel,
-    EngineOptions,
-    make_fresh_factory,
-    overlap_candidates,
-)
+from repro.datalog.join import DeltaJoinKernel, EngineOptions, make_fresh_factory
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.support import Support
 from repro.datalog.view import MaterializedView, ViewEntry
 from repro.errors import MaintenanceError
-from repro.maintenance.common import negated_atom_constraint
+from repro.maintenance.common import narrow_overlapping
 from repro.maintenance.requests import DeletionRequest, MaintenanceStats
 
 
@@ -187,36 +182,17 @@ class StraightDelete:
             seed_start = len(p_out)
 
             # Step 2: narrow directly affected entries, seed P_OUT.
-            for entry in overlap_candidates(
-                working, request.atom, self._solver, self._options, stats
+            for narrowing in narrow_overlapping(
+                working, (request.atom,), self._solver, factory, self._options,
+                stats, overlaps=True,
             ):
-                if self._solver.quick_reject(
-                    entry.atom.args, entry.constraint,
-                    request.atom.atom.args, request.atom.constraint,
-                ):
-                    stats.quick_rejects += 1
-                    continue
-                positive, negative = negated_atom_constraint(
-                    entry.atom, request.atom, factory
-                )
-                stats.solver_calls += 1
-                if not self._solver.is_satisfiable(conjoin(entry.constraint, positive)):
-                    continue
+                (overlap,) = narrowing.overlaps
                 deleted_part = ConstrainedAtom(
-                    entry.atom,
-                    simplify(
-                        conjoin(entry.constraint, positive),
-                        self._solver,
-                        drop_redundant_comparisons=True,
-                    ),
+                    narrowing.entry.atom,
+                    simplify(overlap, self._solver, drop_redundant_comparisons=True),
                 )
-                new_constraint = simplify(
-                    conjoin(entry.constraint, negative),
-                    self._solver,
-                    drop_redundant_comparisons=True,
-                )
-                replace(entry, entry.with_constraint(new_constraint))
-                p_out.append(POutPair(deleted_part, entry.support))
+                replace(narrowing.entry, narrowing.replacement(self._solver))
+                p_out.append(POutPair(deleted_part, narrowing.entry.support))
             stats.seed_atoms += len(p_out) - seed_start
 
             # Step 3: propagate upwards along supports.  Each P_OUT pair

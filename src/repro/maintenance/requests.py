@@ -67,8 +67,10 @@ class MaintenanceStats:
     #: Fixpoint iterations executed by any embedded fixpoint computation.
     fixpoint_iterations: int = 0
     #: Argument-index probes issued by the hash-join enumerations (both the
-    #: unfoldings and any embedded fixpoint computation) and by the deletion
-    #: passes' overlap-candidate lookups (one per request).
+    #: unfoldings and any embedded fixpoint computation) and by the
+    #: overlap-candidate lookups (one per probed atom: a request, a ``Del``
+    #: atom narrowing the next request's view, a ``P_OUT`` atom of DRed's
+    #: over-estimate).
     index_probes: int = 0
     #: Solver calls skipped by the quick-reject pre-filter (bound-tuple /
     #: interval-overlap test on canonical forms, see

@@ -27,8 +27,6 @@ from repro.constraints.solver import (
 )
 from repro.constraints.terms import Constant
 
-solver = ConstraintSolver()
-
 X, Y, Z = (Variable(name) for name in "XYZ")
 BIG = 2**53
 
@@ -60,7 +58,7 @@ def branch_satisfiable(parts) -> bool:
     branch = _Branch()
     for part in parts:
         branch.add(part)
-    return solver._branch_satisfiable(branch)
+    return ConstraintSolver()._branch_satisfiable(branch)
 
 
 def is_box_literal(part: Comparison) -> bool:
@@ -73,6 +71,7 @@ def is_box_literal(part: Comparison) -> bool:
 @settings(max_examples=600, deadline=None)
 @given(conjunctions())
 def test_a_box_is_satisfiable_when_the_branch_procedure_says_so(parts):
+    solver = ConstraintSolver()
     constraint = conjoin(*parts)
     box = box_of(constraint)
     assert (box is not None) == all(map(is_box_literal, parts))
@@ -84,6 +83,7 @@ def test_a_box_is_satisfiable_when_the_branch_procedure_says_so(parts):
 @settings(max_examples=600, deadline=None)
 @given(conjunctions(), literals())
 def test_a_box_entails_a_literal_when_the_branch_procedure_says_so(rest, literal):
+    solver = ConstraintSolver()
     box = box_of(conjoin(*rest))
     assert box is not None or not all(map(is_box_literal, rest))
     if box is None or not is_box_literal(literal):
@@ -109,6 +109,7 @@ def test_the_box_is_read_once_per_node():
 
 
 def test_a_point_with_a_hole_is_empty_and_a_bound_with_one_is_not():
+    solver = ConstraintSolver()
     # The order is dense: ``X <= 5 & X != 5`` leaves every value below 5.
     assert not solver.is_satisfiable(
         conjoin(compare(X, ">=", 5), compare(X, "<=", 5), compare(X, "!=", 5))
@@ -125,6 +126,7 @@ class TestNumbersCompareExactly:
     link = compare(Z, "=", Z)
 
     def test_an_int_beyond_float_range_is_a_bound(self):
+        solver = ConstraintSolver()
         for extra in ((), (self.link,)):
             assert solver.is_satisfiable(conjoin(compare(Y, "<=", 10**400), *extra))
             assert not solver.is_satisfiable(
@@ -132,12 +134,14 @@ class TestNumbersCompareExactly:
             )
 
     def test_bounds_one_apart_beyond_float_precision_do_not_meet(self):
+        solver = ConstraintSolver()
         for extra in ((), (self.link,)):
             assert not solver.is_satisfiable(
                 conjoin(compare(X, ">=", BIG + 1), compare(X, "<=", BIG), *extra)
             )
 
     def test_a_pin_beyond_float_precision_is_not_the_value_below_it(self):
+        solver = ConstraintSolver()
         # Calling it unsatisfiable would let a deletion purge a live entry.
         for extra in ((), (self.link,)):
             assert solver.is_satisfiable(
@@ -149,6 +153,7 @@ class TestNumbersCompareExactly:
             )
 
     def test_the_quick_reject_profile_keeps_exact_bounds(self):
+        solver = ConstraintSolver()
         assert solver.quick_reject((X,), compare(X, "<=", 10**400), (X,), compare(X, "=", 10**400 + 1))
         assert not solver.quick_reject((X,), compare(X, "<=", BIG), (X,), compare(X, "=", float(BIG)))
         assert solver.quick_reject((X,), compare(X, ">=", BIG + 1), (X,), compare(X, "=", BIG))

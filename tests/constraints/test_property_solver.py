@@ -32,8 +32,6 @@ VARIABLES = (Variable("X"), Variable("Y"), Variable("Z"))
 UNIVERSE = tuple(range(0, 6))
 OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
 
-solver = ConstraintSolver()
-
 
 @st.composite
 def comparisons(draw):
@@ -77,73 +75,82 @@ def constraints_with_negation(draw):
     return conjoin(positive, negate(conjoin(*inner_parts)))
 
 
-def brute_force_solutions(constraint):
+def brute_force_solutions(constraint, solver):
     return solution_set(constraint, list(VARIABLES), solver=solver, universe=UNIVERSE)
 
 
 @settings(max_examples=120, deadline=None)
 @given(conjunctions())
 def test_brute_force_sat_implies_solver_sat(constraint):
-    if brute_force_solutions(constraint):
+    solver = ConstraintSolver()
+    if brute_force_solutions(constraint, solver):
         assert solver.is_satisfiable(constraint)
 
 
 @settings(max_examples=120, deadline=None)
 @given(conjunctions())
 def test_solver_unsat_implies_no_finite_solutions(constraint):
+    solver = ConstraintSolver()
     if not solver.is_satisfiable(constraint):
-        assert not brute_force_solutions(constraint)
+        assert not brute_force_solutions(constraint, solver)
 
 
 @settings(max_examples=100, deadline=None)
 @given(constraints_with_negation())
 def test_negated_constraints_sat_consistency(constraint):
-    if brute_force_solutions(constraint):
+    solver = ConstraintSolver()
+    if brute_force_solutions(constraint, solver):
         assert solver.is_satisfiable(constraint)
 
 
 @settings(max_examples=100, deadline=None)
 @given(conjunctions())
 def test_simplify_preserves_solutions(constraint):
+    solver = ConstraintSolver()
     simplified = simplify(constraint, solver)
-    assert brute_force_solutions(simplified) == brute_force_solutions(constraint)
+    assert brute_force_solutions(simplified, solver) == brute_force_solutions(constraint, solver)
 
 
 @settings(max_examples=80, deadline=None)
 @given(constraints_with_negation())
 def test_simplify_preserves_solutions_with_negations(constraint):
+    solver = ConstraintSolver()
     simplified = simplify(constraint, solver)
-    assert brute_force_solutions(simplified) == brute_force_solutions(constraint)
+    assert brute_force_solutions(simplified, solver) == brute_force_solutions(constraint, solver)
 
 
 @settings(max_examples=80, deadline=None)
 @given(conjunctions())
 def test_simplify_with_redundancy_dropping_preserves_solutions(constraint):
+    solver = ConstraintSolver()
     simplified = simplify(constraint, solver, drop_redundant_comparisons=True)
-    assert brute_force_solutions(simplified) == brute_force_solutions(constraint)
+    assert brute_force_solutions(simplified, solver) == brute_force_solutions(constraint, solver)
 
 
 @settings(max_examples=100, deadline=None)
 @given(conjunctions(), comparisons())
 def test_entailment_has_no_finite_counterexample(context, fact):
+    solver = ConstraintSolver()
     if solver.entails(context, fact):
-        context_solutions = brute_force_solutions(context)
-        fact_solutions = brute_force_solutions(fact)
+        context_solutions = brute_force_solutions(context, solver)
+        fact_solutions = brute_force_solutions(fact, solver)
         assert context_solutions <= fact_solutions
 
 
 @settings(max_examples=100, deadline=None)
 @given(conjunctions())
 def test_canonical_form_is_idempotent_and_solution_preserving(constraint):
+    solver = ConstraintSolver()
     canonical = canonical_form(constraint)
     assert canonical_form(canonical) == canonical
-    assert brute_force_solutions(canonical) == brute_force_solutions(constraint)
+    assert brute_force_solutions(canonical, solver) == brute_force_solutions(constraint, solver)
 
 
 @settings(max_examples=60, deadline=None)
 @given(conjunctions(), conjunctions())
 def test_conjoin_is_intersection(left, right):
+    solver = ConstraintSolver()
     combined = conjoin(left, right)
-    assert brute_force_solutions(combined) == (
-        brute_force_solutions(left) & brute_force_solutions(right)
+    assert brute_force_solutions(combined, solver) == (
+        brute_force_solutions(left, solver) & brute_force_solutions(right, solver)
     )

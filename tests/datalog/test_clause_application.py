@@ -47,8 +47,6 @@ from repro.datalog.view import ViewEntry
 from repro.maintenance.delete_stdel import POutPair, StraightDelete
 from repro.maintenance.requests import MaintenanceStats
 
-solver = ConstraintSolver()
-
 CLAUSE_VARIABLES = [Variable(name) for name in "XYZW"]
 PREMISE_VARIABLES = [Variable(name) for name in "ABC"]
 #: ``1`` and ``1.0`` are equal values and different nodes; ``'a'`` is not a
@@ -175,26 +173,26 @@ def fresh_factory(clause, *atoms) -> FreshVariableFactory:
     return FreshVariableFactory(names)
 
 
-def normalise(constraint, keep):
+def normalise(constraint, keep, solver):
     return simplify(
         eliminate_variables(constraint, keep), solver, drop_redundant_comparisons=True
     )
 
 
-def reference_application(clause, premises, factory, check_solvability):
+def reference_application(clause, premises, factory, check_solvability, solver):
     """The ``T_P`` / ``W_P`` step of the paper, every premise renamed apart."""
     parts = [clause.constraint]
     for body_atom, premise in zip(clause.body, premises):
         renamed, _ = ConstrainedAtom(premise.atom, premise.constraint).renamed_apart(factory)
         parts.append(renamed.constraint)
         parts.append(tuple_equalities(renamed.atom.args, body_atom.args))
-    constraint = normalise(conjoin(*parts), clause.head.variables())
+    constraint = normalise(conjoin(*parts), clause.head.variables(), solver)
     if check_solvability and not solver.is_satisfiable(constraint):
         return None
     return ConstrainedAtom(clause.head, constraint)
 
 
-def reference_rebuild(clause, entry, premises, child_position, factory):
+def reference_rebuild(clause, entry, premises, child_position, factory, solver):
     """StDel step 3 for one choice of premises, written out: the deleted
     part and the replacement constraint, or ``None`` (condition (c))."""
     clause = clause.renamed_apart(factory)
@@ -210,15 +208,16 @@ def reference_rebuild(clause, entry, premises, child_position, factory):
         part = conjoin(renamed.constraint, tuple_equalities(renamed.atom.args, body_atom.args))
         deleted.append(part)
         kept.append(negate(part) if position == child_position else part)
-    deleted_constraint = normalise(conjoin(*deleted), keep)
+    deleted_constraint = normalise(conjoin(*deleted), keep, solver)
     if not solver.is_satisfiable(deleted_constraint):
         return None
-    return normalise(conjoin(*kept), keep), deleted_constraint
+    return normalise(conjoin(*kept), keep, solver), deleted_constraint
 
 
 @settings(max_examples=600, deadline=None)
 @given(applications(), st.booleans())
 def test_the_kernel_builds_the_atom_the_paper_s_step_builds(application, check_solvability):
+    solver = ConstraintSolver()
     clause, premises, _ = application
     stats = MaintenanceStats()
     kernel = DeltaJoinKernel(
@@ -231,7 +230,7 @@ def test_the_kernel_builds_the_atom_the_paper_s_step_builds(application, check_s
     )
     derived = kernel.apply_clause(clause, premises)
     expected = reference_application(
-        clause, premises, fresh_factory(clause, *premises), check_solvability
+        clause, premises, fresh_factory(clause, *premises), check_solvability, solver
     )
     if expected is None:
         assert derived is None
@@ -263,6 +262,7 @@ def rebuilds(draw):
 @settings(max_examples=600, deadline=None)
 @given(rebuilds())
 def test_a_parent_rebuild_is_the_one_step_3_builds(rebuild):
+    solver = ConstraintSolver()
     clause, premises, entry_atom, child_position = rebuild
     program = ConstrainedDatabase([clause])
     (clause,) = program
@@ -283,7 +283,7 @@ def test_a_parent_rebuild_is_the_one_step_3_builds(rebuild):
         None
         if entry.constraint is FALSE
         else reference_rebuild(
-            clause, entry, premises, child_position, fresh_factory(clause, entry, *premises)
+            clause, entry, premises, child_position, fresh_factory(clause, entry, *premises), solver
         )
     )
     if expected is None:
@@ -318,6 +318,7 @@ def test_pins_are_read_once_per_interned_node():
 
 
 def test_an_all_pinned_application_constructs_no_intermediate_node():
+    solver = ConstraintSolver()
     from repro.constraints.intern import intern_stats
 
     x, y, z = CLAUSE_VARIABLES[:3]
@@ -355,12 +356,13 @@ def test_an_all_pinned_application_constructs_no_intermediate_node():
     )
     kept = wp.apply_clause(clause, clash)
     assert kept.constraint is reference_application(
-        clause, clash, fresh_factory(clause, *clash), False
+        clause, clash, fresh_factory(clause, *clash), False, solver
     ).constraint
     assert not solver.is_satisfiable(kept.constraint)
 
 
 def test_a_box_premise_is_substituted_not_renamed():
+    solver = ConstraintSolver()
     x, y = CLAUSE_VARIABLES[:2]
     a = PREMISE_VARIABLES[0]
     clause = Clause(Atom("pair", (x,)), TRUE, (Atom("iv0", (x,)), Atom("iv1", (x,))), 1)
@@ -374,12 +376,12 @@ def test_a_box_premise_is_substituted_not_renamed():
     derived = kernel.apply_clause(clause, premises)
     assert str(derived) == "pair(X) <- X <= 8 & 6 < X & X != 7"
     assert derived.constraint is reference_application(
-        clause, premises, fresh_factory(clause, *premises), True
+        clause, premises, fresh_factory(clause, *premises), True, solver
     ).constraint
     assert factory.fresh("X").name == "X_1"  # no premise was renamed apart
     # A clause variable outside the head projects the same way.
     clause = Clause(Atom("h", (x,)), TRUE, (Atom("iv0", (y,)), Atom("iv1", (x,))), 1)
     derived = kernel.apply_clause(clause, premises)
     assert derived.constraint is reference_application(
-        clause, premises, fresh_factory(clause, *premises), True
+        clause, premises, fresh_factory(clause, *premises), True, solver
     ).constraint

@@ -10,7 +10,8 @@ count what one delete + re-insert of a base fact does:
 * conjuncts of the clauses the pair rewrote in the effective program.
 
 None of them may depend on the size of the view (n = 40 against n = 160)
-or on the age of the scheduler (the 20th pair against the 1st), and a
+-- for DRed too, which also may not apply more clauses on the larger view
+-- or on the age of the scheduler (the 20th pair against the 1st), and a
 clause the stream never unified with must stay the very object the base
 program holds.  The same goes for the view's storage: the objects a pair
 leaves allocated are counted, and a delta join all of whose positions are
@@ -39,6 +40,7 @@ from repro.constraints import ConstraintSolver, Variable, equals
 from repro.constraints.intern import intern_stats
 from repro.datalog import Atom, FixpointEngine, compute_tp_fixpoint
 from repro.datalog.atoms import ConstrainedAtom
+from repro.datalog.join import DeltaJoinKernel
 from repro.maintenance import (
     DeletionRequest,
     ExtendedDRed,
@@ -78,14 +80,16 @@ def constructed_nodes() -> int:
 TOP = "layer3_0"
 
 
-def layered_scheduler(base_facts: int):
+def layered_scheduler(base_facts: int, deletion_algorithm: str = "stdel"):
     """A scheduler over the layered family, and its base program."""
     spec = make_layered_program(
         base_facts=base_facts, layers=3, predicates_per_layer=2, fanin=2
     )
     assert TOP in spec.top_predicates
     scheduler = StreamScheduler(
-        spec.program, ConstraintSolver(), options=StreamOptions(max_workers=1)
+        spec.program,
+        ConstraintSolver(),
+        options=StreamOptions(max_workers=1, deletion_algorithm=deletion_algorithm),
     )
     return scheduler, spec.program
 
@@ -119,8 +123,8 @@ def run_pairs(scheduler: StreamScheduler, values, predicate: str = "base1"):
     return costs
 
 
-def assert_within_quarter(left, right, what: str) -> None:
-    for name, a, b in zip(COUNTS, left, right):
+def assert_within_quarter(left, right, what: str, names=COUNTS) -> None:
+    for name, a, b in zip(names, left, right):
         assert abs(a - b) <= 0.25 * max(a, b), f"{what}: {name} {a} vs {b}"
 
 
@@ -128,6 +132,30 @@ def test_one_pair_costs_the_same_on_a_four_times_larger_view():
     small = run_pairs(layered_scheduler(40)[0], [3])
     large = run_pairs(layered_scheduler(160)[0], [3])
     assert_within_quarter(small[0], large[0], "n=40 vs n=160")
+
+
+def test_one_dred_pair_costs_the_same_on_a_four_times_larger_view():
+    # DRed finds what P_OUT overlaps by index, purges and subsumes only what
+    # it narrowed, and rederives from the rule clauses and the fact clauses
+    # a P_OUT atom overlaps: none of it walks the view or the program.
+    apply_clause = DeltaJoinKernel.apply_clause
+    costs = []
+    for base_facts in (40, 160):
+        scheduler = layered_scheduler(base_facts, deletion_algorithm="dred")[0]
+        applications = []
+
+        def counted(kernel, *args, **kwargs):
+            applications.append(1)
+            return apply_clause(kernel, *args, **kwargs)
+
+        DeltaJoinKernel.apply_clause = counted
+        try:
+            (pair,) = run_pairs(scheduler, [3])
+        finally:
+            DeltaJoinKernel.apply_clause = apply_clause
+        costs.append((*pair, len(applications)))
+        assert scheduler.verify()
+    assert_within_quarter(*costs, "dred n=40 vs n=160", COUNTS + ("clause_applications",))
 
 
 @pytest.mark.parametrize("base_facts", (40, 160))
@@ -573,12 +601,12 @@ CEILINGS = {
     },
     "stream_mixed_batch": {
         "sequential.derivation_attempts": 1,
-        "sequential.solver_calls": 18,
+        "sequential.solver_calls": 17,
         "batched.derivation_attempts": 1,
         "batched.solver_calls": 16,
     },
     "interval_pairs": {
-        "pairs_stdel.nodes": 555,
+        "pairs_stdel.nodes": 551,
         "pairs_stdel.branch_checks": 20,
         "pairs_dred.nodes": 1048,
         "pairs_dred.branch_checks": 43,

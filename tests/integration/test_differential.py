@@ -292,9 +292,10 @@ def test_non_overlapping_deletion_leaves_external_entry_keys_untouched():
     Insertion disjointification leaves a redundant bound on the second
     external atom (``0 <= X & 10 < X & X <= 50``); a later deletion that
     does not overlap it must keep that entry's key byte-identical in every
-    algorithm -- ``subtract_instances`` used to re-simplify untouched
-    entries, dropping the redundant bound in the DRed and recompute tracks
-    while StDel (which only rewrites affected entries) kept it.
+    algorithm -- the narrowing step once re-simplified untouched entries,
+    dropping the redundant bound in the DRed and recompute tracks while
+    StDel (which only rewrites affected entries) kept it;
+    ``narrow_overlapping`` returns only the entries a removed atom overlaps.
     """
     from repro.constraints import Variable, compare, conjoin
     from repro.datalog import Atom

@@ -28,8 +28,6 @@ from repro.workloads import (
     make_random_graph_edges,
 )
 
-solver = ConstraintSolver()
-
 
 layered_specs = st.builds(
     make_layered_program,
@@ -53,6 +51,7 @@ tc_specs = st.builds(
 @settings(max_examples=25, deadline=None)
 @given(layered_specs, st.integers(min_value=0, max_value=10_000))
 def test_deletion_algorithms_match_declarative_semantics_on_layered_programs(spec, seed):
+    solver = ConstraintSolver()
     view = compute_tp_fixpoint(spec.program, solver)
     request = deletion_stream(spec, 1, seed=seed)[0].atom
     expected = recompute_after_deletion(spec.program, view, request, solver).view.instances(solver)
@@ -63,6 +62,7 @@ def test_deletion_algorithms_match_declarative_semantics_on_layered_programs(spe
 @settings(max_examples=15, deadline=None)
 @given(tc_specs, st.integers(min_value=0, max_value=10_000))
 def test_deletion_algorithms_match_declarative_semantics_on_recursive_programs(spec, seed):
+    solver = ConstraintSolver()
     view = compute_tp_fixpoint(spec.program, solver)
     request = deletion_stream(spec, 1, seed=seed)[0].atom
     expected = recompute_after_deletion(spec.program, view, request, solver).view.instances(solver)
@@ -73,6 +73,7 @@ def test_deletion_algorithms_match_declarative_semantics_on_recursive_programs(s
 @settings(max_examples=25, deadline=None)
 @given(layered_specs, st.integers(min_value=0, max_value=10_000))
 def test_insertion_matches_declarative_semantics(spec, seed):
+    solver = ConstraintSolver()
     view = compute_tp_fixpoint(spec.program, solver)
     request = insertion_stream(spec, 1, seed=seed)[0].atom
     incremental = insert_atom(spec.program, view, request, solver)
@@ -83,6 +84,7 @@ def test_insertion_matches_declarative_semantics(spec, seed):
 @settings(max_examples=20, deadline=None)
 @given(layered_specs, st.integers(min_value=0, max_value=10_000))
 def test_delete_then_reinsert_restores_instances(spec, seed):
+    solver = ConstraintSolver()
     view = compute_tp_fixpoint(spec.program, solver)
     request = deletion_stream(spec, 1, seed=seed)[0].atom
     deleted = delete_with_stdel(spec.program, view, request, solver)
@@ -93,6 +95,7 @@ def test_delete_then_reinsert_restores_instances(spec, seed):
 @settings(max_examples=20, deadline=None)
 @given(layered_specs, st.integers(min_value=0, max_value=10_000))
 def test_deleting_an_inserted_fact_restores_instances(spec, seed):
+    solver = ConstraintSolver()
     view = compute_tp_fixpoint(spec.program, solver)
     request = insertion_stream(spec, 1, seed=seed)[0].atom
     inserted = insert_atom(spec.program, view, request, solver)
@@ -103,6 +106,7 @@ def test_deleting_an_inserted_fact_restores_instances(spec, seed):
 @settings(max_examples=20, deadline=None)
 @given(layered_specs, st.integers(min_value=0, max_value=10_000))
 def test_stdel_never_rederives_and_dred_and_stdel_agree(spec, seed):
+    solver = ConstraintSolver()
     view = compute_tp_fixpoint(spec.program, solver)
     request = deletion_stream(spec, 1, seed=seed)[0].atom
     stdel = delete_with_stdel(spec.program, view, request, solver)
@@ -117,6 +121,7 @@ def test_stdel_never_rederives_and_dred_and_stdel_agree(spec, seed):
     st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3, unique=True),
 )
 def test_wp_and_tp_views_have_identical_instances(base_facts, values):
+    solver = ConstraintSolver()
     # W_P keeps unsolvable entries; its instance set must still equal T_P's.
     from repro.datalog import compute_wp_fixpoint, parse_program
 

@@ -3,10 +3,14 @@
 ``delete_dred``'s module docstring states the requirement: because step 3
 rederives from the *program*, a later deletion must run against the program
 produced by the earlier deletion's rewrite (``DRedResult.rewritten_program``);
-otherwise rederivation can resurrect instances the earlier request removed
-(the original fact clause is still in the program and fires again in round 0
-of the rederivation fixpoint).  Straight Delete never rederives, so it has no
-such requirement.  These tests verify both halves of that statement.
+otherwise rederivation can resurrect instances the earlier request removed.
+Rederivation re-fires the rule clauses of the predicates ``P_OUT`` touches
+and only those fact clauses a ``P_OUT`` atom overlaps, so the resurrection
+needs an original clause the later request overlaps: ``a(X) <- 1 <= X & X
+<= 2`` still derives ``a(1)`` when ``X = 2`` is deleted, while the separate
+fact clause ``a(X) <- X = 1`` is not re-fired by that request at all.
+Straight Delete never rederives, so it has no such requirement.  These
+tests verify both halves of that statement.
 """
 
 from __future__ import annotations
@@ -28,6 +32,12 @@ from repro.workloads import ground_request_atom, make_layered_program
 PROGRAM = """
 a(X) <- X = 1.
 a(X) <- X = 2.
+b(X) <- a(X).
+"""
+
+#: One clause holding both instances: a deletion of either overlaps it.
+RANGE_PROGRAM = """
+a(X) <- 1 <= X & X <= 2.
 b(X) <- a(X).
 """
 
@@ -81,20 +91,32 @@ class TestSequentialDRed:
         assert second.view.instances_for("a", solver, UNIVERSE) == frozenset()
         assert second.view.instances_for("b", solver, UNIVERSE) == frozenset()
 
-    def test_second_deletion_against_original_program_resurrects(
+    def test_second_deletion_against_original_program_resurrects(self, solver):
+        # Ignoring the requirement: the original clause ``a(X) <- 1 <= X &
+        # X <= 2`` overlaps the second request, so rederivation re-fires it
+        # and brings the instance the first request deleted back -- the
+        # failure mode the module docstring warns about.
+        program = parse_program(RANGE_PROGRAM)
+        view = compute_tp_fixpoint(program, solver)
+        first = delete_first(program, view, solver)
+        assert first.view.instances(solver, UNIVERSE) == {("a", (2,)), ("b", (2,))}
+        second = DeletionRequest(parse_constrained_atom(SECOND_REQUEST))
+        wrong = ExtendedDRed(program, solver).delete(first.view, second)
+        assert wrong.view.instances(solver, UNIVERSE) == {("a", (1,)), ("b", (1,))}
+        right = ExtendedDRed(first.rewritten_program, solver).delete(first.view, second)
+        assert right.view.instances(solver, UNIVERSE) == frozenset()
+
+    def test_a_fact_clause_no_p_out_atom_overlaps_is_not_refired(
         self, program, view, solver
     ):
+        # ``a(X) <- X = 1`` is not a head candidate of the second request's
+        # P_OUT atoms, so rederivation leaves it out of the program it runs:
+        # against the original program nothing brings ``a(1)`` back.
         first = delete_first(program, view, solver)
-        # Ignoring the requirement: the original program still contains the
-        # unmodified fact clause ``a(X) <- X = 1``; the rederivation step of
-        # the second deletion fires it again and brings the deleted instance
-        # back -- the failure mode the module docstring warns about.
-        wrong_algorithm = ExtendedDRed(program, solver)
-        wrong = wrong_algorithm.delete(
+        wrong = ExtendedDRed(program, solver).delete(
             first.view, DeletionRequest(parse_constrained_atom(SECOND_REQUEST))
         )
-        assert (1,) in wrong.view.instances_for("a", solver, UNIVERSE)
-        assert (1,) in wrong.view.instances_for("b", solver, UNIVERSE)
+        assert wrong.view.instances(solver, UNIVERSE) == frozenset()
 
     def test_rewritten_program_chain_matches_recomputation(
         self, program, view, solver
