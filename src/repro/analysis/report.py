@@ -109,10 +109,6 @@ class ProgramReport:
         """All warning-severity diagnostics."""
         return tuple(d for d in self.diagnostics if d.severity == "warning")
 
-    def infos(self) -> Tuple[Diagnostic, ...]:
-        """All info-severity diagnostics."""
-        return tuple(d for d in self.diagnostics if d.severity == "info")
-
     def ok(self, strict: bool = False) -> bool:
         """True when the program passed (no errors; no warnings if strict)."""
         if self.errors():

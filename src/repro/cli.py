@@ -63,6 +63,15 @@ def parse_universe(spec: Optional[str]) -> Optional[List[object]]:
     return values
 
 
+def non_negative_int(text: str) -> int:
+    """The ``--limit`` argument type: a count, so a negative one is a usage
+    error."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must not be negative: {value}")
+    return value
+
+
 def _load_program(path: str):
     text = Path(path).read_text(encoding="utf-8")
     return parse_program(text)
@@ -287,7 +296,7 @@ def _cmd_trace(args, stream) -> int:
         print("no trace events found", file=stream)
         return 1
     views = group_traces(events)
-    shown = views if args.limit is None else views[-args.limit:]
+    shown = views if args.limit is None else views[max(0, len(views) - args.limit):]
     for view in shown:
         print(render_waterfall(view), file=stream)
         print(file=stream)
@@ -418,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("file", help="trace file written by serve --trace-file")
     trace.add_argument("--top", type=int, default=10,
                        help="how many slowest spans to list (default 10)")
-    trace.add_argument("--limit", type=int, default=None,
+    trace.add_argument("--limit", type=non_negative_int, default=None,
                        help="render only the newest N traces")
     trace.add_argument(
         "--check", action="store_true",

@@ -45,11 +45,7 @@ from repro.constraints.interfaces import (
 )
 from repro.constraints.projection import eliminate_variables
 from repro.constraints.simplify import canonical_form, extract_bindings, simplify
-from repro.constraints.solutions import (
-    enumerate_solutions,
-    equivalent_on_universe,
-    solution_set,
-)
+from repro.constraints.solutions import enumerate_solutions, solution_set
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import (
     Constant,
@@ -57,8 +53,6 @@ from repro.constraints.terms import (
     Substitution,
     Term,
     Variable,
-    is_constant,
-    is_variable,
     make_term,
 )
 
@@ -91,11 +85,8 @@ __all__ = [
     "eliminate_variables",
     "enumerate_solutions",
     "equals",
-    "equivalent_on_universe",
     "extract_bindings",
     "intern_stats",
-    "is_constant",
-    "is_variable",
     "make_term",
     "member",
     "negate",

@@ -121,14 +121,6 @@ class Constraint:
         """
         raise NotImplementedError
 
-    def mentions_membership(self) -> bool:
-        """True when a DCA-atom occurs anywhere in the constraint.
-
-        Computed once at construction (children are already interned), this
-        is the solver's pure-versus-external cache discriminator.
-        """
-        return self._membership
-
     def domains(self) -> Tuple[str, ...]:
         """Names of the domains called anywhere in the constraint, sorted.
 
@@ -307,12 +299,6 @@ class Comparison(Constraint):
     def is_equality(self) -> bool:
         return self.op == "="
 
-    def is_disequality(self) -> bool:
-        return self.op == "!="
-
-    def is_ordering(self) -> bool:
-        return self.op in ("<", "<=", ">", ">=")
-
     def __str__(self) -> str:
         cached = self._str
         if cached is None:
@@ -385,16 +371,6 @@ class DomainCall:
         if args is self.args:
             return self
         return DomainCall(self.domain, self.function, args)
-
-    def is_ground(self) -> bool:
-        """True when every argument is a constant."""
-        return all(isinstance(arg, Constant) for arg in self.args)
-
-    def ground_args(self) -> Tuple[object, ...]:
-        """Return the Python values of the (ground) arguments."""
-        if not self.is_ground():
-            raise ConstraintError(f"domain call is not ground: {self}")
-        return tuple(arg.value for arg in self.args)  # type: ignore[union-attr]
 
     def __str__(self) -> str:
         cached = self._str

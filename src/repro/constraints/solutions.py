@@ -118,24 +118,6 @@ def solution_set(
     return frozenset(tuples)
 
 
-def equivalent_on_universe(
-    left: Constraint,
-    right: Constraint,
-    variables: Sequence[Variable],
-    universe: Iterable[object],
-    solver: Optional[ConstraintSolver] = None,
-) -> bool:
-    """Check that two constraints admit the same solutions over *universe*.
-
-    This is the semantic comparison used by the correctness tests: the paper's
-    theorems state equality of instance sets ``[·]``, not syntactic equality.
-    """
-    universe_values = list(universe)
-    left_solutions = solution_set(left, variables, solver=solver, universe=universe_values)
-    right_solutions = solution_set(right, variables, solver=solver, universe=universe_values)
-    return left_solutions == right_solutions
-
-
 # ---------------------------------------------------------------------------
 # The compiled plan
 # ---------------------------------------------------------------------------

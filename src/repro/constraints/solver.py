@@ -526,10 +526,6 @@ class ConstraintSolver:
         elif gate is not None:
             self._remember(self._instance_memo, atom, gate, instances)
 
-    def is_unsatisfiable(self, constraint: Constraint) -> bool:
-        """Return True if the constraint has no solution."""
-        return not self.is_satisfiable(constraint)
-
     # ------------------------------------------------------------------
     # Quick-reject pre-filter
     # ------------------------------------------------------------------
@@ -705,21 +701,6 @@ class ConstraintSolver:
         if context is fact or isinstance(fact, TrueConstraint):
             return True
         return not self.is_satisfiable(conjoin(context, negate(fact)))
-
-    def equivalent(self, left: Constraint, right: Constraint) -> bool:
-        """Return True if the two constraints have the same solutions.
-
-        Only supported when both sides are in the negatable fragment.
-        Pointer-identical (or canonically identical) sides are equivalent
-        by construction -- no solver call.
-        """
-        if left is right:
-            return True
-        from repro.constraints.simplify import canonical_form
-
-        if canonical_form(left) is canonical_form(right):
-            return True
-        return self.entails(left, right) and self.entails(right, left)
 
     def evaluate_ground(
         self, constraint: Constraint, assignment: Mapping[Variable, object]

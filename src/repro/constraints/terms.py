@@ -178,16 +178,6 @@ def _sort_key(value: Hashable) -> Tuple[str, str]:
     return (type(value).__name__, repr(value))
 
 
-def is_variable(term: object) -> bool:
-    """Return True if *term* is a :class:`Variable`."""
-    return isinstance(term, Variable)
-
-
-def is_constant(term: object) -> bool:
-    """Return True if *term* is a :class:`Constant`."""
-    return isinstance(term, Constant)
-
-
 def make_term(value: object) -> Term:
     """Coerce *value* into a term.
 
@@ -201,28 +191,11 @@ def make_term(value: object) -> Term:
     return Constant(value)
 
 
-def constant_value(term: Term) -> Hashable:
-    """Return the Python value wrapped by a constant term."""
-    if not isinstance(term, Constant):
-        raise TermError(f"expected a constant, got {term!r}")
-    return term.value
-
-
-def term_variables(terms: Iterable[Term]) -> "set[Variable]":
-    """Collect the set of variables occurring in *terms*."""
-    result: "set[Variable]" = set()
-    for term in terms:
-        if isinstance(term, Variable):
-            result.add(term)
-    return result
-
-
 class Substitution(Mapping[Variable, Term]):
     """An immutable mapping from variables to terms.
 
     Application is *not* recursive: a binding ``X -> Y`` followed by
-    ``Y -> a`` is not chased; compose substitutions explicitly with
-    :meth:`compose` if chasing is required.
+    ``Y -> a`` is not chased.
     """
 
     __slots__ = ("_bindings",)
@@ -274,28 +247,6 @@ class Substitution(Mapping[Variable, Term]):
             return terms
         return tuple(bindings.get(term, term) for term in terms)
 
-    def compose(self, other: "Substitution") -> "Substitution":
-        """Return ``self`` followed by *other* (``other`` applied after)."""
-        merged: Dict[Variable, Term] = {
-            var: other.apply(term) for var, term in self._bindings.items()
-        }
-        for var, term in other.items():
-            merged.setdefault(var, term)
-        return Substitution(merged)
-
-    def restricted_to(self, variables: Iterable[Variable]) -> "Substitution":
-        """Return the sub-substitution whose domain is limited to *variables*."""
-        wanted = set(variables)
-        return Substitution({
-            var: term for var, term in self._bindings.items() if var in wanted
-        })
-
-    def extended(self, var: Variable, term: Term) -> "Substitution":
-        """Return a copy with one extra binding."""
-        updated = dict(self._bindings)
-        updated[var] = term
-        return Substitution(updated)
-
 
 EMPTY_SUBSTITUTION = Substitution()
 
@@ -322,10 +273,6 @@ class FreshVariableFactory:
         self._reserved = set(reserved)
         self._tables = tuple(tables)
         self._counter = itertools.count(1)
-
-    def reserve(self, names: Iterable[str]) -> None:
-        """Mark additional names as unavailable for fresh variables."""
-        self._reserved.update(names)
 
     def fresh(self, base: str = "V") -> Variable:
         """Return a variable whose name has not been produced or reserved."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from repro.constraints.ast import Constraint, TRUE, conjoin
+from repro.constraints.ast import Constraint, TRUE
 from repro.constraints.simplify import extract_bindings
 from repro.constraints.solutions import solution_set
 from repro.constraints.solver import ConstraintSolver
@@ -66,16 +66,6 @@ class Atom:
         if args is self.args:
             return self
         return Atom(self.predicate, args)
-
-    def is_ground(self) -> bool:
-        """True when every argument is a constant."""
-        return all(isinstance(arg, Constant) for arg in self.args)
-
-    def ground_values(self) -> Tuple[object, ...]:
-        """Return the Python values of a ground atom's arguments."""
-        if not self.is_ground():
-            raise ProgramError(f"atom is not ground: {self}")
-        return tuple(arg.value for arg in self.args)  # type: ignore[union-attr]
 
     def __str__(self) -> str:
         if not self.args:
@@ -140,10 +130,6 @@ class ConstrainedAtom:
     def with_constraint(self, constraint: Constraint) -> "ConstrainedAtom":
         """Return a copy with the constraint replaced."""
         return ConstrainedAtom(self.atom, constraint)
-
-    def conjoined_with(self, extra: Constraint) -> "ConstrainedAtom":
-        """Return a copy whose constraint is ``constraint & extra``."""
-        return ConstrainedAtom(self.atom, conjoin(self.constraint, extra))
 
     def instances(
         self,

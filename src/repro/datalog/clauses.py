@@ -118,10 +118,6 @@ class Clause:
         """Return a copy with *extra* conjoined onto the constraint part."""
         return Clause(self.head, conjoin(self.constraint, extra), self.body, self.number)
 
-    def with_body(self, body: Tuple[Atom, ...]) -> "Clause":
-        """Return a copy with the body atoms replaced."""
-        return Clause(self.head, self.constraint, tuple(body), self.number)
-
     def with_number(self, number: Optional[int]) -> "Clause":
         """Return a copy carrying a (new) clause number."""
         return Clause(self.head, self.constraint, self.body, number)

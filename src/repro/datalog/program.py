@@ -322,40 +322,9 @@ class ConstrainedDatabase:
         components.reverse()
         return tuple(components)
 
-    def dependency_order(self) -> Tuple[str, ...]:
-        """Predicates in a bottom-up order (callees before callers).
-
-        Predicates involved in cycles are grouped arbitrarily within the
-        order; the fixpoint operators do not rely on stratification, this is
-        only used for reporting and workload generation.
-        """
-        graph: Dict[str, set] = {predicate: set() for predicate in self._by_predicate}
-        for clause in self:
-            for body_predicate in clause.body_predicates():
-                if body_predicate in graph:
-                    graph[clause.predicate].add(body_predicate)
-        ordered: List[str] = []
-        marked: Dict[str, int] = {}
-
-        def visit(node: str) -> None:
-            if marked.get(node):
-                return
-            marked[node] = 1
-            for dependency in sorted(graph.get(node, ())):
-                visit(dependency)
-            ordered.append(node)
-
-        for predicate in sorted(graph):
-            visit(predicate)
-        return tuple(ordered)
-
     # ------------------------------------------------------------------
     # Rewriting (all return new databases)
     # ------------------------------------------------------------------
-    def with_clause_added(self, clause: Clause) -> "ConstrainedDatabase":
-        """Return a database with one more clause (auto-numbered)."""
-        return self.with_clauses_added((clause,))
-
     def with_clauses_added(self, clauses: Sequence[Clause]) -> "ConstrainedDatabase":
         """Return a database with several clauses appended.
 
@@ -463,23 +432,6 @@ class ConstrainedDatabase:
         derived._dependency_edges = edges
         derived._derivable = None if appended and rules else self._derivable
         return derived
-
-    def with_clause_replaced(self, number: int, replacement: Clause) -> "ConstrainedDatabase":
-        """Return a database where clause *number* is swapped for *replacement*."""
-        if number not in self._clauses:
-            raise ProgramError(f"no clause numbered {number}")
-        updated = [
-            replacement.with_number(number) if clause.number == number else clause
-            for clause in self
-        ]
-        return ConstrainedDatabase(updated)
-
-    def without_clauses(self, numbers: Iterable[int]) -> "ConstrainedDatabase":
-        """Return a database without the clauses whose numbers are given."""
-        excluded = set(numbers)
-        return ConstrainedDatabase(
-            clause for clause in self if clause.number not in excluded
-        )
 
     def map_clauses(
         self, transform: "callable[[Clause], Optional[Clause]]"

@@ -20,7 +20,7 @@ leaf is built), so the lemma holds for inserted facts too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ProgramError
 
@@ -62,48 +62,6 @@ class Support:
     def is_leaf(self) -> bool:
         """True for supports of base derivations (facts / body-free clauses)."""
         return not self.children
-
-    def depth(self) -> int:
-        """Height of the derivation tree (a leaf has depth 1)."""
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
-
-    def size(self) -> int:
-        """Total number of clause applications in the derivation."""
-        return 1 + sum(child.size() for child in self.children)
-
-    def clause_numbers(self) -> Tuple[int, ...]:
-        """All clause numbers used anywhere in the derivation (pre-order)."""
-        numbers = [self.clause_number]
-        for child in self.children:
-            numbers.extend(child.clause_numbers())
-        return tuple(numbers)
-
-    def subtrees(self) -> Iterator["Support"]:
-        """Iterate over every subtree, including this one (pre-order)."""
-        yield self
-        for child in self.children:
-            yield from child.subtrees()
-
-    # ------------------------------------------------------------------
-    # Queries used by StDel
-    # ------------------------------------------------------------------
-    def has_direct_child(self, support: "Support") -> bool:
-        """True if *support* is one of this derivation's immediate premises."""
-        return support in self.children
-
-    def contains(self, support: "Support") -> bool:
-        """True if *support* occurs anywhere inside this derivation."""
-        return any(subtree == support for subtree in self.subtrees())
-
-    def child_index(self, support: "Support") -> int:
-        """Index (0-based) of *support* among the immediate premises.
-
-        Raises ``ValueError`` when not present; StDel uses this to identify
-        which body literal the deleted premise corresponds to.
-        """
-        return self.children.index(support)
 
     def __str__(self) -> str:
         if not self.children:

@@ -628,10 +628,6 @@ class MaterializedView:
         if known != predicate:
             raise ProgramError(f"support {support} derives {known!r}, not {predicate!r}")
 
-    def add_all(self, entries: Iterable[ViewEntry]) -> int:
-        """Add several entries; return how many were actually new."""
-        return sum(1 for entry in entries if self.add(entry))
-
     def remove(self, entry: ViewEntry) -> bool:
         """Remove an entry; return False when it was not present."""
         key = entry.key()
@@ -701,10 +697,6 @@ class MaterializedView:
         return tuple(
             sorted(name for name, shard in self._shards.items() if len(shard))
         )
-
-    def constrained_atoms(self) -> Tuple[ConstrainedAtom, ...]:
-        """All entries as constrained atoms (supports dropped)."""
-        return tuple(entry.constrained_atom for entry in self)
 
     def find_by_support(self, support: Support) -> Optional[ViewEntry]:
         """Return the (first-inserted) entry carrying exactly this support.
@@ -973,13 +965,6 @@ class MaterializedView:
                     if solver.is_satisfiable(overlap):
                         return False
         return True
-
-    def head_variables(self) -> FrozenSet[Variable]:
-        """All variables used in entry atoms (not constraints)."""
-        found: set = set()
-        for entry in self:
-            found.update(entry.atom.variables())
-        return frozenset(found)
 
     def variable_name_tables(
         self, predicates: Optional[Iterable[str]] = None

@@ -4,7 +4,7 @@ Domains abstract the heterogeneous sources the mediator integrates; each is
 reachable only through ``in(X, domain:function(args))`` constraints.  This
 subpackage provides the domain/registry machinery plus concrete domains:
 arithmetic (constraint databases), relational sources, spatial reasoning,
-face recognition, text search, and time-versioned domains for Section 4.
+face recognition and time-versioned domains for Section 4.
 """
 
 from repro.domains.arithmetic import make_arithmetic_domain
@@ -23,7 +23,6 @@ from repro.domains.face import (
 )
 from repro.domains.relational import RelationalDomain, make_relational_domain
 from repro.domains.spatial import MapRegion, SpatialDomain, make_spatial_domain
-from repro.domains.text import TextDomain
 from repro.domains.versioned import (
     DomainClock,
     FunctionDelta,
@@ -46,7 +45,6 @@ __all__ = [
     "MapRegion",
     "RelationalDomain",
     "SpatialDomain",
-    "TextDomain",
     "VersionedDomain",
     "VersionedFunction",
     "add_rem_sets",

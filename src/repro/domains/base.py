@@ -479,11 +479,6 @@ class DomainRegistry:
         self.source_changed()
         self._mutation_counter += 1
 
-    @property
-    def caches_calls(self) -> bool:
-        """Whether ground calls are memoized."""
-        return self._cache_calls
-
     def call_counters(self) -> Dict[str, Dict[str, int]]:
         """Per-domain totals: calls made, served from the memo, executed."""
         return {

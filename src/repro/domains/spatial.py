@@ -83,15 +83,6 @@ class SpatialDomain(Domain):
         self._addresses.pop(tuple(address), None)
         self._bump_source()
 
-    def add_map(self, region: MapRegion) -> None:
-        """Register a map region."""
-        self._maps[region.name] = region
-        self._bump_source()
-
-    def known_addresses(self) -> Tuple[AddressKey, ...]:
-        """All registered address keys."""
-        return tuple(self._addresses)
-
     # ------------------------------------------------------------------
     # Domain functions
     # ------------------------------------------------------------------

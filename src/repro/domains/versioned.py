@@ -103,10 +103,6 @@ class VersionedFunction:
                 f"versioned function {self._name!r} failed at time {time} on {args!r}: {exc}"
             ) from exc
 
-    def change_times(self) -> Tuple[int, ...]:
-        """All time points at which a behaviour was installed, sorted."""
-        return tuple(sorted(self._behaviors))
-
 
 class VersionedDomain(Domain):
     """A domain whose functions dispatch on a :class:`DomainClock`."""

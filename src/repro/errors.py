@@ -80,10 +80,6 @@ class MaintenanceError(ReproError):
     """A view-maintenance algorithm was invoked on unsupported input."""
 
 
-class DuplicateSemanticsError(MaintenanceError):
-    """An algorithm that requires a duplicate-free view was given duplicates."""
-
-
 class CountingDivergenceError(MaintenanceError):
     """The counting baseline detected an infinite derivation count.
 

@@ -52,7 +52,6 @@ from repro.maintenance.external import (
     ExternalChangeReport,
     TpExternalMaintenance,
     WpExternalMaintenance,
-    collect_function_deltas,
 )
 from repro.maintenance.insert import (
     ConstrainedAtomInsertion,
@@ -86,7 +85,6 @@ __all__ = [
     "TpExternalMaintenance",
     "WpExternalMaintenance",
     "build_add_set",
-    "collect_function_deltas",
     "delete_with_dred",
     "delete_with_stdel",
     "deletion_rewrite",

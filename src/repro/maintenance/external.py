@@ -28,7 +28,7 @@ from repro.datalog.fixpoint import compute_tp_fixpoint, compute_wp_fixpoint
 from repro.datalog.join import EngineOptions
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
-from repro.domains.versioned import FunctionDelta, VersionedDomain, add_rem_sets, function_delta
+from repro.domains.versioned import FunctionDelta, add_rem_sets
 from repro.maintenance.requests import MaintenanceStats
 
 
@@ -156,15 +156,3 @@ def _notify_solver(solver: ConstraintSolver, deltas: Sequence[FunctionDelta]) ->
     for source in {delta.domain for delta in deltas} or (None,):
         solver.invalidate_external_functions(source)
 
-
-def collect_function_deltas(
-    domain: VersionedDomain,
-    calls: Sequence[Tuple[str, Tuple[object, ...]]],
-    time_before: int,
-    time_after: int,
-) -> Tuple[FunctionDelta, ...]:
-    """Compute ``f+`` / ``f-`` for a set of recorded calls of one domain."""
-    return tuple(
-        function_delta(domain, function, args, time_before, time_after)
-        for function, args in calls
-    )

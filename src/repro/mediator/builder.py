@@ -24,18 +24,11 @@ class MediatorBuilder:
 
     def __init__(self) -> None:
         self._rule_texts: List[str] = []
-        self._clauses: List[Clause] = []
         self._domains: List[Domain] = []
-        self._mediator_kwargs: Dict[str, object] = {}
 
     def with_rules(self, rules: str) -> "MediatorBuilder":
         """Append rule text (parsed when :meth:`build` is called)."""
         self._rule_texts.append(rules)
-        return self
-
-    def with_clause(self, clause: Clause) -> "MediatorBuilder":
-        """Append one pre-constructed clause."""
-        self._clauses.append(clause)
         return self
 
     def with_domain(self, domain: Domain) -> "MediatorBuilder":
@@ -52,17 +45,11 @@ class MediatorBuilder:
         self._domains.append(make_relational_domain(name, tables))
         return self
 
-    def with_options(self, **kwargs: object) -> "MediatorBuilder":
-        """Pass extra keyword options through to the Mediator constructor."""
-        self._mediator_kwargs.update(kwargs)
-        return self
-
     def build(self) -> Mediator:
         """Assemble the mediator."""
         clauses: List[Clause] = []
         for text in self._rule_texts:
             clauses.extend(parse_program(text).clauses)
-        clauses.extend(self._clauses)
         if not clauses:
             raise MediatorError("a mediator needs at least one rule")
         # Renumber sequentially so rule text order defines clause numbers.
@@ -84,4 +71,4 @@ class MediatorBuilder:
         if fatal:
             rendered = "; ".join(diagnostic.render() for diagnostic in fatal)
             raise MediatorError(f"program fails static analysis: {rendered}")
-        return Mediator(program, registry, **self._mediator_kwargs)  # type: ignore[arg-type]
+        return Mediator(program, registry)

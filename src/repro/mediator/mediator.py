@@ -223,8 +223,8 @@ class Mediator:
         mark.  *rules* is required the first time (an empty directory has
         no program to recover) and optional afterwards -- when given, it
         must hash-identically match the program the directory was built
-        from.  The durable scheduler is available as
-        :attr:`durable_scheduler`; :meth:`serve` picks it up automatically.
+        from.  :meth:`streaming` returns the durable scheduler, and
+        :meth:`serve` picks it up automatically.
         Without *stream_options* it runs with the mediator's engine options,
         like the scheduler :meth:`streaming` builds.
         """
@@ -284,15 +284,6 @@ class Mediator:
     def report(self) -> ProgramReport:
         """The static-analysis report computed at construction time."""
         return self._report
-
-    @property
-    def durable_scheduler(self):
-        """The recovered durable scheduler (:meth:`open` only), else ``None``."""
-        return self._durable_scheduler
-
-    def add_domain(self, domain: Domain) -> None:
-        """Register one more external domain."""
-        self._registry.register(domain)
 
     # ------------------------------------------------------------------
     # Materialization

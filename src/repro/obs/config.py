@@ -55,10 +55,6 @@ class Observability:
     def enabled(self) -> bool:
         return self.metrics.enabled or self.tracer is not None
 
-    @property
-    def trace_enabled(self) -> bool:
-        return self.tracer is not None
-
     def start_trace(self, name: str = "batch") -> Trace:
         """A new trace -- the shared :data:`NULL_TRACE` when tracing is off.
 

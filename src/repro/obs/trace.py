@@ -283,8 +283,12 @@ class RingExporter:
 
         A trace is *complete* once its root span ("batch", parent null) has
         been emitted; spans evicted from the ring leave a partial trace,
-        which is reported with ``"truncated": true``.
+        which is reported with ``"truncated": true``.  *limit* keeps the
+        newest *limit* traces (``0``: none); a negative one is a
+        ``ValueError``.
         """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must not be negative, got {limit}")
         by_trace: Dict[str, List[dict]] = {}
         order: List[str] = []
         for event in self.events():
@@ -318,7 +322,7 @@ class RingExporter:
                 }
             )
         if limit is not None:
-            summaries = summaries[-max(0, limit):]
+            summaries = summaries[max(0, len(summaries) - limit):]
         return summaries
 
 

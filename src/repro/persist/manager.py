@@ -26,9 +26,9 @@ a scheduler whose update log continues above the persisted high-water mark.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.analysis import analyze_program
 from repro.constraints.solver import ConstraintSolver

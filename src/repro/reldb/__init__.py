@@ -1,24 +1,14 @@
 """In-memory relational engine.
 
 Simulates the relational sources HERMES integrates (PARADOX, DBASE, INGRES):
-typed tables with hash indexes, a database catalog, change logging for
-version diffs, and a small relational-algebra query layer.
+typed tables with hash indexes, a database catalog and change logging for
+version diffs.  The mediator reaches a table only through the relational
+domain's equality selections (``Table.select_eq``).
 """
 
 from repro.reldb.changelog import Change, ChangeKind, ChangeLog
 from repro.reldb.database import Database
 from repro.reldb.index import HashIndex
-from repro.reldb.query import (
-    column_values,
-    equi_join,
-    group_count,
-    natural_join,
-    order_by,
-    project,
-    rename,
-    select,
-    select_eq,
-)
 from repro.reldb.rows import Row
 from repro.reldb.schema import Column, Schema
 from repro.reldb.table import Table
@@ -33,13 +23,4 @@ __all__ = [
     "Row",
     "Schema",
     "Table",
-    "column_values",
-    "equi_join",
-    "group_count",
-    "natural_join",
-    "order_by",
-    "project",
-    "rename",
-    "select",
-    "select_eq",
 ]

@@ -6,11 +6,10 @@ in the behaviour of the functions that access it, and defines the deltas
     ``f+_{t,t+1}(args) = f_{t+1}(args) - f_t(args)``
     ``f-_{t,t+1}(args) = f_t(args) - f_{t+1}(args)``
 
-To reproduce the ``T_P``-side of that comparison we need to know how a table
-changed between two *versions*; the change log records every insert, delete
-and update together with the table version at which it happened, so the
-domain layer can compute ``ADD`` / ``REM`` sets without re-diffing entire
-snapshots.
+The change log records every insert, delete and update of a table together
+with the table version at which it happened, and hands each change to its
+subscribers as it is recorded: that is how a base-table write reaches the
+update stream as an external change notice.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class Change:
 
 
 class ChangeLog:
-    """An append-only log of changes, queryable by version interval.
+    """An append-only log of changes.
 
     Listeners subscribed with :meth:`subscribe` see every recorded change as
     it happens; the update-stream subsystem uses this to feed base-table
@@ -88,56 +87,3 @@ class ChangeLog:
     def __iter__(self):
         return iter(self._changes)
 
-    def changes_between(
-        self, from_version: int, to_version: int, table: Optional[str] = None
-    ) -> Tuple[Change, ...]:
-        """Changes with ``from_version < change.version <= to_version``."""
-        selected = [
-            change
-            for change in self._changes
-            if from_version < change.version <= to_version
-            and (table is None or change.table == table)
-        ]
-        return tuple(selected)
-
-    def inserted_rows(
-        self, from_version: int, to_version: int, table: Optional[str] = None
-    ) -> Tuple[Tuple[object, ...], ...]:
-        """Rows whose *net effect* over the interval is an insertion."""
-        inserted, _ = self._net_effect(from_version, to_version, table)
-        return tuple(inserted)
-
-    def deleted_rows(
-        self, from_version: int, to_version: int, table: Optional[str] = None
-    ) -> Tuple[Tuple[object, ...], ...]:
-        """Rows whose *net effect* over the interval is a deletion."""
-        _, deleted = self._net_effect(from_version, to_version, table)
-        return tuple(deleted)
-
-    def _net_effect(
-        self, from_version: int, to_version: int, table: Optional[str]
-    ) -> Tuple[List[Tuple[object, ...]], List[Tuple[object, ...]]]:
-        inserted: List[Tuple[object, ...]] = []
-        deleted: List[Tuple[object, ...]] = []
-        for change in self.changes_between(from_version, to_version, table):
-            if change.kind is ChangeKind.INSERT:
-                _cancel_or_append(deleted, inserted, change.row)
-            elif change.kind is ChangeKind.DELETE:
-                _cancel_or_append(inserted, deleted, change.row)
-            else:  # UPDATE = delete old + insert new
-                if change.old_row is not None:
-                    _cancel_or_append(inserted, deleted, change.old_row)
-                _cancel_or_append(deleted, inserted, change.row)
-        return inserted, deleted
-
-
-def _cancel_or_append(
-    opposite: List[Tuple[object, ...]],
-    target: List[Tuple[object, ...]],
-    row: Tuple[object, ...],
-) -> None:
-    """Cancel out an earlier opposite change for *row* or record it."""
-    if row in opposite:
-        opposite.remove(row)
-    else:
-        target.append(row)

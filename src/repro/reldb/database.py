@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from repro.errors import RelationalError, UnknownTableError
 from repro.reldb.changelog import ChangeLog
@@ -59,12 +59,6 @@ class Database:
         table.insert_many(rows)
         return table
 
-    def drop_table(self, name: str) -> None:
-        """Remove a table from the catalog."""
-        if name not in self._tables:
-            raise UnknownTableError(f"no such table: {name!r}")
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         """Return a table by name; raises :class:`UnknownTableError`."""
         try:
@@ -73,10 +67,6 @@ class Database:
             raise UnknownTableError(
                 f"database {self._name!r} has no table {name!r}"
             ) from exc
-
-    def has_table(self, name: str) -> bool:
-        """True when a table with this name exists."""
-        return name in self._tables
 
     def table_names(self) -> Tuple[str, ...]:
         """All table names, sorted."""
@@ -97,10 +87,6 @@ class Database:
     def version(self) -> int:
         """A database-wide version: the sum of all table versions."""
         return sum(table.version for table in self._tables.values())
-
-    def snapshot_versions(self) -> Mapping[str, int]:
-        """Per-table version counters (for debugging and tests)."""
-        return {name: table.version for name, table in self._tables.items()}
 
     # ------------------------------------------------------------------
     # Convenience passthroughs

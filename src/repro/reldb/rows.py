@@ -95,10 +95,6 @@ class Row(Mapping[str, object]):
         """Column names in row order."""
         return self._names
 
-    def values_tuple(self) -> Tuple[object, ...]:
-        """The row's values as a plain tuple (schema order)."""
-        return self._values
-
     def as_dict(self) -> Dict[str, object]:
         """A mutable dictionary copy of the row."""
         return dict(zip(self._names, self._values))
@@ -111,7 +107,3 @@ class Row(Mapping[str, object]):
                 raise UnknownColumnError(f"row has no column {key!r}")
             data[key] = value
         return Row(data)
-
-    def projected(self, names: Sequence[str]) -> "Row":
-        """Return a row containing only the named columns (in that order)."""
-        return Row({name: self[name] for name in names})

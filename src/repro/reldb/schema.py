@@ -9,7 +9,7 @@ what the paper's mediator rules do (``A.streetnum``, ``"name"`` selections).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Type
+from typing import Mapping, Optional, Tuple, Type
 
 from repro.errors import SchemaError
 
@@ -65,11 +65,6 @@ class Schema:
         """Build an untyped schema from column names."""
         return cls(tuple(Column(name) for name in names))
 
-    @classmethod
-    def typed(cls, **types: Type) -> "Schema":
-        """Build a typed schema from ``name=type`` keyword arguments."""
-        return cls(tuple(Column(name, column_type) for name, column_type in types.items()))
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -116,18 +111,6 @@ class Schema:
         for column, value in zip(self.columns, values):
             column.validate(value)
         return values
-
-    def row_to_dict(self, row: Sequence[object]) -> Dict[str, object]:
-        """Return a row as a column-name keyed dictionary."""
-        if len(row) != self.arity:
-            raise SchemaError(
-                f"row has {len(row)} values, schema has {self.arity} columns"
-            )
-        return dict(zip(self.names, row))
-
-    def project(self, names: Sequence[str]) -> "Schema":
-        """Return the sub-schema containing only *names* (in that order)."""
-        return Schema(tuple(self.columns[self.index_of(name)] for name in names))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(column) for column in self.columns) + ")"

@@ -68,15 +68,6 @@ class Table:
             for _, values in sorted(self._rows.items())
         )
 
-    def row_tuples(self) -> Tuple[Tuple[object, ...], ...]:
-        """All rows as plain tuples (insertion order)."""
-        return tuple(values for _, values in sorted(self._rows.items()))
-
-    def contains_row(self, row: object) -> bool:
-        """True when an identical row is present."""
-        values = self._schema.coerce_row(row)
-        return values in self._rows.values()
-
     # ------------------------------------------------------------------
     # Modification
     # ------------------------------------------------------------------
@@ -191,10 +182,6 @@ class Table:
             if values is not None and values[position] == value:
                 matches.append(Row.from_values(self._schema.names, values))
         return tuple(matches)
-
-    def select_where(self, predicate: Callable[[Row], bool]) -> Tuple[Row, ...]:
-        """Rows satisfying an arbitrary predicate (full scan)."""
-        return tuple(row for row in self.rows() if predicate(row))
 
     def project(self, columns: Sequence[str]) -> Tuple[Tuple[object, ...], ...]:
         """Distinct projections of all rows onto *columns* (order preserved)."""

@@ -58,6 +58,8 @@ class RequestRouter:
     # ------------------------------------------------------------------
     async def _op_query(self, request: dict) -> dict:
         predicate = request["predicate"]
+        if not isinstance(predicate, str):
+            raise TypeError(f"predicate must be a string, got {predicate!r}")
         universe = parse_universe(self._optional_str(request, "universe"))
         instances = await self._service.query(predicate, universe)
         rows = sorted((list(values) for values in instances), key=repr)

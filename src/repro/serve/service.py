@@ -31,7 +31,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Deque, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Deque, FrozenSet, Iterable, Optional, Tuple
 
 from repro.constraints.solver import ConstraintSolver
 from repro.datalog.program import ConstrainedDatabase
@@ -282,26 +282,6 @@ class MediatorService:
             self._below_low.clear()
         self._wake.set()
         return transaction
-
-    async def submit_many(
-        self, payloads: Sequence[StreamPayload]
-    ) -> Tuple[Transaction, ...]:
-        """Log several updates in order (one backpressure gate per call)."""
-        if self._closed or self._writer_task is None:
-            raise MediatorError("service is not accepting updates")
-        await self._below_low.wait()
-        transactions = tuple(
-            self._scheduler.submit(payload) for payload in payloads
-        )
-        if transactions:
-            self._idle.clear()
-            if (
-                self._scheduler.log.pending_count()
-                >= self._options.backpressure_high
-            ):
-                self._below_low.clear()
-            self._wake.set()
-        return transactions
 
     async def drained(self) -> None:
         """Await until the log is empty and no batch is in flight."""

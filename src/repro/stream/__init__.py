@@ -46,7 +46,6 @@ from repro.stream.log import (
     Transaction,
     UpdateLog,
     attach_changelog,
-    notice_from_changelog,
 )
 from repro.stream.scheduler import (
     BatchResult,
@@ -76,5 +75,4 @@ __all__ = [
     "Transaction",
     "UpdateLog",
     "attach_changelog",
-    "notice_from_changelog",
 ]

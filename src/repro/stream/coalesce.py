@@ -24,8 +24,9 @@ net effect:
   same construction Section 3.1 uses to give deletion its declarative
   semantics -- so applying all deletions first and the narrowed insertions
   second reproduces the interleaved stream's net effect.
-* **Grouping** -- the surviving requests are grouped by head predicate
-  (``by_predicate``), the shape the stratified scheduler consumes.
+
+The scheduler then partitions the surviving requests into stratum units
+(:meth:`~repro.stream.strata.PredicateStrata.partition`).
 
 External notices are compacted per source (net row effect, latest version).
 """
@@ -99,22 +100,6 @@ class CoalescedBatch:
     def is_empty(self) -> bool:
         """True when nothing at all remains to apply."""
         return not (self.deletions or self.insertions or self.notices)
-
-    def by_predicate(self) -> Dict[str, Tuple[Tuple[DeletionRequest, ...], Tuple[InsertionRequest, ...]]]:
-        """Surviving requests grouped by their atom's head predicate."""
-        deletions: Dict[str, List[DeletionRequest]] = {}
-        insertions: Dict[str, List[InsertionRequest]] = {}
-        for request in self.deletions:
-            deletions.setdefault(request.atom.predicate, []).append(request)
-        for request in self.insertions:
-            insertions.setdefault(request.atom.predicate, []).append(request)
-        grouped: Dict[str, Tuple[tuple, tuple]] = {}
-        for predicate in sorted(set(deletions) | set(insertions)):
-            grouped[predicate] = (
-                tuple(deletions.get(predicate, ())),
-                tuple(insertions.get(predicate, ())),
-            )
-        return grouped
 
 
 def _request_key(request) -> Tuple[str, object, object]:

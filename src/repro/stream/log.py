@@ -4,8 +4,8 @@ Accepts the paper's three update kinds -- insertion requests, deletion
 requests (Section 3) and external source-change notices (Section 4) -- as
 timestamped transactions in arrival order.  The log is the only producer /
 consumer hand-off point of the subsystem: writers ``append`` from any
-thread, the scheduler ``drain``\\ s a batch atomically, and everything that
-was ever appended stays readable for audits.
+thread, the scheduler ``drain``\\ s a batch atomically, and the log keeps
+only what is still pending: a drained transaction belongs to its batch.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ UpdateRequest = Union[DeletionRequest, InsertionRequest]
 class ExternalChangeNotice:
     """Notification that an integrated external source changed.
 
-    Carries the net effect when the producer knows it (rows whose net effect
-    over the notified interval is an insertion / deletion, in the sense of
-    :meth:`repro.reldb.changelog.ChangeLog.inserted_rows`); an empty notice
-    just says "something about *source* changed".  Under the ``W_P``
+    Carries the rows the producer knows were inserted / deleted (one
+    recorded change, for :func:`attach_changelog`); an empty notice just
+    says "something about *source* changed".  Under the ``W_P``
     maintenance discipline the scheduler needs no row detail at all -- the
     view is syntactically invariant (Theorem 4) and only what was remembered
     about the source must be dropped -- so the rows exist for reporting and
@@ -73,13 +72,14 @@ class Transaction:
 
 
 class UpdateLog:
-    """An append-only, thread-safe log of update transactions.
+    """A thread-safe queue of update transactions.
 
     ``append`` assigns monotonically increasing transaction ids (the
     stream's total order; wall-clock timestamps are attached for operators
     but never used for ordering).  ``drain`` atomically hands the pending
-    suffix to the caller -- the scheduler turns exactly one drain into one
-    coalesced batch -- while the full history stays available.
+    transactions to the caller -- the scheduler turns exactly one drain into
+    one coalesced batch -- and forgets them, so a long-running server keeps
+    no history of what it has applied.
     """
 
     def __init__(
@@ -101,8 +101,7 @@ class UpdateLog:
                 f"first_txn_id must be a positive int: {first_txn_id!r}"
             )
         self._ids = itertools.count(first_txn_id)
-        self._transactions: List[Transaction] = []
-        self._consumed = 0
+        self._pending: List[Transaction] = []
 
     def append(self, payload: StreamPayload) -> Transaction:
         """Log one request / notice; returns the recorded transaction."""
@@ -112,34 +111,13 @@ class UpdateLog:
             raise TypeError(f"not a stream payload: {payload!r}")
         with self._lock:
             transaction = Transaction(next(self._ids), self._clock(), payload)
-            self._transactions.append(transaction)
+            self._pending.append(transaction)
             return transaction
-
-    def extend(self, payloads) -> Tuple[Transaction, ...]:
-        """Log several payloads in order."""
-        return tuple(self.append(payload) for payload in payloads)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._transactions)
-
-    def __iter__(self):
-        return iter(self.history())
-
-    def history(self) -> Tuple[Transaction, ...]:
-        """Every transaction ever logged, in order."""
-        with self._lock:
-            return tuple(self._transactions)
-
-    def pending(self) -> Tuple[Transaction, ...]:
-        """Transactions appended since the last :meth:`drain` (not consumed)."""
-        with self._lock:
-            return tuple(self._transactions[self._consumed:])
 
     def pending_count(self) -> int:
         """How many transactions a drain would return right now."""
         with self._lock:
-            return len(self._transactions) - self._consumed
+            return len(self._pending)
 
     def drain(self, limit: Optional[int] = None) -> Tuple[Transaction, ...]:
         """Atomically consume and return the pending transactions.
@@ -150,34 +128,10 @@ class UpdateLog:
         swallowing an arbitrarily large backlog in one maintenance pass.
         """
         with self._lock:
-            end = len(self._transactions)
-            if limit is not None:
-                end = min(end, self._consumed + max(0, limit))
-            batch = tuple(self._transactions[self._consumed:end])
-            self._consumed = end
+            end = len(self._pending) if limit is None else max(0, limit)
+            batch = tuple(self._pending[:end])
+            del self._pending[:end]
             return batch
-
-
-def notice_from_changelog(
-    changelog,
-    from_version: int,
-    to_version: int,
-    table: Optional[str] = None,
-    source: Optional[str] = None,
-) -> ExternalChangeNotice:
-    """Summarize a :class:`~repro.reldb.changelog.ChangeLog` interval.
-
-    The notice carries the interval's *net effect* (the changelog's own
-    insert/delete cancellation), so a row inserted and deleted inside the
-    interval never reaches the stream at all -- the relational layer's
-    version of the coalescer's cancellation rule.
-    """
-    return ExternalChangeNotice(
-        source=source or table or "reldb",
-        added_rows=tuple(changelog.inserted_rows(from_version, to_version, table)),
-        removed_rows=tuple(changelog.deleted_rows(from_version, to_version, table)),
-        version=to_version,
-    )
 
 
 def attach_changelog(

@@ -61,9 +61,7 @@ adopting only its own groups' shard pointers onto the latest published
 view.  Conflicting (or group-less) batches are admitted strictly in
 prepare order -- a claim never waits on a later claim, so admission is
 deadlock-free and the stream's total order is preserved wherever it can
-matter.  ``StreamOptions(concurrent_batches=False)`` restores the fully
-serialized one-big-lock behaviour (every batch exclusive); benchmarks use
-it as the baseline.
+matter.
 """
 
 from __future__ import annotations
@@ -196,11 +194,6 @@ class StreamOptions:
     max_workers: int = field(default_factory=_default_max_workers)
     #: How often a failing unit is attempted before it is reported failed.
     max_unit_attempts: int = 2
-    #: Admit batches whose write closures fall in disjoint closure groups
-    #: concurrently (each commits its own shard pointers).  ``False``
-    #: restores the fully serialized one-batch-at-a-time behaviour -- the
-    #: baseline the serve benchmark measures against.
-    concurrent_batches: bool = True
     #: The one engine configuration every maintenance pass runs with.
     engine: EngineOptions = EngineOptions()
 
@@ -321,10 +314,9 @@ class PreparedBatch:
 
     Produced by :meth:`StreamScheduler.prepare_batch` (stage 1 of the
     pipeline) and consumed exactly once by
-    :meth:`StreamScheduler.apply_prepared` -- or released without applying
-    via :meth:`StreamScheduler.abandon_prepared`.  Until one of the two
-    happens, the claim blocks admission of every later *conflicting* batch,
-    so a prepared batch must not be parked indefinitely.
+    :meth:`StreamScheduler.apply_prepared`.  Until then, the claim blocks
+    admission of every later *conflicting* batch, so a prepared batch must
+    not be parked indefinitely.
     """
 
     coalesced: CoalescedBatch
@@ -578,8 +570,8 @@ class StreamScheduler:
         Runs under the coalesce lock only -- preparing the next batch never
         waits for an in-flight maintenance pass.  The returned batch holds
         an admission ticket in prepare order; it must be handed to
-        :meth:`apply_prepared` (or :meth:`abandon_prepared`) because the
-        claim blocks later conflicting batches until released.
+        :meth:`apply_prepared` because the claim blocks later conflicting
+        batches until released.
         """
         queued = time.perf_counter()
         with self._coalesce_lock:
@@ -632,7 +624,7 @@ class StreamScheduler:
         """Stage 2: admit, run the units, and commit one prepared batch.
 
         Blocks until every earlier-ticketed *conflicting* claim has
-        released (committed or abandoned); batches writing disjoint closure
+        released (committed); batches writing disjoint closure
         groups are admitted immediately and run fully concurrently, each
         committing its own groups' shard pointers under the commit lock.
         """
@@ -761,10 +753,6 @@ class StreamScheduler:
             units=len(stats.units),
         )
 
-    def abandon_prepared(self, prepared: PreparedBatch) -> None:
-        """Release a prepared batch's admission claim without applying it."""
-        self._release_claim(prepared.ticket)
-
     def verify(self, universe=None) -> bool:
         """Cross-check the published view against the effective program.
 
@@ -820,11 +808,9 @@ class StreamScheduler:
         Concurrent admission is only sound when every written predicate has
         a group id: the analyzer's groups are connected components of the
         *undirected* dependency graph, so disjoint group sets guarantee
-        disjoint read *and* write cones.  Any unknown predicate (or
-        ``concurrent_batches=False``) downgrades the batch to exclusive.
+        disjoint read *and* write cones.  Any unknown predicate downgrades
+        the batch to exclusive.
         """
-        if not self._options.concurrent_batches:
-            return None
         groups = self._strata.groups
         if groups is None:
             return None
@@ -861,8 +847,7 @@ class StreamScheduler:
         with self._admission:
             if ticket not in self._claims:
                 raise MaintenanceError(
-                    f"prepared batch (ticket {ticket}) was already applied "
-                    "or abandoned"
+                    f"prepared batch (ticket {ticket}) was already applied"
                 )
             mine = self._claims[ticket]
             while any(

@@ -18,7 +18,6 @@ from repro.constraints import (
     conjoin,
     enumerate_solutions,
     equals,
-    equivalent_on_universe,
     member,
     negate,
     not_equals,
@@ -179,16 +178,7 @@ class TestMembershipEnumeration:
         assert solution_set(constraint, [X], solver=domain_solver) == {("cid",)}
 
 
-class TestEquivalenceOnUniverse:
-    def test_equivalent(self, solver):
-        left = conjoin(compare(X, ">=", 3), compare(X, "<=", 3))
-        assert equivalent_on_universe(left, equals(X, 3), [X], range(0, 10), solver)
-
-    def test_not_equivalent(self, solver):
-        assert not equivalent_on_universe(
-            compare(X, ">=", 3), equals(X, 3), [X], range(0, 10), solver
-        )
-
+class TestEnumerationGuards:
     def test_max_solutions_guard(self, solver):
         with pytest.raises(SolverError):
             list(

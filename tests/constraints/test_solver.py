@@ -33,7 +33,6 @@ class TestTrivialCases:
     def test_true_and_false(self, solver):
         assert solver.is_satisfiable(TRUE)
         assert not solver.is_satisfiable(FALSE)
-        assert solver.is_unsatisfiable(FALSE)
 
     def test_single_comparison(self, solver):
         assert solver.is_satisfiable(equals(X, 3))
@@ -175,12 +174,6 @@ class TestEntailmentAndEquivalence:
     def test_entails_with_context(self, solver):
         context = conjoin(compare(X, ">=", 5), compare(X, "<=", 5))
         assert solver.entails(context, equals(X, 5))
-
-    def test_equivalence(self, solver):
-        left = conjoin(compare(X, ">=", 3), compare(X, "<=", 3))
-        right = equals(X, 3)
-        assert solver.equivalent(left, right)
-        assert not solver.equivalent(left, equals(X, 4))
 
 
 class TestMembership:

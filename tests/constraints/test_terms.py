@@ -9,11 +9,8 @@ from repro.constraints import (
     FreshVariableFactory,
     Substitution,
     Variable,
-    is_constant,
-    is_variable,
     make_term,
 )
-from repro.constraints.terms import EMPTY_SUBSTITUTION, constant_value, term_variables
 from repro.errors import TermError
 
 
@@ -53,26 +50,13 @@ class TestConstant:
         with pytest.raises(TermError):
             Constant([1, 2])  # type: ignore[arg-type]
 
-    def test_constant_value_helper(self):
-        assert constant_value(Constant("x")) == "x"
-        with pytest.raises(TermError):
-            constant_value(Variable("X"))  # type: ignore[arg-type]
-
 
 class TestTermHelpers:
-    def test_is_variable_and_is_constant(self):
-        assert is_variable(Variable("X")) and not is_variable(Constant(1))
-        assert is_constant(Constant(1)) and not is_constant(Variable("X"))
-
     def test_make_term_passthrough_and_wrapping(self):
         variable = Variable("X")
         assert make_term(variable) is variable
         assert make_term(5) == Constant(5)
         assert make_term("abc") == Constant("abc")
-
-    def test_term_variables(self):
-        terms = [Variable("X"), Constant(1), Variable("Y"), Variable("X")]
-        assert term_variables(terms) == {Variable("X"), Variable("Y")}
 
 
 class TestSubstitution:
@@ -95,23 +79,6 @@ class TestSubstitution:
     def test_not_recursive(self):
         subst = Substitution({Variable("X"): Variable("Y"), Variable("Y"): Constant(1)})
         assert subst.apply(Variable("X")) == Variable("Y")
-
-    def test_compose_chases_through_second(self):
-        first = Substitution({Variable("X"): Variable("Y")})
-        second = Substitution({Variable("Y"): Constant(3)})
-        composed = first.compose(second)
-        assert composed.apply(Variable("X")) == Constant(3)
-        assert composed.apply(Variable("Y")) == Constant(3)
-
-    def test_restricted_to(self):
-        subst = Substitution({Variable("X"): Constant(1), Variable("Y"): Constant(2)})
-        restricted = subst.restricted_to([Variable("X")])
-        assert Variable("Y") not in restricted
-
-    def test_extended(self):
-        extended = EMPTY_SUBSTITUTION.extended(Variable("X"), Constant(9))
-        assert extended.apply(Variable("X")) == Constant(9)
-        assert len(EMPTY_SUBSTITUTION) == 0  # original untouched
 
     def test_invalid_keys_and_values_rejected(self):
         with pytest.raises(TermError):
@@ -138,12 +105,6 @@ class TestFreshVariableFactory:
         assert all(isinstance(term, Variable) for term in renaming.values())
         renamed_names = {term.name for term in renaming.values()}
         assert renamed_names.isdisjoint({"X", "Y"})
-
-    def test_reserve_blocks_future_names(self):
-        factory = FreshVariableFactory()
-        first = factory.fresh("W")
-        factory.reserve([first.name])
-        assert factory.fresh("W").name != first.name
 
     def test_tables_are_read_in_place_not_copied(self):
         table = {"X_1": 3}

@@ -41,12 +41,8 @@ class TestAtom:
         substituted = atom.substitute(Substitution({X: Constant(1)}))
         assert substituted == Atom("p", (Constant(1), Y))
 
-    def test_groundness(self):
-        assert ground_atom("p", [1, "a"]).is_ground()
-        assert ground_atom("p", [1, "a"]).ground_values() == (1, "a")
-        assert not Atom("p", (X,)).is_ground()
-        with pytest.raises(ProgramError):
-            Atom("p", (X,)).ground_values()
+    def test_ground_atom_wraps_values(self):
+        assert ground_atom("p", [1, "a"]) == Atom("p", (Constant(1), Constant("a")))
 
     def test_make_atom_coerces(self):
         atom = make_atom("p", X, 3, "s")
@@ -84,12 +80,10 @@ class TestConstrainedAtom:
         assert renamed.atom.args[0] != X
         assert renaming[X] == renamed.atom.args[0]
 
-    def test_with_constraint_and_conjoined(self):
+    def test_with_constraint(self):
         catom = ConstrainedAtom(Atom("a", (X,)), compare(X, ">=", 3))
         replaced = catom.with_constraint(equals(X, 1))
         assert replaced.constraint == equals(X, 1)
-        extended = catom.conjoined_with(compare(X, "<=", 9))
-        assert len(list(extended.constraint.conjuncts())) == 2
 
     def test_instances_with_bounded_constraint(self):
         catom = ConstrainedAtom(

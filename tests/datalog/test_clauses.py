@@ -77,9 +77,7 @@ class TestClauseTransformations:
         extended = clause.with_extra_constraint(compare(X, "<=", 9))
         assert len(list(extended.constraint.conjuncts())) == 2
 
-    def test_with_body_and_with_number(self):
+    def test_with_number(self):
         clause = fact(Atom("b", (X,)))
-        with_body = clause.with_body((Atom("a", (X,)),))
-        assert with_body.body_predicates() == ("a",)
         assert clause.with_number(9).number == 9
         assert clause.with_number(None).number is None

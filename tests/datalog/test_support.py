@@ -12,22 +12,17 @@ class TestSupportStructure:
     def test_leaf(self):
         support = leaf(3)
         assert support.is_leaf
-        assert support.depth() == 1
-        assert support.size() == 1
         assert str(support) == "<3>"
 
     def test_derived(self):
         support = derived(4, (leaf(2), leaf(3)))
         assert not support.is_leaf
-        assert support.depth() == 2
-        assert support.size() == 3
         assert str(support) == "<4, <2>, <3>>"
 
     def test_paper_example5_supports(self):
         # spt(C(X) <- X >= 5) = <4, <2, <3>>>
         support = derived(4, (derived(2, (leaf(3),)),))
         assert str(support) == "<4, <2, <3>>>"
-        assert support.clause_numbers() == (4, 2, 3)
 
     def test_equality_and_hash(self):
         assert derived(1, (leaf(2),)) == derived(1, (leaf(2),))
@@ -46,31 +41,6 @@ class TestSupportStructure:
 
 
 class TestSupportQueries:
-    def test_has_direct_child(self):
-        child = derived(2, (leaf(3),))
-        parent = derived(4, (child,))
-        assert parent.has_direct_child(child)
-        assert not parent.has_direct_child(leaf(3))
-
-    def test_contains_is_deep(self):
-        inner = leaf(3)
-        parent = derived(4, (derived(2, (inner,)),))
-        assert parent.contains(inner)
-        assert parent.contains(parent)
-        assert not parent.contains(leaf(9))
-
-    def test_child_index(self):
-        first, second = leaf(1), leaf(2)
-        parent = derived(5, (first, second))
-        assert parent.child_index(second) == 1
-        with pytest.raises(ValueError):
-            parent.child_index(leaf(7))
-
-    def test_subtrees_preorder(self):
-        support = derived(5, (leaf(2), derived(4, (leaf(3),))))
-        numbers = [node.clause_number for node in support.subtrees()]
-        assert numbers == [5, 2, 4, 3]
-
     def test_uniqueness_of_supports_for_distinct_derivations(self):
         # Lemma 1: distinct derivations yield distinct supports.
         one = derived(4, (leaf(1),))

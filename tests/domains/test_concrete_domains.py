@@ -1,4 +1,4 @@
-"""Unit tests for the concrete domains (arithmetic, relational, spatial, face, text)."""
+"""Unit tests for the concrete domains (arithmetic, relational, spatial, face)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.domains import (
     FaceDbDomain,
     FaceExtractDomain,
     MapRegion,
-    TextDomain,
     make_arithmetic_domain,
     make_face_scenario,
     make_relational_domain,
@@ -136,10 +135,12 @@ class TestSpatialDomain:
             spatial.call("range", ("nowhere", 0, 0, 1))
 
     def test_address_management(self, spatial):
-        spatial.add_address((2, "side", "town", "VA", 22222), (5.0, 5.0))
-        assert len(spatial.known_addresses()) == 2
-        spatial.remove_address((2, "side", "town", "VA", 22222))
-        assert len(spatial.known_addresses()) == 1
+        address = (2, "side", "town", "VA", 22222)
+        spatial.add_address(address, (5.0, 5.0))
+        points = list(spatial.call("locateaddress", address).iter_values())
+        assert [(point["x"], point["y"]) for point in points] == [(5.0, 5.0)]
+        spatial.remove_address(address)
+        assert spatial.call("locateaddress", address).is_empty()
 
     def test_map_region_distance(self):
         region = MapRegion("m", 3.0, 4.0)
@@ -208,35 +209,3 @@ class TestFaceDomains:
         extract = FaceExtractDomain(scenario)
         assert extract.call("segmentface", ("otherdata",)).is_empty()
 
-
-class TestTextDomain:
-    @pytest.fixture
-    def textdb(self):
-        return TextDomain(documents={
-            "report1": "Suspect seen near the harbor at night",
-            "report2": "Nothing to report",
-        })
-
-    def test_search(self, textdb):
-        assert set(textdb.call("search", ("suspect",)).iter_values()) == {"report1"}
-        assert set(textdb.call("search", ("report",)).iter_values()) == {"report2"}
-        assert textdb.call("search", ("absent",)).is_empty()
-
-    def test_contains(self, textdb):
-        assert textdb.call("contains", ("report1", "harbor")).contains(True)
-        assert textdb.call("contains", ("report1", "zebra")).is_empty()
-        assert textdb.call("contains", ("missing", "harbor")).is_empty()
-
-    def test_documents_and_words(self, textdb):
-        assert set(textdb.call("documents", ()).iter_values()) == {"report1", "report2"}
-        assert "harbor" in set(textdb.call("words_of", ("report1",)).iter_values())
-
-    def test_corpus_management(self, textdb):
-        textdb.add_document("report3", "harbor watch")
-        assert set(textdb.call("search", ("harbor",)).iter_values()) == {"report1", "report3"}
-        textdb.remove_document("report3")
-        assert textdb.document_count() == 2
-
-    def test_invalid_word(self, textdb):
-        with pytest.raises(EvaluationError):
-            textdb.call("search", (42,))

@@ -63,9 +63,6 @@ class TestVersionedFunction:
         assert set(domain.call_at("g", ("b",), 0).iter_values()) == {"a"}
         assert domain.call_at("g", ("b",), 1).is_empty()
 
-    def test_change_times(self, domain):
-        assert domain.versioned_function("g").change_times() == (0, 1, 2)
-
     def test_unknown_versioned_function(self, domain):
         with pytest.raises(EvaluationError):
             domain.versioned_function("missing")

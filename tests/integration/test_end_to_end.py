@@ -33,7 +33,7 @@ class TestUpdateStreamsAgainstDeclarativeSemantics:
 
         view = compute_tp_fixpoint(spec.program, solver)
         program = spec.program
-        from repro.maintenance import DeletionRequest, InsertionRequest
+        from repro.maintenance import DeletionRequest
         from repro.maintenance import deletion_rewrite, insertion_rewrite, build_add_set
 
         for request in stream.requests:

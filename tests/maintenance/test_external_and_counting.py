@@ -12,7 +12,6 @@ from repro.maintenance import (
     CountingMaintenance,
     TpExternalMaintenance,
     WpExternalMaintenance,
-    collect_function_deltas,
     delete_with_stdel,
 )
 
@@ -73,11 +72,11 @@ class TestWpAgainstTp:
         clock, domain, registry, solver, program = versioned_setup
         wp = WpExternalMaintenance(program, solver)
         clock.advance()
-        deltas = collect_function_deltas(domain, [("g", ("b",))], 0, 1)
+        deltas = (function_delta(domain, "g", ("b",), 0, 1),)
         report = wp.on_source_changed(deltas)
         assert report.removed_facts == 1 and report.added_facts == 0
         clock.advance()
-        deltas = collect_function_deltas(domain, [("g", ("b",))], 1, 2)
+        deltas = (function_delta(domain, "g", ("b",), 1, 2),)
         report = wp.on_source_changed(deltas)
         assert report.added_facts == 2
 

@@ -14,6 +14,7 @@ from repro.mediator import (
     Mediator,
     MediatorBuilder,
 )
+from repro.persist import DurableScheduler
 
 RULES = """
 a(X) <- X >= 3.
@@ -49,10 +50,6 @@ class TestMaterialization:
         assert len(mediator.program) == 4
         assert mediator.registry.domain_names() == ()
         assert mediator.solver is not None
-
-    def test_add_domain(self, mediator):
-        mediator.add_domain(Domain("extra"))
-        assert "extra" in mediator.registry.domain_names()
 
 
 class TestViewUpdates:
@@ -163,7 +160,8 @@ class TestMediatorWithDomains:
             tmp_path / "data", rules=RULES, options=EngineOptions(range_postings=False)
         )
         scheduler = mediator.streaming()
-        assert scheduler is mediator.durable_scheduler
+        assert isinstance(scheduler, DurableScheduler)
+        assert mediator.streaming() is scheduler
         assert scheduler.options.engine.range_postings is False
 
 
@@ -194,29 +192,9 @@ class TestMediatorBuilder:
         )
         assert mediator.materialize().query("local") == {("ann",)}
 
-    def test_builder_with_clause_and_numbering(self):
-        from repro.datalog import parse_clause
-
-        mediator = (
-            MediatorBuilder()
-            .with_rules("a(X) <- X >= 3.")
-            .with_clause(parse_clause("b(X) <- a(X)."))
-            .build()
-        )
-        assert [clause.number for clause in mediator.program] == [1, 2]
-
     def test_builder_requires_rules(self):
         with pytest.raises(MediatorError):
             MediatorBuilder().build()
-
-    def test_builder_options_passthrough(self):
-        mediator = (
-            MediatorBuilder()
-            .with_rules("a(X) <- X >= 3.")
-            .with_options(options=EngineOptions(range_postings=False))
-            .build()
-        )
-        assert mediator.streaming().options.engine.range_postings is False
 
 
 def _warehouse() -> Domain:

@@ -121,6 +121,41 @@ class TestTraceOp:
         assert len(limited["traces"]) == 1
         assert limited["traces"][0]["trace"] == full["traces"][-1]["trace"]
 
+    def test_limit_zero_returns_no_traces_and_a_negative_one_is_refused(self):
+        async def main():
+            service = make_service(obs=Observability.enabled_with())
+            async with service:
+                for value in (7, 8, 9):
+                    await service.submit(insertion(f"b(X) <- X = {value}"))
+                    await service.drained()
+                router = RequestRouter(service)
+                return [
+                    await router.dispatch({"op": "trace", "limit": limit})
+                    for limit in (3, 0, -1)
+                ]
+
+        three, zero, negative = asyncio.run(main())
+        assert len(three["traces"]) == 3
+        assert zero["ok"] is True and zero["traces"] == []
+        assert negative["ok"] is False
+        assert negative["error"].startswith("bad request: ")
+
+
+class TestQueryOp:
+    def test_a_predicate_that_is_not_a_string_is_a_bad_request(self):
+        async def main():
+            async with make_service() as service:
+                router = RequestRouter(service)
+                return (
+                    await router.dispatch({"op": "query", "predicate": 5}),
+                    await router.dispatch({"op": "query", "predicate": "c"}),
+                )
+
+        bad, good = asyncio.run(main())
+        assert bad["ok"] is False
+        assert bad["error"].startswith("bad request: ")
+        assert good["ok"] is True and good["instances"] == [[1]]
+
 
 class TestBoundedErrorRing:
     def test_error_history_must_be_positive(self):

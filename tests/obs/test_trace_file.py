@@ -12,6 +12,8 @@ from __future__ import annotations
 import asyncio
 import io
 
+import pytest
+
 from repro.cli import main as cli_main
 from repro.constraints import ConstraintSolver
 from repro.datalog import parse_constrained_atom, parse_program
@@ -176,6 +178,20 @@ class TestTraceCli:
         code, output = run_cli("trace", str(trace_path), "--limit", "1")
         assert code == 0
         assert output.count(" batch ") == 1  # one waterfall header
+
+    def test_repro_trace_limit_zero_shows_no_waterfall(self, tmp_path):
+        trace_path = self._write_trace(tmp_path)
+        code, output = run_cli("trace", str(trace_path), "--limit", "0")
+        assert code == 0
+        assert output.count(" batch ") == 0
+        assert "2 traces (2 complete)" in output
+
+    def test_repro_trace_negative_limit_is_a_usage_error(self, tmp_path, capsys):
+        trace_path = self._write_trace(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("trace", str(trace_path), "--limit", "-1")
+        assert exit_info.value.code == 2
+        assert "argument --limit" in capsys.readouterr().err
 
     def test_repro_trace_on_an_empty_file_exits_one(self, tmp_path):
         empty = tmp_path / "empty.jsonl"

@@ -264,7 +264,7 @@ class TestObservabilityBundle:
 
     def test_enabled_bundle_traces_and_counts(self):
         obs = Observability.enabled_with(slow_batch_seconds=0.5)
-        assert obs.enabled and obs.trace_enabled
+        assert obs.enabled and obs.tracer is not None
         trace = obs.start_trace()
         trace.finish()
         assert len(obs.ring.events()) == 1
@@ -281,7 +281,7 @@ class TestObservabilityBundle:
         with_file = Observability.from_env(
             {"REPRO_OBS_TRACE_PATH": str(path), "REPRO_OBS_SLOW_BATCH_MS": "250"}
         )
-        assert with_file.trace_enabled
+        assert with_file.tracer is not None
         assert with_file.file_exporter is not None
         assert with_file.slow_batch_seconds == 0.25
         with_file.close()

@@ -1,24 +1,11 @@
-"""Unit tests for the database catalog and the query helpers."""
+"""Unit tests for the database catalog."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import RelationalError, UnknownTableError
-from repro.reldb import (
-    Database,
-    Row,
-    Schema,
-    column_values,
-    equi_join,
-    group_count,
-    natural_join,
-    order_by,
-    project,
-    rename,
-    select,
-    select_eq,
-)
+from repro.reldb import Database, Schema
 
 
 @pytest.fixture
@@ -37,7 +24,6 @@ def database():
 class TestDatabase:
     def test_catalog(self, database):
         assert database.table_names() == ("empl", "phonebook")
-        assert database.has_table("empl")
         assert len(database) == 2
 
     def test_duplicate_table_rejected(self, database):
@@ -47,12 +33,6 @@ class TestDatabase:
     def test_unknown_table(self, database):
         with pytest.raises(UnknownTableError):
             database.table("missing")
-        with pytest.raises(UnknownTableError):
-            database.drop_table("missing")
-
-    def test_drop_table(self, database):
-        database.drop_table("empl")
-        assert not database.has_table("empl")
 
     def test_select_eq_passthrough(self, database):
         rows = database.select_eq("phonebook", "city", "dc")
@@ -64,61 +44,4 @@ class TestDatabase:
         database.insert("empl", ("cid", "chief"))
         assert database.version() == before + 2
         assert len(database.change_log) >= 2
-        assert set(database.snapshot_versions()) == {"phonebook", "empl"}
 
-
-class TestQueryHelpers:
-    ROWS = (
-        Row({"name": "ann", "city": "dc"}),
-        Row({"name": "bob", "city": "nyc"}),
-        Row({"name": "cid", "city": "dc"}),
-    )
-    JOBS = (
-        Row({"name": "ann", "title": "analyst"}),
-        Row({"name": "cid", "title": "chief"}),
-    )
-
-    def test_select_and_select_eq(self):
-        assert len(select(self.ROWS, lambda r: r["city"] == "dc")) == 2
-        assert len(select_eq(self.ROWS, "city", "nyc")) == 1
-
-    def test_project_deduplicates(self):
-        projected = project(self.ROWS, ["city"])
-        assert {row["city"] for row in projected} == {"dc", "nyc"}
-        assert len(projected) == 2
-
-    def test_rename(self):
-        renamed = rename(self.ROWS, {"city": "location"})
-        assert renamed[0]["location"] == "dc"
-
-    def test_natural_join_on_shared_column(self):
-        joined = natural_join(self.ROWS, self.JOBS)
-        assert {(row["name"], row["title"]) for row in joined} == {
-            ("ann", "analyst"), ("cid", "chief"),
-        }
-
-    def test_natural_join_without_shared_columns_is_cross_product(self):
-        left = (Row({"a": 1}), Row({"a": 2}))
-        right = (Row({"b": "x"}),)
-        assert len(natural_join(left, right)) == 2
-
-    def test_equi_join(self):
-        joined = equi_join(self.ROWS, self.JOBS, "name", "name")
-        assert len(joined) == 2
-
-    def test_group_count(self):
-        counts = group_count(self.ROWS, ["city"])
-        assert counts[("dc",)] == 2 and counts[("nyc",)] == 1
-
-    def test_order_by(self):
-        ordered = order_by(self.ROWS, ["name"], descending=True)
-        assert [row["name"] for row in ordered] == ["cid", "bob", "ann"]
-
-    def test_column_values(self):
-        assert column_values(self.ROWS, "name") == ("ann", "bob", "cid")
-
-    def test_join_conflict_detection(self):
-        left = (Row({"name": "ann", "city": "dc"}),)
-        right = (Row({"name": "ann", "city": "nyc"}),)
-        with pytest.raises(RelationalError):
-            equi_join(left, right, "name", "name")

@@ -40,10 +40,6 @@ class TestSchema:
         assert schema.names == ("name", "city")
         assert schema.arity == 2
 
-    def test_typed(self):
-        schema = Schema.typed(name=str, age=int)
-        assert schema.columns[1].type is int
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError):
             Schema.of("a", "a")
@@ -74,16 +70,9 @@ class TestSchema:
             schema.coerce_row({"a": 1, "b": 2, "zz": 3})
 
     def test_coerce_row_type_checks(self):
-        schema = Schema.typed(name=str, age=int)
+        schema = Schema((Column("name", str), Column("age", int)))
         with pytest.raises(SchemaError):
             schema.coerce_row(("ann", "old"))
-
-    def test_row_to_dict_and_project(self):
-        schema = Schema.of("a", "b", "c")
-        assert schema.row_to_dict((1, 2, 3)) == {"a": 1, "b": 2, "c": 3}
-        assert schema.project(["c", "a"]).names == ("c", "a")
-        with pytest.raises(SchemaError):
-            schema.row_to_dict((1, 2))
 
     def test_str(self):
         assert str(Schema.of("a", "b")) == "(a, b)"
@@ -119,16 +108,15 @@ class TestRow:
         with pytest.raises(AttributeError):
             row.a = 2  # type: ignore[misc]
 
-    def test_replaced_and_projected(self):
+    def test_replaced(self):
         row = Row({"a": 1, "b": 2})
         assert row.replaced(b=9) == Row({"a": 1, "b": 9})
-        assert row.projected(["b"]) == Row({"b": 2})
         with pytest.raises(UnknownColumnError):
             row.replaced(z=0)
 
     def test_from_values(self):
         row = Row.from_values(["a", "b"], [1, 2])
-        assert row.values_tuple() == (1, 2)
+        assert row == Row({"a": 1, "b": 2})
         with pytest.raises(SchemaError):
             Row.from_values(["a"], [1, 2])
 

@@ -24,7 +24,7 @@ class TestTableBasics:
 
     def test_insert_mapping(self, table):
         table.insert({"name": "dee", "city": "la"})
-        assert table.contains_row(("dee", "la"))
+        assert [row["city"] for row in table.select_eq("name", "dee")] == ["la"]
 
     def test_insert_many(self):
         table = Table("t", Schema.of("v"))
@@ -54,10 +54,6 @@ class TestQueries:
         table.insert(("dee", "dc"))
         table.delete_eq("name", "ann")
         assert {row["name"] for row in table.select_eq("city", "dc")} == {"cid", "dee"}
-
-    def test_select_where(self, table):
-        rows = table.select_where(lambda row: row["name"] > "b")
-        assert {row["name"] for row in rows} == {"bob", "cid"}
 
     def test_project_and_distinct(self, table):
         assert table.project(["city"]) == (("dc",), ("nyc",))
@@ -102,35 +98,6 @@ class TestChangeLogging:
         assert kinds == [
             ChangeKind.INSERT, ChangeKind.INSERT, ChangeKind.DELETE, ChangeKind.UPDATE,
         ]
-
-    def test_net_effect_between_versions(self):
-        log = ChangeLog()
-        table = Table("t", Schema.of("v"), change_log=log)
-        table.insert((1,))
-        checkpoint = table.version
-        table.insert((2,))
-        table.insert((3,))
-        table.delete_eq("v", 3)       # inserted then deleted: cancels out
-        table.delete_eq("v", 1)       # deletion of a pre-existing row
-        assert set(log.inserted_rows(checkpoint, table.version)) == {(2,)}
-        assert set(log.deleted_rows(checkpoint, table.version)) == {(1,)}
-
-    def test_update_counts_as_delete_plus_insert(self):
-        log = ChangeLog()
-        table = Table("t", Schema.of("v"), change_log=log)
-        table.insert((1,))
-        checkpoint = table.version
-        table.update_where(lambda row: True, {"v": 2})
-        assert set(log.inserted_rows(checkpoint, table.version)) == {(2,)}
-        assert set(log.deleted_rows(checkpoint, table.version)) == {(1,)}
-
-    def test_table_filter(self):
-        log = ChangeLog()
-        first = Table("a", Schema.of("v"), change_log=log)
-        second = Table("b", Schema.of("v"), change_log=log)
-        first.insert((1,))
-        second.insert((2,))
-        assert len(log.changes_between(0, 10, table="a")) == 1
 
 
 class TestHashIndex:

@@ -112,21 +112,6 @@ class TestWriterPipeline:
         assert stats["failed_units"] == 0
         assert released
 
-    def test_submit_many_applies_in_order(self):
-        async def main():
-            async with make_service() as service:
-                await service.submit_many(
-                    [
-                        insertion("b(X) <- X = 5"),
-                        deletion("b(X) <- X = 5"),
-                        insertion("b(X) <- X = 6"),
-                    ]
-                )
-                await service.drained()
-                return await service.query("b", UNIVERSE)
-
-        assert asyncio.run(main()) == {(1,), (2,), (6,)}
-
     def test_stop_drains_pending_updates(self):
         async def main():
             service = make_service()

@@ -146,12 +146,12 @@ class TestServeStress:
         # The published endpoint still satisfies the effective program.
         assert scheduler.verify(UNIVERSE)
 
-        # Fully serialized baseline over the identical stream: same final
+        # One-thread baseline over the identical stream: same final
         # instance sets, whatever batching the service happened to use.
         baseline = StreamScheduler(
             parse_program(rules),
             ConstraintSolver(),
-            options=StreamOptions(concurrent_batches=False, max_workers=1),
+            options=StreamOptions(max_workers=1),
         )
         for payload in stream_payloads():
             baseline.apply_batch([payload])
@@ -299,7 +299,7 @@ class TestServeStress:
         baseline = StreamScheduler(
             parse_program(rules),
             ConstraintSolver(),
-            options=StreamOptions(concurrent_batches=False, max_workers=1),
+            options=StreamOptions(max_workers=1),
         )
         for payload in stream_payloads():
             baseline.apply_batch([payload])

@@ -149,18 +149,6 @@ class TestNoticesAndGrouping:
         assert batch.report.notices == 3
         assert batch.report.notices_compacted == 1
 
-    def test_by_predicate_groups_surviving_requests(self):
-        batch = coalesce(
-            deletion("b(X) <- X = 6"),
-            insertion("c(X) <- X = 1"),
-            deletion("c(X) <- X = 9"),
-            insertion("b(X) <- X = 2"),
-        )
-        grouped = batch.by_predicate()
-        assert set(grouped) == {"b", "c"}
-        b_deletions, b_insertions = grouped["b"]
-        assert len(b_deletions) == 1 and len(b_insertions) == 1
-
 
 class TestDeletionSubsumption:
     def test_wider_later_delete_swallows_earlier_narrower_one(self):

@@ -13,7 +13,6 @@ from repro.stream import (
     ExternalChangeNotice,
     UpdateLog,
     attach_changelog,
-    notice_from_changelog,
 )
 
 
@@ -31,7 +30,7 @@ class TestUpdateLog:
         first = log.append(deletion("b(X) <- X = 6"))
         second = log.append(insertion("b(X) <- X = 1"))
         third = log.append(ExternalChangeNotice("faces"))
-        assert [t.txn_id for t in log.history()] == [first.txn_id, second.txn_id, third.txn_id]
+        assert [t.txn_id for t in log.drain()] == [first.txn_id, second.txn_id, third.txn_id]
         assert first.txn_id < second.txn_id < third.txn_id
         assert first.timestamp <= second.timestamp <= third.timestamp
 
@@ -45,11 +44,10 @@ class TestUpdateLog:
             "DeletionRequest",
             "InsertionRequest",
         ]
-        assert log.pending() == ()
+        assert log.pending_count() == 0
+        assert log.drain() == ()
         late = log.append(deletion("b(X) <- X = 7"))
         assert [t.txn_id for t in log.drain()] == [late.txn_id]
-        # History is never consumed.
-        assert len(log.history()) == 3
 
     def test_rejects_non_payloads(self):
         log = UpdateLog()
@@ -68,28 +66,12 @@ class TestUpdateLog:
             thread.start()
         for thread in threads:
             thread.join()
-        ids = [t.txn_id for t in log.history()]
+        ids = [t.txn_id for t in log.drain()]
         assert len(ids) == 400
         assert len(set(ids)) == 400
 
 
 class TestChangelogFeed:
-    def make_changelog(self):
-        changelog = ChangeLog()
-        changelog.record(Change(ChangeKind.INSERT, "people", 1, ("alice",)))
-        changelog.record(Change(ChangeKind.INSERT, "people", 2, ("bob",)))
-        changelog.record(Change(ChangeKind.DELETE, "people", 3, ("bob",)))
-        return changelog
-
-    def test_notice_from_changelog_carries_net_effect(self):
-        changelog = self.make_changelog()
-        notice = notice_from_changelog(changelog, 0, 3, table="people")
-        # bob was inserted and deleted inside the interval: net effect empty.
-        assert notice.added_rows == (("alice",),)
-        assert notice.removed_rows == ()
-        assert notice.version == 3
-        assert notice.source == "people"
-
     def test_attach_changelog_forwards_changes_as_notices(self):
         changelog = ChangeLog()
         log = UpdateLog()
@@ -98,12 +80,12 @@ class TestChangelogFeed:
         changelog.record(
             Change(ChangeKind.UPDATE, "people", 2, ("alice", 30), old_row=("alice",))
         )
-        notices = [t.payload for t in log.pending()]
+        notices = [t.payload for t in log.drain()]
         assert len(notices) == 2
         assert notices[0].added_rows == (("alice",),)
         assert notices[1].added_rows == (("alice", 30),)
         assert notices[1].removed_rows == (("alice",),)
         detach()
         changelog.record(Change(ChangeKind.DELETE, "people", 3, ("alice", 30)))
-        assert log.pending_count() == 2  # detached: nothing new
+        assert log.pending_count() == 0  # detached: nothing new
         detach()  # double detach is a no-op

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.constraints import ConstraintSolver
@@ -423,6 +426,25 @@ class TestLogIntegration:
         assert scheduler.query("left", UNIVERSE) == {(2,), (4,)}
         # Flushing an empty log is a harmless no-op batch.
         assert scheduler.flush().stats.applied == 0
+
+    def test_applied_transactions_are_not_kept(self):
+        # The log hands a drained transaction to its batch and forgets it: a
+        # server's memory follows its view, not the updates it has served.
+        # One fact per pair keeps each pass to one clause of the program.
+        values = range(200)
+        rules = "".join(f"left(X) <- X = {value}.\n" for value in values)
+        scheduler = StreamScheduler(
+            parse_program(rules + "top(X) <- left(X).\n"), ConstraintSolver()
+        )
+        transactions = []
+        for value in values:
+            fact = f"left(X) <- X = {value}"
+            for request in (deletion(fact), insertion(fact)):
+                transactions.append(weakref.ref(scheduler.submit(request)))
+                assert scheduler.flush().ok
+        gc.collect()
+        assert sum(ref() is not None for ref in transactions) == 0
+        assert scheduler.query("top", values) == {(value,) for value in values}
 
 
 class TestViewMaintainerRebase:

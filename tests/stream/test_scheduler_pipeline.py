@@ -110,23 +110,6 @@ class TestPreparedBatches:
         with pytest.raises(MaintenanceError, match="already applied"):
             scheduler.apply_prepared(prepared)
 
-    def test_abandoned_batch_releases_its_claim(self):
-        scheduler = make_scheduler()
-        abandoned = scheduler.prepare_batch([deletion("left(X) <- X = 1")])
-        scheduler.abandon_prepared(abandoned)
-        # A conflicting later batch must not wait on the abandoned claim.
-        result = scheduler.apply_batch([deletion("left(X) <- X = 2")])
-        assert result.ok
-        assert scheduler.query("left", UNIVERSE) == {(1,)}
-        with pytest.raises(MaintenanceError):
-            scheduler.apply_prepared(abandoned)
-
-    def test_exclusive_batches_when_concurrency_disabled(self):
-        scheduler = make_scheduler(concurrent_batches=False)
-        prepared = scheduler.prepare_batch([deletion("left(X) <- X = 1")])
-        assert prepared.group_ids is None
-        scheduler.abandon_prepared(prepared)
-
     def test_stats_dict_reports_the_timing_split(self):
         scheduler = make_scheduler()
         stats = scheduler.apply_batch([deletion("left(X) <- X = 1")]).stats
@@ -211,38 +194,6 @@ class TestConcurrentDisjointBatches:
         assert scheduler.query("left", UNIVERSE) == {(2,), (5,)}
         assert scheduler.verify(UNIVERSE)
 
-    def test_serialized_mode_blocks_even_disjoint_batches(self, monkeypatch):
-        scheduler = make_scheduler(concurrent_batches=False)
-        gate = BlockingDelete(monkeypatch, {"left"})
-        results = []
-        blocked = threading.Thread(
-            target=lambda: results.append(
-                scheduler.apply_batch([deletion("left(X) <- X = 1")])
-            )
-        )
-        blocked.start()
-        assert gate.started.wait(10)
-        right_done = threading.Event()
-
-        def run_right():
-            results.append(
-                scheduler.apply_batch([deletion("right(X) <- X = 11")])
-            )
-            right_done.set()
-
-        right = threading.Thread(target=run_right)
-        right.start()
-        # Exclusive claims: the disjoint right-tower batch still queues.
-        assert not right_done.wait(0.2)
-        gate.release.set()
-        blocked.join(10)
-        assert right_done.wait(10)
-        right.join(10)
-        assert all(result.ok for result in results)
-        assert scheduler.concurrent_commits == 0
-        assert scheduler.inflight_peak == 1
-        assert scheduler.verify(UNIVERSE)
-
 
 class TestSnapshotState:
     def test_snapshot_state_returns_a_consistent_pair(self, monkeypatch):
@@ -282,7 +233,8 @@ class TestDrainLimit:
     def test_drain_limit_consumes_a_bounded_prefix(self):
         log = UpdateLog(clock=lambda: 0.0)
         payloads = [insertion(f"left(X) <- X = {value}") for value in range(5)]
-        log.extend(payloads)
+        for payload in payloads:
+            log.append(payload)
         first = log.drain(limit=2)
         assert [txn.txn_id for txn in first] == [1, 2]
         assert log.pending_count() == 3
