@@ -39,6 +39,26 @@ class TestSupportStructure:
         with pytest.raises(ProgramError):
             Support(1, (3,))  # type: ignore[arg-type]
 
+    def test_inserted_leaf_shows_its_origin(self):
+        support = Support(0, origin="b(X) <- X = 1")
+        assert support.is_leaf
+        assert str(support) == "<0: b(X) <- X = 1>"
+
+    def test_origin_distinguishes_otherwise_equal_leaves(self):
+        one = Support(0, origin="b(X) <- X = 1")
+        other = Support(0, origin="b(X) <- X = 2")
+        assert one != other and one != leaf(0)
+        assert len({one, other, leaf(0), Support(0, origin="b(X) <- X = 1")}) == 3
+
+    @pytest.mark.parametrize(
+        "children, origin",
+        [((), 7), ((Support(1),), "b(X) <- X = 1")],
+        ids=["non-string-origin", "origin-on-a-derived-support"],
+    )
+    def test_only_a_leaf_has_a_string_origin(self, children, origin):
+        with pytest.raises(ProgramError, match="only a leaf has an origin"):
+            Support(0, children, origin=origin)
+
 
 class TestSupportQueries:
     def test_uniqueness_of_supports_for_distinct_derivations(self):

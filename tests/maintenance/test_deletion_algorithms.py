@@ -80,6 +80,20 @@ class TestNumericDeletions:
         request = parse_constrained_atom("zzz(X) <- X = 1")
         check_both_algorithms(example45_program, example45_view, request, solver)
 
+    # X = 2 lies below both thresholds of Example 4/5 (X >= 3, X >= 5),
+    # 3 and 5 sit on them, and 14 is the universe's last point.
+    @pytest.mark.parametrize("value", [2, 3, 5, 14])
+    @pytest.mark.parametrize("predicate", ["a", "b", "c"])
+    def test_delete_point_at_a_threshold(
+        self, example45_program, example45_view, solver, predicate, value
+    ):
+        request = parse_constrained_atom(f"{predicate}(X) <- X = {value}")
+        _, dred, stdel = check_both_algorithms(
+            example45_program, example45_view, request, solver
+        )
+        assert (value,) not in stdel.view.instances_for(predicate, solver, UNIVERSE)
+        assert (value,) not in dred.view.instances_for(predicate, solver, UNIVERSE)
+
     def test_sequential_deletions(self, example45_program, example45_view, solver):
         first = parse_constrained_atom("b(X) <- X = 6")
         second = parse_constrained_atom("b(X) <- X = 7")

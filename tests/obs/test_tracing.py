@@ -166,6 +166,30 @@ class TestRingExporter:
         trace.span("drain").finish()  # root not finished yet
         assert ring.traces() == []
 
+    @pytest.mark.parametrize("limit, kept", [(0, 0), (1, 1), (3, 3), (5, 3), (None, 3)])
+    def test_traces_limit_counts_complete_traces(self, limit, kept):
+        ring = RingExporter()
+        tracer = Tracer([ring])
+        ids = []
+        for _ in range(3):
+            trace = tracer.start_trace("batch")
+            trace.finish()
+            ids.append(trace.trace_id)
+        tracer.start_trace("batch").span("drain").finish()  # in flight
+        summaries = ring.traces(limit=limit)
+        assert [s["trace"] for s in summaries] == ids[len(ids) - kept:]
+
+    def test_negative_traces_limit_is_refused(self):
+        with pytest.raises(ValueError, match="must not be negative"):
+            RingExporter().traces(limit=-1)
+
+    def test_capacity_below_one_still_keeps_the_newest_event(self):
+        ring = RingExporter(capacity=0)
+        ring.export({"type": "span", "span": 1})
+        ring.export({"type": "span", "span": 2})
+        assert ring.events() == ({"type": "span", "span": 2},)
+        assert ring.events_seen == 2
+
 
 class TestVerifier:
     def _trace_events(self, trace_id="t1", names=("drain", "prepare", "admit", "apply", "commit")):

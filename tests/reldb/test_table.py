@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SchemaError
-from repro.reldb import ChangeKind, ChangeLog, HashIndex, Schema, Table
+from repro.errors import RelationalError, SchemaError
+from repro.reldb import ChangeKind, ChangeLog, Column, Database, HashIndex, Schema, Table
 
 
 @pytest.fixture
@@ -42,6 +42,22 @@ class TestTableBasics:
         table.delete_eq("name", "dee")
         assert table.version == before + 2
 
+    def test_tables_need_a_name(self):
+        with pytest.raises(RelationalError):
+            Table("", Schema.of("v"))
+
+    def test_rejected_insert_leaves_no_trace(self):
+        log = ChangeLog()
+        table = Table("t", Schema((Column("age", int),)), change_log=log)
+        with pytest.raises(SchemaError):
+            table.insert(("old",))
+        assert len(table) == 0
+        assert table.version == 0
+        assert len(log) == 0
+
+    def test_repr_names_rows_and_version(self, table):
+        assert repr(table) == "Table('phonebook', 3 rows, v3)"
+
 
 class TestQueries:
     def test_select_eq(self, table):
@@ -64,6 +80,21 @@ class TestQueries:
         table.insert((1,))
         assert len(table.select_eq("v", 1.0)) == 1
 
+    def test_select_eq_on_unknown_column_is_a_schema_error(self, table):
+        with pytest.raises(SchemaError):
+            table.select_eq("zip", "20001")
+
+    def test_select_eq_follows_an_update_between_buckets(self, table):
+        table.select_eq("city", "dc")  # builds the index
+        table.update_where(lambda row: row["name"] == "ann", {"city": "nyc"})
+        assert {row["name"] for row in table.select_eq("city", "dc")} == {"cid"}
+        assert {row["name"] for row in table.select_eq("city", "nyc")} == {"ann", "bob"}
+
+    def test_project_keeps_first_seen_order(self, table):
+        table.insert(("ann", "la"))
+        assert table.project(["name"]) == (("ann",), ("bob",), ("cid",))
+        assert table.project(["city", "name"])[-1] == ("la", "ann")
+
 
 class TestModification:
     def test_delete_where(self, table):
@@ -85,6 +116,23 @@ class TestModification:
         assert table.clear() == 3
         assert len(table) == 0
 
+    def test_delete_row_removes_one_duplicate_only(self):
+        table = Table("t", Schema.of("v"))
+        table.insert_many([(1,), (1,)])
+        assert table.delete_row((1,))
+        assert [row["v"] for row in table.rows()] == [1]
+
+    def test_update_keeps_the_row_in_its_place(self, table):
+        table.update_where(lambda row: row["name"] == "ann", {"name": "amy"})
+        assert [row["name"] for row in table.rows()] == ["amy", "bob", "cid"]
+
+    def test_update_with_an_unknown_column_changes_nothing(self, table):
+        before = table.version
+        with pytest.raises(SchemaError):
+            table.update_where(lambda row: True, {"city": "sf", "zip": 1})
+        assert table.version == before
+        assert table.select_eq("city", "sf") == ()
+
 
 class TestChangeLogging:
     def test_changes_recorded(self):
@@ -98,6 +146,47 @@ class TestChangeLogging:
         assert kinds == [
             ChangeKind.INSERT, ChangeKind.INSERT, ChangeKind.DELETE, ChangeKind.UPDATE,
         ]
+
+    def test_update_counts_as_delete_plus_insert(self):
+        log = ChangeLog()
+        table = Table("t", Schema.of("v"), change_log=log)
+        table.insert((1,))
+        table.update_where(lambda row: True, {"v": 2})
+        update = list(log)[-1]
+        assert update.kind is ChangeKind.UPDATE
+        assert (update.old_row, update.row) == ((1,), (2,))
+        assert update.version == table.version == 2
+        assert str(update) == "v2 update t: (1,) -> (2,)"
+
+    def test_table_filter(self):
+        database = Database("db")
+        first = database.create_table("a", Schema.of("v"))
+        second = database.create_table("b", Schema.of("v"))
+        first.insert((1,))
+        second.insert((2,))
+        second.delete_eq("v", 2)
+        assert [(change.table, change.version) for change in database.change_log] == [
+            ("a", 1), ("b", 1), ("b", 2),
+        ]
+
+    def test_every_deleted_row_is_recorded(self, table):
+        log = ChangeLog()
+        logged = Table("t", table.schema, change_log=log)
+        logged.insert_many(row.as_dict() for row in table.rows())
+        logged.clear()
+        deletes = [change.row for change in log if change.kind is ChangeKind.DELETE]
+        assert sorted(deletes) == [("ann", "dc"), ("bob", "nyc"), ("cid", "dc")]
+
+    def test_subscribers_see_changes_until_detached(self):
+        log = ChangeLog()
+        table = Table("t", Schema.of("v"), change_log=log)
+        seen = []
+        detach = log.subscribe(seen.append)
+        table.insert((1,))
+        detach()
+        table.insert((2,))
+        assert [change.row for change in seen] == [(1,)]
+        assert len(log) == 2
 
 
 class TestHashIndex:
@@ -117,3 +206,21 @@ class TestHashIndex:
         index = HashIndex("v")
         index.rebuild([(1, ("a",)), (2, ("b",)), (3, ("a",))], 0)
         assert index.lookup("a") == {1, 3}
+
+    def test_removing_an_absent_entry_is_a_no_op(self):
+        index = HashIndex("v")
+        index.add("a", 1)
+        index.remove("b", 1)
+        index.remove("a", 2)
+        assert index.lookup("a") == {1}
+        assert list(index.values()) == ["a"]
+
+    def test_lookup_returns_a_copy(self):
+        index = HashIndex("v")
+        index.add("a", 1)
+        index.lookup("a").add(99)
+        assert index.lookup("a") == {1}
+
+    def test_index_needs_a_column(self):
+        with pytest.raises(RelationalError):
+            HashIndex("")

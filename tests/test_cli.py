@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, non_negative_int, parse_universe
 
 RULES = """
 a(X) <- X >= 3.
@@ -63,6 +63,34 @@ class TestMaterializeAndQuery:
             run_cli("query", rules_file, "a", "--universe", "banana:apple")
         assert exit_info.value.code == 2
         assert "argument --universe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (None, None),
+            ("0:3", [0, 1, 2]),
+            ("-2:1", [-2, -1, 0]),
+            ("5:5", []),
+            ("5, 6,99", [5, 6, 99]),
+            ("a,b,,7", ["a", "b", 7]),
+        ],
+    )
+    def test_parse_universe(self, spec, expected):
+        assert parse_universe(spec) == expected
+
+    @pytest.mark.parametrize("spec", ["banana:apple", "1:x", "1.5:3"])
+    def test_parse_universe_rejects_non_integer_bounds(self, spec):
+        with pytest.raises(ValueError):
+            parse_universe(spec)
+
+    @pytest.mark.parametrize("text, expected", [("0", 0), ("12", 12)])
+    def test_non_negative_int(self, text, expected):
+        assert non_negative_int(text) == expected
+
+    @pytest.mark.parametrize("text", ["-1", "two"])
+    def test_non_negative_int_rejects(self, text):
+        with pytest.raises(ValueError):
+            non_negative_int(text)
 
     def test_missing_file(self):
         code, _ = run_cli("materialize", "/nonexistent/rules.pl")
