@@ -109,14 +109,6 @@ class ProgramReport:
         """All warning-severity diagnostics."""
         return tuple(d for d in self.diagnostics if d.severity == "warning")
 
-    def ok(self, strict: bool = False) -> bool:
-        """True when the program passed (no errors; no warnings if strict)."""
-        if self.errors():
-            return False
-        if strict and self.warnings():
-            return False
-        return True
-
     def severity_counts(self) -> Dict[str, int]:
         """``{"error": n, "warning": n, "info": n}``."""
         counts = {severity: 0 for severity in SEVERITIES}

@@ -377,7 +377,13 @@ def iter_indexed_delta_joins(
                 chosen[position] = item
                 yield from recurse(depth + 1, extended)
 
-        yield from recurse(0, {})
+        try:
+            yield from recurse(0, {})
+        finally:
+            # ``recurse`` reaches itself through its closure cell: drop the
+            # cycle so the join's frames, pools and the constraint nodes
+            # they hold are freed now, not whenever the collector runs.
+            recurse = None
 
 
 def _bound_values(item: object) -> Sequence[object]:

@@ -147,13 +147,6 @@ class ConstrainedDatabase:
         """All predicates defined by some clause head, sorted."""
         return tuple(sorted(self._by_predicate))
 
-    def body_predicates(self) -> Tuple[str, ...]:
-        """All predicates referenced in some clause body, sorted."""
-        referenced = set()
-        for clause in self:
-            referenced.update(clause.body_predicates())
-        return tuple(sorted(referenced))
-
     def max_clause_number(self) -> int:
         """Largest clause number in use (0 when empty)."""
         # ``_clauses`` is kept in ascending number order.

@@ -14,9 +14,9 @@ written, and a clone shares its tables with the shard it was cloned from
 part by part (see :mod:`repro.datalog.shard`), so a maintenance pass over a
 view pays copy cost proportional to the entries it actually writes -- the
 paper's delta-proportionality carried into the storage layer -- and the
-stream scheduler can run independent stratum units in parallel against the
-same base shards, publishing by swapping shard pointers instead of merging
-whole views.
+stream scheduler publishes a batch by swapping shard pointers instead of
+merging whole views, and commits two disjoint-group batches by adopting
+each one's shards onto the latest published view.
 
 This module keeps the entry type, the interval helpers and the façade, and
 still exports the storage names its callers import from here (``UNBOUND``,
@@ -323,8 +323,9 @@ class MaterializedView:
         #: writing one of these first clones it (copy-on-write).
         self._borrowed: Set[str] = set()
         #: When set (by :meth:`checkout`), writes outside these predicates
-        #: raise -- the stream scheduler's guard that a parallel unit never
-        #: writes a shard its publish step would not adopt.
+        #: raise -- the stream scheduler's guard that a unit never writes a
+        #: shard outside its write closure, which a rebased commit would
+        #: not adopt.
         self._write_scope: Optional[FrozenSet[str]] = None
         self._next_seq = 0
         #: Shards cloned by copy-on-write since this lineage started
@@ -466,14 +467,15 @@ class MaterializedView:
     ) -> None:
         """Sanitizer check: this view diverges from *base* only in *allowed*.
 
-        Run by the stream scheduler immediately before a scoped
-        ``adopt_shards`` publish.  A shard pointer that differs from the
-        base's outside the unit's declared write closure is a torn publish
-        in the making -- the adoption would silently drop that write -- so
-        it raises :class:`~repro.errors.ShardSanitizerError` instead.  So does
-        a *base* shard that no longer holds what it held when it was shared:
-        the unit's clones share its containers, and a write that reached one
-        of them without copying it first has changed the published view.
+        Run by the stream scheduler on every commit that changes the view,
+        with the batch's written closures as *allowed*.  A shard pointer that
+        differs from the base's outside them is a torn publish in the making
+        -- a rebased commit's scoped adoption would silently drop that write
+        -- so it raises :class:`~repro.errors.ShardSanitizerError` instead.
+        So does a *base* shard that no longer holds what it held when it was
+        shared: the batch's clones share its containers, and a write that
+        reached one of them without copying it first has changed the
+        published view.
         """
         for shard in base._shards.values():
             shard.assert_unwritten()
@@ -582,10 +584,10 @@ class MaterializedView:
         for shard in shards:
             predicate = shard.predicate
             decorated.extend((seq, predicate, entry) for entry, seq in shard.rows())
-        # Sequence numbers are unique within one lineage; after a parallel
-        # publish adopted shards from sibling units they can collide across
-        # predicates, so the predicate tiebreak keeps the order total and
-        # deterministic.
+        # Sequence numbers are unique within one lineage; after a rebased
+        # commit adopted shards from a concurrent batch's lineage they can
+        # collide across predicates, so the predicate tiebreak keeps the
+        # order total and deterministic.
         decorated.sort(key=lambda item: (item[0], item[1]))
         return tuple(item[2] for item in decorated)
 
@@ -610,7 +612,8 @@ class MaterializedView:
         """File the entry's support (and premises) in the lineage hints.
 
         Individual dict/set operations are atomic under the GIL, so
-        concurrent stratum units can record into the shared hints safely.
+        concurrent disjoint-group batches can record into the shared hints
+        safely.
         """
         support = entry.support
         self._file_support(support, entry.predicate)

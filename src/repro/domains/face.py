@@ -127,11 +127,6 @@ class FaceExtractDomain(Domain):
             "origin_of", self._origin_of, "the photograph a face was extracted from", arity=1
         )
 
-    @property
-    def scenario(self) -> FaceScenario:
-        """The ground-truth scenario (mutate it to model source updates)."""
-        return self._scenario
-
     def source_version(self) -> object:
         """Fold the scenario's mutation counter into the version token."""
         return (super().source_version(), self._scenario.version)
@@ -163,11 +158,6 @@ class FaceDbDomain(Domain):
             "findname", self._findname, "the name attached to a mugshot", arity=1
         )
         self.register("people", self._people, "every person known to the database", arity=0)
-
-    @property
-    def scenario(self) -> FaceScenario:
-        """The ground-truth scenario shared with the extraction domain."""
-        return self._scenario
 
     def source_version(self) -> object:
         """Fold the scenario's mutation counter into the version token."""

@@ -49,12 +49,6 @@ class DomainClock:
         self._notify()
         return self._time
 
-    def set(self, time: int) -> int:
-        """Jump to an arbitrary time point (used by benchmarks to replay)."""
-        self._time = time
-        self._notify()
-        return self._time
-
     def on_change(self, listener: Callable[[int], None]) -> None:
         """Register a callback invoked with the new time after every change."""
         self._listeners.append(listener)
@@ -112,11 +106,6 @@ class VersionedDomain(Domain):
         self._clock = clock
         self._versioned: Dict[str, VersionedFunction] = {}
 
-    @property
-    def clock(self) -> DomainClock:
-        """The clock this domain reads the current time from."""
-        return self._clock
-
     def source_version(self) -> object:
         """Fold the clock into the version token: behaviour is time-indexed."""
         return (super().source_version(), self._clock.time)
@@ -171,10 +160,6 @@ class FunctionDelta:
     args: Tuple[object, ...]
     added: Tuple[object, ...]
     removed: Tuple[object, ...]
-
-    def is_empty(self) -> bool:
-        """True when the call's result did not change."""
-        return not self.added and not self.removed
 
 
 def function_delta(

@@ -132,7 +132,6 @@ class MediatedView:
             self._scheduler = self.mediator._new_scheduler(
                 self.view,
                 deletion_algorithm=(algorithm or DeletionAlgorithm.STDEL).value,
-                max_workers=1,
                 max_unit_attempts=1,
             )
         elif algorithm is not None and (

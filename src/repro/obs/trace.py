@@ -4,12 +4,11 @@ One *trace* follows one drained batch across every pipeline seam and every
 thread it touches: ``drain`` (+ ``journal`` on durable schedulers) on the
 drain thread, ``prepare``/``coalesce`` on the prepare thread, ``admit``,
 ``apply`` with one ``unit`` child span per stratum unit (each recording the
-worker thread that ran it and the counter deltas it incurred), ``commit``
-on the applying thread, and ``checkpoint`` when the durability policy
-fires.  Spans carry **monotonic** timestamps only (``time.monotonic``;
-``time.time`` is banned in this package by ``tools/lint_rules.py``) -- the
-trace is a timeline, not a calendar, and wall clocks can step backwards
-mid-batch.
+counter deltas it incurred), ``commit`` on the applying thread, and
+``checkpoint`` when the durability policy fires.  Spans carry **monotonic**
+timestamps only (``time.monotonic``; ``time.time`` is banned in this package
+by ``tools/lint_rules.py``) -- the trace is a timeline, not a calendar, and
+wall clocks can step backwards mid-batch.
 
 A finished span is emitted as one JSON-lines event::
 

@@ -347,10 +347,10 @@ class DurableScheduler(StreamScheduler):
         return transactions
 
     def _commit_hook(
-        self, prepared: Optional[PreparedBatch], next_view: MaterializedView
+        self, prepared: PreparedBatch, next_view: MaterializedView
     ) -> None:
         self._durability.note_commit(
-            prepared.txn_ids if prepared is not None else (),
+            prepared.txn_ids,
             next_view,
             self._effective_program,
             self._deletion_program,

@@ -7,12 +7,13 @@ into loud :class:`~repro.errors.ShardSanitizerError` /
 
 * mutating a shard that a published (shared) view still references,
 * writing a predicate outside a stratum unit's declared write closure,
-* publishing a unit whose result view leaked writes past its closure
-  (a torn publish -- the adopting merge would silently drop them).
+* committing a batch whose view leaked writes past its written closures
+  (a torn publish -- a rebased commit's adoption would silently drop them)
+  or changed a container it shares with the published view.
 
 The gate reads the environment on every call so tests can toggle it with
 ``monkeypatch.setenv``; it is only consulted on shard-sharing events
-(``copy`` / ``adopt_shards`` / publish), never on per-entry mutations --
+(``copy`` / ``adopt_shards`` / commit), never on per-entry mutations --
 those check a plain boolean flag the sharing events set.
 """
 

@@ -81,7 +81,10 @@ class RequestRouter:
         return {"ok": True, "txn": transaction.txn_id}
 
     async def _op_notice(self, request: dict) -> dict:
-        notice = ExternalChangeNotice(source=str(request["source"]))
+        source = request["source"]
+        if not isinstance(source, str) or not source:
+            raise TypeError(f"source must be a non-empty string, got {source!r}")
+        notice = ExternalChangeNotice(source=source)
         transaction = await self._service.submit(notice)
         return {"ok": True, "txn": transaction.txn_id}
 
@@ -125,8 +128,8 @@ class RequestRouter:
                 "note": "tracing is disabled (set REPRO_OBS=1)",
             }
         limit = request.get("limit")
-        if limit is not None:
-            limit = int(limit)
+        if limit is not None and type(limit) is not int:  # a bool is no limit
+            raise TypeError(f"limit must be an integer, got {limit!r}")
         return {
             "ok": True,
             "enabled": True,

@@ -77,6 +77,11 @@ class ServeOptions:
             raise MediatorError(
                 f"error_history must be positive (got {self.error_history})"
             )
+        for name in ("read_workers", "apply_workers"):
+            if getattr(self, name) < 1:
+                raise MediatorError(
+                    f"{name} must be positive (got {getattr(self, name)})"
+                )
         if self.max_batch is not None and self.max_batch < 1:
             # A drain of at most 0 transactions never drains: the writer
             # would stall with the submitted updates pending forever.
@@ -163,14 +168,14 @@ class MediatorService:
             raise MediatorError("service already started")
         options = self._options
         self._read_pool = ThreadPoolExecutor(
-            max_workers=max(1, options.read_workers),
+            max_workers=options.read_workers,
             thread_name_prefix="serve-read",
         )
         self._prepare_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-prepare"
         )
         self._apply_pool = ThreadPoolExecutor(
-            max_workers=max(1, options.apply_workers),
+            max_workers=options.apply_workers,
             thread_name_prefix="serve-apply",
         )
         self._writer_task = asyncio.ensure_future(self._writer_loop())
@@ -369,7 +374,7 @@ class MediatorService:
                 )
                 # Bound the pipeline depth; admission inside the scheduler
                 # decides which of the in-flight batches truly overlap.
-                while len(self._inflight) >= max(1, options.apply_workers):
+                while len(self._inflight) >= options.apply_workers:
                     await asyncio.wait(
                         set(self._inflight),
                         return_when=asyncio.FIRST_COMPLETED,

@@ -24,16 +24,18 @@ the number of requests submitted.
 * :mod:`repro.stream.strata` -- predicate stratification.  The strongly
   connected components of the program's clause -> body-predicate dependency
   index bound how far an update can propagate; requests whose reachable
-  components are disjoint form independent units that can be maintained
-  concurrently and retried individually.
+  components are disjoint form independent units, each checked out to its
+  own write closure and retried individually.
 * :mod:`repro.stream.scheduler` -- one maintenance pass per algorithm per
   batch: StDel / Extended DRed seeded with the union of the batch's
   deletion atoms (one ``P_OUT`` unfolding, one rename/simplify regime, one
   final purge), one ``P_ADD`` fixpoint seeded with all insertions, and
   external changes folded in for free under the ``W_P`` discipline (the
   changed domain's version ends what the solver remembered about it; the
-  view itself needs no work, per Theorem 4).  Queries served mid-batch read a
-  snapshot-isolated pre-batch view.
+  view itself needs no work, per Theorem 4).  A batch's units are applied
+  one after another on the applying thread; batches whose write closures
+  fall in disjoint closure groups apply concurrently.  Queries served
+  mid-batch read a snapshot-isolated pre-batch view.
 """
 
 from repro.stream.coalesce import (

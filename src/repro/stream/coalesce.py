@@ -97,10 +97,6 @@ class CoalescedBatch:
     def __len__(self) -> int:
         return len(self.deletions) + len(self.insertions)
 
-    def is_empty(self) -> bool:
-        """True when nothing at all remains to apply."""
-        return not (self.deletions or self.insertions or self.notices)
-
 
 def _request_key(request) -> Tuple[str, object, object]:
     """Dedup key: request kind, interned atom, interned canonical constraint.

@@ -30,14 +30,13 @@ counters are mirrored into the metrics registry (the algorithms know no
 registry).
 
 Independent strata (disjoint upward closures, see
-:mod:`repro.stream.strata`) are applied as separate units -- concurrently
-on a ``ThreadPoolExecutor`` when ``max_workers > 1`` -- and each unit is
-individually retried and reported.  Each unit *checks out* exactly the
-shards of its write closure from the predicate-sharded view
+:mod:`repro.stream.strata`) are applied as separate units, one after another
+on the thread that applies the batch, and each unit is individually retried
+and reported.  Each unit *checks out* exactly the shards of its write
+closure from the view the previous unit left
 (:meth:`~repro.datalog.view.MaterializedView.checkout`): copy-on-write
-clones only the shards the unit actually rewrites, parallel units write
-their clones in place, and the batch publishes by adopting the applied
-units' shard pointers into the next view -- no whole-view copy, no
+clones only the shards the unit actually rewrites, and the last applied
+unit's view is the batch's next view -- no whole-view copy, no
 entry-by-entry merge.  Readers are snapshot-isolated: the scheduler
 publishes a new view reference only after the whole batch applied, so a
 query served mid-batch sees the complete pre-batch view.
@@ -67,11 +66,8 @@ matter.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -92,37 +88,7 @@ from repro.obs import Observability
 from repro.obs.trace import NULL_TRACE, Span, Trace
 from repro.stream.coalesce import CoalescedBatch, CoalesceReport, Coalescer
 from repro.stream.log import StreamPayload, Transaction, UpdateLog
-from repro.stream.strata import (
-    PredicateStrata,
-    StratumUnit,
-    check_disjoint_write_closures,
-)
-
-
-def _default_max_workers() -> int:
-    """Worker-count default, overridable via ``REPRO_STREAM_MAX_WORKERS``.
-
-    CI sets the variable to force every stream test through the parallel
-    scheduling path (the ``parallel == sequential`` invariant is then
-    exercised on every push, not only where a test opts in); explicit
-    ``max_workers=...`` arguments always win over the environment.
-    """
-    raw = os.environ.get("REPRO_STREAM_MAX_WORKERS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        # Falling back silently would quietly disable the parallel path CI
-        # exists to force (a typo'd "4x" or "four" used to mean "1 worker,
-        # no warning") -- say so loudly instead.
-        warnings.warn(
-            f"REPRO_STREAM_MAX_WORKERS={raw!r} is not an integer; "
-            "falling back to 1 worker (parallel scheduling disabled)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
+from repro.stream.strata import PredicateStrata, StratumUnit
 
 
 def _describe_groups(group_ids: Optional[FrozenSet[int]]) -> str:
@@ -171,8 +137,8 @@ class _ProgramEdits:
         When *current* still is the pair the edits were computed on, the
         result is *after* itself, by pointer -- the rule a view commit
         follows with ``current is base``.  Otherwise something else was
-        committed in between (a sibling unit, a disjoint-group batch), whose
-        edits touch other clauses: the edits are replayed on top of it.
+        committed in between (a disjoint-group batch), whose edits touch
+        other clauses: the edits are replayed on top of it.
         """
         if current[0] is self.before[0] and current[1] is self.before[1]:
             return self.after
@@ -188,14 +154,21 @@ class StreamOptions:
     #: deletion rewrites are irrelevant to it -- the documented advantage);
     #: DRed runs against the threaded rewritten program it requires.
     deletion_algorithm: str = "stdel"
-    #: Threads for independent strata (1 = apply units sequentially; the
-    #: default honours ``REPRO_STREAM_MAX_WORKERS`` so CI can force the
-    #: parallel path across the whole stream suite).
-    max_workers: int = field(default_factory=_default_max_workers)
+    #: Must be 1: a batch's units run one after another on the applying
+    #: thread.  Nothing reads the field; it stays because the benchmark
+    #: passes ``max_workers=1``.
+    max_workers: int = 1
     #: How often a failing unit is attempted before it is reported failed.
     max_unit_attempts: int = 2
     #: The one engine configuration every maintenance pass runs with.
     engine: EngineOptions = EngineOptions()
+
+    def __post_init__(self) -> None:
+        if self.max_workers != 1:
+            raise MaintenanceError(
+                f"max_workers must be 1 (got {self.max_workers!r}): a batch's "
+                "stratum units are applied one after another"
+            )
 
 
 @dataclass
@@ -326,9 +299,8 @@ class PreparedBatch:
     #: fills the rest (shared by reference with the scheduler's history).
     stats: StreamStats
     #: Closure groups the batch writes -- the admission key.  ``None`` means
-    #: the batch is exclusive (conflicts with everything): concurrent
-    #: admission disabled, no group table, or a predicate the analyzer
-    #: never saw.
+    #: the batch is exclusive (conflicts with everything): no group table,
+    #: or a predicate the analyzer never saw.
     group_ids: Optional[FrozenSet[int]]
     #: Admission ticket (prepare order; lower tickets are admitted first
     #: among conflicting claims).
@@ -443,10 +415,6 @@ class StreamScheduler:
         read-only.
         """
         return self._published
-
-    def snapshot(self) -> MaterializedView:
-        """An independent copy of the published view (safe to mutate)."""
-        return self._published.copy()
 
     def query(self, predicate: str, universe=None):
         """Ground instances of *predicate* from the published view."""
@@ -660,26 +628,30 @@ class StreamScheduler:
                 base = self._published
                 started: Programs = (self._effective_program, self._deletion_program)
 
-            units = prepared.units
-            outcomes = self._run_units(base, units, started, trace, apply_span)
-            # Publish: each successful unit rewrote copy-on-write clones of
-            # exactly its disjoint write closure's shards, so the next view
-            # adopts those shard pointers; every other predicate keeps the
-            # base's shards untouched.
-            working = self._publish(base, units, outcomes)
-
-            # The batch's programs: every applied unit's edits, in unit
-            # order (edits of disjoint closure groups touch disjoint clause
-            # sets, so they commute with concurrently-committed batches').
+            # The units, one after another: each checks out the view and
+            # programs the last applied unit left, so the last applied
+            # unit's result is the batch's (a failed unit hands back what
+            # it was given and its edits are dropped).  Edits of disjoint
+            # closure groups touch disjoint clause sets, so the batch's
+            # edits commute with concurrently-committed batches'.
+            working = base
             programs = started
             edits: List[Tuple[str, Tuple]] = []
             written: Set[str] = set()
-            for unit, (_, report, unit_edits) in zip(units, outcomes):
+            for unit in prepared.units:
+                view, report, unit_edits = self._apply_unit_with_retry(
+                    working.checkout(unit.write_closure),
+                    unit,
+                    programs,
+                    trace,
+                    apply_span,
+                )
                 stats.units.append(report)
                 if report.status != "applied":
                     continue
+                working = view
                 written.update(unit.write_closure)
-                programs = unit_edits.onto(programs)
+                programs = unit_edits.after
                 edits.extend(unit_edits.edits)
 
             apply_span.set(
@@ -872,7 +844,7 @@ class StreamScheduler:
         written: Set[str],
         program_edits: _ProgramEdits,
         stats: StreamStats,
-        prepared: Optional[PreparedBatch] = None,
+        prepared: PreparedBatch,
     ) -> MaterializedView:
         """Swap in the batch's view and its programs.
 
@@ -884,7 +856,14 @@ class StreamScheduler:
         anything more would revert the sibling batch's shards -- and by
         replaying the batch's program edits onto the current programs (see
         :meth:`_ProgramEdits.onto`).
+
+        Under the shard sanitizer every commit that changes the view first
+        checks that ``working`` diverges from ``base`` only in *written*
+        and that no shard of ``base`` changed after it was shared: either
+        would be a write the commit silently drops or publishes.
         """
+        if working is not base and sanitizer_enabled():
+            working.assert_publish_scope(base, written)
         with self._commit_lock:
             current = self._published
             if working is base:
@@ -908,7 +887,7 @@ class StreamScheduler:
             return next_view
 
     def _commit_hook(
-        self, prepared: Optional[PreparedBatch], next_view: MaterializedView
+        self, prepared: PreparedBatch, next_view: MaterializedView
     ) -> None:
         """Called under the commit lock after every batch commits.
 
@@ -923,95 +902,6 @@ class StreamScheduler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _run_units(
-        self,
-        base: MaterializedView,
-        units: Sequence[StratumUnit],
-        programs: Programs,
-        trace: Trace,
-        parent: Span,
-    ) -> List[tuple]:
-        """Apply every unit (with retries), concurrently when configured.
-
-        Each unit receives a *checkout* of the current view scoped to its
-        write closure: shards it rewrites are cloned copy-on-write, shards
-        it only reads stay shared with the base (and with the other units),
-        and a write outside the closure raises instead of being silently
-        dropped by the publish step.  The programs are the calling batch's
-        local pair -- never the scheduler's shared attributes, which a
-        concurrent disjoint-group commit may be replacing.  Sequential
-        units hand view and programs on to the next; parallel units all
-        start from the batch's.
-        """
-        workers = min(self._options.max_workers, len(units))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                futures = [
-                    executor.submit(
-                        self._apply_unit_with_retry,
-                        base.checkout(unit.write_closure),
-                        unit,
-                        programs,
-                        trace,
-                        parent,
-                    )
-                    for unit in units
-                ]
-                outcomes = [future.result() for future in futures]
-        else:
-            outcomes = []
-            current = base
-            for unit in units:
-                outcome = self._apply_unit_with_retry(
-                    current.checkout(unit.write_closure),
-                    unit,
-                    programs,
-                    trace,
-                    parent,
-                )
-                if outcome[1].status == "applied":
-                    current = outcome[0]
-                    programs = outcome[2].after
-                outcomes.append(outcome)
-        return outcomes
-
-    def _publish(
-        self,
-        base: MaterializedView,
-        units: Sequence[StratumUnit],
-        outcomes: Sequence[tuple],
-    ) -> MaterializedView:
-        """Combine unit results into the next published view (pointer swap).
-
-        Sequential application already threaded the view through the units,
-        so the last successful unit's result is complete.  Parallel units
-        each hand over the shards of their own write closure; the closures
-        are disjoint (re-checked here), so adoption order cannot matter and
-        no unit's writes can overwrite another's.
-        """
-        applied = [
-            (unit, outcome)
-            for unit, outcome in zip(units, outcomes)
-            if outcome[1].status == "applied"
-        ]
-        if not applied:
-            return base
-        if self._options.max_workers <= 1 or len(units) == 1:
-            return applied[-1][1][0].without_write_scope()
-        check_disjoint_write_closures(
-            (unit for unit, _ in applied), groups=self._strata.groups
-        )
-        if sanitizer_enabled():
-            # Torn-publish check: a unit whose result view rewrote a shard
-            # outside its declared closure would have that write silently
-            # dropped by the scoped adoption below -- fail loudly instead.
-            for unit, (result_view, _, _) in applied:
-                result_view.assert_publish_scope(base, unit.write_closure)
-        merged = base.copy()
-        for unit, (result_view, _, _) in applied:
-            merged.adopt_shards(result_view, sorted(unit.write_closure))
-        return merged
-
     def _apply_unit_with_retry(
         self,
         base: MaterializedView,
@@ -1029,8 +919,6 @@ class StreamScheduler:
         error: Optional[str] = None
         outcome: Optional[tuple] = None
         started = time.perf_counter()
-        # The unit span is born *here*, on the worker thread, so the span's
-        # thread field records the actual pool handoff.
         span = trace.span("unit", parent=parent)
         while outcome is None and attempts < max(1, self._options.max_unit_attempts):
             attempts += 1
@@ -1130,7 +1018,7 @@ class StreamScheduler:
             # every deletion rewrite applied so far -- previous batches'
             # (already in the effective program) AND this unit's own, which
             # precede the insertions in batch order -- or it would re-derive
-            # instances those deletions removed.  Other concurrent units'
+            # instances those deletions removed.  The batch's other units'
             # deletions rewrite clauses outside this unit's closure and
             # cannot affect its unfolding.
             ins_result = ConstrainedAtomInsertion(

@@ -14,14 +14,15 @@ together (their propagation cones share entries); requests whose closures
 are disjoint form independent :class:`StratumUnit` objects.  Independent
 units write disjoint predicate sets and read nothing another unit writes --
 a clause joining predicates from two closures would put its head in both,
-merging them -- so the units can run concurrently and be retried
-individually.
+merging them -- so the scheduler applies them one after another in any
+order with the same result, checks each one out to its own write closure,
+and retries and reports each one individually.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.datalog.program import ConstrainedDatabase
 from repro.errors import MaintenanceError
@@ -56,68 +57,13 @@ class StratumUnit:
         )
 
 
-def check_disjoint_write_closures(
-    units: Iterable[StratumUnit],
-    groups: Optional[Mapping[str, int]] = None,
-) -> None:
-    """Assert that no predicate belongs to two units' write closures.
-
-    :meth:`PredicateStrata.partition` guarantees this by construction; the
-    stream scheduler re-checks it immediately before a shard-pointer publish,
-    because two units handing over the *same* predicate's shard would make
-    the publish silently drop one unit's writes -- the one class of bug the
-    merge-free design must turn into a loud failure.
-
-    With the analyzer's *groups* table (predicate -> connected-component id
-    of the undirected dependency graph) the check is a group-id comparison:
-    every write closure lies inside one component, so units whose group-id
-    sets are pairwise disjoint cannot overlap.  Predicates the analyzer
-    never saw (no group id) keep the exact per-predicate walk.
-    """
-    units = tuple(units)
-    if groups is not None:
-        claimed_groups: Dict[int, StratumUnit] = {}
-        table_decided = True
-        for unit in units:
-            unit_groups = set()
-            for predicate in unit.write_closure:
-                group = groups.get(predicate)
-                if group is None:  # predicate unknown to the analyzer
-                    table_decided = False
-                    break
-                unit_groups.add(group)
-            if not table_decided:
-                break
-            for group in unit_groups:
-                if group in claimed_groups:
-                    # Same component twice: possible-but-unproven overlap;
-                    # only the exact walk can tell (and raise accurately).
-                    table_decided = False
-                    break
-                claimed_groups[group] = unit
-            if not table_decided:
-                break
-        if table_decided:
-            return
-    owner: Dict[str, StratumUnit] = {}
-    for unit in units:
-        for predicate in unit.write_closure:
-            claimed = owner.get(predicate)
-            if claimed is not None:
-                raise MaintenanceError(
-                    f"stratum units overlap on predicate {predicate!r}: "
-                    f"{claimed.describe()} vs {unit.describe()}"
-                )
-            owner[predicate] = unit
-
-
 class PredicateStrata:
     """Stratum indexes and upward closures of a program's predicates.
 
     With the static analyzer's precomputed tables (*closures*,
     *components*, *groups* -- see :func:`repro.analysis.analyze_program`)
     the runtime never walks the dependency graph: closures are table
-    lookups, and the publish-time disjointness check compares group ids.
+    lookups, and the scheduler's admission compares group ids.
     Without them the class recomputes everything from the program, exactly
     as before.  Under ``REPRO_SHARD_SANITIZER=1`` every precomputed closure
     is re-derived by the runtime walk on first use and asserted equal --

@@ -50,7 +50,7 @@ def analyze_text(text: str, registry=None) -> ProgramReport:
 class TestSeededBadPrograms:
     def test_unsafe_head_variable_is_an_error(self):
         report = analyze_text("p(X, Y) <- b(X).\nb(X) <- X = 1.")
-        assert not report.ok()
+        assert report.errors()
         (diagnostic,) = report.errors()
         assert diagnostic.code == "unsafe-head-variable"
         assert "Y" in diagnostic.message
@@ -58,7 +58,7 @@ class TestSeededBadPrograms:
 
     def test_interval_bound_head_is_info_not_error(self):
         report = analyze_text("iv(X) <- X >= 3 & X <= 9.")
-        assert report.ok()
+        assert not report.errors()
         assert "interval-bound-head-variable" in codes(report)
 
     def test_unstratified_negation_is_an_error(self):
@@ -67,20 +67,20 @@ class TestSeededBadPrograms:
             "reach(X, Z) <- not(in(Y, geo:blocked(Y))) & reach(X, Y) & edge(Y, Z).\n"
             "edge(X, Y) <- X = 1 & Y = 2."
         )
-        assert not report.ok()
+        assert report.errors()
         assert "unstratified-negation" in {d.code for d in report.errors()}
 
     def test_nonrecursive_negated_guard_is_only_info(self):
         report = analyze_text(
             "ok(X) <- not(in(X, geo:blocked(X))) & base(X).\nbase(X) <- X = 1."
         )
-        assert report.ok()
+        assert not report.errors()
         assert "negated-external-guard" in codes(report)
         assert report.negated_guard_conjuncts == 1
 
     def test_unknown_domain_needs_a_registry(self):
         text = "p(X) <- in(X, nosuch:stock())."
-        assert analyze_text(text).ok()  # registry-free: conservative
+        assert not analyze_text(text).errors()  # registry-free: conservative
         report = analyze_text(text, DomainRegistry())
         assert "unknown-domain" in {d.code for d in report.errors()}
 
@@ -101,7 +101,7 @@ class TestSeededBadPrograms:
 
     def test_unsatisfiable_constraints_warn(self):
         report = analyze_text("p(X) <- X >= 5 & X <= 3.")
-        assert report.ok() and not report.ok(strict=True)
+        assert not report.errors() and report.warnings()
         assert "unsatisfiable-constraint" in {d.code for d in report.warnings()}
         report = analyze_text("p(X) <- X = 1 & X = 2.")
         assert "unsatisfiable-constraint" in {d.code for d in report.warnings()}
@@ -132,16 +132,21 @@ class TestShippedWorkloadsAreClean:
     )
     def test_synthetic_workloads_pass_strict(self, spec):
         report = analyze_program(spec.program)
-        assert report.ok(strict=True), [d.render() for d in report.diagnostics]
+        assert not report.errors() + report.warnings(), [
+            d.render() for d in report.diagnostics
+        ]
 
     def test_law_enforcement_passes_strict_against_its_registry(self):
         scenario = make_law_enforcement_scenario()
         report = scenario.mediator.report
-        assert report.ok(strict=True), [d.render() for d in report.diagnostics]
+        assert not report.errors() + report.warnings(), [
+            d.render() for d in report.diagnostics
+        ]
         # The external-closure table names the scenario's domains.
         assert set(report.external_closures)
         # Raw rules without a registry are also clean (conservative checks).
-        assert analyze_text(LAW_ENFORCEMENT_RULES).ok(strict=True)
+        report = analyze_text(LAW_ENFORCEMENT_RULES)
+        assert not report.errors() + report.warnings()
 
 
 class TestClosureTables:

@@ -29,11 +29,11 @@ def domain(clock):
 
 
 class TestDomainClock:
-    def test_advance_and_set(self, clock):
+    def test_advance(self, clock):
         assert clock.time == 0
         assert clock.advance() == 1
         assert clock.advance(3) == 4
-        assert clock.set(10) == 10
+        assert clock.time == 4
 
     def test_cannot_rewind_via_advance(self, clock):
         with pytest.raises(EvaluationError):
@@ -43,7 +43,7 @@ class TestDomainClock:
         seen = []
         clock.on_change(seen.append)
         clock.advance()
-        clock.set(5)
+        clock.advance(4)
         assert seen == [1, 5]
 
 
@@ -56,7 +56,7 @@ class TestVersionedFunction:
         assert set(domain.call("g", ("b",)).iter_values()) == {"a", "z"}
 
     def test_behaviour_persists_until_next_change(self, domain, clock):
-        clock.set(5)
+        clock.advance(5)
         assert set(domain.call("g", ("b",)).iter_values()) == {"a", "z"}
 
     def test_call_at_explicit_time(self, domain):
@@ -85,7 +85,7 @@ class TestDeltas:
         delta = function_delta(domain, "g", ("b",), 0, 1)
         assert delta.removed == ("a",)
         assert delta.added == ()
-        assert not delta.is_empty()
+        assert delta.added or delta.removed
 
     def test_added_values(self, domain):
         delta = function_delta(domain, "g", ("b",), 1, 2)
@@ -94,7 +94,7 @@ class TestDeltas:
 
     def test_no_change_is_empty(self, domain):
         delta = function_delta(domain, "g", ("x",), 0, 1)
-        assert delta.is_empty()
+        assert delta.added == delta.removed == ()
 
     def test_add_rem_sets_are_ground_memberships(self, domain):
         deltas = [

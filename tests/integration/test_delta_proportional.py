@@ -473,9 +473,9 @@ def mixed_stream_batch() -> dict:
         result = one_at_a_time.apply_batch((request,))
         assert result.ok
         sequential.merge(result.stats.totals())
-    result = StreamScheduler(
-        spec.program, ConstraintSolver(), options=StreamOptions(max_workers=4)
-    ).apply_batch(batch.requests)
+    result = StreamScheduler(spec.program, ConstraintSolver()).apply_batch(
+        batch.requests
+    )
     assert result.ok
     assert result.stats.coalesce.deduplicated >= 1
     assert result.stats.coalesce.cancelled >= 1
@@ -608,8 +608,8 @@ CEILINGS = {
     "interval_pairs": {
         "pairs_stdel.nodes": 551,
         "pairs_stdel.branch_checks": 20,
-        "pairs_dred.nodes": 1048,
-        "pairs_dred.branch_checks": 43,
+        "pairs_dred.nodes": 995,
+        "pairs_dred.branch_checks": 41,
     },
 }
 

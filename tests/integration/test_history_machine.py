@@ -80,7 +80,6 @@ indexes = st.integers(min_value=0, max_value=10**6)
 
 class HistoryMachine(RuleBasedStateMachine):
     family = "layered"
-    workers = 1
 
     def __init__(self) -> None:
         super().__init__()
@@ -89,9 +88,7 @@ class HistoryMachine(RuleBasedStateMachine):
             algorithm: StreamScheduler(
                 spec.program,
                 ConstraintSolver(),
-                options=StreamOptions(
-                    max_workers=self.workers, deletion_algorithm=algorithm
-                ),
+                options=StreamOptions(deletion_algorithm=algorithm),
             )
             for algorithm in ("stdel", "dred")
         }
@@ -197,14 +194,11 @@ class HistoryMachine(RuleBasedStateMachine):
         assert len(filed) == len(set(filed)), "two entries of one predicate share a support"
 
 
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_histories_keep_the_theorems(family, workers):
-    machine = type(
-        "HistoryMachineCase", (HistoryMachine,), {"family": family, "workers": workers}
-    )
+def test_histories_keep_the_theorems(family):
+    machine = type("HistoryMachineCase", (HistoryMachine,), {"family": family})
     # Derandomized: a gate that flakes teaches people to ignore gates.  The
-    # budget keeps the six cases inside ten seconds of tier-1.
+    # budget keeps the cases inside ten seconds of tier-1.
     run_state_machine_as_test(
         machine,
         settings=settings(

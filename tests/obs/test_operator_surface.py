@@ -141,6 +141,41 @@ class TestTraceOp:
         assert negative["error"].startswith("bad request: ")
 
 
+    @pytest.mark.parametrize("limit", [2.7, True, "2"])
+    def test_a_limit_that_is_not_an_integer_is_refused(self, limit):
+        async def main():
+            service = make_service(obs=Observability.enabled_with())
+            async with service:
+                for value in (7, 8, 9):
+                    await service.submit(insertion(f"b(X) <- X = {value}"))
+                    await service.drained()
+                return await RequestRouter(service).dispatch(
+                    {"op": "trace", "limit": limit}
+                )
+
+        reply = asyncio.run(main())
+        assert reply["ok"] is False
+        assert reply["error"].startswith("bad request: ")
+        assert "traces" not in reply
+
+
+class TestNoticeOp:
+    @pytest.mark.parametrize("source", [None, 5, "", ["faces"]])
+    def test_a_source_that_is_not_a_non_empty_string_is_refused(self, source):
+        async def main():
+            async with make_service() as service:
+                reply = await RequestRouter(service).dispatch(
+                    {"op": "notice", "source": source}
+                )
+                await service.drained()
+                return reply, service.scheduler.batches
+
+        reply, batches = asyncio.run(main())
+        assert reply["ok"] is False
+        assert reply["error"].startswith("bad request: ")
+        assert batches == ()  # no notice reached the update log
+
+
 class TestQueryOp:
     def test_a_predicate_that_is_not_a_string_is_a_bad_request(self):
         async def main():

@@ -27,7 +27,7 @@ from repro.obs import (
 )
 from repro.persist import open_scheduler
 from repro.serve import MediatorService, ServeOptions
-from repro.stream import StreamOptions, StreamScheduler
+from repro.stream import StreamScheduler
 
 RULES = """
 left(X) <- X = 1.
@@ -80,7 +80,6 @@ class TestServeTraceFile:
         scheduler = StreamScheduler(
             parse_program(RULES),
             ConstraintSolver(),
-            options=StreamOptions(max_workers=4),
             obs=obs,
         )
 

@@ -222,6 +222,15 @@ class TestBackpressure:
             ServeOptions(max_batch=max_batch)
         assert ServeOptions(max_batch=None).max_batch is None
 
+    @pytest.mark.parametrize("field", ["read_workers", "apply_workers"])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_a_worker_count_below_one(self, field, workers):
+        # A pool of no threads is refused where the options are built, not
+        # clamped to one thread when the service starts.
+        with pytest.raises(MediatorError, match=field):
+            ServeOptions(**{field: workers})
+        assert getattr(ServeOptions(**{field: 1}), field) == 1
+
 
 class TestSnapshotLeases:
     def test_lease_pins_view_and_program_across_updates(self):

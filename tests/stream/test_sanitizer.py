@@ -155,6 +155,48 @@ class TestSharedContainerWrite:
             working.assert_publish_scope(view, self.CLOSURE)
 
 
+class TestCommitCheck:
+    """The publish check runs on every commit that changes the view, with
+    the scheduler's default options: a batch's pass is checked before its
+    view is published, not only where a test asks for it."""
+
+    def test_a_pass_writing_a_shared_container_fails_at_commit(
+        self, armed, monkeypatch
+    ):
+        scheduler = StreamScheduler(parse_program(RULES), ConstraintSolver())
+        published = scheduler.view
+        original = StraightDelete.delete_many
+
+        def leaky(self, view, requests, purge_predicates=None):
+            result = original(self, view, requests, purge_predicates)
+            # The pass cloned ``left``; the clone still shares the support
+            # group of the entry it kept with the published shard.
+            (kept,) = result.view.entries_for("left")
+            group = result.view._shards["left"]._by_support.get(kept.support)
+            assert group is published._shards["left"]._by_support.get(kept.support)
+            group.remove(kept.key())  # by hand: no ownership test, no copy
+            return result
+
+        monkeypatch.setattr(StraightDelete, "delete_many", leaky)
+        with pytest.raises(ShardSanitizerError, match="changed after it was published"):
+            scheduler.apply_batch([DeletionRequest(parse_constrained_atom("left(X) <- X = 1"))])
+        # Nothing was committed.
+        assert scheduler.view is published
+        assert scheduler.batches == ()
+
+    def test_legal_batches_pass_the_commit_check(self, armed):
+        scheduler = StreamScheduler(parse_program(RULES), ConstraintSolver())
+        result = scheduler.apply_batch(
+            [
+                DeletionRequest(parse_constrained_atom("left(X) <- X = 1")),
+                DeletionRequest(parse_constrained_atom("right(X) <- X = 11")),
+            ]
+        )
+        assert result.ok and len(result.stats.units) == 2
+        assert scheduler.query("top", UNIVERSE) == {(2,)}
+        assert scheduler.verify(UNIVERSE)
+
+
 class TestWriteScope:
     def test_write_outside_checkout_scope_raises(self, armed):
         _, view = make_view()

@@ -115,10 +115,7 @@ class TestBatchedApplication:
         assert stats.derivation_attempts + stats.solver_calls < sequential_cost
 
     @pytest.mark.parametrize("algorithm", ["stdel", "dred"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_batch_computes_its_program_edits_once(
-        self, monkeypatch, algorithm, workers
-    ):
+    def test_a_batch_computes_its_program_edits_once(self, monkeypatch, algorithm):
         import repro.stream.scheduler as module
 
         calls = []
@@ -133,7 +130,7 @@ class TestBatchedApplication:
         scheduler = StreamScheduler(
             program,
             ConstraintSolver(),
-            options=StreamOptions(deletion_algorithm=algorithm, max_workers=workers),
+            options=StreamOptions(deletion_algorithm=algorithm),
         )
         result = scheduler.apply_batch(
             [
@@ -145,13 +142,11 @@ class TestBatchedApplication:
         assert result.ok and len(result.stats.units) == 2
         # Per unit: its deletions' rewrite of the effective program (and,
         # under DRed, of the deletion program), reused by its insertion
-        # pass; the left unit's Add facts.  The batch and the commit take
-        # the units' programs over.  Parallel units all start from the
-        # batch's programs, so the second one's edits are replayed on top
-        # of the first one's.
+        # pass; the left unit's Add facts.  Each unit starts from the
+        # programs the one before it left, and the batch and the commit take
+        # the last unit's programs over: nothing is replayed.
         per_unit = 2 if algorithm == "dred" else 1
-        replayed = per_unit if workers > 1 else 0
-        assert calls.count("deletion_rewrite") == 2 * per_unit + replayed
+        assert calls.count("deletion_rewrite") == 2 * per_unit
         assert calls.count("insertion_rewrite") == 1
         effective = scheduler.effective_program
         assert [c.number for c in program if effective.clause(c.number) is not c] == [1, 3]
@@ -188,31 +183,6 @@ class TestBatchedApplication:
         assert closures == [("left",), ("right",)]
         assert scheduler.query("top", UNIVERSE) == {(2,)}
         assert scheduler.query("other", UNIVERSE) == {(12,)}
-
-    @pytest.mark.parametrize("algorithm", ["stdel", "dred"])
-    def test_parallel_units_match_sequential(self, algorithm):
-        program = parse_program(TWO_TOWER_RULES)
-        requests = [
-            deletion("left(X) <- X = 1"),
-            deletion("right(X) <- X = 11"),
-            insertion("left(X) <- X = 3"),
-            insertion("right(X) <- X = 13"),
-        ]
-        reference = StreamScheduler(
-            program,
-            ConstraintSolver(),
-            options=StreamOptions(deletion_algorithm=algorithm, max_workers=1),
-        )
-        parallel = StreamScheduler(
-            program,
-            ConstraintSolver(),
-            options=StreamOptions(deletion_algorithm=algorithm, max_workers=4),
-        )
-        sequential_result = reference.apply_batch(requests)
-        parallel_result = parallel.apply_batch(requests)
-        assert len(parallel_result.stats.units) == 2
-        assert view_keys(parallel_result.view) == view_keys(sequential_result.view)
-        assert parallel.verify(UNIVERSE)
 
 
 class TestStreamOrderSemantics:
@@ -303,13 +273,6 @@ class TestSnapshotIsolation:
         # still see the full pre-batch instance set.
         assert observed == [before, before]
         assert scheduler.query("left", UNIVERSE) == {(2,)}
-
-    def test_snapshot_returns_an_independent_copy(self):
-        program = parse_program(TWO_TOWER_RULES)
-        scheduler = StreamScheduler(program, ConstraintSolver())
-        snapshot = scheduler.snapshot()
-        scheduler.apply_batch([deletion("left(X) <- X = 1")])
-        assert len(snapshot) != len(scheduler.view)
 
 
 class TestFailureAndRetry:
@@ -457,6 +420,13 @@ class TestViewMaintainerRebase:
         assert result.stats.coalesce.submitted == len(batch.requests)
         assert scheduler.verify()
 
+    def test_only_one_worker_constructs(self):
+        # A batch's stratum units run one after another on the applying
+        # thread; the field stays for callers that pass max_workers=1.
+        assert StreamOptions(max_workers=1).max_workers == 1
+        with pytest.raises(MaintenanceError, match="max_workers"):
+            StreamOptions(max_workers=4)
+
     def test_rejects_unknown_algorithm(self):
         spec = make_layered_program(base_facts=4, layers=1, seed=1)
         with pytest.raises(MaintenanceError):
@@ -469,13 +439,11 @@ class TestViewMaintainerRebase:
 
 class TestShardedPublish:
     def test_untouched_predicate_shards_are_never_copied(self):
-        # Two independent towers, parallel workers: the unit deleting from
-        # `left` must not copy (or even touch) the `right` tower's shards,
-        # and publication must adopt the rewritten shards by pointer.
+        # Two independent towers: the unit deleting from `left` must not
+        # copy (or even touch) the `right` tower's shards, and publication
+        # must hand out the rewritten shards by pointer.
         program = parse_program(TWO_TOWER_RULES)
-        scheduler = StreamScheduler(
-            program, ConstraintSolver(), options=StreamOptions(max_workers=4)
-        )
+        scheduler = StreamScheduler(program, ConstraintSolver())
         before = {
             predicate: scheduler.view.shard_for(predicate)
             for predicate in scheduler.view.predicates()
@@ -494,37 +462,37 @@ class TestShardedPublish:
         assert result.stats.shard_checkouts == unit.shard_checkouts
 
     @pytest.mark.parametrize("algorithm", ["stdel", "dred"])
-    def test_parallel_and_sequential_agree_on_checkout_counts(self, algorithm):
+    def test_a_units_batch_matches_one_batch_per_unit(self, algorithm):
+        # Two towers in one batch are two units, applied one after another;
+        # the second checks out the first one's result.  It must clone what
+        # it clones when it is a batch of its own, and end where a batch per
+        # tower ends.
         program = parse_program(TWO_TOWER_RULES)
-        requests = [
-            deletion("left(X) <- X = 1"),
-            deletion("right(X) <- X = 11"),
-            insertion("left(X) <- X = 3"),
-            insertion("right(X) <- X = 13"),
+        towers = [
+            [deletion("left(X) <- X = 1"), insertion("left(X) <- X = 3")],
+            [deletion("right(X) <- X = 11"), insertion("right(X) <- X = 13")],
         ]
-        sequential = StreamScheduler(
-            program,
-            ConstraintSolver(),
-            options=StreamOptions(deletion_algorithm=algorithm, max_workers=1),
-        ).apply_batch(requests)
-        parallel = StreamScheduler(
-            program,
-            ConstraintSolver(),
-            options=StreamOptions(deletion_algorithm=algorithm, max_workers=4),
-        ).apply_batch(requests)
-        assert (
-            parallel.stats.shard_checkouts == sequential.stats.shard_checkouts > 0
+        options = StreamOptions(deletion_algorithm=algorithm)
+        together = StreamScheduler(program, ConstraintSolver(), options=options)
+        batch = together.apply_batch(
+            [towers[0][0], towers[1][0], towers[0][1], towers[1][1]]
         )
-        assert view_keys(parallel.view) == view_keys(sequential.view)
+        apart = StreamScheduler(program, ConstraintSolver(), options=options)
+        per_tower = [apart.apply_batch(requests) for requests in towers]
+        assert batch.ok and len(batch.stats.units) == 2
+        assert [unit.shard_checkouts for unit in batch.stats.units] == [
+            result.stats.shard_checkouts for result in per_tower
+        ]
+        assert batch.stats.shard_checkouts > 0
+        assert view_keys(batch.view) == view_keys(apart.view)
+        assert together.verify(UNIVERSE)
 
     def test_next_batch_composes_on_the_published_shards(self):
         # Publication hands out shared shard pointers; a second batch must
         # clone-before-write again instead of mutating the snapshot a
         # reader may still hold.
         program = parse_program(TWO_TOWER_RULES)
-        scheduler = StreamScheduler(
-            program, ConstraintSolver(), options=StreamOptions(max_workers=4)
-        )
+        scheduler = StreamScheduler(program, ConstraintSolver())
         scheduler.apply_batch([deletion("left(X) <- X = 1")])
         snapshot = scheduler.view
         first_left = snapshot.instances_for("left", ConstraintSolver(), UNIVERSE)

@@ -12,7 +12,6 @@ on explicit events, never on timing.
 from __future__ import annotations
 
 import threading
-import warnings
 
 import pytest
 
@@ -21,7 +20,6 @@ from repro.datalog import parse_constrained_atom, parse_program
 from repro.errors import MaintenanceError
 from repro.maintenance import DeletionRequest, InsertionRequest, StraightDelete
 from repro.stream import StreamOptions, StreamScheduler, UpdateLog
-from repro.stream.scheduler import _default_max_workers
 
 TWO_TOWER_RULES = """
 left(X) <- X = 1.
@@ -69,28 +67,6 @@ class BlockingDelete:
             return original(self, view, requests, purge_predicates)
 
         monkeypatch.setattr(StraightDelete, "delete_many", gated)
-
-
-class TestMaxWorkersEnv:
-    def test_invalid_env_value_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_MAX_WORKERS", "four")
-        with pytest.warns(RuntimeWarning, match="REPRO_STREAM_MAX_WORKERS"):
-            assert _default_max_workers() == 1
-
-    def test_trailing_junk_warns_too(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_MAX_WORKERS", "4 x")
-        with pytest.warns(RuntimeWarning):
-            assert _default_max_workers() == 1
-
-    def test_valid_env_value_stays_silent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_MAX_WORKERS", "4")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _default_max_workers() == 4
-
-    def test_unset_env_defaults_to_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM_MAX_WORKERS", raising=False)
-        assert _default_max_workers() == 1
 
 
 class TestPreparedBatches:
