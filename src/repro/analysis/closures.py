@@ -13,8 +13,7 @@ precomputed source of truth.
 ``closure_groups`` assigns every predicate the id of its connected
 component in the *undirected* dependency graph.  Every upward closure is
 contained in one component, so two closures can only intersect when their
-sources share a group id -- the scheduler's publish-time disjointness
-check reduces to comparing group ids.
+sources share a group id (``repro analyze`` reports the groups).
 
 External-notice closures cover the third update kind: a source change in
 domain ``d`` can disturb exactly the clauses whose constraints call ``d``,

@@ -4,8 +4,8 @@ A :class:`ProgramReport` is the one-shot summary of everything the analyzer
 can decide about a mediated program *before* any maintenance runs: severity
 graded diagnostics (safety, stratification, domain typing), the predicate
 dependency structure (SCC condensation, strata, upward closures), and the
-per-position facts the runtime consumes (interval-index eligibility,
-closure groups for the disjointness table lookup).
+per-position facts the runtime consumes (interval-index eligibility), and
+the closure groups ``repro analyze`` reports.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ class ProgramReport:
     scheduler adopts; ``closure_groups`` assigns every predicate the id of
     its connected component in the (undirected) dependency graph -- two
     write closures can only intersect when their source predicates share a
-    group, which turns the scheduler's publish-time disjointness check into
-    a table lookup.
+    group (``repro analyze`` reports them; the runtime does not read them).
     """
 
     #: All findings, in pass order (safety, stratification, signatures).

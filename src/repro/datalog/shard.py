@@ -484,8 +484,8 @@ class _ArgSlot:
     holding the old slot object always sees a consistent (postings-free,
     unbound-complete) superset state.  Shared shards are read-only apart
     from these swaps -- writers always operate on a copy-on-write clone --
-    which is what makes readers and concurrent disjoint-group batches safe
-    without per-probe locking.
+    which is what makes readers beside the applying batch safe without
+    per-probe locking.
     """
 
     __slots__ = ("bound", "unbound", "postings", "postings_gate", "window")

@@ -14,9 +14,8 @@ written, and a clone shares its tables with the shard it was cloned from
 part by part (see :mod:`repro.datalog.shard`), so a maintenance pass over a
 view pays copy cost proportional to the entries it actually writes -- the
 paper's delta-proportionality carried into the storage layer -- and the
-stream scheduler publishes a batch by swapping shard pointers instead of
-merging whole views, and commits two disjoint-group batches by adopting
-each one's shards onto the latest published view.
+stream scheduler publishes a batch by swapping one view pointer instead of
+merging whole views.
 
 This module keeps the entry type, the interval helpers and the façade, and
 still exports the storage names its callers import from here (``UNBOUND``,
@@ -324,8 +323,7 @@ class MaterializedView:
         self._borrowed: Set[str] = set()
         #: When set (by :meth:`checkout`), writes outside these predicates
         #: raise -- the stream scheduler's guard that a unit never writes a
-        #: shard outside its write closure, which a rebased commit would
-        #: not adopt.
+        #: shard outside the write closure the analyzer gave it.
         self._write_scope: Optional[FrozenSet[str]] = None
         self._next_seq = 0
         #: Shards cloned by copy-on-write since this lineage started
@@ -390,10 +388,10 @@ class MaterializedView:
         The stream scheduler checks out a unit's write closure before
         applying it: the unit's maintenance pass clones exactly the shards
         it touches (all inside the closure -- anything else raises
-        :class:`~repro.errors.ProgramError`), and publishing adopts those
-        shard pointers back into the next published view.  A write outside
-        the closure would be silently dropped by that adoption, so the fence
-        turns the bug into a loud failure.
+        :class:`~repro.errors.ProgramError`).  A write outside the closure
+        means the analyzer's closure table is wrong, and the units the
+        scheduler treats as independent are not, so the fence turns the bug
+        into a loud failure.
         """
         dup = self.copy()
         dup._write_scope = frozenset(predicates)
@@ -429,39 +427,6 @@ class MaterializedView:
             self._shard_checkouts += 1
         return shard
 
-    def adopt_shards(
-        self, source: "MaterializedView", predicates: Iterable[str]
-    ) -> None:
-        """Take *source*'s shard pointers for *predicates* (publish step).
-
-        This is the stream scheduler's merge-free publication: a unit that
-        rewrote its write closure hands the closure's shards over by
-        pointer; untouched predicates keep the base shards.  Both views mark
-        the adopted shards borrowed, and the sequence counter advances past
-        *source*'s so later insertions cannot collide.
-        """
-        if source._support_hints is not self._support_hints:
-            # Foreign lineage: fold its hints into ours first (refused, adopt nothing).
-            for support, predicate in source._support_hints.items():
-                self._file_support(support, predicate)
-            for support, owners in source._parent_hints.items():
-                self._parent_hints.setdefault(support, set()).update(owners)
-        armed = sanitizer_enabled()
-        for predicate in predicates:
-            shard = source._shards.get(predicate)
-            if shard is None:
-                self._shards.pop(predicate, None)
-                self._borrowed.discard(predicate)
-                continue
-            self._shards[predicate] = shard
-            self._borrowed.add(predicate)
-            source._borrowed.add(predicate)
-            if armed:
-                shard.arm()
-        if source._next_seq > self._next_seq:
-            self._next_seq = source._next_seq
-        self._entries_cache = None
-
     def assert_publish_scope(
         self, base: "MaterializedView", allowed: Iterable[str]
     ) -> None:
@@ -469,9 +434,9 @@ class MaterializedView:
 
         Run by the stream scheduler on every commit that changes the view,
         with the batch's written closures as *allowed*.  A shard pointer that
-        differs from the base's outside them is a torn publish in the making
-        -- a rebased commit's scoped adoption would silently drop that write
-        -- so it raises :class:`~repro.errors.ShardSanitizerError` instead.
+        differs from the base's outside them is a write no unit declared --
+        a torn publish in the making -- so it raises
+        :class:`~repro.errors.ShardSanitizerError` instead.
         So does a *base* shard that no longer holds what it held when it was
         shared: the batch's clones share its containers, and a write that
         reached one of them without copying it first has changed the
@@ -566,7 +531,7 @@ class MaterializedView:
         Memoized until the next mutation: iteration runs on hot per-batch
         paths (working-copy snapshots, purges, instance queries) and the
         entry set only changes through ``add`` / ``remove`` / ``replace`` /
-        ``adopt_shards``, each of which drops the cache.
+        ``import_shard_rows``, each of which drops the cache.
         """
         cached = self._entries_cache
         if cached is not None:
@@ -584,10 +549,9 @@ class MaterializedView:
         for shard in shards:
             predicate = shard.predicate
             decorated.extend((seq, predicate, entry) for entry, seq in shard.rows())
-        # Sequence numbers are unique within one lineage; after a rebased
-        # commit adopted shards from a concurrent batch's lineage they can
-        # collide across predicates, so the predicate tiebreak keeps the
-        # order total and deterministic.
+        # Sequence numbers are unique within one lineage, so the predicate
+        # only breaks a tie between imported rows that repeat a number: it
+        # keeps the order total and deterministic whatever the rows say.
         decorated.sort(key=lambda item: (item[0], item[1]))
         return tuple(item[2] for item in decorated)
 
@@ -609,14 +573,13 @@ class MaterializedView:
         return True
 
     def _record_support_hints(self, entry: ViewEntry) -> None:
-        """File the entry's support (and premises) in the lineage hints.
-
-        Individual dict/set operations are atomic under the GIL, so
-        concurrent disjoint-group batches can record into the shared hints
-        safely.
-        """
+        """File the entry's support (and premises) in the lineage hints."""
         support = entry.support
-        self._file_support(support, entry.predicate)
+        known = self._support_hints.setdefault(support, entry.predicate)
+        if known != entry.predicate:
+            raise ProgramError(
+                f"support {support} derives {known!r}, not {entry.predicate!r}"
+            )
         children = support.children
         if children:
             parents = self._parent_hints
@@ -625,11 +588,6 @@ class MaterializedView:
                 if owners is None:
                     owners = parents.setdefault(child, set())
                 owners.add(entry.predicate)
-
-    def _file_support(self, support: Support, predicate: str) -> None:
-        known = self._support_hints.setdefault(support, predicate)
-        if known != predicate:
-            raise ProgramError(f"support {support} derives {known!r}, not {predicate!r}")
 
     def remove(self, entry: ViewEntry) -> bool:
         """Remove an entry; return False when it was not present."""
@@ -740,9 +698,6 @@ class MaterializedView:
         recorded = self._parent_hints.get(support)
         if recorded is None:
             return ()
-        # Snapshot before iterating: the set is lineage-shared and another
-        # unit's thread may be appending to it (tuple() runs atomically
-        # under the GIL; plain iteration would not).
         owners = tuple(recorded)
         if len(owners) == 1:
             shard = self._shards.get(owners[0])

@@ -7,11 +7,12 @@ drain/commit seams are wired into a :class:`DurabilityManager`:
   batch enters ``prepare_batch`` -- every acknowledged batch is on disk
   first;
 * **commit** (under the scheduler's commit lock) marks the batch's
-  transaction ids committed.  Disjoint-group batches may commit out of
-  transaction order, so the durable *watermark* is the contiguous committed
-  prefix; only when the committed set has no holes does the freshly
-  published view become a checkpoint candidate -- a snapshot must contain
-  exactly the transactions at or below its watermark, nothing more;
+  transaction ids committed.  Batches commit in transaction order, but a
+  batch that raised never commits, so the durable *watermark* is the
+  contiguous committed prefix; only when the committed set has no holes
+  does the freshly published view become a checkpoint candidate -- a
+  snapshot must contain exactly the transactions at or below its
+  watermark, nothing more;
 * **after apply**, the WAL-size policy may turn the latest candidate into
   an on-disk checkpoint (dirty shards + manifest + ``CURRENT`` swing +
   WAL rotation/pruning), off the commit lock -- published views are never
@@ -93,8 +94,8 @@ class DurabilityManager:
         self._lock = threading.Lock()
         self._watermark = watermark
         self._txn_high = max(txn_high, watermark)
-        #: Committed transaction ids above the watermark (holes = some
-        #: earlier-ticketed batch has not committed yet).
+        #: Committed transaction ids above the watermark (a hole = a batch
+        #: that raised, whose transactions never commit).
         self._committed: Set[int] = set()
         #: Latest hole-free (view, watermark, programs) commit -- what the
         #: next checkpoint writes.  ``None`` until the first clean commit.
@@ -224,7 +225,9 @@ class DurabilityManager:
         committed -- at the latest when the pipeline runs dry -- where one
         checkpoint releases all of it; at twice the threshold it stops
         waiting, which bounds the replay debt under a load that never lets
-        the log catch up."""
+        the log catch up, or after a batch that raised left a hole the
+        watermark never passes (the only way a hole arises: batches commit
+        in transaction order)."""
         threshold = self._options.checkpoint_wal_bytes
         live = self._wal.size_bytes()
         if live < threshold:
@@ -358,7 +361,7 @@ class DurableScheduler(StreamScheduler):
 
     def _batch_epilogue(self, prepared: PreparedBatch) -> None:
         # Policy check off the commit lock, on the applying thread (the
-        # serve layer's apply pool): disk I/O never blocks the event loop
+        # serve layer's apply thread): disk I/O never blocks the event loop
         # or the commit pointer swap.  Runs before super() so a triggered
         # checkpoint lands inside the batch's trace before it seals.
         started = monotonic()

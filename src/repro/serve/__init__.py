@@ -8,7 +8,7 @@ that setting made operational:
   core: snapshot reads on a thread pool (never blocked by maintenance), a
   writer pipeline splitting each drained batch into the stream scheduler's
   prepare / apply stages (batch ``n+1`` coalesces while ``n`` applies;
-  disjoint-closure-group batches apply concurrently), and watermark
+  one batch applies at a time, in stream order), and watermark
   backpressure on the update log.  :class:`SnapshotLease` pins an
   atomically consistent (view, effective program) pair for multi-query
   read sessions.

@@ -15,10 +15,11 @@ implies -- many readers, one logical writer:
   the scheduler's two stages: :meth:`~repro.stream.StreamScheduler.prepare_batch`
   (coalesce + partition, on its own single thread) and
   :meth:`~repro.stream.StreamScheduler.apply_prepared` (maintenance +
-  commit, on an apply pool).  Batch ``n+1`` coalesces while batch ``n``
-  applies, and batches writing disjoint closure groups run on the apply
-  pool fully concurrently -- admission is the scheduler's ticket protocol,
-  so conflicting batches still commit in stream order.
+  commit, on its own single thread).  Batch ``n+1`` coalesces while batch
+  ``n`` applies; at most one batch is applying, and batches commit in
+  stream order.  A batch that fails to drain, prepare or apply is
+  recorded in :attr:`MediatorService.errors` and the writer keeps
+  serving.
 * **Backpressure, not unbounded queues.**  When the update log's backlog
   crosses the high watermark, :meth:`MediatorService.submit` awaits until
   the writer drains it below the low watermark; readers are unaffected.
@@ -37,7 +38,7 @@ from repro.constraints.solver import ConstraintSolver
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.errors import MediatorError
-from repro.stream import StreamScheduler
+from repro.stream import PreparedBatch, StreamScheduler
 from repro.stream.log import StreamPayload, Transaction
 
 
@@ -48,9 +49,6 @@ class ServeOptions:
     #: Threads evaluating read queries (snapshot reads are lock-free, so
     #: this bounds CPU share, not correctness).
     read_workers: int = 4
-    #: Concurrent batch applications (pipeline depth).  Disjoint-group
-    #: batches actually overlap; conflicting ones queue at admission.
-    apply_workers: int = 2
     #: Most transactions drained into one batch (None = unbounded).  Keeps
     #: a burst from becoming one giant maintenance pass.
     max_batch: Optional[int] = 64
@@ -77,11 +75,10 @@ class ServeOptions:
             raise MediatorError(
                 f"error_history must be positive (got {self.error_history})"
             )
-        for name in ("read_workers", "apply_workers"):
-            if getattr(self, name) < 1:
-                raise MediatorError(
-                    f"{name} must be positive (got {getattr(self, name)})"
-                )
+        if self.read_workers < 1:
+            raise MediatorError(
+                f"read_workers must be positive (got {self.read_workers})"
+            )
         if self.max_batch is not None and self.max_batch < 1:
             # A drain of at most 0 transactions never drains: the writer
             # would stall with the submitted updates pending forever.
@@ -140,7 +137,8 @@ class MediatorService:
         self._prepare_pool: Optional[ThreadPoolExecutor] = None
         self._apply_pool: Optional[ThreadPoolExecutor] = None
         self._writer_task: Optional[asyncio.Task] = None
-        self._inflight: set = set()
+        #: The batch on the apply thread, if any (at most one).
+        self._inflight: Optional[asyncio.Future] = None
         self._wake = asyncio.Event()
         self._idle = asyncio.Event()
         self._below_low = asyncio.Event()
@@ -175,8 +173,7 @@ class MediatorService:
             max_workers=1, thread_name_prefix="serve-prepare"
         )
         self._apply_pool = ThreadPoolExecutor(
-            max_workers=options.apply_workers,
-            thread_name_prefix="serve-apply",
+            max_workers=1, thread_name_prefix="serve-apply"
         )
         self._writer_task = asyncio.ensure_future(self._writer_loop())
         return self
@@ -324,8 +321,6 @@ class MediatorService:
             "errors_dropped": self.errors_dropped,
             "failed_units": self._failed_units,
             "pending": scheduler.log.pending_count(),
-            "inflight_peak": scheduler.inflight_peak,
-            "concurrent_commits": scheduler.concurrent_commits,
             "view_entries": len(scheduler.view),
         }
         durability = getattr(scheduler, "durability", None)
@@ -352,42 +347,24 @@ class MediatorService:
         options = self._options
         while True:
             self._wake.clear()
-            # Drain through the scheduler's seam (not the log directly): a
-            # durable scheduler journals + fsyncs the drained batch there,
-            # so it runs on the prepare thread, never on the event loop.
-            payloads = await loop.run_in_executor(
-                self._prepare_pool,
-                partial(self._scheduler.drain, limit=options.max_batch),
-            )
-            # The backlog just shrank (or is empty): release awaiting
-            # submitters *before* possibly parking at the pipeline-depth
-            # wait below, or a full pipeline would starve them.
-            self._maybe_release_backpressure()
-            if payloads:
-                self._idle.clear()
-                # Stage 1 on the (single) prepare thread: coalescing batch
-                # n+1 overlaps batch n's maintenance on the apply pool.
-                prepared = await loop.run_in_executor(
-                    self._prepare_pool,
-                    self._scheduler.prepare_batch,
-                    payloads,
-                )
-                # Bound the pipeline depth; admission inside the scheduler
-                # decides which of the in-flight batches truly overlap.
-                while len(self._inflight) >= options.apply_workers:
-                    await asyncio.wait(
-                        set(self._inflight),
-                        return_when=asyncio.FIRST_COMPLETED,
-                    )
-                future = loop.run_in_executor(
+            try:
+                prepared = await self._drain_and_prepare(loop, options.max_batch)
+            except Exception as exc:  # drop the batch, keep serving
+                self._record_error(f"{type(exc).__name__}: {exc}")
+                continue
+            if prepared is not None:
+                # One batch in flight: batch n+1 was drained and prepared
+                # while batch n applied; it waits here for n to commit.
+                if self._inflight is not None:
+                    await asyncio.wait({self._inflight})
+                self._inflight = loop.run_in_executor(
                     self._apply_pool,
                     self._scheduler.apply_prepared,
                     prepared,
                 )
-                self._inflight.add(future)
-                future.add_done_callback(self._on_batch_done)
+                self._inflight.add_done_callback(self._on_batch_done)
                 continue
-            if not self._inflight:
+            if self._inflight is None:
                 # Idle checkpoint coordinator: with nothing to apply, give
                 # the durability layer a chance to turn a grown WAL into a
                 # snapshot (off the event loop; a no-op for plain
@@ -411,10 +388,40 @@ class MediatorService:
                         return
             await self._wake.wait()
 
+    async def _drain_and_prepare(
+        self, loop: asyncio.AbstractEventLoop, limit: Optional[int]
+    ) -> Optional[PreparedBatch]:
+        """Drain one batch and prepare it, both on the prepare thread.
+
+        Returns ``None`` when the log is empty.  Drain goes through the
+        scheduler's seam (not the log directly): a durable scheduler
+        journals + fsyncs the drained batch there, so it never runs on the
+        event loop.  Drained transactions have left the log, so a batch
+        whose drain or prepare raises is dropped by the caller.
+        """
+        try:
+            payloads = await loop.run_in_executor(
+                self._prepare_pool, partial(self._scheduler.drain, limit=limit)
+            )
+        finally:
+            # The backlog just shrank (or is empty): release awaiting
+            # submitters *before* the writer waits for the batch in
+            # flight, or a full pipeline would starve them.
+            self._maybe_release_backpressure()
+        if not payloads:
+            return None
+        self._idle.clear()
+        # Coalescing batch n+1 here overlaps batch n's maintenance on the
+        # apply thread.
+        return await loop.run_in_executor(
+            self._prepare_pool, self._scheduler.prepare_batch, payloads
+        )
+
     def _on_batch_done(self, future) -> None:
         # Runs in the event loop (done callback of a run_in_executor
         # future), so no locking is needed around the bookkeeping.
-        self._inflight.discard(future)
+        if self._inflight is future:
+            self._inflight = None
         try:
             result = future.result()
         except Exception as exc:  # keep serving; surface via .errors

@@ -33,9 +33,9 @@ the number of requests submitted.
   external changes folded in for free under the ``W_P`` discipline (the
   changed domain's version ends what the solver remembered about it; the
   view itself needs no work, per Theorem 4).  A batch's units are applied
-  one after another on the applying thread; batches whose write closures
-  fall in disjoint closure groups apply concurrently.  Queries served
-  mid-batch read a snapshot-isolated pre-batch view.
+  one after another on the applying thread, and batches apply one at a
+  time, in prepare order.  Queries served mid-batch read a
+  snapshot-isolated pre-batch view.
 """
 
 from repro.stream.coalesce import (

@@ -45,22 +45,19 @@ query served mid-batch sees the complete pre-batch view.
 
 1. *Prepare* (:meth:`StreamScheduler.prepare_batch`, under the coalesce
    lock): compute the batch's net effect, partition it into stratum units
-   and register an admission claim.  Preparing batch ``n+1`` runs
-   concurrently with applying batch ``n`` -- the coalescer never waits for
-   a maintenance pass.
-2. *Apply* (:meth:`StreamScheduler.apply_prepared`): wait for admission,
-   run the units against the published view, and commit with a single
-   pointer swap under the (tiny) commit lock.
+   and take a ticket.  Preparing batch ``n+1`` runs concurrently with
+   applying batch ``n`` -- the coalescer never waits for a maintenance
+   pass.
+2. *Apply* (:meth:`StreamScheduler.apply_prepared`): wait at the turnstile
+   until every earlier ticket is released, run the units against the
+   published view, and commit with a single pointer swap under the (tiny)
+   commit lock.
 
-Admission is decided by the static analyzer's *closure groups* (connected
-components of the undirected dependency graph): two prepared batches whose
-write closures fall in disjoint groups cannot read or write any common
-predicate, so they apply **fully concurrently** and each commits by
-adopting only its own groups' shard pointers onto the latest published
-view.  Conflicting (or group-less) batches are admitted strictly in
-prepare order -- a claim never waits on a later claim, so admission is
-deadlock-free and the stream's total order is preserved wherever it can
-matter.
+Batches apply **one at a time, in prepare order**: the paper's algorithms
+take one view and one update set and return the next view, so the
+mediator is one logical writer.  Each commit publishes the view its own
+units left and the program pair they rewrote, by pointer; the published
+sequence of views is the stream's.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import ProgramReport, analyze_program
 from repro.constraints.solver import ConstraintSolver
@@ -89,14 +86,6 @@ from repro.obs.trace import NULL_TRACE, Span, Trace
 from repro.stream.coalesce import CoalescedBatch, CoalesceReport, Coalescer
 from repro.stream.log import StreamPayload, Transaction, UpdateLog
 from repro.stream.strata import PredicateStrata, StratumUnit
-
-
-def _describe_groups(group_ids: Optional[FrozenSet[int]]) -> str:
-    """Closure-group claim as a span attribute ('exclusive' = conflicts
-    with everything)."""
-    if group_ids is None:
-        return "exclusive"
-    return ",".join(str(gid) for gid in sorted(group_ids)) or "-"
 
 
 #: The ``(effective, deletion)`` program pair a batch maintains against.
@@ -120,29 +109,6 @@ def _edit_programs(programs: Programs, edits: Sequence[Tuple[str, Tuple]]) -> Pr
         else:
             effective = insertion_rewrite(effective, atoms)
     return effective, deletion
-
-
-@dataclass(frozen=True)
-class _ProgramEdits:
-    """What a unit, or a whole batch, did to the program pair it started from."""
-
-    before: Programs
-    after: Programs
-    #: The ``(kind, atoms)`` edits that lead from *before* to *after*.
-    edits: Tuple[Tuple[str, Tuple], ...]
-
-    def onto(self, current: Programs) -> Programs:
-        """*current* with these edits applied.
-
-        When *current* still is the pair the edits were computed on, the
-        result is *after* itself, by pointer -- the rule a view commit
-        follows with ``current is base``.  Otherwise something else was
-        committed in between (a disjoint-group batch), whose edits touch
-        other clauses: the edits are replayed on top of it.
-        """
-        if current[0] is self.before[0] and current[1] is self.before[1]:
-            return self.after
-        return _edit_programs(current, self.edits)
 
 
 @dataclass(frozen=True)
@@ -205,8 +171,8 @@ class StreamStats:
     units: List[UnitReport] = field(default_factory=list)
     #: External notices folded in (cost-free under ``W_P``).
     external_notices: int = 0
-    #: Wall time spent *waiting* -- coalesce-lock wait plus admission wait
-    #: behind conflicting in-flight batches.  Kept apart from
+    #: Wall time spent *waiting* -- coalesce-lock wait plus the turnstile
+    #: wait behind earlier batches.  Kept apart from
     #: :attr:`apply_seconds` so a batch queued behind another does not
     #: report inflated apply cost.
     queue_seconds: float = 0.0
@@ -215,9 +181,6 @@ class StreamStats:
     apply_seconds: float = 0.0
     #: Total = queue + apply (the historical ``seconds`` reading).
     seconds: float = 0.0
-    #: True when a disjoint-group batch committed while this one was
-    #: applying, so the commit rebased onto the newer published view.
-    rebased: bool = False
 
     def totals(self) -> MaintenanceStats:
         """All units' maintenance counters, summed."""
@@ -256,7 +219,6 @@ class StreamStats:
             "queue_seconds": round(self.queue_seconds, 4),
             "apply_seconds": round(self.apply_seconds, 4),
             "seconds": round(self.seconds, 4),
-            "rebased": self.rebased,
             "coalesce": self.coalesce.as_dict(),
             "stats": self.totals().as_dict(),
         }
@@ -283,13 +245,13 @@ class BatchResult:
 
 @dataclass
 class PreparedBatch:
-    """A coalesced, partitioned batch holding an admission claim.
+    """A coalesced, partitioned batch holding a turnstile ticket.
 
     Produced by :meth:`StreamScheduler.prepare_batch` (stage 1 of the
     pipeline) and consumed exactly once by
-    :meth:`StreamScheduler.apply_prepared`.  Until then, the claim blocks
-    admission of every later *conflicting* batch, so a prepared batch must
-    not be parked indefinitely.
+    :meth:`StreamScheduler.apply_prepared`.  Until then, the ticket holds
+    back every later batch, so a prepared batch must not be parked
+    indefinitely.
     """
 
     coalesced: CoalescedBatch
@@ -298,12 +260,8 @@ class PreparedBatch:
     #: The batch's stats object; prepare fills the coalesce counters, apply
     #: fills the rest (shared by reference with the scheduler's history).
     stats: StreamStats
-    #: Closure groups the batch writes -- the admission key.  ``None`` means
-    #: the batch is exclusive (conflicts with everything): no group table,
-    #: or a predicate the analyzer never saw.
-    group_ids: Optional[FrozenSet[int]]
-    #: Admission ticket (prepare order; lower tickets are admitted first
-    #: among conflicting claims).
+    #: Turnstile ticket: batches apply in ticket order, which is prepare
+    #: order.
     ticket: int
     #: Time spent inside prepare (coalescing + partitioning); folded into
     #: :attr:`StreamStats.apply_seconds` when the batch applies.
@@ -349,7 +307,7 @@ class StreamScheduler:
             else compute_tp_fixpoint(program, self._solver, options=options.engine)
         )
         # Static analysis once, up front: the scheduler consumes the report's
-        # write closures / SCCs / closure groups as precomputed truth (no
+        # write closures and SCCs as precomputed truth (no
         # runtime dependency walks; under the sanitizer the walks come back
         # as audits).  Diagnostics are NOT gated here -- the mediator builder
         # fails fast on them; a bare scheduler only needs the tables.
@@ -381,18 +339,13 @@ class StreamScheduler:
         self._coalesce_lock = threading.Lock()
         # Stage-2 lock: the commit pointer swap of view and programs (and
         # any reader needing a consistent view/program pair).  Held for
-        # O(#shards) pointer work -- plus, on a rebase, the replay of the
-        # batch's program edits -- never for maintenance.
+        # O(1) pointer work, never for maintenance.
         self._commit_lock = threading.Lock()
-        # Admission: prepared batches carry tickets (prepare order) and the
-        # closure groups they write; a batch applies once no earlier ticket
-        # holds a conflicting claim.  Disjoint-group batches overlap fully.
-        self._admission = threading.Condition()
+        # The turnstile: prepared batches carry tickets (prepare order); a
+        # batch applies once every earlier ticket is released.
+        self._turnstile = threading.Condition()
         self._tickets = itertools.count(1)
-        self._claims: Dict[int, Optional[FrozenSet[int]]] = {}
-        self._active: Set[int] = set()
-        self._inflight_peak = 0
-        self._concurrent_commits = 0
+        self._outstanding: Set[int] = set()
         self._batches: List[StreamStats] = []
         # Observability: one bundle threaded through every seam.  Traces
         # created at drain wait here (keyed by first txn id) for the
@@ -454,6 +407,11 @@ class StreamScheduler:
     def obs(self) -> Observability:
         """The observability bundle this scheduler reports into."""
         return self._obs
+
+    @property
+    def solver(self) -> ConstraintSolver:
+        """The solver shared by maintenance passes and read queries."""
+        return self._solver
 
     # ------------------------------------------------------------------
     # Submitting & applying
@@ -533,13 +491,13 @@ class StreamScheduler:
         return self.apply_prepared(self.prepare_batch(payloads))
 
     def prepare_batch(self, payloads: Sequence[StreamPayload]) -> PreparedBatch:
-        """Stage 1: coalesce, partition, and claim admission for one batch.
+        """Stage 1: coalesce, partition, and take a ticket for one batch.
 
         Runs under the coalesce lock only -- preparing the next batch never
         waits for an in-flight maintenance pass.  The returned batch holds
-        an admission ticket in prepare order; it must be handed to
-        :meth:`apply_prepared` because the claim blocks later conflicting
-        batches until released.
+        a ticket in prepare order; it must be handed to
+        :meth:`apply_prepared` because the ticket holds back every later
+        batch until released.
         """
         queued = time.perf_counter()
         with self._coalesce_lock:
@@ -559,54 +517,45 @@ class StreamScheduler:
             stats.applied = len(coalesced)
             stats.external_notices = len(coalesced.notices)
             units = self._strata.partition(coalesced.deletions, coalesced.insertions)
-            # Register the claim before releasing the coalesce lock: ticket
-            # order is then exactly prepare order, so conflicting batches
-            # are admitted in the order their net effects were computed --
-            # the stream's total order wherever it can matter.
-            group_ids = self._closure_group_ids(units)
-            ticket = self._register_claim(group_ids)
             prepare_seconds = time.perf_counter() - start
-            prepare_span.set(
-                units=len(units), groups=_describe_groups(group_ids)
-            ).finish()
+            prepare_span.set(units=len(units)).finish()
             metrics = self._obs.metrics
             if metrics.enabled:
                 metrics.inc("repro_batches_prepared_total")
                 metrics.observe("repro_prepare_seconds", prepare_seconds)
+            txn_ids = tuple(
+                payload.txn_id
+                for payload in payloads
+                if isinstance(payload, Transaction)
+            )
+            # The ticket comes last, so a prepare that raised holds back no
+            # later batch, and before the coalesce lock is released, so
+            # ticket order is exactly prepare order.
             return PreparedBatch(
                 coalesced=coalesced,
                 units=units,
                 stats=stats,
-                group_ids=group_ids,
-                ticket=ticket,
+                ticket=self._take_ticket(),
                 prepare_seconds=prepare_seconds,
-                txn_ids=tuple(
-                    payload.txn_id
-                    for payload in payloads
-                    if isinstance(payload, Transaction)
-                ),
+                txn_ids=txn_ids,
                 trace=trace,
             )
 
     def apply_prepared(self, prepared: PreparedBatch) -> BatchResult:
         """Stage 2: admit, run the units, and commit one prepared batch.
 
-        Blocks until every earlier-ticketed *conflicting* claim has
-        released (committed); batches writing disjoint closure
-        groups are admitted immediately and run fully concurrently, each
-        committing its own groups' shard pointers under the commit lock.
+        Blocks until every earlier ticket is released, so batches apply
+        one at a time in prepare order.  A batch whose ticket was already
+        applied raises :class:`~repro.errors.MaintenanceError`.
         """
         stats = prepared.stats
         trace = prepared.trace
         queued = time.perf_counter()
         admit_span = trace.span("admit")
-        self._await_admission(prepared.ticket)
+        self._await_turn(prepared.ticket)
         admitted = time.perf_counter()
         stats.queue_seconds += admitted - queued
-        admit_span.set(
-            ticket=prepared.ticket,
-            groups=_describe_groups(prepared.group_ids),
-        ).finish()
+        admit_span.set(ticket=prepared.ticket).finish()
         try:
             coalesced = prepared.coalesced
             apply_span = trace.span("apply")
@@ -618,28 +567,23 @@ class StreamScheduler:
             for notice in coalesced.notices:
                 self._solver.invalidate_external_functions(notice.source)
 
-            # One consistent (view, programs) snapshot to maintain against.
-            # A concurrent batch can commit while this one runs, but only a
-            # *disjoint-group* one -- its view writes and clause rewrites
-            # touch predicates this batch neither reads nor writes (closure
-            # groups are connected components of the undirected dependency
-            # graph), so the stale snapshot is maintenance-equivalent.
+            # The (view, programs) pair to maintain against.  No other
+            # batch commits until this one releases its ticket.
             with self._commit_lock:
                 base = self._published
-                started: Programs = (self._effective_program, self._deletion_program)
+                programs: Programs = (
+                    self._effective_program,
+                    self._deletion_program,
+                )
 
             # The units, one after another: each checks out the view and
             # programs the last applied unit left, so the last applied
             # unit's result is the batch's (a failed unit hands back what
-            # it was given and its edits are dropped).  Edits of disjoint
-            # closure groups touch disjoint clause sets, so the batch's
-            # edits commute with concurrently-committed batches'.
+            # it was given and its edits are dropped).
             working = base
-            programs = started
-            edits: List[Tuple[str, Tuple]] = []
             written: Set[str] = set()
             for unit in prepared.units:
-                view, report, unit_edits = self._apply_unit_with_retry(
+                view, report, unit_programs = self._apply_unit_with_retry(
                     working.checkout(unit.write_closure),
                     unit,
                     programs,
@@ -651,25 +595,17 @@ class StreamScheduler:
                     continue
                 working = view
                 written.update(unit.write_closure)
-                programs = unit_edits.after
-                edits.extend(unit_edits.edits)
+                programs = unit_programs
 
             apply_span.set(
                 units=len(stats.units),
                 failed=sum(1 for unit in stats.units if unit.status != "applied"),
             ).finish()
             commit_span = trace.span("commit")
-            next_view = self._commit(
-                base,
-                working,
-                written,
-                _ProgramEdits(started, programs, tuple(edits)),
-                stats,
-                prepared,
-            )
-            commit_span.set(shards=len(written), rebased=stats.rebased).finish()
+            next_view = self._commit(base, working, written, programs, prepared)
+            commit_span.set(shards=len(written)).finish()
         finally:
-            self._release_claim(prepared.ticket)
+            self._release_ticket(prepared.ticket)
         stats.apply_seconds = prepared.prepare_seconds + (
             time.perf_counter() - admitted
         )
@@ -698,8 +634,6 @@ class StreamScheduler:
                 metrics.inc(
                     "repro_shard_checkouts_total", stats.shard_checkouts
                 )
-            if stats.rebased:
-                metrics.inc("repro_rebased_commits_total")
             # Mirror the hash-consing tables and the read path's counters
             # once per batch: both layers keep their own monotonic totals,
             # so this is a cheap absolute-value sync, not a hot-path hook.
@@ -715,7 +649,6 @@ class StreamScheduler:
             solver_calls=stats.solver_calls,
             derivation_attempts=stats.derivation_attempts,
             shard_checkouts=stats.shard_checkouts,
-            rebased=stats.rebased,
         )
         trace.finish()
         self._obs.note_slow_batch(
@@ -753,138 +686,70 @@ class StreamScheduler:
             return self._published, self._effective_program
 
     # ------------------------------------------------------------------
-    # Admission & commit
+    # Turnstile & commit
     # ------------------------------------------------------------------
-    @property
-    def inflight_peak(self) -> int:
-        """Most batches ever admitted (running) at the same time."""
-        with self._admission:
-            return self._inflight_peak
-
-    @property
-    def concurrent_commits(self) -> int:
-        """Commits that rebased onto a concurrently-published view."""
-        with self._commit_lock:
-            return self._concurrent_commits
-
-    @property
-    def solver(self) -> ConstraintSolver:
-        """The solver shared by maintenance passes and read queries."""
-        return self._solver
-
-    def _closure_group_ids(
-        self, units: Sequence[StratumUnit]
-    ) -> Optional[FrozenSet[int]]:
-        """The closure groups a prepared batch writes; ``None`` = exclusive.
-
-        Concurrent admission is only sound when every written predicate has
-        a group id: the analyzer's groups are connected components of the
-        *undirected* dependency graph, so disjoint group sets guarantee
-        disjoint read *and* write cones.  Any unknown predicate downgrades
-        the batch to exclusive.
-        """
-        groups = self._strata.groups
-        if groups is None:
-            return None
-        ids: Set[int] = set()
-        for unit in units:
-            for predicate in unit.write_closure:
-                group = groups.get(predicate)
-                if group is None:
-                    return None
-                ids.add(group)
-        return frozenset(ids)
-
-    @staticmethod
-    def _claims_conflict(
-        left: Optional[FrozenSet[int]], right: Optional[FrozenSet[int]]
-    ) -> bool:
-        if left is None or right is None:
-            return True
-        return bool(left & right)
-
-    def _register_claim(self, group_ids: Optional[FrozenSet[int]]) -> int:
-        with self._admission:
+    def _take_ticket(self) -> int:
+        with self._turnstile:
             ticket = next(self._tickets)
-            self._claims[ticket] = group_ids
+            self._outstanding.add(ticket)
             return ticket
 
-    def _await_admission(self, ticket: int) -> None:
-        """Block until no earlier-ticketed conflicting claim remains.
+    def _await_turn(self, ticket: int) -> None:
+        """Block until every earlier ticket is released.
 
-        A claim only ever waits on strictly earlier tickets, so admission
-        is deadlock-free, and conflicting batches are admitted in prepare
-        order (FIFO per conflict class).
+        A ticket only ever waits on strictly earlier tickets, so the
+        turnstile is deadlock-free as long as every prepared batch is
+        applied, and batches apply in prepare order.
         """
-        with self._admission:
-            if ticket not in self._claims:
+        with self._turnstile:
+            if ticket not in self._outstanding:
                 raise MaintenanceError(
                     f"prepared batch (ticket {ticket}) was already applied"
                 )
-            mine = self._claims[ticket]
-            while any(
-                other < ticket and self._claims_conflict(groups, mine)
-                for other, groups in self._claims.items()
-            ):
-                self._admission.wait()
-            self._active.add(ticket)
-            if len(self._active) > self._inflight_peak:
-                self._inflight_peak = len(self._active)
+            while min(self._outstanding) < ticket:
+                self._turnstile.wait()
 
-    def _release_claim(self, ticket: int) -> None:
-        with self._admission:
-            self._claims.pop(ticket, None)
-            self._active.discard(ticket)
-            self._admission.notify_all()
+    def _release_ticket(self, ticket: int) -> None:
+        with self._turnstile:
+            self._outstanding.discard(ticket)
+            self._turnstile.notify_all()
 
     def _commit(
         self,
         base: MaterializedView,
         working: MaterializedView,
         written: Set[str],
-        program_edits: _ProgramEdits,
-        stats: StreamStats,
+        programs: Programs,
         prepared: PreparedBatch,
     ) -> MaterializedView:
-        """Swap in the batch's view and its programs.
+        """Swap in the batch's view and its programs, both by pointer.
 
-        The fast path (nothing committed since ``base`` was snapshotted)
-        publishes ``working`` and the batch's own programs directly.
-        Otherwise a disjoint-group batch committed concurrently: rebase by
-        copying the *current* published view and adopting only this batch's
-        written closures' shard pointers from ``working`` -- adopting
-        anything more would revert the sibling batch's shards -- and by
-        replaying the batch's program edits onto the current programs (see
-        :meth:`_ProgramEdits.onto`).
+        Nothing else commits while a batch holds its turn, so the published
+        view is still ``base``; if it is not, publishing ``working`` would
+        drop whatever was published in between, and the commit raises
+        instead.
 
         Under the shard sanitizer every commit that changes the view first
         checks that ``working`` diverges from ``base`` only in *written*
         and that no shard of ``base`` changed after it was shared: either
-        would be a write the commit silently drops or publishes.
+        would be a write the commit silently publishes.
         """
         if working is not base and sanitizer_enabled():
             working.assert_publish_scope(base, written)
         with self._commit_lock:
-            current = self._published
-            if working is base:
-                # No unit applied; the view is unchanged (but failed-unit
-                # stats still land in the history below).
-                next_view = current
-            elif current is base:
-                next_view = working.without_write_scope()
-                self._published = next_view
-            else:
-                stats.rebased = True
-                self._concurrent_commits += 1
-                next_view = current.copy()
-                next_view.adopt_shards(working, sorted(written))
-                self._published = next_view
-            self._effective_program, self._deletion_program = program_edits.onto(
-                (self._effective_program, self._deletion_program)
-            )
-            self._batches.append(stats)
-            self._commit_hook(prepared, next_view)
-            return next_view
+            if self._published is not base:
+                raise MaintenanceError(
+                    f"lost write: the published view changed while batch "
+                    f"(ticket {prepared.ticket}) applied"
+                )
+            # When no unit applied the view stays as it was, but the
+            # failed-unit stats still land in the history below.
+            if working is not base:
+                self._published = working.without_write_scope()
+            self._effective_program, self._deletion_program = programs
+            self._batches.append(prepared.stats)
+            self._commit_hook(prepared, self._published)
+            return self._published
 
     def _commit_hook(
         self, prepared: PreparedBatch, next_view: MaterializedView
@@ -912,8 +777,8 @@ class StreamScheduler:
     ) -> tuple:
         """Run one unit up to ``max_unit_attempts`` times.
 
-        Returns ``(view, report, program edits)``; a failed unit returns its
-        base view and no edits.
+        Returns ``(view, report, programs)``; a failed unit returns its
+        base view and no programs.
         """
         attempts = 0
         error: Optional[str] = None
@@ -936,10 +801,10 @@ class StreamScheduler:
             # A failed unit's attempts were discarded: it hands back its
             # base view, and its report and span carry zero counters, so
             # reconciliation with StreamStats stays exact.
-            view, stats, program_edits = base, MaintenanceStats(), None
+            view, stats, after = base, MaintenanceStats(), None
             span.fail(str(error))
         else:
-            view, stats, program_edits = outcome
+            view, stats, after = outcome
             error = None
         report = UnitReport(
             description=unit.describe(),
@@ -969,7 +834,7 @@ class StreamScheduler:
             derivation_attempts=stats.derivation_attempts,
             shard_checkouts=report.shard_checkouts,
         ).finish()
-        return (view, report, program_edits)
+        return (view, report, after)
 
     def _apply_unit(
         self,
@@ -979,16 +844,16 @@ class StreamScheduler:
     ) -> tuple:
         """One unit = at most one batched deletion pass + one insertion pass.
 
-        The unit's program edits are computed here, once: the insertion pass
-        needs the deletion rewrites anyway, and the batch and the commit
-        take the result over (see :class:`_ProgramEdits`).
+        Returns ``(view, stats, programs)``.  The unit's program edits are
+        computed here, once: the insertion pass needs the deletion rewrites
+        anyway, and the batch and the commit take the result over.
         """
         stats = MaintenanceStats()
         metrics = self._obs.metrics
         current = base
-        edits: List[Tuple[str, Tuple]] = []
         after = programs
         if unit.deletions:
+            edits: List[Tuple[str, Tuple]] = []
             # The purge is restricted to the unit's write closure: the
             # published view carries no unsolvable entries, so only entries
             # this unit's propagation can touch need the final solvability
@@ -1028,7 +893,7 @@ class StreamScheduler:
             current = ins_result.view
             stats.merge(ins_result.stats)
             if ins_result.add_atoms:
-                inserted = [("effective_insert", tuple(ins_result.add_atoms))]
-                after = _edit_programs(after, inserted)
-                edits += inserted
-        return current, stats, _ProgramEdits(programs, after, tuple(edits))
+                after = _edit_programs(
+                    after, [("effective_insert", tuple(ins_result.add_atoms))]
+                )
+        return current, stats, after

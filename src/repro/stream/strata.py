@@ -16,7 +16,8 @@ units write disjoint predicate sets and read nothing another unit writes --
 a clause joining predicates from two closures would put its head in both,
 merging them -- so the scheduler applies them one after another in any
 order with the same result, checks each one out to its own write closure,
-and retries and reports each one individually.
+and retries and reports each one individually.  Units split one batch;
+batches themselves apply one at a time, in prepare order.
 """
 
 from __future__ import annotations
@@ -60,10 +61,9 @@ class StratumUnit:
 class PredicateStrata:
     """Stratum indexes and upward closures of a program's predicates.
 
-    With the static analyzer's precomputed tables (*closures*,
-    *components*, *groups* -- see :func:`repro.analysis.analyze_program`)
-    the runtime never walks the dependency graph: closures are table
-    lookups, and the scheduler's admission compares group ids.
+    With the static analyzer's precomputed tables (*closures* and
+    *components* -- see :func:`repro.analysis.analyze_program`) the runtime
+    never walks the dependency graph: closures are table lookups.
     Without them the class recomputes everything from the program, exactly
     as before.  Under ``REPRO_SHARD_SANITIZER=1`` every precomputed closure
     is re-derived by the runtime walk on first use and asserted equal --
@@ -75,7 +75,6 @@ class PredicateStrata:
         program: ConstrainedDatabase,
         closures: Optional[Mapping[str, FrozenSet[str]]] = None,
         components: Optional[Sequence[Tuple[str, ...]]] = None,
-        groups: Optional[Mapping[str, int]] = None,
     ) -> None:
         self._edges = program.predicate_dependency_edges()
         self._components = (
@@ -91,9 +90,6 @@ class PredicateStrata:
             dict(closures) if closures is not None else {}
         )
         self._precomputed = frozenset(self._closures)
-        self._groups: Optional[Dict[str, int]] = (
-            dict(groups) if groups is not None else None
-        )
         self._audited: set = set()
 
     @classmethod
@@ -105,18 +101,12 @@ class PredicateStrata:
             program,
             closures=report.write_closures,
             components=report.components,
-            groups=report.closure_groups,
         )
 
     @property
     def components(self) -> Tuple[Tuple[str, ...], ...]:
         """The SCCs in bottom-up order (stratum index = position)."""
         return self._components
-
-    @property
-    def groups(self) -> Optional[Mapping[str, int]]:
-        """The analyzer's closure-group table, when precomputed."""
-        return self._groups
 
     def stratum_of(self, predicate: str) -> int:
         """Stratum index of *predicate* (unknown predicates get a fresh top)."""

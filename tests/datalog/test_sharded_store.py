@@ -211,9 +211,6 @@ def test_a_second_predicate_under_a_live_support_is_refused():
         assert target.predicates() == ("a",)
     assert view.add(make_entry("a", equals(X, 2), 1))
     assert len(view.find_all_by_support(Support(1))) == 2
-    foreign = MaterializedView([make_entry("b", equals(X, 3), 1)])
-    with pytest.raises(ProgramError, match="derives 'a', not 'b'"):
-        view.adopt_shards(foreign, ["b"])
 
 
 class TestCopyOnWrite:
@@ -256,25 +253,6 @@ class TestCopyOnWrite:
         with pytest.raises(ProgramError):
             inner.add(make_entry("c", equals(X, 3), 3))
         assert inner.without_write_scope().add(make_entry("c", equals(X, 3), 3))
-
-    def test_adopt_shards_publishes_by_pointer(self):
-        base = MaterializedView()
-        base.add(make_entry("a", equals(X, 1), 1))
-        base.add(make_entry("b", equals(X, 2), 2))
-        unit = base.checkout(["a"])
-        unit.add(make_entry("a", equals(X, 9), 9))
-        published = base.copy()
-        published.adopt_shards(unit, ["a"])
-        assert published.shard_for("a") is unit.shard_for("a")
-        assert published.shard_for("b") is base.shard_for("b")
-        assert {str(e.constraint) for e in published.entries_for("a")} == {
-            str(equals(X, 1)),
-            str(equals(X, 9)),
-        }
-        # Later insertions into the published view cannot collide with the
-        # adopted shard's sequence numbers.
-        assert published.add(make_entry("c", equals(X, 7), 7))
-        assert published.entries[-1].predicate == "c"
 
     def test_lazy_index_build_on_shared_shard_is_invisible_to_the_sibling(self):
         view = MaterializedView()
@@ -320,7 +298,7 @@ name_operations = st.lists(
         st.tuples(st.just("names"), st.sampled_from(PREDICATES)),
         st.tuples(st.just("copy"), st.none()),
         st.tuples(st.just("checkout"), st.none()),
-        st.tuples(st.just("adopt"), named_entries),
+        st.tuples(st.just("publish"), named_entries),
         st.tuples(st.just("import"), st.none()),
     ),
     min_size=1,
@@ -356,7 +334,7 @@ def assert_names_match_scan(view: MaterializedView) -> None:
 @given(name_operations)
 def test_name_tables_match_a_scan_after_any_mutation_sequence(ops):
     view = MaterializedView()
-    frozen = []  # views left behind by copy / checkout / adopt, with their names
+    frozen = []  # views left behind by copy / checkout / publish, with their names
     for operation in ops:
         kind = operation[0]
         live = view.entries
@@ -380,14 +358,14 @@ def test_name_tables_match_a_scan_after_any_mutation_sequence(ops):
         elif kind == "checkout":
             frozen.append((view, scanned_names(view)))
             view = view.checkout(PREDICATES)
-        elif kind == "adopt":
+        elif kind == "publish":
+            # What a commit does: a unit writes its checkout, and the
+            # checkout, unfenced, becomes the next view.
             entry = operation[1]
             unit = view.checkout([entry.predicate])
             unit.add(entry)
             frozen.append((view, scanned_names(view)))
-            merged = view.copy()
-            merged.adopt_shards(unit, [entry.predicate])
-            view = merged
+            view = unit.without_write_scope()
         elif kind == "import":
             rebuilt = MaterializedView()
             for predicate in view.predicates():
@@ -468,7 +446,7 @@ sharing_writes = st.lists(
 )
 
 generations = st.lists(
-    st.tuples(st.sampled_from(("copy", "checkout", "adopt", "import")), sharing_writes),
+    st.tuples(st.sampled_from(("copy", "checkout", "publish", "import")), sharing_writes),
     min_size=3,
     max_size=5,
 )
@@ -542,14 +520,13 @@ def test_a_descendants_writes_never_reach_an_ancestor(initial, chain_of_clones):
             view = view.copy()
         elif how == "checkout":
             view = view.checkout(PREDICATES)
-        elif how == "adopt":
+        elif how == "publish":
             unit = view.checkout(PREDICATES[:1])
             unit.add(make_entry(PREDICATES[0], equals(X, 50 + len(ancestors)), 0))
             unit.assert_publish_scope(view, PREDICATES[:1])
-            merged = view.copy()
-            merged.adopt_shards(unit, PREDICATES[:1])
+            published = unit.without_write_scope()
             ancestors.append((unit, exported(unit)))
-            view = merged
+            view = published
         else:
             rebuilt = MaterializedView()
             for predicate, shard_rows in exported(view).items():

@@ -1,23 +1,16 @@
-"""Span integrity under concurrent batch application.
+"""Span integrity when batches are applied from several threads.
 
-The acceptance criterion, as a test: two prepared batches whose write
-closures fall in disjoint closure groups are applied by ``apply_prepared``
-on two threads at once -- the concurrency the pipelined scheduler has --
-and every batch's trace must still be a complete drain -> commit span tree
--- correctly nested, no orphan spans, no cross-batch leakage -- whose
-per-span counter deltas sum *exactly* to the scheduler's ``StreamStats``
-totals.
-
-The overlap is deterministic, not timed: every unit waits at a two-party
-barrier for a unit of the other batch, so both batches are mid-apply
-together.
+The acceptance criterion, as a test: two prepared batches are handed to
+``apply_prepared`` on two threads at once -- the turnstile lets them apply
+one after the other, in prepare order -- and every batch's trace must
+still be a complete drain -> commit span tree -- correctly nested, no
+orphan spans, no cross-batch leakage -- whose per-span counter deltas sum
+*exactly* to the scheduler's ``StreamStats`` totals.
 """
 
 from __future__ import annotations
 
 import threading
-
-import pytest
 
 from repro.constraints import ConstraintSolver
 from repro.datalog import parse_constrained_atom, parse_program
@@ -32,7 +25,7 @@ from repro.stream import StreamScheduler
 
 TOWERS = 4
 
-#: The towers each of a round's two batches writes: disjoint closure groups.
+#: The towers each of a round's two batches writes.
 BATCH_TOWERS = ((0, 1), (2, 3))
 
 TOWER_RULES = "\n".join(
@@ -53,26 +46,13 @@ ROUNDS = (
 )
 
 
-@pytest.fixture
-def meeting_units(monkeypatch):
-    """Make every unit wait for a unit of the other batch of its round."""
-    barrier = threading.Barrier(2, timeout=10)
-    apply_unit = StreamScheduler._apply_unit_with_retry
-
-    def meeting(self, *args):
-        barrier.wait()
-        return apply_unit(self, *args)
-
-    monkeypatch.setattr(StreamScheduler, "_apply_unit_with_retry", meeting)
-
-
 def make_scheduler(obs=None):
     return StreamScheduler(parse_program(TOWER_RULES), ConstraintSolver(), obs=obs)
 
 
 def run_concurrent_rounds(scheduler):
-    """Per round, prepare two disjoint-group batches of two units each and
-    apply them on two threads at once.  Returns ``(prepared, result,
+    """Per round, prepare two batches of two units each and hand them to
+    ``apply_prepared`` on two threads at once.  Returns ``(prepared, result,
     applying thread name)`` per batch."""
     applied = []
     for kind, constraint in ROUNDS:
@@ -114,14 +94,11 @@ def scheduler_totals(scheduler):
     }
 
 
-@pytest.mark.usefixtures("meeting_units")
 class TestSpanIntegrityUnderConcurrentBatches:
     def test_every_batch_has_a_complete_verified_span_tree(self):
         obs = Observability.enabled_with()
         scheduler = make_scheduler(obs)
         run_concurrent_rounds(scheduler)
-        # Both batches of a round were admitted and applying together.
-        assert scheduler.inflight_peak == 2
         events = list(obs.ring.events())
         problems = verify_batch_traces(
             events,
@@ -135,7 +112,7 @@ class TestSpanIntegrityUnderConcurrentBatches:
         obs = Observability.enabled_with()
         for view, result, _ in traced_run(make_scheduler(obs), obs):
             # One unit span per stratum unit of *this* batch, naming its
-            # units -- a leaked span from the concurrent batch would break
+            # units -- a leaked span from the other batch would break
             # the count or the names.
             units = view.find("unit")
             assert sorted(u["attrs"]["unit"] for u in units) == sorted(
@@ -178,7 +155,6 @@ class TestSpanIntegrityUnderConcurrentBatches:
             assert attrs["applied"] == result.stats.applied
             assert attrs["units"] == len(result.stats.units)
             assert attrs["solver_calls"] == result.stats.solver_calls
-            assert attrs["rebased"] == result.stats.rebased
 
     def test_registry_counters_match_scheduler_history(self):
         obs = Observability.enabled_with()
@@ -195,9 +171,6 @@ class TestSpanIntegrityUnderConcurrentBatches:
         ) == sum(len(batch.units) for batch in batches)
         assert metrics.counter_value("repro_shard_checkouts_total") == sum(
             batch.shard_checkouts for batch in batches
-        )
-        assert metrics.counter_value("repro_rebased_commits_total") == sum(
-            batch.rebased for batch in batches
         )
 
     def test_disabled_observability_emits_nothing(self):

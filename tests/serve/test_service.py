@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import threading
+import time
 import weakref
 
 import pytest
@@ -15,6 +16,7 @@ from repro.errors import MediatorError
 from repro.maintenance import DeletionRequest, InsertionRequest
 from repro.maintenance.insert import ConstrainedAtomInsertion
 from repro.mediator import Mediator
+from repro.obs import Observability
 from repro.serve import MediatorService, ServeOptions
 from repro.stream import StreamOptions, StreamScheduler
 
@@ -112,6 +114,48 @@ class TestWriterPipeline:
         assert stats["failed_units"] == 0
         assert released
 
+    def test_the_writer_applies_one_batch_at_a_time(self, monkeypatch):
+        # Batch n+1 is drained and prepared while batch n applies, but it
+        # reaches apply_prepared only after batch n committed.
+        original = StreamScheduler.apply_prepared
+        lock = threading.Lock()
+        applying = {"now": 0, "peak": 0}
+
+        def counting(self, prepared):
+            with lock:
+                applying["now"] += 1
+                applying["peak"] = max(applying["peak"], applying["now"])
+            try:
+                return original(self, prepared)
+            finally:
+                with lock:
+                    applying["now"] -= 1
+
+        monkeypatch.setattr(StreamScheduler, "apply_prepared", counting)
+        # Slow the first pass down, so batch n+1 is prepared while batch n
+        # is still applying.
+        slow = {"first": True}
+        insert_many = ConstrainedAtomInsertion.insert_many
+
+        def slow_first(self, view, requests):
+            if slow.pop("first", False):
+                time.sleep(0.2)
+            return insert_many(self, view, requests)
+
+        monkeypatch.setattr(ConstrainedAtomInsertion, "insert_many", slow_first)
+
+        async def main():
+            async with make_service(max_batch=1) as service:
+                for value in range(10, 18):
+                    await service.submit(insertion(f"b(X) <- X = {value}"))
+                await service.drained()
+                return service.stats(), await service.query("b", UNIVERSE)
+
+        stats, visible = asyncio.run(main())
+        assert applying["peak"] == 1
+        assert stats["batches_applied"] == 8
+        assert {(value,) for value in range(10, 18)} <= visible
+
     def test_stop_drains_pending_updates(self):
         async def main():
             service = make_service()
@@ -159,6 +203,56 @@ class TestWriterPipeline:
         assert second["batches_applied"] == 2
         assert (8,) in visible and (7,) not in visible
 
+    # A drain fails after the log handed its transactions over (a durable
+    # drain's WAL fsync comes second); a prepare fails while coalescing (a
+    # source raising), before the batch takes a ticket.
+    @pytest.mark.parametrize(
+        "stage, after_original", [("drain", True), ("prepare_batch", False)]
+    )
+    def test_a_drain_or_prepare_failure_drops_the_batch_and_keeps_serving(
+        self, monkeypatch, stage, after_original
+    ):
+        # The writer records the error like a failed apply, drops that
+        # batch and applies the next one.
+        original = getattr(StreamScheduler, stage)
+        calls = {"count": 0}
+
+        def failing_once(self, *args, **kwargs):
+            calls["count"] += 1
+            if calls["count"] > 1:
+                return original(self, *args, **kwargs)
+            if after_original:
+                original(self, *args, **kwargs)
+            raise OSError("disk offline")
+
+        async def main():
+            scheduler = StreamScheduler(
+                parse_program(RULES),
+                ConstraintSolver(),
+                obs=Observability.enabled_with(),
+            )
+            async with MediatorService(scheduler) as service:
+                monkeypatch.setattr(StreamScheduler, stage, failing_once)
+                await service.submit(insertion("b(X) <- X = 7"))
+                await asyncio.wait_for(service.drained(), 10)
+                errors = service.errors
+                await service.submit(insertion("b(X) <- X = 8"))
+                await asyncio.wait_for(service.drained(), 10)
+                return (
+                    errors,
+                    service.stats(),
+                    service.obs.metrics,
+                    await service.query("b", UNIVERSE),
+                )
+
+        errors, stats, metrics, visible = asyncio.run(main())
+        assert errors == ("OSError: disk offline",)
+        assert stats["batch_errors"] == 1
+        assert metrics.counter_value("repro_serve_errors_total") == 1
+        assert stats["batches_applied"] == 1
+        assert stats["pending"] == 0
+        assert (8,) in visible and (7,) not in visible
+
 
 class TestBackpressure:
     def test_submit_awaits_when_backlog_crosses_the_high_watermark(
@@ -181,16 +275,15 @@ class TestBackpressure:
 
         async def main():
             service = make_service(
-                backpressure_high=2, backpressure_low=0, max_batch=1,
-                apply_workers=1,
+                backpressure_high=2, backpressure_low=0, max_batch=1
             )
             async with service:
                 log = service.scheduler.log
                 # Batch [10] is drained and blocks inside apply (the gate).
                 await service.submit(insertion("b(X) <- X = 10"))
                 await wait_until(lambda: log.pending_count() == 0)
-                # Batch [11] is drained and prepared, then the writer parks
-                # at the pipeline-depth wait: nothing can drain any more.
+                # Batch [11] is drained and prepared, then the writer waits
+                # for the one batch in flight: nothing can drain any more.
                 await service.submit(insertion("b(X) <- X = 11"))
                 await wait_until(lambda: log.pending_count() == 0)
                 # These two cross the high watermark with the writer stuck.
@@ -222,14 +315,13 @@ class TestBackpressure:
             ServeOptions(max_batch=max_batch)
         assert ServeOptions(max_batch=None).max_batch is None
 
-    @pytest.mark.parametrize("field", ["read_workers", "apply_workers"])
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_rejects_a_worker_count_below_one(self, field, workers):
+    def test_rejects_a_worker_count_below_one(self, workers):
         # A pool of no threads is refused where the options are built, not
         # clamped to one thread when the service starts.
-        with pytest.raises(MediatorError, match=field):
-            ServeOptions(**{field: workers})
-        assert getattr(ServeOptions(**{field: 1}), field) == 1
+        with pytest.raises(MediatorError, match="read_workers"):
+            ServeOptions(read_workers=workers)
+        assert ServeOptions(read_workers=1).read_workers == 1
 
 
 class TestSnapshotLeases:

@@ -87,7 +87,7 @@ class TestServeStress:
             )
             service = MediatorService(
                 scheduler,
-                ServeOptions(read_workers=4, apply_workers=4, max_batch=3),
+                ServeOptions(read_workers=4, max_batch=3),
             )
             reads = {"count": 0}
             writer_done = asyncio.Event()
@@ -198,7 +198,6 @@ class TestServeStress:
                 scheduler,
                 ServeOptions(
                     read_workers=2,
-                    apply_workers=4,
                     max_batch=3,
                     checkpoint_on_stop=False,
                 ),

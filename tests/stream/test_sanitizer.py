@@ -80,16 +80,6 @@ class TestSharedShardMutation:
         assert len(view.entries_for("left")) == 1
         assert len(snapshot.entries_for("left")) == 2
 
-    def test_adopted_shards_are_marked_shared(self, armed):
-        _, view = make_view()
-        working = view.checkout({"left", "mid", "top"})
-        working.remove(next(iter(working.entries_for("left"))))
-        view.adopt_shards(working, {"left", "mid", "top"})
-        shard = view._shards["left"]
-        entry = next(iter(view.entries_for("left")))
-        with pytest.raises(ShardSanitizerError):
-            shard.remove(entry.key(), entry)
-
 
 class TestSharedContainerWrite:
     """A clone shares its parts, chunks, groups and buckets with the shard

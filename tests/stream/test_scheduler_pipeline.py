@@ -1,9 +1,9 @@
-"""Tests for the scheduler's two-stage batch pipeline and admission.
+"""Tests for the scheduler's two-stage batch pipeline and its turnstile.
 
-Covers the concurrency restructuring: the coalesce/commit lock split
-(prepare while applying), closure-group admission (disjoint batches
-overlap, conflicting batches keep stream order), the rebased commit, the
-queue/apply timing split, and the torn-snapshot fix in ``verify()``.
+Covers the coalesce/commit lock split (prepare while applying), the
+turnstile (one batch applies at a time, in prepare order, whatever
+predicates it writes), the queue/apply timing split, and the torn-snapshot
+fix in ``verify()``.
 
 All concurrency here is *deterministic*: blocked maintenance passes wait
 on explicit events, never on timing.
@@ -73,7 +73,7 @@ class TestPreparedBatches:
     def test_prepare_then_apply_equals_apply_batch(self):
         scheduler = make_scheduler()
         prepared = scheduler.prepare_batch([deletion("left(X) <- X = 1")])
-        assert prepared.group_ids  # both towers have analyzer groups
+        assert prepared.ticket == 1
         result = scheduler.apply_prepared(prepared)
         assert result.ok
         assert scheduler.query("left", UNIVERSE) == {(2,)}
@@ -86,48 +86,78 @@ class TestPreparedBatches:
         with pytest.raises(MaintenanceError, match="already applied"):
             scheduler.apply_prepared(prepared)
 
+    def test_a_commit_over_a_changed_published_view_raises(self, monkeypatch):
+        # Something published while the batch applied: publishing the
+        # batch's view would drop that write, so the commit refuses.
+        scheduler = make_scheduler()
+        apply_unit = StreamScheduler._apply_unit_with_retry
+        swapped = []
+
+        def publishing_behind_its_back(self, *args):
+            outcome = apply_unit(self, *args)
+            if not swapped:
+                swapped.append(self._published.copy())
+                self._published = swapped[0]
+            return outcome
+
+        monkeypatch.setattr(
+            StreamScheduler, "_apply_unit_with_retry", publishing_behind_its_back
+        )
+        with pytest.raises(MaintenanceError, match="lost write"):
+            scheduler.apply_batch([deletion("left(X) <- X = 1")])
+        assert scheduler.view is swapped[0]
+        assert scheduler.batches == ()
+        # The failed batch released its ticket: the next one applies.
+        assert scheduler.apply_batch([deletion("left(X) <- X = 1")]).ok
+        assert scheduler.query("left", UNIVERSE) == {(2,)}
+
     def test_stats_dict_reports_the_timing_split(self):
         scheduler = make_scheduler()
         stats = scheduler.apply_batch([deletion("left(X) <- X = 1")]).stats
         rendered = stats.as_dict()
-        assert {"queue_seconds", "apply_seconds", "seconds", "rebased"} <= set(
-            rendered
-        )
+        assert {"queue_seconds", "apply_seconds", "seconds"} <= set(rendered)
         assert stats.seconds == pytest.approx(
             stats.queue_seconds + stats.apply_seconds
         )
         assert stats.apply_seconds > 0
-        assert rendered["rebased"] is False
 
 
 class TestConcurrentDisjointBatches:
-    def test_disjoint_group_batches_overlap_and_rebase(self, monkeypatch):
+    def test_a_disjoint_batch_waits_for_the_batch_applying(self, monkeypatch):
         scheduler = make_scheduler()
         gate = BlockingDelete(monkeypatch, {"left"})
-        results = []
-        blocked = threading.Thread(
-            target=lambda: results.append(
-                scheduler.apply_batch([deletion("left(X) <- X = 1")])
-            )
+        results = {}
+
+        def run(name, request, done=None):
+            results[name] = scheduler.apply_batch([request])
+            if done is not None:
+                done.set()
+
+        left = threading.Thread(
+            target=run, args=("left", deletion("left(X) <- X = 1"))
         )
-        blocked.start()
+        left.start()
         assert gate.started.wait(10)
-        # The left-tower batch is mid-apply; a right-tower batch writes a
-        # disjoint closure group, so it must run to completion *now*.
-        right = scheduler.apply_batch([deletion("right(X) <- X = 11")])
-        assert right.ok
-        assert not right.stats.rebased  # nothing committed before it
-        assert scheduler.query("right", UNIVERSE) == {(12,)}
+        # The left-tower batch is mid-apply.  The right tower shares no
+        # predicate with it, but one batch applies at a time: the right
+        # batch is prepared behind it and must not finish.
+        right_done = threading.Event()
+        right = threading.Thread(
+            target=run,
+            args=("right", deletion("right(X) <- X = 11"), right_done),
+        )
+        right.start()
+        assert not right_done.wait(0.2)
+        assert scheduler.query("right", UNIVERSE) == {(11,), (12,)}
         gate.release.set()
-        blocked.join(10)
-        assert not blocked.is_alive()
-        (left,) = results
-        assert left.ok
-        # The left batch committed after the right one: its commit rebased
-        # onto the newer published view instead of overwriting it.
-        assert left.stats.rebased
-        assert scheduler.concurrent_commits == 1
-        assert scheduler.inflight_peak >= 2
+        left.join(10)
+        right.join(10)
+        assert not left.is_alive() and not right.is_alive()
+        assert results["left"].ok and results["right"].ok
+        # Both committed, in prepare order.
+        first, second = scheduler.batches
+        assert first is results["left"].stats
+        assert second is results["right"].stats
         assert scheduler.query("left", UNIVERSE) == {(2,)}
         assert scheduler.query("right", UNIVERSE) == {(12,)}
         assert scheduler.verify(UNIVERSE)
@@ -155,7 +185,7 @@ class TestConcurrentDisjointBatches:
 
         second = threading.Thread(target=run_second)
         second.start()
-        # Same closure group: the second batch must wait for the first.
+        # One batch applies at a time: the second must wait for the first.
         assert not second_done.wait(0.2)
         gate.release.set()
         first.join(10)
@@ -163,9 +193,8 @@ class TestConcurrentDisjointBatches:
         second.join(10)
         first_result, second_result = results
         assert first_result.ok and second_result.ok
-        # Admitted strictly after the first committed, so no rebase -- and
-        # the wait shows up as queue time, not apply time.
-        assert not second_result.stats.rebased
+        # Admitted strictly after the first committed: the wait shows up
+        # as queue time, not apply time.
         assert second_result.stats.queue_seconds > 0
         assert scheduler.query("left", UNIVERSE) == {(2,), (5,)}
         assert scheduler.verify(UNIVERSE)

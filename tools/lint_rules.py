@@ -6,7 +6,7 @@ The invariants below are load-bearing enough to enforce mechanically:
    copy-on-write machinery around them (``MaterializedView._shards`` /
    ``_writable_shard``) may only be touched inside
    ``src/repro/datalog/view.py``.  Everything else goes through the façade
-   (``add`` / ``remove`` / ``replace`` / ``checkout`` / ``adopt_shards``):
+   (``add`` / ``remove`` / ``replace`` / ``checkout``):
    a direct shard mutation bypasses the write-scope fence and the shard
    sanitizer, which is exactly the silent-corruption class the stream
    scheduler's publish step is designed against.  The storage classes a
@@ -125,8 +125,8 @@ The invariants below are load-bearing enough to enforce mechanically:
     ``threading.Thread`` appear under ``src/repro`` only in
     ``src/repro/serve/``: the stream scheduler applies a batch's stratum
     units one after another on the thread that applies the batch, and the
-    serve layer's read, prepare and apply pools are the system's only
-    threads.  A pool anywhere else is a second path through the scheduler
+    serve layer's read pool, its one prepare thread and its one apply
+    thread are the system's only threads.  A pool anywhere else is a second path through the scheduler
     whose interleavings the theorem checks do not cover.
 
 Usage::
@@ -272,9 +272,9 @@ ENGINE_FLAGS: Tuple[str, ...] = (
 )
 
 #: The budgets (rule 8).  Raise one only in the change that needs it.
-MAX_OPTION_FIELDS = 17
+MAX_OPTION_FIELDS = 16
 MAX_ENV_VARIABLES = 4
-MAX_SOURCE_LINES = 21_175
+MAX_SOURCE_LINES = 20_993
 
 #: Rule 13's reasons for keeping a definition that only tests reach.
 ORACLE = "test oracle: a test checks other code against it"
