@@ -37,6 +37,7 @@ from repro.constraints.ast import (
     Membership,
     NegatedConjunction,
 )
+from repro.constraints.solver import Interval
 from repro.constraints.terms import Constant, Variable
 from repro.datalog.clauses import Clause
 from repro.datalog.program import ConstrainedDatabase
@@ -65,8 +66,9 @@ class _ClauseProfile:
 
     def __init__(self, clause: Clause) -> None:
         self.pins: Dict[Variable, Set[object]] = {}
-        self.lowers: Dict[Variable, List[Tuple[float, bool]]] = {}
-        self.uppers: Dict[Variable, List[Tuple[float, bool]]] = {}
+        #: The interval the orderings against numbers leave each variable:
+        #: the raw values, which Python compares exactly at any size.
+        self.bounds: Dict[Variable, Interval] = {}
         #: Variables that are the element of a positive membership literal,
         #: mapped to the calls guarding them.
         self.member_elements: Dict[Variable, List[DomainCall]] = {}
@@ -90,30 +92,12 @@ class _ClauseProfile:
             return
         if op == "=":
             self.pins.setdefault(left, set()).add(right.value)
-        elif op in (">", ">=") and _is_numeric(right.value):
-            self.lowers.setdefault(left, []).append(
-                (float(right.value), op == ">")
-            )
-        elif op in ("<", "<=") and _is_numeric(right.value):
-            self.uppers.setdefault(left, []).append(
-                (float(right.value), op == "<")
-            )
-
-    def numeric_interval(
-        self, variable: Variable
-    ) -> Optional[Tuple[float, bool, float, bool]]:
-        """Tightest static interval for *variable* (``None``: unbounded)."""
-        lowers = self.lowers.get(variable)
-        uppers = self.uppers.get(variable)
-        if not lowers and not uppers:
-            return None
-        low, low_strict = max(lowers) if lowers else (float("-inf"), False)
-        high, high_strict = (
-            min(uppers, key=lambda pair: (pair[0], not pair[1]))
-            if uppers
-            else (float("inf"), False)
-        )
-        return (low, low_strict, high, high_strict)
+        elif op in (">", ">=", "<", "<=") and _is_numeric(right.value):
+            interval = self.bounds.setdefault(left, Interval())
+            if op in (">", ">="):
+                interval.tighten_low(right.value, op == ">")
+            else:
+                interval.tighten_high(right.value, op == "<")
 
     def kind_of(self, variable: Variable) -> Optional[str]:
         """Value kind the clause forces on *variable*, if any."""
@@ -121,7 +105,7 @@ class _ClauseProfile:
         if pins:
             kinds = {_value_kind(value) for value in pins}
             return kinds.pop() if len(kinds) == 1 else "mixed"
-        if variable in self.lowers or variable in self.uppers:
+        if variable in self.bounds:
             return "number"
         return None
 
@@ -151,28 +135,19 @@ def _check_unsatisfiable(
                 f"variable {variable.name} is pinned to conflicting "
                 f"constants ({rendered})"
             )
-    for variable in set(profile.lowers) | set(profile.uppers):
-        interval = profile.numeric_interval(variable)
-        if interval is None:
-            continue
-        low, low_strict, high, high_strict = interval
-        if low > high or (low == high and (low_strict or high_strict)):
+    for variable, interval in profile.bounds.items():
+        if interval.is_empty():
             return (
                 f"variable {variable.name}'s ordering bounds describe an "
                 f"empty interval"
             )
-        pins = profile.pins.get(variable)
-        if pins:
-            (pin,) = (next(iter(pins)),) if len(pins) == 1 else (None,)
-            if pin is not None and _is_numeric(pin):
-                value = float(pin)
-                below = value < low or (value == low and low_strict)
-                above = value > high or (value == high and high_strict)
-                if below or above:
-                    return (
-                        f"variable {variable.name} is pinned to {pin!r}, "
-                        "outside its ordering bounds"
-                    )
+        # One pin at most: conflicting pins were reported above.
+        (pin,) = profile.pins.get(variable) or (None,)
+        if _is_numeric(pin) and not interval.admits(pin):
+            return (
+                f"variable {variable.name} is pinned to {pin!r}, "
+                "outside its ordering bounds"
+            )
     return None
 
 
@@ -222,8 +197,7 @@ def infer_interval_positions(
                 if arg in profile.pins:
                     continue  # pinned to a point value, never an interval
                 qualifies = (
-                    arg in profile.lowers
-                    or arg in profile.uppers
+                    arg in profile.bounds
                     or any(
                         _call_has_interval_hook(call, registry)
                         for call in profile.member_elements.get(arg, ())

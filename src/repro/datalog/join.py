@@ -52,7 +52,9 @@ from repro.constraints.projection import eliminate_variables
 from repro.constraints.simplify import pins_of, simplify
 from repro.constraints.solver import (
     ConstraintSolver,
+    box_entails,
     box_of,
+    box_satisfiable,
     Interval as _Interval,
     intersect_intervals as _intersect_intervals,
     interval_excludes as _interval_excludes,
@@ -825,6 +827,8 @@ class DeltaJoinKernel:
         over onto's atom.  *negated* (with *onto*) names the body position
         whose premise contributes negated instead: what the entry keeps once
         that premise's instances are gone, never checked for solvability.
+        Onto a box entry, from pinned and box premises, bounds arithmetic
+        decides either half when it can (:meth:`_by_bounds`).
 
         *renamed_cache* (keyed by ``(position, id(premise))``) lets a round
         share renamed premise copies across the combinations of one clause;
@@ -834,13 +838,12 @@ class DeltaJoinKernel:
         self.stats.clause_applications += 1
         check = self.check_solvability and negated is None
         pinned = [_pinned_args(premise) for premise in premises]
-        if (
-            premises
-            and clause.constraint is TRUE
-            and None not in pinned
-            and (onto is not None or negated is None)
-        ):
-            decided = self._by_comparison(clause, premises, pinned, onto, negated, check)
+        if premises and clause.constraint is TRUE:
+            decided = NotImplemented
+            if None not in pinned and (onto is not None or negated is None):
+                decided = self._by_comparison(clause, premises, pinned, onto, negated, check)
+            elif None in pinned and onto is not None:
+                decided = self._by_bounds(clause, premises, pinned, onto, negated, check)
             if decided is not NotImplemented:
                 return decided
         if renamed_cache is None:
@@ -938,6 +941,81 @@ class DeltaJoinKernel:
             return NotImplemented  # negates to a literal, not to ``not(...)``
         return ConstrainedAtom(onto.atom, FALSE)
 
+    def _by_bounds(self, clause, premises, pinned, onto, negated, check):
+        """A rebuild onto a box entry from pinned and box premises, head and
+        entry atom distinct variables covering the body, decided by bounds
+        arithmetic (the paper's Example 5) as the node the pipeline builds:
+        ``c = X`` per entry variable (body order) for the deleted part,
+        ``None`` if refuted; the entry and ``c != X`` for a negated pin
+        strictly inside the entry's box beside boxes it entails;
+        ``NotImplemented`` for any other shape.
+        """
+        entry, args, head = onto.constraint, onto.atom.args, clause.head.args
+        box, to_entry = box_of(entry), dict(zip(head, args))
+        if box is None or not _distinct_variables(head) or not _distinct_variables(args):
+            return NotImplemented
+        pins: Dict[Variable, Constant] = {}
+        siblings = []  # (node key, literal) per box premise conjunct, over the entry
+        for position, (body_atom, premise) in enumerate(zip(clause.body, premises)):
+            targets, values = [to_entry.get(arg) for arg in body_atom.args], pinned[position]
+            box_args = None if values else _box_arguments(premise)
+            if None in targets or values is None and (box_args is None or position == negated):
+                return NotImplemented
+            if values is None:
+                on = dict(zip(box_args, targets))
+                for part, (variable, op, value) in zip(
+                    premise.constraint.conjuncts(), box_of(premise.constraint)
+                ):
+                    key = (on.get(part.left, part.left), part.op, on.get(part.right, part.right))
+                    siblings.append((key, (on[variable], op, value)))
+            elif position != negated and any(
+                pins.setdefault(target, value) is not value for target, value in zip(targets, values)
+            ):
+                return NotImplemented
+        if negated is None:
+            # A literal its pin meets is dropped, one it fails leaves no solution.
+            literals = (*box, *(literal for _, literal in siblings))
+            points = tuple((variable, "=", value.value) for variable, value in pins.items())
+            if (
+                len(pins) < len(args)
+                or not all(map(_number, pins.values()))
+                or any(variable not in pins or op == "=" for variable, op, _ in literals)
+                or any(box_entails(literals, point) for point in points)
+            ):
+                return NotImplemented
+            if not box_satisfiable((*literals, *points)):
+                return None if check else NotImplemented
+            pins = [Comparison(value, "=", variable) for variable, value in pins.items()]
+            return ConstrainedAtom(onto.atom, conjoin(*pins))
+        values = pinned[negated]
+        if pins or len(values) != 1 or not _number(values[0]):
+            return NotImplemented
+        (variable,), (value,) = [to_entry[arg] for arg in clause.body[negated].args], values
+        point, hole = (variable, "=", value.value), (variable, "!=", value.value)
+        keys = {(part.left, part.op, part.right) for part in entry.conjuncts()}
+        kept = tuple(literal for key, literal in siblings if key not in keys)
+        if (
+            all(literal[0] is not variable for literal in box)
+            or not box_satisfiable(box, point)
+            or box_entails(box, point)
+            or not all(box_entails(box, literal) for literal in kept)
+            or any(
+                box_entails((*box[:index], *box[index + 1:], *kept, hole), literal)
+                for index, literal in enumerate(box)
+            )
+        ):
+            return NotImplemented
+        return ConstrainedAtom(onto.atom, conjoin(entry, Comparison(value, "!=", variable)))
+
+
+def _distinct_variables(args) -> bool:
+    return all(arg.__class__ is Variable for arg in args) and len(set(args)) == len(args)
+
+
+def _number(value: Constant) -> bool:
+    # No bool (the branch procedure coerces it) and no NaN.
+    return value.value.__class__ in (int, float) and value.value == value.value
+
 
 def _pinned_args(premise) -> Optional[Tuple[Constant, ...]]:
     """The constant each argument of *premise* equals, when its constraint
@@ -961,8 +1039,7 @@ def _box_arguments(premise) -> Optional[Tuple[Variable, ...]]:
     args, box = premise.atom.args, box_of(premise.constraint)
     if (
         box is None
-        or any(arg.__class__ is not Variable for arg in args)
-        or len(set(args)) < len(args)
+        or not _distinct_variables(args)
         or any(variable not in args or op == "=" for variable, op, _ in box)
     ):
         return None

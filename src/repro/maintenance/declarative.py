@@ -51,12 +51,15 @@ def deletion_rewrite(
 
     Only clauses whose head can unify with a deleted atom are touched: they
     are found through the program's head-argument index and kept only when
-    ``quick_reject`` cannot separate ``φ`` from ``δ & (X̄ = Ȳ)``.  For a
-    clause it does separate, ``φ & δ & (X̄ = Ȳ)`` has no solution, hence
+    ``quick_reject`` cannot separate ``φ`` from ``δ & (X̄ = Ȳ)`` and, when
+    ``φ`` names no domain, ``φ`` has a solution.  For a clause either test
+    drops, ``φ & δ & (X̄ = Ȳ)`` has no solution at any time point, hence
     ``φ & not(δ & (X̄ = Ȳ))`` is equivalent to ``φ``: leaving the clause as
     it is gives the same least model as the paper's rewrite of every
-    ``A``-clause.  Every untouched clause is the same object as in
-    *program*, and the result shares *program*'s tables.
+    ``A``-clause.  (A dead clause -- a re-inserted fact leaves one behind
+    -- would otherwise collect one more negation per deletion.)  Every
+    untouched clause is the same object as in *program*, and the result
+    shares *program*'s tables.
     """
     factory = factory or FreshVariableFactory(
         {variable.name for atom in deleted for variable in atom.variables()},
@@ -73,6 +76,7 @@ def deletion_rewrite(
         if not separator.quick_reject(
             clause.head.args, clause.constraint, atom.atom.args, atom.constraint
         )
+        and (clause.constraint.domains() or separator.is_satisfiable(clause.constraint))
     ]
     # Clause by clause, as the paper's rewrite walks the program: the fresh
     # names come out in the order a rewrite of every ``A``-clause gives them.

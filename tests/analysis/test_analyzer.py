@@ -227,6 +227,17 @@ class TestAnalyzeCli:
         assert code == 1
         assert "unsatisfiable-constraint" in output
 
+    def test_strict_compares_numbers_exactly(self, write_rules):
+        # 2**53 + 1 rounds onto 2**53 as a float: the clause is solvable.
+        path = write_rules("p(X) <- X = 9007199254740993 & X > 9007199254740992.")
+        code, output = self.run("analyze", path, "--strict")
+        assert code == 0, output
+        assert "0 warnings" in output
+        path = write_rules("p(X) <- X = 9007199254740992 & X > 9007199254740992.")
+        code, output = self.run("analyze", path, "--strict")
+        assert code == 1
+        assert "outside its ordering bounds" in output
+
     def test_parse_error_exits_two(self, write_rules):
         code, _ = self.run("analyze", write_rules("p(X <- 3."))
         assert code == 2

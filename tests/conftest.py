@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.constraints import ConstraintSolver
 from repro.datalog import compute_tp_fixpoint, parse_program
 from repro.domains import Domain, DomainRegistry, make_arithmetic_domain
+
+#: A tier-1 run is a function of the commit: every property test draws the
+#: same examples on every run and machine, and no example database carries a
+#: failure over from an earlier run.  ``max_examples`` stays per test.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 #: The paper's Example 4 / Example 5 constrained database.  The scanned paper
 #: renders the comparison operators illegibly; the worked example only makes

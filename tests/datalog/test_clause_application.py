@@ -15,7 +15,10 @@ orientations, chains through an auxiliary variable, constants as arguments,
 intervals, boxes of strict and non-strict bounds and holes in either
 orientation, clashing pins, mixtures), under ``T_P`` and under ``W_P``.  The
 same for StDel's parent rebuild: ``(replacement, deleted part)`` against the
-rebuild written out with its own renaming and negation.
+rebuild written out with its own renaming and negation, over the generated
+shapes and over box entries rebuilt from a pinned deleted premise and box
+siblings, which bounds arithmetic decides (at least a quarter of the
+examples) or hands to the pipeline.
 
 Premise constraints only mention the premise's arguments and pinned
 auxiliaries, so no fresh name survives projection: the kernel draws fewer of
@@ -37,7 +40,7 @@ from repro.constraints.ast import (
 )
 from repro.constraints.projection import eliminate_variables
 from repro.constraints.simplify import pins_of, simplify
-from repro.constraints.terms import Constant, FreshVariableFactory, Variable
+from repro.constraints.terms import Constant, FreshVariableFactory, Substitution, Variable
 from repro.datalog.atoms import Atom, ConstrainedAtom
 from repro.datalog.clauses import Clause
 from repro.datalog.join import DeltaJoinKernel, EngineOptions
@@ -245,7 +248,7 @@ def test_the_kernel_builds_the_atom_the_paper_s_step_builds(application, check_s
 
 
 @st.composite
-def rebuilds(draw):
+def any_rebuilds(draw):
     # A free variable of the negated premise would keep its fresh name.
     clause, premises, valuation = draw(applications(BOUNDED))
     premises = tuple(ConstrainedAtom(premise.atom, premise.constraint) for premise in premises)
@@ -259,43 +262,164 @@ def rebuilds(draw):
     return clause, premises, entry, draw(st.integers(0, len(premises) - 1))
 
 
-@settings(max_examples=600, deadline=None)
-@given(rebuilds())
-def test_a_parent_rebuild_is_the_one_step_3_builds(rebuild):
-    solver = ConstraintSolver()
-    clause, premises, entry_atom, child_position = rebuild
-    program = ConstrainedDatabase([clause])
-    (clause,) = program
-    children = tuple(Support(7 + position, ()) for position in range(len(premises)))
-    entry = ViewEntry(entry_atom.atom, entry_atom.constraint, Support(clause.number, children))
-    stats = MaintenanceStats()
-    kernel = DeltaJoinKernel(
-        program, solver, EngineOptions(), fresh_factory(clause, entry, *premises), stats
+#: Where the deleted value sits against the entry's box on its variable.
+PLACES = ["inside", "inside", "inside", "bound", "outside", "point", "excluded", "free"]
+
+
+def oriented(draw, variable, op, value):
+    literal = Comparison(variable, op, value)
+    return literal.flipped() if draw(st.booleans()) else literal
+
+
+def around(draw, variable, value, place):
+    """Literals over *variable* placing the number *value* as *place* says;
+    ``1`` meets ``1.0`` through the bound constants."""
+    def near(offset):
+        if value.value == 1 and not offset and draw(st.booleans()):
+            return Constant(1.0 if value.value.__class__ is int else 1)
+        return Constant(value.value + offset)
+
+    if place == "free":
+        return []
+    if place == "outside":
+        return [oriented(draw, variable, draw(st.sampled_from([">", ">="])), near(1))]
+    if place == "point":
+        return [oriented(draw, variable, ">=", near(0)), oriented(draw, variable, "<=", near(0))]
+    if place == "bound":
+        return [oriented(draw, variable, ">=", near(0)), oriented(draw, variable, "<", near(2))]
+    literals = [
+        oriented(draw, variable, draw(st.sampled_from([">", ">="])), near(-1)),
+        oriented(draw, variable, draw(st.sampled_from(["<", "<="])), near(draw(st.sampled_from([1, 2.5])))),
+    ]
+    literals = draw(st.lists(st.sampled_from(literals), min_size=1, max_size=2, unique=True))
+    if place == "excluded":
+        literals.append(oriented(draw, variable, "!=", near(0)))
+    return literals
+
+
+@st.composite
+def box_rebuilds(draw):
+    """A rebuild onto a box entry: head and entry over distinct variables
+    covering the body, the deleted premise pinned, its siblings boxes (the
+    entry's own literals, weaker or tighter bounds, the same bound in the
+    other orientation) or now and then pins.  The deleted value sits inside
+    the entry's box, at a bound, outside it, on a point interval or behind
+    a ``!=`` already; ``'a'`` meets the entry's orderings."""
+    arity = draw(st.integers(1, 2))
+    head, entry_args = CLAUSE_VARIABLES[:arity], PREMISE_VARIABLES[:arity]
+    length = draw(st.integers(2, 3))
+    child_position = draw(st.integers(0, length - 1))
+    # The deleted premise pins every head variable three times in four.
+    body = tuple(
+        Atom(f"p{position}", tuple(draw(
+            st.permutations(head)
+            if position == child_position and draw(st.integers(0, 3))
+            else st.lists(st.sampled_from(head), min_size=1, max_size=2)
+        )))
+        for position in range(length)
     )
-    rebuilt = StraightDelete(program, solver)._replace_parent(
-        entry,
-        child_position,
-        POutPair(premises[child_position], children[child_position]),
-        lambda support: premises[children.index(support)],
-        kernel,
-    )
-    expected = (
-        None
-        if entry.constraint is FALSE
-        else reference_rebuild(
-            clause, entry, premises, child_position, fresh_factory(clause, entry, *premises), solver
+    clause = Clause(Atom("h", head), TRUE, body, number=1)
+    values = [draw(st.sampled_from(CONSTANTS[:5] + [Constant(2.5), CONSTANTS[5]])) for _ in head]
+    entry_parts = {}
+    for variable, value in zip(entry_args, values):
+        if value.value == "a":
+            ops = st.sampled_from(["!=", "=", "<", ">="])
+            others = st.sampled_from([value, Constant("b"), Constant(1)])
+            entry_parts[variable] = [
+                oriented(draw, variable, draw(ops), draw(others)) for _ in range(draw(st.integers(0, 2)))
+            ]
+        else:
+            entry_parts[variable] = around(draw, variable, value, draw(st.sampled_from(PLACES)))
+    entry = ConstrainedAtom(Atom("h", entry_args), conjoin(*(part for parts in entry_parts.values() for part in parts)))
+    premises = []
+    for position, body_atom in enumerate(body):
+        args = PREMISE_VARIABLES[: body_atom.arity]
+        targets = [entry_args[head.index(arg)] for arg in body_atom.args]
+        if position == child_position or draw(st.integers(0, 5)) == 5:
+            parts = [
+                oriented(draw, arg, "=", values[entry_args.index(target)])
+                for arg, target in zip(args, targets)
+            ]
+        else:
+            parts = []
+            for arg, target in zip(args, targets):
+                for literal in draw(st.lists(st.sampled_from(entry_parts[target] or [TRUE]), max_size=2)):
+                    if literal is TRUE or literal.op in ("=", "!="):
+                        continue
+                    bound = literal.right if literal.left is target else literal.left
+                    if draw(st.integers(0, 2)) == 0 and isinstance(bound.value, (int, float)):
+                        # A weaker or a tighter bound than the entry's.
+                        bound = Constant(bound.value + draw(st.sampled_from([-1, 1])))
+                        literal = (
+                            Comparison(target, literal.op, bound)
+                            if literal.left is target
+                            else Comparison(bound, literal.op, target)
+                        )
+                    renamed = literal.substitute(Substitution({target: arg}))
+                    parts.append(renamed.flipped() if draw(st.integers(0, 4)) == 0 else renamed)
+        premises.append(ConstrainedAtom(Atom(body_atom.predicate, args), conjoin(*parts)))
+    return clause, tuple(premises), entry, child_position
+
+
+def rebuilds():
+    return st.one_of(any_rebuilds(), box_rebuilds(), box_rebuilds())
+
+
+def test_a_parent_rebuild_is_the_one_step_3_builds(monkeypatch):
+    # How many examples the bounds arithmetic decides, at least in part.
+    decided = []
+    by_bounds = DeltaJoinKernel._by_bounds
+
+    def counted(kernel, *args):
+        result = by_bounds(kernel, *args)
+        if result is not NotImplemented:
+            decided.append(kernel)
+        return result
+
+    monkeypatch.setattr(DeltaJoinKernel, "_by_bounds", counted)
+    examples = []
+
+    @settings(max_examples=600, deadline=None)
+    @given(rebuilds())
+    def rebuild_matches_step_3(rebuild):
+        solver = ConstraintSolver()
+        clause, premises, entry_atom, child_position = rebuild
+        program = ConstrainedDatabase([clause])
+        (clause,) = program
+        children = tuple(Support(7 + position, ()) for position in range(len(premises)))
+        entry = ViewEntry(entry_atom.atom, entry_atom.constraint, Support(clause.number, children))
+        stats = MaintenanceStats()
+        kernel = DeltaJoinKernel(
+            program, solver, EngineOptions(), fresh_factory(clause, entry, *premises), stats
         )
-    )
-    if expected is None:
-        assert rebuilt is None
-        assert entry.constraint is not FALSE or stats.clause_applications == 0
-        return
-    replacement, deleted_part = rebuilt
-    kept, deleted = expected
-    assert (replacement.atom, replacement.support) == (entry.atom, entry.support)
-    assert deleted_part.atom == entry.atom
-    assert deleted_part.constraint is deleted, f"{deleted_part.constraint}  vs  {deleted}"
-    assert replacement.constraint is kept, f"{replacement.constraint}  vs  {kept}"
+        examples.append(kernel)
+        rebuilt = StraightDelete(program, solver)._replace_parent(
+            entry,
+            child_position,
+            POutPair(premises[child_position], children[child_position]),
+            lambda support: premises[children.index(support)],
+            kernel,
+        )
+        expected = (
+            None
+            if entry.constraint is FALSE
+            else reference_rebuild(
+                clause, entry, premises, child_position, fresh_factory(clause, entry, *premises), solver
+            )
+        )
+        if expected is None:
+            assert rebuilt is None
+            assert entry.constraint is not FALSE or stats.clause_applications == 0
+            return
+        replacement, deleted_part = rebuilt
+        kept, deleted = expected
+        assert (replacement.atom, replacement.support) == (entry.atom, entry.support)
+        assert deleted_part.atom == entry.atom
+        assert deleted_part.constraint is deleted, f"{deleted_part.constraint}  vs  {deleted}"
+        assert replacement.constraint is kept, f"{replacement.constraint}  vs  {kept}"
+
+    rebuild_matches_step_3()
+    assert len(set(map(id, decided))) * 4 >= len(examples) >= 600
 
 
 def test_pins_are_read_once_per_interned_node():

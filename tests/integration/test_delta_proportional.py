@@ -570,7 +570,7 @@ CEILINGS = {
         "dred.solver_calls": 23,
     },
     "deletion_interval_join": {
-        "stdel.solver_calls": 41,
+        "stdel.solver_calls": 40,
         "dred.derivation_attempts": 2,
         "dred.solver_calls": 45,
     },
@@ -606,7 +606,7 @@ CEILINGS = {
         "batched.solver_calls": 16,
     },
     "interval_pairs": {
-        "pairs_stdel.nodes": 551,
+        "pairs_stdel.nodes": 356,
         "pairs_stdel.branch_checks": 20,
         "pairs_dred.nodes": 995,
         "pairs_dred.branch_checks": 41,

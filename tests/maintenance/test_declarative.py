@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import pytest
 
-from repro.constraints import NegatedConjunction, Variable
+from repro.constraints import ConstraintSolver, NegatedConjunction, Variable
 from repro.datalog import compute_tp_fixpoint, parse_constrained_atom, parse_program
-from repro.maintenance import build_add_set, deletion_rewrite, insertion_rewrite
+from repro.maintenance import (
+    DeletionRequest,
+    InsertionRequest,
+    build_add_set,
+    deletion_rewrite,
+    insertion_rewrite,
+)
+from repro.stream import StreamOptions, StreamScheduler
+from repro.workloads import ground_request_atom, make_layered_program
 
 X = Variable("X")
 
@@ -57,6 +66,37 @@ class TestDeletionRewrite:
         rewritten = deletion_rewrite(program, deleted)
         assert rewritten.clause(1).constraint == program.clause(1).constraint
         assert rewritten.clause(2).constraint != program.clause(2).constraint
+
+    def test_a_dead_clause_is_left_as_it_is(self):
+        program = parse_program("p(X) <- X = 9.\np(X) <- X >= 5.")
+        deleted = (parse_constrained_atom("p(X) <- X = 9"),)
+        rewritten = deletion_rewrite(program, deleted)
+        again = deletion_rewrite(rewritten, deleted)
+        assert again.clause(1) is rewritten.clause(1)
+        assert again.clause(2) is not rewritten.clause(2)
+
+
+@pytest.mark.parametrize("algorithm", ["stdel", "dred"])
+def test_a_hot_key_stops_growing_the_program(algorithm):
+    """Deleting and re-inserting one fact narrows its dead clauses once:
+    after a warm-up, the largest ``base1`` clause keeps its size."""
+    scheduler = StreamScheduler(
+        make_layered_program(40, 3, 2, 2).program,
+        ConstraintSolver(),
+        options=StreamOptions(max_workers=1, deletion_algorithm=algorithm),
+    )
+    atom = ground_request_atom("base1", (7,))
+
+    def largest() -> int:
+        clauses = scheduler.effective_program.clauses_for("base1")
+        return max(len(clause.constraint.conjuncts()) for clause in clauses)
+
+    for pair in range(120):
+        for request in (DeletionRequest(atom), InsertionRequest(atom)):
+            assert scheduler.apply_batch([request]).ok
+        if pair == 19:
+            warm = largest()
+    assert largest() == warm
 
 
 class TestInsertionRewrite:

@@ -93,9 +93,10 @@ The invariants below are load-bearing enough to enforce mechanically:
     once per pass, into the metrics registry.
 
 11. **Numbers compare exactly.**  No ``float(`` under
-    ``src/repro/constraints/``: the solver, the boxes, the quick-reject
-    profiles and the solution search compare the raw ``int`` / ``float``
-    values, which Python does exactly at any size.  A conversion rounds
+    ``src/repro/constraints/`` or ``src/repro/analysis/``: the solver, the
+    boxes, the quick-reject profiles, the solution search and the analyzer's
+    clause profiles compare the raw ``int`` / ``float`` values, which Python
+    does exactly at any size.  A conversion rounds
     ``2**53 + 1`` onto ``2**53`` (a solvable entry called unsolvable) and
     raises on ``10**400``.
 
@@ -274,7 +275,7 @@ ENGINE_FLAGS: Tuple[str, ...] = (
 #: The budgets (rule 8).  Raise one only in the change that needs it.
 MAX_OPTION_FIELDS = 16
 MAX_ENV_VARIABLES = 4
-MAX_SOURCE_LINES = 20_993
+MAX_SOURCE_LINES = 21_048
 
 #: Rule 13's reasons for keeping a definition that only tests reach.
 ORACLE = "test oracle: a test checks other code against it"
@@ -349,11 +350,11 @@ MAINTENANCE_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
     ),
 )
 
-#: Rules scoped to the constraint layer only.
+#: Rules scoped to the constraint layer and the analyzer.
 CONSTRAINTS_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
     (
         re.compile(r"\bfloat\s*\("),
-        "float() in the constraint layer (compare the raw int / float values: "
+        "float() in the constraint layer or the analyzer (compare the raw int / float values: "
         "a conversion rounds big ints and overflows beyond float range)",
     ),
 )
@@ -402,6 +403,7 @@ def iter_findings(root: Path) -> Iterator[str]:
                 ("repro/obs/", OBS_RULES, ""),
                 ("repro/maintenance/", MAINTENANCE_RULES, ""),
                 ("repro/constraints/", CONSTRAINTS_RULES, ""),
+                ("repro/analysis/", CONSTRAINTS_RULES, ""),
                 ("repro/persist/", PERSIST_RULES, "repro/persist/codec.py"),
             ):
                 if relative.startswith(prefix) and relative != exempt:
