@@ -48,9 +48,7 @@ def analyze_program(
     )
     diagnostics.extend(signature_diagnostics)
 
-    write_closures, read_closures, closure_groups, external_closures = (
-        compute_closures(program)
-    )
+    write_closures, read_closures, external_closures = compute_closures(program)
 
     return ProgramReport(
         diagnostics=tuple(diagnostics),
@@ -59,7 +57,6 @@ def analyze_program(
         stratum=stratum,
         write_closures=write_closures,
         read_closures=read_closures,
-        closure_groups=closure_groups,
         external_closures=external_closures,
         signatures=signatures,
         interval_positions=interval_positions,

@@ -10,11 +10,6 @@ frontier.  Both tables are total over the program's predicates, computed
 once, and adopted by :class:`~repro.stream.strata.PredicateStrata` as the
 precomputed source of truth.
 
-``closure_groups`` assigns every predicate the id of its connected
-component in the *undirected* dependency graph.  Every upward closure is
-contained in one component, so two closures can only intersect when their
-sources share a group id (``repro analyze`` reports the groups).
-
 External-notice closures cover the third update kind: a source change in
 domain ``d`` can disturb exactly the clauses whose constraints call ``d``,
 i.e. the union of their heads' write closures.  (Under ``W_P``
@@ -58,13 +53,10 @@ def _domains_called(constraint: Constraint) -> Set[str]:
 def compute_closures(
     program: ConstrainedDatabase,
 ) -> Tuple[
-    Dict[str, FrozenSet[str]],
-    Dict[str, FrozenSet[str]],
-    Dict[str, int],
-    Dict[str, FrozenSet[str]],
+    Dict[str, FrozenSet[str]], Dict[str, FrozenSet[str]], Dict[str, FrozenSet[str]]
 ]:
-    """Return ``(write_closures, read_closures, closure_groups,
-    external_closures)``, each total over the program's predicates."""
+    """Return ``(write_closures, read_closures, external_closures)``, each
+    total over the program's predicates."""
     edges = program.predicate_dependency_edges()
     write_closures = {
         predicate: _upward_closure(predicate, edges) for predicate in edges
@@ -78,31 +70,6 @@ def compute_closures(
                 frontier.update(clause.body_predicates())
         read_closures[predicate] = frozenset(frontier)
 
-    # Undirected connected components via union-find; group ids are dense
-    # and deterministic (assigned in sorted order of each group's minimum).
-    parent: Dict[str, str] = {predicate: predicate for predicate in edges}
-
-    def find(node: str) -> str:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for predicate, heads in edges.items():
-        for head in heads:
-            root_a, root_b = find(predicate), find(head)
-            if root_a != root_b:
-                if root_b < root_a:
-                    root_a, root_b = root_b, root_a
-                parent[root_b] = root_a
-    members: Dict[str, list] = {}
-    for predicate in edges:
-        members.setdefault(find(predicate), []).append(predicate)
-    closure_groups: Dict[str, int] = {}
-    for group_id, root in enumerate(sorted(members, key=lambda r: min(members[r]))):
-        for predicate in members[root]:
-            closure_groups[predicate] = group_id
-
     external_closures: Dict[str, FrozenSet[str]] = {}
     touched: Dict[str, Set[str]] = {}
     for clause in program:
@@ -114,4 +81,4 @@ def compute_closures(
             cone.update(write_closures[head])
         external_closures[domain] = frozenset(cone)
 
-    return write_closures, read_closures, closure_groups, external_closures
+    return write_closures, read_closures, external_closures

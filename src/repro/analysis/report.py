@@ -4,8 +4,7 @@ A :class:`ProgramReport` is the one-shot summary of everything the analyzer
 can decide about a mediated program *before* any maintenance runs: severity
 graded diagnostics (safety, stratification, domain typing), the predicate
 dependency structure (SCC condensation, strata, upward closures), and the
-per-position facts the runtime consumes (interval-index eligibility), and
-the closure groups ``repro analyze`` reports.
+per-position facts the runtime consumes (interval-index eligibility).
 """
 
 from __future__ import annotations
@@ -57,10 +56,7 @@ class ProgramReport:
 
     The closure tables are total over the program's predicates (head *or*
     body occurrences) and are the precomputed source of truth the stream
-    scheduler adopts; ``closure_groups`` assigns every predicate the id of
-    its connected component in the (undirected) dependency graph -- two
-    write closures can only intersect when their source predicates share a
-    group (``repro analyze`` reports them; the runtime does not read them).
+    scheduler adopts.
     """
 
     #: All findings, in pass order (safety, stratification, signatures).
@@ -79,8 +75,6 @@ class ProgramReport:
     #: whose head lies in the closure (the entries StDel may *read* while
     #: rebuilding parents, without ever rewriting them).
     read_closures: Mapping[str, FrozenSet[str]]
-    #: Predicate -> connected-component id (undirected dependency graph).
-    closure_groups: Mapping[str, int]
     #: Domain name -> closure of every predicate whose clauses call into
     #: the domain (the external-notice update kind of the paper's W_P).
     external_closures: Mapping[str, FrozenSet[str]]
@@ -134,9 +128,6 @@ class ProgramReport:
                 p: sorted(self.read_closures[p])
                 for p in sorted(self.read_closures)
             },
-            "closure_groups": {
-                p: self.closure_groups[p] for p in sorted(self.closure_groups)
-            },
             "external_closures": {
                 d: sorted(self.external_closures[d])
                 for d in sorted(self.external_closures)
@@ -162,8 +153,7 @@ class ProgramReport:
         )
         return (
             f"{len(self.predicates)} predicates, "
-            f"{len(self.components)} strata, "
-            f"{len(set(self.closure_groups.values()))} closure groups; "
+            f"{len(self.components)} strata; "
             f"mean write closure {mean_closure:.1f}, "
             f"{len(self.interval_positions)} interval-eligible positions; "
             f"{counts['error']} errors, {counts['warning']} warnings, "

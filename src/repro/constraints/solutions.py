@@ -18,7 +18,9 @@ Enumeration is a backtracking search over a compiled :class:`_Plan`:
    rule fixes the search tree and with it the order of the solutions, so it
    is part of the module's contract;
 2. every conjunct is evaluated exactly once per branch, with the solver's
-   exact ground evaluator, at the assignment that grounds its last variable;
+   exact ground evaluator, at the assignment that grounds its last variable
+   -- except the DCA-atoms a variable's candidates were drawn from: every
+   candidate is in those results already, so they are not asked again;
 3. what cannot be decided on the way down -- a negation with variables of
    its own (quantified inside it), a membership the solver could not
    evaluate -- is evaluated at the complete assignment.
@@ -124,12 +126,10 @@ def solution_set(
 
 #: What a variable is to the conjuncts: ``(mentions, pins, sources, bounds)``
 #: -- the indexes of the conjuncts it helps to ground, the other sides of its
-#: equalities, the positive memberships it is the element of, and the
-#: ``(op, other side)`` of its orderings oriented with the variable on the
-#: left -- each in conjunct order.
-_Role = Tuple[
-    Tuple[int, ...], Tuple[Term, ...], Tuple[Membership, ...], Tuple[Tuple[str, Term], ...]
-]
+#: equalities, the indexes of the positive memberships it is the element of,
+#: and the ``(op, other side)`` of its orderings oriented with the variable on
+#: the left -- each in conjunct order.
+_Role = Tuple[Tuple[int, ...], Tuple[Term, ...], Tuple[int, ...], Tuple[Tuple[str, Term], ...]]
 
 
 class _Plan:
@@ -193,7 +193,7 @@ class _Plan:
                         roles[position[this]][3].append((op, other))
             elif isinstance(part, Membership) and part.positive:
                 if isinstance(part.element, Variable):
-                    roles[position[part.element]][2].append(part)
+                    roles[position[part.element]][2].append(index)
         #: Per conjunct, how many searched variables it waits for.
         self.arity = tuple(arity)
         #: The :data:`_Role` of each variable of :attr:`search`, by position.
@@ -204,7 +204,7 @@ class _Plan:
         #: (its value feeds their candidate sets); ``()`` when no DCA-atom does.
         feeds: List[set] = [set() for _ in position]
         for target, role in enumerate(roles):
-            for variable in {v for part in role[2] for v in part.call.variables()}:
+            for variable in {v for index in role[2] for v in parts[index].call.variables()}:
                 feeds[position[variable]].add(target)
         self.feeds = tuple(map(tuple, map(sorted, feeds))) if any(r[2] for r in roles) else ()
         #: Conjuncts without variables: decided by the first assignment.
@@ -278,14 +278,15 @@ class _Search:
             yield partial
             return
 
-        chosen, candidates = self._choose(unassigned)
+        chosen, candidates, drawn = self._choose(unassigned)
         variable = plan.search[chosen]
         remaining = [position for position in unassigned if position != chosen]
         pending = self.pending
         mentions = plan.roles[chosen][0]
         # The conjuncts this assignment grounds: evaluated here, once, and
-        # never again further down.
-        ready = [index for index in mentions if pending[index] == 1]
+        # never again further down; the DCA-atoms the candidates were drawn
+        # from hold for each of them already.
+        ready = [index for index in mentions if pending[index] == 1 and index not in drawn]
         if not partial and plan.ground:
             ready = sorted(ready + list(plan.ground))
         for index in mentions:
@@ -317,8 +318,11 @@ class _Search:
         for position, entry in zip(fed, saved or ()):
             cache[position] = entry
 
-    def _choose(self, unassigned: List[int]) -> Tuple[int, Iterable[object]]:
-        """Choose the next variable (by position) and its candidate values.
+    def _choose(
+        self, unassigned: List[int]
+    ) -> Tuple[int, Iterable[object], Tuple[int, ...]]:
+        """Choose the next variable (by position), its candidate values and
+        the conjunct indexes of the DCA-atoms those values were drawn from.
 
         Preference: equality-pinned variables, then finite membership sets,
         then bounded integer intervals, then the universe.  Raises
@@ -331,17 +335,19 @@ class _Search:
         best: Optional[Tuple[int, int]] = None
         best_position = -1
         best_values: Iterable[object] = ()
+        best_drawn: Tuple[int, ...] = ()
         for position in unassigned:
             _, pins, sources, bounds = roles[position]
             for other in pins:
                 value = _resolve(other, partial)
                 if value is not _NO_VALUE:
-                    return position, (value,)
+                    return position, (value,), ()
             values: Optional[Sequence[object]] = None
             if sources and cache is not None:
-                values = cache[position]
-                if values is _STALE:
-                    values = cache[position] = self._membership_values(sources)
+                entry = cache[position]
+                if entry is _STALE:
+                    entry = cache[position] = self._membership_values(sources)
+                values, drawn = entry
             if values is not None:
                 rank = (1, len(values))
             else:
@@ -350,16 +356,17 @@ class _Search:
                     continue
                 values = range(interval[0], interval[1] + 1)
                 rank = (2, len(values))
+                drawn = ()
             if best is None or rank < best:
-                best, best_position, best_values = rank, position, values
+                best, best_position, best_values, best_drawn = rank, position, values, drawn
         if best is not None:
-            return best_position, best_values
+            return best_position, best_values, best_drawn
         if self.universe is None:
             raise SolverError(
                 "cannot enumerate candidate values for variable "
                 f"{self.plan.search[unassigned[0]]}; supply a universe"
             )
-        return unassigned[0], self.universe
+        return unassigned[0], self.universe, ()
 
     def _call(self, call: DomainCall, args: Tuple[object, ...]) -> ResultSetLike:
         """The result of *call* at *args*; keyed like the registry's memo
@@ -382,17 +389,24 @@ class _Search:
         result = self._call(part.call, _resolved(part.call.args, partial))
         return bool(result.contains(_resolve(part.element, partial))) == part.positive
 
-    def _membership_values(self, sources: Sequence[Membership]) -> Optional[Sequence[object]]:
-        """Finite candidate values from a variable's positive DCA-atoms, in
-        :func:`_sort_key` order: the first finite result's, filtered by the rest."""
+    def _membership_values(
+        self, sources: Tuple[int, ...]
+    ) -> Tuple[Optional[Sequence[object]], Tuple[int, ...]]:
+        """Finite candidate values from a variable's positive DCA-atoms (the
+        conjunct indexes *sources*), in :func:`_sort_key` order: the first
+        finite result's, filtered by the rest; and the indexes of the sources
+        that built them -- *sources* itself when none was skipped."""
+        parts = self.plan.parts
         collected: Optional[Sequence[object]] = None
-        for part in sources:
-            call = part.call
+        used = sources
+        for index in sources:
+            call = parts[index].call
             args = _resolved(call.args, self.partial)
-            if _NO_VALUE in args or not self.evaluator.has_domain(call.domain):
-                continue
-            result = self._call(call, args)
-            if not result.is_finite():
+            result = None
+            if _NO_VALUE not in args and self.evaluator.has_domain(call.domain):
+                result = self._call(call, args)
+            if result is None or not result.is_finite():  # skipped: stays a check
+                used = tuple([other for other in used if other != index])
                 continue
             if collected is not None:
                 collected = [value for value in collected if result.contains(value)]
@@ -402,12 +416,14 @@ class _Search:
                 collected = result._order
             else:
                 collected = sorted(set(result.iter_values()), key=_sort_key)
-        return collected
+        return _NO_CANDIDATES if collected is None else (collected, used)
 
 
 _NO_VALUE = object()
 #: A candidate-cache entry not computed under the live assignment.
 _STALE = object()
+#: The candidate-cache entry of a variable no finite DCA result bounds.
+_NO_CANDIDATES: Tuple[None, Tuple[int, ...]] = (None, ())
 
 
 def _resolve(term: Term, partial: Dict[Variable, object]) -> object:

@@ -168,19 +168,6 @@ class TestClosureTables:
         # b's rebuild may read a's body inputs: b itself feeds a.
         assert report.read_closures["b"] >= {"a", "b", "c"}
 
-    def test_closure_groups_separate_independent_components(self):
-        report = analyze_text(
-            "top1(X) <- base1(X).\nbase1(X) <- X = 1.\n"
-            "top2(X) <- base2(X).\nbase2(X) <- X = 2."
-        )
-        groups = report.closure_groups
-        assert groups["base1"] == groups["top1"]
-        assert groups["base2"] == groups["top2"]
-        assert groups["base1"] != groups["base2"]
-        # Every write closure stays inside one group.
-        for predicate, closure in report.write_closures.items():
-            assert {groups[member] for member in closure} == {groups[predicate]}
-
     def test_interval_positions_are_found_and_inherited(self):
         report = analyze_text("iv(X) <- X >= 3 & X <= 9.\nup(X) <- iv(X).")
         assert ("iv", 0) in report.interval_positions

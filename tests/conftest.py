@@ -13,6 +13,10 @@ from repro.domains import Domain, DomainRegistry, make_arithmetic_domain
 #: same examples on every run and machine, and no example database carries a
 #: failure over from an earlier run.  ``max_examples`` stays per test.
 settings.register_profile("tier1", derandomize=True, database=None)
+#: Outside tier-1, ``--hypothesis-profile=explore`` draws fresh examples on
+#: every run.  Every property test sets its own ``max_examples``, which a
+#: profile does not override: more examples come from more runs.
+settings.register_profile("explore", derandomize=False, database=None)
 settings.load_profile("tier1")
 
 #: The paper's Example 4 / Example 5 constrained database.  The scanned paper

@@ -196,11 +196,35 @@ W = Variable("W")  # only ever used inside a negation: quantified there
 SMALL_UNIVERSE = tuple(range(5))
 
 
+class ListedResultSet:
+    """A finite result set that is not a :class:`FrozenResultSet`: its values
+    come unsorted and repeated, the way a source might list them."""
+
+    def __init__(self, values):
+        self._values = tuple(values)
+
+    def contains(self, value):
+        return value in self._values
+
+    def is_finite(self):
+        return True
+
+    def is_empty(self):
+        return not self._values
+
+    def iter_values(self):
+        return iter(self._values)
+
+    def size_hint(self):
+        return len(self._values)
+
+
 def toy_registry(executed=None) -> DomainRegistry:
     """Finite, chained and intensional calls whose values stay in the universe."""
     log = executed if executed is not None else []
     toy = Domain("toy")
     toy.register("nums", lambda: log.append("nums") or {0, 1, 2})
+    toy.register("evens", lambda: log.append("evens") or ListedResultSet((4, 2, 0, 2)))
     toy.register(
         "succ", lambda x: log.append("succ") or ({x + 1} if x in (0, 1, 2) else set())
     )
@@ -227,6 +251,15 @@ def brute_force(constraint, wanted, solver, universe):
     return found
 
 
+def finite_sources(element, terms):
+    """A positive DCA-atom on *element* whose result is finite."""
+    return st.one_of(
+        st.just(member(element, "toy", "nums")),
+        st.just(member(element, "toy", "evens")),
+        st.builds(lambda arg: member(element, "toy", "succ", arg), terms),
+    )
+
+
 def literals(variables):
     terms = st.one_of(st.sampled_from(variables), st.sampled_from(SMALL_UNIVERSE))
     comparisons = st.builds(
@@ -237,6 +270,7 @@ def literals(variables):
     )
     calls = st.one_of(
         st.builds(lambda element: member(element, "toy", "nums"), terms),
+        st.builds(lambda element: member(element, "toy", "evens"), terms),
         st.builds(lambda element, arg: member(element, "toy", "succ", arg), terms, terms),
         st.builds(lambda arg: member(True, "toy", "small", arg), terms),
         st.builds(lambda element: member(element, "toy", "big"), terms),
@@ -253,6 +287,11 @@ def literals(variables):
 def search_cases(draw):
     outer = (X, Y, Z)
     positive = draw(st.lists(literals(outer), min_size=1, max_size=5))
+    # Two finite sources on one element: its candidates come from both, or
+    # from one while the other waits for an argument.
+    terms = st.one_of(st.sampled_from(outer), st.sampled_from(SMALL_UNIVERSE))
+    element = draw(st.sampled_from(outer))
+    positive += draw(st.lists(finite_sources(element, terms), max_size=2))
     negations = draw(
         st.lists(
             st.lists(literals(outer + (W,)), min_size=1, max_size=3), max_size=2
@@ -317,6 +356,50 @@ class TestSearchMatchesBruteForce:
             (x, y) for x in (0, 1) for y in (0, 1, 2)
         }
         assert executed.count("small") == 3  # one per candidate of X
+
+    def test_a_candidate_is_not_tested_again_against_its_own_source(self):
+        """Counted: ``contains`` on ``nums``'s result is never asked for a
+        value drawn from it, while the sources the draw skipped -- an
+        intensional result, a call waiting for an argument, a domain the
+        registry lacks -- are still evaluated."""
+        asked = []
+
+        class Counted(FrozenResultSet):
+            __slots__ = ("name",)
+
+            def __init__(self, name, values):
+                super().__init__(values)
+                self.name = name
+
+            def contains(self, value):
+                asked.append(self.name)
+                return super().contains(value)
+
+        toy = Domain("toy")
+        toy.register("nums", lambda: Counted("nums", {0, 1, 2}))
+        toy.register("succ", lambda y: Counted("succ", {y + 1}))
+        toy.register(
+            "big", lambda: IntensionalResultSet(lambda v: asked.append("big") or v >= 2)
+        )
+        solver = ConstraintSolver(DomainRegistry([toy]))
+        drawn = conjoin(member(X, "toy", "nums"), member(Y, "toy", "nums"))
+        assert solution_set(drawn, [X, Y], solver=solver) == {
+            (x, y) for x in (0, 1, 2) for y in (0, 1, 2)
+        }
+        assert asked == []
+        # X draws from nums alone: big is intensional and succ(Y) waits for
+        # Y (an interval, so X goes first); each is decided where it grounds.
+        skipped = conjoin(
+            member(X, "toy", "nums"), member(X, "toy", "big"), member(X, "toy", "succ", Y),
+            compare(Y, ">=", 0), compare(Y, "<=", 1),
+        )
+        assert solution_set(skipped, [X, Y], solver=solver) == {(2, 1)}
+        assert sorted(asked) == ["big"] * 3 + ["succ"] * 2
+        # A domain the registry lacks is skipped by the draw and still raises.
+        with pytest.raises(UnknownDomainError):
+            solution_set(
+                conjoin(member(X, "toy", "nums"), member(X, "nosuch", "f")), [X], solver=solver
+            )
 
     def test_an_unevaluable_membership_raises_at_the_leaf_not_before(self):
         bounded = conjoin(compare(X, ">=", 0), compare(X, "<=", 2))

@@ -354,11 +354,18 @@ def test_a_mediated_read_calls_the_sources_that_changed(monkeypatch):
     from repro.workloads import make_law_enforcement_scenario
 
     computed = []  # candidate-set computations of the solution search
+    evaluated = []  # conjunct evaluations of the solution search
     candidates = solutions._Search._membership_values
+    holds = solutions._Search._holds
     monkeypatch.setattr(
         solutions._Search,
         "_membership_values",
-        lambda search, sources: computed.append(1) or candidates(search, sources),
+        lambda search, *args: computed.append(1) or candidates(search, *args),
+    )
+    monkeypatch.setattr(
+        solutions._Search,
+        "_holds",
+        lambda search, *args: evaluated.append(1) or holds(search, *args),
     )
     scenario = make_law_enforcement_scenario(num_people=10, photo_count=6)
     scheduler = scenario.mediator.streaming(StreamOptions(max_workers=1))
@@ -380,6 +387,8 @@ def test_a_mediated_read_calls_the_sources_that_changed(monkeypatch):
     assert entered - built <= distinct
     cold_computed = len(computed)
     assert cold_computed <= 272  # 1 962 when every node recomputed every set
+    # 1 282 when every candidate re-tested the DCA-atoms it was drawn from.
+    assert len(evaluated) <= 604
 
     for toggled in scenario.abc_employees[:2]:  # two toggles: the same work
         table.delete_eq("name", toggled)
@@ -387,9 +396,10 @@ def test_a_mediated_read_calls_the_sources_that_changed(monkeypatch):
         assert without == {pair for pair in cold if pair[1] != toggled}
         _, before = counters()
         table.insert((toggled, "analyst"))
-        del computed[:]
+        del computed[:], evaluated[:]
         assert scheduler.query("suspect") == cold
         assert len(computed) == cold_computed
+        assert len(evaluated) <= 604
         entered, after = counters()
         dbase_before, dbase_after = before.pop("dbase"), after.pop("dbase")
         assert 0 < dbase_after - dbase_before <= 8
