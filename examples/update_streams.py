@@ -46,7 +46,7 @@ def main() -> None:
     for request in stream.requests:
         # A batch of one: the per-request path.
         result = one_at_a_time.apply_batch((request,))
-        assert result.ok, result.failed_units
+        assert result.ok, result.error
         stats = result.stats.totals()
         sequential.merge(stats)
         print(f"  {request}  ->  view has {len(result.view)} entries "
@@ -65,14 +65,17 @@ def main() -> None:
           "effective (rewritten) program.")
 
     # The same stream as ONE coalesced batch through the update-stream
-    # subsystem: one StDel pass seeded with every deletion, one P_ADD
-    # fixpoint seeded with every insertion, per independent stratum.
+    # subsystem: one StDel pass seeded with every deletion, then one P_ADD
+    # fixpoint seeded with every insertion, on one checkout of the view --
+    # committed whole, or (if the pass raises) not at all.
     print("\nReplaying the same stream as one coalesced batch ...")
     scheduler = StreamScheduler(spec.program, ConstraintSolver())
     result = scheduler.apply_batch(stream.requests)
+    assert result.ok, result.error
     totals = result.stats.totals()
+    (report,) = result.stats.units
     print(f"  {result.stats.submitted} requests -> {result.stats.applied} after "
-          f"coalescing, {len(result.stats.units)} stratum unit(s)")
+          f"coalescing, one pass over {len(report.write_closure)} predicate(s)")
     print(f"  batched counters: {totals.solver_calls} solver calls vs "
           f"{sequential.solver_calls} one-at-a-time")
     batched = scheduler.query(top)

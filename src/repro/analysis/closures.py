@@ -6,9 +6,9 @@ body->head edges -- can only *write* predicates in ``p``'s upward closure
 of the dependency graph.  Rebuilding a parent entry additionally *reads*
 the body predicates of clauses whose head lies in the closure (StDel's
 premise re-fetch), so the read closure is the write closure plus that body
-frontier.  Both tables are total over the program's predicates, computed
-once, and adopted by :class:`~repro.stream.strata.PredicateStrata` as the
-precomputed source of truth.
+frontier.  Both tables are total over the program's predicates and
+computed once; the stream scheduler checks each batch out to the union of
+its requests' write closures.
 
 External-notice closures cover the third update kind: a source change in
 domain ``d`` can disturb exactly the clauses whose constraints call ``d``,

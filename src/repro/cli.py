@@ -125,7 +125,7 @@ def _cmd_update(args, stream, kind: str) -> int:
     result = scheduler.apply_batch((request,))
     if not result.ok:
         raise MaintenanceError(
-            f"update failed: {request} ({result.failed_units[0].error})"
+            f"update failed: {request} ({result.error})"
         )
     algorithm = args.algorithm if kind == "delete" else "insert"
     print(
@@ -187,7 +187,7 @@ def _cmd_serve(args, stream) -> int:
         print(f"observability enabled{where}", file=stream)
     if args.data_dir:
         # Durable serving: recover the newest snapshot + WAL tail from the
-        # data directory, journal every drained batch, checkpoint on exit.
+        # data directory, journal every committed batch, checkpoint on exit.
         from repro.persist import open_scheduler
 
         scheduler = open_scheduler(

@@ -17,8 +17,8 @@ Thread-safety and lifetime:
   lock.  The critical section is a dict probe plus, on a miss, allocating
   the node -- builders never re-enter the same table (children are interned
   *before* the key exists), so the lock order is trivially acyclic and the
-  pipelined scheduler's concurrent batches, the serve layer's readers and
-  its prepare thread can construct from any thread.
+  serve layer's read threads and its writer thread can construct from any
+  thread.
 * Entries are weak: a node lives exactly as long as something outside the
   table references it.  Per-node memo slots (canonical form, satisfiability,
   simplification -- see :mod:`repro.constraints.ast`) share that lifetime,

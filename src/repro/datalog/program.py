@@ -255,10 +255,9 @@ class ConstrainedDatabase:
 
         Components come back in bottom-up topological order (a component
         only depends on earlier ones); predicates inside a component are
-        sorted.  This is the stratification the update-stream scheduler uses
-        to recognize independent parts of a batch: recursion is confined to
-        a component, so two updates whose reachable components are disjoint
-        can be maintained as separate units.
+        sorted.  These are the analyzer's strata
+        (:attr:`~repro.analysis.ProgramReport.components`): recursion is
+        confined to a component.
 
         Iterative Tarjan over the same edges as
         :meth:`predicate_dependency_edges`, with sorted adjacency so the

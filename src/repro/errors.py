@@ -48,8 +48,8 @@ class WriteScopeError(ProgramError):
     """A view write targeted a predicate outside the active checkout scope.
 
     Raised by :meth:`~repro.datalog.view.MaterializedView._writable_shard`
-    when a maintenance step mutates a predicate its stratum unit never
-    declared in its write closure.  Subclasses :class:`ProgramError` so
+    when a maintenance step mutates a predicate outside the write scope
+    its batch was checked out to (the union of its write closures).  Subclasses :class:`ProgramError` so
     pre-existing callers that catch the broader class keep working.
     """
 

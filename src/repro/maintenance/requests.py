@@ -84,9 +84,9 @@ class MaintenanceStats:
     def merge(self, other: "MaintenanceStats") -> None:
         """Fold another stats object into this one (counter-wise addition).
 
-        The stream scheduler applies one coalesced batch as several algorithm
-        passes (one deletion pass, one insertion pass, per stratum unit) and
-        reports them as a single set of counters; the chained fallbacks of
+        The stream scheduler applies one coalesced batch as two algorithm
+        passes (one deletion pass, one insertion pass) and reports them as
+        a single set of counters; the chained fallbacks of
         ``delete_many`` use it too.
         """
         mine, theirs = vars(self), vars(other)

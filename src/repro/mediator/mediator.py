@@ -124,15 +124,13 @@ class MediatedView:
     ) -> BatchResult:
         """Apply *request* as a one-request batch on the view's scheduler.
 
-        A pass fails deterministically, so it is attempted once; a failure
-        raises :class:`~repro.errors.MediatorError` and leaves the view and
+        A pass is attempted once; a failure raises :class:`~repro.errors.MediatorError` and leaves the view and
         the scheduler's programs as they were.
         """
         if self._scheduler is None:
             self._scheduler = self.mediator._new_scheduler(
                 self.view,
                 deletion_algorithm=(algorithm or DeletionAlgorithm.STDEL).value,
-                max_unit_attempts=1,
             )
         elif algorithm is not None and (
             algorithm.value != self._scheduler.options.deletion_algorithm
@@ -145,7 +143,7 @@ class MediatedView:
         result = self._scheduler.apply_batch((request,))
         if not result.ok:
             raise MediatorError(
-                f"update failed: {request} ({result.failed_units[0].error})"
+                f"update failed: {request} ({result.error})"
             )
         self.view = result.view
         return result
@@ -368,7 +366,7 @@ class Mediator:
         """A :class:`~repro.serve.MediatorService` over this mediator.
 
         Returns the (not yet started) asyncio service: concurrent snapshot
-        reads, a pipelined writer draining the update log, watermark
+        reads, one writer thread flushing the update log, watermark
         backpressure.  Callers ``await service.start()`` (or use it as an
         async context manager) from their event loop.
         """

@@ -18,18 +18,17 @@ from typing import Dict, Iterable, List, Optional, Tuple
 SPAN_ORDER: Tuple[str, ...] = (
     "batch",
     "drain",
-    "journal",
     "prepare",
     "coalesce",
-    "admit",
     "apply",
-    "unit",
+    "journal",
     "commit",
     "checkpoint",
 )
 
-#: Spans every *applied* (non-empty, successfully drained) batch must have.
-REQUIRED_SPANS: Tuple[str, ...] = ("prepare", "admit", "apply", "commit")
+#: Spans every *committed* (non-empty, successfully drained) batch must
+#: have; a batch whose pass raised has no ``commit``.
+REQUIRED_SPANS: Tuple[str, ...] = ("prepare", "apply", "commit")
 
 #: The per-span counter attrs that must reconcile with scheduler totals.
 COUNTER_ATTRS: Tuple[str, ...] = (
@@ -96,7 +95,7 @@ class TraceView:
 
         Root spans carry the batch *totals* as convenience attrs; counting
         them would double every delta, so reconciliation sums only the
-        spans that actually incurred the work (the ``unit`` spans).
+        span that actually incurred the work (the ``apply`` span).
         """
         totals = {attr: 0 for attr in COUNTER_ATTRS}
         for event in self.spans:
@@ -122,6 +121,8 @@ class TraceView:
             )
         names = set(self.names())
         required = REQUIRED_SPANS + (("drain",) if require_drain else ())
+        if self.root.get("status") == "error":
+            required = tuple(name for name in required if name != "commit")
         for name in required:
             if name not in names:
                 issues.append(f"{self.trace_id}: missing '{name}' span")

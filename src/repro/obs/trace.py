@@ -1,10 +1,9 @@
 """Batch-lifecycle tracing: traces, spans, and JSON-lines exporters.
 
-One *trace* follows one drained batch across every pipeline seam and every
-thread it touches: ``drain`` (+ ``journal`` on durable schedulers) on the
-drain thread, ``prepare``/``coalesce`` on the prepare thread, ``admit``,
-``apply`` with one ``unit`` child span per stratum unit (each recording the
-counter deltas it incurred), ``commit`` on the applying thread, and
+One *trace* follows one drained batch across every pipeline seam, all on
+the thread that flushes it: ``drain``, ``prepare``/``coalesce``, ``apply``
+(the batch's one maintenance pass, recording the counter deltas it
+incurred), ``journal`` on durable schedulers, ``commit``, and
 ``checkpoint`` when the durability policy fires.  Spans carry **monotonic**
 timestamps only (``time.monotonic``; ``time.time`` is banned in this package
 by ``tools/lint_rules.py``) -- the trace is a timeline, not a calendar, and
@@ -13,7 +12,7 @@ wall clocks can step backwards mid-batch.
 A finished span is emitted as one JSON-lines event::
 
     {"type": "span", "trace": "t3", "span": 2, "parent": 1,
-     "name": "unit", "start": 8.1231, "end": 8.1310, "thread": "...",
+     "name": "apply", "start": 8.1231, "end": 8.1310, "thread": "...",
      "attrs": {"solver_calls": 4, ...}}
 
 Root spans (``"parent": null``, name ``"batch"``) additionally carry the

@@ -7,7 +7,7 @@ survive the process.  Three cooperating pieces:
   shards, programs and WAL payloads (canonical JSON; re-encoding a decoded
   value is byte-identical, so checksums are stable);
 * :mod:`repro.persist.wal` -- segment-rotated, fsync'd write-ahead log of
-  drained update batches;
+  committed update batches;
 * :mod:`repro.persist.snapshot` -- atomic shard-granular checkpoints
   (content-addressed shard files + manifest + ``CURRENT`` swing).
 

@@ -1,27 +1,28 @@
-"""Durability coordination: WAL journaling, watermarks, checkpoint policy.
+"""Durability coordination: journal at commit, watermark, checkpoint policy.
 
 :class:`DurableScheduler` is a :class:`~repro.stream.StreamScheduler` whose
-drain/commit seams are wired into a :class:`DurabilityManager`:
+commit seams are wired into a :class:`DurabilityManager`:
 
-* **drain** journals the drained batch to the WAL (fsync'd) *before* the
-  batch enters ``prepare_batch`` -- every acknowledged batch is on disk
-  first;
-* **commit** (under the scheduler's commit lock) marks the batch's
-  transaction ids committed.  Batches commit in transaction order, but a
-  batch that raised never commits, so the durable *watermark* is the
-  contiguous committed prefix; only when the committed set has no holes
-  does the freshly published view become a checkpoint candidate -- a
-  snapshot must contain exactly the transactions at or below its
-  watermark, nothing more;
-* **after apply**, the WAL-size policy may turn the latest candidate into
-  an on-disk checkpoint (dirty shards + manifest + ``CURRENT`` swing +
-  WAL rotation/pruning), off the commit lock -- published views are never
-  mutated in place, so serializing one concurrently with later batches is
-  safe under the copy-on-write discipline.
+* **journal** -- after a batch's pass succeeded and just before the
+  pointer swap, the transactions ``flush`` drained are appended to the WAL
+  (fsync'd).  A batch whose pass raised never reaches the WAL, so the log
+  holds exactly the committed batches, in commit order; a failure of the
+  append itself propagates like a crash;
+* **commit** (under the scheduler's commit lock) -- the watermark moves to
+  the batch's last transaction id, and the freshly published view becomes
+  the checkpoint candidate: it contains exactly the committed
+  transactions at or below the watermark;
+* **after the batch**, the WAL-size policy turns the candidate into an
+  on-disk checkpoint (dirty shards + manifest + ``CURRENT`` swing + WAL
+  rotation/pruning) once the live log reaches the threshold -- deferred
+  while updates wait, up to twice the threshold -- off the commit lock:
+  published views are never mutated in place, so serializing one is safe
+  under the copy-on-write discipline.
 
 :func:`open_scheduler` is the recovery entry point: load the newest valid
-snapshot, replay the WAL tail through the ordinary pipeline, and hand back
-a scheduler whose update log continues above the persisted high-water mark.
+snapshot, replay the WAL tail through the ordinary pipeline (without
+journaling it again), and hand back a scheduler whose update log continues
+above the persisted high-water mark.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from repro.analysis import analyze_program
 from repro.constraints.solver import ConstraintSolver
@@ -44,20 +45,16 @@ from repro.persist.faults import fire
 from repro.persist.snapshot import CheckpointInfo, SnapshotStore
 from repro.persist.wal import WriteAheadLog
 from repro.stream.log import Transaction, UpdateLog
-from repro.stream.scheduler import (
-    PreparedBatch,
-    StreamOptions,
-    StreamScheduler,
-)
+from repro.stream.scheduler import PreparedBatch, StreamOptions, StreamScheduler
 
 
 @dataclass(frozen=True)
 class DurabilityOptions:
     """Tunable behaviour of the durability layer."""
 
-    #: Checkpoint once the live WAL grows past this many bytes, at the first
-    #: moment every journaled batch is committed or at twice this size,
-    #: whichever comes first (the WAL-size policy, see
+    #: Checkpoint after the first batch that leaves the live WAL at or over
+    #: this many bytes with no update waiting, or at twice this many bytes
+    #: regardless (the WAL-size policy, see
     #: :meth:`DurabilityManager.maybe_checkpoint`; ``checkpoint()`` forces
     #: one regardless).
     checkpoint_wal_bytes: int = 1 << 20
@@ -77,7 +74,13 @@ class DurabilityStats:
 
 
 class DurabilityManager:
-    """Owns the WAL, the snapshot store and the committed-set watermark."""
+    """Owns the WAL, the snapshot store and the commit watermark.
+
+    The scheduler's one writer journals and commits; a checkpoint may run
+    on another thread (``checkpoint()`` is public), so the candidate is one
+    tuple, swapped by a single assignment, and checkpoints serialize among
+    themselves.
+    """
 
     def __init__(
         self,
@@ -91,14 +94,10 @@ class DurabilityManager:
         self._store = store
         self._wal = wal
         self._options = options
-        self._lock = threading.Lock()
         self._watermark = watermark
         self._txn_high = max(txn_high, watermark)
-        #: Committed transaction ids above the watermark (a hole = a batch
-        #: that raised, whose transactions never commit).
-        self._committed: Set[int] = set()
-        #: Latest hole-free (view, watermark, programs) commit -- what the
-        #: next checkpoint writes.  ``None`` until the first clean commit.
+        #: Latest committed (view, watermark, programs) -- what the next
+        #: checkpoint writes.  ``None`` until the scheduler seeds it.
         self._candidate: Optional[
             Tuple[MaterializedView, int, ConstrainedDatabase, ConstrainedDatabase]
         ] = None
@@ -113,18 +112,16 @@ class DurabilityManager:
         """Point the manager at a live registry (the owning scheduler's)."""
         self._metrics = metrics
 
-    def bind(self, program: ConstrainedDatabase, report_digest: str) -> None:
-        """Attach the base program identity the manifests carry."""
-        self._program = program
-        self._report_digest = report_digest
-
-    def seed_candidate(
+    def bind(
         self,
+        program: ConstrainedDatabase,
+        report_digest: str,
         view: MaterializedView,
         effective_program: ConstrainedDatabase,
         deletion_program: ConstrainedDatabase,
     ) -> None:
-        """Make the scheduler's opening state checkpointable.
+        """Attach the base program identity the manifests carry, and make
+        the scheduler's opening state checkpointable.
 
         A freshly opened scheduler's published view is by construction the
         state at the recovered watermark (snapshot view before replay, or
@@ -132,14 +129,11 @@ class DurabilityManager:
         snapshot candidate even though no commit has happened yet --
         without this, a durable mediator that serves only reads could
         never persist its initial materialization."""
-        with self._lock:
-            if self._candidate is None and not self._committed:
-                self._candidate = (
-                    view,
-                    self._watermark,
-                    effective_program,
-                    deletion_program,
-                )
+        self._program = program
+        self._report_digest = report_digest
+        self._candidate = (
+            view, self._watermark, effective_program, deletion_program
+        )
 
     @property
     def store(self) -> SnapshotStore:
@@ -151,27 +145,22 @@ class DurabilityManager:
 
     @property
     def watermark(self) -> int:
-        """Contiguous committed transaction prefix (snapshot boundary)."""
-        with self._lock:
-            return self._watermark
+        """The last committed transaction id (the snapshot boundary)."""
+        return self._watermark
 
     @property
     def txn_high(self) -> int:
         """Largest transaction id ever journaled or committed."""
-        with self._lock:
-            return self._txn_high
+        return self._txn_high
 
     # ------------------------------------------------------------------
     # The scheduler's two seams
     # ------------------------------------------------------------------
     def journal(self, transactions: Tuple[Transaction, ...]) -> None:
-        """Append one drained batch to the WAL (fsync'd) before it applies."""
+        """Append one batch to the WAL (fsync'd) just before it commits."""
         self._wal.append(transactions)
-        with self._lock:
-            self.stats.journaled_batches += 1
-            for txn in transactions:
-                if txn.txn_id > self._txn_high:
-                    self._txn_high = txn.txn_id
+        self.stats.journaled_batches += 1
+        self._txn_high = max(self._txn_high, transactions[-1].txn_id)
         if self._metrics.enabled:
             self._metrics.inc("repro_wal_journaled_batches_total")
             self._metrics.inc("repro_wal_journaled_txns_total", len(transactions))
@@ -184,62 +173,43 @@ class DurabilityManager:
         effective_program: ConstrainedDatabase,
         deletion_program: ConstrainedDatabase,
     ) -> None:
-        """Record one committed batch (called under the commit lock)."""
+        """Record one committed batch (called under the commit lock).
+
+        Batches commit one at a time, in transaction order, and a batch
+        that raised journals nothing, so the last committed id is the
+        watermark and the published view holds exactly the committed
+        transactions at or below it."""
         fire("commit.before")
-        with self._lock:
-            for txn_id in txn_ids:
-                if txn_id > self._watermark:
-                    self._committed.add(txn_id)
-                if txn_id > self._txn_high:
-                    self._txn_high = txn_id
-            while self._watermark + 1 in self._committed:
-                self._watermark += 1
-                self._committed.discard(self._watermark)
-            if not self._committed:
-                # No holes: the published view contains exactly the
-                # transactions <= watermark and is safe to snapshot.
-                self._candidate = (
-                    view,
-                    self._watermark,
-                    effective_program,
-                    deletion_program,
-                )
-            self.stats.last_watermark = self._watermark
-            watermark = self._watermark
-        self._metrics.gauge("repro_txn_watermark", watermark)
+        if txn_ids:
+            self._watermark = max(self._watermark, max(txn_ids))
+            self._txn_high = max(self._txn_high, self._watermark)
+        self._candidate = (
+            view, self._watermark, effective_program, deletion_program
+        )
+        self.stats.last_watermark = self._watermark
+        self._metrics.gauge("repro_txn_watermark", self._watermark)
         fire("commit.after")
 
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def maybe_checkpoint(self) -> Optional[CheckpointInfo]:
-        """Checkpoint when the WAL-size policy says so; else do nothing.
+    def maybe_checkpoint(self, backlog: bool) -> Optional[CheckpointInfo]:
+        """Checkpoint once the live WAL reaches the threshold; else nothing.
 
-        A snapshot at watermark *w* releases only the WAL segments that end
-        at or below *w*.  While a later batch is already journaled (the
-        serve pipeline drains batch n+1 while batch n applies) the segment
-        holding it survives the checkpoint, the log stays over the
-        threshold, and every following batch would write the whole
-        snapshot again without releasing a byte.  So an over-threshold log
-        waits for the first moment every journaled transaction is
-        committed -- at the latest when the pipeline runs dry -- where one
-        checkpoint releases all of it; at twice the threshold it stops
-        waiting, which bounds the replay debt under a load that never lets
-        the log catch up, or after a batch that raised left a hole the
-        watermark never passes (the only way a hole arises: batches commit
-        in transaction order)."""
+        Run in each batch's epilogue, after its commit.  Every journaled
+        batch has committed by then, so the checkpoint releases the whole
+        log.  It also stalls the one writer, so while updates are waiting
+        (*backlog*) it waits for the writer to catch up with them -- at the
+        end of a burst -- up to twice the threshold, which bounds the
+        replay debt under a load that never lets up."""
         threshold = self._options.checkpoint_wal_bytes
         live = self._wal.size_bytes()
-        if live < threshold:
-            return None
-        with self._lock:
-            caught_up = self._watermark == self._txn_high
-        if not caught_up and live < 2 * threshold:
+        if live < threshold or (backlog and live < 2 * threshold):
             return None
         return self.checkpoint()
 
     def checkpoint(self) -> Optional[CheckpointInfo]:
-        """Write the latest hole-free candidate as an atomic snapshot.
+        """Write the latest committed state as an atomic snapshot.
 
         Returns ``None`` when there is nothing to snapshot yet.  Safe to
         call from any thread; checkpoints serialize among themselves and
@@ -249,13 +219,10 @@ class DurabilityManager:
         if self._program is None:
             raise RecoveryError("durability manager is not bound to a program")
         with self._checkpoint_lock:
-            with self._lock:
-                candidate = self._candidate
+            candidate = self._candidate
             if candidate is None:
                 return None
             view, watermark, effective_program, deletion_program = candidate
-            with self._lock:
-                txn_high = self._txn_high
             info = self._store.write_checkpoint(
                 view,
                 program=self._program,
@@ -263,16 +230,15 @@ class DurabilityManager:
                 effective_program=effective_program,
                 deletion_program=deletion_program,
                 watermark=watermark,
-                txn_high=txn_high,
+                txn_high=self._txn_high,
             )
             self._wal.rotate()
             pruned = self._wal.prune_through(watermark)
-            with self._lock:
-                self.stats.checkpoints += 1
-                self.stats.checkpoint_bytes += info.bytes_written
-                self.stats.shards_written += info.shards_written
-                self.stats.shards_reused += info.shards_reused
-                self.stats.segments_pruned += pruned
+            self.stats.checkpoints += 1
+            self.stats.checkpoint_bytes += info.bytes_written
+            self.stats.shards_written += info.shards_written
+            self.stats.shards_reused += info.shards_reused
+            self.stats.segments_pruned += pruned
             if self._metrics.enabled:
                 self._metrics.inc("repro_checkpoints_total")
                 self._metrics.inc(
@@ -298,56 +264,37 @@ class DurabilityManager:
 class DurableScheduler(StreamScheduler):
     """A stream scheduler whose batches survive the process.
 
-    Identical to :class:`~repro.stream.StreamScheduler` except that drained
-    batches are journaled to the write-ahead log before they apply, commits
+    Identical to :class:`~repro.stream.StreamScheduler` except that a
+    flushed batch is journaled to the write-ahead log at commit, commits
     advance the durable watermark, and the WAL-size policy triggers atomic
     shard-granular checkpoints.  Built by :func:`open_scheduler`.
     """
 
     def __init__(
-        self,
-        program: ConstrainedDatabase,
-        solver: Optional[ConstraintSolver] = None,
-        view: Optional[MaterializedView] = None,
-        options: StreamOptions = StreamOptions(),
-        log: Optional[UpdateLog] = None,
-        *,
-        durability: DurabilityManager,
-        effective_program: Optional[ConstrainedDatabase] = None,
-        deletion_program: Optional[ConstrainedDatabase] = None,
-        obs: Optional[Observability] = None,
+        self, program: ConstrainedDatabase, *args, durability: DurabilityManager, **kwargs
     ) -> None:
-        super().__init__(
-            program,
-            solver,
-            view=view,
-            options=options,
-            log=log,
-            effective_program=effective_program,
-            deletion_program=deletion_program,
-            obs=obs,
-        )
+        """:class:`~repro.stream.StreamScheduler`'s arguments, plus the
+        manager that owns the data directory."""
+        super().__init__(program, *args, **kwargs)
         self._durability = durability
-        durability.bind(program, codec.report_digest(self.report))
         durability.attach_metrics(self._obs.metrics)
-        durability.seed_candidate(
-            self.view, self._effective_program, self._deletion_program
+        durability.bind(
+            program,
+            codec.report_digest(self.report),
+            self.view,
+            self._effective_program,
+            self._deletion_program,
         )
 
     @property
     def durability(self) -> DurabilityManager:
         return self._durability
 
-    def drain(self, limit: Optional[int] = None) -> Tuple[Transaction, ...]:
-        transactions = super().drain(limit)
-        if transactions:
-            # The batch's trace was parked by the base drain; the WAL
-            # append happens between drain and prepare, so its span hangs
-            # directly off the trace root.
-            with self._pending_trace_for(transactions).span("journal") as span:
-                span.set(records=len(transactions))
-                self._durability.journal(transactions)
-        return transactions
+    def _journal(self, prepared: PreparedBatch) -> None:
+        if prepared.drained:
+            with prepared.trace.span("journal") as span:
+                span.set(records=len(prepared.drained))
+                self._durability.journal(prepared.drained)
 
     def _commit_hook(
         self, prepared: PreparedBatch, next_view: MaterializedView
@@ -360,12 +307,12 @@ class DurableScheduler(StreamScheduler):
         )
 
     def _batch_epilogue(self, prepared: PreparedBatch) -> None:
-        # Policy check off the commit lock, on the applying thread (the
-        # serve layer's apply thread): disk I/O never blocks the event loop
-        # or the commit pointer swap.  Runs before super() so a triggered
-        # checkpoint lands inside the batch's trace before it seals.
+        # Policy check off the commit lock, on the writer's thread: disk
+        # I/O never blocks the event loop or the commit pointer swap.  Runs
+        # before super() so a triggered checkpoint lands inside the batch's
+        # trace before it seals.
         started = monotonic()
-        info = self._durability.maybe_checkpoint()
+        info = self._durability.maybe_checkpoint(self.log.pending_count() > 0)
         if info is not None:
             prepared.trace.record_span(
                 "checkpoint",
@@ -380,12 +327,8 @@ class DurableScheduler(StreamScheduler):
         super()._batch_epilogue(prepared)
 
     def checkpoint(self) -> Optional[CheckpointInfo]:
-        """Force a snapshot of the latest clean commit."""
+        """Force a snapshot of the latest commit."""
         return self._durability.checkpoint()
-
-    def checkpoint_if_due(self) -> Optional[CheckpointInfo]:
-        """The WAL-size policy seam the serve coordinator polls when idle."""
-        return self._durability.maybe_checkpoint()
 
 
 def open_scheduler(
@@ -403,9 +346,9 @@ def open_scheduler(
 
     1. load the snapshot ``CURRENT`` points at (checksums and program hash
        verified loudly; a fresh directory needs *program* to initialize);
-    2. replay the WAL tail -- every journaled batch whose transactions lie
-       above the snapshot watermark -- through the ordinary
-       ``prepare_batch``/``apply_prepared`` pipeline (coalescing is
+    2. replay the WAL tail -- every journaled (so committed) batch whose
+       transactions lie above the snapshot watermark -- through
+       ``apply_batch``, which journals nothing (coalescing is
        deterministic, so the replayed net effects equal the originals);
     3. start the update log at the persisted high-water mark + 1, so fresh
        transaction ids can never collide with replayed ones.
@@ -476,8 +419,14 @@ def open_scheduler(
             continue  # wholly inside the snapshot
         # Batches commit atomically, so a batch is either wholly inside or
         # wholly outside the snapshot watermark; replay it through the
-        # ordinary pipeline (no re-journaling: drain() is not involved).
-        scheduler.apply_batch(batch)
+        # ordinary pipeline (apply_batch journals nothing).  It committed
+        # once, so a pass that raises now means recovery would diverge.
+        result = scheduler.apply_batch(batch)
+        if not result.ok:
+            raise RecoveryError(
+                f"replaying committed batch {ids[0]}..{ids[-1]} failed: "
+                f"{result.error}"
+            )
         replayed += 1
     scheduler._replayed_batches = replayed  # introspection for tests/benchmarks
     return scheduler

@@ -1,11 +1,12 @@
-"""Segment-rotated, fsync'd write-ahead log of drained update batches.
+"""Segment-rotated, fsync'd write-ahead log of committed update batches.
 
-The WAL journals batches at the pipeline's *drain* boundary: one record per
-:meth:`~repro.stream.UpdateLog.drain`, holding the drained transactions
-(the paper's three update kinds) with their ids, appended and fsync'd
-**before** the batch enters ``prepare_batch``/``apply_prepared``.  A batch
-that committed in memory is therefore always reconstructible from disk, and
-a batch that never reached the WAL was never acknowledged as applied.
+The WAL journals batches at *commit*: one record per committed batch,
+holding the transactions ``flush`` drained for it (the paper's three update
+kinds) with their ids, appended and fsync'd after the batch's maintenance
+pass succeeded and just before its view is published.  The log therefore
+holds exactly the committed batches, in commit order: a batch whose pass
+raised never reaches it, and a batch the writer published is always
+reconstructible from disk.
 
 Record framing is one line per batch::
 

@@ -6,9 +6,10 @@ into loud :class:`~repro.errors.ShardSanitizerError` /
 :class:`~repro.errors.WriteScopeError` failures:
 
 * mutating a shard that a published (shared) view still references,
-* writing a predicate outside a stratum unit's declared write closure,
-* committing a batch whose view leaked writes past its written closures
-  (a torn publish: a write no unit declared) or changed a container it
+* writing a predicate outside a batch's write scope (the union of its
+  write closures),
+* committing a batch whose view leaked writes past that scope (a torn
+  publish: a write the batch never declared) or changed a container it
   shares with the published view.
 
 The gate reads the environment on every call so tests can toggle it with

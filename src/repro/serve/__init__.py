@@ -5,11 +5,9 @@ view while the integrated sources change underneath it.  This package is
 that setting made operational:
 
 * :mod:`repro.serve.service` -- :class:`MediatorService`, the asyncio
-  core: snapshot reads on a thread pool (never blocked by maintenance), a
-  writer pipeline splitting each drained batch into the stream scheduler's
-  prepare / apply stages (batch ``n+1`` coalesces while ``n`` applies;
-  one batch applies at a time, in stream order), and watermark
-  backpressure on the update log.  :class:`SnapshotLease` pins an
+  core: snapshot reads on a thread pool (never blocked by maintenance),
+  one writer thread flushing the stream scheduler one batch at a time, in
+  stream order, and watermark backpressure on the update log.  :class:`SnapshotLease` pins an
   atomically consistent (view, effective program) pair for multi-query
   read sessions.
 * :mod:`repro.serve.routing` -- :class:`RequestRouter`, the wire-format

@@ -10,16 +10,14 @@ implies -- many readers, one logical writer:
   takes the scheduler's coalesce or commit lock for more than the commit
   pointer swap.  :meth:`MediatorService.lease` pins an atomically
   consistent (view, effective program) pair for multi-query sessions.
-* **The writer is a pipeline, not a lock.**  A coordinator task drains the
-  :class:`~repro.stream.UpdateLog` in bounded batches and splits each into
-  the scheduler's two stages: :meth:`~repro.stream.StreamScheduler.prepare_batch`
-  (coalesce + partition, on its own single thread) and
-  :meth:`~repro.stream.StreamScheduler.apply_prepared` (maintenance +
-  commit, on its own single thread).  Batch ``n+1`` coalesces while batch
-  ``n`` applies; at most one batch is applying, and batches commit in
-  stream order.  A batch that fails to drain, prepare or apply is
-  recorded in :attr:`MediatorService.errors` and the writer keeps
-  serving.
+* **One writer thread.**  A coordinator task hands
+  :meth:`~repro.stream.StreamScheduler.flush` (drain a bounded batch,
+  coalesce, maintain, journal, commit) to the service's one writer
+  thread, one batch at a time, so batches commit in stream order and at
+  most one is ever applying.  A batch whose pass raises comes back not
+  ``ok`` and is counted in ``failed_units``; any other error out of a
+  flush is recorded in :attr:`MediatorService.errors`.  Either way the
+  writer keeps serving.
 * **Backpressure, not unbounded queues.**  When the update log's backlog
   crosses the high watermark, :meth:`MediatorService.submit` awaits until
   the writer drains it below the low watermark; readers are unaffected.
@@ -38,7 +36,7 @@ from repro.constraints.solver import ConstraintSolver
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
 from repro.errors import MediatorError
-from repro.stream import PreparedBatch, StreamScheduler
+from repro.stream import StreamScheduler
 from repro.stream.log import StreamPayload, Transaction
 
 
@@ -134,17 +132,13 @@ class MediatorService:
         self._scheduler = scheduler
         self._options = options
         self._read_pool: Optional[ThreadPoolExecutor] = None
-        self._prepare_pool: Optional[ThreadPoolExecutor] = None
-        self._apply_pool: Optional[ThreadPoolExecutor] = None
+        self._writer: Optional[ThreadPoolExecutor] = None
         self._writer_task: Optional[asyncio.Task] = None
-        #: The batch on the apply thread, if any (at most one).
-        self._inflight: Optional[asyncio.Future] = None
         self._wake = asyncio.Event()
         self._idle = asyncio.Event()
         self._below_low = asyncio.Event()
         self._idle.set()
         self._below_low.set()
-        self._stopping = False
         self._closed = False
         # Counters, not the results themselves: a kept ``BatchResult`` pins
         # its (superseded) view's shards for the service's lifetime.
@@ -161,7 +155,7 @@ class MediatorService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "MediatorService":
-        """Spin up the thread pools and the writer pipeline."""
+        """Spin up the read pool, the writer thread and the writer task."""
         if self._writer_task is not None:
             raise MediatorError("service already started")
         options = self._options
@@ -169,21 +163,17 @@ class MediatorService:
             max_workers=options.read_workers,
             thread_name_prefix="serve-read",
         )
-        self._prepare_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-prepare"
-        )
-        self._apply_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-apply"
+        self._writer = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-writer"
         )
         self._writer_task = asyncio.ensure_future(self._writer_loop())
         return self
 
     async def stop(self) -> None:
-        """Drain the log, wait for in-flight batches, tear down the pools."""
+        """Drain the log, checkpoint, tear down the threads."""
         if self._writer_task is None:
             return
         self._closed = True
-        self._stopping = True
         self._wake.set()
         await self._writer_task
         self._writer_task = None
@@ -194,14 +184,14 @@ class MediatorService:
         if self._options.checkpoint_on_stop and checkpoint is not None:
             try:
                 await asyncio.get_running_loop().run_in_executor(
-                    self._apply_pool, checkpoint
+                    self._writer, checkpoint
                 )
             except Exception as exc:  # surface via .errors, still tear down
                 self._record_error(f"{type(exc).__name__}: {exc}")
-        for pool in (self._read_pool, self._prepare_pool, self._apply_pool):
+        for pool in (self._read_pool, self._writer):
             if pool is not None:
                 pool.shutdown(wait=True)
-        self._read_pool = self._prepare_pool = self._apply_pool = None
+        self._read_pool = self._writer = None
 
     async def __aenter__(self) -> "MediatorService":
         return await self.start()
@@ -271,7 +261,7 @@ class MediatorService:
     # Writes
     # ------------------------------------------------------------------
     async def submit(self, payload: StreamPayload) -> Transaction:
-        """Log one update for the writer pipeline (awaits backpressure)."""
+        """Log one update for the writer (awaits backpressure)."""
         if self._closed or self._writer_task is None:
             raise MediatorError("service is not accepting updates")
         await self._below_low.wait()
@@ -286,7 +276,7 @@ class MediatorService:
         return transaction
 
     async def drained(self) -> None:
-        """Await until the log is empty and no batch is in flight."""
+        """Await until the log is empty and no batch is applying."""
         await self._idle.wait()
 
     # ------------------------------------------------------------------
@@ -340,96 +330,32 @@ class MediatorService:
         return self._obs
 
     # ------------------------------------------------------------------
-    # Writer pipeline
+    # The writer
     # ------------------------------------------------------------------
     async def _writer_loop(self) -> None:
         loop = asyncio.get_running_loop()
-        options = self._options
+        flush = partial(self._scheduler.flush, limit=self._options.max_batch)
         while True:
             self._wake.clear()
+            # Only declare idle when the backlog is empty at this
+            # (await-free) instant; a submit during a flush sets the wake
+            # event and leaves a pending transaction, so the loop flushes
+            # again.
+            if self._scheduler.log.pending_count() == 0:
+                self._idle.set()
+                if self._closed:
+                    return
+                await self._wake.wait()
+                continue
             try:
-                prepared = await self._drain_and_prepare(loop, options.max_batch)
-            except Exception as exc:  # drop the batch, keep serving
+                result = await loop.run_in_executor(self._writer, flush)
+            except Exception as exc:  # keep serving; surface via .errors
                 self._record_error(f"{type(exc).__name__}: {exc}")
-                continue
-            if prepared is not None:
-                # One batch in flight: batch n+1 was drained and prepared
-                # while batch n applied; it waits here for n to commit.
-                if self._inflight is not None:
-                    await asyncio.wait({self._inflight})
-                self._inflight = loop.run_in_executor(
-                    self._apply_pool,
-                    self._scheduler.apply_prepared,
-                    prepared,
-                )
-                self._inflight.add_done_callback(self._on_batch_done)
-                continue
-            if self._inflight is None:
-                # Idle checkpoint coordinator: with nothing to apply, give
-                # the durability layer a chance to turn a grown WAL into a
-                # snapshot (off the event loop; a no-op for plain
-                # schedulers and for small WALs).
-                checkpoint_if_due = getattr(
-                    self._scheduler, "checkpoint_if_due", None
-                )
-                if checkpoint_if_due is not None:
-                    try:
-                        await loop.run_in_executor(
-                            self._apply_pool, checkpoint_if_due
-                        )
-                    except Exception as exc:  # surface, keep serving
-                        self._record_error(f"{type(exc).__name__}: {exc}")
-                # The drain and checkpoint awaits above can interleave with
-                # a submit: only declare idle if the backlog is still empty
-                # at this (await-free) instant, else loop and drain again.
-                if self._scheduler.log.pending_count() == 0:
-                    self._idle.set()
-                    if self._stopping:
-                        return
-            await self._wake.wait()
-
-    async def _drain_and_prepare(
-        self, loop: asyncio.AbstractEventLoop, limit: Optional[int]
-    ) -> Optional[PreparedBatch]:
-        """Drain one batch and prepare it, both on the prepare thread.
-
-        Returns ``None`` when the log is empty.  Drain goes through the
-        scheduler's seam (not the log directly): a durable scheduler
-        journals + fsyncs the drained batch there, so it never runs on the
-        event loop.  Drained transactions have left the log, so a batch
-        whose drain or prepare raises is dropped by the caller.
-        """
-        try:
-            payloads = await loop.run_in_executor(
-                self._prepare_pool, partial(self._scheduler.drain, limit=limit)
-            )
-        finally:
-            # The backlog just shrank (or is empty): release awaiting
-            # submitters *before* the writer waits for the batch in
-            # flight, or a full pipeline would starve them.
-            self._maybe_release_backpressure()
-        if not payloads:
-            return None
-        self._idle.clear()
-        # Coalescing batch n+1 here overlaps batch n's maintenance on the
-        # apply thread.
-        return await loop.run_in_executor(
-            self._prepare_pool, self._scheduler.prepare_batch, payloads
-        )
-
-    def _on_batch_done(self, future) -> None:
-        # Runs in the event loop (done callback of a run_in_executor
-        # future), so no locking is needed around the bookkeeping.
-        if self._inflight is future:
-            self._inflight = None
-        try:
-            result = future.result()
-        except Exception as exc:  # keep serving; surface via .errors
-            self._record_error(f"{type(exc).__name__}: {exc}")
-        else:
-            self._batches_applied += 1
-            self._failed_units += len(result.failed_units)
-        self._wake.set()
+            else:
+                self._batches_applied += 1
+                self._failed_units += not result.ok
+            finally:
+                self._maybe_release_backpressure()
 
     def _maybe_release_backpressure(self) -> None:
         if (

@@ -21,21 +21,17 @@ the number of requests submitted.
   and a partially-covered insertion is narrowed by ``not(delta)`` -- the
   same construction Section 3.1's deletion semantics uses -- so the batch
   the scheduler applies is the smallest one with the stream's semantics.
-* :mod:`repro.stream.strata` -- predicate stratification.  The strongly
-  connected components of the program's clause -> body-predicate dependency
-  index bound how far an update can propagate; requests whose reachable
-  components are disjoint form independent units, each checked out to its
-  own write closure and retried individually.
-* :mod:`repro.stream.scheduler` -- one maintenance pass per algorithm per
+* :mod:`repro.stream.scheduler` -- one writer, one maintenance pass per
   batch: StDel / Extended DRed seeded with the union of the batch's
   deletion atoms (one ``P_OUT`` unfolding, one rename/simplify regime, one
   final purge), one ``P_ADD`` fixpoint seeded with all insertions, and
   external changes folded in for free under the ``W_P`` discipline (the
   changed domain's version ends what the solver remembered about it; the
-  view itself needs no work, per Theorem 4).  A batch's units are applied
-  one after another on the applying thread, and batches apply one at a
-  time, in prepare order.  Queries served mid-batch read a
-  snapshot-isolated pre-batch view.
+  view itself needs no work, per Theorem 4).  The pass runs on a view
+  checked out once to the union of the batch's write closures, and a
+  batch commits whole or not at all.  Batches apply one at a time, in
+  transaction order; queries served mid-batch read a snapshot-isolated
+  pre-batch view.
 """
 
 from repro.stream.coalesce import (
@@ -55,11 +51,6 @@ from repro.stream.scheduler import (
     StreamOptions,
     StreamScheduler,
     StreamStats,
-    UnitReport,
-)
-from repro.stream.strata import (
-    PredicateStrata,
-    StratumUnit,
 )
 
 __all__ = [
@@ -68,9 +59,7 @@ __all__ = [
     "CoalescedBatch",
     "Coalescer",
     "ExternalChangeNotice",
-    "PredicateStrata",
     "PreparedBatch",
-    "StratumUnit",
     "StreamOptions",
     "StreamScheduler",
     "StreamStats",

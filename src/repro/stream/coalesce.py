@@ -25,8 +25,8 @@ net effect:
   semantics -- so applying all deletions first and the narrowed insertions
   second reproduces the interleaved stream's net effect.
 
-The scheduler then partitions the surviving requests into stratum units
-(:meth:`~repro.stream.strata.PredicateStrata.partition`).
+The scheduler then runs one deletion pass and one insertion pass over the
+surviving requests (:meth:`~repro.stream.StreamScheduler.apply_prepared`).
 
 External notices are compacted per source (net row effect, latest version).
 """

@@ -1,14 +1,14 @@
-"""The stream scheduler: one maintenance pass per algorithm per batch.
+"""The stream scheduler: one writer, one maintenance pass per batch.
 
 ``StreamScheduler`` owns a materialized view and applies drained update
 batches to it with the batch entry points of the maintenance algorithms:
 
-* all of a unit's deletions go through **one**
+* all of a batch's deletions go through **one**
   :meth:`~repro.maintenance.delete_stdel.StraightDelete.delete_many` /
   :meth:`~repro.maintenance.delete_dred.ExtendedDRed.delete_many` pass (one
   ``P_OUT`` unfolding, one rename/simplify regime, one final purge, the
   child-support index shared across the whole batch);
-* all of a unit's insertions go through one
+* all of its insertions go through one
   :meth:`~repro.maintenance.insert.ConstrainedAtomInsertion.insert_many`
   pass (one ``P_ADD`` fixpoint seeded with every inserted atom);
 * external change notices cost nothing: under the ``W_P`` reading of
@@ -29,35 +29,25 @@ replay all apply batches here -- and the one place each maintenance pass's
 counters are mirrored into the metrics registry (the algorithms know no
 registry).
 
-Independent strata (disjoint upward closures, see
-:mod:`repro.stream.strata`) are applied as separate units, one after another
-on the thread that applies the batch, and each unit is individually retried
-and reported.  Each unit *checks out* exactly the shards of its write
-closure from the view the previous unit left
-(:meth:`~repro.datalog.view.MaterializedView.checkout`): copy-on-write
-clones only the shards the unit actually rewrites, and the last applied
-unit's view is the batch's next view -- no whole-view copy, no
-entry-by-entry merge.  Readers are snapshot-isolated: the scheduler
-publishes a new view reference only after the whole batch applied, so a
-query served mid-batch sees the complete pre-batch view.
+**One writer.**  The paper's algorithms take one view and one update set
+and return the next view, and so does a batch here.
+:meth:`StreamScheduler.flush` holds the write lock from drain to commit: it
+drains the log, coalesces the batch (:meth:`~StreamScheduler.prepare_batch`),
+checks the published view out once to the union of the batch's write
+closures (the analyzer's upward closures:
+:meth:`~repro.datalog.view.MaterializedView.checkout` clones only the
+shards the pass rewrites), runs the pass
+(:meth:`~StreamScheduler.apply_prepared`), and commits with one pointer
+swap of view and programs under the (tiny) commit lock.  Concurrent
+flushes apply their batches one at a time in drain order, which is
+transaction order.  Readers never take the write lock: a query served
+mid-batch reads the complete pre-batch view.
 
-**Batch pipeline.**  Applying a batch is two stages with separate locks:
-
-1. *Prepare* (:meth:`StreamScheduler.prepare_batch`, under the coalesce
-   lock): compute the batch's net effect, partition it into stratum units
-   and take a ticket.  Preparing batch ``n+1`` runs concurrently with
-   applying batch ``n`` -- the coalescer never waits for a maintenance
-   pass.
-2. *Apply* (:meth:`StreamScheduler.apply_prepared`): wait at the turnstile
-   until every earlier ticket is released, run the units against the
-   published view, and commit with a single pointer swap under the (tiny)
-   commit lock.
-
-Batches apply **one at a time, in prepare order**: the paper's algorithms
-take one view and one update set and return the next view, so the
-mediator is one logical writer.  Each commit publishes the view its own
-units left and the program pair they rewrote, by pointer; the published
-sequence of views is the stream's.
+**Whole or not at all.**  A batch whose pass raises publishes nothing and
+edits no program; its :class:`BatchResult` is not ``ok`` and carries the
+error, and nothing is retried.  A durable scheduler journals the batch at
+commit, after the pass and just before the pointer swap, so its
+write-ahead log holds exactly the committed batches.
 """
 
 from __future__ import annotations
@@ -66,7 +56,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis import ProgramReport, analyze_program
 from repro.constraints.solver import ConstraintSolver
@@ -74,7 +64,7 @@ from repro.datalog.fixpoint import compute_tp_fixpoint
 from repro.datalog.join import EngineOptions
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
-from repro.errors import MaintenanceError, ShardSanitizerError, WriteScopeError
+from repro.errors import MaintenanceError
 from repro.sanitizer import sanitizer_enabled
 from repro.maintenance.declarative import deletion_rewrite, insertion_rewrite
 from repro.maintenance.delete_dred import ExtendedDRed
@@ -82,33 +72,13 @@ from repro.maintenance.delete_stdel import StraightDelete
 from repro.maintenance.insert import ConstrainedAtomInsertion
 from repro.maintenance.requests import MaintenanceStats
 from repro.obs import Observability
-from repro.obs.trace import NULL_TRACE, Span, Trace
+from repro.obs.trace import NULL_TRACE, Trace
 from repro.stream.coalesce import CoalescedBatch, CoalesceReport, Coalescer
 from repro.stream.log import StreamPayload, Transaction, UpdateLog
-from repro.stream.strata import PredicateStrata, StratumUnit
 
 
 #: The ``(effective, deletion)`` program pair a batch maintains against.
 Programs = Tuple[ConstrainedDatabase, ConstrainedDatabase]
-
-
-def _edit_programs(programs: Programs, edits: Sequence[Tuple[str, Tuple]]) -> Programs:
-    """Apply ``(kind, atoms)`` program edits, in order.
-
-    ``"deletion"`` rewrites the DRed deletion program by its ``Del`` atoms,
-    ``"effective_delete"`` / ``"effective_insert"`` the effective program by
-    the requested atoms / the ``Add`` atoms.  The scheduler's only calls of
-    the rewrites: everything that edits a program comes through here.
-    """
-    effective, deletion = programs
-    for kind, atoms in edits:
-        if kind == "deletion":
-            deletion = deletion_rewrite(deletion, atoms)
-        elif kind == "effective_delete":
-            effective = deletion_rewrite(effective, atoms)
-        else:
-            effective = insertion_rewrite(effective, atoms)
-    return effective, deletion
 
 
 @dataclass(frozen=True)
@@ -120,43 +90,43 @@ class StreamOptions:
     #: deletion rewrites are irrelevant to it -- the documented advantage);
     #: DRed runs against the threaded rewritten program it requires.
     deletion_algorithm: str = "stdel"
-    #: Must be 1: a batch's units run one after another on the applying
-    #: thread.  Nothing reads the field; it stays because the benchmark
-    #: passes ``max_workers=1``.
+    #: Must be 1: a batch is one pass on the thread that flushes it.
+    #: Nothing reads the field; it stays because the benchmark passes
+    #: ``max_workers=1``.
     max_workers: int = 1
-    #: How often a failing unit is attempted before it is reported failed.
-    max_unit_attempts: int = 2
     #: The one engine configuration every maintenance pass runs with.
     engine: EngineOptions = EngineOptions()
 
     def __post_init__(self) -> None:
         if self.max_workers != 1:
             raise MaintenanceError(
-                f"max_workers must be 1 (got {self.max_workers!r}): a batch's "
-                "stratum units are applied one after another"
+                f"max_workers must be 1 (got {self.max_workers!r}): a batch "
+                "is one pass on the thread that flushes it"
             )
 
 
 @dataclass
-class UnitReport:
-    """Outcome of one stratum unit of one batch."""
+class PassReport:
+    """Outcome of one batch's maintenance pass (deletions, then insertions)."""
 
-    description: str
-    predicates: Tuple[str, ...]
-    strata: Tuple[int, ...]
     deletions: int
     insertions: int
-    #: How many times the unit was attempted (1 = first try succeeded).
-    attempts: int
-    status: str  # "applied" | "failed"
+    #: Every predicate the pass was allowed to rewrite: its checkout scope,
+    #: the union of the batch's write closures.
+    write_closure: Tuple[str, ...]
+    #: Why the pass raised (``None`` when it completed).
     error: Optional[str] = None
     stats: MaintenanceStats = field(default_factory=MaintenanceStats)
     seconds: float = 0.0
-    #: Every predicate the unit was allowed to rewrite (its checkout scope).
-    write_closure: Tuple[str, ...] = ()
-    #: Predicate shards the unit's passes actually cloned (copy-on-write).
-    #: Untouched predicates -- inside or outside the closure -- cost nothing.
+    #: Predicate shards the pass actually cloned (copy-on-write).
+    #: Untouched predicates -- inside or outside the scope -- cost nothing.
     shard_checkouts: int = 0
+    #: Always 1: a pass is attempted once.  The benchmark reads the field.
+    attempts: int = 1
+
+    @property
+    def status(self) -> str:
+        return "applied" if self.error is None else "failed"
 
 
 @dataclass
@@ -168,22 +138,24 @@ class StreamStats:
     #: Requests that survived coalescing and were applied.
     applied: int = 0
     coalesce: CoalesceReport = field(default_factory=CoalesceReport)
-    units: List[UnitReport] = field(default_factory=list)
+    #: The batch's pass report: one item when it ran a pass, none for an
+    #: empty or notice-only batch.  (The benchmark reads the name.)
+    units: List[PassReport] = field(default_factory=list)
     #: External notices folded in (cost-free under ``W_P``).
     external_notices: int = 0
-    #: Wall time spent *waiting* -- coalesce-lock wait plus the turnstile
-    #: wait behind earlier batches.  Kept apart from
-    #: :attr:`apply_seconds` so a batch queued behind another does not
-    #: report inflated apply cost.
+    #: Wall time :meth:`StreamScheduler.flush` waited for the write lock
+    #: (another batch in flight).  Kept apart from :attr:`apply_seconds`
+    #: so a batch queued behind another does not report inflated apply
+    #: cost.
     queue_seconds: float = 0.0
     #: Wall time spent doing the batch's own work: coalescing, the
-    #: maintenance passes, and the commit pointer swap.
+    #: maintenance pass, the journal and the commit pointer swap.
     apply_seconds: float = 0.0
     #: Total = queue + apply (the historical ``seconds`` reading).
     seconds: float = 0.0
 
     def totals(self) -> MaintenanceStats:
-        """All units' maintenance counters, summed."""
+        """The pass's maintenance counters (zero when no pass ran)."""
         total = MaintenanceStats()
         for unit in self.units:
             total.merge(unit.stats)
@@ -199,11 +171,11 @@ class StreamStats:
 
     @property
     def shard_checkouts(self) -> int:
-        """Predicate shards cloned (copy-on-write) across the batch's units.
+        """Predicate shards cloned (copy-on-write) by the batch's pass.
 
-        The predicate-sharded store's headline number: bounded by the units'
-        write closures, independent of how many predicates the view holds --
-        untouched predicates are never copied.
+        The predicate-sharded store's headline number: bounded by the
+        batch's write scope, independent of how many predicates the view
+        holds -- untouched predicates are never copied.
         """
         return sum(unit.shard_checkouts for unit in self.units)
 
@@ -233,51 +205,46 @@ class BatchResult:
     coalesced: CoalescedBatch
 
     @property
-    def failed_units(self) -> Tuple[UnitReport, ...]:
-        return tuple(
-            unit for unit in self.stats.units if unit.status != "applied"
-        )
+    def error(self) -> Optional[str]:
+        """Why the batch's pass raised; ``None`` when the batch committed."""
+        return next((unit.error for unit in self.stats.units if unit.error), None)
 
     @property
     def ok(self) -> bool:
-        return not self.failed_units
+        return self.error is None
 
 
 @dataclass
 class PreparedBatch:
-    """A coalesced, partitioned batch holding a turnstile ticket.
+    """A coalesced batch with its write scope, ready for its pass.
 
-    Produced by :meth:`StreamScheduler.prepare_batch` (stage 1 of the
-    pipeline) and consumed exactly once by
-    :meth:`StreamScheduler.apply_prepared`.  Until then, the ticket holds
-    back every later batch, so a prepared batch must not be parked
-    indefinitely.
+    Produced by :meth:`StreamScheduler.prepare_batch` and consumed by
+    :meth:`StreamScheduler.apply_prepared`, both under the write lock.
     """
 
     coalesced: CoalescedBatch
-    #: The net effect's stratum units, in application order.
-    units: Tuple[StratumUnit, ...]
     #: The batch's stats object; prepare fills the coalesce counters, apply
     #: fills the rest (shared by reference with the scheduler's history).
     stats: StreamStats
-    #: Turnstile ticket: batches apply in ticket order, which is prepare
-    #: order.
-    ticket: int
-    #: Time spent inside prepare (coalescing + partitioning); folded into
+    #: Every predicate the pass may rewrite: the union of the requests'
+    #: write closures (a predicate the program lacks is its own closure).
+    write_scope: FrozenSet[str]
+    #: Time spent inside prepare (coalescing); folded into
     #: :attr:`StreamStats.apply_seconds` when the batch applies.
     prepare_seconds: float
-    #: Ids of the logged transactions this batch drains (empty when the
-    #: payloads were raw requests, e.g. direct ``apply_batch`` calls).  The
-    #: durability layer marks these committed -- and advances the snapshot
-    #: watermark -- from the commit hook.
+    #: Ids of the logged transactions in the batch (empty when the payloads
+    #: were raw requests, e.g. direct ``apply_batch`` calls).  The
+    #: durability layer advances its watermark to the last of them.
     txn_ids: Tuple[int, ...] = ()
     #: The batch's lifecycle trace (the no-op trace when tracing is off).
     #: Born at drain (or at prepare for raw batches), finished by the
-    #: scheduler's batch epilogue after commit.
+    #: scheduler's batch epilogue.
     trace: Trace = NULL_TRACE
-
-    def __len__(self) -> int:
-        return len(self.coalesced)
+    #: The transactions :meth:`StreamScheduler.flush` drained for this
+    #: batch -- what a durable scheduler journals at commit.  Empty for
+    #: :meth:`StreamScheduler.apply_batch` (direct calls and WAL replay),
+    #: which is never journaled.
+    drained: Tuple[Transaction, ...] = ()
 
 
 class StreamScheduler:
@@ -307,12 +274,11 @@ class StreamScheduler:
             else compute_tp_fixpoint(program, self._solver, options=options.engine)
         )
         # Static analysis once, up front: the scheduler consumes the report's
-        # write closures and SCCs as precomputed truth (no
-        # runtime dependency walks; under the sanitizer the walks come back
-        # as audits).  Diagnostics are NOT gated here -- the mediator builder
-        # fails fast on them; a bare scheduler only needs the tables.
+        # write closures as precomputed truth (no runtime dependency walks;
+        # tests/analysis holds them to one).  Diagnostics are NOT gated here
+        # -- the mediator builder fails fast on them; a bare scheduler only
+        # needs the tables.
         self._report: ProgramReport = analyze_program(program)
-        self._strata = PredicateStrata.from_report(program, self._report)
         # Thread the interval-position table into the maintenance passes'
         # configuration (unless a caller pinned one explicitly).
         self._options = options = replace(
@@ -333,27 +299,16 @@ class StreamScheduler:
         self._effective_program = (
             effective_program if effective_program is not None else program
         )
-        # Stage-1 lock: coalescing + partitioning (prepare_batch).  Held
-        # only while computing a batch's net effect -- never during a
-        # maintenance pass, so batch n+1 coalesces while batch n applies.
-        self._coalesce_lock = threading.Lock()
-        # Stage-2 lock: the commit pointer swap of view and programs (and
-        # any reader needing a consistent view/program pair).  Held for
-        # O(1) pointer work, never for maintenance.
+        # The write lock: one batch at a time, from drain to commit
+        # (``flush`` and ``apply_batch`` hold it).  Readers never take it.
+        self._write_lock = threading.Lock()
+        # The commit lock: the pointer swap of view and programs (and any
+        # reader needing a consistent view/program pair).  Held for O(1)
+        # pointer work, never for maintenance.
         self._commit_lock = threading.Lock()
-        # The turnstile: prepared batches carry tickets (prepare order); a
-        # batch applies once every earlier ticket is released.
-        self._turnstile = threading.Condition()
-        self._tickets = itertools.count(1)
-        self._outstanding: Set[int] = set()
         self._batches: List[StreamStats] = []
-        # Observability: one bundle threaded through every seam.  Traces
-        # created at drain wait here (keyed by first txn id) for the
-        # prepare stage to claim -- drain and prepare may run on different
-        # threads (the serve layer's writer pipeline).
+        # Observability: one bundle threaded through every seam.
         self._obs = obs if obs is not None else Observability.disabled()
-        self._trace_lock = threading.Lock()
-        self._pending_traces: Dict[int, Trace] = {}
 
     # ------------------------------------------------------------------
     # Introspection & snapshot-isolated reads
@@ -363,8 +318,8 @@ class StreamScheduler:
         """The last *published* view.
 
         Mid-batch this is still the complete pre-batch view (snapshot
-        isolation): the scheduler works on private copies and swaps the
-        reference only once the whole batch has applied.  Treat it as
+        isolation): the scheduler works on a private checkout and swaps
+        the reference only once the whole batch has applied.  Treat it as
         read-only.
         """
         return self._published
@@ -400,7 +355,7 @@ class StreamScheduler:
 
     @property
     def batches(self) -> Tuple[StreamStats, ...]:
-        """Per-batch statistics, in application order."""
+        """Per-batch statistics, in application order (failed batches too)."""
         return tuple(self._batches)
 
     @property
@@ -420,198 +375,165 @@ class StreamScheduler:
         """Log one request / notice for the next :meth:`flush`."""
         return self._log.append(payload)
 
-    def drain(self, limit: Optional[int] = None) -> Tuple[Transaction, ...]:
-        """Consume the log's pending transactions for one batch.
+    def flush(self, limit: Optional[int] = None) -> BatchResult:
+        """Drain up to *limit* pending transactions and apply them as one batch.
 
-        The single seam between the update log and the batch pipeline: the
-        serve layer's writer and :meth:`flush` both come through here, so a
-        subclass that journals drained batches (the durability layer's
-        scheduler) interposes once and covers every write path.
-
-        The batch's trace is born here -- drain is the first thing that
-        happens to a batch -- and parked until :meth:`prepare_batch` claims
-        it by the first transaction id (the serve writer drains and
-        prepares on different pool threads).
-        """
-        trace = self._obs.start_trace("batch")
-        span = trace.span("drain")
-        transactions = self._log.drain(limit=limit)
-        if not transactions:
-            # Nothing drained: drop the trace unfinished (no span was
-            # finished, so no event was emitted).
-            return transactions
-        span.set(
-            transactions=len(transactions),
-            txn_first=transactions[0].txn_id,
-            txn_last=transactions[-1].txn_id,
-        ).finish()
-        with self._trace_lock:
-            self._pending_traces[transactions[0].txn_id] = trace
-        return transactions
-
-    def _pending_trace_for(self, transactions: Sequence[Transaction]) -> Trace:
-        """Peek (without claiming) the trace a drain parked for a batch.
-
-        The durability subclass wraps its WAL append in a child span while
-        the batch is between drain and prepare."""
-        with self._trace_lock:
-            return self._pending_traces.get(transactions[0].txn_id, NULL_TRACE)
-
-    def _trace_for_payloads(self, payloads: Sequence[StreamPayload]) -> Trace:
-        """Claim the batch's parked trace, or start one for raw payloads.
-
-        Batches that bypass drain (direct ``apply_batch`` calls, recovery
-        replay) still get a trace -- just without a drain span, which is
-        why trace verification takes a ``require_drain`` flag."""
-        if not payloads:
-            return NULL_TRACE
-        first = payloads[0]
-        if isinstance(first, Transaction):
-            with self._trace_lock:
-                trace = self._pending_traces.pop(first.txn_id, None)
-            if trace is not None:
-                return trace
-        return self._obs.start_trace("batch")
-
-    def flush(self) -> BatchResult:
-        """Drain the log and apply the pending transactions as one batch."""
-        return self.apply_batch(self.drain())
-
-    def apply_batch(self, payloads: Sequence[StreamPayload]) -> BatchResult:
-        """Apply one ordered batch of requests / notices.
-
-        The batch is coalesced to its net effect, partitioned into
-        independent stratum units, applied -- deletions first, then
-        insertions, matching the net-effect construction of the coalescer --
-        and published atomically at the end.  Equivalent to
-        :meth:`prepare_batch` immediately followed by
-        :meth:`apply_prepared`; callers that want the two stages pipelined
-        (the serve layer's writer) call them separately.
-        """
-        return self.apply_prepared(self.prepare_batch(payloads))
-
-    def prepare_batch(self, payloads: Sequence[StreamPayload]) -> PreparedBatch:
-        """Stage 1: coalesce, partition, and take a ticket for one batch.
-
-        Runs under the coalesce lock only -- preparing the next batch never
-        waits for an in-flight maintenance pass.  The returned batch holds
-        a ticket in prepare order; it must be handed to
-        :meth:`apply_prepared` because the ticket holds back every later
-        batch until released.
+        Holds the write lock from drain to commit, so concurrent flushes
+        apply their batches one at a time, in the order they drained --
+        transaction order.  The batch's trace is born here, at drain, and
+        handed down; a durable scheduler journals the drained transactions
+        at commit.
         """
         queued = time.perf_counter()
-        with self._coalesce_lock:
-            start = time.perf_counter()
-            stats = StreamStats()
-            stats.queue_seconds = start - queued
-            trace = self._trace_for_payloads(payloads)
-            prepare_span = trace.span("prepare")
-            coalesce_span = trace.span("coalesce", parent=prepare_span)
-            coalesced = self._coalescer.coalesce(payloads)
-            coalesce_span.set(
-                raw_ops=coalesced.report.submitted,
-                coalesced_ops=len(coalesced),
-            ).finish()
-            stats.coalesce = coalesced.report
-            stats.submitted = coalesced.report.submitted
-            stats.applied = len(coalesced)
-            stats.external_notices = len(coalesced.notices)
-            units = self._strata.partition(coalesced.deletions, coalesced.insertions)
-            prepare_seconds = time.perf_counter() - start
-            prepare_span.set(units=len(units)).finish()
-            metrics = self._obs.metrics
-            if metrics.enabled:
-                metrics.inc("repro_batches_prepared_total")
-                metrics.observe("repro_prepare_seconds", prepare_seconds)
-            txn_ids = tuple(
+        with self._write_lock:
+            waited = time.perf_counter() - queued
+            trace = self._obs.start_trace("batch")
+            span = trace.span("drain")
+            transactions = self._log.drain(limit=limit)
+            if transactions:
+                span.set(
+                    transactions=len(transactions),
+                    txn_first=transactions[0].txn_id,
+                    txn_last=transactions[-1].txn_id,
+                ).finish()
+            else:
+                # Nothing drained: drop the trace unfinished (no span was
+                # finished, so no event was emitted).
+                trace = NULL_TRACE
+            prepared = self.prepare_batch(transactions, trace)
+            prepared.drained = transactions
+            prepared.stats.queue_seconds = waited
+            return self.apply_prepared(prepared)
+
+    def apply_batch(self, payloads: Sequence[StreamPayload]) -> BatchResult:
+        """Apply one ordered batch of requests / notices, under the write lock.
+
+        The batch is coalesced to its net effect, maintained -- deletions
+        first, then insertions, matching the net-effect construction of the
+        coalescer -- and published atomically at the end.  Nothing is
+        journaled: this is the path of direct callers (the CLI, a
+        :class:`~repro.mediator.MediatedView`) and of WAL replay.
+        """
+        with self._write_lock:
+            return self.apply_prepared(self.prepare_batch(payloads))
+
+    def prepare_batch(
+        self, payloads: Sequence[StreamPayload], trace: Optional[Trace] = None
+    ) -> PreparedBatch:
+        """Coalesce one batch to its net effect and compute its write scope.
+
+        Called under the write lock by :meth:`flush` (which passes the trace
+        it started at drain) and :meth:`apply_batch`; a non-empty batch
+        without a trace gets a fresh one, just without a drain span, which
+        is why trace verification takes a ``require_drain`` flag.
+        """
+        start = time.perf_counter()
+        if trace is None:
+            trace = self._obs.start_trace("batch") if payloads else NULL_TRACE
+        stats = StreamStats()
+        prepare_span = trace.span("prepare")
+        coalesce_span = trace.span("coalesce", parent=prepare_span)
+        coalesced = self._coalescer.coalesce(payloads)
+        coalesce_span.set(
+            raw_ops=coalesced.report.submitted,
+            coalesced_ops=len(coalesced),
+        ).finish()
+        stats.coalesce = coalesced.report
+        stats.submitted = coalesced.report.submitted
+        stats.applied = len(coalesced)
+        stats.external_notices = len(coalesced.notices)
+        closures = self._report.write_closures
+        write_scope = frozenset().union(
+            *(
+                closures.get(request.atom.predicate, (request.atom.predicate,))
+                for request in itertools.chain(
+                    coalesced.deletions, coalesced.insertions
+                )
+            )
+        )
+        prepare_seconds = time.perf_counter() - start
+        prepare_span.set(write_scope=len(write_scope)).finish()
+        return PreparedBatch(
+            coalesced=coalesced,
+            stats=stats,
+            write_scope=write_scope,
+            prepare_seconds=prepare_seconds,
+            txn_ids=tuple(
                 payload.txn_id
                 for payload in payloads
                 if isinstance(payload, Transaction)
-            )
-            # The ticket comes last, so a prepare that raised holds back no
-            # later batch, and before the coalesce lock is released, so
-            # ticket order is exactly prepare order.
-            return PreparedBatch(
-                coalesced=coalesced,
-                units=units,
-                stats=stats,
-                ticket=self._take_ticket(),
-                prepare_seconds=prepare_seconds,
-                txn_ids=txn_ids,
-                trace=trace,
-            )
+            ),
+            trace=trace,
+        )
 
     def apply_prepared(self, prepared: PreparedBatch) -> BatchResult:
-        """Stage 2: admit, run the units, and commit one prepared batch.
+        """Run one prepared batch's pass and commit it -- or commit nothing.
 
-        Blocks until every earlier ticket is released, so batches apply
-        one at a time in prepare order.  A batch whose ticket was already
-        applied raises :class:`~repro.errors.MaintenanceError`.
+        One deletion pass and one insertion pass over the whole coalesced
+        batch, on the published view checked out once to the batch's write
+        scope.  If the pass raises, nothing is published, edited or
+        journaled, and the result is not ``ok``; a failure of the journal
+        or the commit propagates to the caller, like a crash.
         """
-        stats = prepared.stats
-        trace = prepared.trace
-        queued = time.perf_counter()
-        admit_span = trace.span("admit")
-        self._await_turn(prepared.ticket)
-        admitted = time.perf_counter()
-        stats.queue_seconds += admitted - queued
-        admit_span.set(ticket=prepared.ticket).finish()
-        try:
-            coalesced = prepared.coalesced
-            apply_span = trace.span("apply")
+        stats, trace, coalesced = prepared.stats, prepared.trace, prepared.coalesced
+        started = time.perf_counter()
+        # External changes first: the batch must be maintained against
+        # the sources' *current* behaviour.  A tracked source's version
+        # already invalidates what was remembered of it; the notice is
+        # what reaches a source mutated behind the registry's back.
+        for notice in coalesced.notices:
+            self._solver.invalidate_external_functions(notice.source)
+        with self._commit_lock:
+            base = self._published
+            programs: Programs = (self._effective_program, self._deletion_program)
 
-            # External changes first: the batch must be maintained against
-            # the sources' *current* behaviour.  A tracked source's version
-            # already invalidates what was remembered of it; the notice is
-            # what reaches a source mutated behind the registry's back.
-            for notice in coalesced.notices:
-                self._solver.invalidate_external_functions(notice.source)
-
-            # The (view, programs) pair to maintain against.  No other
-            # batch commits until this one releases its ticket.
-            with self._commit_lock:
-                base = self._published
-                programs: Programs = (
-                    self._effective_program,
-                    self._deletion_program,
+        apply_span = trace.span("apply")
+        working = base
+        if coalesced.deletions or coalesced.insertions:
+            scope = tuple(sorted(prepared.write_scope))
+            report = PassReport(
+                deletions=len(coalesced.deletions),
+                insertions=len(coalesced.insertions),
+                write_closure=scope,
+            )
+            checkout = base.checkout(scope)
+            try:
+                working, report.stats, programs = self._run_pass(
+                    checkout, coalesced, programs, scope
                 )
-
-            # The units, one after another: each checks out the view and
-            # programs the last applied unit left, so the last applied
-            # unit's result is the batch's (a failed unit hands back what
-            # it was given and its edits are dropped).
-            working = base
-            written: Set[str] = set()
-            for unit in prepared.units:
-                view, report, unit_programs = self._apply_unit_with_retry(
-                    working.checkout(unit.write_closure),
-                    unit,
-                    programs,
-                    trace,
-                    apply_span,
+            except Exception as exc:  # the batch fails whole, once
+                report.error = f"{type(exc).__name__}: {exc}"
+                apply_span.fail(report.error)
+            else:
+                # The counter is carried through ``copy()``, so the
+                # difference is exactly this pass's own clones.
+                report.shard_checkouts = (
+                    working.shard_checkouts - checkout.shard_checkouts
                 )
-                stats.units.append(report)
-                if report.status != "applied":
-                    continue
-                working = view
-                written.update(unit.write_closure)
-                programs = unit_programs
-
+            report.seconds = time.perf_counter() - started
+            stats.units.append(report)
+            # Counter deltas come from the same stats object StreamStats
+            # sums, so span deltas reconcile with scheduler totals exactly,
+            # by construction.
             apply_span.set(
-                units=len(stats.units),
-                failed=sum(1 for unit in stats.units if unit.status != "applied"),
-            ).finish()
-            commit_span = trace.span("commit")
-            next_view = self._commit(base, working, written, programs, prepared)
-            commit_span.set(shards=len(written)).finish()
-        finally:
-            self._release_ticket(prepared.ticket)
+                deletions=report.deletions,
+                insertions=report.insertions,
+                status=report.status,
+                solver_calls=report.stats.solver_calls,
+                derivation_attempts=report.stats.derivation_attempts,
+                shard_checkouts=report.shard_checkouts,
+            )
+        apply_span.finish()
+        result = BatchResult(base, stats, coalesced)
+        if result.ok:
+            result.view = self._commit(base, working, programs, prepared)
+        self._batches.append(stats)
         stats.apply_seconds = prepared.prepare_seconds + (
-            time.perf_counter() - admitted
+            time.perf_counter() - started
         )
         stats.seconds = stats.queue_seconds + stats.apply_seconds
         self._batch_epilogue(prepared)
-        return BatchResult(next_view, stats, prepared.coalesced)
+        return result
 
     def _batch_epilogue(self, prepared: PreparedBatch) -> None:
         """Called once per batch after apply completes (timings final).
@@ -621,6 +543,7 @@ class StreamScheduler:
         implementation records the batch's metrics, finishes the trace,
         and applies the slow-batch policy."""
         stats = prepared.stats
+        failed = sum(1 for unit in stats.units if unit.status != "applied")
         metrics = self._obs.metrics
         if metrics.enabled:
             metrics.inc("repro_batches_total")
@@ -641,15 +564,17 @@ class StreamScheduler:
             metrics.record_domains(self._solver)
         trace = prepared.trace
         # Totals on the root are a convenience reading; reconciliation sums
-        # the unit spans (TraceView.counter_totals skips roots).
+        # the apply span (TraceView.counter_totals skips roots).
         trace.root.set(
             applied=stats.applied,
             units=len(stats.units),
-            failed=sum(1 for unit in stats.units if unit.status != "applied"),
+            failed=failed,
             solver_calls=stats.solver_calls,
             derivation_attempts=stats.derivation_attempts,
             shard_checkouts=stats.shard_checkouts,
         )
+        if failed:
+            trace.root.fail("the batch's pass raised; nothing committed")
         trace.finish()
         self._obs.note_slow_batch(
             stats.seconds,
@@ -686,70 +611,52 @@ class StreamScheduler:
             return self._published, self._effective_program
 
     # ------------------------------------------------------------------
-    # Turnstile & commit
+    # Commit
     # ------------------------------------------------------------------
-    def _take_ticket(self) -> int:
-        with self._turnstile:
-            ticket = next(self._tickets)
-            self._outstanding.add(ticket)
-            return ticket
-
-    def _await_turn(self, ticket: int) -> None:
-        """Block until every earlier ticket is released.
-
-        A ticket only ever waits on strictly earlier tickets, so the
-        turnstile is deadlock-free as long as every prepared batch is
-        applied, and batches apply in prepare order.
-        """
-        with self._turnstile:
-            if ticket not in self._outstanding:
-                raise MaintenanceError(
-                    f"prepared batch (ticket {ticket}) was already applied"
-                )
-            while min(self._outstanding) < ticket:
-                self._turnstile.wait()
-
-    def _release_ticket(self, ticket: int) -> None:
-        with self._turnstile:
-            self._outstanding.discard(ticket)
-            self._turnstile.notify_all()
-
     def _commit(
         self,
         base: MaterializedView,
         working: MaterializedView,
-        written: Set[str],
         programs: Programs,
         prepared: PreparedBatch,
     ) -> MaterializedView:
-        """Swap in the batch's view and its programs, both by pointer.
+        """Journal the batch, then swap in its view and programs by pointer.
 
-        Nothing else commits while a batch holds its turn, so the published
-        view is still ``base``; if it is not, publishing ``working`` would
-        drop whatever was published in between, and the commit raises
-        instead.
+        The write lock keeps every other batch out, so the published view
+        is still ``base``; if it is not, publishing ``working`` would drop
+        whatever was published in between, and the commit raises instead.
 
         Under the shard sanitizer every commit that changes the view first
-        checks that ``working`` diverges from ``base`` only in *written*
-        and that no shard of ``base`` changed after it was shared: either
-        would be a write the commit silently publishes.
+        checks that ``working`` diverges from ``base`` only in the batch's
+        write scope and that no shard of ``base`` changed after it was
+        shared: either would be a write the commit silently publishes.
+
+        The journal (:meth:`_journal`) is the last step that can fail before
+        the swap: a batch on disk is a batch the writer published.
         """
         if working is not base and sanitizer_enabled():
-            working.assert_publish_scope(base, written)
+            working.assert_publish_scope(base, prepared.write_scope)
+        if self._published is not base:
+            raise MaintenanceError(
+                "lost write: the published view changed while the batch applied"
+            )
+        self._journal(prepared)
+        span = prepared.trace.span("commit")
         with self._commit_lock:
-            if self._published is not base:
-                raise MaintenanceError(
-                    f"lost write: the published view changed while batch "
-                    f"(ticket {prepared.ticket}) applied"
-                )
-            # When no unit applied the view stays as it was, but the
-            # failed-unit stats still land in the history below.
             if working is not base:
                 self._published = working.without_write_scope()
             self._effective_program, self._deletion_program = programs
-            self._batches.append(prepared.stats)
             self._commit_hook(prepared, self._published)
-            return self._published
+        span.set(shards=len(prepared.write_scope)).finish()
+        return self._published
+
+    def _journal(self, prepared: PreparedBatch) -> None:
+        """Make the batch durable before it is published.
+
+        Called after the pass and the sanitizer's publish check, before the
+        pointer swap; the durability layer's scheduler appends
+        ``prepared.drained`` to its write-ahead log here.  The base
+        implementation does nothing."""
 
     def _commit_hook(
         self, prepared: PreparedBatch, next_view: MaterializedView
@@ -759,141 +666,65 @@ class StreamScheduler:
         The published view, effective program and deletion program are all
         current when this runs, so an override observes an atomically
         consistent post-commit state -- the durability layer uses it to
-        mark the batch's transactions committed and capture checkpoint
-        candidates.  The base implementation does nothing.  Overrides must
-        stay cheap and must not call back into the scheduler: the commit
-        lock is held."""
+        advance its watermark and capture the checkpoint candidate.  The
+        base implementation does nothing.  Overrides must stay cheap and
+        must not call back into the scheduler: the commit lock is held."""
 
     # ------------------------------------------------------------------
-    # Internals
+    # The pass
     # ------------------------------------------------------------------
-    def _apply_unit_with_retry(
+    def _run_pass(
         self,
         base: MaterializedView,
-        unit: StratumUnit,
+        coalesced: CoalescedBatch,
         programs: Programs,
-        trace: Trace,
-        parent: Span,
-    ) -> tuple:
-        """Run one unit up to ``max_unit_attempts`` times.
+        scope: Tuple[str, ...],
+    ) -> Tuple[MaterializedView, MaintenanceStats, Programs]:
+        """At most one batched deletion pass, then one insertion pass.
 
-        Returns ``(view, report, programs)``; a failed unit returns its
-        base view and no programs.
-        """
-        attempts = 0
-        error: Optional[str] = None
-        outcome: Optional[tuple] = None
-        started = time.perf_counter()
-        span = trace.span("unit", parent=parent)
-        while outcome is None and attempts < max(1, self._options.max_unit_attempts):
-            attempts += 1
-            try:
-                outcome = self._apply_unit(base, unit, programs)
-            except (WriteScopeError, ShardSanitizerError) as exc:
-                # Sanitizer verdicts are deterministic facts about the code,
-                # not transient unit failures: retrying would only repeat
-                # (or worse, mask) the illegal write.  Fail the unit now.
-                error = f"{type(exc).__name__}: {exc}"
-                break
-            except Exception as exc:  # individually retryable by design
-                error = f"{type(exc).__name__}: {exc}"
-        if outcome is None:
-            # A failed unit's attempts were discarded: it hands back its
-            # base view, and its report and span carry zero counters, so
-            # reconciliation with StreamStats stays exact.
-            view, stats, after = base, MaintenanceStats(), None
-            span.fail(str(error))
-        else:
-            view, stats, after = outcome
-            error = None
-        report = UnitReport(
-            description=unit.describe(),
-            predicates=tuple(sorted(unit.predicates)),
-            strata=unit.strata,
-            deletions=len(unit.deletions),
-            insertions=len(unit.insertions),
-            attempts=attempts,
-            status="failed" if outcome is None else "applied",
-            error=error,
-            stats=stats,
-            seconds=time.perf_counter() - started,
-            write_closure=tuple(sorted(unit.write_closure)),
-            # Copy-on-write clones this unit's passes made on top of the
-            # checkout it was handed (the counter is carried through
-            # ``copy()``, so the difference is exactly this unit's own).
-            shard_checkouts=view.shard_checkouts - base.shard_checkouts,
-        )
-        # Counter deltas come from the same stats object StreamStats sums,
-        # so span deltas reconcile with scheduler totals exactly, by
-        # construction.
-        span.set(
-            unit=report.description,
-            attempts=attempts,
-            status=report.status,
-            solver_calls=stats.solver_calls,
-            derivation_attempts=stats.derivation_attempts,
-            shard_checkouts=report.shard_checkouts,
-        ).finish()
-        return (view, report, after)
-
-    def _apply_unit(
-        self,
-        base: MaterializedView,
-        unit: StratumUnit,
-        programs: Programs,
-    ) -> tuple:
-        """One unit = at most one batched deletion pass + one insertion pass.
-
-        Returns ``(view, stats, programs)``.  The unit's program edits are
-        computed here, once: the insertion pass needs the deletion rewrites
-        anyway, and the batch and the commit take the result over.
+        Returns ``(view, stats, programs)``.  The batch's program edits are
+        computed here, once -- the scheduler's only calls of the rewrites:
+        the insertion pass needs the deletion rewrites anyway, and the
+        commit takes the result over.
         """
         stats = MaintenanceStats()
         metrics = self._obs.metrics
-        current = base
-        after = programs
-        if unit.deletions:
-            edits: List[Tuple[str, Tuple]] = []
-            # The purge is restricted to the unit's write closure: the
+        effective, deletion = programs
+        if coalesced.deletions:
+            # The purge is restricted to the batch's write scope: the
             # published view carries no unsolvable entries, so only entries
-            # this unit's propagation can touch need the final solvability
-            # check.
-            purge = tuple(sorted(unit.write_closure))
+            # this batch's propagation can touch need the final
+            # solvability check.
             algorithm = self._options.deletion_algorithm
             if algorithm == "stdel":
                 del_result = StraightDelete(
                     self._program, self._solver, self._options.engine
-                ).delete_many(current, unit.deletions, purge_predicates=purge)
+                ).delete_many(base, coalesced.deletions, purge_predicates=scope)
             else:
                 del_result = ExtendedDRed(
-                    programs[1], self._solver, self._options.engine
-                ).delete_many(current, unit.deletions, purge_predicates=purge)
+                    deletion, self._solver, self._options.engine
+                ).delete_many(base, coalesced.deletions, purge_predicates=scope)
                 if del_result.del_atoms:
                     # StDel needs no threaded rewrite for its own deletions.
-                    edits.append(("deletion", tuple(del_result.del_atoms)))
+                    deletion = deletion_rewrite(deletion, tuple(del_result.del_atoms))
             metrics.record_maintenance(algorithm, del_result.stats)
-            current = del_result.view
+            base = del_result.view
             stats.merge(del_result.stats)
-            edits.append(
-                ("effective_delete", tuple(request.atom for request in unit.deletions))
+            effective = deletion_rewrite(
+                effective, tuple(request.atom for request in coalesced.deletions)
             )
-            after = _edit_programs(programs, edits)
-        if unit.insertions:
+        if coalesced.insertions:
             # The P_ADD unfolding must run against the program carrying
             # every deletion rewrite applied so far -- previous batches'
-            # (already in the effective program) AND this unit's own, which
+            # (already in the effective program) AND this batch's own, which
             # precede the insertions in batch order -- or it would re-derive
-            # instances those deletions removed.  The batch's other units'
-            # deletions rewrite clauses outside this unit's closure and
-            # cannot affect its unfolding.
+            # instances those deletions removed.
             ins_result = ConstrainedAtomInsertion(
-                after[0], self._solver, self._options.engine
-            ).insert_many(current, unit.insertions)
+                effective, self._solver, self._options.engine
+            ).insert_many(base, coalesced.insertions)
             metrics.record_maintenance("insert", ins_result.stats)
-            current = ins_result.view
+            base = ins_result.view
             stats.merge(ins_result.stats)
             if ins_result.add_atoms:
-                after = _edit_programs(
-                    after, [("effective_insert", tuple(ins_result.add_atoms))]
-                )
-        return current, stats, after
+                effective = insertion_rewrite(effective, tuple(ins_result.add_atoms))
+        return base, stats, (effective, deletion)

@@ -20,7 +20,6 @@ from repro.datalog import compute_tp_fixpoint, parse_program
 from repro.domains.base import Domain, DomainRegistry
 from repro.errors import MediatorError
 from repro.mediator.builder import MediatorBuilder
-from repro.stream.strata import PredicateStrata
 from repro.workloads import (
     LAW_ENFORCEMENT_RULES,
     make_chain_program,
@@ -153,11 +152,15 @@ class TestClosureTables:
     def test_write_closures_match_the_runtime_walk(self):
         program = parse_program(CLEAN_RULES)
         report = analyze_program(program)
-        strata = PredicateStrata(program)  # no precomputed tables
+        edges = program.predicate_dependency_edges()
         for predicate in report.predicates:
-            assert report.write_closures[predicate] == strata.upward_closure(
-                predicate
-            )
+            seen, frontier = {predicate}, [predicate]
+            while frontier:
+                for successor in edges.get(frontier.pop(), ()):
+                    if successor not in seen:
+                        seen.add(successor)
+                        frontier.append(successor)
+            assert report.write_closures[predicate] == seen
 
     def test_read_closures_contain_write_closures(self):
         report = analyze_text(CLEAN_RULES)

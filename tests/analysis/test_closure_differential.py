@@ -7,10 +7,10 @@ the maintenance differential tests use:
   predicates whose entry keys actually changed must be contained in the
   analyzer's write closure of the request's predicate -- the static table
   over-approximates every runtime propagation cone.
-* **Precomputed == runtime.**  A :class:`PredicateStrata` fed the report's
-  tables must agree exactly -- closures, strata, partitions -- with one
-  that walks the dependency graph itself, so the scheduler's adoption of
-  the precomputed tables cannot change any scheduling decision.
+* **Precomputed == runtime.**  The report's write closures must equal a dependency-graph walk done here, from the program's clause
+  -> body-predicate edges: the scheduler checks each batch out to the union
+  of its requests' closures and never walks the graph itself, so this is
+  the audit that the tables it trusts are right.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.analysis import analyze_program
 from repro.constraints import ConstraintSolver
 from repro.datalog import compute_tp_fixpoint
 from repro.maintenance import StraightDelete, insert_atom
-from repro.stream.strata import PredicateStrata
+from repro.stream import StreamScheduler
 from repro.workloads import (
     deletion_stream,
     insertion_stream,
@@ -114,30 +114,32 @@ def test_analyzer_closures_cover_observed_runtime_writes(seed):
         )
 
 
+def walked_closure(edges, predicate):
+    """*predicate* plus everything reachable along body -> head edges."""
+    seen, frontier = {predicate}, [predicate]
+    while frontier:
+        for successor in edges.get(frontier.pop(), ()):
+            if successor not in seen:
+                seen.add(successor)
+                frontier.append(successor)
+    return frozenset(seen)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_precomputed_strata_agree_with_the_runtime_walk(seed):
+def test_analyzer_closures_equal_the_dependency_walk(seed):
     spec = build_spec(seed)
     report = analyze_program(spec.program)
-    precomputed = PredicateStrata.from_report(spec.program, report)
-    runtime = PredicateStrata(spec.program)
+    edges = spec.program.predicate_dependency_edges()
+    assert set(report.write_closures) == set(edges)
+    for predicate in edges:
+        assert report.write_closures[predicate] == walked_closure(edges, predicate)
 
-    assert precomputed.components == runtime.components
-    for predicate in report.predicates:
-        assert precomputed.upward_closure(predicate) == runtime.upward_closure(
-            predicate
-        )
-        assert precomputed.stratum_of(predicate) == runtime.stratum_of(predicate)
-
+    # The scheduler's write scope for the whole stream as one batch is the
+    # union of the walked closures of its requests' predicates.
     stream = build_stream(spec, seed)
-    deletions = [request for kind, request in stream if kind == "delete"]
-    insertions = [request for kind, request in stream if kind == "insert"]
-    units_precomputed = precomputed.partition(deletions, insertions)
-    units_runtime = runtime.partition(deletions, insertions)
-    assert units_precomputed == units_runtime
-    # Units are independent: their write closures are pairwise disjoint.
-    for index, unit in enumerate(units_precomputed):
-        for other in units_precomputed[index + 1:]:
-            assert not unit.write_closure & other.write_closure, (
-                unit.describe(),
-                other.describe(),
-            )
+    scheduler = StreamScheduler(spec.program, ConstraintSolver())
+    prepared = scheduler.prepare_batch([request for _, request in stream])
+    requests = prepared.coalesced.deletions + prepared.coalesced.insertions
+    assert prepared.write_scope == frozenset().union(
+        *(walked_closure(edges, request.atom.predicate) for request in requests)
+    )

@@ -12,11 +12,13 @@ import pytest
 from repro.constraints import ConstraintSolver, Variable, compare, conjoin
 from repro.datalog import compute_tp_fixpoint, parse_constrained_atom, parse_program
 from repro.maintenance import (
+    DeletionRequest,
     EngineOptions,
     delete_with_dred,
     delete_with_stdel,
     recompute_after_deletion,
 )
+from repro.stream import StreamOptions, StreamScheduler
 
 UNIVERSE = tuple(range(0, 15))
 
@@ -485,3 +487,33 @@ class TestSubsumptionRespectsPurgeOption:
         assert len(stdel.view.entries_for("q")) == 2
         assert dred.stats.subsumed_rederived == 0
         assert view_keys(dred.view) == view_keys(stdel.view)
+
+
+#: ``h``'s clause joins two unconstrained facts; deleting one point of ``p``
+#: must keep every other value.
+NEGATION_SCOPE_RULES = """
+p(X) <- true.
+r(X) <- true.
+h(X) <- p(X), r(X).
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "projection._scope_negations_uncached treats a head variable that "
+        "appears only inside the negation as local to it, so the rewritten "
+        "fact keeps no instance of p"
+    ),
+)
+@pytest.mark.parametrize("algorithm", ["stdel", "dred"])
+def test_deleting_one_point_of_an_unconstrained_fact_keeps_the_rest(algorithm):
+    scheduler = StreamScheduler(
+        parse_program(NEGATION_SCOPE_RULES),
+        ConstraintSolver(),
+        options=StreamOptions(deletion_algorithm=algorithm),
+    )
+    request = DeletionRequest(parse_constrained_atom("p(X) <- X = 5"))
+    assert scheduler.apply_batch((request,)).ok
+    universe = range(11)
+    assert scheduler.query("p", universe) == {(v,) for v in universe if v != 5}

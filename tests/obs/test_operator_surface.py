@@ -117,7 +117,7 @@ class TestTraceOp:
         assert full["enabled"] is True
         assert len(full["traces"]) == 2
         names = {span["name"] for span in full["traces"][0]["spans"]}
-        assert {"batch", "drain", "prepare", "admit", "apply", "commit"} <= names
+        assert {"batch", "drain", "prepare", "apply", "commit"} <= names
         assert len(limited["traces"]) == 1
         assert limited["traces"][0]["trace"] == full["traces"][-1]["trace"]
 

@@ -1,11 +1,11 @@
-"""Span integrity when batches are applied from several threads.
+"""Span integrity when batches are flushed from several threads.
 
-The acceptance criterion, as a test: two prepared batches are handed to
-``apply_prepared`` on two threads at once -- the turnstile lets them apply
-one after the other, in prepare order -- and every batch's trace must
-still be a complete drain -> commit span tree -- correctly nested, no
-orphan spans, no cross-batch leakage -- whose per-span counter deltas sum
-*exactly* to the scheduler's ``StreamStats`` totals.
+The acceptance criterion, as a test: two threads call ``flush`` at once --
+the write lock lets their batches apply one after the other, each from
+drain to commit -- and every batch's trace must still be a complete
+drain -> commit span tree -- correctly nested, no orphan spans, no
+cross-batch leakage -- whose per-span counter deltas sum *exactly* to the
+scheduler's ``StreamStats`` totals.
 """
 
 from __future__ import annotations
@@ -51,26 +51,24 @@ def make_scheduler(obs=None):
 
 
 def run_concurrent_rounds(scheduler):
-    """Per round, prepare two batches of two units each and hand them to
-    ``apply_prepared`` on two threads at once.  Returns ``(prepared, result,
-    applying thread name)`` per batch."""
+    """Per round, submit two batches' worth of requests (two towers each)
+    and let two threads ``flush(limit=2)`` at once.  Returns ``(result,
+    flushing thread name)`` per batch."""
     applied = []
-    for kind, constraint in ROUNDS:
-        prepared = []
+    lock = threading.Lock()
+
+    def flush():
+        result = scheduler.flush(limit=2)
+        with lock:
+            applied.append((result, threading.current_thread().name))
+
+    for number, (kind, constraint) in enumerate(ROUNDS):
         for towers in BATCH_TOWERS:
             for tower in towers:
                 scheduler.submit(kind(parse_constrained_atom(f"b{tower}(X) <- {constraint}")))
-            prepared.append(scheduler.prepare_batch(scheduler.drain()))
-        lock = threading.Lock()
-
-        def apply(batch):
-            result = scheduler.apply_prepared(batch)
-            with lock:
-                applied.append((batch, result, threading.current_thread().name))
-
         threads = [
-            threading.Thread(target=apply, args=(batch,), name=f"apply-{index}")
-            for index, batch in enumerate(prepared)
+            threading.Thread(target=flush, name=f"flush-{number}-{index}")
+            for index in range(len(BATCH_TOWERS))
         ]
         for thread in threads:
             thread.start()
@@ -82,9 +80,11 @@ def run_concurrent_rounds(scheduler):
 
 
 def traced_run(scheduler, obs):
+    """``(trace view, result, thread)`` per batch: a batch's trace is the
+    one whose root span its flushing thread finished."""
     applied = run_concurrent_rounds(scheduler)
-    views = {view.trace_id: view for view in group_traces(list(obs.ring.events()))}
-    return [(views[batch.trace.trace_id], result, thread) for batch, result, thread in applied]
+    views = {view.root["thread"]: view for view in group_traces(list(obs.ring.events()))}
+    return [(views[thread], result, thread) for result, thread in applied]
 
 
 def scheduler_totals(scheduler):
@@ -108,19 +108,21 @@ class TestSpanIntegrityUnderConcurrentBatches:
         assert problems == []
         assert len(group_traces(events)) == len(scheduler.batches) == 6
 
-    def test_unit_spans_nest_under_apply_and_never_leak_across_batches(self):
+    def test_one_apply_span_per_batch_and_no_leak_across_batches(self):
         obs = Observability.enabled_with()
         for view, result, _ in traced_run(make_scheduler(obs), obs):
-            # One unit span per stratum unit of *this* batch, naming its
-            # units -- a leaked span from the other batch would break
-            # the count or the names.
-            units = view.find("unit")
-            assert sorted(u["attrs"]["unit"] for u in units) == sorted(
-                unit.description for unit in result.stats.units
-            )
-            assert len(units) == 2
+            # One apply span carrying *this* batch's pass -- a leaked span
+            # from the other batch would break the count or the numbers.
+            (report,) = result.stats.units
             (apply_span,) = view.find("apply")
-            assert all(u["parent"] == apply_span["span"] for u in units)
+            attrs = apply_span["attrs"]
+            assert (attrs["deletions"], attrs["insertions"]) == (
+                report.deletions,
+                report.insertions,
+            )
+            (drain,) = view.find("drain")
+            assert drain["attrs"]["transactions"] == result.stats.submitted == 2
+            assert view.find("unit") == [] and view.find("admit") == []
             # Everything hangs off this trace's root; no orphans.
             assert view.root is not None
             assert all(
@@ -129,16 +131,14 @@ class TestSpanIntegrityUnderConcurrentBatches:
                 if e is not view.root
             )
 
-    def test_unit_spans_record_the_applying_thread(self):
+    def test_every_span_records_the_flushing_thread(self):
         obs = Observability.enabled_with()
         runs = traced_run(make_scheduler(obs), obs)
         for view, _, thread in runs:
-            # A batch's units run one after another on the thread that
-            # applies the batch; drain and prepare ran on the caller's.
-            spans = view.find("unit") + view.find("apply") + view.find("commit")
-            assert {e["thread"] for e in spans} == {thread}
-            assert view.root["thread"] != thread
-        assert {thread for _, _, thread in runs} == {"apply-0", "apply-1"}
+            # Drain, prepare, apply and commit all run on the thread that
+            # flushed the batch.
+            assert {e["thread"] for e in view.spans} == {thread}
+        assert len({thread for _, _, thread in runs}) == 2 * len(ROUNDS)
 
     def test_per_batch_counter_deltas_reconcile_exactly(self):
         obs = Observability.enabled_with()

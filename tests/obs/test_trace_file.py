@@ -103,7 +103,7 @@ class TestServeTraceFile:
         assert len(views) == len(scheduler.batches) >= 1
         for view in views:
             names = set(view.names())
-            assert {"batch", "drain", "prepare", "admit", "apply", "commit"} <= names
+            assert {"batch", "drain", "prepare", "apply", "commit"} <= names
 
     def test_durable_serve_traces_carry_the_journal_span(self, tmp_path):
         trace_path = tmp_path / "trace.jsonl"

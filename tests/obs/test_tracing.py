@@ -192,7 +192,9 @@ class TestRingExporter:
 
 
 class TestVerifier:
-    def _trace_events(self, trace_id="t1", names=("drain", "prepare", "admit", "apply", "commit")):
+    def _trace_events(
+        self, trace_id="t1", names=("drain", "prepare", "apply", "commit"), status="ok"
+    ):
         events = []
         for index, name in enumerate(names, start=2):
             events.append(
@@ -203,7 +205,7 @@ class TestVerifier:
         events.append(
             {"type": "span", "trace": trace_id, "span": 1, "parent": None,
              "name": "batch", "start": 1.0, "end": 99.0, "thread": "main",
-             "status": "ok", "attrs": {"spans": len(names) + 1}}
+             "status": status, "attrs": {"spans": len(names) + 1}}
         )
         return events
 
@@ -211,12 +213,20 @@ class TestVerifier:
         assert verify_batch_traces(self._trace_events()) == []
 
     def test_missing_required_seam_is_flagged(self):
-        events = self._trace_events(names=("drain", "prepare", "admit", "apply"))
+        events = self._trace_events(names=("drain", "prepare", "apply"))
         problems = verify_batch_traces(events)
         assert any("missing 'commit'" in p for p in problems)
 
+    def test_a_failed_batch_needs_no_commit(self):
+        # A batch whose pass raised commits nothing: its failed root
+        # excuses the missing commit span, and nothing else.
+        events = self._trace_events(names=("drain", "prepare", "apply"), status="error")
+        assert verify_batch_traces(events) == []
+        events = self._trace_events(names=("drain", "apply"), status="error")
+        assert any("missing 'prepare'" in p for p in verify_batch_traces(events))
+
     def test_missing_drain_tolerated_only_when_not_required(self):
-        events = self._trace_events(names=("prepare", "admit", "apply", "commit"))
+        events = self._trace_events(names=("prepare", "apply", "commit"))
         assert any(
             "missing 'drain'" in p for p in verify_batch_traces(events)
         )
@@ -232,11 +242,11 @@ class TestVerifier:
         events = self._trace_events()
         events = [e for e in events if e["name"] != "apply"]
         problems = verify_batch_traces(events)
-        assert any("expected 6 spans, found 5" in p for p in problems)
+        assert any("expected 5 spans, found 4" in p for p in problems)
 
     def test_counter_reconciliation_is_exact(self):
         events = self._trace_events()
-        events[3]["attrs"] = {"solver_calls": 4, "derivation_attempts": 7}
+        events[2]["attrs"] = {"solver_calls": 4, "derivation_attempts": 7}
         expected = {"solver_calls": 4, "derivation_attempts": 7, "shard_checkouts": 0}
         assert verify_batch_traces(events, expected_totals=expected) == []
         off_by_one = dict(expected, solver_calls=5)

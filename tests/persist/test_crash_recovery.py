@@ -28,6 +28,8 @@ from repro.persist import (
     open_scheduler,
     set_fault_injector,
 )
+from repro.maintenance import StraightDelete
+from repro.maintenance.insert import ConstrainedAtomInsertion
 from repro.stream import StreamScheduler
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -191,6 +193,118 @@ def test_torn_wal_tail_drops_only_the_interrupted_batch(seed):
         assert view_keys(again.view) == prefixes[-1]
 
 
+def raise_once_when_armed(monkeypatch):
+    """Make the next maintenance pass raise, once, while ``armed["on"]``."""
+    armed = {"on": False, "fired": False}
+    for owner, name in (
+        (StraightDelete, "delete_many"),
+        (ConstrainedAtomInsertion, "insert_many"),
+    ):
+
+        def flaky(self, *args, _original=getattr(owner, name), **kwargs):
+            if armed["on"]:
+                armed["on"], armed["fired"] = False, True
+                raise RuntimeError("the pass raised once")
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, flaky)
+    return armed
+
+
+@pytest.mark.parametrize("options", (LAZY, EAGER), ids=("replay", "checkpoint"))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_batch_whose_pass_raises_is_lost_to_writer_and_recovery_alike(
+    seed, options, monkeypatch
+):
+    """One batch in the second half of the schedule raises once in its pass.
+    It commits nothing and journals nothing: the writer keeps the view
+    without it, a reopen recovers exactly that view, and resubmitting the
+    batch continues the run to the full never-crashed reference."""
+    import tempfile
+
+    spec, batches = batch_schedule(seed)
+    prefixes = reference_prefixes(spec, batches)
+    armed = raise_once_when_armed(monkeypatch)
+    with tempfile.TemporaryDirectory() as raw:
+        data_dir = Path(raw)
+        writer = open_scheduler(data_dir, spec.program, durability_options=options)
+        failed_at = None
+        for number, batch in enumerate(batches, start=1):
+            for payload in batch:
+                writer.submit(payload)
+            # A batch the coalescer empties runs no pass: the arming then
+            # carries over to the next batch that does.
+            armed["on"] = armed["on"] or number > len(batches) // 2
+            result = writer.flush()
+            if armed["fired"]:
+                failed_at = number
+                break
+            assert result.ok
+        assert failed_at is not None, "no batch in the second half ran a pass"
+        assert not result.ok and "the pass raised once" in result.error
+
+        reopened = open_scheduler(data_dir, spec.program, durability_options=LAZY)
+        assert view_keys(writer.view) == prefixes[failed_at - 1]
+        assert view_keys(reopened.view) == prefixes[failed_at - 1]
+
+        for batch in batches[failed_at - 1 :]:
+            for payload in batch:
+                reopened.submit(payload)
+            assert reopened.flush().ok
+        assert view_keys(reopened.view) == prefixes[-1]
+        final = open_scheduler(data_dir, spec.program, durability_options=LAZY)
+        assert view_keys(final.view) == prefixes[-1]
+
+
+@pytest.mark.parametrize("forced", (False, True))
+def test_an_over_threshold_log_waits_while_updates_are_pending(forced):
+    """A checkpoint stalls the one writer, so an over-threshold log is
+    checkpointed when the writer has caught up with the update log -- one
+    checkpoint, empty log -- and at twice the threshold (*forced*) even
+    while updates wait."""
+    import tempfile
+
+    spec, _ = batch_schedule(0)
+    payloads = [request for _, request in build_stream(spec, 0)]
+    first, second = payloads[:2], payloads[2:3]
+
+    # A fixed clock keeps the records' sizes the same in both directories.
+    def clock():
+        return 0.0
+
+    with tempfile.TemporaryDirectory() as raw:
+        probe = open_scheduler(
+            Path(raw), spec.program, durability_options=LAZY, clock=clock
+        )
+        for payload in first:
+            probe.submit(payload)
+        assert probe.flush().ok
+        first_record = probe.durability.wal.size_bytes()
+    threshold = first_record // 2 if forced else first_record
+
+    with tempfile.TemporaryDirectory() as raw:
+        scheduler = open_scheduler(
+            Path(raw),
+            spec.program,
+            durability_options=DurabilityOptions(checkpoint_wal_bytes=threshold),
+            clock=clock,
+        )
+        stats, wal = scheduler.durability.stats, scheduler.durability.wal
+        for payload in first + second:
+            scheduler.submit(payload)
+        # The first batch reaches the threshold with the second one waiting.
+        assert scheduler.flush(limit=len(first)).ok
+        assert scheduler.log.pending_count() == len(second)
+        assert stats.checkpoints == int(forced)
+        assert (wal.size_bytes() == 0) == forced
+        assert scheduler.flush().ok
+        assert stats.checkpoints == 1 + int(forced)
+        assert wal.size_bytes() == 0
+        expected = view_keys(scheduler.view)
+        again = open_scheduler(Path(raw), spec.program, durability_options=LAZY)
+        assert view_keys(again.view) == expected
+
+
 def test_recovery_refuses_a_foreign_program():
     """Opening a data dir with different rules must fail loudly."""
     import tempfile
@@ -242,49 +356,3 @@ def test_fresh_directory_without_program_is_an_error():
     with tempfile.TemporaryDirectory() as raw:
         with pytest.raises(RecoveryError):
             open_scheduler(Path(raw))
-
-
-@pytest.mark.parametrize("forced", (False, True))
-def test_an_over_threshold_log_waits_for_the_pipeline_to_catch_up(forced):
-    """Batch n+1 journaled before batch n commits -- how the serve layer
-    drives the scheduler -- shares its WAL segment with batch n, so a
-    checkpoint after batch n releases nothing.  The size policy waits for
-    the commit that catches up with the journal (one checkpoint, empty
-    log) and stops waiting at twice the threshold (*forced*)."""
-    import tempfile
-
-    spec, _ = batch_schedule(0)
-    payloads = [request for _, request in build_stream(spec, 0)]
-    ahead, behind = payloads[:2], payloads[2:3]
-
-    def journal(scheduler, batch):
-        for payload in batch:
-            scheduler.submit(payload)
-        return scheduler.drain()
-
-    with tempfile.TemporaryDirectory() as raw:
-        probe = open_scheduler(Path(raw), spec.program, durability_options=LAZY)
-        journal(probe, ahead)
-        first_record = probe.durability.wal.size_bytes()
-        journal(probe, behind)
-        assert probe.durability.wal.size_bytes() < 2 * first_record
-    threshold = first_record // 2 if forced else first_record
-
-    with tempfile.TemporaryDirectory() as raw:
-        scheduler = open_scheduler(
-            Path(raw),
-            spec.program,
-            durability_options=DurabilityOptions(checkpoint_wal_bytes=threshold),
-        )
-        stats, wal = scheduler.durability.stats, scheduler.durability.wal
-        first = scheduler.prepare_batch(journal(scheduler, ahead))
-        journaled_ahead = journal(scheduler, behind)
-        assert scheduler.apply_prepared(first).ok
-        assert stats.checkpoints == int(forced)
-        assert wal.size_bytes() >= threshold
-        assert scheduler.apply_prepared(scheduler.prepare_batch(journaled_ahead)).ok
-        assert stats.checkpoints == 1 + int(forced)
-        assert wal.size_bytes() == 0
-        expected = view_keys(scheduler.view)
-        again = open_scheduler(Path(raw), spec.program, durability_options=LAZY)
-        assert view_keys(again.view) == expected

@@ -5,7 +5,6 @@ from __future__ import annotations
 import asyncio
 import gc
 import threading
-import time
 import weakref
 
 import pytest
@@ -18,7 +17,7 @@ from repro.maintenance.insert import ConstrainedAtomInsertion
 from repro.mediator import Mediator
 from repro.obs import Observability
 from repro.serve import MediatorService, ServeOptions
-from repro.stream import StreamOptions, StreamScheduler
+from repro.stream import StreamScheduler, UpdateLog
 
 RULES = """
 b(X) <- X = 1.
@@ -115,8 +114,9 @@ class TestWriterPipeline:
         assert released
 
     def test_the_writer_applies_one_batch_at_a_time(self, monkeypatch):
-        # Batch n+1 is drained and prepared while batch n applies, but it
-        # reaches apply_prepared only after batch n committed.
+        # One writer thread: while batch [10] is held inside its pass, the
+        # later updates stay in the log -- nothing else drains them -- and
+        # no second batch reaches apply_prepared.
         original = StreamScheduler.apply_prepared
         lock = threading.Lock()
         applying = {"now": 0, "peak": 0}
@@ -132,26 +132,30 @@ class TestWriterPipeline:
                     applying["now"] -= 1
 
         monkeypatch.setattr(StreamScheduler, "apply_prepared", counting)
-        # Slow the first pass down, so batch n+1 is prepared while batch n
-        # is still applying.
-        slow = {"first": True}
+        started, release = threading.Event(), threading.Event()
         insert_many = ConstrainedAtomInsertion.insert_many
 
-        def slow_first(self, view, requests):
-            if slow.pop("first", False):
-                time.sleep(0.2)
+        def held_first(self, view, requests):
+            if not started.is_set():
+                started.set()
+                assert release.wait(10), "test deadlock: never released"
             return insert_many(self, view, requests)
 
-        monkeypatch.setattr(ConstrainedAtomInsertion, "insert_many", slow_first)
+        monkeypatch.setattr(ConstrainedAtomInsertion, "insert_many", held_first)
 
         async def main():
             async with make_service(max_batch=1) as service:
-                for value in range(10, 18):
+                await service.submit(insertion("b(X) <- X = 10"))
+                assert await asyncio.to_thread(started.wait, 10)
+                for value in range(11, 18):
                     await service.submit(insertion(f"b(X) <- X = {value}"))
+                waiting = service.scheduler.log.pending_count()
+                release.set()
                 await service.drained()
-                return service.stats(), await service.query("b", UNIVERSE)
+                return waiting, service.stats(), await service.query("b", UNIVERSE)
 
-        stats, visible = asyncio.run(main())
+        waiting, stats, visible = asyncio.run(main())
+        assert waiting == 7
         assert applying["peak"] == 1
         assert stats["batches_applied"] == 8
         assert {(value,) for value in range(10, 18)} <= visible
@@ -171,8 +175,8 @@ class TestWriterPipeline:
     def test_failed_batch_surfaces_in_errors_and_service_keeps_going(
         self, monkeypatch
     ):
-        # Force the insertion pass to explode: the batch records an error
-        # (failed unit), later batches still apply.
+        # Force the insertion pass to explode: the batch fails whole and is
+        # counted in failed_units, later batches still apply.
         original = ConstrainedAtomInsertion.insert_many
         poisoned = {"calls": 0}
 
@@ -185,11 +189,7 @@ class TestWriterPipeline:
         monkeypatch.setattr(ConstrainedAtomInsertion, "insert_many", flaky)
 
         async def main():
-            scheduler = StreamScheduler(
-                parse_program(RULES),
-                ConstraintSolver(),
-                options=StreamOptions(max_unit_attempts=1),
-            )
+            scheduler = StreamScheduler(parse_program(RULES), ConstraintSolver())
             async with MediatorService(scheduler) as service:
                 await service.submit(insertion("b(X) <- X = 7"))
                 await service.drained()
@@ -203,18 +203,18 @@ class TestWriterPipeline:
         assert second["batches_applied"] == 2
         assert (8,) in visible and (7,) not in visible
 
-    # A drain fails after the log handed its transactions over (a durable
-    # drain's WAL fsync comes second); a prepare fails while coalescing (a
-    # source raising), before the batch takes a ticket.
+    # A drain fails after the log handed its transactions over; a prepare
+    # fails while coalescing (a source raising), before any pass runs.
     @pytest.mark.parametrize(
-        "stage, after_original", [("drain", True), ("prepare_batch", False)]
+        "owner, stage, after_original",
+        [(UpdateLog, "drain", True), (StreamScheduler, "prepare_batch", False)],
     )
     def test_a_drain_or_prepare_failure_drops_the_batch_and_keeps_serving(
-        self, monkeypatch, stage, after_original
+        self, monkeypatch, owner, stage, after_original
     ):
         # The writer records the error like a failed apply, drops that
         # batch and applies the next one.
-        original = getattr(StreamScheduler, stage)
+        original = getattr(owner, stage)
         calls = {"count": 0}
 
         def failing_once(self, *args, **kwargs):
@@ -232,7 +232,7 @@ class TestWriterPipeline:
                 obs=Observability.enabled_with(),
             )
             async with MediatorService(scheduler) as service:
-                monkeypatch.setattr(StreamScheduler, stage, failing_once)
+                monkeypatch.setattr(owner, stage, failing_once)
                 await service.submit(insertion("b(X) <- X = 7"))
                 await asyncio.wait_for(service.drained(), 10)
                 errors = service.errors
@@ -258,20 +258,16 @@ class TestBackpressure:
     def test_submit_awaits_when_backlog_crosses_the_high_watermark(
         self, monkeypatch
     ):
-        gate = threading.Event()
+        started, release = threading.Event(), threading.Event()
         original = ConstrainedAtomInsertion.insert_many
 
-        def gated(self, view, requests):
-            assert gate.wait(10)
+        def held_first(self, view, requests):
+            if not started.is_set():
+                started.set()
+                assert release.wait(10), "test deadlock: never released"
             return original(self, view, requests)
 
-        monkeypatch.setattr(ConstrainedAtomInsertion, "insert_many", gated)
-
-        async def wait_until(predicate, timeout=10.0):
-            deadline = asyncio.get_running_loop().time() + timeout
-            while not predicate():
-                assert asyncio.get_running_loop().time() < deadline
-                await asyncio.sleep(0.01)
+        monkeypatch.setattr(ConstrainedAtomInsertion, "insert_many", held_first)
 
         async def main():
             service = make_service(
@@ -279,29 +275,30 @@ class TestBackpressure:
             )
             async with service:
                 log = service.scheduler.log
-                # Batch [10] is drained and blocks inside apply (the gate).
+                # Batch [10] is drained and held inside its pass: the one
+                # writer thread is busy, so nothing drains any more.
                 await service.submit(insertion("b(X) <- X = 10"))
-                await wait_until(lambda: log.pending_count() == 0)
-                # Batch [11] is drained and prepared, then the writer waits
-                # for the one batch in flight: nothing can drain any more.
+                assert await asyncio.to_thread(started.wait, 10)
+                # These two reach the high watermark with the writer stuck.
                 await service.submit(insertion("b(X) <- X = 11"))
-                await wait_until(lambda: log.pending_count() == 0)
-                # These two cross the high watermark with the writer stuck.
                 await service.submit(insertion("b(X) <- X = 12"))
-                await service.submit(insertion("b(X) <- X = 13"))
+                assert log.pending_count() == 2
                 blocked = asyncio.ensure_future(
-                    service.submit(insertion("b(X) <- X = 14"))
+                    service.submit(insertion("b(X) <- X = 13"))
                 )
-                done, pending = await asyncio.wait([blocked], timeout=0.3)
-                was_blocked = blocked in pending
-                gate.set()
+                # Let the submit run up to its first await: it waits for the
+                # backlog to fall, and logs nothing meanwhile.
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                was_blocked = not blocked.done() and log.pending_count() == 2
+                release.set()
                 await blocked
                 await service.drained()
                 return was_blocked, await service.query("b", UNIVERSE)
 
         was_blocked, visible = asyncio.run(main())
         assert was_blocked, "submit should have waited at the high watermark"
-        assert {(10,), (11,), (12,), (13,), (14,)} <= visible
+        assert {(10,), (11,), (12,), (13,)} <= visible
 
     def test_rejects_inverted_watermarks(self):
         with pytest.raises(MediatorError, match="backpressure_low"):

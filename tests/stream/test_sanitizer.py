@@ -4,8 +4,9 @@
 environment through ``monkeypatch`` (the gate re-reads it on every call).
 The bug classes covered are exactly the ones
 :mod:`repro.sanitizer` documents: mutation of a published (shared) shard,
-writes outside a unit's checkout scope, torn publishes, and an analyzer
-closure table that disagrees with the runtime dependency walk.
+writes outside a batch's checkout scope, and torn publishes.  (That the
+analyzer's closure tables equal a dependency walk is a tier-1 assertion
+in ``tests/analysis/test_closure_differential.py``.)
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from repro.constraints import ConstraintSolver
 from repro.datalog import compute_tp_fixpoint, parse_constrained_atom, parse_program
 from repro.datalog.support import Support
 from repro.datalog.view import ViewEntry
-from repro.errors import MaintenanceError, ShardSanitizerError, WriteScopeError
+from repro.errors import ShardSanitizerError, WriteScopeError
 from repro.maintenance import DeletionRequest, StraightDelete
 from repro.sanitizer import sanitizer_enabled
-from repro.stream import StreamOptions, StreamScheduler
-from repro.stream.strata import PredicateStrata
+from repro.stream import StreamScheduler
 
 RULES = """
 left(X) <- X = 1.
@@ -182,7 +182,7 @@ class TestCommitCheck:
                 DeletionRequest(parse_constrained_atom("right(X) <- X = 11")),
             ]
         )
-        assert result.ok and len(result.stats.units) == 2
+        assert result.ok and len(result.stats.units) == 1
         assert scheduler.query("top", UNIVERSE) == {(2,)}
         assert scheduler.verify(UNIVERSE)
 
@@ -228,39 +228,10 @@ class TestTornPublish:
             working.assert_publish_scope(view, ["left"])
 
 
-class TestStrataAudit:
-    def test_wrong_precomputed_closure_is_caught(self, armed):
-        program = parse_program(RULES)
-        strata = PredicateStrata(
-            program, closures={"left": frozenset({"left"})}  # truth: +mid, top
-        )
-        with pytest.raises(MaintenanceError, match="disagrees"):
-            strata.upward_closure("left")
-
-    def test_wrong_closure_goes_unnoticed_when_disarmed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_SANITIZER", raising=False)
-        program = parse_program(RULES)
-        strata = PredicateStrata(program, closures={"left": frozenset({"left"})})
-        assert strata.upward_closure("left") == frozenset({"left"})
-
-    def test_correct_precomputed_closures_pass_the_audit(self, armed):
-        from repro.analysis import analyze_program
-
-        program = parse_program(RULES)
-        report = analyze_program(program)
-        strata = PredicateStrata.from_report(program, report)
-        for predicate in report.predicates:
-            assert strata.upward_closure(predicate) == report.write_closures[
-                predicate
-            ]
-
-
 class TestSchedulerUnderSanitizer:
-    def test_closure_violating_unit_fails_loudly(self, armed, monkeypatch):
+    def test_closure_violating_batch_fails_loudly(self, armed, monkeypatch):
         program = parse_program(RULES)
-        scheduler = StreamScheduler(
-            program, ConstraintSolver(), options=StreamOptions(max_unit_attempts=3)
-        )
+        scheduler = StreamScheduler(program, ConstraintSolver())
         original = StraightDelete.delete_many
 
         def rogue(self, view, requests, purge_predicates=None):
@@ -273,11 +244,10 @@ class TestSchedulerUnderSanitizer:
         request = DeletionRequest(parse_constrained_atom("left(X) <- X = 1"))
         result = scheduler.apply_batch([request])
         assert not result.ok
-        (failed,) = result.failed_units
-        assert "WriteScopeError" in (failed.error or "")
-        # Scope violations are not retryable: one attempt, not three.
-        assert failed.attempts == 1
-        # Nothing was published.
+        assert "WriteScopeError" in result.error
+        # A pass is attempted once, and a failed batch commits nothing.
+        assert [unit.attempts for unit in result.stats.units] == [1]
+        assert scheduler.view is result.view
         assert scheduler.query("left", UNIVERSE) == {(1,), (2,)}
         assert scheduler.query("right", UNIVERSE) == {(11,)}
 

@@ -139,14 +139,12 @@ class TestBatchedApplication:
                 deletion("right(X) <- X = 11"),
             ]
         )
-        assert result.ok and len(result.stats.units) == 2
-        # Per unit: its deletions' rewrite of the effective program (and,
+        assert result.ok and len(result.stats.units) == 1
+        # One pass: its deletions' rewrite of the effective program (and,
         # under DRed, of the deletion program), reused by its insertion
-        # pass; the left unit's Add facts.  Each unit starts from the
-        # programs the one before it left, and the batch and the commit take
-        # the last unit's programs over: nothing is replayed.
-        per_unit = 2 if algorithm == "dred" else 1
-        assert calls.count("deletion_rewrite") == 2 * per_unit
+        # pass; then the Add facts.  The commit takes the pass's programs
+        # over: nothing is replayed.
+        assert calls.count("deletion_rewrite") == (2 if algorithm == "dred" else 1)
         assert calls.count("insertion_rewrite") == 1
         effective = scheduler.effective_program
         assert [c.number for c in program if effective.clause(c.number) is not c] == [1, 3]
@@ -170,17 +168,16 @@ class TestBatchedApplication:
         assert scheduler.query("left", UNIVERSE) == {(2,)}
         assert scheduler.query("right", UNIVERSE) == {(11,), (12,)}
 
-    def test_independent_strata_become_separate_units(self):
+    def test_independent_towers_are_one_pass(self):
         program = parse_program(TWO_TOWER_RULES)
         scheduler = StreamScheduler(program, ConstraintSolver())
         result = scheduler.apply_batch(
             [deletion("left(X) <- X = 1"), deletion("right(X) <- X = 11")]
         )
-        assert len(result.stats.units) == 2
-        closures = sorted(
-            tuple(sorted(unit.predicates)) for unit in result.stats.units
-        )
-        assert closures == [("left",), ("right",)]
+        (report,) = result.stats.units
+        assert (report.deletions, report.insertions, report.attempts) == (2, 0, 1)
+        # Checked out once, to the union of the two towers' closures.
+        assert report.write_closure == ("left", "mid", "other", "right", "top")
         assert scheduler.query("top", UNIVERSE) == {(2,)}
         assert scheduler.query("other", UNIVERSE) == {(12,)}
 
@@ -256,31 +253,29 @@ class TestSnapshotIsolation:
     def test_mid_batch_reads_see_the_pre_batch_view(self, monkeypatch):
         program = parse_program(TWO_TOWER_RULES)
         observed = []
-        apply_unit = StreamScheduler._apply_unit_with_retry
+        run_pass = StreamScheduler._run_pass
 
         def observing(self, *args):
-            outcome = apply_unit(self, *args)
+            outcome = run_pass(self, *args)
             observed.append(self.query("left", UNIVERSE))
             return outcome
 
-        monkeypatch.setattr(StreamScheduler, "_apply_unit_with_retry", observing)
+        monkeypatch.setattr(StreamScheduler, "_run_pass", observing)
         scheduler = StreamScheduler(program, ConstraintSolver())
         before = scheduler.query("left", UNIVERSE)
         scheduler.apply_batch(
             [deletion("left(X) <- X = 1"), deletion("right(X) <- X = 11")]
         )
-        # Both units finished before publication: every mid-batch read must
+        # The pass finished before publication: a mid-batch read must
         # still see the full pre-batch instance set.
-        assert observed == [before, before]
+        assert observed == [before]
         assert scheduler.query("left", UNIVERSE) == {(2,)}
 
 
-class TestFailureAndRetry:
-    def test_failing_unit_is_retried_and_succeeds(self, monkeypatch):
+class TestWholeBatchFailure:
+    def test_a_failing_pass_is_attempted_once(self, monkeypatch):
         program = parse_program(TWO_TOWER_RULES)
-        scheduler = StreamScheduler(
-            program, ConstraintSolver(), options=StreamOptions(max_unit_attempts=2)
-        )
+        scheduler = StreamScheduler(program, ConstraintSolver())
         original = StraightDelete.delete_many
         failures = {"left": 1}
 
@@ -292,37 +287,42 @@ class TestFailureAndRetry:
             return original(self, view, requests, purge_predicates)
 
         monkeypatch.setattr(StraightDelete, "delete_many", flaky)
-        result = scheduler.apply_batch([deletion("left(X) <- X = 1")])
-        assert result.ok
-        (unit,) = result.stats.units
-        assert unit.attempts == 2
+        failed = scheduler.apply_batch([deletion("left(X) <- X = 1")])
+        assert not failed.ok
+        assert failed.error == "RuntimeError: transient source hiccup"
+        assert [unit.attempts for unit in failed.stats.units] == [1]
+        assert scheduler.query("left", UNIVERSE) == {(1,), (2,)}
+        # No retry inside the scheduler: the caller resubmits.
+        assert scheduler.apply_batch([deletion("left(X) <- X = 1")]).ok
         assert scheduler.query("left", UNIVERSE) == {(2,)}
 
-    def test_exhausted_unit_reported_failed_and_others_still_apply(self, monkeypatch):
+    def test_a_batch_whose_pass_raises_commits_nothing(self, monkeypatch):
         program = parse_program(TWO_TOWER_RULES)
-        scheduler = StreamScheduler(
-            program, ConstraintSolver(), options=StreamOptions(max_unit_attempts=2)
-        )
+        scheduler = StreamScheduler(program, ConstraintSolver())
         original = StraightDelete.delete_many
 
         def poisoned(self, view, requests, purge_predicates=None):
-            if requests[0].atom.predicate == "left":
+            if any(request.atom.predicate == "left" for request in requests):
                 raise RuntimeError("permanent failure")
             return original(self, view, requests, purge_predicates)
 
         monkeypatch.setattr(StraightDelete, "delete_many", poisoned)
+        published, effective = scheduler.snapshot_state()
         result = scheduler.apply_batch(
             [deletion("left(X) <- X = 1"), deletion("right(X) <- X = 11")]
         )
         assert not result.ok
-        (failed,) = result.failed_units
-        assert failed.attempts == 2
-        assert "permanent failure" in failed.error
-        # The failed unit's closure is untouched; the other applied.
+        assert "permanent failure" in result.error
+        assert [unit.status for unit in result.stats.units] == ["failed"]
+        # Neither tower changed: the batch is one pass, whole or nothing.
+        assert scheduler.snapshot_state() == (published, effective)
+        assert result.view is published
         assert scheduler.query("left", UNIVERSE) == {(1,), (2,)}
-        assert scheduler.query("right", UNIVERSE) == {(12,)}
-        # The failed unit's rewrite must NOT have entered the effective
-        # program, so verification still holds.
+        assert scheduler.query("right", UNIVERSE) == {(11,), (12,)}
+        # The failed batch is in the history, with zero counters.
+        assert scheduler.batches == (result.stats,)
+        assert result.stats.as_dict()["failed_units"] == 1
+        assert result.stats.solver_calls == 0
         assert scheduler.verify(UNIVERSE)
 
 
@@ -462,11 +462,9 @@ class TestShardedPublish:
         assert result.stats.shard_checkouts == unit.shard_checkouts
 
     @pytest.mark.parametrize("algorithm", ["stdel", "dred"])
-    def test_a_units_batch_matches_one_batch_per_unit(self, algorithm):
-        # Two towers in one batch are two units, applied one after another;
-        # the second checks out the first one's result.  It must clone what
-        # it clones when it is a batch of its own, and end where a batch per
-        # tower ends.
+    def test_one_pass_over_two_towers_matches_one_batch_per_tower(self, algorithm):
+        # Two towers in one batch are one pass on one checkout.  It must
+        # clone what a batch per tower clones, and end where they end.
         program = parse_program(TWO_TOWER_RULES)
         towers = [
             [deletion("left(X) <- X = 1"), insertion("left(X) <- X = 3")],
@@ -479,10 +477,10 @@ class TestShardedPublish:
         )
         apart = StreamScheduler(program, ConstraintSolver(), options=options)
         per_tower = [apart.apply_batch(requests) for requests in towers]
-        assert batch.ok and len(batch.stats.units) == 2
-        assert [unit.shard_checkouts for unit in batch.stats.units] == [
+        assert batch.ok and len(batch.stats.units) == 1
+        assert batch.stats.shard_checkouts == sum(
             result.stats.shard_checkouts for result in per_tower
-        ]
+        )
         assert batch.stats.shard_checkouts > 0
         assert view_keys(batch.view) == view_keys(apart.view)
         assert together.verify(UNIVERSE)
@@ -520,17 +518,15 @@ class TestShardedPublish:
         assert scheduler.query("top", UNIVERSE) == frozenset()
         assert scheduler.verify(UNIVERSE)
 
-    def test_write_scope_violation_fails_the_unit_loudly(self, monkeypatch):
-        # A unit writing outside its closure must fail its unit (the
-        # publish step would silently drop the write otherwise).
+    def test_write_scope_violation_fails_the_batch_loudly(self, monkeypatch):
+        # A pass writing outside its batch's write scope must fail the
+        # batch (the publish step would silently drop the write otherwise).
         from repro.datalog import parse_constrained_atom as parse_atom
         from repro.datalog.view import ViewEntry
         from repro.datalog.support import Support as ViewSupport
 
         program = parse_program(TWO_TOWER_RULES)
-        scheduler = StreamScheduler(
-            program, ConstraintSolver(), options=StreamOptions(max_unit_attempts=1)
-        )
+        scheduler = StreamScheduler(program, ConstraintSolver())
         original = StraightDelete.delete_many
 
         def rogue(self, view, requests, purge_predicates=None):
@@ -544,7 +540,6 @@ class TestShardedPublish:
         monkeypatch.setattr(StraightDelete, "delete_many", rogue)
         result = scheduler.apply_batch([deletion("left(X) <- X = 1")])
         assert not result.ok
-        (failed,) = result.failed_units
-        assert "checkout scope" in (failed.error or "")
-        # Nothing published: the batch's closure is untouched.
+        assert "checkout scope" in result.error
+        # Nothing published: the batch's scope is untouched.
         assert scheduler.query("left", UNIVERSE) == {(1,), (2,)}

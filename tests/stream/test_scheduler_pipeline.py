@@ -1,12 +1,11 @@
-"""Tests for the scheduler's two-stage batch pipeline and its turnstile.
+"""Tests for the scheduler's one writer: flush from drain to commit.
 
-Covers the coalesce/commit lock split (prepare while applying), the
-turnstile (one batch applies at a time, in prepare order, whatever
-predicates it writes), the queue/apply timing split, and the torn-snapshot
-fix in ``verify()``.
+Covers prepare + apply as the two halves of one batch, the lost-write
+guard, the queue/apply timing split, transaction order under concurrent
+flushes, and the torn-snapshot fix in ``verify()``.
 
-All concurrency here is *deterministic*: blocked maintenance passes wait
-on explicit events, never on timing.
+All concurrency here is *deterministic*: held batches wait on explicit
+events, never on timing.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import pytest
 from repro.constraints import ConstraintSolver
 from repro.datalog import parse_constrained_atom, parse_program
 from repro.errors import MaintenanceError
-from repro.maintenance import DeletionRequest, InsertionRequest, StraightDelete
+from repro.maintenance import DeletionRequest, InsertionRequest
 from repro.stream import StreamOptions, StreamScheduler, UpdateLog
 
 TWO_TOWER_RULES = """
@@ -50,64 +49,54 @@ def make_scheduler(**options) -> StreamScheduler:
     )
 
 
-class BlockingDelete:
-    """Monkeypatch helper: block ``delete_many`` for chosen predicates."""
+class ObservedLock:
+    """A stand-in for the scheduler's write lock that sets *contended*
+    when a thread has to wait for it."""
 
-    def __init__(self, monkeypatch, predicates):
-        self.started = threading.Event()
-        self.release = threading.Event()
-        original = StraightDelete.delete_many
-        blocked = frozenset(predicates)
-        helper = self
+    def __init__(self, contended: threading.Event):
+        self._lock = threading.Lock()
+        self.contended = contended
 
-        def gated(self, view, requests, purge_predicates=None):
-            if requests[0].atom.predicate in blocked:
-                helper.started.set()
-                assert helper.release.wait(10), "test deadlock: never released"
-            return original(self, view, requests, purge_predicates)
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self.contended.set()
+            self._lock.acquire()
+        return self
 
-        monkeypatch.setattr(StraightDelete, "delete_many", gated)
+    def __exit__(self, *exc_info):
+        self._lock.release()
 
 
 class TestPreparedBatches:
     def test_prepare_then_apply_equals_apply_batch(self):
         scheduler = make_scheduler()
         prepared = scheduler.prepare_batch([deletion("left(X) <- X = 1")])
-        assert prepared.ticket == 1
+        assert prepared.write_scope == {"left", "mid", "top"}
         result = scheduler.apply_prepared(prepared)
         assert result.ok
         assert scheduler.query("left", UNIVERSE) == {(2,)}
         assert scheduler.verify(UNIVERSE)
 
-    def test_apply_prepared_twice_raises(self):
-        scheduler = make_scheduler()
-        prepared = scheduler.prepare_batch([deletion("left(X) <- X = 1")])
-        scheduler.apply_prepared(prepared)
-        with pytest.raises(MaintenanceError, match="already applied"):
-            scheduler.apply_prepared(prepared)
-
     def test_a_commit_over_a_changed_published_view_raises(self, monkeypatch):
         # Something published while the batch applied: publishing the
         # batch's view would drop that write, so the commit refuses.
         scheduler = make_scheduler()
-        apply_unit = StreamScheduler._apply_unit_with_retry
+        run_pass = StreamScheduler._run_pass
         swapped = []
 
         def publishing_behind_its_back(self, *args):
-            outcome = apply_unit(self, *args)
+            outcome = run_pass(self, *args)
             if not swapped:
                 swapped.append(self._published.copy())
                 self._published = swapped[0]
             return outcome
 
-        monkeypatch.setattr(
-            StreamScheduler, "_apply_unit_with_retry", publishing_behind_its_back
-        )
+        monkeypatch.setattr(StreamScheduler, "_run_pass", publishing_behind_its_back)
         with pytest.raises(MaintenanceError, match="lost write"):
             scheduler.apply_batch([deletion("left(X) <- X = 1")])
         assert scheduler.view is swapped[0]
         assert scheduler.batches == ()
-        # The failed batch released its ticket: the next one applies.
+        # The failed batch released the write lock: the next one applies.
         assert scheduler.apply_batch([deletion("left(X) <- X = 1")]).ok
         assert scheduler.query("left", UNIVERSE) == {(2,)}
 
@@ -122,95 +111,58 @@ class TestPreparedBatches:
         assert stats.apply_seconds > 0
 
 
-class TestConcurrentDisjointBatches:
-    def test_a_disjoint_batch_waits_for_the_batch_applying(self, monkeypatch):
+class TestConcurrentFlushes:
+    def test_concurrent_flushes_publish_the_transaction_order(self, monkeypatch):
+        # Thread A drains transaction 1 (delete left(1)) and is held before
+        # prepare; transaction 2 (insert left(1)) is then submitted and
+        # flushed by thread B.  Applied in order the two give {1, 2}.  A's
+        # drained batch must commit before B drains: the write lock spans
+        # drain to commit.  A is let go once B waits for that lock (or, if
+        # nothing holds B back, once B's flush is done).
         scheduler = make_scheduler()
-        gate = BlockingDelete(monkeypatch, {"left"})
+        held, go = threading.Event(), threading.Event()
+        scheduler._write_lock = ObservedLock(go)
+        original = StreamScheduler.prepare_batch
+
+        def gated(self, payloads, *args, **kwargs):
+            if not held.is_set():
+                held.set()
+                assert go.wait(10), "test deadlock: A was never let go"
+            return original(self, payloads, *args, **kwargs)
+
+        monkeypatch.setattr(StreamScheduler, "prepare_batch", gated)
         results = {}
-
-        def run(name, request, done=None):
-            results[name] = scheduler.apply_batch([request])
-            if done is not None:
-                done.set()
-
-        left = threading.Thread(
-            target=run, args=("left", deletion("left(X) <- X = 1"))
-        )
-        left.start()
-        assert gate.started.wait(10)
-        # The left-tower batch is mid-apply.  The right tower shares no
-        # predicate with it, but one batch applies at a time: the right
-        # batch is prepared behind it and must not finish.
-        right_done = threading.Event()
-        right = threading.Thread(
-            target=run,
-            args=("right", deletion("right(X) <- X = 11"), right_done),
-        )
-        right.start()
-        assert not right_done.wait(0.2)
-        assert scheduler.query("right", UNIVERSE) == {(11,), (12,)}
-        gate.release.set()
-        left.join(10)
-        right.join(10)
-        assert not left.is_alive() and not right.is_alive()
-        assert results["left"].ok and results["right"].ok
-        # Both committed, in prepare order.
-        first, second = scheduler.batches
-        assert first is results["left"].stats
-        assert second is results["right"].stats
-        assert scheduler.query("left", UNIVERSE) == {(2,)}
-        assert scheduler.query("right", UNIVERSE) == {(12,)}
-        assert scheduler.verify(UNIVERSE)
-
-    def test_conflicting_batches_are_admitted_in_prepare_order(
-        self, monkeypatch
-    ):
-        scheduler = make_scheduler()
-        gate = BlockingDelete(monkeypatch, {"left"})
-        results = []
-        first = threading.Thread(
-            target=lambda: results.append(
-                scheduler.apply_batch([deletion("left(X) <- X = 1")])
-            )
-        )
+        scheduler.submit(deletion("left(X) <- X = 1"))
+        first = threading.Thread(target=lambda: results.update(a=scheduler.flush()))
         first.start()
-        assert gate.started.wait(10)
-        second_done = threading.Event()
+        assert held.wait(10)
+        scheduler.submit(insertion("left(X) <- X = 1"))
 
-        def run_second():
-            results.append(
-                scheduler.apply_batch([insertion("left(X) <- X = 5")])
-            )
-            second_done.set()
+        def flush_b():
+            results["b"] = scheduler.flush()
+            go.set()
 
-        second = threading.Thread(target=run_second)
+        second = threading.Thread(target=flush_b)
         second.start()
-        # One batch applies at a time: the second must wait for the first.
-        assert not second_done.wait(0.2)
-        gate.release.set()
         first.join(10)
-        assert second_done.wait(10)
         second.join(10)
-        first_result, second_result = results
-        assert first_result.ok and second_result.ok
-        # Admitted strictly after the first committed: the wait shows up
-        # as queue time, not apply time.
-        assert second_result.stats.queue_seconds > 0
-        assert scheduler.query("left", UNIVERSE) == {(2,), (5,)}
+        assert not first.is_alive() and not second.is_alive()
+        assert results["a"].ok and results["b"].ok
+        assert scheduler.query("left", UNIVERSE) == {(1,), (2,)}
         assert scheduler.verify(UNIVERSE)
 
 
 class TestSnapshotState:
     def test_snapshot_state_returns_a_consistent_pair(self, monkeypatch):
         observed = []
-        apply_unit = StreamScheduler._apply_unit_with_retry
+        run_pass = StreamScheduler._run_pass
 
         def observing(self, *args):
-            outcome = apply_unit(self, *args)
+            outcome = run_pass(self, *args)
             observed.append(self.snapshot_state())
             return outcome
 
-        monkeypatch.setattr(StreamScheduler, "_apply_unit_with_retry", observing)
+        monkeypatch.setattr(StreamScheduler, "_run_pass", observing)
         program = parse_program(TWO_TOWER_RULES)
         scheduler = StreamScheduler(program, ConstraintSolver())
         before_view, before_program = scheduler.snapshot_state()
