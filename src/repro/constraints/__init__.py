@@ -44,7 +44,7 @@ from repro.constraints.interfaces import (
     ResultSetLike,
 )
 from repro.constraints.projection import eliminate_variables
-from repro.constraints.simplify import canonical_form, extract_bindings, simplify
+from repro.constraints.simplify import canonical_form, simplify
 from repro.constraints.solutions import enumerate_solutions, solution_set
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import (
@@ -85,7 +85,6 @@ __all__ = [
     "eliminate_variables",
     "enumerate_solutions",
     "equals",
-    "extract_bindings",
     "intern_stats",
     "make_term",
     "member",

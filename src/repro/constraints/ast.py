@@ -76,10 +76,10 @@ _CONJUNCTIONS = table("conjunction")
 #: ``_str`` lazily by the node itself; ``_elim`` holds a small bounded dict
 #: of projection results; ``_domains`` the names of the domains the node
 #: calls; ``_plan`` the compiled search plan of ``solutions`` for the last
-#: variable list the node was enumerated over; ``_pins`` what
-#: ``simplify.pins_of`` found and ``_box`` what ``solver.box_of`` found
-#: (``False``: not pins, not a box).  All writes are idempotent (the value is
-#: a pure function of the node), so racing threads are benign.
+#: variable list the node was enumerated over; ``_bounds`` what
+#: ``solver.bounds_of`` read from the top-level conjuncts and ``_box`` what
+#: ``solver.box_of`` found (``False``: not a box).  All writes are idempotent
+#: (the value is a pure function of the node), so racing threads are benign.
 _MEMO_SLOTS = (
     "_str",
     "_vars",
@@ -91,7 +91,7 @@ _MEMO_SLOTS = (
     "_elim",
     "_domains",
     "_plan",
-    "_pins",
+    "_bounds",
     "_box",
 )
 

@@ -161,70 +161,6 @@ def canonical_form(constraint: Constraint) -> Constraint:
     return result
 
 
-def extract_bindings(constraint: Constraint) -> "dict[Variable, Constant]":
-    """Return variable-to-constant bindings implied by top-level equalities.
-
-    Equality chains through intermediate variables are chased, so a
-    constraint ``X = Y & Y = 3`` yields ``{X: 3, Y: 3}``.  Only *positive*
-    top-level equalities are considered.
-    """
-    parent: "dict[object, object]" = {}
-
-    def find(node: object) -> object:
-        parent.setdefault(node, node)
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    def union(left: object, right: object) -> None:
-        root_left, root_right = find(left), find(right)
-        if root_left == root_right:
-            return
-        # Prefer constants as class representatives.
-        if isinstance(root_left, Constant):
-            parent[root_right] = root_left
-        else:
-            parent[root_left] = root_right
-
-    for part in constraint.conjuncts():
-        if isinstance(part, Comparison) and part.op == "=":
-            union(part.left, part.right)
-
-    bindings: "dict[Variable, Constant]" = {}
-    for node in list(parent):
-        if isinstance(node, Variable):
-            root = find(node)
-            if isinstance(root, Constant):
-                bindings[node] = root
-    return bindings
-
-
-def pins_of(constraint: Constraint) -> "Optional[dict[Variable, Constant]]":
-    """The constant every variable of *constraint* equals, when it is nothing
-    but pins; ``None`` otherwise.  Read once per interned node.
-
-    Pins are top-level ``Var = Const`` equalities in either orientation and
-    the ``Var = Var`` links that reach one (``X_1 = 1 & X_1 = X``).  Two
-    constant nodes for one variable (``1`` and ``1.0`` too) are not pins:
-    whether they agree is the solver's call.  ``true`` pins nothing (``{}``).
-    """
-    cached = constraint._pins
-    if cached is None:
-        cached = False
-        parts = constraint.conjuncts()
-        if all(isinstance(part, Comparison) and part.op == "=" for part in parts):
-            bindings = extract_bindings(constraint)
-
-            def value(term):
-                return term if isinstance(term, Constant) else bindings.get(term)
-
-            if all(value(part.left) is value(part.right) is not None for part in parts):
-                cached = bindings
-        object.__setattr__(constraint, "_pins", cached)
-    return None if cached is False else cached
-
-
 # ---------------------------------------------------------------------------
 # Internal helpers
 # ---------------------------------------------------------------------------

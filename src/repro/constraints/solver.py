@@ -37,7 +37,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.constraints.ast import (
     FLIPPED_OPERATOR,
@@ -320,11 +321,6 @@ class ConstraintSolver:
         self._instance_memo: Dict[object, Tuple[object, frozenset]] = {}
         self.instance_memo_hits = 0
         self.instance_memo_misses = 0
-        # Argument-profile memo for the quick-reject pre-filter.  Profiles
-        # are purely syntactic summaries of the canonical form, so they stay
-        # valid across external source changes (only the per-domain
-        # quick_reject hooks consult live sources, at comparison time).
-        self._profile_cache: Dict[Tuple[Tuple[Term, ...], Constraint], "ArgumentProfile"] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -529,27 +525,6 @@ class ConstraintSolver:
     # ------------------------------------------------------------------
     # Quick-reject pre-filter
     # ------------------------------------------------------------------
-    def argument_profile(
-        self, args: Sequence[Term], constraint: Constraint
-    ) -> "ArgumentProfile":
-        """Memoized per-argument summary of a constrained atom.
-
-        See :func:`build_argument_profile`; the memo is keyed on the raw
-        argument tuple and constraint object (canonicalization happens inside
-        the builder, whose own memo absorbs reordered duplicates).
-        """
-        key = (tuple(args), constraint)
-        try:
-            cached = self._profile_cache.get(key)
-        except TypeError:
-            return build_argument_profile(args, constraint)
-        if cached is None:
-            cached = build_argument_profile(args, constraint)
-            if len(self._profile_cache) >= MAX_MEMOIZED_RESULTS:
-                self._profile_cache.clear()
-            self._profile_cache[key] = cached
-        return cached
-
     def quick_reject(
         self,
         left_args: Sequence[Term],
@@ -560,49 +535,56 @@ class ConstraintSolver:
         """Cheap pre-filter for the overlap test of the maintenance rewrites.
 
         Returns True only when ``left & right & (left_args = right_args)`` is
-        *definitely* unsatisfiable, established from the two atoms' argument
-        profiles alone: clashing pinned constants, a pinned constant outside
-        the other side's interval, disjoint intervals, or a per-domain
-        ``quick_reject`` hook refuting a pinned value's membership.  A False
-        result proves nothing -- callers follow up with the full
-        :meth:`is_satisfiable` check.  Skipping the solver call on a True
-        result is exactly equivalent to the solver returning unsatisfiable.
+        *definitely* unsatisfiable, established from the two constraints'
+        :func:`bounds_of` alone: clashing pinned constants, a pinned constant
+        outside the other side's interval, disjoint intervals, or a
+        per-domain ``quick_reject`` hook refuting a pinned value's
+        membership.  A False result proves nothing -- callers follow up with
+        the full :meth:`is_satisfiable` check.  Skipping the solver call on a
+        True result is exactly equivalent to the solver returning
+        unsatisfiable.
         """
         if len(left_args) != len(right_args):
             return False
-        left = self.argument_profile(left_args, left_constraint)
+        left = bounds_of(left_constraint)
         if left.unsatisfiable:
             return True
-        right = self.argument_profile(right_args, right_constraint)
+        right = bounds_of(right_constraint)
         if right.unsatisfiable:
             return True
-        for left_slot, right_slot in zip(left.slots, right.slots):
-            if left_slot.value is not _UNKNOWN and right_slot.value is not _UNKNOWN:
-                if left_slot.value != right_slot.value:
+        for left_arg, right_arg in zip(left_args, right_args):
+            left_value = left.value_of(left_arg, _UNKNOWN)
+            right_value = right.value_of(right_arg, _UNKNOWN)
+            if left_value is not _UNKNOWN and right_value is not _UNKNOWN:
+                if left_value != right_value:
                     return True
-                continue
-            if left_slot.value is not _UNKNOWN:
-                if self._slot_excludes(right_slot, left_slot.value):
+            elif left_value is not _UNKNOWN:
+                if self._excludes(right, right_arg, left_value):
                     return True
-            elif right_slot.value is not _UNKNOWN:
-                if self._slot_excludes(left_slot, right_slot.value):
+            elif right_value is not _UNKNOWN:
+                if self._excludes(left, left_arg, right_value):
                     return True
-            elif (
-                left_slot.interval is not None
-                and right_slot.interval is not None
-                and intervals_disjoint(left_slot.interval, right_slot.interval)
-            ):
-                return True
+            else:
+                left_interval = left.intervals.get(left_arg)
+                right_interval = right.intervals.get(right_arg)
+                if (
+                    left_interval is not None
+                    and right_interval is not None
+                    and intervals_disjoint(left_interval, right_interval)
+                ):
+                    return True
         return False
 
-    def _slot_excludes(self, slot: "ArgumentSlot", value: object) -> bool:
-        """True when *slot*'s summary definitely excludes the pinned *value*."""
-        if slot.interval is not None and interval_excludes(slot.interval, value):
+    def _excludes(self, bounds: "Bounds", term: Term, value: object) -> bool:
+        """True when what *bounds* says of *term* definitely excludes *value*."""
+        interval = bounds.intervals.get(term)
+        if interval is not None and interval_excludes(interval, value):
             return True
-        if slot.calls:
+        calls = bounds.calls.get(term)
+        if calls:
             hook = getattr(self._evaluator, "quick_reject", None)
             if hook is not None:
-                for domain, function, args in slot.calls:
+                for domain, function, args in calls:
                     try:
                         if hook(domain, function, args, value):
                             return True
@@ -1083,35 +1065,126 @@ _UNKNOWN = _Unknown()
 
 
 # ---------------------------------------------------------------------------
-# Quick-reject argument profiles
+# Bounds: what a node's own top-level conjuncts pin and bound
 # ---------------------------------------------------------------------------
+#: A ground positive DCA-atom ``(domain, function, args)``, for a domain hook.
+GroundCall = Tuple[str, str, Tuple[object, ...]]
 
 
-@dataclass(frozen=True)
-class ArgumentSlot:
-    """Cheap per-argument summary used by the quick-reject pre-filter.
+#: The one empty mapping the fields of most nodes' bounds share (read only).
+_NONE: Mapping = MappingProxyType({})
 
-    ``value`` is the constant the canonical form pins the argument to (or
-    :data:`_UNKNOWN`); ``interval`` the numeric range allowed by top-level
-    ordering conjuncts (``None`` when unconstrained); ``calls`` the ground
-    positive DCA-atoms whose element is this argument, as
-    ``(domain, function, args)`` triples ready for a per-domain
-    ``quick_reject`` hook.
+
+class Bounds(NamedTuple):
+    """What the top-level conjuncts of one node pin and bound (:func:`bounds_of`)."""
+
+    #: The constant an ``=`` chain ties each variable to (the first, on a clash).
+    pins: Mapping[Variable, Constant]
+    #: The interval orderings against numbers leave each unpinned term, when
+    #: not trivial.
+    intervals: Mapping[Term, _Interval]
+    #: The ground positive DCA-atoms on each term's ``=`` class.
+    calls: Mapping[Term, Tuple[GroundCall, ...]]
+    #: These facts alone close the node: it has no instances.
+    unsatisfiable: bool
+    #: The node is nothing but pins: every conjunct is ``=`` and each side
+    #: resolves to one constant *node* (``X = 1 & X = 1.0``, ``X = Y`` and
+    #: ``1 = 2`` are not pins; ``true`` is, pinning nothing).
+    only_pins: bool
+
+    def value_of(self, term: Term, default: object) -> object:
+        """The value *term* is pinned to (a constant is its own), else *default*."""
+        if isinstance(term, Constant):
+            return term.value
+        pin = self.pins.get(term)
+        return default if pin is None else pin.value
+
+
+def bounds_of(constraint: Constraint) -> Bounds:
+    """What *constraint*'s own top-level conjuncts pin and bound.  Read once
+    per interned node.
+
+    ``=`` conjuncts unite terms, orderings against a number bound the
+    unpinned classes and orderings between pinned terms are compared, and
+    positive DCA-atoms whose arguments are pinned are kept per class.
+    Negations, ``!=`` and orderings between unpinned terms are not read, so
+    the result over-approximates: two constraints whose bounds clash have no
+    common instance, while bounds that agree prove nothing.
     """
+    cached = constraint._bounds
+    if cached is None:
+        cached = _read_bounds(constraint.conjuncts())
+        object.__setattr__(constraint, "_bounds", cached)
+    return cached
 
-    value: object = _UNKNOWN
-    interval: Optional[_Interval] = None
-    calls: Tuple[Tuple[str, str, Tuple[object, ...]], ...] = ()
 
+def _read_bounds(parts: Tuple[Constraint, ...]) -> Bounds:
+    uf = _UnionFind()
+    orderings: List[Comparison] = []
+    memberships: List[Membership] = []
+    closed = False
+    for part in parts:
+        if isinstance(part, Comparison):
+            if part.op == "=":
+                uf.union(part.left, part.right)
+            elif part.op != "!=":
+                orderings.append(part)
+        elif isinstance(part, Membership):
+            if part.positive:
+                memberships.append(part)
+        elif isinstance(part, FalseConstraint):
+            closed = True
+    closed = closed or uf.conflict
 
-@dataclass(frozen=True)
-class ArgumentProfile:
-    """Per-position summaries of one constrained atom's canonical form."""
+    pairs: Dict[Term, List[Tuple[str, object]]] = {}
+    for ordering in orderings:
+        left, right = uf.constant_of(ordering.left), uf.constant_of(ordering.right)
+        if left is not None and right is not None:
+            closed = closed or not _compare_values(left.value, ordering.op, right.value)
+        elif right is not None and _is_number(right.value):
+            pairs.setdefault(uf.find(ordering.left), []).append((ordering.op, right.value))
+        elif left is not None and _is_number(left.value):
+            pairs.setdefault(uf.find(ordering.right), []).append(
+                (FLIPPED_OPERATOR[ordering.op], left.value)
+            )
+    class_intervals: Dict[Term, _Interval] = {}
+    for root, bounds in pairs.items():
+        interval = _interval_of(bounds)
+        closed = closed or interval.is_empty()
+        if not interval.is_trivial():
+            class_intervals[root] = interval
 
-    slots: Tuple[ArgumentSlot, ...]
-    #: The profile alone already closes the constraint (equality conflict or
-    #: a pinned value outside its own interval): no instances exist.
-    unsatisfiable: bool = False
+    class_calls: Dict[Term, List[GroundCall]] = {}
+    for literal in memberships:
+        args = [uf.constant_of(arg) for arg in literal.call.args]
+        if None not in args:
+            class_calls.setdefault(uf.find(literal.element), []).append(
+                (literal.call.domain, literal.call.function, tuple(arg.value for arg in args))
+            )
+
+    pins: Dict[Variable, Constant] = {}
+    intervals: Dict[Term, _Interval] = {}
+    calls: Dict[Term, Tuple[GroundCall, ...]] = {}
+    for term in list(uf._parent):
+        root = uf.find(term)
+        constant = uf.constant_of(root)
+        if constant is not None and isinstance(term, Variable):
+            pins[term] = constant
+        if root in class_intervals:
+            intervals[term] = class_intervals[root]
+        if root in class_calls:
+            calls[term] = tuple(class_calls[root])
+
+    def node(term: Term) -> Optional[Constant]:
+        return term if isinstance(term, Constant) else pins.get(term)
+
+    only_pins = all(
+        isinstance(part, Comparison)
+        and part.op == "="
+        and node(part.left) is node(part.right) is not None
+        for part in parts
+    )
+    return Bounds(pins or _NONE, intervals or _NONE, calls or _NONE, closed, only_pins)
 
 
 def interval_excludes(interval: _Interval, value: object) -> bool:
@@ -1139,103 +1212,17 @@ def intervals_disjoint(left: _Interval, right: _Interval) -> bool:
     return False
 
 
-def build_argument_profile(
-    args: Sequence[Term], constraint: Constraint
-) -> ArgumentProfile:
-    """Summarize what the canonical form says about each atom argument.
-
-    Only *positive top-level* conjuncts are consulted (equalities, orderings
-    against constants, ground DCA-atoms); everything else -- negations,
-    variable-variable orderings, disequalities -- is ignored, which keeps the
-    profile a sound over-approximation: two atoms whose profiles are
-    incompatible definitely have no common instance, while compatible
-    profiles prove nothing.
-    """
-    from repro.constraints.simplify import canonical_form
-
-    canonical = canonical_form(constraint)
-    if isinstance(canonical, FalseConstraint):
-        return ArgumentProfile((), unsatisfiable=True)
-    uf = _UnionFind()
-    orderings: List[Comparison] = []
-    memberships: List[Membership] = []
-    if not isinstance(canonical, TrueConstraint):
-        for part in canonical.conjuncts():
-            if isinstance(part, Comparison):
-                if part.op == "=":
-                    uf.union(part.left, part.right)
-                    if uf.conflict:
-                        return ArgumentProfile((), unsatisfiable=True)
-                elif part.op in ("<", "<=", ">", ">="):
-                    orderings.append(part)
-            elif isinstance(part, Membership) and part.positive:
-                memberships.append(part)
-            elif isinstance(part, FalseConstraint):
-                return ArgumentProfile((), unsatisfiable=True)
-
-    bounds: Dict[Term, List[Tuple[str, object]]] = {}
-    for ordering in orderings:
-        left_const = uf.constant_of(ordering.left)
-        right_const = uf.constant_of(ordering.right)
-        if left_const is not None and right_const is not None:
-            if not _compare_values(left_const.value, ordering.op, right_const.value):
-                return ArgumentProfile((), unsatisfiable=True)
-        elif right_const is not None and _is_number(right_const.value):
-            bounds.setdefault(uf.find(ordering.left), []).append((ordering.op, right_const.value))
-        elif left_const is not None and _is_number(left_const.value):
-            bounds.setdefault(uf.find(ordering.right), []).append(
-                (FLIPPED_OPERATOR[ordering.op], left_const.value)
-            )
-    intervals = {root: _interval_of(pairs) for root, pairs in bounds.items()}
-
-    def ground_call(call: DomainCall) -> Optional[Tuple[object, ...]]:
-        values: List[object] = []
-        for arg in call.args:
-            constant = uf.constant_of(arg)
-            if constant is None:
-                return None
-            values.append(constant.value)
-        return tuple(values)
-
-    slots: List[ArgumentSlot] = []
-    for arg in args:
-        constant = uf.constant_of(arg)
-        value = constant.value if constant is not None else _UNKNOWN
-        root = uf.find(arg)
-        interval = intervals.get(root)
-        if interval is not None and interval.is_trivial():
-            interval = None
-        if value is not _UNKNOWN and interval is not None:
-            if interval_excludes(interval, value):
-                return ArgumentProfile((), unsatisfiable=True)
-            interval = None  # the pinned value subsumes the interval
-        calls: List[Tuple[str, str, Tuple[object, ...]]] = []
-        for literal in memberships:
-            if uf.find(literal.element) != root:
-                continue
-            resolved = ground_call(literal.call)
-            if resolved is not None:
-                calls.append((literal.call.domain, literal.call.function, resolved))
-        if interval is not None and interval.is_empty():
-            return ArgumentProfile((), unsatisfiable=True)
-        slots.append(ArgumentSlot(value, interval, tuple(calls)))
-    return ArgumentProfile(tuple(slots))
-
-
 # ---------------------------------------------------------------------------
 # Public interval toolkit
 # ---------------------------------------------------------------------------
 # The argument index's range postings (repro.datalog.view) and the indexed
 # join enumeration (repro.datalog.fixpoint) are built on the same interval
-# arithmetic the branch procedure and the quick-reject profiles use:
-# ``Interval``, ``interval_excludes``, ``intervals_disjoint`` and
-# ``intersect_intervals`` are the supported surface for that sharing.
+# arithmetic the branch procedure and :func:`bounds_of` use: ``Interval``,
+# ``interval_excludes``, ``intervals_disjoint`` and ``intersect_intervals``
+# are the supported surface for that sharing.
 
 #: A (possibly unbounded) numeric interval; see :class:`_Interval`.
 Interval = _Interval
-
-#: Sentinel for "no pinned value" in :class:`ArgumentSlot` profiles.
-PROFILE_UNKNOWN = _UNKNOWN
 
 
 def intersect_intervals(left: Interval, right: Interval) -> Interval:

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro.constraints.ast import Constraint, TRUE
-from repro.constraints.simplify import extract_bindings
 from repro.constraints.solutions import solution_set
-from repro.constraints.solver import ConstraintSolver
+from repro.constraints.solver import ConstraintSolver, bounds_of
 from repro.constraints.terms import (
     Constant,
     FreshVariableFactory,
@@ -187,16 +186,14 @@ class ConstrainedAtom:
         one ground fact; this helper extracts it (``None`` when some argument
         is not pinned to a constant by the constraint's equalities).
         """
-        bindings = extract_bindings(self.constraint)
-        values = []
-        for arg in self.atom.args:
-            if isinstance(arg, Constant):
-                values.append(arg.value)
-            elif arg in bindings:
-                values.append(bindings[arg].value)
-            else:
-                return None
-        return tuple(values)
+        pins = bounds_of(self.constraint).pins
+        try:
+            return tuple(
+                arg.value if isinstance(arg, Constant) else pins[arg].value
+                for arg in self.atom.args
+            )
+        except KeyError:
+            return None
 
     def __str__(self) -> str:
         return f"{self.atom} <- {self.constraint}"

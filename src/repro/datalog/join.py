@@ -49,9 +49,10 @@ from repro.constraints.ast import (
     tuple_equalities,
 )
 from repro.constraints.projection import eliminate_variables
-from repro.constraints.simplify import pins_of, simplify
+from repro.constraints.simplify import simplify
 from repro.constraints.solver import (
     ConstraintSolver,
+    bounds_of,
     box_entails,
     box_of,
     box_satisfiable,
@@ -1019,10 +1020,11 @@ def _number(value: Constant) -> bool:
 
 def _pinned_args(premise) -> Optional[Tuple[Constant, ...]]:
     """The constant each argument of *premise* equals, when its constraint
-    is nothing but pins (``pins_of``) and they cover the arguments."""
-    pins = pins_of(premise.constraint)
-    if pins is None:
+    is nothing but pins (``bounds_of``) and they cover the arguments."""
+    bounds = bounds_of(premise.constraint)
+    if not bounds.only_pins:
         return None
+    pins = bounds.pins
     try:
         return tuple(
             arg if arg.__class__ is Constant else pins[arg] for arg in premise.atom.args

@@ -24,6 +24,7 @@ still exports the storage names its callers import from here (``UNBOUND``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -38,15 +39,15 @@ from typing import (
 )
 
 from repro.constraints.ast import Constraint, conjoin, tuple_equalities
-from repro.constraints.simplify import canonical_form, extract_bindings
+from repro.constraints.simplify import canonical_form
 from repro.constraints.solver import (
     ConstraintSolver,
     Interval as _Interval,
-    PROFILE_UNKNOWN as _UNKNOWN,
-    build_argument_profile,
+    _is_number,
+    bounds_of,
     intersect_intervals as _intersect_intervals,
 )
-from repro.constraints.terms import Constant, FreshVariableFactory, Variable
+from repro.constraints.terms import FreshVariableFactory
 from repro.datalog.atoms import Atom, ConstrainedAtom
 from repro.datalog.shard import UNBOUND, PredicateShard
 from repro.datalog.support import Support
@@ -88,16 +89,8 @@ def bound_argument_values(
     :meth:`~repro.datalog.atoms.ConstrainedAtom.bound_tuple` and feeds the
     hash-join argument index.
     """
-    bindings = extract_bindings(constraint)
-    values = []
-    for arg in args:
-        if isinstance(arg, Constant):
-            values.append(arg.value)
-        elif isinstance(arg, Variable) and arg in bindings:
-            values.append(bindings[arg].value)
-        else:
-            values.append(UNBOUND)
-    return tuple(values)
+    bounds = bounds_of(constraint)
+    return tuple(bounds.value_of(arg, UNBOUND) for arg in args)
 
 
 @dataclass(frozen=True)
@@ -134,58 +127,46 @@ def argument_intervals(
     """Per-position numeric intervals implied by *constraint* (or ``None``).
 
     The interval at a position is a *time-invariant over-approximation* of
-    the values the constraint admits there: it is assembled from the
-    canonical form's top-level ordering conjuncts (via the solver's
-    argument profile) intersected with the ``index_interval`` hook of every
-    ground positive DCA-atom on that position, when *evaluator* exposes one
-    (see :meth:`repro.domains.base.DomainFunction` -- hooks must return a
-    superset interval valid at every time point, which is what keeps range
-    postings sound under external source changes).  Positions the profile
-    pins to a numeric constant get the point interval; non-numeric pins and
-    unconstrained positions get ``None``.
+    the values the constraint admits there: the interval :func:`bounds_of`
+    reads from the top-level ordering conjuncts, intersected with the
+    ``index_interval`` hook of every ground positive DCA-atom on that
+    position, when *evaluator* exposes one (see
+    :meth:`repro.domains.base.DomainFunction` -- hooks must return a superset
+    interval valid at every time point, which is what keeps range postings
+    sound under external source changes).  Hook bounds are taken as they
+    are, so they compare exactly; a bound that is not a number gives no
+    opinion.  Positions pinned to a numeric constant get the point interval;
+    non-numeric pins and unconstrained positions get ``None``.
     """
-    profile = build_argument_profile(args, constraint)
-    if profile.unsatisfiable:
+    bounds = bounds_of(constraint)
+    if bounds.unsatisfiable:
         # No instances at all: the empty interval excludes every probe and
         # refutes every join binding.  This is a large share of the win on
         # deletion workloads -- DRed's over-estimate is full of entries
         # narrowed to ``false``, and every combination using one would be
         # enumerated only for the solvability check to kill it.
-        empty = _Interval(float("inf"), False, float("-inf"), False)
+        empty = _Interval(math.inf, False, -math.inf, False)
         return tuple(empty for _ in args)
     hook = getattr(evaluator, "index_interval", None)
     intervals: List[Optional[_Interval]] = []
-    for slot in profile.slots:
-        interval: Optional[_Interval] = None
-        if slot.value is not _UNKNOWN:
-            value = slot.value
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                interval = _Interval(value, False, value, False)  # exact
-            else:
-                intervals.append(None)
-                continue
-        elif slot.interval is not None:
-            interval = _Interval(
-                slot.interval.low,
-                slot.interval.low_strict,
-                slot.interval.high,
-                slot.interval.high_strict,
-            )
+    for arg in args:
+        value = bounds.value_of(arg, UNBOUND)
+        if value is UNBOUND:
+            interval = bounds.intervals.get(arg)  # shared with the node: read only
+        elif _is_number(value):
+            interval = _Interval(value, False, value, False)  # exact
+        else:
+            intervals.append(None)
+            continue
         if hook is not None:
-            for domain, function, call_args in slot.calls:
+            for domain, function, call_args in bounds.calls.get(arg, ()):
                 try:
-                    bounds = hook(domain, function, call_args)
+                    low, low_strict, high, high_strict = hook(domain, function, call_args)
                 except Exception:  # hooks must never break indexing
-                    bounds = None
-                if bounds is None:
+                    continue  # no bound, or a malformed one: no opinion
+                if not (_is_number(low) and _is_number(high)):
                     continue
-                try:
-                    low, low_strict, high, high_strict = bounds
-                    called = _Interval(
-                        float(low), bool(low_strict), float(high), bool(high_strict)
-                    )
-                except (OverflowError, TypeError, ValueError):
-                    continue  # malformed or unrepresentable bound: no opinion
+                called = _Interval(low, bool(low_strict), high, bool(high_strict))
                 interval = called if interval is None else _intersect_intervals(interval, called)
         if interval is not None and interval.is_trivial():
             interval = None

@@ -10,6 +10,7 @@ all at once").
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Tuple
 
 from repro.domains.base import Domain, IntensionalResultSet
@@ -141,42 +142,43 @@ def make_arithmetic_domain(
             return True
         # Mirror between()'s own int() truncation of the bounds: the result
         # set of between(2.5, 7.5) is range(2, 8), which contains 2.
+        # An int is integral at any size; a float when it has no fraction.
         low, high = int(args[0]), int(args[1])
-        return value < low or value > high or float(value) != int(value)
+        integral = isinstance(value, int) or value.is_integer()
+        return value < low or value > high or not integral
 
     # index_interval hooks: a time-invariant numeric interval containing
     # every member of the call's result set, feeding the argument index's
     # range postings.  Arithmetic behaviour never changes, so the bounds are
-    # computed once from the (ground) arguments; non-numeric arguments make
-    # the underlying call fail, so the hooks venture no bound there.
-    INF = float("inf")
-
-    def interval_greater(args: Tuple[object, ...]) -> Optional[Tuple[float, bool, float, bool]]:
+    # the (ground) arguments themselves, unconverted: they compare exactly;
+    # non-numeric arguments make the underlying call fail, so the hooks
+    # venture no bound there.
+    def interval_greater(args: Tuple[object, ...]) -> Optional[Tuple[object, bool, object, bool]]:
         if not _is_number(args[0]):
             return None
-        return (float(args[0]), True, INF, False)
+        return (args[0], True, math.inf, False)
 
-    def interval_greater_eq(args: Tuple[object, ...]) -> Optional[Tuple[float, bool, float, bool]]:
+    def interval_greater_eq(args: Tuple[object, ...]) -> Optional[Tuple[object, bool, object, bool]]:
         if not _is_number(args[0]):
             return None
-        return (float(args[0]), False, INF, False)
+        return (args[0], False, math.inf, False)
 
-    def interval_less(args: Tuple[object, ...]) -> Optional[Tuple[float, bool, float, bool]]:
+    def interval_less(args: Tuple[object, ...]) -> Optional[Tuple[object, bool, object, bool]]:
         if not _is_number(args[0]):
             return None
-        return (-INF, False, float(args[0]), True)
+        return (-math.inf, False, args[0], True)
 
-    def interval_less_eq(args: Tuple[object, ...]) -> Optional[Tuple[float, bool, float, bool]]:
+    def interval_less_eq(args: Tuple[object, ...]) -> Optional[Tuple[object, bool, object, bool]]:
         if not _is_number(args[0]):
             return None
-        return (-INF, False, float(args[0]), False)
+        return (-math.inf, False, args[0], False)
 
-    def interval_between(args: Tuple[object, ...]) -> Optional[Tuple[float, bool, float, bool]]:
+    def interval_between(args: Tuple[object, ...]) -> Optional[Tuple[object, bool, object, bool]]:
         if not all(_is_number(arg) for arg in args):
             return None
         # Mirror between()'s own int() truncation of the bounds (the result
         # set of between(2.5, 7.5) is range(2, 8), bounded by [2, 7]).
-        return (float(int(args[0])), False, float(int(args[1])), False)
+        return (int(args[0]), False, int(args[1]), False)
 
     domain.register(
         "greater", greater, "integers strictly greater than x", arity=1,

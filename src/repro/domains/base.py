@@ -133,10 +133,13 @@ class DomainFunction:
     #:   answer ``None`` (the conservative default) unless they can bound
     #:   every future behaviour.
     #:
-    #: Arithmetic comparison constraints (``between``, ``greater``, ...)
-    #: satisfy both trivially; see :mod:`repro.domains.arithmetic`.
+    #: The bounds are compared as they are returned, exactly: return the
+    #: numbers themselves (a ``float()`` rounds ``2**53 + 1``).  A bound that
+    #: is not a number counts as no bound.  Arithmetic comparison
+    #: constraints (``between``, ``greater``, ...) satisfy both trivially;
+    #: see :mod:`repro.domains.arithmetic`.
     index_interval: Optional[
-        Callable[[Tuple[object, ...]], Optional[Tuple[float, bool, float, bool]]]
+        Callable[[Tuple[object, ...]], Optional[Tuple[object, bool, object, bool]]]
     ] = None
 
     def invoke(self, args: Tuple[object, ...]) -> ResultSetLike:
@@ -186,7 +189,7 @@ class Domain:
         arity: Optional[int] = None,
         quick_reject: Optional[Callable[[Tuple[object, ...], object], bool]] = None,
         index_interval: Optional[
-            Callable[[Tuple[object, ...]], Optional[Tuple[float, bool, float, bool]]]
+            Callable[[Tuple[object, ...]], Optional[Tuple[object, bool, object, bool]]]
         ] = None,
     ) -> DomainFunction:
         """Register a function; replaces any previous function of that name."""
@@ -436,7 +439,7 @@ class DomainRegistry:
 
     def index_interval(
         self, domain: str, function: str, args: Tuple[object, ...]
-    ) -> Optional[Tuple[float, bool, float, bool]]:
+    ) -> Optional[Tuple[object, bool, object, bool]]:
         """Consult a function's ``index_interval`` hook, defaulting to ``None``.
 
         Part of the evaluator surface the view's range postings consume: a

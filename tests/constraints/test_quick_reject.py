@@ -1,4 +1,4 @@
-"""Unit tests for the quick-reject pre-filter (argument profiles).
+"""Unit tests for the quick-reject pre-filter (``bounds_of``).
 
 ``ConstraintSolver.quick_reject(left_args, left_constraint, right_args,
 right_constraint)`` may answer True only when conjoining the two constraints
@@ -13,6 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.constraints import (
+    Comparison,
+    Constant,
     ConstraintSolver,
     TRUE,
     Variable,
@@ -20,9 +22,10 @@ from repro.constraints import (
     conjoin,
     equals,
     member,
+    negate,
     tuple_equalities,
 )
-from repro.constraints.solver import build_argument_profile
+from repro.constraints.solver import bounds_of
 from repro.constraints.terms import FreshVariableFactory
 from repro.domains import DomainRegistry, make_arithmetic_domain
 
@@ -39,38 +42,47 @@ def arith_solver():
     return ConstraintSolver(DomainRegistry([make_arithmetic_domain()]))
 
 
-class TestArgumentProfile:
+class TestBoundsOf:
     def test_pinned_value_via_equality_chain(self):
-        profile = build_argument_profile((X,), conjoin(equals(X, Y), equals(Y, 5)))
-        assert profile.slots[0].value == 5
+        bounds = bounds_of(conjoin(equals(X, Y), equals(Y, 5)))
+        assert bounds.value_of(X, None) == 5
 
     def test_interval_from_orderings(self):
-        profile = build_argument_profile(
-            (X,), conjoin(compare(X, ">=", 3), compare(X, "<", 9))
-        )
-        interval = profile.slots[0].interval
+        bounds = bounds_of(conjoin(compare(X, ">=", 3), compare(X, "<", 9)))
+        interval = bounds.intervals.get(X)
         assert interval is not None
         assert interval.low == 3 and not interval.low_strict
         assert interval.high == 9 and interval.high_strict
 
     def test_self_contradiction_is_detected(self):
-        profile = build_argument_profile(
-            (X,), conjoin(equals(X, 2), compare(X, ">=", 5))
-        )
-        assert profile.unsatisfiable
+        assert bounds_of(conjoin(equals(X, 2), compare(X, ">=", 5))).unsatisfiable
 
     def test_negations_are_ignored(self):
-        from repro.constraints import negate
-
-        from repro.constraints.solver import _UNKNOWN
-
-        constraint = conjoin(compare(X, ">=", 3), negate(equals(X, 4)))
-        profile = build_argument_profile((X,), constraint)
+        unknown = object()
+        bounds = bounds_of(conjoin(compare(X, ">=", 3), negate(equals(X, 4))))
         # The negated equality contributes nothing: no pinned value, only
         # the interval from the positive ordering survives.
-        assert profile.slots[0].value is _UNKNOWN
-        assert profile.slots[0].interval is not None
-        assert not profile.unsatisfiable
+        assert bounds.value_of(X, unknown) is unknown
+        assert bounds.intervals.get(X) is not None
+        assert not bounds.unsatisfiable
+
+    # The pins bound_tuple and the argument index read.
+    def test_direct_pin(self):
+        assert bounds_of(equals(X, 3)).pins == {X: Constant(3)}
+
+    def test_chained_pin(self):
+        pins = bounds_of(conjoin(equals(X, Y), equals(Y, 3))).pins
+        assert pins[X] == Constant(3)
+        assert pins[Y] == Constant(3)
+
+    def test_reversed_equality(self):
+        assert bounds_of(Comparison(Constant(3), "=", X)).pins == {X: Constant(3)}
+
+    def test_unbound_variables_absent(self):
+        assert Y not in bounds_of(conjoin(equals(X, 3), compare(Y, ">", 1))).pins
+
+    def test_negations_ignored_for_pins(self):
+        assert Y not in bounds_of(conjoin(equals(X, 3), negate(equals(Y, 4)))).pins
 
 
 class TestQuickReject:
@@ -170,9 +182,10 @@ class TestBetweenHookTruncation:
         from repro.domains import DomainRegistry, make_arithmetic_domain
 
         registry = DomainRegistry([make_arithmetic_domain()])
-        for bounds in ((2.5, 7.5), (-10, -7.5), (0, 3)):
+        big = 2**53  # float(big + 1) is big: the integrality test must not convert
+        for bounds in ((2.5, 7.5), (-10, -7.5), (0, 3), (big, big + 4)):
             members = set(registry.evaluate_call("arith", "between", bounds).iter_values())
-            probe_values = set(range(-12, 10)) | {2.5, -7.5, True}
+            probe_values = set(range(-12, 10)) | {2.5, -7.5, True} | set(range(big - 1, big + 6))
             for value in probe_values:
                 if registry.quick_reject("arith", "between", bounds, value):
                     assert value not in members, (

@@ -16,7 +16,6 @@ from repro.constraints import (
     compare,
     conjoin,
     equals,
-    extract_bindings,
     member,
     negate,
     not_equals,
@@ -136,24 +135,3 @@ class TestCanonicalForm:
     def test_trivial(self):
         assert canonical_form(TRUE) is TRUE
         assert canonical_form(FALSE) is FALSE
-
-
-class TestExtractBindings:
-    def test_direct_binding(self):
-        assert extract_bindings(equals(X, 3)) == {X: Constant(3)}
-
-    def test_chained_binding(self):
-        bindings = extract_bindings(conjoin(equals(X, Y), equals(Y, 3)))
-        assert bindings[X] == Constant(3)
-        assert bindings[Y] == Constant(3)
-
-    def test_reversed_equality(self):
-        assert extract_bindings(Comparison(Constant(3), "=", X)) == {X: Constant(3)}
-
-    def test_unbound_variables_absent(self):
-        bindings = extract_bindings(conjoin(equals(X, 3), compare(Y, ">", 1)))
-        assert Y not in bindings
-
-    def test_negations_ignored(self):
-        bindings = extract_bindings(conjoin(equals(X, 3), negate(equals(Y, 4))))
-        assert Y not in bindings

@@ -39,7 +39,8 @@ from repro.constraints.ast import (
     tuple_equalities,
 )
 from repro.constraints.projection import eliminate_variables
-from repro.constraints.simplify import pins_of, simplify
+from repro.constraints.simplify import simplify
+from repro.constraints.solver import bounds_of
 from repro.constraints.terms import Constant, FreshVariableFactory, Substitution, Variable
 from repro.datalog.atoms import Atom, ConstrainedAtom
 from repro.datalog.clauses import Clause
@@ -426,9 +427,10 @@ def test_pins_are_read_once_per_interned_node():
     x, y, t = Variable("X"), Variable("Y"), Variable("T")
     one, two = Constant(1), Constant(2)
     chain = conjoin(Comparison(t, "=", one), Comparison(t, "=", x), Comparison(two, "=", y))
-    assert pins_of(chain) == {t: one, x: one, y: two}
-    assert pins_of(chain) is pins_of(chain)
-    assert pins_of(TRUE) == {}
+    assert bounds_of(chain).only_pins
+    assert bounds_of(chain).pins == {t: one, x: one, y: two}
+    assert bounds_of(chain) is bounds_of(chain)
+    assert bounds_of(TRUE).only_pins and bounds_of(TRUE).pins == {}
     for not_pins in (
         FALSE,
         Comparison(x, ">=", one),
@@ -438,7 +440,7 @@ def test_pins_are_read_once_per_interned_node():
         Comparison(one, "=", two),
         conjoin(Comparison(x, "=", one), Comparison(y, "!=", two)),
     ):
-        assert pins_of(not_pins) is None
+        assert not bounds_of(not_pins).only_pins
 
 
 def test_an_all_pinned_application_constructs_no_intermediate_node():

@@ -15,7 +15,9 @@ import pytest
 from repro.constraints import ConstraintSolver, Variable, compare, conjoin, equals, member
 from repro.datalog import Atom, FixpointEngine, MaterializedView, Support, ViewEntry
 from repro.datalog.join import EngineOptions
-from repro.datalog.view import IntervalQuery
+from repro.datalog.fixpoint import compute_tp_fixpoint
+from repro.datalog.parser import parse_program
+from repro.datalog.view import IntervalQuery, argument_intervals
 from repro.domains import DomainRegistry, make_arithmetic_domain
 from repro.workloads import make_interval_join_program
 
@@ -225,6 +227,25 @@ class TestDomainHooks:
         assert registry.index_interval("arith", "plus", (1, 2)) is None
         assert registry.index_interval("nope", "between", (2, 9)) is None
         assert registry.index_interval("arith", "between", ("a", "b")) is None
+
+    def test_hook_bounds_past_two_to_the_53_compare_exactly(self):
+        # float(2**53 + 3) is 2**53 + 4: a rounded bound would shut out the
+        # one value q pins, and h would lose its answer.
+        program = parse_program(
+            """
+            p(X) <- in(X, arith:greater(9007199254740995)).
+            q(X) <- X = 9007199254740996.
+            h(X) <- q(X), p(X).
+            """
+        )
+        registry = DomainRegistry([make_arithmetic_domain()])
+        (interval,) = argument_intervals(
+            (X,), member(X, "arith", "greater", 2**53 + 3), registry
+        )
+        assert (interval.low, interval.low_strict) == (2**53 + 3, True)
+        for solver in (ConstraintSolver(registry), ConstraintSolver()):
+            view = compute_tp_fixpoint(program, solver)
+            assert [str(e.atom) for e in view if e.predicate == "h"] == ["h(X)"]
 
 
 class TestJoinEnumeration:

@@ -616,9 +616,9 @@ CEILINGS = {
         "batched.solver_calls": 16,
     },
     "interval_pairs": {
-        "pairs_stdel.nodes": 356,
+        "pairs_stdel.nodes": 352,
         "pairs_stdel.branch_checks": 20,
-        "pairs_dred.nodes": 995,
+        "pairs_dred.nodes": 987,
         "pairs_dred.branch_checks": 41,
     },
 }

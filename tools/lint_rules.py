@@ -93,12 +93,16 @@ The invariants below are load-bearing enough to enforce mechanically:
     once per pass, into the metrics registry.
 
 11. **Numbers compare exactly.**  No ``float(`` under
-    ``src/repro/constraints/`` or ``src/repro/analysis/``: the solver, the
-    boxes, the quick-reject profiles, the solution search and the analyzer's
-    clause profiles compare the raw ``int`` / ``float`` values, which Python
-    does exactly at any size.  A conversion rounds
-    ``2**53 + 1`` onto ``2**53`` (a solvable entry called unsolvable) and
-    raises on ``10**400``.
+    ``src/repro/constraints/`` or ``src/repro/analysis/``, nor in
+    ``src/repro/domains/arithmetic.py`` or ``src/repro/datalog/view.py``:
+    the solver, the boxes, ``bounds_of``, the solution search, the
+    analyzer's clause profiles, the ``arith`` hooks and the argument
+    index's intervals compare the raw ``int`` / ``float`` values, which
+    Python does exactly at any size.  A conversion rounds ``2**53 + 1`` onto
+    ``2**53`` (a solvable entry called unsolvable, a join answer lost to
+    the index) and raises on ``10**400``.  The shard's ``_window_key``
+    (which checks that its float key is exact) and the spatial domain's
+    coordinates stay outside the rule.
 
 12. **One atomic writer, one encoder.**  ``os.replace`` / ``os.rename``
     appear only in ``src/repro/persist/snapshot.py``, whose writer fsyncs
@@ -282,7 +286,7 @@ ENGINE_FLAGS: Tuple[str, ...] = (
 #: The budgets (rule 8).  Raise one only in the change that needs it.
 MAX_OPTION_FIELDS = 15
 MAX_ENV_VARIABLES = 4
-MAX_SOURCE_LINES = 20_473
+MAX_SOURCE_LINES = 20_380
 
 #: Rule 13's reasons for keeping a definition that only tests reach.
 ORACLE = "test oracle: a test checks other code against it"
@@ -357,11 +361,13 @@ MAINTENANCE_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
     ),
 )
 
-#: Rules scoped to the constraint layer and the analyzer.
+#: Rules scoped to the constraint layer, the analyzer, the arith hooks and
+#: the argument index (rule 11).
 CONSTRAINTS_RULES: Tuple[Tuple[re.Pattern, str], ...] = (
     (
         re.compile(r"\bfloat\s*\("),
-        "float() in the constraint layer or the analyzer (compare the raw int / float values: "
+        "float() in the constraint layer, the analyzer, the arith hooks or the argument index "
+        "(compare the raw int / float values: "
         "a conversion rounds big ints and overflows beyond float range)",
     ),
 )
@@ -426,6 +432,8 @@ def iter_findings(root: Path) -> Iterator[str]:
                 ("repro/maintenance/", MAINTENANCE_RULES, ""),
                 ("repro/constraints/", CONSTRAINTS_RULES, ""),
                 ("repro/analysis/", CONSTRAINTS_RULES, ""),
+                ("repro/domains/arithmetic.py", CONSTRAINTS_RULES, ""),
+                ("repro/datalog/view.py", CONSTRAINTS_RULES, ""),
                 ("repro/persist/", PERSIST_RULES, "repro/persist/codec.py"),
             ):
                 if relative.startswith(prefix) and relative != exempt:
