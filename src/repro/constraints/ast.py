@@ -22,7 +22,7 @@ Every node is immutable, hashable and **hash-consed** (see
 :mod:`repro.constraints.intern`): construction normalises, validates and
 interns, so structurally equal nodes are the *same object* and equality is
 pointer identity.  Each node also carries memo slots -- canonical form,
-scoped form, pure satisfiability/simplification, cached variable set --
+pure satisfiability/simplification, cached variable set --
 whose lifetime is the node's own weak-table lifetime; they replace the old
 module-global caches in ``simplify.py``/``projection.py`` and the solver's
 pure dictionaries with pointer-keyed per-node lookups.
@@ -71,7 +71,7 @@ _NEGATIONS = table("negation")
 _CONJUNCTIONS = table("conjunction")
 
 #: Per-node memo slots initialised to None by :func:`_prime`.  ``_canonical``
-#: and ``_scoped`` are written by ``simplify``/``projection``; ``_sat`` /
+#: is written by ``simplify``; ``_sat`` /
 #: ``_simplify0`` / ``_simplify1`` by the solver's pure paths; ``_vars`` and
 #: ``_str`` lazily by the node itself; ``_elim`` holds a small bounded dict
 #: of projection results; ``_domains`` the names of the domains the node
@@ -84,7 +84,6 @@ _MEMO_SLOTS = (
     "_str",
     "_vars",
     "_canonical",
-    "_scoped",
     "_sat",
     "_simplify0",
     "_simplify1",
@@ -472,7 +471,7 @@ class NegatedConjunction(Constraint):
     the earlier rewrite left ``not(...)`` conjuncts inside view constraints.
 
     **Quantification convention.**  A variable that occurs *only* inside a
-    negated conjunction (neither in any positive conjunct of the enclosing
+    negated conjunction (neither in any other conjunct of the enclosing
     constraint nor among the atom arguments the constraint is attached to)
     is quantified *inside* the negation: ``not(ψ)`` holds iff ψ has no
     witness for those variables.  This matches the maintenance rewrites of
@@ -480,6 +479,18 @@ class NegatedConjunction(Constraint):
     under ``not(...)`` together with the binding equalities that tie them to
     the entry's own variables.  All other variables are free (top-level
     existential, as in the paper's ``[A(X̄) <- φ]`` instance semantics).
+
+    Which variables are outer is decided once, where the negation is built,
+    by the code that knows the atom: ``projection.scope_negations``, given
+    the outer variables, eliminates the local ones equalities pin.  It runs
+    in the parser (a clause's head and body, a constrained atom's
+    arguments), the codec (the clauses and requests it decodes), the
+    negation of an atom overlap (the target atom), the join kernel's
+    negated premise and the solver's subsumption test.  Everything
+    downstream -- satisfiability, simplification, projection -- reads a
+    ``not(...)`` as already scoped.  One case still reads two ways: a body
+    variable the join's projection leaves only inside a negation is outer
+    to the branch procedure and local to the solution search.
 
     Construction flattens inner conjunctions and drops ``true`` conjuncts
     *before* interning, so the table only ever sees the normal form.

@@ -19,9 +19,12 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.constraints.ast import (
+    FALSE,
     Comparison,
     Constraint,
     FalseConstraint,
+    NegatedConjunction,
+    TRUE,
     TrueConstraint,
     conjoin,
 )
@@ -91,71 +94,51 @@ def eliminate_variables(
     return result
 
 
-def scope_negations(constraint: Constraint) -> Constraint:
-    """Inline equality-determined local variables inside each ``not(...)``.
+def scope_negations(constraint: Constraint, outer: Iterable[Variable]) -> Constraint:
+    """Inline the equality-determined local variables of each ``not(...)``.
 
-    A variable occurring *only* inside one negated conjunction is implicitly
-    quantified inside that negation (``not(ψ)`` means "ψ has no witness").
-    When such a variable is pinned by an equality inside ψ -- which is always
-    the case for the binding equalities the maintenance rewrites introduce --
-    it can be eliminated by substitution, after which the negation mentions
-    only outer variables and the solver's branch expansion is exact for it.
+    Called once, where a negation is built, by the code that knows which of
+    its variables are *outer*: those in *outer* (the atom arguments the
+    constraint is attached to, a clause's head and body) and those of the
+    other top-level conjuncts of *constraint*.  Every other variable of a
+    top-level ``not(ψ)`` is local to it (``not(ψ)`` means "ψ has no witness
+    for them"); one pinned by an equality inside ψ -- which is always the
+    case for the binding equalities the maintenance rewrites introduce -- is
+    eliminated by substitution, so the negation then mentions only outer
+    variables and the solver's branch expansion is exact for it.
 
     The view constraints also become the compact forms the paper displays,
-    e.g. ``X >= 5 & not(Y = 6 & Y = X)`` becomes ``X >= 5 & not(X = 6)``.
+    e.g. ``not(Y = 6 & Y = X)`` over ``X`` becomes ``not(X = 6)``.
     """
-    parts = list(constraint.conjuncts())
-    if not parts:
+    parts = constraint.conjuncts()
+    if not any(isinstance(part, NegatedConjunction) for part in parts):
         return constraint
-    # Per-node memo (the ``_scoped`` slot): scoping is pure and runs on
-    # every satisfiability check, so a pointer read here is the common case.
-    cached = constraint._scoped
-    if cached is not None:
-        return cached
-    result = _scope_negations_uncached(constraint, parts)
-    object.__setattr__(constraint, "_scoped", result)
-    if result is not constraint and not isinstance(
-        result, (TrueConstraint, FalseConstraint)
-    ):
-        # Scoping is idempotent: mark the result as its own scoped form.
-        object.__setattr__(result, "_scoped", result)
-    return result
-
-
-def _scope_negations_uncached(
-    constraint: Constraint, parts: List[Constraint]
-) -> Constraint:
-    from repro.constraints.ast import FALSE, NegatedConjunction, conjoin as _conjoin
-
+    outer = frozenset(outer)
     rewritten: List[Constraint] = []
-    changed = False
     for index, part in enumerate(parts):
         if not isinstance(part, NegatedConjunction):
             rewritten.append(part)
             continue
-        outside_vars: Set[Variable] = set()
-        for other_index, other in enumerate(parts):
-            if other_index != index:
-                outside_vars.update(other.variables())
-        inner = eliminate_variables(_conjoin(*part.parts), outside_vars)
-        replacement: Constraint
-        if isinstance(inner, TrueConstraint):
-            # The negated conjunction holds for every witness of its local
-            # variables, so its negation can never be satisfied.
-            replacement = FALSE
-        elif isinstance(inner, FalseConstraint):
-            # The inner conjunction is unsatisfiable; its negation is trivial
-            # and the conjunct can be dropped (conjoin removes TRUE).
-            changed = True
-            continue
-        else:
-            replacement = NegatedConjunction(tuple(inner.conjuncts()))
-        if replacement != part:
-            changed = True
-        rewritten.append(replacement)
-    if not changed:
+        keep = set(outer)
+        for other in parts[:index] + parts[index + 1:]:
+            keep.update(other.variables())
+        rewritten.append(scoped_negation(conjoin(*part.parts), keep))
+    if tuple(rewritten) == parts:  # (interned: equal parts are the same nodes)
         return constraint
-    return _conjoin(*rewritten)
+    return conjoin(*rewritten)
+
+
+def scoped_negation(inner: Constraint, outer: Iterable[Variable]) -> Constraint:
+    """``not(inner)``, its local variables -- all but *outer* -- eliminated
+    where equalities pin them (see :func:`scope_negations`)."""
+    inner = eliminate_variables(inner, outer)
+    if isinstance(inner, TrueConstraint):
+        # ψ holds for some witness of its local variables whatever the
+        # outer ones are, so its negation can never be satisfied.
+        return FALSE
+    if isinstance(inner, FalseConstraint):
+        return TRUE  # the negation of an unsatisfiable ψ is trivial
+    return NegatedConjunction(inner.conjuncts())
 
 
 def _find_eliminable_equality(

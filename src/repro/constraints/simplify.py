@@ -39,7 +39,6 @@ from repro.constraints.ast import (
     negate,
 )
 from repro.constraints.intern import EVENTS
-from repro.constraints.projection import scope_negations
 from repro.constraints.solver import (
     ConstraintSolver,
     box_entails,
@@ -77,9 +76,7 @@ def simplify(
     if cached is not None:
         return cached
 
-    result = scope_negations(constraint)
-    if not isinstance(result, (TrueConstraint, FalseConstraint)):
-        result = _simplify_conjuncts(result, solver, drop_redundant_comparisons)
+    result = _simplify_conjuncts(constraint, solver, drop_redundant_comparisons)
     solver.cache_simplification(constraint, drop_redundant_comparisons, gate, result)
     return result
 

@@ -56,6 +56,7 @@ from repro.constraints.ast import (
     tuple_equalities,
 )
 from repro.constraints.interfaces import CallEvaluator, ResultSetLike
+from repro.constraints.projection import scoped_negation
 from repro.constraints.terms import (
     Constant,
     FreshVariableFactory,
@@ -441,15 +442,6 @@ class ConstraintSolver:
         box = box_of(constraint)
         if box is not None:
             return box_satisfiable(box)
-        # Inline equality-determined local variables inside negations so the
-        # branch expansion treats ``not(ψ)`` exactly (see scope_negations).
-        from repro.constraints.projection import scope_negations
-
-        constraint = scope_negations(constraint)
-        if isinstance(constraint, TrueConstraint):
-            return True
-        if isinstance(constraint, FalseConstraint):
-            return False
         for branch in self._branches(constraint):
             if branch is None:
                 continue
@@ -638,7 +630,9 @@ class ConstraintSolver:
             right_constraint.substitute(renaming),
             tuple_equalities(renamed_args, left_args),
         )
-        negated = NegatedConjunction(tuple(matched.conjuncts()))
+        outer = set(left_constraint.variables())
+        outer.update(arg for arg in left_args if isinstance(arg, Variable))
+        negated = scoped_negation(matched, outer)
         return not self.is_satisfiable(conjoin(left_constraint, negated))
 
     def identical_instances(

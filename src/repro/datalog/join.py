@@ -45,10 +45,9 @@ from repro.constraints.ast import (
     Comparison,
     Constraint,
     conjoin,
-    negate,
     tuple_equalities,
 )
-from repro.constraints.projection import eliminate_variables
+from repro.constraints.projection import eliminate_variables, scoped_negation
 from repro.constraints.simplify import simplify
 from repro.constraints.solver import (
     ConstraintSolver,
@@ -881,7 +880,14 @@ class DeltaJoinKernel:
                     renamed.constraint,
                     tuple_equalities(renamed.atom.args, body_atom.args),
                 )
-            parts.append(negate(part) if position == negated else part)
+            parts.append(part)
+        if negated is not None:
+            # The premise's renamed variables are local to its negation; the
+            # head's and every other part's are outer.
+            index = 1 + len(tied) + negated
+            others = parts[:index] + parts[index + 1:]
+            outer = head.variables().union(*(part.variables() for part in others))
+            parts[index] = scoped_negation(parts[index], outer)
         constraint = simplify(
             eliminate_variables(conjoin(*parts), head.variables()),
             self.solver,

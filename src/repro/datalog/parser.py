@@ -39,6 +39,7 @@ from repro.constraints.ast import (
     TRUE,
     conjoin,
 )
+from repro.constraints.projection import scope_negations
 from repro.constraints.terms import Constant, Term, Variable
 from repro.datalog.atoms import Atom, ConstrainedAtom
 from repro.datalog.clauses import Clause
@@ -140,7 +141,11 @@ class _Parser:
             token = self._peek()
             where = f" at offset {token.position}" if token else " at end of input"
             raise ParseError(f"expected '.' to end the clause{where}")
-        return Clause(head, conjoin(*constraint_parts), tuple(body))
+        # A clause scopes its negations: the head, the body atoms and the
+        # other conjuncts name the outer variables.
+        outer = head.variables().union(*(atom.variables() for atom in body))
+        constraint = scope_negations(conjoin(*constraint_parts), outer)
+        return Clause(head, constraint, tuple(body))
 
     def _parse_rule_body(self) -> Tuple[List[Constraint], List[Atom]]:
         constraints: List[Constraint] = []
@@ -282,7 +287,8 @@ class _Parser:
             return Constant(token.text)
         raise ParseError(f"expected a term at offset {token.position}, found {token.text!r}")
 
-    def parse_constraint(self) -> Constraint:
+    def _parse_conjunction(self) -> Constraint:
+        """A ``&``-separated constraint, its negations not yet scoped."""
         parts: List[Constraint] = []
         while True:
             item = self._parse_body_item()
@@ -300,7 +306,7 @@ class _Parser:
         constraint: Constraint = TRUE
         if self._at("<-"):
             self._next()
-            constraint = self.parse_constraint()
+            constraint = scope_negations(self._parse_conjunction(), atom.variables())
         if self._at("."):
             self._next()
         return ConstrainedAtom(atom, constraint)
@@ -337,9 +343,10 @@ def parse_atom(text: str) -> Atom:
 
 
 def parse_constraint(text: str) -> Constraint:
-    """Parse a constraint expression such as ``X >= 3 & X != 6``."""
+    """Parse a constraint expression such as ``X >= 3 & X != 6`` (no atom
+    in view: only other conjuncts make a negation's variable outer)."""
     parser = _Parser(text)
-    constraint = parser.parse_constraint()
+    constraint = scope_negations(parser._parse_conjunction(), ())
     if not parser.at_end():
         raise ParseError(f"trailing input after constraint: {text!r}")
     return constraint

@@ -11,6 +11,7 @@ all at once").
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Optional, Tuple
 
 from repro.domains.base import Domain, IntensionalResultSet
@@ -25,6 +26,16 @@ def _require_number(value: object, function: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise EvaluationError(f"arith:{function} expects a number, got {value!r}")
     return value
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value: object) -> bool:
+    """An integer as ``between`` counts one: an int at any size, or a float
+    with no fraction (``2.0 in range(0, 3)`` holds).  No bool."""
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
 
 
 def make_arithmetic_domain(
@@ -46,46 +57,6 @@ def make_arithmetic_domain(
         singleton results.
     """
     domain = Domain(name, "integer arithmetic (constraint domain of Example 2)")
-
-    def greater(x: object) -> IntensionalResultSet:
-        bound = _require_number(x, "greater")
-        return IntensionalResultSet(
-            membership=lambda value: isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and value > bound,
-            sample=lambda: range(int(bound) + 1, int(bound) + 1 + sample_width),
-            description=f"integers > {bound}",
-        )
-
-    def greater_eq(x: object) -> IntensionalResultSet:
-        bound = _require_number(x, "greater_eq")
-        return IntensionalResultSet(
-            membership=lambda value: isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and value >= bound,
-            sample=lambda: range(int(bound), int(bound) + sample_width),
-            description=f"integers >= {bound}",
-        )
-
-    def less(x: object) -> IntensionalResultSet:
-        bound = _require_number(x, "less")
-        return IntensionalResultSet(
-            membership=lambda value: isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and value < bound,
-            sample=lambda: range(int(bound) - sample_width, int(bound)),
-            description=f"integers < {bound}",
-        )
-
-    def less_eq(x: object) -> IntensionalResultSet:
-        bound = _require_number(x, "less_eq")
-        return IntensionalResultSet(
-            membership=lambda value: isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and value <= bound,
-            sample=lambda: range(int(bound) - sample_width + 1, int(bound) + 1),
-            description=f"integers <= {bound}",
-        )
 
     def between(low: object, high: object) -> Iterable[int]:
         low_value = int(_require_number(low, "between"))
@@ -110,27 +81,13 @@ def make_arithmetic_domain(
             raise EvaluationError("arith:mod division by zero")
         return {_require_number(x, "mod") % divisor}
 
-    def _is_number(value: object) -> bool:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
 
     # Quick-reject hooks: True only when the value is *definitely* outside
     # the call's result set, decided arithmetically.  Arithmetic behaviour is
     # time-invariant, so these never go stale.  Non-numeric *arguments* make
     # the underlying call fail -- the solver then treats the DCA-atom as
     # unknown-satisfiable -- so the hooks venture no opinion there; a
-    # non-numeric *value* against a well-formed call is a definite non-member.
-    def reject_greater(args: Tuple[object, ...], value: object) -> bool:
-        return _is_number(args[0]) and (not _is_number(value) or value <= args[0])
-
-    def reject_greater_eq(args: Tuple[object, ...], value: object) -> bool:
-        return _is_number(args[0]) and (not _is_number(value) or value < args[0])
-
-    def reject_less(args: Tuple[object, ...], value: object) -> bool:
-        return _is_number(args[0]) and (not _is_number(value) or value >= args[0])
-
-    def reject_less_eq(args: Tuple[object, ...], value: object) -> bool:
-        return _is_number(args[0]) and (not _is_number(value) or value > args[0])
-
+    # non-integer *value* against a well-formed call is a definite non-member.
     def reject_between(args: Tuple[object, ...], value: object) -> bool:
         if not all(_is_number(arg) for arg in args):
             return False
@@ -138,14 +95,9 @@ def make_arithmetic_domain(
             # between() returns a plain range, and bool is an int subclass:
             # True in range(0, 3) holds, so no opinion here.
             return False
-        if not _is_number(value):
-            return True
         # Mirror between()'s own int() truncation of the bounds: the result
         # set of between(2.5, 7.5) is range(2, 8), which contains 2.
-        # An int is integral at any size; a float when it has no fraction.
-        low, high = int(args[0]), int(args[1])
-        integral = isinstance(value, int) or value.is_integer()
-        return value < low or value > high or not integral
+        return not _is_integer(value) or value < int(args[0]) or value > int(args[1])
 
     # index_interval hooks: a time-invariant numeric interval containing
     # every member of the call's result set, feeding the argument index's
@@ -153,26 +105,6 @@ def make_arithmetic_domain(
     # the (ground) arguments themselves, unconverted: they compare exactly;
     # non-numeric arguments make the underlying call fail, so the hooks
     # venture no bound there.
-    def interval_greater(args: Tuple[object, ...]) -> Optional[Tuple[object, bool, object, bool]]:
-        if not _is_number(args[0]):
-            return None
-        return (args[0], True, math.inf, False)
-
-    def interval_greater_eq(args: Tuple[object, ...]) -> Optional[Tuple[object, bool, object, bool]]:
-        if not _is_number(args[0]):
-            return None
-        return (args[0], False, math.inf, False)
-
-    def interval_less(args: Tuple[object, ...]) -> Optional[Tuple[object, bool, object, bool]]:
-        if not _is_number(args[0]):
-            return None
-        return (-math.inf, False, args[0], True)
-
-    def interval_less_eq(args: Tuple[object, ...]) -> Optional[Tuple[object, bool, object, bool]]:
-        if not _is_number(args[0]):
-            return None
-        return (-math.inf, False, args[0], False)
-
     def interval_between(args: Tuple[object, ...]) -> Optional[Tuple[object, bool, object, bool]]:
         if not all(_is_number(arg) for arg in args):
             return None
@@ -180,25 +112,46 @@ def make_arithmetic_domain(
         # set of between(2.5, 7.5) is range(2, 8), bounded by [2, 7]).
         return (int(args[0]), False, int(args[1]), False)
 
-    domain.register(
-        "greater", greater, "integers strictly greater than x", arity=1,
-        quick_reject=reject_greater, index_interval=interval_greater,
+    def ordering(names, op: str, holds, interval, first: int, description: str) -> None:
+        """``name(x)``: the integers ``v`` with ``v op x``, intensional, with
+        its hooks; *interval* bounds the members by the (number) bound, and
+        the sample starts *first* past it."""
+
+        def function(x: object) -> IntensionalResultSet:
+            bound = _require_number(x, names[0])
+            start = int(bound) + first
+            return IntensionalResultSet(
+                membership=lambda value: _is_integer(value) and holds(value, bound),
+                sample=lambda: range(start, start + sample_width),
+                description=f"integers {op} {bound}",
+            )
+
+        def reject(args: Tuple[object, ...], value: object) -> bool:
+            return _is_number(args[0]) and not (_is_integer(value) and holds(value, args[0]))
+
+        def bounds(args: Tuple[object, ...]) -> Optional[Tuple[object, bool, object, bool]]:
+            return interval(args[0]) if _is_number(args[0]) else None
+
+        for name in names:
+            domain.register(
+                name, function, description, arity=1, quick_reject=reject, index_interval=bounds
+            )
+
+    ordering(
+        ("greater", "great"), ">", operator.gt, lambda bound: (bound, True, math.inf, False),
+        1, "integers strictly greater than x (great: the paper's name)",
     )
-    domain.register(
-        "great", greater, "alias used by the paper", arity=1,
-        quick_reject=reject_greater, index_interval=interval_greater,
+    ordering(
+        ("greater_eq",), ">=", operator.ge, lambda bound: (bound, False, math.inf, False),
+        0, "integers >= x",
     )
-    domain.register(
-        "greater_eq", greater_eq, "integers >= x", arity=1,
-        quick_reject=reject_greater_eq, index_interval=interval_greater_eq,
+    ordering(
+        ("less",), "<", operator.lt, lambda bound: (-math.inf, False, bound, True),
+        -sample_width, "integers strictly less than x",
     )
-    domain.register(
-        "less", less, "integers strictly less than x", arity=1,
-        quick_reject=reject_less, index_interval=interval_less,
-    )
-    domain.register(
-        "less_eq", less_eq, "integers <= x", arity=1,
-        quick_reject=reject_less_eq, index_interval=interval_less_eq,
+    ordering(
+        ("less_eq",), "<=", operator.le, lambda bound: (-math.inf, False, bound, False),
+        1 - sample_width, "integers <= x",
     )
     domain.register(
         "between", between, "integers in [a, b]", arity=2,

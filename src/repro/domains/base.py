@@ -73,6 +73,34 @@ class IntensionalResultSet:
         return f"IntensionalResultSet({self._description})"
 
 
+class _IntegerRange:
+    """A ``range`` a function returned (``arith:between``): membership and
+    size by arithmetic, so ``between(0, 2**54)`` is never built as a set."""
+
+    __slots__ = ("_range",)
+
+    def __init__(self, values: range) -> None:
+        self._range = values
+
+    def contains(self, value: object) -> bool:
+        # As a set of its ints: a bool by its int value, a float with no fraction.
+        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        return integral and int(value) in self._range
+
+    def is_finite(self) -> bool:
+        return True
+
+    def is_empty(self) -> bool:
+        return not self._range
+
+    def iter_values(self) -> Iterator[object]:
+        return iter(self._range)
+
+    def size_hint(self) -> int:
+        values = self._range  # (len() overflows past sys.maxsize)
+        return max(0, -((values.start - values.stop) // values.step))
+
+
 def coerce_result(value: object) -> ResultSetLike:
     """Coerce a domain function's return value into a result set.
 
@@ -80,6 +108,7 @@ def coerce_result(value: object) -> ResultSetLike:
     * ``bool`` maps to ``{True}`` / ``{}`` so that relations can be queried
       with the paper's ``in(true, domain:relation(args))`` idiom,
     * ``None`` maps to the empty set,
+    * a ``range`` keeps answering by arithmetic (:class:`_IntegerRange`),
     * sets / frozensets / lists / tuples / iterators become finite sets,
     * any other single value becomes a singleton set.
 
@@ -96,6 +125,8 @@ def coerce_result(value: object) -> ResultSetLike:
         return FrozenResultSet([True]) if value else FrozenResultSet()
     if isinstance(value, (set, frozenset, list, tuple)):
         return FrozenResultSet(value)
+    if isinstance(value, range):
+        return _IntegerRange(value)
     if isinstance(value, ResultSetLike):
         return value
     if hasattr(value, "__iter__") and not isinstance(value, (str, bytes, Mapping)):

@@ -16,11 +16,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.constraints.ast import (
     Constraint,
     FALSE,
-    NegatedConjunction,
     conjoin,
     tuple_equalities,
 )
 from repro.constraints.intern import EVENTS
+from repro.constraints.projection import scoped_negation
 from repro.constraints.simplify import canonical_form, simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import FreshVariableFactory
@@ -47,22 +47,21 @@ def external_support(add_atom: ConstrainedAtom) -> Support:
     return Support(EXTERNAL_CLAUSE_NUMBER, (), origin)
 
 
-def negated_atom_constraint(
+def atom_overlap(
     target_atom: Atom,
     source: ConstrainedAtom,
     factory: FreshVariableFactory,
     renamed_cache: Optional[Dict[int, ConstrainedAtom]] = None,
-) -> Tuple[Constraint, Constraint]:
-    """Express "is (not) an instance of *source*" over *target_atom*'s terms.
+) -> Constraint:
+    """Express "is an instance of *source*" over *target_atom*'s terms.
 
-    Returns a pair ``(positive, negative)``: the constraint stating that the
-    target atom's arguments satisfy the source atom's constraint (with the
-    binding equalities ``X̄ = Ȳ`` of the paper), and its negation
-    ``not(... )``.  The source is renamed apart first, and the negation is
-    always built as an explicit ``not(...)`` node so that the renamed
-    variables are quantified *inside* it ("no instantiation of the source
-    atom matches the target tuple"), per the library's quantification
-    convention.
+    The source atom's constraint, renamed apart, with the binding
+    equalities ``X̄ = Ȳ`` of the paper.  Its negation ("no instantiation of
+    the source atom matches the target tuple") is
+    ``scoped_negation(overlap, target_atom.variables())``: the renamed
+    variables are quantified inside the ``not(...)``, and the ones the
+    bindings pin are eliminated before the node is built
+    (``not(X' = 5 & X' = X)`` is built as ``not(X = 5)``).
 
     *renamed_cache* (keyed by ``id(source)``) lets a caller that matches the
     same source atom against many view entries rename it apart only once:
@@ -74,10 +73,7 @@ def negated_atom_constraint(
         renamed, _ = source.renamed_apart(factory)
         if renamed_cache is not None:
             renamed_cache[id(source)] = renamed
-    equalities = tuple_equalities(renamed.atom.args, target_atom.args)
-    positive = conjoin(renamed.constraint, equalities)
-    negative = NegatedConjunction(tuple(positive.conjuncts()))
-    return positive, negative
+    return conjoin(renamed.constraint, tuple_equalities(renamed.atom.args, target_atom.args))
 
 
 class Narrowing(NamedTuple):
@@ -148,9 +144,7 @@ def narrow_overlapping(
                     break
                 EVENTS.identity_subtractions += 1
                 if overlaps:
-                    positive, _ = negated_atom_constraint(
-                        entry.atom, atom, factory, renamed
-                    )
+                    positive = atom_overlap(entry.atom, atom, factory, renamed)
                     found.append(conjoin(entry.constraint, positive))
                 negations.append(FALSE)
                 break
@@ -160,9 +154,7 @@ def narrow_overlapping(
                 if stats is not None:
                     stats.quick_rejects += 1
                 continue
-            positive, negative = negated_atom_constraint(
-                entry.atom, atom, factory, renamed
-            )
+            positive = atom_overlap(entry.atom, atom, factory, renamed)
             # Tested against the entry as narrowed so far.
             overlap = conjoin(entry.constraint, *negations, positive)
             if stats is not None:
@@ -171,7 +163,7 @@ def narrow_overlapping(
                 continue
             if overlaps:
                 found.append(overlap)
-            negations.append(negative)
+            negations.append(scoped_negation(positive, entry.atom.variables()))
         if negations:
             result.append(Narrowing(entry, tuple(negations), tuple(found)))
     return tuple(result)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.constraints.ast import TRUE, Constraint, conjoin
+from repro.constraints.projection import scoped_negation
 from repro.constraints.simplify import simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import FreshVariableFactory
@@ -34,7 +35,7 @@ from repro.datalog.clauses import Clause
 from repro.datalog.join import EngineOptions, overlap_candidates
 from repro.datalog.program import ConstrainedDatabase
 from repro.datalog.view import MaterializedView
-from repro.maintenance.common import negated_atom_constraint
+from repro.maintenance.common import atom_overlap
 
 
 def deletion_rewrite(
@@ -83,7 +84,8 @@ def deletion_rewrite(
     touched.sort(key=lambda pair: pair[0].number)
     extras: Dict[int, Constraint] = {}
     for clause, atom in touched:
-        _, negative = negated_atom_constraint(clause.head, atom, factory)
+        overlap = atom_overlap(clause.head, atom, factory)
+        negative = scoped_negation(overlap, clause.head.variables())
         extras[clause.number] = conjoin(extras.get(clause.number, TRUE), negative)
     return program.with_extra_constraints(extras)
 
@@ -123,12 +125,10 @@ def build_add_set(
     )
     constraint = inserted.constraint
     for entry in overlap_candidates(view, inserted, solver, options):
-        positive, negative = negated_atom_constraint(
-            inserted.atom, entry.constrained_atom, factory
-        )
+        positive = atom_overlap(inserted.atom, entry.constrained_atom, factory)
         if not solver.is_satisfiable(conjoin(constraint, positive)):
             continue
-        constraint = conjoin(constraint, negative)
+        constraint = conjoin(constraint, scoped_negation(positive, inserted.atom.variables()))
     constraint = simplify(constraint, solver)
     if not solver.is_satisfiable(constraint):
         return ()

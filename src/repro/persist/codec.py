@@ -31,6 +31,12 @@ Design rules:
   term and constraint objects the live process uses, and every
   pointer-identity fast path (solver memos, view-entry keys, coalescer
   dedup) applies to persisted state exactly as to freshly built state.
+* **Decoding scopes what was parsed.**  A clause or a request's atom
+  scopes its ``not(...)`` conjuncts against its atoms, as the parser does:
+  an older tree's unscoped ``not(X' = 5 & X' = X)`` decodes as
+  ``not(5 = X)``.  A view entry is decoded as written: the join builds
+  entries whose negations name variables no argument does (outer, because
+  a body atom named them), which a rescoping would read as local.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from repro.constraints.ast import (
     FALSE,
     TRUE,
 )
+from repro.constraints.projection import scope_negations
 from repro.constraints.terms import Constant, Term, Variable
 from repro.datalog.atoms import Atom, ConstrainedAtom
 from repro.datalog.clauses import Clause
@@ -362,12 +369,11 @@ def clause_bytes(clause: Clause) -> bytes:
 def decode_clause(obj: object) -> Clause:
     if not isinstance(obj, dict) or set(obj) != {"head", "constraint", "body", "n"}:
         raise CodecError(f"unknown clause encoding: {obj!r}")
-    return Clause(
-        decode_atom(obj["head"]),
-        decode_constraint(obj["constraint"]),
-        tuple(decode_atom(atom) for atom in obj["body"]),
-        obj["n"],
-    )
+    head = decode_atom(obj["head"])
+    body = tuple(decode_atom(atom) for atom in obj["body"])
+    outer = head.variables().union(*(atom.variables() for atom in body))
+    constraint = scope_negations(decode_constraint(obj["constraint"]), outer)
+    return Clause(head, constraint, body, obj["n"])
 
 
 def encode_program(
@@ -430,8 +436,9 @@ def _encode_constrained_atom(atom: ConstrainedAtom) -> object:
 def _decode_constrained_atom(obj: object) -> ConstrainedAtom:
     if not isinstance(obj, dict) or set(obj) != {"atom", "constraint"}:
         raise CodecError(f"unknown constrained-atom encoding: {obj!r}")
+    atom = decode_atom(obj["atom"])
     return ConstrainedAtom(
-        decode_atom(obj["atom"]), decode_constraint(obj["constraint"])
+        atom, scope_negations(decode_constraint(obj["constraint"]), atom.variables())
     )
 
 

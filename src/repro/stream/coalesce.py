@@ -36,13 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.constraints.projection import scoped_negation
 from repro.constraints.simplify import canonical_form, simplify
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.ast import conjoin
 from repro.constraints.terms import FreshVariableFactory
 from repro.datalog.atoms import ConstrainedAtom
 from repro.errors import MaintenanceError
-from repro.maintenance.common import negated_atom_constraint
+from repro.maintenance.common import atom_overlap
 from repro.maintenance.requests import DeletionRequest, InsertionRequest
 from repro.stream.log import ExternalChangeNotice, StreamPayload, Transaction
 
@@ -300,12 +301,11 @@ class Coalescer:
                 ):
                     cancelled = True
                     break
-                positive, negative = negated_atom_constraint(
-                    atom.atom, deleted, factory
-                )
+                positive = atom_overlap(atom.atom, deleted, factory)
                 report.solver_calls += 1
                 if not solver.is_satisfiable(conjoin(constraint, positive)):
                     continue  # no overlap after earlier narrowing
+                negative = scoped_negation(positive, atom.atom.variables())
                 constraint = simplify(conjoin(constraint, negative), solver)
                 narrowed = True
             if cancelled:

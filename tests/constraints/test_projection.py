@@ -73,14 +73,14 @@ class TestScopeNegations:
         constraint = conjoin(
             compare(X, ">=", 5), negate(conjoin(equals(Z, 6), equals(Z, X)))
         )
-        scoped = scope_negations(constraint)
+        scoped = scope_negations(constraint, ())
         negations = [p for p in scoped.conjuncts() if isinstance(p, NegatedConjunction)]
         assert len(negations) == 1
         assert Z not in negations[0].variables()
 
     def test_outer_variables_preserved(self):
         constraint = conjoin(equals(Y, 1), negate(conjoin(equals(Y, 1), equals(X, 2))))
-        scoped = scope_negations(constraint)
+        scoped = scope_negations(constraint, ())
         negations = [p for p in scoped.conjuncts() if isinstance(p, NegatedConjunction)]
         assert negations and Y in negations[0].variables()
 
@@ -89,19 +89,27 @@ class TestScopeNegations:
         # pinned, so the inner conjunction always has a witness and the
         # negation is unsatisfiable.
         constraint = conjoin(compare(X, ">", 0), NegatedConjunction((equals(Z, 6),)))
-        scoped = scope_negations(constraint)
+        scoped = scope_negations(constraint, ())
         assert scoped is FALSE
+
+    def test_outer_argument_stays_outer(self):
+        # The atom the constraint is attached to names X: only Z is local.
+        negation = negate(conjoin(equals(Z, 6), equals(Z, X)))
+        assert scope_negations(negation, [X]) is NegatedConjunction((equals(6, X),))
+        # With no atom in view nothing else names X, so X is local too and
+        # ``Z = 6 & Z = X`` always has a witness.
+        assert scope_negations(negation, ()) is FALSE
 
     def test_no_negations_returns_same_object(self):
         constraint = conjoin(equals(X, 1), compare(Y, "<", 2))
-        assert scope_negations(constraint) is constraint
+        assert scope_negations(constraint, ()) is constraint
 
     def test_scoping_preserves_solutions(self):
         solver = ConstraintSolver()
         constraint = conjoin(
             compare(X, ">=", 5), negate(conjoin(equals(Z, 6), equals(Z, X)))
         )
-        scoped = scope_negations(constraint)
+        scoped = scope_negations(constraint, ())
         universe = range(0, 10)
         assert solution_set(constraint, [X], solver=solver, universe=universe) == \
             solution_set(scoped, [X], solver=solver, universe=universe)

@@ -21,6 +21,7 @@ from repro.constraints import (
     not_equals,
     simplify,
 )
+from repro.constraints.projection import scope_negations
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -77,10 +78,13 @@ class TestSimplify:
         assert not solver.is_satisfiable(simplify(constraint, solver))
 
     def test_negation_with_local_variable_scoped(self, solver):
-        # X >= 5 & not(Z = 6 & Z = X): Z is local to the negation and pinned,
-        # so the constraint reads X >= 5 & X != 6 after simplification.
-        constraint = conjoin(
-            compare(X, ">=", 5), negate(conjoin(equals(Z, 6), equals(Z, X)))
+        # X >= 5 & not(Z = 6 & Z = X) over an atom p(X): Z is local to the
+        # negation and pinned, so scoping where it is built leaves
+        # not(X = 6), and the constraint reads X >= 5 & X != 6 after
+        # simplification.
+        constraint = scope_negations(
+            conjoin(compare(X, ">=", 5), negate(conjoin(equals(Z, 6), equals(Z, X)))),
+            [X],
         )
         simplified = simplify(constraint, solver)
         assert simplified == conjoin(compare(X, ">=", 5), not_equals(Constant(6), X)) or \

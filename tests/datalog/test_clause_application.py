@@ -35,10 +35,9 @@ from repro.constraints.ast import (
     TRUE,
     Comparison,
     conjoin,
-    negate,
     tuple_equalities,
 )
-from repro.constraints.projection import eliminate_variables
+from repro.constraints.projection import eliminate_variables, scoped_negation
 from repro.constraints.simplify import simplify
 from repro.constraints.solver import bounds_of
 from repro.constraints.terms import Constant, FreshVariableFactory, Substitution, Variable
@@ -206,12 +205,16 @@ def reference_rebuild(clause, entry, premises, child_position, factory, solver):
         tuple_equalities(clause.head.args, entry.atom.args),
         entry.constraint,
     ]
-    kept, deleted = list(shared), list(shared)
-    for position, (body_atom, premise) in enumerate(zip(clause.body, premises)):
+    deleted = list(shared)
+    for body_atom, premise in zip(clause.body, premises):
         renamed, _ = premise.renamed_apart(factory)
-        part = conjoin(renamed.constraint, tuple_equalities(renamed.atom.args, body_atom.args))
-        deleted.append(part)
-        kept.append(negate(part) if position == child_position else part)
+        deleted.append(conjoin(renamed.constraint, tuple_equalities(renamed.atom.args, body_atom.args)))
+    # The child's renamed variables are quantified inside its ``not(...)``:
+    # scoped where it is built, against the entry's and every other part's.
+    index = len(shared) + child_position
+    outer = keep.union(*(part.variables() for i, part in enumerate(deleted) if i != index))
+    kept = list(deleted)
+    kept[index] = scoped_negation(deleted[index], outer)
     deleted_constraint = normalise(conjoin(*deleted), keep, solver)
     if not solver.is_satisfiable(deleted_constraint):
         return None

@@ -71,10 +71,21 @@ class TestConstraints:
         assert constraint.call.args == (Constant("phonebook"), Constant("name"), X)
 
     def test_negated_conjunction(self):
-        constraint = parse_constraint("X >= 5 & not(X = 6 & Y = 2)")
+        # The atom names Y, so Y is outer and both conjuncts stay negated.
+        constraint = parse_constrained_atom("p(X, Y) <- X >= 5 & not(X = 6 & Y = 2)").constraint
         negations = [p for p in constraint.conjuncts() if isinstance(p, NegatedConjunction)]
         assert len(negations) == 1
         assert len(negations[0].parts) == 2
+
+    def test_a_negation_is_scoped_where_it_is_parsed(self):
+        # Only the negation names Y: Y is local to it, and ``Y = 2`` always
+        # has a witness, so not(X = 6 & Y = 2) reads as not(X = 6).
+        constraint = parse_constraint("X >= 5 & not(X = 6 & Y = 2)")
+        assert str(constraint) == "X >= 5 & not(X = 6)"
+        # A clause's head and body atoms name outer variables too.
+        assert str(parse_clause("q(Y) <- not(Y = 5).").constraint) == "not(Y = 5)"
+        assert str(parse_clause("q(X) <- r(Y) & not(Y = 5).").constraint) == "not(Y = 5)"
+        assert str(parse_clause("q(X) <- r(X) & not(Y = 5).").constraint) == "false"
 
     def test_true_false_literals(self):
         assert str(parse_constraint("true & X = 1")) == "X = 1"

@@ -26,7 +26,8 @@ class TestArithmeticDomain:
         result = arith.call("greater", (5,))
         assert not result.is_finite()
         assert result.contains(6) and not result.contains(5)
-        assert result.contains(5.5)
+        # An integer set, like ``between``: 6.0 is in it, 5.5 is not.
+        assert result.contains(6.0) and not result.contains(5.5)
 
     def test_great_alias(self, arith):
         assert arith.call("great", (2,)).contains(3)
@@ -38,6 +39,48 @@ class TestArithmeticDomain:
 
     def test_between_is_finite(self, arith):
         assert set(arith.call("between", (2, 4)).iter_values()) == {2, 3, 4}
+
+    @pytest.mark.parametrize(
+        "function, bound, inside",
+        [("greater", 1, 3), ("greater_eq", 1, 1), ("less", 3, 2), ("less_eq", 3, 3)],
+    )
+    def test_orderings_hold_integers_like_between(self, arith, function, bound, inside):
+        from repro.constraints import ConstraintSolver
+        from repro.datalog import parse_constraint
+        from repro.domains import DomainRegistry
+
+        result = arith.call(function, (bound,))
+        between = arith.call("between", (-10, 10))
+        for value in (inside, float(inside), 2.5, True, "2"):
+            expected = between.contains(value) and not isinstance(value, bool)
+            assert result.contains(value) == expected, value
+            # The quick-reject hook refutes exactly the values outside.
+            hook = arith.function(function).quick_reject
+            assert hook((bound,), value) == (not result.contains(value)), value
+        solver = ConstraintSolver(DomainRegistry([make_arithmetic_domain()]))
+        assert not solver.is_satisfiable(parse_constraint(f"in(2.5, arith:{function}({bound}))"))
+        assert solver.is_satisfiable(parse_constraint(f"in({inside}, arith:{function}({bound}))"))
+
+    def test_a_pinned_between_membership_builds_no_set(self, arith):
+        import tracemalloc
+
+        from repro.constraints import ConstraintSolver
+        from repro.datalog import parse_constraint
+        from repro.domains import DomainRegistry
+
+        solver = ConstraintSolver(DomainRegistry([make_arithmetic_domain()]))
+        constraint = parse_constraint("in(X, arith:between(0, 1000000)) & X = 5")
+        tracemalloc.start()
+        try:
+            assert solver.is_satisfiable(constraint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        result = arith.call("between", (0, 10**6))
+        assert result.size_hint() == 10**6 + 1
+        for value, member in ((5, True), (5.0, True), (True, True), (5.5, False), ("5", False)):
+            assert result.contains(value) is member, value
 
     def test_plus_minus_times(self, arith):
         assert set(arith.call("plus", (2, 3)).iter_values()) == {5}

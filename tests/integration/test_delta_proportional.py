@@ -616,10 +616,10 @@ CEILINGS = {
         "batched.solver_calls": 16,
     },
     "interval_pairs": {
-        "pairs_stdel.nodes": 352,
+        "pairs_stdel.nodes": 340,
         "pairs_stdel.branch_checks": 20,
-        "pairs_dred.nodes": 987,
-        "pairs_dred.branch_checks": 41,
+        "pairs_dred.nodes": 961,
+        "pairs_dred.branch_checks": 37,
     },
 }
 

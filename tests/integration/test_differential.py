@@ -135,7 +135,8 @@ def paper_rewrite(program, deleted):
     """Rewrite (4) as the paper states it: ``not(δ & X̄ = Ȳ)`` conjoined onto
     every clause of the deleted atom's signature -- no index, nothing skipped."""
     from repro.constraints.terms import FreshVariableFactory
-    from repro.maintenance.common import negated_atom_constraint
+    from repro.constraints.projection import scoped_negation
+    from repro.maintenance.common import atom_overlap
 
     factory = FreshVariableFactory(
         {variable.name for clause in program for variable in clause.variables()}
@@ -145,7 +146,8 @@ def paper_rewrite(program, deleted):
     def rewrite(clause):
         for atom in deleted:
             if atom.atom.signature == clause.head.signature:
-                _, negative = negated_atom_constraint(clause.head, atom, factory)
+                overlap = atom_overlap(clause.head, atom, factory)
+                negative = scoped_negation(overlap, clause.head.variables())
                 clause = clause.with_extra_constraint(negative)
         return clause
 

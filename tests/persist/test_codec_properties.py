@@ -4,7 +4,9 @@ Arbitrary shards and views must encode -> decode -> re-encode byte-stably
 (same bytes, so checksums are meaningful) and entry-identically (same
 atoms, same constraints -- interval bounds included -- same support
 trees, same sequence numbers).  That includes support-0 external entries
-and empty shards.  Truncated or bit-flipped payloads must be rejected
+and empty shards.  Clauses and requests decode with their negations scoped
+against their atoms, as the parser reads them, and what they decode to
+round-trips unchanged.  Truncated or bit-flipped payloads must be rejected
 with :class:`~repro.errors.CodecError` -- a decode never returns a wrong
 view.
 """
@@ -25,6 +27,7 @@ from repro.constraints.ast import (
     FALSE,
     TRUE,
 )
+from repro.constraints.projection import scope_negations
 from repro.constraints.terms import Constant, Variable
 from repro.datalog.atoms import Atom
 from repro.datalog.clauses import Clause
@@ -108,6 +111,13 @@ supports = st.recursive(
 )
 
 entries = st.builds(ViewEntry, atoms, constraints, supports)
+
+
+def scoped(constraint, *atoms):
+    """*constraint* as the parser reads it attached to *atoms*: its
+    negations scoped against their arguments."""
+    return scope_negations(constraint, frozenset().union(*(a.variables() for a in atoms)))
+
 
 seqs = st.integers(min_value=0, max_value=10**9)
 
@@ -243,11 +253,19 @@ def test_bit_flipped_payloads_never_decode_to_a_different_shard(shard, data):
 )
 def test_program_round_trip_and_hash_stability(clauses):
     program = ConstrainedDatabase(clauses)
-    payload = codec.encode_program(program)
-    back = codec.decode_program(payload)
+    back = codec.decode_program(codec.encode_program(program))
+    # Decoding reads each clause as the parser would: its negations scoped
+    # against its head and body.
+    parsed = ConstrainedDatabase(
+        clause.with_constraint(scoped(clause.constraint, clause.head, *clause.body))
+        for clause in program.clauses
+    )
+    assert tuple(back.clauses) == tuple(parsed.clauses)
+    payload = codec.encode_program(parsed)
     assert codec.encode_program(back) == payload
-    assert codec.program_hash(back) == codec.program_hash(program)
-    assert tuple(back.clauses) == tuple(program.clauses)
+    assert codec.program_hash(back) == codec.program_hash(parsed)
+    # A decoded program is a fixed point: it decodes to itself.
+    assert tuple(codec.decode_program(payload).clauses) == tuple(back.clauses)
 
 
 from repro.datalog.atoms import ConstrainedAtom  # noqa: E402
@@ -293,10 +311,72 @@ def test_wal_transaction_round_trip(raw):
             continue
         seen.add(txn_id)
         transactions.append(Transaction(txn_id, timestamp, payload))
-    encoded = codec.encode_transactions(transactions)
-    decoded = codec.decode_transactions(encoded)
-    assert codec.encode_transactions(decoded) == encoded
+    decoded = codec.decode_transactions(codec.encode_transactions(transactions))
+    # A request's atom decodes as the parser reads it, scoped against its
+    # arguments; the decoded transactions round-trip byte-stably.
+    encoded = codec.encode_transactions(decoded)
+    assert codec.encode_transactions(codec.decode_transactions(encoded)) == encoded
     assert len(decoded) == len(transactions)
     for original, back in zip(transactions, decoded):
         assert back.txn_id == original.txn_id
-        assert back.payload == original.payload
+        payload = original.payload
+        if isinstance(payload, (DeletionRequest, InsertionRequest)):
+            atom = payload.atom
+            payload = type(payload)(
+                ConstrainedAtom(atom.atom, scoped(atom.constraint, atom.atom))
+            )
+        assert back.payload == payload
+
+
+def test_an_unscoped_negation_decodes_scoped_and_maintains():
+    """An older tree left a deletion's negation unscoped in the effective
+    program (``p(X) <- not(X_1 = 5 & X_1 = X)``, its check deferred to the
+    solver).  Decoding scopes it against the clause, as the parser would."""
+    from repro.constraints import ConstraintSolver
+    from repro.datalog.parser import parse_clause, parse_constrained_atom
+    from repro.stream import StreamScheduler
+
+    x, x1 = Variable("X"), Variable("X_1")
+    unscoped = NegatedConjunction(
+        (Comparison(x1, "=", Constant(5)), Comparison(x1, "=", x))
+    )
+    written = ConstrainedDatabase(
+        [Clause(Atom("p", (x,)), unscoped, ()), parse_clause("h(X) <- p(X)")]
+    )
+    program = codec.decode_program(codec.encode_program(written))
+    assert str(program.clauses[0].constraint) == "not(5 = X)"
+    scheduler = StreamScheduler(program, ConstraintSolver())
+    universe = range(11)
+    kept = {(v,) for v in universe if v != 5}
+    assert scheduler.query("p", universe) == scheduler.query("h", universe) == kept
+    request = DeletionRequest(parse_constrained_atom("p(X) <- X = 7"))
+    assert scheduler.apply_batch((request,)).ok
+    assert scheduler.query("h", universe) == kept - {(7,)}
+
+
+def test_a_checkpointed_view_reloads_the_entries_it_had(tmp_path):
+    """The join builds ``h(Y) <- not(Z = 5 & U = 6)``: ``Z`` and ``U`` are
+    outer there (the body atom ``r(Z, U)`` named them) though no argument
+    of ``h`` does.  A reload gives back the entries the live view holds,
+    byte for byte, not a rescoping of them (which reads ``h(Y) <- false``)."""
+    import json
+
+    from repro.datalog.parser import parse_program
+    from repro.persist import DurabilityOptions, open_scheduler
+
+    program = parse_program(
+        "p(X) <- true. r(W, V) <- not(W = 5 & V = 6). h(Y) <- p(Y), r(Z, U)."
+    )
+    options = DurabilityOptions(checkpoint_wal_bytes=1 << 30)
+    writer = open_scheduler(tmp_path / "data", program, durability_options=options)
+    info = writer.checkpoint()
+    assert info is not None
+    live = {entry.key() for entry in writer.view}
+    assert "h(Y) <- not(Z = 5 & U = 6)" in {str(entry.constrained_atom) for entry in writer.view}
+    reopened = open_scheduler(tmp_path / "data", program, durability_options=options)
+    assert reopened._replayed_batches == 0
+    assert {entry.key() for entry in reopened.view} == live
+    manifest = json.loads((tmp_path / "data" / "snapshots" / info.manifest).read_bytes())
+    for predicate, meta in manifest["shards"].items():
+        stored = (tmp_path / "data" / "shards" / meta["file"]).read_bytes()
+        assert codec.encode_shard(predicate, reopened.view.export_shard_rows(predicate)) == stored

@@ -141,6 +141,19 @@ The invariants below are load-bearing enough to enforce mechanically:
     and durability layers need no thread of their own and nothing to wait
     on but that lock.  Only the serve layer owns threads.
 
+16. **A negation is scoped where it is built.**  Which variables of a
+    ``not(...)`` are its own is decided by the code that creates them, with
+    the atoms in view: ``scope_negations`` / ``scoped_negation``
+    (``constraints/projection.py``) are called only by the parser (a
+    clause's head and body, a constrained atom), the codec (the clauses
+    and requests it decodes), the negation of an atom overlap against its
+    target atom (narrowing in ``maintenance/common.py``, the rewrites in
+    ``maintenance/declarative.py``, the coalescer in ``stream/coalesce.py``),
+    the join kernel's negated premise (``datalog/join.py``) and the
+    solver's subsumption test.  The solver, simplification and projection read
+    every negation as already scoped: a pass over a bare constraint cannot
+    see the atom arguments that make a variable outer.
+
 Usage::
 
     python tools/lint_rules.py            # lint src/ (exit 1 on findings)
@@ -266,6 +279,21 @@ RULES: Tuple[Tuple[re.Pattern, Tuple[str, ...], str], ...] = (
         "runs on the thread that flushes it)",
     ),
     (
+        re.compile(r"(?<!def )\bscope(?:_negations|d_negation)\s*\("),
+        (
+            "repro/constraints/projection.py",
+            "repro/datalog/parser.py",
+            "repro/persist/codec.py",
+            "repro/maintenance/common.py",
+            "repro/maintenance/declarative.py",
+            "repro/stream/coalesce.py",
+            "repro/datalog/join.py",
+            "repro/constraints/solver.py",
+        ),
+        "negation scoped outside a construction site (scope a not(...) where "
+        "it is built, against the atoms that name its outer variables)",
+    ),
+    (
         re.compile(r"\.(?:invoke|call)\s*\("),
         ("repro/domains/",),
         "domain function called around DomainRegistry.evaluate_call (the "
@@ -286,7 +314,7 @@ ENGINE_FLAGS: Tuple[str, ...] = (
 #: The budgets (rule 8).  Raise one only in the change that needs it.
 MAX_OPTION_FIELDS = 15
 MAX_ENV_VARIABLES = 4
-MAX_SOURCE_LINES = 20_380
+MAX_SOURCE_LINES = 20_361
 
 #: Rule 13's reasons for keeping a definition that only tests reach.
 ORACLE = "test oracle: a test checks other code against it"
@@ -298,6 +326,7 @@ BENCHMARK = "named by the benchmark"
 #: but tests names, each with the reason it stays.
 REACHED_FROM_TESTS: Dict[str, str] = {
     "is_duplicate_free": ORACLE,
+    "parse_constraint": DRIVER,
     "child_support_snapshot": ORACLE,
     "argument_index_snapshot": ORACLE,
     "range_posting_snapshot": ORACLE,
