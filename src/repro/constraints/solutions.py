@@ -23,11 +23,15 @@ Enumeration is a backtracking search over a compiled :class:`_Plan`:
    candidate is in those results already, so they are not asked again;
 3. what cannot be decided on the way down -- a negation with variables of
    its own (quantified inside it), a membership the solver could not
-   evaluate -- is evaluated at the complete assignment.
+   evaluate, what a seed row alone grounds -- is evaluated at the complete
+   assignment.
 
 A distinct ground domain call is asked once per enumeration (one call
 table serves candidates and membership checks alike); a candidate set is
 recomputed only for the variables an assignment feeds (:attr:`_Plan.feeds`).
+
+The search runs below each *seed row* (values of the seeded variables), an
+unseeded one below one empty row (a mediated read's seeds: ``datalog/atoms.py``).
 
 Because negations and memberships only ever *remove* solutions, generating
 candidates from the positive conjuncts alone is complete.
@@ -47,7 +51,7 @@ from repro.constraints.ast import (
     Membership,
     NegatedConjunction,
 )
-from repro.constraints.interfaces import FrozenResultSet, ResultSetLike
+from repro.constraints.interfaces import ResultSetLike
 from repro.constraints.solver import ConstraintSolver
 from repro.constraints.terms import Constant, Term, Variable
 from repro.errors import SolverError
@@ -66,17 +70,21 @@ def enumerate_solutions(
     universe: Optional[Iterable[object]] = None,
     max_interval_width: int = DEFAULT_MAX_INTERVAL_WIDTH,
     max_solutions: int = DEFAULT_MAX_SOLUTIONS,
+    seeded: Sequence[Variable] = (),
+    rows: Iterable[Sequence[object]] = ((),),
 ) -> Iterator[Dict[Variable, object]]:
     """Yield assignments (dicts) of *variables* that satisfy *constraint*.
 
-    Raises :class:`~repro.errors.SolverError` when a variable's candidate set
+    Only assignments that extend one of *rows* (values of the *seeded*
+    variables, in that order) are searched.  Raises
+    :class:`~repro.errors.SolverError` when a variable's candidate set
     cannot be determined and no *universe* was supplied, or when more than
     *max_solutions* assignments would be produced.
     """
     solver = solver or ConstraintSolver()
     if isinstance(constraint, FalseConstraint):
         return
-    plan = _plan_for(constraint, variables)
+    plan = _plan_for(constraint, variables, tuple(seeded))
     wanted = plan.wanted
     search = _Search(
         plan,
@@ -86,7 +94,7 @@ def enumerate_solutions(
     )
     produced = 0
     seen: set = set()
-    for assignment in search.run(list(range(len(plan.search)))):
+    for assignment in search.below(rows, list(range(len(plan.seeded), len(plan.search)))):
         key = tuple(assignment[var] for var in wanted)
         if key in seen:
             continue
@@ -105,6 +113,8 @@ def solution_set(
     solver: Optional[ConstraintSolver] = None,
     universe: Optional[Iterable[object]] = None,
     max_interval_width: int = DEFAULT_MAX_INTERVAL_WIDTH,
+    seeded: Sequence[Variable] = (),
+    rows: Iterable[Sequence[object]] = ((),),
 ) -> FrozenSet[Tuple[object, ...]]:
     """Return the set of solution tuples, ordered like *variables*."""
     wanted = list(dict.fromkeys(variables))
@@ -115,6 +125,8 @@ def solution_set(
         solver=solver,
         universe=universe,
         max_interval_width=max_interval_width,
+        seeded=seeded,
+        rows=rows,
     ):
         tuples.add(tuple(assignment[var] for var in wanted))
     return frozenset(tuples)
@@ -143,12 +155,12 @@ class _Plan:
     """
 
     __slots__ = (
-        "key", "wanted", "search", "parts", "arity", "roles", "feeds", "ground", "leaf",
+        "key", "seeded", "wanted", "search", "parts", "arity", "roles", "feeds", "ground", "leaf",
     )
 
-    def __init__(self, constraint: Constraint, key: Tuple[Variable, ...]) -> None:
-        #: The variable list as the caller gave it (the memo key).
-        self.key = key
+    def __init__(self, constraint: Constraint, key: Tuple[Variable, ...], seeded: tuple) -> None:
+        #: The variable list as the caller gave it, the seeded ones (the memo key).
+        self.key, self.seeded = key, seeded
         #: The requested variables, duplicates dropped (usually *key* itself).
         wanted = tuple(dict.fromkeys(key))
         wanted = self.wanted = key if wanted == key else wanted
@@ -162,9 +174,11 @@ class _Plan:
         for part in parts:
             if not isinstance(part, NegatedConjunction):
                 positive.update(part.variables())
-        positive.difference_update(wanted)
-        #: Search order: the requested variables, then the auxiliary ones.
-        self.search = wanted + tuple(sorted(positive, key=lambda v: v.name))
+        positive.difference_update(wanted, seeded)
+        #: Search order: the seeded variables (never chosen), the requested
+        #: ones, then the auxiliary ones.
+        self.search = seeded + tuple(v for v in wanted if v not in seeded)
+        self.search += tuple(sorted(positive, key=lambda v: v.name))
         position = {variable: index for index, variable in enumerate(self.search)}
         roles: List[Tuple[list, list, list, list]] = [([], [], [], []) for _ in position]
         arity: List[int] = []
@@ -172,8 +186,8 @@ class _Plan:
         leaf: List[int] = []
         for index, part in enumerate(parts):
             variables = part.variables()
-            arity.append(len(variables))
-            if not position or not variables <= position.keys():
+            arity.append(len(variables.difference(seeded)))
+            if not position or not variables <= position.keys() or seeded and not arity[-1]:
                 leaf.append(index)
                 continue
             if not variables:
@@ -194,7 +208,7 @@ class _Plan:
             elif isinstance(part, Membership) and part.positive:
                 if isinstance(part.element, Variable):
                     roles[position[part.element]][2].append(index)
-        #: Per conjunct, how many searched variables it waits for.
+        #: Per conjunct, how many unseeded searched variables it waits for.
         self.arity = tuple(arity)
         #: The :data:`_Role` of each variable of :attr:`search`, by position.
         self.roles: Tuple[_Role, ...] = tuple(
@@ -213,11 +227,11 @@ class _Plan:
         self.leaf = tuple(leaf)
 
 
-def _plan_for(constraint: Constraint, variables: Sequence[Variable]) -> _Plan:
+def _plan_for(constraint: Constraint, variables: Sequence[Variable], seeded=()) -> _Plan:
     key = tuple(variables)
     plan = constraint._plan
-    if plan is None or plan.key != key:
-        plan = _Plan(constraint, key)
+    if plan is None or plan.key != key or plan.seeded != seeded:
+        plan = _Plan(constraint, key, seeded)
         object.__setattr__(constraint, "_plan", plan)
     return plan
 
@@ -259,6 +273,14 @@ class _Search:
         self.calls: Dict[tuple, ResultSetLike] = {}
         #: Per variable, its DCA candidates under the live assignment.
         self.candidates = [_STALE] * len(plan.search) if plan.feeds and dca else None
+
+    def below(self, rows: Iterable[Sequence], unassigned: List[int]) -> Iterator[Dict]:
+        """:meth:`run` below each seed row in turn."""
+        for row in rows:
+            self.partial.update(zip(self.plan.seeded, row))
+            if self.candidates is not None:
+                self.candidates = [_STALE] * len(self.candidates)
+            yield from self.run(unassigned)
 
     def run(self, unassigned: List[int]) -> Iterator[Dict[Variable, object]]:
         """Yield the live assignment at every solution below this node.
@@ -410,9 +432,9 @@ class _Search:
                 continue
             if collected is not None:
                 collected = [value for value in collected if result.contains(value)]
-            elif isinstance(result, FrozenResultSet):
+            elif hasattr(result, "_order"):  # a FrozenResultSet, arith:between's range
                 if result._order is None:  # kept while the registry keeps the result
-                    result._order = tuple(sorted(result._values, key=_sort_key))
+                    result._order = tuple(sorted(result.iter_values(), key=_sort_key))
                 collected = result._order
             else:
                 collected = sorted(set(result.iter_values()), key=_sort_key)

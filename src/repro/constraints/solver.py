@@ -38,7 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.constraints.ast import (
     FLIPPED_OPERATOR,
@@ -320,6 +320,8 @@ class ConstraintSolver:
         #: (filled by repro.datalog.atoms).  The hit / miss pair counts the
         #: per-atom slot and this table alike.
         self._instance_memo: Dict[object, Tuple[object, frozenset]] = {}
+        #: ``(atom, changed domains)`` pairs whose split read was refused.
+        self._refused_splits: Dict[object, Tuple[object, bool]] = {}
         self.instance_memo_hits = 0
         self.instance_memo_misses = 0
 
@@ -513,6 +515,20 @@ class ConstraintSolver:
             object.__setattr__(atom, "_instances", instances)
         elif gate is not None:
             self._remember(self._instance_memo, atom, gate, instances)
+
+    def changed_domains(self, atom, gate: object) -> FrozenSet[str]:
+        """Where *gate* (see :meth:`cached_instances`) differs from the gate of
+        *atom*'s stale instance set; empty with none, or a :meth:`refuse_split`."""
+        record = self._instance_memo.get(atom) if isinstance(gate, tuple) else None
+        if record is None:
+            return frozenset()
+        names = atom.constraint.domains()
+        changed = frozenset(n for n, was, now in zip(names, record[0], gate) if was != now)
+        return frozenset() if (atom, changed) in self._refused_splits else changed
+
+    def refuse_split(self, atom, changed: FrozenSet[str]) -> None:
+        """Remember that *atom*'s read after a change of *changed* searches whole."""
+        self._remember(self._refused_splits, (atom, changed), None, True)
 
     # ------------------------------------------------------------------
     # Quick-reject pre-filter

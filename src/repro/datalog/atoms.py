@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from repro.constraints.ast import Constraint, TRUE
+from repro.constraints.ast import Constraint, TRUE, conjoin
 from repro.constraints.solutions import solution_set
 from repro.constraints.solver import ConstraintSolver, bounds_of
 from repro.constraints.terms import (
@@ -22,7 +22,7 @@ from repro.constraints.terms import (
     Term,
     Variable,
 )
-from repro.errors import ProgramError
+from repro.errors import ProgramError, SolverError
 
 
 @dataclass(frozen=True)
@@ -147,37 +147,56 @@ class ConstrainedAtom:
         Without a universe the set is a function of the atom and of the
         sources its constraint names, and the solver remembers it (see
         :meth:`ConstraintSolver.cached_instances`): a repeated read
-        enumerates only what changed.
+        enumerates only what changed.  After a change of some, the conjuncts
+        over the others (the *stable* part) are read as an atom over the
+        variables they share, remembered under their own sources' versions,
+        and the rest is searched seeded with its rows (∃ distributes over &).
         """
         if universe is not None:
             return self._enumerate_instances(solver, universe)
         solver = solver or ConstraintSolver()
         instances, gate = solver.cached_instances(self)
         if instances is None:
-            instances = self._enumerate_instances(solver, None)
+            changed = solver.changed_domains(self, gate)
+            instances = self._split_instances(solver, changed) if changed else None
+            if instances is None:
+                instances = self._enumerate_instances(solver, None)
             solver.cache_instances(self, gate, instances)
         return instances
 
+    def _split_instances(self, solver: ConstraintSolver, changed: FrozenSet[str]):
+        """The instances read through the split by *changed*, or ``None``: no
+        stable conjunct calls a source, or the stable part cannot be enumerated
+        alone (a shared variable it names only inside ``not(...)``, say)."""
+        parts = self.constraint.conjuncts()
+        moving = [part for part in parts if changed.intersection(part.domains())]
+        stable = conjoin(*(part for part in parts if part not in moving))
+        outside = self.atom.variables().union(*(part.variables() for part in moving))
+        shared = tuple(sorted(stable.variables() & outside, key=lambda v: v.name))
+        if stable._membership:
+            try:
+                rows = ConstrainedAtom(Atom("stable", shared), stable).instances(solver)
+                return ConstrainedAtom(self.atom, conjoin(*moving))._enumerate_instances(
+                    solver, None, shared, [row for _, row in rows]
+                )
+            except SolverError:
+                pass
+        solver.refuse_split(self, changed)
+        return None
+
     def _enumerate_instances(
-        self, solver: Optional[ConstraintSolver], universe: Optional[Iterable[object]]
+        self, solver: Optional[ConstraintSolver], universe: Optional[Iterable[object]],
+        seeded: Sequence[Variable] = (), rows: Iterable[Sequence[object]] = ((),),
     ) -> FrozenSet[Tuple[str, Tuple[object, ...]]]:
-        atom_variables = list(
-            dict.fromkeys(
-                arg for arg in self.atom.args if isinstance(arg, Variable)
-            )
-        )
+        args = self.atom.args
+        variables = list(dict.fromkeys(arg for arg in args if isinstance(arg, Variable)))
         solutions = solution_set(
-            self.constraint, atom_variables, solver=solver, universe=universe
+            self.constraint, variables, solver, universe, seeded=seeded, rows=rows
         )
-        instances = set()
-        for solution in solutions:
-            assignment = dict(zip(atom_variables, solution))
-            values = tuple(
-                arg.value if isinstance(arg, Constant) else assignment[arg]
-                for arg in self.atom.args
-            )
-            instances.add((self.atom.predicate, values))
-        return frozenset(instances)
+        return frozenset(
+            (self.atom.predicate, tuple(a.value if type(a) is Constant else row[a] for a in args))
+            for row in (dict(zip(variables, solution)) for solution in solutions)
+        )
 
     def bound_tuple(self) -> Optional[Tuple[object, ...]]:
         """Return the single ground tuple this atom denotes, if determined.

@@ -77,10 +77,12 @@ class _IntegerRange:
     """A ``range`` a function returned (``arith:between``): membership and
     size by arithmetic, so ``between(0, 2**54)`` is never built as a set."""
 
-    __slots__ = ("_range",)
+    __slots__ = ("_range", "_order")
 
     def __init__(self, values: range) -> None:
         self._range = values
+        #: The values in solution-search order, set by that search.
+        self._order: Optional[Tuple[object, ...]] = None
 
     def contains(self, value: object) -> bool:
         # As a set of its ints: a bool by its int value, a float with no fraction.

@@ -626,6 +626,35 @@ class TestOneEnumerationPaysForDistinctWork:
         assert solution_set(constraint, [X, Y], solver=solver) == {(5, 6)}
         assert registry.call_counters()["toy"]["executed"] == executed + 2
 
+    def test_a_remembered_arith_between_result_is_sorted_once(self, monkeypatch):
+        registry = DomainRegistry([make_arithmetic_domain()], cache_calls=True)
+        solver = ConstraintSolver(registry)
+        constraint = conjoin(member(X, "arith", "between", 0, 999), compare(X, "<", 3))
+        keyed = []
+        sort_key = solutions_module._sort_key
+        monkeypatch.setattr(
+            solutions_module, "_sort_key", lambda value: keyed.append(value) or sort_key(value)
+        )
+        assert solution_set(constraint, [X], solver=solver) == {(0,), (1,), (2,)}
+        assert len(keyed) == 1000
+        assert solution_set(constraint, [X], solver=solver) == {(0,), (1,), (2,)}
+        assert len(keyed) == 1000  # the registry's range kept the order it was given
+
+    def test_a_seeded_search_runs_below_each_row(self):
+        solver = ConstraintSolver(toy_registry())
+        constraint = conjoin(member(Y, "toy", "succ", X), not_equals(X, Z))
+        rows = [(0, 0), (0, 5), (1, 5), (7, 5)]  # (X, Z): 0 = 0 fails, succ(7) is empty
+
+        def found(constraint, **seeds):
+            solutions = enumerate_solutions(constraint, [X, Y], solver, **seeds)
+            return [(solution[X], solution[Y]) for solution in solutions]
+
+        assert found(constraint, seeded=(X, Z), rows=rows) == [(0, 1), (1, 2)]
+        # The unseeded search is the search below one empty row.
+        whole = conjoin(member(X, "toy", "nums"), member(Y, "toy", "succ", X))
+        assert found(whole) == found(whole, rows=[()]) == [(0, 1), (1, 2), (2, 3)]
+        assert found(whole, rows=[]) == []
+
     def test_a_plan_without_dca_candidates_allocates_no_candidate_state(self):
         """Counted: the lines that invalidate and restore candidate sets
         never run for a plan whose variables draw nothing from a DCA-atom."""

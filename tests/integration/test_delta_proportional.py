@@ -398,7 +398,7 @@ def test_a_mediated_read_calls_the_sources_that_changed(monkeypatch):
         table.insert((toggled, "analyst"))
         del computed[:], evaluated[:]
         assert scheduler.query("suspect") == cold
-        assert len(computed) == cold_computed
+        assert len(computed) <= cold_computed
         assert len(evaluated) <= 604
         entered, after = counters()
         dbase_before, dbase_after = before.pop("dbase"), after.pop("dbase")
@@ -407,6 +407,41 @@ def test_a_mediated_read_calls_the_sources_that_changed(monkeypatch):
 
     assert scheduler.query("suspect") == cold  # nothing changed in between
     assert counters() == (entered, {**after, "dbase": dbase_after})  # a lookup
+
+
+@pytest.mark.parametrize("num_people", [10, 20, 40, 80])
+def test_a_mediated_read_after_a_toggle_searches_the_changed_source(monkeypatch, num_people):
+    # Only suspect's one dbase conjunct can change with an empl_abc row: the
+    # other 20 are read from what the first read after a change remembered.
+    # A whole search takes 272 candidate sets at 10 people and 966 at 80.
+    from repro.constraints import solutions
+    from repro.workloads import make_law_enforcement_scenario
+
+    computed, evaluated = [], []
+    candidates = solutions._Search._membership_values
+    holds = solutions._Search._holds
+    monkeypatch.setattr(
+        solutions._Search,
+        "_membership_values",
+        lambda search, *args: computed.append(1) or candidates(search, *args),
+    )
+    monkeypatch.setattr(
+        solutions._Search,
+        "_holds",
+        lambda search, *args: evaluated.append(1) or holds(search, *args),
+    )
+    scenario = make_law_enforcement_scenario(num_people=num_people, photo_count=6)
+    scheduler = scenario.mediator.streaming(StreamOptions(max_workers=1))
+    table = scenario.dbase.database.table("empl_abc")
+    cold = scheduler.query("suspect")
+    toggled = scenario.abc_employees[0]
+    table.delete_eq("name", toggled)
+    assert scheduler.query("suspect") == {pair for pair in cold if pair[1] != toggled}
+    table.insert((toggled, "analyst"))
+    del computed[:], evaluated[:]
+    assert scheduler.query("suspect") == cold
+    assert len(computed) <= 24
+    assert len(evaluated) <= 24
 
 
 # ----------------------------------------------------------------------
