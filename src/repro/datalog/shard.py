@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import bisect
 import operator
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -541,6 +541,7 @@ class PredicateShard:
         "predicate",
         "_edit",
         "_chunks",
+        "_layout",
         "_index",
         "_live",
         "_dead",
@@ -558,6 +559,9 @@ class PredicateShard:
         #: The entry sequence: chunks of at most ``_CHUNK`` slots, all but
         #: the last full; a removed entry leaves ``None`` until compaction.
         self._chunks: List[_OwnedList] = []
+        #: Shared by clones, replaced by compaction: slots line up between
+        #: shards with the same token (:meth:`changes_since`).
+        self._layout = object()
         #: entry key -> ``(global sequence number, slot)``.  The sequence
         #: number is façade-allocated and survives in-place replacement.
         self._index = _SharedTable()
@@ -607,6 +611,27 @@ class PredicateShard:
         index = self._index
         return tuple((entry, index[entry.key()][0]) for entry in self)
 
+    def changes_since(self, previous: "PredicateShard") -> Tuple[tuple, tuple]:
+        """The sequence numbers *previous* (an earlier state of this shard)
+        holds and this one does not, and the ``(entry, seq)`` rows of this
+        one that *previous* lacks, in order.  A chunk still *previous*'s is
+        skipped and the other slots compared by identity; once a compaction
+        moved the slots, rows are compared by sequence number."""
+        if previous._layout is not self._layout:
+            held = {seq: entry for entry, seq in previous.rows()}
+            rows = tuple(row for row in self.rows() if held.pop(row[1], None) is not row[0])
+            return tuple(held), rows
+        removed, rows = [], []
+        for chunk, old in zip_longest(self._chunks, previous._chunks, fillvalue=()):
+            for entry, was in zip_longest(chunk, old) if chunk is not old else ():
+                if entry is not was:
+                    seq = None if entry is None else self._index[entry.key()][0]
+                    if was is not None and previous._index[was.key()][0] != seq:
+                        removed.append(previous._index[was.key()][0])
+                    if entry is not None:
+                        rows.append((entry, seq))
+        return tuple(removed), tuple(rows)
+
     def copy(self) -> "PredicateShard":
         """A clone sharing every part, chunk, group and bucket.
 
@@ -620,6 +645,7 @@ class PredicateShard:
         dup._edit = object()
         self._edit = object()
         dup._chunks = self._chunks.copy()
+        dup._layout = self._layout
         dup._index = self._index.copy()
         dup._live = self._live
         dup._dead = self._dead
@@ -857,6 +883,7 @@ class PredicateShard:
             _owned_list(live[start:start + _CHUNK], edit)
             for start in range(0, len(live), _CHUNK)
         ]
+        self._layout = object()
         self._dead = 0
 
     # ------------------------------------------------------------------

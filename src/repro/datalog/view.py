@@ -453,6 +453,12 @@ class MaterializedView:
         shard = self._shards.get(predicate)
         return shard.rows() if shard is not None else ()
 
+    def export_shard_changes(self, predicate: str, previous: Optional[PredicateShard]):
+        """:meth:`PredicateShard.changes_since` *previous*, the predicate's
+        shard in an earlier view of this lineage (``None``: it had none)."""
+        shard = self._shards.get(predicate) or PredicateShard(predicate)
+        return shard.changes_since(previous or PredicateShard(predicate))
+
     def import_shard_rows(
         self, predicate: str, rows: Iterable[Tuple["ViewEntry", int]]
     ) -> int:

@@ -72,7 +72,12 @@ from repro.stream.log import ExternalChangeNotice, StreamPayload, Transaction
 #: decoder rejects versions it does not know rather than guessing.
 #: 2: an inserted fact's leaf carries its origin (1 filed them all under
 #: the one leaf ``[0, []]``, which must not be read as naming a fact).
-FORMAT_VERSION = 2
+#: 3: a manifest names its programs by content hash and chains deltas
+#: (:func:`encode_delta`) to its base shards, and a WAL record's timestamps
+#: are integer microseconds.  A WAL record, a delta and a manifest carry it.
+FORMAT_VERSION = 3
+#: Shard and program payloads carry this one: their encoding is format 2's.
+PAYLOAD_FORMAT = 2
 
 
 # ----------------------------------------------------------------------
@@ -110,14 +115,14 @@ def _loads(data: bytes) -> object:
         raise CodecError(f"payload is not valid UTF-8 JSON: {exc}") from exc
 
 
-def _check_format(obj: object, what: str) -> Dict[str, object]:
+def _check_format(obj: object, what: str, expected: int = FORMAT_VERSION) -> Dict[str, object]:
     if not isinstance(obj, dict):
         raise CodecError(f"{what} payload must be a JSON object, got {type(obj).__name__}")
     version = obj.get("format")
-    if version != FORMAT_VERSION:
+    if version != expected:
         raise CodecError(
             f"{what} payload has format version {version!r}; this codec "
-            f"reads version {FORMAT_VERSION}"
+            f"reads version {expected}"
         )
     return obj
 
@@ -294,24 +299,29 @@ def entry_bytes(entry: ViewEntry, seq: int) -> bytes:
 def decode_entry(obj: object) -> Tuple[ViewEntry, int]:
     if not isinstance(obj, dict) or set(obj) != {"atom", "constraint", "support", "seq"}:
         raise CodecError(f"unknown entry encoding: {obj!r}")
-    seq = obj["seq"]
-    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
-        raise CodecError(f"entry sequence number must be a non-negative int: {seq!r}")
     entry = ViewEntry(
         decode_atom(obj["atom"]),
         decode_constraint(obj["constraint"]),
         decode_support(obj["support"]),
     )
-    return entry, seq
+    return entry, _sequence(obj["seq"])
+
+
+def _sequence(seq: object) -> int:
+    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
+        raise CodecError(f"entry sequence number must be a non-negative int: {seq!r}")
+    return seq
 
 
 # ----------------------------------------------------------------------
 # Shard payloads
 # ----------------------------------------------------------------------
-def _payload(member: str, fragments: Iterable[bytes], **plain: object) -> bytes:
-    """A shard or program payload: its list *member* joined from fragments."""
+def _payload(
+    member: str, fragments: Iterable[bytes], format: int = PAYLOAD_FORMAT, **plain: object
+) -> bytes:
+    """A shard, program or delta payload: its list *member* joined from fragments."""
     joined = b"[" + b",".join(fragments) + b"]"
-    return canonical_object({member: joined}, format=FORMAT_VERSION, **plain)
+    return canonical_object({member: joined}, format=format, **plain)
 
 
 def encode_shard(
@@ -329,7 +339,7 @@ def encode_shard(
 def decode_shard(data: bytes) -> Tuple[str, Tuple[Tuple[ViewEntry, int], ...]]:
     """Decode one shard payload; raises :class:`CodecError` on any damage."""
     try:
-        payload = _check_format(_loads(data), "shard")
+        payload = _check_format(_loads(data), "shard", PAYLOAD_FORMAT)
         predicate = payload.get("predicate")
         entries = payload.get("entries")
         if not isinstance(predicate, str) or not isinstance(entries, list):
@@ -348,6 +358,28 @@ def decode_shard(data: bytes) -> Tuple[str, Tuple[Tuple[ViewEntry, int], ...]]:
         raise
     except (ReproError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CodecError(f"malformed shard payload: {exc}") from exc
+
+
+def encode_delta(
+    removed: Dict[str, Sequence[int]], rows: Iterable[Tuple[ViewEntry, int]], fragment=entry_bytes
+) -> bytes:
+    """Serialize one delta checkpoint: per predicate, the sequence numbers
+    its shard no longer holds, and the rows that are new since the last
+    checkpoint (one whose number is held replaces that row in place)."""
+    entries = (fragment(*row) for row in rows)
+    return _payload("entries", entries, format=FORMAT_VERSION, removed=removed)
+
+
+def decode_delta(data: bytes) -> Tuple[Dict[str, List[int]], Tuple[Tuple[ViewEntry, int], ...]]:
+    """Decode one delta payload; raises :class:`CodecError` on any damage."""
+    try:
+        payload = _check_format(_loads(data), "delta")
+        removed = {str(key): list(map(_sequence, seqs)) for key, seqs in payload["removed"].items()}
+        return removed, tuple(map(decode_entry, payload["entries"]))
+    except CodecError:
+        raise
+    except (ReproError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CodecError(f"malformed delta payload: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +416,7 @@ def encode_program(
 
 def decode_program(data: bytes) -> ConstrainedDatabase:
     try:
-        payload = _check_format(_loads(data), "program")
+        payload = _check_format(_loads(data), "program", PAYLOAD_FORMAT)
         clauses = payload.get("clauses")
         if not isinstance(clauses, list):
             raise CodecError("program payload missing clauses")
@@ -491,7 +523,7 @@ def encode_transactions(transactions: Sequence[Transaction]) -> object:
         "txns": [
             {
                 "id": txn.txn_id,
-                "ts": txn.timestamp,
+                "ts": round(txn.timestamp * 1_000_000),  # microseconds: fixed width
                 "payload": encode_payload(txn.payload),
             }
             for txn in transactions
@@ -513,10 +545,10 @@ def decode_transactions(obj: object) -> Tuple[Transaction, ...]:
             timestamp = item["ts"]
             if not isinstance(txn_id, int) or isinstance(txn_id, bool) or txn_id < 1:
                 raise CodecError(f"transaction id must be a positive int: {txn_id!r}")
-            if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool):
-                raise CodecError(f"transaction timestamp must be a number: {timestamp!r}")
+            if not isinstance(timestamp, int) or isinstance(timestamp, bool):
+                raise CodecError(f"transaction timestamp must be int microseconds: {timestamp!r}")
             decoded.append(
-                Transaction(txn_id, float(timestamp), decode_payload(item["payload"]))
+                Transaction(txn_id, timestamp / 1_000_000, decode_payload(item["payload"]))
             )
         return tuple(decoded)
     except CodecError:

@@ -16,8 +16,8 @@ Points instrumented by the subsystem:
 * ``wal.append.torn`` -- special: the WAL writes *half* the record, flushes
   it, then raises (crash = a torn tail the replay must reject);
 * ``wal.append.after`` -- after the fsync (crash = journaled, not applied);
-* ``checkpoint.write`` -- before shard files are written;
-* ``checkpoint.manifest`` -- after shard files, before the manifest rename;
+* ``checkpoint.write`` -- before the base or delta files are written;
+* ``checkpoint.manifest`` -- after them, before the manifest rename;
 * ``checkpoint.rename`` -- before the atomic ``CURRENT`` pointer swap;
 * ``commit.before`` / ``commit.after`` -- around the durable commit
   bookkeeping inside the scheduler's commit lock.

@@ -13,8 +13,8 @@ commit seams are wired into a :class:`DurabilityManager`:
   the checkpoint candidate: it contains exactly the committed
   transactions at or below the watermark;
 * **after the batch**, the WAL-size policy turns the candidate into an
-  on-disk checkpoint (dirty shards + manifest + ``CURRENT`` swing + WAL
-  rotation/pruning) once the live log reaches the threshold -- deferred
+  on-disk checkpoint (a base or a delta + manifest + ``CURRENT`` swing +
+  WAL rotation/pruning) once the live log reaches the threshold -- deferred
   while updates wait, up to twice the threshold -- off the commit lock:
   published views are never mutated in place, so serializing one is safe
   under the copy-on-write discipline.
@@ -241,23 +241,11 @@ class DurabilityManager:
             self.stats.segments_pruned += pruned
             if self._metrics.enabled:
                 self._metrics.inc("repro_checkpoints_total")
-                self._metrics.inc(
-                    "repro_checkpoint_bytes_total", info.bytes_written
-                )
-                self._metrics.inc(
-                    "repro_checkpoint_shards_total",
-                    info.shards_written,
-                    outcome="written",
-                )
-                self._metrics.inc(
-                    "repro_checkpoint_shards_total",
-                    info.shards_reused,
-                    outcome="reused",
-                )
+                self._metrics.inc("repro_checkpoint_bytes_total", info.bytes_written)
+                for outcome, shards in (("written", info.shards_written), ("reused", info.shards_reused)):
+                    self._metrics.inc("repro_checkpoint_shards_total", shards, outcome=outcome)
                 self._metrics.gauge("repro_wal_bytes", self._wal.size_bytes())
-                self._metrics.gauge(
-                    "repro_wal_segments", self._wal.segment_count()
-                )
+                self._metrics.gauge("repro_wal_segments", self._wal.segment_count())
             return info
 
 
@@ -267,7 +255,7 @@ class DurableScheduler(StreamScheduler):
     Identical to :class:`~repro.stream.StreamScheduler` except that a
     flushed batch is journaled to the write-ahead log at commit, commits
     advance the durable watermark, and the WAL-size policy triggers atomic
-    shard-granular checkpoints.  Built by :func:`open_scheduler`.
+    checkpoints.  Built by :func:`open_scheduler`.
     """
 
     def __init__(
@@ -323,6 +311,7 @@ class DurableScheduler(StreamScheduler):
                 shards_reused=info.shards_reused,
                 entries_encoded=info.entries_encoded,
                 clauses_encoded=info.clauses_encoded,
+                chain=info.chain,
             )
         super()._batch_epilogue(prepared)
 

@@ -31,7 +31,7 @@ import os
 import threading
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import WalError
 from repro.persist import codec
@@ -89,7 +89,8 @@ class WriteAheadLog:
         #: (0 = only id-less batches); pruning compares this watermark.
         self._segment_max: Dict[int, int] = {}
         self._active: Optional[int] = None
-        self._active_bytes = 0
+        #: The active segment's file, open between appends.
+        self._handle: Optional[BinaryIO] = None
         self._total_bytes = 0
         self._max_txn_seen = 0
 
@@ -148,8 +149,7 @@ class WriteAheadLog:
                 if index is not None:
                     self._segment_max[index] = segment_max
             self._max_txn_seen = last_id
-            self._active = None  # always rotate before the next append
-            self._active_bytes = 0
+            self._close_locked()  # always rotate before the next append
         return tuple(batches)
 
     @property
@@ -179,23 +179,22 @@ class WriteAheadLog:
         record = _encode_record(transactions)
         with self._lock:
             fire("wal.append.before")
-            opens_segment = self._active is None
+            opens_segment = self._handle is None
             if opens_segment:
                 self._active = self._next_index_locked()
+                self._handle = open(self._segment_path(self._active), "ab")
                 self._segment_max.setdefault(self._active, 0)
-            path = self._segment_path(self._active)
             torn = should_fire("wal.append.torn")
-            with open(path, "ab") as handle:
-                # A simulated crash mid-write gets half the record to the
-                # file (and disk); the rest never arrives.
-                handle.write(record[: max(1, len(record) // 2)] if torn else record)
-                handle.flush()
-                os.fsync(handle.fileno())
+            # A simulated crash mid-write gets half the record to the file
+            # (and disk); the rest never arrives.
+            self._handle.write(record[: max(1, len(record) // 2)] if torn else record)
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
             if opens_segment:
                 fsync_dir(self._root)  # the new segment's name is durable too
             if torn:
-                self._active_bytes += len(record) // 2
                 self._total_bytes += len(record) // 2
+                self._close_locked()  # no record is written behind a torn one
                 raise InjectedFault("wal.append.torn")
             ids = [txn.txn_id for txn in transactions]
             top = max(ids) if ids else 0
@@ -203,7 +202,6 @@ class WriteAheadLog:
                 self._segment_max.get(self._active, 0), top
             )
             self._max_txn_seen = max(self._max_txn_seen, top)
-            self._active_bytes += len(record)
             self._total_bytes += len(record)
             fire("wal.append.after")
 
@@ -213,8 +211,10 @@ class WriteAheadLog:
             return self._total_bytes
 
     def segment_count(self) -> int:
-        """How many live segment files the WAL currently holds."""
-        return len(self.segments())
+        """How many live segment files the WAL holds: its segment table (what
+        :meth:`replay` found and appends opened, less the pruned), read
+        without waiting for an append's fsync."""
+        return len(self._segment_max)
 
     # ------------------------------------------------------------------
     # Rotation & pruning (checkpoint time)
@@ -222,8 +222,12 @@ class WriteAheadLog:
     def rotate(self) -> None:
         """Close the active segment; the next append opens a fresh one."""
         with self._lock:
-            self._active = None
-            self._active_bytes = 0
+            self._close_locked()
+
+    def _close_locked(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+        self._handle = self._active = None
 
     def prune_through(self, watermark: int) -> int:
         """Delete closed segments wholly covered by the snapshot *watermark*.

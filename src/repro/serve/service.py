@@ -303,7 +303,8 @@ class MediatorService:
         self._obs.metrics.inc("repro_serve_errors_total")
 
     def stats(self) -> dict:
-        """Service-level counters for operators and the serve benchmark."""
+        """Service-level counters for operators and the serve benchmark,
+        answered from memory (every flush reply carries them)."""
         scheduler = self._scheduler
         data = {
             "batches_applied": self._batches_applied,
@@ -322,6 +323,7 @@ class MediatorService:
             data["wal_bytes"] = durability.wal.size_bytes()
             data["wal_segments"] = durability.wal.segment_count()
             data["snapshot_id"] = durability.store.current_name()
+            data["snapshot_chain"] = durability.store.chain_length
         return data
 
     @property

@@ -166,6 +166,22 @@ def test_shard_round_trip_is_entry_identical_and_byte_stable(shard):
 
 
 @settings(max_examples=50, deadline=None)
+@given(shards(), st.lists(seqs, max_size=4), st.data())
+def test_delta_round_trip_is_entry_identical_and_byte_stable(shard, removed, data):
+    predicate, rows = shard
+    payload = codec.encode_delta({predicate: removed}, rows)
+    decoded_removed, decoded_rows = codec.decode_delta(payload)
+    assert decoded_removed == {predicate: removed}
+    assert [(back.key(), seq) for back, seq in decoded_rows] == [
+        (entry.key(), seq) for entry, seq in rows
+    ]
+    assert codec.encode_delta(decoded_removed, decoded_rows) == payload
+    cut = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
+    with pytest.raises(CodecError):
+        codec.decode_delta(payload[:cut])
+
+
+@settings(max_examples=50, deadline=None)
 @given(shards())
 def test_view_import_export_round_trip(shard):
     predicate, rows = shard
@@ -194,14 +210,27 @@ def test_a_leaf_is_written_with_its_origin_only_when_it_has_one():
 
 def test_a_version_1_shard_is_refused():
     """Format 1 filed every inserted fact under the one leaf ``<0>``: a
-    shard written then must not be read as if its leaves named their facts."""
+    shard written then must not be read as if its leaves named their facts.
+    Format 3 changed the manifest, not the shard payload, which stays 2."""
     import json
 
     payload = json.loads(codec.encode_shard("p", ()))
-    assert payload["format"] == codec.FORMAT_VERSION == 2
+    assert payload["format"] == codec.PAYLOAD_FORMAT == 2
+    assert codec.FORMAT_VERSION == 3
     payload["format"] = 1
-    with pytest.raises(CodecError, match="format version 1"):
+    with pytest.raises(CodecError, match="format version 1; this codec reads version 2"):
         codec.decode_shard(codec.canonical_bytes(payload))
+
+
+def test_a_version_2_delta_is_refused():
+    import json
+
+    payload = json.loads(codec.encode_delta({"p": [3]}, ()))
+    assert payload["format"] == codec.FORMAT_VERSION == 3
+    assert codec.decode_delta(codec.canonical_bytes(payload)) == ({"p": [3]}, ())
+    payload["format"] = 2
+    with pytest.raises(CodecError, match="format version 2; this codec reads version 3"):
+        codec.decode_delta(codec.canonical_bytes(payload))
 
 
 @settings(max_examples=50, deadline=None)

@@ -14,6 +14,7 @@ full never-crashed reference: nothing duplicated, nothing lost.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -109,9 +110,66 @@ def run_until_crash(data_dir, spec, batches, durability_options):
     return None
 
 
+def current_manifest(data_dir):
+    """The manifest ``CURRENT`` names: the last checkpoint that completed."""
+    name = (data_dir / "CURRENT").read_text().strip()
+    return json.loads((data_dir / "snapshots" / name).read_text())
+
+
 @pytest.mark.parametrize("point", FAULT_POINTS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_recovery_after_crash_at_every_fault_point(point, seed):
+    def crashed_in_a_delta(data_dir):
+        # The base before it holds shards and no chain: the crashed
+        # checkpoint was the first delta.
+        manifest = current_manifest(data_dir)
+        assert manifest["shards"] and not manifest["chain"]
+
+    # Arm on the second hit so the crash lands mid-schedule, after at
+    # least one batch survived (hit 1 = batch 1's pass through the
+    # point), exercising recovery over non-trivial on-disk state.
+    checkpoint = point.startswith("checkpoint.")
+    crash_and_recover(point, seed, 2, crashed_in_a_delta if checkpoint else None)
+
+
+@pytest.mark.parametrize("point", [p for p in FAULT_POINTS if p.startswith("checkpoint.")])
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_recovery_after_crash_in_a_new_base(point, seed, monkeypatch):
+    """With every delta reaching the rebase fraction, the checkpoint after
+    a delta is a new base over a base and a chain: a crash inside it
+    recovers the prefix before or after its batch like one inside a delta."""
+    import tempfile
+
+    from repro.persist import snapshot
+
+    def crashed_in_a_base(data_dir):
+        assert current_manifest(data_dir)["chain"]
+
+    monkeypatch.setattr(snapshot, "REBASE_FRACTION", 10**12)
+    # A run without a crash finds the first new base: the fault points
+    # pass once per checkpoint, so it is that many hits in.
+    chains = []
+    write = snapshot.SnapshotStore.write_checkpoint
+
+    def record(self, *args, **kwargs):
+        info = write(self, *args, **kwargs)
+        chains.append(info.chain)
+        return info
+
+    spec, batches = batch_schedule(seed)
+    with monkeypatch.context() as patched, tempfile.TemporaryDirectory() as raw:
+        patched.setattr(snapshot.SnapshotStore, "write_checkpoint", record)
+        assert run_until_crash(Path(raw), spec, batches, EAGER) is None
+    rebase = next((n for n in range(1, len(chains)) if chains[n - 1] and not chains[n]), None)
+    if rebase is None:
+        pytest.skip("the schedule writes no new base")
+    crash_and_recover(point, seed, rebase + 1, crashed_in_a_base)
+
+
+def crash_and_recover(point, seed, hits, before_recovery=None):
+    """Crash the seed's schedule at the *hits*-th pass through *point*,
+    recover, and check prefix-or-next, the resumed run and a second
+    recovery; *before_recovery* inspects the directory the crash left."""
     spec, batches = batch_schedule(seed)
     options = EAGER if point.startswith("checkpoint.") else LAZY
     prefixes = reference_prefixes(spec, batches)
@@ -120,18 +178,17 @@ def test_recovery_after_crash_at_every_fault_point(point, seed):
     with tempfile.TemporaryDirectory() as raw:
         data_dir = Path(raw)
         injector = FaultInjector()
-        # Arm on the second hit so the crash lands mid-schedule, after at
-        # least one batch survived (hit 1 = batch 1's pass through the
-        # point), exercising recovery over non-trivial on-disk state.
-        injector.arm(point, hits=2)
+        injector.arm(point, hits=hits)
         set_fault_injector(injector)
         try:
             crashed_at = run_until_crash(data_dir, spec, batches, options)
         finally:
             set_fault_injector(None)
         if not injector.fired:
-            pytest.skip(f"schedule too short to reach {point} twice")
+            pytest.skip(f"schedule too short to reach {point} {hits} times")
         assert crashed_at is not None
+        if before_recovery is not None:
+            before_recovery(data_dir)
 
         # -- recover: must be the prefix before or after the interrupted
         # batch, never anything partial -------------------------------
@@ -160,6 +217,30 @@ def test_recovery_after_crash_at_every_fault_point(point, seed):
         # -- and a second clean recovery agrees with the first life ----
         final = open_scheduler(data_dir, spec.program, durability_options=LAZY)
         assert view_keys(final.view) == prefixes[-1]
+
+
+def test_a_record_after_a_torn_one_goes_to_a_new_segment(tmp_path):
+    """The writer that tore a record closes its segment: a record it writes
+    later is not behind the torn one, where replay would never reach it."""
+    from repro.datalog import parse_constrained_atom
+    from repro.maintenance import InsertionRequest
+    from repro.persist.wal import WriteAheadLog
+    from repro.stream.log import Transaction
+
+    request = InsertionRequest(parse_constrained_atom("b(X) <- X = 7"))
+    wal = WriteAheadLog(tmp_path)
+    injector = FaultInjector()
+    injector.arm("wal.append.torn")
+    set_fault_injector(injector)
+    try:
+        with pytest.raises(InjectedFault):
+            wal.append((Transaction(1, 0.0, request),))
+    finally:
+        set_fault_injector(None)
+    wal.append((Transaction(2, 0.0, request),))
+    assert wal.segment_count() == len(wal.segments()) == 2
+    replayed = WriteAheadLog(tmp_path).replay()
+    assert [[txn.txn_id for txn in batch] for batch in replayed] == [[2]]
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])

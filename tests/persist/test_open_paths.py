@@ -80,9 +80,11 @@ class TestMediatorOpen:
             (1,), (2,), (7,), (8,),
         }
 
-    def test_a_format_1_directory_is_refused(self, tmp_path):
-        # Format 1 filed every inserted fact under the one leaf ``<0>``; a
-        # directory written then is refused, never opened with shared leaves.
+    @pytest.mark.parametrize("old", (1, 2))
+    def test_an_older_format_directory_is_refused(self, tmp_path, old):
+        # Format 1 filed every inserted fact under the one leaf ``<0>``, and
+        # format 2 inlined the programs in every manifest; a directory
+        # written then is refused, naming both versions, never half read.
         import json
 
         from repro.errors import CodecError
@@ -96,9 +98,9 @@ class TestMediatorOpen:
         assert scheduler.checkpoint() is not None
         manifest = data_dir / "snapshots" / (data_dir / "CURRENT").read_text().strip()
         stored = json.loads(manifest.read_text())
-        assert stored["format"] == 2
-        manifest.write_text(json.dumps({**stored, "format": 1}))
-        with pytest.raises(CodecError, match="format version 1"):
+        assert stored["format"] == 3
+        manifest.write_text(json.dumps({**stored, "format": old}))
+        with pytest.raises(CodecError, match=f"format version {old}; this codec reads 3"):
             Mediator.open(data_dir)
 
     def test_streaming_rejects_options_on_a_durable_mediator(self, tmp_path):
@@ -113,26 +115,34 @@ class TestMediatorOpen:
             Mediator.open(tmp_path / "empty")
 
 
+def delta_changes(data_dir, info):
+    """What the delta checkpoint *info* wrote: (removed, rows)."""
+    from repro.persist import codec
+
+    manifest = json.loads((data_dir / "snapshots" / info.manifest).read_bytes())
+    return codec.decode_delta((data_dir / "shards" / f"{manifest['chain'][-1]}.json").read_bytes())
+
+
 class TestCheckpointsWriteTheChange:
-    def test_a_second_checkpoint_rewrites_only_the_changed_shards(self, tmp_path):
-        # Two towers; the update touches one.  The other tower's shards are
-        # the objects the first checkpoint wrote, so the second one reuses
-        # their files, and a reopen replays the WAL tail after it.
+    def test_a_second_checkpoint_writes_a_delta_of_the_changed_shards(self, tmp_path):
+        # Two towers; the update touches one.  The second checkpoint writes
+        # one delta holding the changed shards' new rows and nothing of the
+        # other tower, the base stays the first checkpoint's, and a reopen
+        # replays the WAL tail after it.
         from repro.constraints import ConstraintSolver
-        from repro.datalog import parse_program
-        from repro.persist import DurabilityOptions, open_scheduler
+        from repro.persist import open_scheduler
         from repro.stream import StreamScheduler
 
-        program = parse_program(RULES + "\nc(X) <- X = 1.\nctop(X) <- c(X).")
-        manual = DurabilityOptions(checkpoint_wal_bytes=1 << 30)
+        program = two_towers()
         updates = [
             InsertionRequest(parse_constrained_atom(f"b(X) <- X = {value}"))
             for value in (7, 8)
         ]
-        writer = open_scheduler(tmp_path / "data", program, durability_options=manual)
+        data_dir = tmp_path / "data"
+        writer = open_scheduler(data_dir, program, durability_options=manual_options())
         stats = writer.durability.stats
-        assert writer.checkpoint() is not None
-        assert (stats.shards_written, stats.shards_reused) == (4, 0)
+        first = writer.checkpoint()
+        assert (first.chain, stats.shards_written, stats.shards_reused) == (0, 4, 0)
         shards = {p: writer.view.shard_for(p) for p in writer.view.predicates()}
 
         writer.submit(updates[0])
@@ -141,13 +151,21 @@ class TestCheckpointsWriteTheChange:
             p for p, shard in shards.items() if writer.view.shard_for(p) is not shard
         }
         assert changed == {"b", "top"}
-        assert writer.checkpoint() is not None
-        assert stats.shards_reused >= 1
-        assert stats.shards_written == 4 + len(changed)
+        second = writer.checkpoint()
+        assert (second.chain, second.shards_written, second.shards_reused) == (1, 2, 2)
+        assert (stats.shards_written, stats.shards_reused) == (6, 2)
+        removed, rows = delta_changes(data_dir, second)
+        assert removed == {"b": [], "top": []}
+        assert sorted(entry.predicate for entry, _ in rows) == ["b", "top"]
+        manifests = [
+            json.loads((data_dir / "snapshots" / info.manifest).read_bytes())
+            for info in (first, second)
+        ]
+        assert manifests[0]["shards"] == manifests[1]["shards"]
 
         writer.submit(updates[1])  # journaled only: the WAL tail
         assert writer.flush().ok
-        recovered = open_scheduler(tmp_path / "data", program, durability_options=manual)
+        recovered = open_scheduler(data_dir, program, durability_options=manual_options())
         assert recovered._replayed_batches >= 1
         recomputed = StreamScheduler(program, ConstraintSolver())
         for update in updates:
@@ -169,7 +187,10 @@ class TestCheckpointsEncodeTheChange:
         assert first.clauses_encoded > 0
         second = writer.checkpoint()
         assert (second.entries_encoded, second.clauses_encoded) == (0, 0)
-        assert second.shards_written == 0
+        assert (second.shards_written, second.shards_reused, second.chain) == (0, 4, 0)
+        # No data file and no program file: the manifest is all it writes.
+        manifest = tmp_path / "data" / "snapshots" / second.manifest
+        assert second.bytes_written == len(manifest.read_bytes())
 
     def test_one_deletion_encodes_only_what_it_made(self, tmp_path):
         from repro.maintenance import DeletionRequest
@@ -207,11 +228,13 @@ class TestCheckpointsEncodeTheChange:
         assert new_clauses and new_entries
         assert info.entries_encoded == new_entries
         assert info.clauses_encoded == len(new_clauses)
+        # The delta holds exactly the rows that are new.
+        assert len(delta_changes(tmp_path / "data", info)[1]) == new_entries
 
     def test_an_entry_added_again_is_encoded_again(self, tmp_path):
-        # Same entry object, new sequence number: its remembered bytes are stale.
+        # Same entry object, new sequence number: its remembered bytes are
+        # stale, and the delta drops the old number and appends the new one.
         from repro.constraints import ConstraintSolver
-        from repro.persist import codec
         from repro.persist.snapshot import SnapshotStore
         from repro.stream import StreamScheduler
 
@@ -228,16 +251,19 @@ class TestCheckpointsEncodeTheChange:
         assert checkpoint(view).entries_encoded == len(view)
         again = view.copy()
         entry = next(iter(again.shard_for("b")))
+        old_seq = dict(view.export_shard_rows("b"))[entry]
         assert again.remove(entry) and again.add(entry)
         info = checkpoint(again)
-        assert (info.entries_encoded, info.shards_written) == (1, 1)
-        fresh = codec.encode_shard("b", again.export_shard_rows("b"))
-        assert (tmp_path / "data" / "shards" / f"{codec.checksum(fresh)}.json").exists()
+        assert (info.entries_encoded, info.shards_written, info.chain) == (1, 1, 1)
+        removed, rows = delta_changes(tmp_path / "data", info)
+        assert removed == {"b": [old_seq]}
+        assert [(row.key(), seq) for row, seq in rows] == [(entry.key(), again.next_sequence_number() - 1)]
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_checkpoint_bytes_equal_a_fresh_encoding(self, tmp_path, seed):
+    def test_base_files_equal_a_fresh_encoding_and_the_chain_the_live_rows(self, tmp_path, seed):
         # One seed per differential workload family.
         from repro.persist import codec, open_scheduler
+        from repro.persist.snapshot import SnapshotStore
 
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
         from integration.test_differential import build_spec, build_stream
@@ -246,17 +272,27 @@ class TestCheckpointsEncodeTheChange:
         payloads = [request for _, request in build_stream(spec, seed)]
         data_dir = tmp_path / "data"
         writer = open_scheduler(data_dir, spec.program, durability_options=manual_options())
+        kinds = set()
         for start in range(0, len(payloads), 2):
             for payload in payloads[start : start + 2]:
                 writer.submit(payload)
             assert writer.flush().ok
             info = writer.checkpoint()
+            kinds.add(info.chain > 0)
             manifest = (data_dir / "snapshots" / info.manifest).read_bytes()
             assert manifest == codec.canonical_bytes(json.loads(manifest))
-            for predicate, meta in json.loads(manifest)["shards"].items():
-                stored = (data_dir / "shards" / meta["file"]).read_bytes()
-                fresh = codec.encode_shard(predicate, writer.view.export_shard_rows(predicate))
-                assert stored == fresh, predicate
+            if info.chain == 0:
+                for predicate, meta in json.loads(manifest)["shards"].items():
+                    stored = (data_dir / "shards" / meta["file"]).read_bytes()
+                    fresh = codec.encode_shard(predicate, writer.view.export_shard_rows(predicate))
+                    assert stored == fresh, predicate
+            loaded = SnapshotStore(data_dir).load_current().view
+            for predicate in set(writer.view.predicates()) | set(loaded.predicates()):
+                live = [(entry.key(), seq) for entry, seq in writer.view.export_shard_rows(predicate)]
+                got = [(entry.key(), seq) for entry, seq in loaded.export_shard_rows(predicate)]
+                assert got == live, predicate
+            assert loaded.next_sequence_number() == writer.view.next_sequence_number()
+        assert kinds == {False, True}
         reopened = open_scheduler(data_dir, spec.program, durability_options=manual_options())
         assert reopened._replayed_batches == 0
         assert view_keys(reopened.view) == view_keys(writer.view)
