@@ -27,6 +27,16 @@ A shard another view may reference is therefore never changed through a
 clone's writes.  What still happens to it are its lazy builds (child index,
 name table, range postings, value window): each constructs complete state
 and publishes it with one assignment, and clones made afterwards inherit it.
+
+A chunk's own lazy build is its instance set: the first read without a
+universe (:meth:`PredicateShard.instances`) stores the value tuples of its
+live entries' instances on it, when no entry's constraint names a source
+(the set is then a function of the entries alone, as the solver's memo on
+the atom is).  A write that reaches the chunk in place -- the append in
+:meth:`PredicateShard.add`, ``_writable_chunk`` for ``remove`` and
+``replace`` -- clears the slot; a copied or compacted chunk starts without
+one.  A chunk a published view shares is never written in place, so a
+reader thread may fill it while the writer copies it.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from itertools import chain, zip_longest
 from typing import (
     TYPE_CHECKING,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Optional,
@@ -85,9 +96,10 @@ class _OwnedDict(dict):
 
 
 class _OwnedList(list):
-    """A ``list`` stamped the same way: one chunk of the entry sequence."""
+    """A ``list`` stamped the same way: one chunk of the entry sequence, and
+    its remembered instance set or ``None`` (module docstring)."""
 
-    __slots__ = ("owner",)
+    __slots__ = ("owner", "instances")
 
 
 def _owned_dict(items, edit: object) -> _OwnedDict:
@@ -99,6 +111,7 @@ def _owned_dict(items, edit: object) -> _OwnedDict:
 def _owned_list(items, edit: object) -> _OwnedList:
     fresh = _OwnedList(items)
     fresh.owner = edit
+    fresh.instances = None
     return fresh
 
 
@@ -601,6 +614,24 @@ class PredicateShard:
     def to_tuple(self) -> Tuple["ViewEntry", ...]:
         return tuple(self)
 
+    def instances(self, solver, universe) -> FrozenSet[Tuple[object, ...]]:
+        """The value tuples of the live entries' instances, each entry read by
+        ``ConstrainedAtom.instances(solver, universe)``.  Without a universe a
+        chunk whose constraints name no source remembers its part, so a read
+        enumerates only the chunks written since the last one."""
+        parts = []
+        for chunk in self._chunks:
+            part = chunk.instances if universe is None else None
+            if part is None:
+                atoms = [entry.constrained_atom for entry in chunk if entry is not None]
+                part = frozenset(
+                    values for atom in atoms for _, values in atom.instances(solver, universe)
+                )
+                if universe is None and not any(atom.constraint._membership for atom in atoms):
+                    chunk.instances = part
+            parts.append(part)
+        return frozenset().union(*parts)
+
     def sequence_of(self, key: object) -> int:
         """The global sequence number of the entry filed under *key*."""
         return self._index[key][0]
@@ -767,6 +798,7 @@ class PredicateShard:
             if last.owner is not edit:
                 last = chunks[-1] = _owned_list(last, edit)
             last.append(entry)
+            last.instances = None
         else:
             last = _owned_list((entry,), edit)
             chunks.append(last)
@@ -840,6 +872,7 @@ class PredicateShard:
         chunk = self._chunks[number]
         if chunk.owner is not edit:
             chunk = self._chunks[number] = _owned_list(chunk, edit)
+        chunk.instances = None
         return chunk
 
     @staticmethod

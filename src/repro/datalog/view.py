@@ -821,14 +821,14 @@ class MaterializedView:
         solver: Optional[ConstraintSolver] = None,
         universe: Optional[Iterable[object]] = None,
     ) -> FrozenSet[Tuple[str, Tuple[object, ...]]]:
-        """The ground instance set ``[M]`` of the whole view."""
+        """The ground instance set ``[M]`` of the whole view: every shard read
+        as :meth:`instances_for` reads it, paired with its predicate."""
         universe_values = list(universe) if universe is not None else None
-        collected = set()
-        for entry in self:
-            collected.update(
-                entry.constrained_atom.instances(solver=solver, universe=universe_values)
-            )
-        return frozenset(collected)
+        return frozenset(
+            (predicate, values)
+            for predicate, shard in self._shards.items()
+            for values in shard.instances(solver, universe_values)
+        )
 
     def instances_for(
         self,
@@ -836,15 +836,20 @@ class MaterializedView:
         solver: Optional[ConstraintSolver] = None,
         universe: Optional[Iterable[object]] = None,
     ) -> FrozenSet[Tuple[object, ...]]:
-        """Ground instances of one predicate (tuples only)."""
+        """Ground instances of one predicate (tuples only).
+
+        Each entry is read by ``ConstrainedAtom.instances``.  Without a
+        universe, a shard chunk none of whose constraints names a source
+        remembers its set until a write reaches the chunk
+        (:meth:`PredicateShard.instances`): a read after a batch enumerates
+        the chunks the batch wrote, and the entries that call a domain, which
+        the solver's gated memo answers.  With a universe every entry is read.
+        """
+        shard = self._shards.get(predicate)
+        if shard is None:
+            return frozenset()
         universe_values = list(universe) if universe is not None else None
-        collected = set()
-        for entry in self.entries_for(predicate):
-            for _, values in entry.constrained_atom.instances(
-                solver=solver, universe=universe_values
-            ):
-                collected.add(values)
-        return frozenset(collected)
+        return shard.instances(solver, universe_values)
 
     def same_instances(
         self,

@@ -319,6 +319,11 @@ class DurableScheduler(StreamScheduler):
         """Force a snapshot of the latest commit."""
         return self._durability.checkpoint()
 
+    def close(self) -> None:
+        """Close the WAL's active segment (idempotent; a later batch opens a
+        fresh one)."""
+        self._durability.wal.rotate()
+
 
 def open_scheduler(
     data_dir,

@@ -170,7 +170,7 @@ class MediatorService:
         return self
 
     async def stop(self) -> None:
-        """Drain the log, checkpoint, tear down the threads."""
+        """Drain the log, checkpoint, close the WAL, tear down the threads."""
         if self._writer_task is None:
             return
         self._closed = True
@@ -188,6 +188,9 @@ class MediatorService:
                 )
             except Exception as exc:  # surface via .errors, still tear down
                 self._record_error(f"{type(exc).__name__}: {exc}")
+        close = getattr(self._scheduler, "close", None)
+        if close is not None:
+            close()
         for pool in (self._read_pool, self._writer):
             if pool is not None:
                 pool.shutdown(wait=True)

@@ -18,7 +18,8 @@ leaves allocated are counted, and a delta join all of whose positions are
 bound must not walk a predicate's entries.
 
 The read path is held to the same rule: a ``query`` after a pair runs a
-search for the entries the pair wrote and looks the others up, and a read
+search for the entries the pair wrote, looks up the others of the shard
+chunks it wrote and takes every other chunk's remembered set, and a read
 of the law-enforcement mediator calls the sources that changed since the
 last read and no others.
 
@@ -347,6 +348,41 @@ def test_a_read_after_a_pair_searches_what_the_pair_wrote():
     large, large_written = searched_after_a_pair(160)
     assert small == large
     assert 0 < small <= small_written == large_written
+
+
+def test_a_read_after_a_deletion_enumerates_the_chunk_it_wrote(monkeypatch):
+    # A shard chunk holds at most 64 entries; one whose constraints name no
+    # source remembers its instances until a write reaches it, so the read
+    # after a deletion looks up one chunk's entries, not all 800.
+    scheduler, _ = layered_scheduler(800)
+    solver = scheduler.solver
+
+    def lookups() -> int:
+        return solver.instance_memo_hits + solver.instance_memo_misses
+
+    answer = scheduler.query(TOP)
+    assert lookups() == len(scheduler.view.entries_for(TOP)) == 800
+    scheduler.submit(DeletionRequest(fact("base1", 3)))
+    assert scheduler.flush().ok
+    before = lookups()
+    smaller = scheduler.query(TOP)
+    assert smaller < answer
+    assert lookups() - before <= 64
+    before = lookups()
+    assert scheduler.query(TOP) == smaller
+    assert lookups() == before  # nothing was written: every chunk answers
+
+    # A read over a universe is not remembered: it enumerates every entry.
+    enumerated = []
+    enumerate_instances = ConstrainedAtom._enumerate_instances
+    monkeypatch.setattr(
+        ConstrainedAtom,
+        "_enumerate_instances",
+        lambda atom, *args, **kw: enumerated.append(atom) or enumerate_instances(atom, *args, **kw),
+    )
+    assert scheduler.query(TOP, universe=range(1000)) == smaller
+    assert len(enumerated) == len(scheduler.view.entries_for(TOP))
+    assert lookups() == before
 
 
 def test_a_mediated_read_calls_the_sources_that_changed(monkeypatch):

@@ -96,18 +96,21 @@ def run_until_crash(data_dir, spec, batches, durability_options):
     scheduler = open_scheduler(
         data_dir, spec.program, durability_options=durability_options
     )
-    for number, batch in enumerate(batches, start=1):
-        for payload in batch:
-            scheduler.submit(payload)
-        try:
-            result = scheduler.flush()
-            # The fault can also surface as a failed unit (commit-path
-            # faults raise inside apply) rather than propagate.
-            if not result.ok:
+    try:
+        for number, batch in enumerate(batches, start=1):
+            for payload in batch:
+                scheduler.submit(payload)
+            try:
+                result = scheduler.flush()
+                # The fault can also surface as a failed unit (commit-path
+                # faults raise inside apply) rather than propagate.
+                if not result.ok:
+                    return number
+            except InjectedFault:
                 return number
-        except InjectedFault:
-            return number
-    return None
+        return None
+    finally:
+        scheduler.close()  # the crashed process's files die with it
 
 
 def current_manifest(data_dir):
@@ -213,6 +216,7 @@ def crash_and_recover(point, seed, hits, before_recovery=None):
             f"resumed run after {point} diverged from the never-crashed "
             "reference"
         )
+        recovered.close()
 
         # -- and a second clean recovery agrees with the first life ----
         final = open_scheduler(data_dir, spec.program, durability_options=LAZY)
@@ -239,6 +243,7 @@ def test_a_record_after_a_torn_one_goes_to_a_new_segment(tmp_path):
         set_fault_injector(None)
     wal.append((Transaction(2, 0.0, request),))
     assert wal.segment_count() == len(wal.segments()) == 2
+    wal.rotate()
     replayed = WriteAheadLog(tmp_path).replay()
     assert [[txn.txn_id for txn in batch] for batch in replayed] == [[2]]
 
@@ -270,6 +275,7 @@ def test_torn_wal_tail_drops_only_the_interrupted_batch(seed):
             recovered.submit(payload)
         assert recovered.flush().ok
         assert view_keys(recovered.view) == prefixes[-1]
+        recovered.close()
         again = open_scheduler(data_dir, spec.program, durability_options=LAZY)
         assert view_keys(again.view) == prefixes[-1]
 
@@ -323,6 +329,7 @@ def test_a_batch_whose_pass_raises_is_lost_to_writer_and_recovery_alike(
             assert result.ok
         assert failed_at is not None, "no batch in the second half ran a pass"
         assert not result.ok and "the pass raised once" in result.error
+        writer.close()
 
         reopened = open_scheduler(data_dir, spec.program, durability_options=LAZY)
         assert view_keys(writer.view) == prefixes[failed_at - 1]
@@ -333,6 +340,7 @@ def test_a_batch_whose_pass_raises_is_lost_to_writer_and_recovery_alike(
                 reopened.submit(payload)
             assert reopened.flush().ok
         assert view_keys(reopened.view) == prefixes[-1]
+        reopened.close()
         final = open_scheduler(data_dir, spec.program, durability_options=LAZY)
         assert view_keys(final.view) == prefixes[-1]
 
@@ -361,6 +369,7 @@ def test_an_over_threshold_log_waits_while_updates_are_pending(forced):
             probe.submit(payload)
         assert probe.flush().ok
         first_record = probe.durability.wal.size_bytes()
+        probe.close()
     threshold = first_record // 2 if forced else first_record
 
     with tempfile.TemporaryDirectory() as raw:
@@ -382,6 +391,7 @@ def test_an_over_threshold_log_waits_while_updates_are_pending(forced):
         assert stats.checkpoints == 1 + int(forced)
         assert wal.size_bytes() == 0
         expected = view_keys(scheduler.view)
+        scheduler.close()
         again = open_scheduler(Path(raw), spec.program, durability_options=LAZY)
         assert view_keys(again.view) == expected
 
@@ -401,6 +411,7 @@ def test_recovery_refuses_a_foreign_program():
             scheduler.submit(payload)
         assert scheduler.flush().ok
         assert scheduler.checkpoint() is not None
+        scheduler.close()
         with pytest.raises(ProgramHashMismatchError):
             open_scheduler(data_dir, spec_b.program, durability_options=LAZY)
 
@@ -419,6 +430,7 @@ def test_corrupted_shard_file_fails_loudly():
             scheduler.submit(payload)
         assert scheduler.flush().ok
         assert scheduler.checkpoint() is not None
+        scheduler.close()
         shard_files = sorted((data_dir / "shards").glob("*.json"))
         assert shard_files
         victim = shard_files[0]

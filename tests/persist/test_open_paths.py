@@ -79,6 +79,7 @@ class TestMediatorOpen:
         assert recovered.query("top", UNIVERSE) == {
             (1,), (2,), (7,), (8,),
         }
+        recovered.close()
 
     @pytest.mark.parametrize("old", (1, 2))
     def test_an_older_format_directory_is_refused(self, tmp_path, old):
@@ -165,6 +166,7 @@ class TestCheckpointsWriteTheChange:
 
         writer.submit(updates[1])  # journaled only: the WAL tail
         assert writer.flush().ok
+        writer.close()
         recovered = open_scheduler(data_dir, program, durability_options=manual_options())
         assert recovered._replayed_batches >= 1
         recomputed = StreamScheduler(program, ConstraintSolver())
@@ -319,6 +321,47 @@ class TestCrashLeftovers:
         assert view_keys(reopened.view) == view_keys(writer.view)
 
 
+class TestClose:
+    """A durable scheduler closes the WAL segment it appends to."""
+
+    def test_a_closed_scheduler_reopens_with_every_acknowledged_update(self, tmp_path):
+        from repro.persist import open_scheduler
+
+        data_dir = tmp_path / "data"
+        writer = open_scheduler(data_dir, two_towers(), durability_options=manual_options())
+        for value in (7, 8, 9):
+            writer.submit(InsertionRequest(parse_constrained_atom(f"b(X) <- X = {value}")))
+            assert writer.flush().ok
+        wal = writer.durability.wal
+        assert wal._handle is not None  # the active segment
+        writer.close()
+        writer.close()  # idempotent
+        assert wal._handle is None
+        reopened = open_scheduler(data_dir, two_towers(), durability_options=manual_options())
+        assert reopened._replayed_batches == 3
+        assert reopened.query("top") == {(1,), (2,), (7,), (8,), (9,)}
+        assert view_keys(reopened.view) == view_keys(writer.view)
+        reopened.close()
+
+    def test_a_stopped_service_closes_the_wal_without_a_parting_checkpoint(self, tmp_path):
+        import asyncio
+
+        from repro.persist import open_scheduler
+        from repro.serve import MediatorService, ServeOptions
+
+        writer = open_scheduler(tmp_path / "data", two_towers(), durability_options=manual_options())
+
+        async def life():
+            async with MediatorService(writer, ServeOptions(checkpoint_on_stop=False)) as service:
+                await service.submit(InsertionRequest(parse_constrained_atom("b(X) <- X = 7")))
+                await service.drained()
+                assert writer.durability.wal._handle is not None
+
+        asyncio.run(life())
+        assert writer.durability.wal._handle is None
+        assert writer.durability.stats.checkpoints == 0
+
+
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
 class TestDirectoriesAreFsynced:
     """A rename or a new file is durable only once its directory is."""
@@ -380,6 +423,7 @@ class TestDirectoriesAreFsynced:
         events.clear()
         wal.append((Transaction(2, 0.0, request),))
         assert events == [("fsync", str(segment))]  # not a new name
+        wal.rotate()
 
 
 class TestCliServeDataDir:
